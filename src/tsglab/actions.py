@@ -33,12 +33,10 @@ from .perm import (
     PermGroup,
     Permutation,
     a4_inside_a5,
-    burnside_orbit_count,
+    class_fixed_counts,
     closure,
     coset_transversal,
-    fixed_count,
     from_cycles,
-    identity,
     is_faithful,
     restrict_action,
     standard_group,
@@ -303,36 +301,11 @@ def build(p: OrbitPlan) -> VertexAction:
     return va
 
 
-class FixedVertexPropertyError(RuntimeError):
-    """Raised when elements of one class fix different numbers of vertices."""
-
-
 def measured_profile(va: VertexAction) -> FixedVertexProfile:
-    """Count fixed vertices per element class, asserting the counts are
-    constant on classes (they must be, for any action this module builds)."""
+    """Count fixed vertices per element class (constant on classes for any
+    action this module builds; perm.class_fixed_counts raises otherwise)."""
     a = va.action
-    g = a.group
-    counts = {}
-    for label, members in g.classes.items():
-        vals = {fixed_count(a, e) for e in members}
-        if len(vals) != 1:
-            raise FixedVertexPropertyError(
-                f"class {label} fixes {sorted(vals)} vertices; construction bug")
-        if label.order > 1:
-            counts[label] = vals.pop()
-    kw = {"n2": 0, "n3": 0}
-    for label, n in counts.items():
-        if label.order == 2 and label.in_even_subgroup:
-            kw["n2"] = n
-        elif label.order == 2:
-            kw["n2p"] = n
-        elif label.order == 3:
-            kw["n3"] = n
-        elif label.order == 4:
-            kw["n4"] = n
-        elif label.order == 5:
-            kw["n5"] = n
-    return FixedVertexProfile(g.name, n1=a.m, **kw)
+    return FixedVertexProfile.from_counts(a.group.name, class_fixed_counts(a), a.m)
 
 
 def has_free_edge(va: VertexAction, in_parent: bool = False) -> bool:
@@ -356,11 +329,3 @@ def has_free_edge(va: VertexAction, in_parent: bool = False) -> bool:
                 return True
     return False
 
-
-def action_summary(va: VertexAction) -> dict:
-    return {
-        "group": va.action.group.name,
-        "m": va.m,
-        "orbits": burnside_orbit_count(va.action),
-        "profile": measured_profile(va).key(),
-    }

@@ -9,7 +9,6 @@ alone and re-runs every invariant; nothing is trusted.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -19,21 +18,13 @@ import numpy as np
 
 from .actions import Model, VertexAction, measured_profile
 from .edges import Arc, full_report
-from .geometry import (
-    HOM_TOL,
-    INVARIANCE_TOL,
-    MIN_VERTEX_SEP,
-    ModelConfig,
-    ORTHO_TOL,
-    Realization,
-    _max_hom_error,
-    geometric_profile,
-)
+from .geometry import REALIZATION_CHECKS, ModelConfig, Realization, require_at_most
 from .perm import (
     GroupAction,
     PermGroup,
     Permutation,
     burnside_orbit_count,
+    check_homomorphism,
     is_faithful,
 )
 
@@ -45,12 +36,6 @@ _TOP_KEYS = {"schema_version", "group", "m", "model", "restriction",
 
 class SchemaError(ValueError):
     """File shape does not match the certificate schema."""
-
-
-class VerificationFailure(RuntimeError):
-    def __init__(self, check: str, message: str):
-        super().__init__(f"{check}: {message}")
-        self.check = check
 
 
 def certificate_dict(r: Realization, report) -> dict:
@@ -77,7 +62,6 @@ def certificate_dict(r: Realization, report) -> dict:
                 "start": float(arc.start),
                 "sweep": float(arc.sweep),
             })
-    profile = measured_profile(va)
     return {
         "schema_version": SCHEMA_VERSION,
         "group": act.group.name,
@@ -95,9 +79,7 @@ def certificate_dict(r: Realization, report) -> dict:
         "report": {
             "h1": report.h1, "h2": report.h2, "h3": report.h3,
             "h4": report.h4, "h5": report.h5,
-            "profile": {k: v for k, v in [
-                ("n2", profile.n2), ("n2p", profile.n2p), ("n3", profile.n3),
-                ("n4", profile.n4), ("n5", profile.n5)] if v is not None},
+            "profile": measured_profile(va).named_counts(),
             "orbit_count": burnside_orbit_count(act),
         },
     }
@@ -137,12 +119,19 @@ def _check_schema(data: dict) -> None:
     for section, keys in (("model", {"tag", "theta", "t", "seed"}),):
         if set(data[section]) != keys:
             raise SchemaError(f"{section} must have keys {sorted(keys)}")
+    m = data["m"]
+    if not isinstance(m, int) or m != len(data["vertices"]):
+        raise SchemaError(f"m = {m!r} but the file holds {len(data['vertices'])} vertex records")
     for e in data["elements"]:
         if set(e) != {"perm", "matrix", "vertex_images"} or len(e["matrix"]) != 16:
             raise SchemaError("element records need perm, 16-entry matrix, vertex_images")
+        if not isinstance(e["vertex_images"], list) or len(e["vertex_images"]) != m:
+            raise SchemaError(f"every vertex_images list needs m = {m} entries")
     for v in data["vertices"]:
         if set(v) != {"id", "part", "coords"} or len(v["coords"]) != 4:
             raise SchemaError("vertex records need id, part, 4 coords")
+    if sorted(v["id"] for v in data["vertices"] if isinstance(v["id"], int)) != list(range(m)):
+        raise SchemaError(f"vertex ids must be exactly 0..{m - 1}")
     for a in data["arcs"]:
         if set(a) != {"pair", "fixer", "basis", "start", "sweep"}:
             raise SchemaError("arc records need pair, fixer, basis, start, sweep")
@@ -187,15 +176,17 @@ def _rebuild(data: dict) -> tuple[VertexAction, Realization]:
 def verify_certificate(data: dict) -> list[CheckResult]:
     """Re-run every check from file contents alone, in a fixed order.
 
-    Stops at the first failure so callers can name the broken invariant.
+    The realization invariants are geometry.REALIZATION_CHECKS, the same
+    list realize() runs; the file-only steps around them check the stored
+    group, action and recorded results.  Stops at the first failure so
+    callers can name the broken invariant.
     """
     results: list[CheckResult] = []
 
-    def run(name: str, fn) -> bool:
+    def run(name: str, *steps) -> bool:
         try:
-            fn()
-        except VerificationFailure:
-            raise
+            for step in steps:
+                step()
         except Exception as err:
             results.append(CheckResult(name, False, str(err)))
             return False
@@ -211,67 +202,25 @@ def verify_certificate(data: dict) -> list[CheckResult]:
         return results
     va: VertexAction = state["va"]
     real: Realization = state["real"]
-    group = va.action.group
 
     def check_action_hom():
-        for e1 in group.elements:
-            for e2 in group.elements:
-                if va.action.act[e1 * e2] != va.action.act[e1] * va.action.act[e2]:
-                    raise AssertionError(f"vertex permutations break at {e1.images} * {e2.images}")
+        check_homomorphism(va.action)
         if not is_faithful(va.action):
             raise AssertionError("vertex action is not faithful")
 
     if not run("action-homomorphism", check_action_hom):
         return results
 
-    def check_matrices():
-        eye = np.eye(4)
-        for e, mat in real.rep.items():
-            if float(np.abs(mat.T @ mat - eye).max()) > ORTHO_TOL:
-                raise AssertionError(f"matrix of {e.images} not orthogonal")
-            if abs(float(np.linalg.det(mat)) - 1.0) > ORTHO_TOL * 10:
-                raise AssertionError(f"matrix of {e.images} has determinant != +1")
-        err = _max_hom_error(group, real.rep)
-        if err > HOM_TOL:
-            raise AssertionError(f"matrix homomorphism error {err}")
-
-    if not run("homomorphism", check_matrices):
-        return results
-
-    def check_invariance():
-        for e in group.elements:
-            moved = real.coords @ real.rep[e].T
-            target = real.coords[list(va.action.act[e].images)]
-            err = float(np.abs(moved - target).max())
-            if err > INVARIANCE_TOL:
-                raise AssertionError(f"element {e.images} moves vertices off their images by {err}")
-
-    if not run("invariance", check_invariance):
-        return results
-
-    def check_separation():
-        diff = np.linalg.norm(real.coords[:, None, :] - real.coords[None, :, :], axis=2)
-        np.fill_diagonal(diff, np.inf)
-        if float(diff.min()) < MIN_VERTEX_SEP:
-            raise AssertionError(f"vertices only {diff.min()} apart")
-
-    if not run("separation", check_separation):
-        return results
-
-    def check_profile():
-        measured = measured_profile(va)
-        geo = geometric_profile(real)
-        if measured.key() != geo.key():
-            raise AssertionError(f"combinatorial {measured.key()} != geometric {geo.key()}")
+    def check_stored_profile():
+        expect = measured_profile(va).named_counts()
         stored = data["report"]["profile"]
-        expect = {k: v for k, v in [
-            ("n2", measured.n2), ("n2p", measured.n2p), ("n3", measured.n3),
-            ("n4", measured.n4), ("n5", measured.n5)] if v is not None}
         if stored != expect:
             raise AssertionError(f"stored profile {stored} != recomputed {expect}")
 
-    if not run("profile", check_profile):
-        return results
+    file_steps = {"profile": (check_stored_profile,)}
+    for name, check in REALIZATION_CHECKS:
+        if not run(name, lambda: check(real), *file_steps.get(name, ())):
+            return results
 
     def check_orbits():
         count = burnside_orbit_count(va.action)
@@ -297,9 +246,10 @@ def verify_certificate(data: dict) -> list[CheckResult]:
             basis = np.array(rec["basis"])
             stored_arc = Arc(tuple(rec["pair"]), Permutation(tuple(rec["fixer"])),
                              type(arc.circle)(basis), rec["start"], rec["sweep"])
-            if float(np.linalg.norm(stored_arc.midpoint - arc.midpoint)) > 1e-8 or \
-               float(np.linalg.norm(stored_arc.point_at(0) - arc.point_at(0))) > 1e-8:
-                raise AssertionError(f"stored arc for pair {rec['pair']} differs from recomputed")
+            for s in (0.5, 0.0):
+                gap = float(np.linalg.norm(stored_arc.point_at(s) - arc.point_at(s)))
+                require_at_most(gap, 1e-8,
+                                f"stored arc for pair {rec['pair']} differs from recomputed")
 
     run("edge-hypotheses", check_hypotheses)
     return results

@@ -21,6 +21,7 @@ from .certificate import (
 from .edges import full_report
 from .geometry import ModelConfig, UnsupportedGeometryError, realize
 from .oracle import feasible_multisets, oracle_residues
+from .perm import GROUP_NAMES
 from .profiles import (
     DomainError,
     admissible_residues,
@@ -36,21 +37,6 @@ EXIT_INADMISSIBLE = 3
 EXIT_KNOTTED = 4
 EXIT_CHECK_FAILED = 5
 
-GROUP_CHOICES = ("A4", "S4", "A5")
-
-
-def _profile_cells(p) -> str:
-    cells = [f"n2={p.n2}"]
-    if p.n2p is not None:
-        cells.append(f"n2p={p.n2p}")
-    cells.append(f"n3={p.n3}")
-    if p.n4 is not None:
-        cells.append(f"n4={p.n4}")
-    if p.n5 is not None:
-        cells.append(f"n5={p.n5}")
-    return " ".join(cells)
-
-
 def cmd_classify(args) -> int:
     try:
         verdict = necessity_check(args.group, args.m)
@@ -61,7 +47,8 @@ def cmd_classify(args) -> int:
     if verdict.admissible:
         print(f"group={args.group} m={args.m}: ADMISSIBLE (m = {args.m % modulus} mod {modulus})")
         for w in verdict.witnesses:
-            print(f"witness profile: {_profile_cells(w)}")
+            cells = " ".join(f"{name}={n}" for name, n in w.named_counts().items())
+            print(f"witness profile: {cells}")
         if verdict.note:
             print(f"note: {verdict.note}")
         return EXIT_OK
@@ -127,7 +114,11 @@ def cmd_realize(args) -> int:
     if not report.overall:
         print(f"hypothesis checks failed: {report.details}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    write_certificate(args.out, real, report)
+    try:
+        write_certificate(args.out, real, report)
+    except OSError as err:
+        print(f"error: cannot write {args.out}: {err}", file=sys.stderr)
+        return EXIT_USAGE
     arcs = len(report.arcs) if report.arcs else 0
     print(f"wrote {args.out}: group={args.group} m={args.m} model={real.model.value} arcs={arcs}")
     return EXIT_OK
@@ -152,7 +143,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    groups = GROUP_CHOICES if args.group is None else (args.group,)
+    groups = GROUP_NAMES if args.group is None else (args.group,)
     drop = tuple(args.drop_rule) if args.drop_rule else ()
     all_match = True
     for group in groups:
@@ -177,16 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="admissibility verdict for (group, m)")
-    c.add_argument("--group", required=True, choices=GROUP_CHOICES)
+    c.add_argument("--group", required=True, choices=GROUP_NAMES)
     c.add_argument("--m", required=True, type=int)
     c.set_defaults(fn=cmd_classify)
 
     t = sub.add_parser("table", help="print the profile table / congruence chain")
-    t.add_argument("--group", required=True, choices=GROUP_CHOICES)
+    t.add_argument("--group", required=True, choices=GROUP_NAMES)
     t.set_defaults(fn=cmd_table)
 
     r = sub.add_parser("realize", help="build a certificate file for (group, m)")
-    r.add_argument("--group", required=True, choices=GROUP_CHOICES)
+    r.add_argument("--group", required=True, choices=GROUP_NAMES)
     r.add_argument("--m", required=True, type=int)
     r.add_argument("--out", required=True)
     r.add_argument("--seed", type=int, default=None)
@@ -199,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     o = sub.add_parser("oracle", help="brute-force residues vs the rule engine")
-    o.add_argument("--group", choices=GROUP_CHOICES, default=None)
+    o.add_argument("--group", choices=GROUP_NAMES, default=None)
     o.add_argument("--drop-rule", action="append", default=None,
                    help="drop a named rule from the oracle (test mode)")
     o.add_argument("--max-m", type=int, default=None)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .actions import VertexAction
 from .geometry import FixedCircle, Realization, circles_intersection
-from .perm import Permutation, is_faithful, vertex_stabilizers
+from .perm import Permutation, is_faithful, pair_stabilizer, vertex_stabilizers
 
 PAIR_TOL = 1e-8
 ANGLE_EPS = 1e-9
@@ -121,18 +121,11 @@ def required_pairs(va: VertexAction) -> list[tuple[int, int]]:
     return out
 
 
-def _nontrivial_fixers(va: VertexAction, u: int, v: int) -> list[Permutation]:
-    a = va.action
-    return [e for e in a.group.elements
-            if not e.is_identity()
-            and a.act[e].images[u] == u and a.act[e].images[v] == v]
-
-
 def check_h1(va: VertexAction, r: Realization) -> bool:
     """All non-trivial fixers of each pinned pair share one fixed circle."""
     for u, v in required_pairs(va):
-        fixers = _nontrivial_fixers(va, u, v)
-        circles = [r.circle_of(e) for e in fixers]
+        circles = [r.circle_of(e) for e in pair_stabilizer(va.action, u, v)
+                   if not e.is_identity()]
         if any(c.empty for c in circles):
             return False
         first = circles[0]
@@ -142,7 +135,7 @@ def check_h1(va: VertexAction, r: Realization) -> bool:
 
 
 def _vertices_on_circle(r: Realization, circle: FixedCircle) -> list[int]:
-    return [v for v in range(r.m) if circle.contains(r.coords[v], tol=PAIR_TOL)]
+    return np.flatnonzero(circle.on_circle(r.coords, PAIR_TOL)).tolist()
 
 
 def assign_arcs(va: VertexAction, r: Realization) -> ArcAssignment:
@@ -158,8 +151,7 @@ def assign_arcs(va: VertexAction, r: Realization) -> ArcAssignment:
         raise ArcAssignmentError("pairs are fixed by elements with different circles")
     arcs: ArcAssignment = {}
     for u, v in required_pairs(va):
-        fixers = _nontrivial_fixers(va, u, v)
-        fixer = fixers[0]
+        fixer = next(e for e in pair_stabilizer(va.action, u, v) if not e.is_identity())
         circle = r.circle_of(fixer)
         pu, pv = r.coords[u], r.coords[v]
         if not (circle.contains(pu, PAIR_TOL) and circle.contains(pv, PAIR_TOL)):
@@ -226,7 +218,7 @@ def check_h3(va: VertexAction, r: Realization, arcs: ArcAssignment) -> bool:
             if target is None:
                 return False
             moved_mid = mat @ arc.midpoint
-            if float(np.linalg.norm(moved_mid - target.midpoint)) > PAIR_TOL:
+            if not float(np.linalg.norm(moved_mid - target.midpoint)) <= PAIR_TOL:
                 return False
             if f.is_identity():
                 continue

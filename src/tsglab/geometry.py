@@ -30,16 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .actions import BuiltPart, Model, OrbitPlan, VertexAction, restricted_group
-from .perm import (
-    GroupAction,
-    PermGroup,
-    Permutation,
-    coset_transversal,
-    closure,
-    from_cycles,
-    standard_group,
-)
+from .actions import BuiltPart, Model, OrbitPlan, VertexAction, measured_profile, restricted_group
+from .perm import PermGroup, Permutation, standard_group
 from .profiles import FixedVertexProfile
 
 ORTHO_TOL = 1e-9
@@ -112,6 +104,12 @@ class FixedCircle:
 
     def contains(self, p: np.ndarray, tol: float = ON_CIRCLE_TOL) -> bool:
         return not self.empty and self.residual(p) <= tol
+
+    def on_circle(self, coords: np.ndarray, tol: float = ON_CIRCLE_TOL) -> np.ndarray:
+        """Boolean mask of the rows of coords lying on the circle (none if empty)."""
+        if self.empty:
+            return np.zeros(len(coords), dtype=bool)
+        return np.linalg.norm(coords - coords @ self.projector(), axis=1) <= tol
 
     def angle_of(self, p: np.ndarray) -> float:
         x, y = float(self.basis[0] @ p), float(self.basis[1] @ p)
@@ -346,14 +344,6 @@ def circles_of(rep: dict[Permutation, np.ndarray]) -> dict[Permutation, FixedCir
 
 
 _PART_BASE_EDGE = {"tetra_edge": (2, 3), "simplex_edge": (3, 4)}
-_PART_MODELS = {
-    "tetra_corners": (Model.TETRA_FULL, Model.TETRA_ROT),
-    "twin_tetra": (Model.TETRA_FULL,),
-    "tetra_edge": (Model.TETRA_FULL,),
-    "simplex_corners": (Model.SIMPLEX4,),
-    "simplex_edge": (Model.SIMPLEX4,),
-    "center": (Model.TETRA_ROT, Model.DODECA_ROT),
-}
 
 
 def _edge_point(corner_a: np.ndarray, corner_b: np.ndarray, t: float) -> np.ndarray:
@@ -371,8 +361,6 @@ def _part_base_point(model: Model, kind: str, config: ModelConfig) -> np.ndarray
     if kind == "simplex_edge":
         i, j = _PART_BASE_EDGE[kind]
         return _edge_point(simplex_corner(i), simplex_corner(j), config.t)
-    if kind == "center":
-        return POLE.copy()
     raise ValueError(f"part kind {kind!r} has no base point")
 
 
@@ -392,57 +380,6 @@ def part_coords(model: Model, part: BuiltPart, rep: dict[Permutation, np.ndarray
         return POLE.reshape(1, 4).copy()
     base = _part_base_point(model, part.kind, config)
     return np.array([rep[r] @ base for r in part.reps])
-
-
-def special_orbit_coords(model: Model, kind: str, config: ModelConfig | None = None,
-                         ) -> np.ndarray:
-    """Standalone coordinates for a special part, in canonical coset order.
-
-    Verifies unit norms, setwise invariance and the planned stabilizer
-    sizes before returning.
-    """
-    config = config or ModelConfig()
-    if kind not in _PART_MODELS or model not in _PART_MODELS[kind]:
-        raise ValueError(f"part {kind!r} is not defined in model {model.value}")
-    group_name = {"tetra_corners": "S4" if model is Model.TETRA_FULL else "A4",
-                  "twin_tetra": "S4", "tetra_edge": "S4",
-                  "simplex_corners": "A5", "simplex_edge": "A5",
-                  "center": "A4" if model is Model.TETRA_ROT else "A5"}[kind]
-    g = standard_group(group_name)
-    rep = representation(g, model)
-    sub = {
-        "tetra_corners": lambda: frozenset(e for e in g.elements if e.images[3] == 3),
-        "simplex_corners": lambda: frozenset(e for e in g.elements if e.images[4] == 4),
-        "twin_tetra": lambda: closure((from_cycles(4, (0, 1, 2)),), 4),
-        "tetra_edge": lambda: closure((from_cycles(4, (0, 1)),), 4),
-        "simplex_edge": lambda: closure((from_cycles(5, (0, 1, 2)),), 5),
-        "center": lambda: g.element_set,
-    }[kind]()
-    if kind in ("tetra_corners", "simplex_corners", "center"):
-        coords = (np.array([_natural_corner(model, i) for i in range(g.degree)])
-                  if kind != "center" else POLE.reshape(1, 4))
-    else:
-        reps = coset_transversal(g, sub)
-        base = _part_base_point(model, kind, config)
-        coords = np.array([rep[r] @ base for r in reps])
-    _verify_part(coords, rep, len(sub))
-    return coords
-
-
-def _verify_part(coords: np.ndarray, rep: dict[Permutation, np.ndarray], stab_size: int):
-    if np.abs(np.linalg.norm(coords, axis=1) - 1).max() > ORTHO_TOL:
-        raise AssertionError("part coordinates are not unit vectors")
-    for mat in rep.values():
-        moved = coords @ mat.T
-        dists = np.linalg.norm(moved[:, None, :] - coords[None, :, :], axis=2)
-        if np.abs(dists.min(axis=1)).max() > INVARIANCE_TOL:
-            raise AssertionError("part coordinates are not setwise invariant")
-    fixed_counts = sum(
-        int((np.linalg.norm(coords @ mat.T - coords, axis=1) < INVARIANCE_TOL).sum())
-        for mat in rep.values())
-    if fixed_counts != len(coords) * stab_size:
-        raise AssertionError(
-            f"stabilizers have total size {fixed_counts}, planned {len(coords) * stab_size}")
 
 
 _MODEL_DEFAULT_GROUP = {Model.TETRA_ROT: "A4", Model.TETRA_FULL: "S4",
@@ -518,49 +455,74 @@ class Realization:
             self.circles = circles_of(self.rep)
         return self.circles[e]
 
-    def validate(self):
-        validate_realization(self)
+
+def require_at_most(value: float, bound: float, message: str) -> None:
+    """The one tolerance test of the realization and certificate checks.
+    Written as `not (value <= bound)` so that a NaN anywhere fails it."""
+    if not value <= bound:
+        raise AssertionError(message)
 
 
 def _max_hom_error(group: PermGroup, rep: dict[Permutation, np.ndarray]) -> float:
     els = group.elements
     idx = {e: i for i, e in enumerate(els)}
     mats = np.array([rep[e] for e in els])
-    err = 0.0
-    for i, a in enumerate(els):
-        prods = np.einsum("ij,njk->nik", mats[i], mats)
-        targets = np.array([mats[idx[a * b]] for b in els])
-        err = max(err, float(np.abs(prods - targets).max()))
-    return err
+    row_errors = [np.abs(mats[i] @ mats - mats[[idx[a * b] for b in els]]).max()
+                  for i, a in enumerate(els)]
+    return float(np.max(row_errors))
 
 
-def validate_realization(r: Realization):
-    group = r.group
-    mats = np.array([r.rep[e] for e in group.elements])
-    eye = np.eye(4)
-    ortho = max(float(np.abs(m.T @ m - eye).max()) for m in mats)
-    if ortho > ORTHO_TOL:
-        raise AssertionError(f"matrices not orthogonal to tolerance: {ortho}")
-    dets = np.linalg.det(mats)
-    if np.abs(dets - 1).max() > ORTHO_TOL * 10:
-        raise AssertionError("matrices must have determinant +1")
-    hom = _max_hom_error(group, r.rep)
-    if hom > HOM_TOL:
-        raise AssertionError(f"representation homomorphism error {hom}")
+def _check_matrices(r: Realization) -> None:
+    mats = np.array([r.rep[e] for e in r.group.elements])
+    ortho = float(np.abs(mats.transpose(0, 2, 1) @ mats - np.eye(4)).max())
+    require_at_most(ortho, ORTHO_TOL, f"matrices not orthogonal to tolerance: {ortho}")
+    det = float(np.abs(np.linalg.det(mats) - 1).max())
+    require_at_most(det, ORTHO_TOL * 10, f"matrices must have determinant +1, off by {det}")
+    hom = _max_hom_error(r.group, r.rep)
+    require_at_most(hom, HOM_TOL, f"matrix homomorphism error {hom}")
+
+
+def _check_invariance(r: Realization) -> None:
     act = r.vertex_action.action
-    for e in group.elements:
+    for e in r.group.elements:
         moved = r.coords @ r.rep[e].T
-        target = r.coords[list(act.act[e].images)]
-        if float(np.abs(moved - target).max()) > INVARIANCE_TOL:
-            raise AssertionError(f"coordinates do not realize the action of {e}")
+        err = float(np.abs(moved - r.coords[list(act.act[e].images)]).max())
+        require_at_most(err, INVARIANCE_TOL,
+                         f"element {e.images} moves vertices off their images by {err}")
+
+
+def _check_separation(r: Realization) -> None:
     diff = np.linalg.norm(r.coords[:, None, :] - r.coords[None, :, :], axis=2)
     np.fill_diagonal(diff, np.inf)
-    if diff.min() < MIN_VERTEX_SEP:
-        raise AssertionError(f"vertices too close: {diff.min()}")
-    mp = _profile_counts_from_action(r)
-    gp = _profile_counts_geometric(r)
-    if mp != gp:
-        raise AssertionError(f"geometric profile {gp} != combinatorial profile {mp}")
+    closest = float(diff.min())
+    require_at_most(MIN_VERTEX_SEP, closest, f"vertices only {closest} apart")
+
+
+def _check_profile(r: Realization) -> None:
+    combinatorial = measured_profile(r.vertex_action).key()
+    geometric = geometric_profile(r).key()
+    if combinatorial != geometric:
+        raise AssertionError(f"combinatorial {combinatorial} != geometric {geometric}")
+
+
+# The invariants every realization must satisfy, in order.  realize() runs
+# them through validate_realization; certificate verification runs the same
+# list on the objects it rebuilds from a file.
+REALIZATION_CHECKS = (
+    ("homomorphism", _check_matrices),
+    ("invariance", _check_invariance),
+    ("separation", _check_separation),
+    ("profile", _check_profile),
+)
+
+
+def validate_realization(r: Realization) -> None:
+    """Run REALIZATION_CHECKS; the first failure raises, naming its check."""
+    for name, check in REALIZATION_CHECKS:
+        try:
+            check(r)
+        except AssertionError as err:
+            raise AssertionError(f"{name}: {err}") from err
 
 
 def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
@@ -576,7 +538,6 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     parent_group = standard_group(p.building_group)
     rep_full = representation(parent_group, p.model)
 
-    special = [b for b in va.parts if b.kind != "free"]
     coords_blocks: dict[int, np.ndarray] = {}
     fixed_coords = []
     for i, b in enumerate(va.parts):
@@ -602,57 +563,23 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
         rep = {e: rep_full[e] for e in sub.elements}
         parent_rep = rep_full
     r = Realization(p, va, p.model, config, rep, coords, parent_rep)
-    r.validate()
+    validate_realization(r)
     return r
 
 
 # --------------------------------------------------------------- profiles
 
 
-def _profile_counts_from_action(r: Realization) -> dict:
-    act = r.vertex_action.action
-    out = {}
+def geometric_profile(r: Realization) -> FixedVertexProfile:
+    """Count vertices on each element's fixed circle; the count must be
+    constant on every class (the profile check compares it with the
+    combinatorial measured profile)."""
+    counts = {}
     for label, members in r.group.classes.items():
         if label.order == 1:
             continue
-        vals = {sum(1 for v in range(act.m) if act.act[e].images[v] == v) for e in members}
-        assert len(vals) == 1
-        out[label] = vals.pop()
-    return out
-
-
-def _profile_counts_geometric(r: Realization) -> dict:
-    out = {}
-    for label, members in r.group.classes.items():
-        if label.order == 1:
-            continue
-        vals = set()
-        for e in members:
-            circle = r.circle_of(e)
-            if circle.empty:
-                vals.add(0)
-            else:
-                vals.add(int(sum(1 for p in r.coords if circle.contains(p))))
+        vals = {int(r.circle_of(e).on_circle(r.coords).sum()) for e in members}
         if len(vals) != 1:
             raise AssertionError(f"geometric counts differ within class {label}: {vals}")
-        out[label] = vals.pop()
-    return out
-
-
-def geometric_profile(r: Realization) -> FixedVertexProfile:
-    """Count vertices on each element's fixed circle; must agree with the
-    combinatorial measured profile (validated at construction)."""
-    counts = _profile_counts_geometric(r)
-    kw = {"n2": 0, "n3": 0}
-    for label, n in counts.items():
-        if label.order == 2 and label.in_even_subgroup:
-            kw["n2"] = n
-        elif label.order == 2:
-            kw["n2p"] = n
-        elif label.order == 3:
-            kw["n3"] = n
-        elif label.order == 4:
-            kw["n4"] = n
-        elif label.order == 5:
-            kw["n5"] = n
-    return FixedVertexProfile(r.group.name, n1=r.m, **kw)
+        counts[label] = vals.pop()
+    return FixedVertexProfile.from_counts(r.group.name, counts, r.m)

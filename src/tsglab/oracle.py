@@ -19,10 +19,10 @@ from .perm import (
     ClassLabel,
     GroupAction,
     GROUP_ORDER,
+    class_fixed_counts,
     coset_action,
     direct_sum,
     fixed_count,
-    is_faithful,
     kernel,
     standard_group,
     subgroups_up_to_conjugacy,
@@ -77,20 +77,6 @@ class OrbitMultiset:
     faithful: bool
 
 
-def _profile_from_counts(group: str, label_counts: dict[ClassLabel, int],
-                         n1: int | None = None) -> FixedVertexProfile:
-    kw = {
-        "n2": label_counts.get(ClassLabel(2, True), 0),
-        "n3": label_counts.get(ClassLabel(3, True), 0),
-    }
-    if group == "S4":
-        kw["n2p"] = label_counts.get(ClassLabel(2, False), 0)
-        kw["n4"] = label_counts.get(ClassLabel(4, False), 0)
-    if group == "A5":
-        kw["n5"] = label_counts.get(ClassLabel(5, True), 0)
-    return FixedVertexProfile(group, n1=n1, **kw)
-
-
 @lru_cache(maxsize=None)
 def transitive_types(group: str) -> tuple[TransitiveType, ...]:
     """One type per subgroup conjugacy class, with exact fix vectors."""
@@ -98,14 +84,7 @@ def transitive_types(group: str) -> tuple[TransitiveType, ...]:
     types = []
     for idx, h in enumerate(subgroups_up_to_conjugacy(group)):
         act = coset_action(g, h)
-        vec: dict[ClassLabel, int] = {}
-        for label, members in g.classes.items():
-            counts = {fixed_count(act, e) for e in members}
-            if len(counts) != 1:
-                raise OracleInconsistencyError(
-                    f"class {label} not constant on cosets of subgroup {idx}")
-            if label.order > 1:
-                vec[label] = counts.pop()
+        vec = class_fixed_counts(act)
         # Burnside on a transitive action: fixed points sum to |G|
         total = sum(fixed_count(act, e) for e in g.elements)
         if total != g.order:
@@ -157,7 +136,7 @@ def feasible_multisets(group: str, m: int, *, use_m_rules: bool = False,
             for t, c in chosen:
                 for lab, f in t.fix_vector:
                     label_counts[lab] = label_counts.get(lab, 0) + c * f
-            profile = _profile_from_counts(group, label_counts, n1=m)
+            profile = FixedVertexProfile.from_counts(group, label_counts, m)
             if profile.max_count() > 3:
                 return
             if not passes_profile_rules(group, profile, drop_rules):
@@ -197,14 +176,7 @@ def materialize(ms: OrbitMultiset) -> GroupAction:
 
 def measured_multiset_profile(ms: OrbitMultiset) -> FixedVertexProfile:
     act = materialize(ms)
-    counts: dict[ClassLabel, int] = {}
-    for label, members in act.group.classes.items():
-        if label.order == 1:
-            continue
-        vals = {fixed_count(act, e) for e in members}
-        assert len(vals) == 1
-        counts[label] = vals.pop()
-    return _profile_from_counts(ms.group, counts, n1=act.m)
+    return FixedVertexProfile.from_counts(ms.group, class_fixed_counts(act), act.m)
 
 
 def oracle_residues(group: str, *, drop_rules: tuple[str, ...] = ()) -> CongruenceSet:

@@ -23,7 +23,9 @@ class NotASubgroupError(ValueError):
 
 
 class InconsistentActionError(RuntimeError):
-    """Raised when a Burnside sum is not divisible by the group order."""
+    """Raised when an action table contradicts the group structure: a broken
+    homomorphism, a Burnside sum not divisible by the group order, or a
+    fixed-vertex count that varies within an element class."""
 
 
 @dataclass(frozen=True, order=True)
@@ -95,9 +97,6 @@ class Permutation:
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return out
-
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.images) if i == j)
 
 
 def identity(degree: int) -> Permutation:
@@ -247,12 +246,6 @@ def a4_inside_a5() -> PermGroup:
     return PermGroup("A4", 5, closure(gens, 5), gens)
 
 
-@lru_cache(maxsize=None)
-def a4_inside_s4() -> PermGroup:
-    """The even elements of S4; identical to standard_group("A4")."""
-    return standard_group("A4")
-
-
 def _is_subgroup(elements: frozenset[Permutation], degree: int) -> bool:
     if identity(degree) not in elements:
         return False
@@ -356,6 +349,23 @@ def coset_action(g: PermGroup, h: frozenset[Permutation]) -> GroupAction:
 def fixed_count(a: GroupAction, e: Permutation) -> int:
     img = a.act[e].images
     return sum(1 for v in range(a.m) if img[v] == v)
+
+
+def class_fixed_counts(a: GroupAction) -> dict[ClassLabel, int]:
+    """Fixed-vertex count of each non-identity element class.
+
+    The count must be constant on every class (it is for every action this
+    package builds); a class on which it varies raises InconsistentActionError.
+    """
+    out = {}
+    for label, members in a.group.classes.items():
+        if label.order == 1:
+            continue
+        vals = {fixed_count(a, e) for e in members}
+        if len(vals) != 1:
+            raise InconsistentActionError(f"class {label} fixes {sorted(vals)} vertices")
+        out[label] = vals.pop()
+    return out
 
 
 def burnside_orbit_count(a: GroupAction) -> int:

@@ -21,18 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .perm import ClassLabel, GROUP_NAMES, GROUP_ORDER
+from .perm import EXPECTED_CLASSES, ClassLabel, GROUP_NAMES, GROUP_ORDER
 
 # Burnside weights: size of each non-identity class
 CLASS_WEIGHTS = {
-    "A4": {ClassLabel(2, True): 3, ClassLabel(3, True): 8},
-    "S4": {
-        ClassLabel(2, True): 3,
-        ClassLabel(2, False): 6,
-        ClassLabel(3, True): 8,
-        ClassLabel(4, False): 6,
-    },
-    "A5": {ClassLabel(2, True): 15, ClassLabel(3, True): 20, ClassLabel(5, True): 24},
+    group: {label: size for label, size in sizes.items() if label.order > 1}
+    for group, sizes in EXPECTED_CLASSES.items()
+}
+
+# profile field of each non-identity class, in the order key() reports them
+_FIELD_OF = {
+    ClassLabel(2, True): "n2",
+    ClassLabel(2, False): "n2p",
+    ClassLabel(3, True): "n3",
+    ClassLabel(4, False): "n4",
+    ClassLabel(5, True): "n5",
 }
 
 
@@ -80,22 +83,24 @@ class FixedVertexProfile:
             if v < 0:
                 raise ValueError("fixed-vertex counts must be non-negative")
 
+    @classmethod
+    def from_counts(cls, group: str, counts: dict[ClassLabel, int],
+                    n1: Optional[int] = None) -> "FixedVertexProfile":
+        """Profile from per-class counts; classes left out count 0."""
+        return cls(group, n1=n1, **{_FIELD_OF[label]: n for label, n in counts.items()})
+
+    def named_counts(self) -> dict[str, int]:
+        """Counts of the group's classes by field name, in key() order."""
+        return {name: n for name in _FIELD_OF.values()
+                if (n := getattr(self, name)) is not None}
+
     def counts(self) -> dict[ClassLabel, int]:
-        out = {ClassLabel(2, True): self.n2, ClassLabel(3, True): self.n3}
-        if self.group == "S4":
-            out[ClassLabel(2, False)] = self.n2p
-            out[ClassLabel(4, False)] = self.n4
-        if self.group == "A5":
-            out[ClassLabel(5, True)] = self.n5
-        return out
+        return {label: n for label, name in _FIELD_OF.items()
+                if (n := getattr(self, name)) is not None}
 
     def key(self) -> tuple:
         """Comparison key ignoring n1 (used for witness matching)."""
-        if self.group == "A4":
-            return (self.n2, self.n3)
-        if self.group == "S4":
-            return (self.n2, self.n2p, self.n3, self.n4)
-        return (self.n2, self.n3, self.n5)
+        return tuple(self.named_counts().values())
 
     def max_count(self) -> int:
         return max(self.counts().values())

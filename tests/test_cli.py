@@ -155,6 +155,56 @@ def test_verify_detects_broken_closure(capsys, tmp_path):
     assert "group-closure" in (out + err)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_verify_rejects_non_finite_coordinate(capsys, tmp_path, bad):
+    out_file = str(tmp_path / "f.json")
+    run(capsys, "realize", "--group", "S4", "--m", "24", "--out", out_file, "--seed", "1")
+    data = json.loads(Path(out_file).read_text())
+    data["vertices"][0]["coords"][1] = bad
+    Path(out_file).write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--in", out_file)
+    assert code == 5
+    assert "invariance: FAILED" in out and "verification failed at: invariance" in err
+
+
+def _mutate_m(data):
+    data["m"] = 25
+
+
+def _shrink_m(data):
+    data["m"] = 23
+
+
+def _drop_vertex(data):
+    del data["vertices"][-1]
+
+
+def _renumber_vertex(data):
+    data["vertices"][-1]["id"] = 24
+
+
+def _short_vertex_images(data):
+    data["elements"][2]["vertex_images"].pop()
+
+
+@pytest.mark.parametrize("mutate", [_mutate_m, _shrink_m, _drop_vertex, _renumber_vertex,
+                                    _short_vertex_images])
+def test_verify_rejects_inconsistent_vertex_count(capsys, tmp_path, mutate):
+    out_file = str(tmp_path / "g.json")
+    run(capsys, "realize", "--group", "S4", "--m", "24", "--out", out_file, "--seed", "1")
+    data = json.loads(Path(out_file).read_text())
+    mutate(data)
+    Path(out_file).write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--in", out_file)
+    assert code == 2 and err.startswith("error: ") and out == ""
+
+
+def test_realize_into_missing_directory_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "realize", "--group", "S4", "--m", "24",
+                         "--out", str(tmp_path / "missing" / "c.json"))
+    assert code == 2 and err.startswith("error: ") and out == ""
+
+
 def test_verify_rejects_schema_mismatch(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 99}))

@@ -18,8 +18,8 @@ from tsglab.geometry import (
     geometric_profile,
     realize,
     representation,
-    special_orbit_coords,
     tetra_corner,
+    validate_realization,
 )
 from tsglab.geometry import _max_hom_error
 from tsglab.perm import a4_inside_a5, from_cycles, standard_group
@@ -145,32 +145,38 @@ def test_circle_pairs_intersect_in_0_or_2_points(reps):
 # ------------------------------------------------------------ part coords
 
 
-def test_tetra_corners_natural_permutation(reps):
-    coords = special_orbit_coords(Model.TETRA_FULL, "tetra_corners")
-    rep = reps[Model.TETRA_FULL]
+def _part_block(r, kind):
+    part = next(b for b in r.vertex_action.parts if b.kind == kind)
+    block = r.coords[part.start:part.start + part.size]
+    assert np.abs(np.linalg.norm(block, axis=1) - 1).max() < 1e-9
+    return block
+
+
+def _stabilizer_sizes(r, block):
+    return {sum(1 for mat in r.rep.values() if np.linalg.norm(mat @ p - p) < 1e-9)
+            for p in block}
+
+
+def test_tetra_corners_natural_permutation():
+    r = realize(plan("S4", 4))
+    coords = _part_block(r, "tetra_corners")
     for e in S4.elements:
         for i in range(4):
-            assert np.linalg.norm(rep[e] @ coords[i] - coords[e.images[i]]) < 1e-9
+            assert np.linalg.norm(r.rep[e] @ coords[i] - coords[e.images[i]]) < 1e-9
 
 
 def test_twin_tetra_has_order3_stabilizers():
-    coords = special_orbit_coords(Model.TETRA_FULL, "twin_tetra")
+    r = realize(plan("S4", 8))
+    coords = _part_block(r, "twin_tetra")
     assert coords.shape == (8, 4)
+    assert _stabilizer_sizes(r, coords) == {3}
 
 
-def test_simplex_edge_points_have_order3_stabilizers(reps):
-    coords = special_orbit_coords(Model.SIMPLEX4, "simplex_edge")
+def test_simplex_edge_points_have_order3_stabilizers():
+    r = realize(plan("A5", 20))
+    coords = _part_block(r, "simplex_edge")
     assert coords.shape == (20, 4)
-    rep = reps[Model.SIMPLEX4]
-    stab = sum(1 for e in A5.elements
-               if np.linalg.norm(rep[e] @ coords[0] - coords[0]) < 1e-9)
-    assert stab == 3
-
-
-def test_center_fixed_by_all_tetra_rotations(reps):
-    pole = special_orbit_coords(Model.TETRA_ROT, "center")[0]
-    for mat in reps[Model.TETRA_ROT].values():
-        assert np.linalg.norm(mat @ pole - pole) < 1e-12
+    assert _stabilizer_sizes(r, coords) == {3}
 
 
 def test_midpoint_parameter_rejected():
@@ -180,11 +186,6 @@ def test_midpoint_parameter_rejected():
         ModelConfig(t=0.0)
     with pytest.raises(ValueError):
         ModelConfig(theta=0.0)
-
-
-def test_incompatible_part_model_pair():
-    with pytest.raises(ValueError):
-        special_orbit_coords(Model.SIMPLEX4, "tetra_edge")
 
 
 # ------------------------------------------------------------ free orbits
@@ -250,9 +251,11 @@ def test_s4_12_each_transposition_circle_holds_two_vertices():
 
 def test_a4_13_pole_vertex_fixed_by_all():
     r = realize(plan("A4", 13))
-    pole_idx = r.vertex_action.labels.index("center")
+    pole = _part_block(r, "center")[0]
+    assert np.array_equal(pole, [0.0, 0.0, 0.0, 1.0])
+    assert len(r.rep) == 12 and r.model is Model.TETRA_ROT
     for mat in r.rep.values():
-        assert np.linalg.norm(mat @ r.coords[pole_idx] - r.coords[pole_idx]) < 1e-12
+        assert np.linalg.norm(mat @ pole - pole) < 1e-12
 
 
 def test_restricted_realizations_validate():
@@ -277,6 +280,14 @@ def test_parameters_robust(theta, t):
     cfg = ModelConfig(theta=theta, t=t, seed=5)
     r = realize(plan("S4", 20), config=cfg)
     assert geometric_profile(r).key() == (0, 2, 2, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_rejects_non_finite_coordinate(bad):
+    r = realize(plan("S4", 24), config=ModelConfig(seed=1))
+    r.coords[0, 1] = bad
+    with pytest.raises(AssertionError, match="^invariance: "):
+        validate_realization(r)
 
 
 def test_free_orbit_profile_all_zero():
