@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tsglab.actions import Model, build, measured_profile, plan
 from tsglab.geometry import (
+    POLE,
     FixedCircle,
     ModelConfig,
     PrecisionError,
@@ -177,6 +178,11 @@ def test_simplex_edge_points_have_order3_stabilizers():
     coords = _part_block(r, "simplex_edge")
     assert coords.shape == (20, 4)
     assert _stabilizer_sizes(r, coords) == {3}
+
+
+def test_center_fixed_by_all_tetra_rotations(reps):
+    for mat in reps[Model.TETRA_ROT].values():
+        assert np.linalg.norm(mat @ POLE - POLE) < 1e-12
 
 
 def test_midpoint_parameter_rejected():
