@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .perm import (
     GroupAction,
     PermGroup,
@@ -35,12 +37,15 @@ from .perm import (
     a4_inside_a5,
     class_fixed_counts,
     closure,
+    coset_action,
     coset_transversal,
+    direct_sum,
     from_cycles,
     is_faithful,
+    natural_action,
+    pair_fixer_counts,
     restrict_action,
     standard_group,
-    vertex_stabilizers,
 )
 from .profiles import FixedVertexProfile, NotAdmissibleError, necessity_check
 
@@ -232,63 +237,36 @@ def restricted_group(p: OrbitPlan) -> Optional[PermGroup]:
 
 
 def build(p: OrbitPlan) -> VertexAction:
-    """Materialize a plan as an explicit faithful permutation action."""
+    """Materialize a plan as an explicit faithful permutation action: the
+    direct sum of one coset, natural or one-point action per block."""
     g = _acting_group(p)
     blocks: list[BuiltPart] = []
-    offset = 0
+    pieces: list[GroupAction] = []
+    center = GroupAction(g, np.zeros((g.order, 1), dtype=np.intp))
 
-    def add(kind: str, label: str, size: int, reps, stab):
-        nonlocal offset
-        blocks.append(BuiltPart(kind, label, offset, size, reps, tuple(stab)))
-        offset += size
+    def add(kind: str, piece: GroupAction, reps=None, stab=(), label=None):
+        start = sum(b.size for b in blocks)
+        blocks.append(BuiltPart(kind, label or kind, start, piece.m, reps, tuple(stab)))
+        pieces.append(piece)
 
-    for i, spec in enumerate(p.parts):
-        if spec.kind == "free":
-            reps = tuple(g.elements)
+    for spec in p.parts:
+        if spec.kind == "free" or spec.kind in _PART_SUBGROUP:
+            free = spec.kind == "free"
+            h = frozenset([g.identity]) if free else _PART_SUBGROUP[spec.kind]()
+            piece, reps = coset_action(g, h), tuple(coset_transversal(g, h))
             for j in range(spec.count):
-                add("free", f"free{j}", g.order, reps, (g.identity,))
+                add(spec.kind, piece, reps, sorted(h), f"free{j}" if free else None)
         elif spec.kind in _NATURAL_PARTS:
-            add(spec.kind, spec.kind, PART_SIZES[spec.kind], None, ())
+            add(spec.kind, natural_action(g))
         elif spec.kind == "center":
-            add("center", "center", 1, None, g.elements)
-        elif spec.kind == "knotted_k5":
-            add("knotted_k4", "knotted_k4", 4, None, ())
-            add("center", "center", 1, None, g.elements)
-        else:
-            h = _PART_SUBGROUP[spec.kind]()
-            reps = tuple(coset_transversal(g, h))
-            add(spec.kind, spec.kind, len(reps), reps, sorted(h))
+            add("center", center, stab=g.elements)
+        else:  # knotted_k5
+            add("knotted_k4", natural_action(g))
+            add("center", center, stab=g.elements)
 
-    m = offset
-    if m != p.m:
-        raise AssertionError(f"built {m} vertices, plan says {p.m}")
-
-    # local index maps for coset blocks
-    member_index: dict[int, dict[Permutation, int]] = {}
-    for b_idx, b in enumerate(blocks):
-        if b.reps is not None and b.kind != "tetra_corners":
-            idx = {}
-            stab = b.stabilizer if b.stabilizer else (g.identity,)
-            for i, r in enumerate(b.reps):
-                for h in stab:
-                    idx[r * h] = i
-            member_index[b_idx] = idx
-
-    act: dict[Permutation, Permutation] = {}
-    for e in g.elements:
-        images = []
-        for b_idx, b in enumerate(blocks):
-            if b.reps is None:
-                if b.kind == "center":
-                    images.append(b.start)
-                else:  # natural part: act by the permutation itself
-                    images.extend(b.start + e.images[i] for i in range(b.size))
-            else:
-                idx = member_index[b_idx]
-                images.extend(b.start + idx[e * b.reps[i]] for i in range(b.size))
-        act[e] = Permutation(tuple(images))
-
-    full = GroupAction(g, m, act)
+    full = direct_sum(pieces)
+    if full.m != p.m:
+        raise AssertionError(f"built {full.m} vertices, plan says {p.m}")
     labels = tuple(b.label for b in blocks for _ in range(b.size))
 
     sub = restricted_group(p)
@@ -318,14 +296,7 @@ def has_free_edge(va: VertexAction, in_parent: bool = False) -> bool:
     a = va.parent if (in_parent and va.parent is not None) else va.action
     if a.m < 2:
         raise ValueError("need at least two vertices")
-    stabs = vertex_stabilizers(a)
-    trivial = frozenset([a.group.identity])
-    free_vs = [v for v in range(a.m) if stabs[v] == trivial]
-    if len(free_vs) >= 2:
-        return True
-    for u in range(a.m):
-        for v in range(u + 1, a.m):
-            if stabs[u] & stabs[v] == trivial:
-                return True
-    return False
+    # a vertex with trivial stabilizer makes a free edge with any other one
+    pinned, counts = pair_fixer_counts(a)
+    return len(pinned) < a.m or bool((counts == 1).any())
 

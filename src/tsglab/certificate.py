@@ -46,7 +46,7 @@ def certificate_dict(r: Realization, report) -> dict:
         elements.append({
             "perm": list(e.images),
             "matrix": [float(x) for x in np.asarray(r.rep[e]).ravel()],  # row-major
-            "vertex_images": list(act.act[e].images),
+            "vertex_images": act.image(e).tolist(),
         })
     vertices = [
         {"id": i, "part": va.labels[i], "coords": [float(x) for x in r.coords[i]]}
@@ -111,30 +111,59 @@ def read_certificate(path: str) -> dict:
     return data
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _ints(x) -> bool:
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
+def _numbers(n: int):
+    return lambda x: isinstance(x, list) and len(x) == n and all(map(_is_number, x))
+
+
+# container type of each section, and a type test for each field of its records
+_SECTIONS = {"model": dict, "elements": list, "vertices": list, "arcs": list, "report": dict}
+_RECORD_FIELDS = {
+    "elements": {"perm": _ints, "matrix": _numbers(16), "vertex_images": _ints},
+    "vertices": {"id": _is_int, "part": lambda x: isinstance(x, str),
+                 "coords": _numbers(4)},
+    "arcs": {"pair": _ints, "fixer": _ints, "start": _is_number, "sweep": _is_number,
+             "basis": lambda x: isinstance(x, list) and len(x) == 2 and all(map(_numbers(4), x))},
+}
+
+
 def _check_schema(data: dict) -> None:
+    """Shapes and types only: every field the verifier reads has the JSON
+    type it expects.  NaN and inf are numbers here; the checks reject them."""
     if not isinstance(data, dict) or set(data) != _TOP_KEYS:
         raise SchemaError(f"top-level keys must be {sorted(_TOP_KEYS)}")
     if data["schema_version"] != SCHEMA_VERSION:
         raise SchemaError(f"schema version {data['schema_version']} != {SCHEMA_VERSION}")
-    for section, keys in (("model", {"tag", "theta", "t", "seed"}),):
-        if set(data[section]) != keys:
-            raise SchemaError(f"{section} must have keys {sorted(keys)}")
+    for section, kind in _SECTIONS.items():
+        if not isinstance(data[section], kind):
+            raise SchemaError(f"{section} must be a JSON {'object' if kind is dict else 'array'}")
+    if set(data["model"]) != {"tag", "theta", "t", "seed"}:
+        raise SchemaError("model must have keys ['seed', 't', 'tag', 'theta']")
+    for section, fields in _RECORD_FIELDS.items():
+        for rec in data[section]:
+            if not isinstance(rec, dict) or set(rec) != set(fields):
+                raise SchemaError(f"{section} records need keys {sorted(fields)}")
+            bad = [k for k, ok in fields.items() if not ok(rec[k])]
+            if bad:
+                raise SchemaError(f"{section} record field {bad[0]!r} has the wrong type or length")
     m = data["m"]
-    if not isinstance(m, int) or m != len(data["vertices"]):
+    if not _is_int(m) or m != len(data["vertices"]):
         raise SchemaError(f"m = {m!r} but the file holds {len(data['vertices'])} vertex records")
-    for e in data["elements"]:
-        if set(e) != {"perm", "matrix", "vertex_images"} or len(e["matrix"]) != 16:
-            raise SchemaError("element records need perm, 16-entry matrix, vertex_images")
-        if not isinstance(e["vertex_images"], list) or len(e["vertex_images"]) != m:
-            raise SchemaError(f"every vertex_images list needs m = {m} entries")
-    for v in data["vertices"]:
-        if set(v) != {"id", "part", "coords"} or len(v["coords"]) != 4:
-            raise SchemaError("vertex records need id, part, 4 coords")
-    if sorted(v["id"] for v in data["vertices"] if isinstance(v["id"], int)) != list(range(m)):
+    if any(len(e["vertex_images"]) != m for e in data["elements"]):
+        raise SchemaError(f"every vertex_images list needs m = {m} entries")
+    if sorted(v["id"] for v in data["vertices"]) != list(range(m)):
         raise SchemaError(f"vertex ids must be exactly 0..{m - 1}")
-    for a in data["arcs"]:
-        if set(a) != {"pair", "fixer", "basis", "start", "sweep"}:
-            raise SchemaError("arc records need pair, fixer, basis, start, sweep")
 
 
 @dataclass
@@ -145,28 +174,15 @@ class CheckResult:
 
 
 def _rebuild(data: dict) -> tuple[VertexAction, Realization]:
-    name = data["group"]
     perms = [Permutation(tuple(e["perm"])) for e in data["elements"]]
-    degree = perms[0].degree
-    pool = frozenset(perms)
-    for a in perms:
-        if a.inverse() not in pool:
-            raise AssertionError(f"stored elements not closed under inverse at {a.images}")
-        for b in perms:
-            if a * b not in pool:
-                raise AssertionError(f"stored elements not closed under product at {a.images} * {b.images}")
-    group = PermGroup(name, degree, perms, [])
-    act = {}
-    rep = {}
-    for e in data["elements"]:
-        p = Permutation(tuple(e["perm"]))
-        act[p] = Permutation(tuple(e["vertex_images"]))
-        rep[p] = np.array(e["matrix"], dtype=float).reshape(4, 4)
-    m = data["m"]
-    ga = GroupAction(group, m, act)
-    labels = tuple(v["part"] for v in sorted(data["vertices"], key=lambda v: v["id"]))
-    va = VertexAction(ga, labels, ())
-    coords = np.array([v["coords"] for v in sorted(data["vertices"], key=lambda v: v["id"])])
+    # the group's Cayley table exists only if the stored elements are closed under product
+    group = PermGroup(data["group"], perms[0].degree, perms, [])
+    record = dict(zip(perms, data["elements"]))
+    ga = GroupAction(group, np.array([record[e]["vertex_images"] for e in group.elements]))
+    rep = {e: np.array(record[e]["matrix"], dtype=float).reshape(4, 4) for e in group.elements}
+    vertices = sorted(data["vertices"], key=lambda v: v["id"])
+    va = VertexAction(ga, tuple(v["part"] for v in vertices), ())
+    coords = np.array([v["coords"] for v in vertices])
     cfg = ModelConfig(theta=data["model"]["theta"], t=data["model"]["t"],
                       seed=data["model"]["seed"])
     real = Realization(None, va, Model(data["model"]["tag"]), cfg, rep, coords)

@@ -2,7 +2,9 @@
 
 Subcommands: classify, table, realize, verify, oracle.  Exit codes:
 0 success, 2 usage or schema error, 3 inadmissible m, 4 knotted case
-(no geometric certificate), 5 verification or cross-check failure.
+(no geometric certificate), 5 verification or cross-check failure
+(for realize: placement failure, ambiguous numerics, a failed
+realization check or failed edge hypotheses).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .certificate import (
     write_certificate,
 )
 from .edges import full_report
-from .geometry import ModelConfig, UnsupportedGeometryError, realize
+from .geometry import ModelConfig, PlacementError, PrecisionError, UnsupportedGeometryError, realize
 from .oracle import feasible_multisets, oracle_residues
 from .perm import GROUP_NAMES
 from .profiles import (
@@ -107,10 +109,14 @@ def cmd_realize(args) -> int:
     try:
         va = build(p)
         real = realize(p, va, config)
+        report = full_report(va, real)
     except UnsupportedGeometryError as err:
         print(f"group={args.group} m={args.m}: {err}", file=sys.stderr)
         return EXIT_KNOTTED
-    report = full_report(va, real)
+    except (PlacementError, PrecisionError, AssertionError) as err:
+        # AssertionError: a failed realization check, named in the message
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     if not report.overall:
         print(f"hypothesis checks failed: {report.details}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -32,7 +32,7 @@ import numpy as np
 
 from .actions import VertexAction
 from .geometry import FixedCircle, Realization, circles_intersection
-from .perm import Permutation, is_faithful, pair_stabilizer, vertex_stabilizers
+from .perm import Permutation, fixed_count, is_faithful, pair_fixer_counts, pair_stabilizer
 
 PAIR_TOL = 1e-8
 ANGLE_EPS = 1e-9
@@ -110,15 +110,9 @@ def required_pairs(va: VertexAction) -> list[tuple[int, int]]:
     a = va.action
     if not is_faithful(a):
         raise ValueError("required_pairs needs a faithful action")
-    stabs = vertex_stabilizers(a)
-    ident = a.group.identity
-    pinned = [v for v in range(a.m) if len(stabs[v]) > 1]
-    out = []
-    for i, u in enumerate(pinned):
-        for v in pinned[i + 1:]:
-            if len(stabs[u] & stabs[v]) > 1:
-                out.append((u, v))
-    return out
+    pinned, counts = pair_fixer_counts(a)
+    rows, cols = np.nonzero(np.triu(counts > 1, k=1))
+    return [(int(pinned[i]), int(pinned[j])) for i, j in zip(rows, cols)]
 
 
 def check_h1(va: VertexAction, r: Realization) -> bool:
@@ -197,8 +191,8 @@ def _verify_disjoint_interiors(r: Realization, arcs: ArcAssignment):
 
 
 def _image_pair(va: VertexAction, f: Permutation, pair: tuple[int, int]) -> tuple[int, int]:
-    img = va.action.act[f].images
-    x, y = img[pair[0]], img[pair[1]]
+    img = va.action.image(f)
+    x, y = int(img[pair[0]]), int(img[pair[1]])
     return (x, y) if x < y else (y, x)
 
 
@@ -237,13 +231,11 @@ def check_h3(va: VertexAction, r: Realization, arcs: ArcAssignment) -> bool:
 
 
 def _interchangers(va: VertexAction) -> list[Permutation]:
-    out = []
-    for e in va.action.group.elements:
-        if e.is_identity():
-            continue
-        if any(len(c) == 2 for c in va.action.act[e].cycles()):
-            out.append(e)
-    return out
+    """Elements with a 2-cycle on the vertices (the identity has none)."""
+    imgs = va.action.images
+    moved = imgs != np.arange(va.m)
+    swaps = (moved & (np.take_along_axis(imgs, imgs, axis=1) == np.arange(va.m))).any(axis=1)
+    return [e for e, s in zip(va.action.group.elements, swaps) if s]
 
 
 def check_h4(va: VertexAction) -> bool:
@@ -253,11 +245,7 @@ def check_h4(va: VertexAction) -> bool:
     to embed in a proper sub-arc of the element's circle, which a complete
     graph does exactly when it has at most 2 vertices.
     """
-    for e in _interchangers(va):
-        img = va.action.act[e].images
-        if sum(1 for v in range(va.m) if img[v] == v) > 2:
-            return False
-    return True
+    return all(fixed_count(va.action, e) <= 2 for e in _interchangers(va))
 
 
 def check_h5(va: VertexAction, r: Realization) -> bool:

@@ -44,6 +44,7 @@ FREE_CIRCLE_CLEARANCE = 0.05
 FREE_ORBIT_SEP = 1e-3
 _SV_ZERO = 1e-7
 _SV_AMBIGUOUS = 1e-6
+_DISTANCE_BLOCK = 32  # rows per block in closest_distance
 
 
 class PrecisionError(RuntimeError):
@@ -392,7 +393,8 @@ def free_orbit_coords(model: Model, group: Optional[PermGroup] = None, n: int = 
     """n regular orbits from base points sampled clear of every fixed circle.
 
     Each base point keeps distance >= 0.05 from all fixed-point circles, and
-    all produced points stay pairwise >= 1e-3 apart (also from `avoid`).
+    all produced points stay pairwise >= 1e-3 apart (also from `avoid`,
+    whose own points must already be that far apart).
     Deterministic for a fixed seed.  The group defaults to the model's full
     symmetry group.
     """
@@ -403,7 +405,10 @@ def free_orbit_coords(model: Model, group: Optional[PermGroup] = None, n: int = 
     rep = representation(group, model)
     circles = [c for c in circles_of(rep).values() if not c.empty]
     rng = np.random.default_rng(config.rng_seed)
-    placed = [] if avoid is None else [np.asarray(avoid)]
+    placed = np.empty((0, 4)) if avoid is None else np.asarray(avoid)
+    closest = closest_distance(placed)
+    if closest < FREE_ORBIT_SEP:
+        raise PlacementError(f"special-part vertices are only {closest} apart")
     orbits = []
     mats = [rep[e] for e in group.elements]
     for _ in range(n):
@@ -413,17 +418,30 @@ def free_orbit_coords(model: Model, group: Optional[PermGroup] = None, n: int = 
             if circles and min(c.residual(p) for c in circles) < FREE_CIRCLE_CLEARANCE:
                 continue
             orbit = np.array([mat @ p for mat in mats])
-            pool = np.vstack(placed + [orbit]) if placed else orbit
-            diff = np.linalg.norm(pool[:, None, :] - pool[None, :, :], axis=2)
-            np.fill_diagonal(diff, np.inf)
-            if diff.min() < FREE_ORBIT_SEP:
+            if min(closest_distance(orbit), closest_distance(orbit, placed)) < FREE_ORBIT_SEP:
                 continue
             orbits.append(orbit)
-            placed.append(orbit)
+            placed = np.vstack([placed, orbit])
             break
         else:
             raise PlacementError(f"could not place free orbit after 400 attempts (n={n})")
     return orbits
+
+
+def closest_distance(a: np.ndarray, b: Optional[np.ndarray] = None) -> float:
+    """Smallest distance from a row of a to a row of b, or to another row of
+    a when b is None (inf when there is no such pair).  Works through a in
+    blocks of rows, so memory stays linear in len(b); a NaN gives NaN."""
+    same = b is None
+    b = a if same else b
+    mins = [np.inf]
+    for start in range(0, len(a) if len(b) else 0, _DISTANCE_BLOCK):
+        d = np.linalg.norm(a[start:start + _DISTANCE_BLOCK, None, :] - b[None, :, :], axis=2)
+        if same:
+            rows = np.arange(len(d))
+            d[rows, start + rows] = np.inf
+        mins.append(d.min())
+    return float(np.min(mins))
 
 
 # ------------------------------------------------------------ realization
@@ -464,11 +482,8 @@ def require_at_most(value: float, bound: float, message: str) -> None:
 
 
 def _max_hom_error(group: PermGroup, rep: dict[Permutation, np.ndarray]) -> float:
-    els = group.elements
-    idx = {e: i for i, e in enumerate(els)}
-    mats = np.array([rep[e] for e in els])
-    row_errors = [np.abs(mats[i] @ mats - mats[[idx[a * b] for b in els]]).max()
-                  for i, a in enumerate(els)]
+    mats = np.array([rep[e] for e in group.elements])
+    row_errors = [np.abs(mats[i] @ mats - mats[group.cayley[i]]).max() for i in range(group.order)]
     return float(np.max(row_errors))
 
 
@@ -484,17 +499,17 @@ def _check_matrices(r: Realization) -> None:
 
 def _check_invariance(r: Realization) -> None:
     act = r.vertex_action.action
-    for e in r.group.elements:
-        moved = r.coords @ r.rep[e].T
-        err = float(np.abs(moved - r.coords[list(act.act[e].images)]).max())
-        require_at_most(err, INVARIANCE_TOL,
-                         f"element {e.images} moves vertices off their images by {err}")
+    # non-finite coordinates give a NaN error, which fails quietly below
+    with np.errstate(invalid="ignore", over="ignore"):
+        for e in r.group.elements:
+            moved = r.coords @ r.rep[e].T
+            err = float(np.abs(moved - r.coords[act.image(e)]).max())
+            require_at_most(err, INVARIANCE_TOL,
+                            f"element {e.images} moves vertices off their images by {err}")
 
 
 def _check_separation(r: Realization) -> None:
-    diff = np.linalg.norm(r.coords[:, None, :] - r.coords[None, :, :], axis=2)
-    np.fill_diagonal(diff, np.inf)
-    closest = float(diff.min())
+    closest = closest_distance(r.coords)
     require_at_most(MIN_VERTEX_SEP, closest, f"vertices only {closest} apart")
 
 

@@ -22,7 +22,6 @@ from .perm import (
     class_fixed_counts,
     coset_action,
     direct_sum,
-    fixed_count,
     kernel,
     standard_group,
     subgroups_up_to_conjugacy,
@@ -60,7 +59,7 @@ class TransitiveType:
     subgroup_index: int
     degree: int
     fix_vector: tuple[tuple[ClassLabel, int], ...]
-    core_is_trivial: bool
+    core: frozenset  # kernel of the coset action
 
     def fix(self, label: ClassLabel) -> int:
         return dict(self.fix_vector).get(label, 0)
@@ -86,19 +85,10 @@ def transitive_types(group: str) -> tuple[TransitiveType, ...]:
         act = coset_action(g, h)
         vec = class_fixed_counts(act)
         # Burnside on a transitive action: fixed points sum to |G|
-        total = sum(fixed_count(act, e) for e in g.elements)
-        if total != g.order:
+        if act.fixed().sum() != g.order:
             raise OracleInconsistencyError("transitive action with orbit count != 1")
-        types.append(TransitiveType(
-            group, idx, act.m, tuple(sorted(vec.items())), len(kernel(act)) == 1))
+        types.append(TransitiveType(group, idx, act.m, tuple(sorted(vec.items())), kernel(act)))
     return tuple(sorted(types, key=lambda t: -t.degree))
-
-
-@lru_cache(maxsize=None)
-def _type_cores(group: str) -> dict[int, frozenset]:
-    g = standard_group(group)
-    subs = subgroups_up_to_conjugacy(group)
-    return {i: frozenset(kernel(coset_action(g, h))) for i, h in enumerate(subs)}
 
 
 def admissible_types(group: str, drop_rules: tuple[str, ...] = ()) -> tuple[TransitiveType, ...]:
@@ -127,7 +117,6 @@ def feasible_multisets(group: str, m: int, *, use_m_rules: bool = False,
         raise ValueError("m must be non-negative")
     types = admissible_types(group, drop_rules)
     ident = frozenset([standard_group(group).identity])
-    cores = {t: _type_cores(group)[t.subgroup_index] for t in types}
     out: list[OrbitMultiset] = []
 
     def dfs(i: int, remaining: int, chosen: list[tuple[TransitiveType, int]]):
@@ -146,7 +135,7 @@ def feasible_multisets(group: str, m: int, *, use_m_rules: bool = False,
             ker = frozenset(standard_group(group).elements)
             for t, c in chosen:
                 if c:
-                    ker &= cores[t]
+                    ker &= t.core
             faithful = ker == ident
             if faithful or m < 4:
                 out.append(OrbitMultiset(group, tuple(chosen), m, profile, faithful))

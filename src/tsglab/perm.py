@@ -1,7 +1,9 @@
 """Exact permutation kernel for the polyhedral groups A4, S4 and A5.
 
-Groups are stored fully enumerated (at most 60 elements), elements are
-image tuples, and every operation is a pure function.  Elements are
+Groups are stored fully enumerated (at most 60 elements) with their
+Cayley table, elements are image tuples, and a vertex action is an integer
+array with one row of vertex images per group element (in the group's
+sorted element order).  Elements are
 classified by (order, parity): that partition is coarser than true
 conjugacy for A4 and A5, but it is exactly the granularity at which
 fixed-vertex counts are constant on the actions this package builds.
@@ -12,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _all_permutations
+
+import numpy as np
 
 GROUP_NAMES = ("A4", "S4", "A5")
 
@@ -41,9 +45,6 @@ class Permutation:
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (p * q)(i) = p(q(i)): apply q first.
@@ -81,22 +82,6 @@ class Permutation:
                 length += 1
             parity ^= (length - 1) & 1
         return parity == 0
-
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        seen = [False] * self.degree
-        out = []
-        for i in range(self.degree):
-            if seen[i]:
-                continue
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = self.images[j]
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
-        return out
 
 
 def identity(degree: int) -> Permutation:
@@ -155,7 +140,13 @@ EXPECTED_CLASSES = {
 
 class PermGroup:
     """One of A4, S4, A5 (or an isomorphic copy inside a larger symmetric
-    group), fully enumerated, with the (order, parity) class partition."""
+    group), fully enumerated, with the (order, parity) class partition.
+
+    `index` maps an element to its row in the sorted element order and
+    `cayley[i, j]` is the row of elements[i] * elements[j].  Building the
+    table fails unless the elements are closed under product, and a finite
+    set closed under product is a group.
+    """
 
     def __init__(self, name: str, degree: int, elements, generators):
         if name not in GROUP_NAMES:
@@ -174,10 +165,14 @@ class PermGroup:
             classes.setdefault(self.class_of[e], []).append(e)
         self.classes = {lab: tuple(es) for lab, es in classes.items()}
         self._check()
+        self.index = {e: i for i, e in enumerate(elements)}
+        self.cayley = _cayley_table(elements)
 
     def _check(self):
         if self.order != GROUP_ORDER[self.name]:
             raise ValueError(f"{self.name} must have {GROUP_ORDER[self.name]} elements, got {self.order}")
+        if len(self.element_set) != self.order:
+            raise ValueError("repeated group elements")
         if self.identity not in self.element_set:
             raise ValueError("missing identity")
         for g in self.generators:
@@ -190,17 +185,21 @@ class PermGroup:
     def __len__(self) -> int:
         return self.order
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self.element_set
-
     def __repr__(self) -> str:
         return f"PermGroup({self.name}, degree={self.degree})"
 
-    def nontrivial(self) -> tuple[Permutation, ...]:
-        return tuple(e for e in self.elements if not e.is_identity())
+
+def _cayley_table(elements: tuple[Permutation, ...]) -> np.ndarray:
+    # Encode each image tuple as a base-degree number; sorted tuples give
+    # sorted codes, so a product is located by binary search.
+    perms = np.array([e.images for e in elements])
+    weights = perms.shape[1] ** np.arange(perms.shape[1] - 1, -1, -1)
+    codes = perms @ weights
+    products = perms[:, perms] @ weights  # [i, j]: code of elements[i] * elements[j]
+    table = np.minimum(np.searchsorted(codes, products), len(codes) - 1)
+    if not (codes[table] == products).all():
+        raise ValueError("group elements are not closed under product")
+    return table
 
 
 def closure(generators, degree: int) -> frozenset[Permutation]:
@@ -292,29 +291,49 @@ def _subgroups_up_to_conjugacy(name: str) -> tuple[frozenset[Permutation], ...]:
     return tuple(sorted(reps, key=_canonical_subgroup_key))
 
 
-@dataclass
 class GroupAction:
-    """An action of a PermGroup on {0..m-1}: a homomorphism element -> Permutation."""
+    """An action of a PermGroup on {0..m-1}: images[i] is the vertex
+    permutation of group.elements[i], as an integer image array."""
 
-    group: PermGroup
-    m: int
-    act: dict[Permutation, Permutation]
-
-    def __post_init__(self):
-        if set(self.act) != set(self.group.elements):
-            raise ValueError("action must be defined on exactly the group elements")
-        if not self.act[self.group.identity].is_identity():
+    def __init__(self, group: PermGroup, images):
+        images = np.asarray(images)
+        if images.ndim != 2 or images.shape[0] != group.order:
+            raise ValueError(f"action images need shape ({group.order}, m), got {images.shape}")
+        if not np.issubdtype(images.dtype, np.integer):
+            raise ValueError(f"action images must be integers, not {images.dtype}")
+        ident = np.arange(images.shape[1])
+        if not (np.sort(images, axis=1) == ident).all():
+            raise ValueError(f"every row of the action must be a bijection on 0..{len(ident) - 1}")
+        if not (images[group.index[group.identity]] == ident).all():
             raise ValueError("identity must act as the identity")
+        self.group = group
+        self.images = images
 
-    def apply(self, e: Permutation, v: int) -> int:
-        return self.act[e].images[v]
+    @property
+    def m(self) -> int:
+        return self.images.shape[1]
+
+    def image(self, e: Permutation) -> np.ndarray:
+        return self.images[self.group.index[e]]
+
+    def fixed(self) -> np.ndarray:
+        """Boolean (|G|, m) mask: element i fixes vertex v."""
+        return self.images == np.arange(self.m)
+
+
+def natural_action(g: PermGroup) -> GroupAction:
+    """g acting on its own letters."""
+    return GroupAction(g, [e.images for e in g.elements])
 
 
 def check_homomorphism(a: GroupAction) -> None:
-    for e1 in a.group.elements:
-        for e2 in a.group.elements:
-            if a.act[e1 * e2] != a.act[e1] * a.act[e2]:
-                raise InconsistentActionError(f"act({e1} * {e2}) != act({e1}) * act({e2})")
+    imgs = a.images
+    for i, e1 in enumerate(a.group.elements):
+        # row j compares act(e1 * e2) with act(e1) after act(e2), e2 = elements[j]
+        bad = np.flatnonzero((imgs[a.group.cayley[i]] != imgs[i][imgs]).any(axis=1))
+        if len(bad):
+            e2 = a.group.elements[bad[0]]
+            raise InconsistentActionError(f"act({e1} * {e2}) != act({e1}) * act({e2})")
 
 
 def coset_transversal(g: PermGroup, h: frozenset[Permutation]) -> list[Permutation]:
@@ -334,21 +353,15 @@ def coset_transversal(g: PermGroup, h: frozenset[Permutation]) -> list[Permutati
 
 def coset_action(g: PermGroup, h: frozenset[Permutation]) -> GroupAction:
     """Left-multiplication action of g on the left cosets of h."""
-    reps = coset_transversal(g, h)
-    member_index: dict[Permutation, int] = {}
+    reps = [g.index[r] for r in coset_transversal(g, h)]
+    coset_of = np.empty(g.order, dtype=np.intp)
     for i, r in enumerate(reps):
-        for hh in h:
-            member_index[r * hh] = i
-    n = len(reps)
-    act = {}
-    for e in g.elements:
-        act[e] = Permutation(tuple(member_index[e * reps[i]] for i in range(n)))
-    return GroupAction(g, n, act)
+        coset_of[g.cayley[r, [g.index[hh] for hh in h]]] = i
+    return GroupAction(g, coset_of[g.cayley[:, reps]])
 
 
 def fixed_count(a: GroupAction, e: Permutation) -> int:
-    img = a.act[e].images
-    return sum(1 for v in range(a.m) if img[v] == v)
+    return int(np.count_nonzero(a.image(e) == np.arange(a.m)))
 
 
 def class_fixed_counts(a: GroupAction) -> dict[ClassLabel, int]:
@@ -357,11 +370,12 @@ def class_fixed_counts(a: GroupAction) -> dict[ClassLabel, int]:
     The count must be constant on every class (it is for every action this
     package builds); a class on which it varies raises InconsistentActionError.
     """
+    counts = a.fixed().sum(axis=1)
     out = {}
     for label, members in a.group.classes.items():
         if label.order == 1:
             continue
-        vals = {fixed_count(a, e) for e in members}
+        vals = {int(counts[a.group.index[e]]) for e in members}
         if len(vals) != 1:
             raise InconsistentActionError(f"class {label} fixes {sorted(vals)} vertices")
         out[label] = vals.pop()
@@ -374,7 +388,7 @@ def burnside_orbit_count(a: GroupAction) -> int:
     The sum is exact integer arithmetic; a non-integral average means the
     action table is corrupt, which is reported rather than rounded away.
     """
-    total = sum(fixed_count(a, e) for e in a.group.elements)
+    total = int(a.fixed().sum())
     if total % a.group.order:
         raise InconsistentActionError(
             f"fixed-point sum {total} not divisible by group order {a.group.order}")
@@ -392,7 +406,7 @@ def orbit_partition(a: GroupAction) -> list[list[int]]:
         return x
 
     for e in a.group.generators if a.group.generators else a.group.elements:
-        img = a.act[e].images
+        img = a.image(e).tolist()
         for v in range(a.m):
             ra, rb = find(v), find(img[v])
             if ra != rb:
@@ -403,31 +417,31 @@ def orbit_partition(a: GroupAction) -> list[list[int]]:
     return sorted(orbits.values())
 
 
-def is_faithful(a: GroupAction) -> bool:
-    return len({a.act[e] for e in a.group.elements}) == a.group.order
-
-
 def kernel(a: GroupAction) -> frozenset[Permutation]:
-    ident = identity(a.m)
-    return frozenset(e for e in a.group.elements if a.act[e] == ident)
+    return frozenset(e for e, k in zip(a.group.elements, a.fixed().all(axis=1)) if k)
+
+
+def is_faithful(a: GroupAction) -> bool:
+    """Trivial kernel; for a homomorphism, the same as all rows distinct."""
+    return len(kernel(a)) == 1
 
 
 def pair_stabilizer(a: GroupAction, u: int, v: int) -> tuple[Permutation, ...]:
     """All elements fixing both u and v (pointwise)."""
     if u == v or not (0 <= u < a.m and 0 <= v < a.m):
         raise ValueError(f"need two distinct vertices below m={a.m}")
-    return tuple(e for e in a.group.elements
-                 if a.act[e].images[u] == u and a.act[e].images[v] == v)
+    fixes = (a.images[:, u] == u) & (a.images[:, v] == v)
+    return tuple(e for e, f in zip(a.group.elements, fixes) if f)
 
 
-def vertex_stabilizers(a: GroupAction) -> list[frozenset[Permutation]]:
-    stabs: list[set[Permutation]] = [set() for _ in range(a.m)]
-    for e in a.group.elements:
-        img = a.act[e].images
-        for v in range(a.m):
-            if img[v] == v:
-                stabs[v].add(e)
-    return [frozenset(s) for s in stabs]
+def pair_fixer_counts(a: GroupAction) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices some non-trivial element fixes ("pinned", ascending) and,
+    for each pair of them, how many elements fix both, the identity included.
+    Every other vertex has a trivial stabilizer."""
+    fixed = a.fixed()
+    pinned = np.flatnonzero(fixed.sum(axis=0) > 1)
+    f = fixed[:, pinned].astype(np.int64)
+    return pinned, f.T @ f
 
 
 def direct_sum(actions: list[GroupAction]) -> GroupAction:
@@ -437,20 +451,12 @@ def direct_sum(actions: list[GroupAction]) -> GroupAction:
     g = actions[0].group
     if any(a.group is not g and a.group.element_set != g.element_set for a in actions):
         raise ValueError("all actions must share one group")
-    m = sum(a.m for a in actions)
-    act = {}
-    for e in g.elements:
-        images = []
-        off = 0
-        for a in actions:
-            images.extend(off + j for j in a.act[e].images)
-            off += a.m
-        act[e] = Permutation(tuple(images))
-    return GroupAction(g, m, act)
+    offsets = np.cumsum([0] + [a.m for a in actions[:-1]])
+    return GroupAction(g, np.hstack([a.images + off for a, off in zip(actions, offsets)]))
 
 
 def restrict_action(a: GroupAction, sub: PermGroup) -> GroupAction:
     """Restriction to a subgroup whose elements are drawn from a.group."""
     if not sub.element_set <= a.group.element_set:
         raise ValueError("subgroup elements must belong to the acting group")
-    return GroupAction(sub, a.m, {e: a.act[e] for e in sub.elements})
+    return GroupAction(sub, a.images[[a.group.index[e] for e in sub.elements]])

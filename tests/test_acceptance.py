@@ -4,6 +4,8 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines and timings.
 """
 
+import hashlib
+import json
 import time
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from tsglab.actions import Model, VertexAction, build, has_free_edge, measured_profile, plan
+from tsglab.certificate import write_certificate
 from tsglab.cli import table_lines
 from tsglab.edges import check_h4, full_report
 from tsglab.geometry import (
@@ -26,7 +29,6 @@ from tsglab.oracle import feasible_multisets, oracle_residues
 from tsglab.perm import (
     GROUP_ORDER,
     GroupAction,
-    Permutation,
     burnside_orbit_count,
     is_faithful,
     standard_group,
@@ -121,7 +123,7 @@ def test_criterion_4_geometric_fidelity(realized_references):
         assert _max_hom_error(group, r.rep) <= 1e-8, (g, m)
         for e in group.elements:
             moved = r.coords @ r.rep[e].T
-            target = r.coords[list(va.action.act[e].images)]
+            target = r.coords[va.action.image(e)]
             assert float(np.abs(moved - target).max()) <= 1e-9, (g, m)
         assert geometric_profile(r).key() == measured_profile(va).key(), (g, m)
         # rotation/glide dichotomy, with EMPTY exactly where the model demands
@@ -156,8 +158,8 @@ def test_criterion_5_edge_certificates(realized_references):
         ModelConfig(t=0.5)
 
     # fixture 3: an interchanger fixing three vertices breaks h4
-    act = {e: Permutation(tuple(e.images) + (4, 5, 6)) for e in s4.elements}
-    synthetic = VertexAction(GroupAction(s4, 7, act), ("nat",) * 4 + ("pin",) * 3, ())
+    act = [e.images + (4, 5, 6) for e in s4.elements]
+    synthetic = VertexAction(GroupAction(s4, act), ("nat",) * 4 + ("pin",) * 3, ())
     assert not check_h4(synthetic)
     _report("5 (edge certificates + 3 corrupted fixtures)", t0, 10.0)
 
@@ -177,3 +179,20 @@ def test_criterion_6_negative_classification():
         v = necessity_check(group, m)
         assert not v.admissible and v.violated_rule.id == "m_mod_4"
     _report("6 (negative classification)", t0, 1.0)
+
+
+def test_reference_certificates_byte_identical(tmp_path):
+    """The reference certificates keep the bytes recorded in
+    golden/reference_digests.json (seed 0).  Float formatting of the
+    coordinates can move with numpy, so another numpy version skips."""
+    golden = json.loads((GOLDEN / "reference_digests.json").read_text())
+    if golden["numpy"] != np.__version__:
+        pytest.skip(f"digests were recorded with numpy {golden['numpy']}, not {np.__version__}")
+    for name, digest in golden["sha256"].items():
+        group, m = name.split("_m")
+        p = plan(group.upper(), int(m))
+        va = build(p)
+        r = realize(p, va, ModelConfig(seed=golden["seed"]))
+        path = tmp_path / f"{name}.json"
+        write_certificate(str(path), r, full_report(va, r))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name

@@ -1,9 +1,12 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
+from tsglab import cli
 from tsglab.cli import main
+from tsglab.geometry import PrecisionError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -162,9 +165,13 @@ def test_verify_rejects_non_finite_coordinate(capsys, tmp_path, bad):
     data = json.loads(Path(out_file).read_text())
     data["vertices"][0]["coords"][1] = bad
     Path(out_file).write_text(json.dumps(data))
-    code, out, err = run(capsys, "verify", "--in", out_file)
+    # outside pytest a numpy warning would print on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "--in", out_file)
     assert code == 5
-    assert "invariance: FAILED" in out and "verification failed at: invariance" in err
+    assert "invariance: FAILED" in out and err == "verification failed at: invariance\n"
+    assert not caught
 
 
 def _mutate_m(data):
@@ -197,6 +204,68 @@ def test_verify_rejects_inconsistent_vertex_count(capsys, tmp_path, mutate):
     Path(out_file).write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--in", out_file)
     assert code == 2 and err.startswith("error: ") and out == ""
+
+
+def _set(path, value):
+    def mutate(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = value
+    mutate.__name__ = "_".join(map(str, path)) + f"={value!r}"
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(("elements", 0, "matrix"), 5),
+    _set(("vertices",), 5),
+    _set(("elements",), 5),
+    _set(("model",), 5),
+    _set(("arcs",), {}),
+    _set(("report",), []),
+    _set(("vertices", 0), 5),
+    _set(("vertices", 0, "coords", 1), "x"),
+    _set(("vertices", 0, "part"), 3),
+    _set(("elements", 1, "perm", 0), True),
+    _set(("elements", 1, "vertex_images", 0), 1.0),
+    _set(("elements", 1, "matrix", 3), None),
+    _set(("arcs", 0, "start"), "x"),
+    _set(("arcs", 0, "sweep"), [1.0]),
+    _set(("arcs", 0, "fixer"), "x"),
+    _set(("arcs", 0, "basis"), [[0.0, 0.0, 0.0, 1.0]]),
+], ids=lambda f: f.__name__)
+def test_verify_rejects_mistyped_fields(capsys, tmp_path, mutate):
+    out_file = str(tmp_path / "h.json")
+    code, out, _ = run(capsys, "realize", "--group", "S4", "--m", "28", "--out", out_file,
+                       "--seed", "1")
+    assert code == 0 and "arcs=6" in out
+    data = json.loads(Path(out_file).read_text())
+    mutate(data)
+    Path(out_file).write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--in", out_file)
+    assert code == 2 and err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("m,reason", [("36", "special-part vertices"), ("12", "separation")])
+def test_realize_crowded_vertices_exit_5(capsys, tmp_path, m, reason):
+    # t = 1e-7 puts two edge points next to every corner: with a free orbit
+    # placement fails, without one the separation check does
+    out_file = tmp_path / "x.json"
+    code, out, err = run(capsys, "realize", "--group", "S4", "--m", m, "--t", "1e-7",
+                         "--out", str(out_file))
+    assert code == 5 and err.startswith("error: ") and reason in err and out == ""
+    assert not out_file.exists()
+
+
+def test_realize_ambiguous_numerics_exit_5(capsys, tmp_path, monkeypatch):
+    def ambiguous(*args, **kwargs):
+        raise PrecisionError("singular values too close to zero to classify")
+
+    monkeypatch.setattr(cli, "realize", ambiguous)
+    code, out, err = run(capsys, "realize", "--group", "S4", "--m", "24",
+                         "--out", str(tmp_path / "x.json"))
+    assert code == 5 and err == "error: singular values too close to zero to classify\n"
+    assert out == ""
 
 
 def test_realize_into_missing_directory_exit_2(capsys, tmp_path):

@@ -15,7 +15,7 @@ from tsglab.edges import (
     required_pairs,
 )
 from tsglab.geometry import ModelConfig, Realization, realize, representation
-from tsglab.perm import GroupAction, Permutation, closure, from_cycles, standard_group
+from tsglab.perm import GroupAction, closure, from_cycles, standard_group
 
 S4 = standard_group("S4")
 
@@ -97,7 +97,7 @@ def test_arc_assignment_is_equivariant_as_pair_map(realized):
     va, r = realized[("A5", 20)]
     arcs = assign_arcs(va, r)
     for f in va.action.group.elements:
-        img = va.action.act[f].images
+        img = va.action.image(f)
         for (u, v) in arcs:
             x, y = sorted((img[u], img[v]))
             assert (x, y) in arcs
@@ -124,7 +124,7 @@ def test_h3_arc_fixed_by_edge_reversing_involution(realized):
     (u, v), arc = next(iter(arcs.items()))
     # some involution swaps u and v; it must map the arc onto itself
     swappers = [e for e in S4.elements
-                if va.action.act[e].images[u] == v and va.action.act[e].images[v] == u]
+                if va.action.image(e)[u] == v and va.action.image(e)[v] == u]
     assert swappers
     for f in swappers:
         assert np.linalg.norm(r.rep[f] @ arc.midpoint - arc.midpoint) < 1e-8
@@ -165,10 +165,10 @@ def test_fixture_midpoint_parameter_rejected():
 def _interchanger_fixes_three_action() -> VertexAction:
     # natural S4 on 4 letters plus 3 global fixed points: any transposition
     # swaps a pair while fixing 2 + 3 = 5 > 2 vertices
-    act = {}
+    act = []
     for e in S4.elements:
-        act[e] = Permutation(tuple(e.images) + (4, 5, 6))
-    ga = GroupAction(S4, 7, act)
+        act.append(e.images + (4, 5, 6))
+    ga = GroupAction(S4, act)
     return VertexAction(ga, ("nat",) * 4 + ("pin",) * 3, ())
 
 
@@ -181,12 +181,12 @@ def _pair_at_circle_intersection() -> tuple[VertexAction, Realization]:
     # two vertices at the poles: even elements fix both, odd ones swap them;
     # the pair is pinned by elements with different circles, breaking h1
     reg = {e: i for i, e in enumerate(S4.elements)}
-    act = {}
+    act = []
     for e in S4.elements:
         first = (0, 1) if e.is_even() else (1, 0)
         rest = tuple(2 + reg[e * x] for x in S4.elements)
-        act[e] = Permutation(first + rest)
-    ga = GroupAction(S4, 26, act)
+        act.append(first + rest)
+    ga = GroupAction(S4, act)
     va = VertexAction(ga, ("pole",) * 2 + ("free",) * 24, ())
     rep = representation(S4, Model.TETRA_FULL)
     rng = np.random.default_rng(2)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from tsglab.perm import (
     GroupAction,
     InconsistentActionError,
     NotASubgroupError,
+    PermGroup,
     Permutation,
     burnside_orbit_count,
     check_homomorphism,
@@ -31,7 +33,7 @@ GROUPS = ("A4", "S4", "A5")
 
 
 def natural_action(g):
-    return GroupAction(g, g.degree, {e: e for e in g.elements})
+    return GroupAction(g, [e.images for e in g.elements])
 
 
 # ---------------------------------------------------------------- groups
@@ -137,6 +139,15 @@ def test_coset_action_rejects_non_subgroup():
         coset_action(s4, frozenset([from_cycles(4, (0, 1))]))
 
 
+def test_group_rejects_set_not_closed_under_product():
+    # swap the 3-cycle (0 1 2) of A4 <= A5 for (0 1 4): same order, parity
+    # and class sizes, no repeats, but products leave the set
+    swap = {from_cycles(5, (0, 1, 2)): from_cycles(5, (0, 1, 4))}
+    elements = [swap.get(e, e) for e in a4_inside_a5().elements]
+    with pytest.raises(ValueError, match="not closed under product"):
+        PermGroup("A4", 5, elements, [])
+
+
 def test_transversal_covers_group():
     s4 = standard_group("S4")
     h = closure((from_cycles(4, (0, 1)),), 4)
@@ -188,12 +199,40 @@ def test_two_regular_orbits_count_two():
 def test_burnside_flags_corrupt_action():
     s4 = standard_group("S4")
     a = natural_action(s4)
-    bad = {e: p for e, p in a.act.items()}
+    bad = a.images.copy()
     t = from_cycles(4, (0, 1))
-    bad[t] = identity(4)  # breaks the class-sum divisibility
-    a.act = bad
+    bad[s4.index[t]] = identity(4).images  # breaks the class-sum divisibility
     with pytest.raises(InconsistentActionError):
-        burnside_orbit_count(a)
+        burnside_orbit_count(GroupAction(s4, bad))
+
+
+def _drop_row(images, g):
+    return images[:-1]
+
+
+def _float_images(images, g):
+    return images.astype(float)
+
+
+def _repeat_a_vertex(images, g):
+    images[-1] = (0, 0, 1, 2)
+    return images
+
+
+def _move_identity(images, g):
+    images[g.index[g.identity]] = from_cycles(4, (0, 1)).images
+    return images
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_drop_row, "shape"), (_float_images, "integers"),
+    (_repeat_a_vertex, "bijection"), (_move_identity, "identity"),
+])
+def test_group_action_rejects_bad_images(corrupt, message):
+    s4 = standard_group("S4")
+    images = np.array([e.images for e in s4.elements])
+    with pytest.raises(ValueError, match=message):
+        GroupAction(s4, corrupt(images, s4))
 
 
 # ------------------------------------------------------------ faithfulness
@@ -231,7 +270,7 @@ def test_degree8_axis_pair_has_order3_stabilizer():
     s4 = standard_group("S4")
     tc = from_cycles(4, (0, 1, 2))
     a = coset_action(s4, closure((tc,), 4))
-    u, v = [w for w in range(a.m) if a.act[tc].images[w] == w]
+    u, v = [w for w in range(a.m) if a.image(tc)[w] == w]
     stab = pair_stabilizer(a, u, v)
     assert len(stab) == 3
     assert frozenset(stab) == closure((tc,), 4)
@@ -260,7 +299,7 @@ def test_action_is_homomorphism(name, data):
     a = coset_action(g, h)
     e1 = data.draw(st.sampled_from(g.elements))
     e2 = data.draw(st.sampled_from(g.elements))
-    assert a.act[e1 * e2] == a.act[e1] * a.act[e2]
+    assert (a.image(e1 * e2) == a.image(e1)[a.image(e2)]).all()
 
 
 @settings(max_examples=30, deadline=None)
