@@ -16,10 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .actions import Model, VertexAction, measured_profile
+from .actions import RESTRICT_EVEN_S4, RESTRICT_STAB_A5, Model, VertexAction, measured_profile
 from .edges import Arc, full_report
 from .geometry import REALIZATION_CHECKS, ModelConfig, Realization, require_at_most
 from .perm import (
+    GROUP_NAMES,
+    GROUP_ORDER,
     GroupAction,
     PermGroup,
     Permutation,
@@ -32,6 +34,8 @@ SCHEMA_VERSION = 1
 
 _TOP_KEYS = {"schema_version", "group", "m", "model", "restriction",
              "elements", "vertices", "arcs", "report"}
+_MODEL_TAGS = tuple(tag.value for tag in Model)
+_RESTRICTIONS = (None, RESTRICT_EVEN_S4, RESTRICT_STAB_A5)
 
 
 class SchemaError(ValueError):
@@ -129,6 +133,8 @@ def _numbers(n: int):
 
 # container type of each section, and a type test for each field of its records
 _SECTIONS = {"model": dict, "elements": list, "vertices": list, "arcs": list, "report": dict}
+_MODEL_FIELDS = {"tag": lambda x: x in _MODEL_TAGS, "theta": _is_number, "t": _is_number,
+                 "seed": lambda x: x is None or _is_int(x)}
 _RECORD_FIELDS = {
     "elements": {"perm": _ints, "matrix": _numbers(16), "vertex_images": _ints},
     "vertices": {"id": _is_int, "part": lambda x: isinstance(x, str),
@@ -138,9 +144,19 @@ _RECORD_FIELDS = {
 }
 
 
+def _check_record(section: str, rec, fields: dict) -> None:
+    if not isinstance(rec, dict) or set(rec) != set(fields):
+        raise SchemaError(f"{section} records need keys {sorted(fields)}")
+    bad = [k for k, ok in fields.items() if not ok(rec[k])]
+    if bad:
+        raise SchemaError(f"{section} field {bad[0]!r} has the wrong type, length or value")
+
+
 def _check_schema(data: dict) -> None:
-    """Shapes and types only: every field the verifier reads has the JSON
-    type it expects.  NaN and inf are numbers here; the checks reject them."""
+    """Shapes, types and header values: every field the verifier reads has
+    the JSON type it expects, the group, model tag and restriction are known
+    names, and the group has its order of element records.  NaN and inf are
+    numbers here; the checks reject them."""
     if not isinstance(data, dict) or set(data) != _TOP_KEYS:
         raise SchemaError(f"top-level keys must be {sorted(_TOP_KEYS)}")
     if data["schema_version"] != SCHEMA_VERSION:
@@ -148,15 +164,18 @@ def _check_schema(data: dict) -> None:
     for section, kind in _SECTIONS.items():
         if not isinstance(data[section], kind):
             raise SchemaError(f"{section} must be a JSON {'object' if kind is dict else 'array'}")
-    if set(data["model"]) != {"tag", "theta", "t", "seed"}:
-        raise SchemaError("model must have keys ['seed', 't', 'tag', 'theta']")
+    _check_record("model", data["model"], _MODEL_FIELDS)
     for section, fields in _RECORD_FIELDS.items():
         for rec in data[section]:
-            if not isinstance(rec, dict) or set(rec) != set(fields):
-                raise SchemaError(f"{section} records need keys {sorted(fields)}")
-            bad = [k for k, ok in fields.items() if not ok(rec[k])]
-            if bad:
-                raise SchemaError(f"{section} record field {bad[0]!r} has the wrong type or length")
+            _check_record(section, rec, fields)
+    group = data["group"]
+    if group not in GROUP_NAMES:
+        raise SchemaError(f"group must be one of {list(GROUP_NAMES)}, got {group!r}")
+    if len(data["elements"]) != GROUP_ORDER[group]:
+        raise SchemaError(f"{group} needs {GROUP_ORDER[group]} element records, "
+                          f"the file holds {len(data['elements'])}")
+    if data["restriction"] not in _RESTRICTIONS:
+        raise SchemaError(f"restriction must be one of {list(_RESTRICTIONS)}")
     m = data["m"]
     if not _is_int(m) or m != len(data["vertices"]):
         raise SchemaError(f"m = {m!r} but the file holds {len(data['vertices'])} vertex records")

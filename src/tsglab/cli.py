@@ -3,8 +3,9 @@
 Subcommands: classify, table, realize, verify, oracle.  Exit codes:
 0 success, 2 usage or schema error, 3 inadmissible m, 4 knotted case
 (no geometric certificate), 5 verification or cross-check failure
-(for realize: placement failure, ambiguous numerics, a failed
-realization check or failed edge hypotheses).
+(for oracle: also a search that is not |G|-periodic; for realize:
+placement failure, ambiguous numerics, a failed realization check or
+failed edge hypotheses).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .certificate import (
 )
 from .edges import full_report
 from .geometry import ModelConfig, PlacementError, PrecisionError, UnsupportedGeometryError, realize
-from .oracle import feasible_multisets, oracle_residues
+from .oracle import OracleInconsistencyError, feasible_multisets, oracle_residues
 from .perm import GROUP_NAMES
 from .profiles import (
     DomainError,
@@ -154,7 +155,11 @@ def cmd_oracle(args) -> int:
     all_match = True
     for group in groups:
         engine = admissible_residues(group)
-        derived = oracle_residues(group, drop_rules=drop)
+        try:
+            derived = oracle_residues(group, drop_rules=drop)
+        except OracleInconsistencyError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
         match = derived == engine
         all_match &= match
         print(f"group={group} oracle={{{','.join(map(str, derived.sorted()))}}} "
@@ -198,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="brute-force residues vs the rule engine")
     o.add_argument("--group", choices=GROUP_NAMES, default=None)
     o.add_argument("--drop-rule", action="append", default=None,
-                   help="drop a named rule from the oracle (test mode)")
+                   help="drop a named rule from the oracle (test mode); an unknown id exits 2")
     o.add_argument("--max-m", type=int, default=None)
     o.set_defaults(fn=cmd_oracle)
     return parser

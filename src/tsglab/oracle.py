@@ -2,18 +2,21 @@
 
 Any action on the vertices of K_m splits into transitive pieces, and every
 transitive piece is a coset action.  So: enumerate the coset-action types
-of each group with their exact per-class fixed-coset counts, discard types
-whose counts alone bust a cap, then solve the integer knapsack asking
-which m are a non-negative combination of the surviving degrees with a
-rule-abiding aggregate profile.  The residue sets this produces must equal
-the ones the profile engine derives; for S4 they must fall out of the
-profile caps alone, with the two m-congruence rules switched off.
+of each group with their exact per-class fixed-coset counts, derive from
+the active profile rules a cap on each class's count, then solve the
+integer knapsack asking which m are a non-negative combination of the
+surviving degrees with a rule-abiding aggregate profile.  Aggregate counts
+only grow as orbits are added, so the search never adds a copy of a type
+that would bust a cap.  The residue sets this produces must equal the ones
+the profile engine derives; for S4 they must fall out of the profile caps
+alone, with the two m-congruence rules switched off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .perm import (
     ClassLabel,
@@ -26,25 +29,11 @@ from .perm import (
     standard_group,
     subgroups_up_to_conjugacy,
 )
-from .profiles import CongruenceSet, FixedVertexProfile, passes_profile_rules, m_rules
+from .profiles import CLASS_WEIGHTS, CongruenceSet, FixedVertexProfile, m_rules, profile_rules
 
-# Per-class ceilings implied by the profile rules.  A type whose own fix
-# vector exceeds a ceiling can never sit inside a feasible multiset because
-# aggregate counts only grow.  The order-5 ceiling is 1: the value 2 is
-# banned outright and 3 exceeds the global cap.
-_CLASS_CAPS = {
-    "A4": {ClassLabel(2, True): 1, ClassLabel(3, True): 3},
-    "S4": {
-        ClassLabel(2, True): 1,
-        ClassLabel(2, False): 2,
-        ClassLabel(3, True): 3,
-        ClassLabel(4, False): 0,
-    },
-    "A5": {ClassLabel(2, True): 1, ClassLabel(3, True): 2, ClassLabel(5, True): 1},
-}
-
-# cap relaxations matching droppable rules (oracle test mode)
-_CAP_RELAXATIONS = {"n5ne2": ("A5", ClassLabel(5, True), 2)}
+# the oracle reports no multiset in which a non-trivial element fixes more
+# vertices than this, whichever rules are dropped; it bounds the cap search
+_MAX_FIX = 3
 
 
 class OracleInconsistencyError(RuntimeError):
@@ -91,16 +80,30 @@ def transitive_types(group: str) -> tuple[TransitiveType, ...]:
     return tuple(sorted(types, key=lambda t: -t.degree))
 
 
+@lru_cache(maxsize=None)
+def class_caps(group: str, drop_rules: tuple[str, ...] = ()) -> tuple[tuple[ClassLabel, int], ...]:
+    """Cap on each non-identity class's fixed-vertex count under the rules
+    left after dropping `drop_rules`: the largest count the class takes over
+    the profiles in the box {0..3}^classes that pass those rules.  A profile
+    outside the box fails the max-count test regardless."""
+    labels = tuple(CLASS_WEIGHTS[group])
+    rules = profile_rules(group, drop_rules)
+    caps = dict.fromkeys(labels, 0)
+    for values in product(range(_MAX_FIX + 1), repeat=len(labels)):
+        counts = dict(zip(labels, values))
+        profile = FixedVertexProfile.from_counts(group, counts)
+        if all(r.holds_for_profile(profile) for r in rules):
+            for label, n in counts.items():
+                caps[label] = max(caps[label], n)
+    return tuple(caps.items())
+
+
 def admissible_types(group: str, drop_rules: tuple[str, ...] = ()) -> tuple[TransitiveType, ...]:
     """Types that any feasible multiset could contain at all."""
-    caps = dict(_CLASS_CAPS[group])
-    for rid in drop_rules:
-        relax = _CAP_RELAXATIONS.get(rid)
-        if relax and relax[0] == group:
-            caps[relax[1]] = max(caps[relax[1]], relax[2])
+    caps = class_caps(group, drop_rules)
     return tuple(
         t for t in transitive_types(group)
-        if all(t.fix(lab) <= cap for lab, cap in caps.items())
+        if all(t.fix(label) <= cap for label, cap in caps)
     )
 
 
@@ -115,38 +118,47 @@ def feasible_multisets(group: str, m: int, *, use_m_rules: bool = False,
     """
     if m < 0:
         raise ValueError("m must be non-negative")
+    caps = class_caps(group, drop_rules)
+    labels = [label for label, _ in caps]
     types = admissible_types(group, drop_rules)
+    fixes = [[t.fix(label) for label in labels] for t in types]
+    rules = profile_rules(group, drop_rules)
+    m_ok = not use_m_rules or all(r.holds_for_m(m) for r in m_rules(group))
+    elements = frozenset(standard_group(group).elements)
     ident = frozenset([standard_group(group).identity])
     out: list[OrbitMultiset] = []
 
-    def dfs(i: int, remaining: int, chosen: list[tuple[TransitiveType, int]]):
+    def leaf(agg: list[int], chosen: list[tuple[TransitiveType, int]]):
+        profile = FixedVertexProfile.from_counts(group, dict(zip(labels, agg)), m)
+        if profile.max_count() > _MAX_FIX:
+            return
+        if not all(r.holds_for_profile(profile) for r in rules):
+            return
+        if not m_ok:
+            return
+        ker = elements
+        for t, _ in chosen:
+            ker &= t.core
+        faithful = ker == ident
+        if faithful or m < 4:
+            out.append(OrbitMultiset(group, tuple(chosen), m, profile, faithful))
+
+    def dfs(i: int, remaining: int, agg: list[int], chosen: list[tuple[TransitiveType, int]]):
         if remaining == 0:
-            label_counts: dict[ClassLabel, int] = {}
-            for t, c in chosen:
-                for lab, f in t.fix_vector:
-                    label_counts[lab] = label_counts.get(lab, 0) + c * f
-            profile = FixedVertexProfile.from_counts(group, label_counts, m)
-            if profile.max_count() > 3:
-                return
-            if not passes_profile_rules(group, profile, drop_rules):
-                return
-            if use_m_rules and not all(r.holds_for_m(m) for r in m_rules(group)):
-                return
-            ker = frozenset(standard_group(group).elements)
-            for t, c in chosen:
-                if c:
-                    ker &= t.core
-            faithful = ker == ident
-            if faithful or m < 4:
-                out.append(OrbitMultiset(group, tuple(chosen), m, profile, faithful))
+            leaf(agg, chosen)
             return
         if i == len(types):
             return
-        t = types[i]
-        for c in range(remaining // t.degree, -1, -1):
-            dfs(i + 1, remaining - c * t.degree, chosen + [(t, c)] if c else chosen)
+        t, fix = types[i], fixes[i]
+        # more copies of t than this would bust the degree sum or a class cap
+        top = min([remaining // t.degree]
+                  + [(cap - a) // f for (_, cap), a, f in zip(caps, agg, fix) if f])
+        for c in range(top, 0, -1):
+            dfs(i + 1, remaining - c * t.degree, [a + c * f for a, f in zip(agg, fix)],
+                chosen + [(t, c)])
+        dfs(i + 1, remaining, agg, chosen)
 
-    dfs(0, m, [])
+    dfs(0, m, [0] * len(labels), [])
     return out
 
 

@@ -298,6 +298,11 @@ def rule_set(group: str) -> tuple[Rule, ...]:
 
 
 def profile_rules(group: str, drop: tuple[str, ...] = ()) -> tuple[Rule, ...]:
+    """The group's profile rules minus the dropped ids; an id that names no
+    rule at all is an error, not a silent no-op."""
+    unknown = [rid for rid in drop if rid not in _RULES]
+    if unknown:
+        raise ValueError(f"unknown rule id {unknown[0]!r}; known ids: {', '.join(_RULES)}")
     return tuple(r for r in rule_set(group) if r.kind == "profile" and r.id not in drop)
 
 

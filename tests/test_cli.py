@@ -216,6 +216,10 @@ def _set(path, value):
     return mutate
 
 
+def _drop_element(data):
+    data["elements"].pop()
+
+
 @pytest.mark.parametrize("mutate", [
     _set(("elements", 0, "matrix"), 5),
     _set(("vertices",), 5),
@@ -233,6 +237,13 @@ def _set(path, value):
     _set(("arcs", 0, "sweep"), [1.0]),
     _set(("arcs", 0, "fixer"), "x"),
     _set(("arcs", 0, "basis"), [[0.0, 0.0, 0.0, 1.0]]),
+    _set(("model", "seed"), "x"),
+    _set(("model", "theta"), "x"),
+    _set(("model", "t"), None),
+    _set(("model", "tag"), "bogus"),
+    _set(("group",), "Z9"),
+    _set(("restriction",), 5),
+    _drop_element,
 ], ids=lambda f: f.__name__)
 def test_verify_rejects_mistyped_fields(capsys, tmp_path, mutate):
     out_file = str(tmp_path / "h.json")
@@ -296,6 +307,25 @@ def test_oracle_drop_rule_detects_divergence(capsys):
     code, out, _ = run(capsys, "oracle", "--group", "A5", "--drop-rule", "n5ne2")
     assert code == 5
     assert "match=NO" in out
+
+
+def test_oracle_rejects_unknown_rule_id(capsys):
+    code, out, err = run(capsys, "oracle", "--drop-rule", "bogus")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'bogus'" in err
+    assert "n5ne2" in err and "fix_le_3" in err  # lists the known ids
+
+
+def test_oracle_aperiodic_search_exit_5(capsys, monkeypatch):
+    import tsglab.oracle
+
+    def aperiodic(group, m, **kwargs):
+        return [m] if m == 7 else []
+
+    monkeypatch.setattr(tsglab.oracle, "feasible_multisets", aperiodic)
+    code, out, err = run(capsys, "oracle", "--group", "A4")
+    assert code == 5 and out == ""
+    assert err == "error: feasibility not 12-periodic at m=7 for A4\n"
 
 
 def test_oracle_max_m_prints_feasible_values(capsys):

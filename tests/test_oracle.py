@@ -1,19 +1,33 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsglab.perm import ClassLabel, burnside_orbit_count, fixed_count, is_faithful, orbit_partition
+from tsglab.perm import (
+    GROUP_ORDER,
+    ClassLabel,
+    burnside_orbit_count,
+    fixed_count,
+    is_faithful,
+    orbit_partition,
+    standard_group,
+)
 from tsglab.oracle import (
     admissible_types,
+    class_caps,
     feasible_multisets,
     materialize,
     measured_multiset_profile,
     oracle_residues,
     transitive_types,
 )
-from tsglab.profiles import admissible_residues
+from tsglab.profiles import FixedVertexProfile, admissible_residues, passes_profile_rules, profile_rules
 
 GROUPS = ("A4", "S4", "A5")
+GOLDEN = Path(__file__).parent / "golden"
 
 INV = ClassLabel(2, True)
 TRANSP = ClassLabel(2, False)
@@ -149,3 +163,78 @@ def test_monotone_periodicity(group, m):
 
     if feasible_multisets(group, m):
         assert feasible_multisets(group, m + GROUP_ORDER[group])
+
+
+# ------------------------------------------------ caps and pruned search
+
+
+def test_derived_caps_equal_the_hand_tables():
+    # the per-class ceilings the profile rules imply, as formerly tabulated
+    assert dict(class_caps("A4")) == {INV: 1, ORD3: 3}
+    assert dict(class_caps("S4")) == {INV: 1, TRANSP: 2, ORD3: 3, ORD4: 0}
+    assert dict(class_caps("A5")) == {INV: 1, ORD3: 2, ORD5: 1}
+    assert dict(class_caps("A5", ("n5ne2",))) == {INV: 1, ORD3: 2, ORD5: 2}
+    # n5ne2 is no A4 or S4 rule, so dropping it there changes nothing
+    assert class_caps("A4", ("n5ne2",)) == class_caps("A4")
+    assert class_caps("S4", ("n5ne2",)) == class_caps("S4")
+
+
+def _multiset_rows(multisets):
+    return [[[[t.degree, c] for t, c in ms.counts], list(ms.profile.key()), ms.faithful]
+            for ms in multisets]
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@pytest.mark.parametrize("drop", [(), ("n5ne2",)], ids=["default", "n5ne2"])
+def test_feasible_multisets_match_golden(group, drop):
+    """Every feasible_multisets list for m < 3|G| keeps the (degree, count)
+    lists, profile keys and faithfulness flags, in order, recorded in
+    golden/oracle_multisets.json before the search was pruned."""
+    rows = [_multiset_rows(feasible_multisets(group, m, drop_rules=drop))
+            for m in range(3 * GROUP_ORDER[group])]
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    golden = json.loads((GOLDEN / "oracle_multisets.json").read_text())
+    expect = golden[group]["default" if not drop else "n5ne2"]
+    assert sum(map(len, rows)) == expect["multisets"]
+    assert hashlib.sha256(blob).hexdigest() == expect["sha256"]
+
+
+def _brute_force_multisets(group, m, drop):
+    """Every multiset over all transitive types, each checked only at the
+    leaf: no type filter, no cap pruning."""
+    types = transitive_types(group)
+    elements = frozenset(standard_group(group).elements)
+    out = []
+
+    def dfs(i, remaining, chosen):
+        if remaining == 0:
+            counts = {}
+            ker = elements
+            for t, c in chosen:
+                ker &= t.core
+                for label, f in t.fix_vector:
+                    counts[label] = counts.get(label, 0) + c * f
+            profile = FixedVertexProfile.from_counts(group, counts, m)
+            faithful = len(ker) == 1
+            if (profile.max_count() <= 3 and passes_profile_rules(group, profile, drop)
+                    and (faithful or m < 4)):
+                out.append((tuple((t.subgroup_index, c) for t, c in chosen), profile, faithful))
+            return
+        if i == len(types):
+            return
+        t = types[i]
+        for c in range(remaining // t.degree, -1, -1):
+            dfs(i + 1, remaining - c * t.degree, chosen + [(t, c)] if c else chosen)
+
+    dfs(0, m, [])
+    return out
+
+
+@pytest.mark.parametrize("group,bound", [("A4", 36), ("S4", 25), ("A5", 36)])
+def test_pruned_search_equals_brute_force(group, bound):
+    drops = [()] + [(r.id,) for r in profile_rules(group)]
+    for drop in drops:
+        for m in range(bound):
+            pruned = [(tuple((t.subgroup_index, c) for t, c in ms.counts), ms.profile, ms.faithful)
+                      for ms in feasible_multisets(group, m, drop_rules=drop)]
+            assert pruned == _brute_force_multisets(group, m, drop), (group, m, drop)
