@@ -73,6 +73,17 @@ PART_SIZES = {
 RESTRICT_EVEN_S4 = "a4_in_s4"   # even elements of S4
 RESTRICT_STAB_A5 = "a4_in_a5"   # even permutations fixing letter 4
 
+# every (group, restriction, model tag) that plan() produces
+PLAN_HEADERS = (
+    ("A4", None, Model.TETRA_ROT.value),
+    ("A4", RESTRICT_EVEN_S4, Model.TETRA_FULL.value),
+    ("A4", RESTRICT_STAB_A5, Model.DODECA_ROT.value),
+    ("A4", RESTRICT_STAB_A5, Model.SIMPLEX4.value),
+    ("S4", None, Model.TETRA_FULL.value),
+    ("A5", None, Model.SIMPLEX4.value),
+    ("A5", None, Model.DODECA_ROT.value),
+)
+
 # orbits contributed by one part instance, by restriction
 _ORBITS_PER_PART = {
     None: {"free": 1, "tetra_corners": 1, "twin_tetra": 1, "tetra_edge": 1,

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .actions import RESTRICT_EVEN_S4, RESTRICT_STAB_A5, Model, VertexAction, measured_profile
+from .actions import PART_SIZES, PLAN_HEADERS, Model, VertexAction, measured_profile
 from .edges import Arc, full_report
 from .geometry import REALIZATION_CHECKS, ModelConfig, Realization, require_at_most
 from .perm import (
@@ -34,8 +35,6 @@ SCHEMA_VERSION = 1
 
 _TOP_KEYS = {"schema_version", "group", "m", "model", "restriction",
              "elements", "vertices", "arcs", "report"}
-_MODEL_TAGS = tuple(tag.value for tag in Model)
-_RESTRICTIONS = (None, RESTRICT_EVEN_S4, RESTRICT_STAB_A5)
 
 
 class SchemaError(ValueError):
@@ -131,14 +130,18 @@ def _numbers(n: int):
     return lambda x: isinstance(x, list) and len(x) == n and all(map(_is_number, x))
 
 
+def _is_part_label(x) -> bool:
+    # free orbits are labelled free0, free1, ...; special parts by their kind
+    return isinstance(x, str) and (x in PART_SIZES or re.fullmatch("free[0-9]+", x) is not None)
+
+
 # container type of each section, and a type test for each field of its records
 _SECTIONS = {"model": dict, "elements": list, "vertices": list, "arcs": list, "report": dict}
-_MODEL_FIELDS = {"tag": lambda x: x in _MODEL_TAGS, "theta": _is_number, "t": _is_number,
+_MODEL_FIELDS = {"tag": lambda x: isinstance(x, str), "theta": _is_number, "t": _is_number,
                  "seed": lambda x: x is None or _is_int(x)}
 _RECORD_FIELDS = {
     "elements": {"perm": _ints, "matrix": _numbers(16), "vertex_images": _ints},
-    "vertices": {"id": _is_int, "part": lambda x: isinstance(x, str),
-                 "coords": _numbers(4)},
+    "vertices": {"id": _is_int, "part": _is_part_label, "coords": _numbers(4)},
     "arcs": {"pair": _ints, "fixer": _ints, "start": _is_number, "sweep": _is_number,
              "basis": lambda x: isinstance(x, list) and len(x) == 2 and all(map(_numbers(4), x))},
 }
@@ -154,9 +157,10 @@ def _check_record(section: str, rec, fields: dict) -> None:
 
 def _check_schema(data: dict) -> None:
     """Shapes, types and header values: every field the verifier reads has
-    the JSON type it expects, the group, model tag and restriction are known
-    names, and the group has its order of element records.  NaN and inf are
-    numbers here; the checks reject them."""
+    the JSON type it expects, group, restriction and model tag are a triple
+    plan() produces, every vertex carries a part label build() gives, and
+    the group has its order of element records.  NaN and inf are numbers
+    here; the checks reject them."""
     if not isinstance(data, dict) or set(data) != _TOP_KEYS:
         raise SchemaError(f"top-level keys must be {sorted(_TOP_KEYS)}")
     if data["schema_version"] != SCHEMA_VERSION:
@@ -174,8 +178,9 @@ def _check_schema(data: dict) -> None:
     if len(data["elements"]) != GROUP_ORDER[group]:
         raise SchemaError(f"{group} needs {GROUP_ORDER[group]} element records, "
                           f"the file holds {len(data['elements'])}")
-    if data["restriction"] not in _RESTRICTIONS:
-        raise SchemaError(f"restriction must be one of {list(_RESTRICTIONS)}")
+    header = (group, data["restriction"], data["model"]["tag"])
+    if header not in PLAN_HEADERS:
+        raise SchemaError(f"(group, restriction, model tag) = {header} is not one a plan produces")
     m = data["m"]
     if not _is_int(m) or m != len(data["vertices"]):
         raise SchemaError(f"m = {m!r} but the file holds {len(data['vertices'])} vertex records")

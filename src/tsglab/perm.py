@@ -245,50 +245,62 @@ def a4_inside_a5() -> PermGroup:
     return PermGroup("A4", 5, closure(gens, 5), gens)
 
 
-def _is_subgroup(elements: frozenset[Permutation], degree: int) -> bool:
-    if identity(degree) not in elements:
-        return False
-    return all(a * b in elements for a in elements for b in elements)
-
-
-def conjugate_subgroup(g: Permutation, h: frozenset[Permutation]) -> frozenset[Permutation]:
-    ginv = g.inverse()
-    return frozenset(g * x * ginv for x in h)
-
-
-def _canonical_subgroup_key(h: frozenset[Permutation]):
-    return (len(h), tuple(sorted(p.images for p in h)))
-
-
 def subgroups_up_to_conjugacy(group) -> tuple[frozenset[Permutation], ...]:
     """One representative per conjugacy class of subgroups.
 
-    Exhaustive closure over all 1- and 2-generated subsets; every subgroup
-    of A4, S4 and A5 is generated by at most two elements, so this finds
-    everything without classification tables.  Accepts a group or its name.
+    Exhaustive closure over all 1- and 2-generated subsets on the Cayley
+    table; every subgroup of A4, S4 and A5 is generated by at most two
+    elements, so this finds everything without classification tables.
+    Accepts a group or its name.
     """
     return _subgroups_up_to_conjugacy(group if isinstance(group, str) else group.name)
 
 
 @lru_cache(maxsize=None)
 def _subgroups_up_to_conjugacy(name: str) -> tuple[frozenset[Permutation], ...]:
+    # Works on Cayley-table rows: an element is its row index, a subgroup the
+    # bitmask of its rows.  Row order is the sorted element order, so sorting
+    # by (order, sorted rows) sorts by (order, sorted image tuples), and each
+    # class is represented by its lexicographically least member.
     g = standard_group(name)
-    subgroups: set[frozenset[Permutation]] = {frozenset([g.identity])}
-    els = g.elements
-    for a in els:
-        subgroups.add(closure((a,), g.degree))
-    for i, a in enumerate(els):
-        for b in els[i + 1:]:
-            subgroups.add(closure((a, b), g.degree))
-    # partition into conjugacy classes, keep the lexicographically least rep
-    remaining = set(subgroups)
-    reps = []
-    while remaining:
-        h = min(remaining, key=_canonical_subgroup_key)
-        orbit = {conjugate_subgroup(x, h) for x in els}
-        remaining -= orbit
-        reps.append(h)
-    return tuple(sorted(reps, key=_canonical_subgroup_key))
+    table = g.cayley.tolist()
+    e = g.index[g.identity]
+    inv = (g.cayley == e).argmax(axis=1)
+    conj = g.cayley[g.cayley, inv[:, None]].tolist()  # conj[x][i]: row of x * i * x^-1
+
+    def generated(gens) -> int:
+        # breadth-first from the identity, multiplying by each generator row
+        mask, frontier = 1 << e, [e]
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for s in gens:
+                    y = table[s][x]
+                    if not mask >> y & 1:
+                        mask |= 1 << y
+                        fresh.append(y)
+            frontier = fresh
+        return mask
+
+    # <a, b> is the join of <a> and <b>: close one pair of cyclic subgroups
+    # at a time, skipping pairs where one already contains the other
+    cyclic: dict[int, int] = {}
+    for a in range(g.order):
+        cyclic.setdefault(generated((a,)), a)
+    subgroups = set(cyclic)
+    pairs = list(cyclic.items())
+    for i, (ha, a) in enumerate(pairs):
+        for hb, b in pairs[i + 1:]:
+            if ha & hb not in (ha, hb):
+                subgroups.add(generated((a, b)))
+
+    rows = {h: [i for i in range(g.order) if h >> i & 1] for h in subgroups}
+    reps, seen = [], set()
+    for h in sorted(subgroups, key=lambda h: (len(rows[h]), rows[h])):
+        if h not in seen:
+            reps.append(h)
+            seen.update(sum(1 << c[i] for i in rows[h]) for c in conj)
+    return tuple(frozenset(g.elements[i] for i in rows[h]) for h in reps)
 
 
 class GroupAction:
@@ -336,27 +348,31 @@ def check_homomorphism(a: GroupAction) -> None:
             raise InconsistentActionError(f"act({e1} * {e2}) != act({e1}) * act({e2})")
 
 
+def _left_cosets(g: PermGroup, h: frozenset[Permutation]) -> tuple[list[int], np.ndarray]:
+    """Rows of the left-coset representatives of h in g (first row of each
+    coset) and the coset number of every row of g.  h must be a non-empty
+    subset of g closed under product, which makes it a subgroup."""
+    rows = np.array([g.index.get(p, -1) for p in h], dtype=np.intp)
+    if not len(rows) or (rows < 0).any() or not np.isin(g.cayley[np.ix_(rows, rows)], rows).all():
+        raise NotASubgroupError("h is not a subgroup of g")
+    coset_of = np.full(g.order, -1, dtype=np.intp)
+    reps = []
+    for x in range(g.order):
+        if coset_of[x] < 0:
+            coset_of[g.cayley[x, rows]] = len(reps)  # the coset x * h
+            reps.append(x)
+    return reps, coset_of
+
+
 def coset_transversal(g: PermGroup, h: frozenset[Permutation]) -> list[Permutation]:
     """Deterministic left-coset representatives of h in g (first element of
     each coset in sorted group order)."""
-    if not h <= g.element_set or not _is_subgroup(frozenset(h), g.degree):
-        raise NotASubgroupError("h is not a subgroup of g")
-    seen: set[Permutation] = set()
-    reps = []
-    for x in g.elements:
-        if x in seen:
-            continue
-        reps.append(x)
-        seen.update(x * hh for hh in h)
-    return reps
+    return [g.elements[r] for r in _left_cosets(g, h)[0]]
 
 
 def coset_action(g: PermGroup, h: frozenset[Permutation]) -> GroupAction:
     """Left-multiplication action of g on the left cosets of h."""
-    reps = [g.index[r] for r in coset_transversal(g, h)]
-    coset_of = np.empty(g.order, dtype=np.intp)
-    for i, r in enumerate(reps):
-        coset_of[g.cayley[r, [g.index[hh] for hh in h]]] = i
+    reps, coset_of = _left_cosets(g, h)
     return GroupAction(g, coset_of[g.cayley[:, reps]])
 
 

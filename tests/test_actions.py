@@ -3,6 +3,7 @@ import pytest
 from tsglab.actions import (
     Model,
     OrbitPlan,
+    PLAN_HEADERS,
     PartSpec,
     RESTRICT_EVEN_S4,
     RESTRICT_STAB_A5,
@@ -77,6 +78,13 @@ def test_plan_rejects_inadmissible():
         plan("S4", 16)
     with pytest.raises(NotAdmissibleError):
         plan("A4", 7)
+
+
+def test_plan_headers_are_the_plan_triples():
+    # every admissible m up to 400 (no plan exists below m = 4)
+    plans = [plan(g, m) for g in GROUPS for m in admissible_ms(g, 4, 401)]
+    assert len(set(PLAN_HEADERS)) == len(PLAN_HEADERS) == 7
+    assert set(PLAN_HEADERS) == {(p.group, p.restriction, p.model.value) for p in plans}
 
 
 def test_plan_sizes_validated():

@@ -1,8 +1,11 @@
+import copy
 import json
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tsglab import cli
 from tsglab.cli import main
@@ -244,6 +247,9 @@ def _drop_element(data):
     _set(("group",), "Z9"),
     _set(("restriction",), 5),
     _drop_element,
+    _set(("model", "tag"), "simplex4"),
+    _set(("restriction",), "a4_in_a5"),
+    _set(("vertices", 0, "part"), "bogus"),
 ], ids=lambda f: f.__name__)
 def test_verify_rejects_mistyped_fields(capsys, tmp_path, mutate):
     out_file = str(tmp_path / "h.json")
@@ -354,3 +360,84 @@ def test_roundtrip_every_small_case(capsys, tmp_path):
             assert code == 0, (group, m, err)
             checked += 1
     assert checked >= 50
+
+
+# ------------------------------------------------------------ mutation fuzzing
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_RETYPES = ("x", None, True, 7, 1.5, [], {})
+
+
+@st.composite
+def _mutation(draw, data):
+    """A deep copy of data with one mutation, and whether that mutation moved
+    a coordinate or matrix entry by at least 1e-6."""
+    data = copy.deepcopy(data)
+    paths = list(_paths(data))[1:]
+    op = draw(st.sampled_from(("perturb", "swap", "truncate", "retype")))
+    if op == "perturb":
+        path = draw(st.sampled_from([p for p in paths if _is_number(_at(data, p))]))
+        sign = draw(st.sampled_from((-1, 1)))
+        old = _at(data, path)
+        step = draw(st.integers(1, 5)) if isinstance(old, int) else draw(st.floats(1e-6, 1e3))
+        _at(data, path[:-1])[path[-1]] = old + sign * step
+        return data, "coords" in path or "matrix" in path
+    if op in ("swap", "truncate"):
+        shortest = 2 if op == "swap" else 1
+        lists = [p for p in paths if isinstance(_at(data, p), list) and len(_at(data, p)) >= shortest]
+        seq = _at(data, draw(st.sampled_from(lists)))
+        if op == "swap":
+            i, j = draw(st.lists(st.integers(0, len(seq) - 1), min_size=2, max_size=2, unique=True))
+            seq[i], seq[j] = seq[j], seq[i]
+        else:
+            del seq[draw(st.integers(0, len(seq) - 1)):]
+        return data, False
+    path = draw(st.sampled_from(paths))
+    old = _at(data, path)
+    new = draw(st.sampled_from([v for v in _RETYPES if type(v) is not type(old)]))
+    _at(data, path[:-1])[path[-1]] = new
+    return data, False
+
+
+@pytest.fixture(scope="module")
+def s4_4_certificate(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "s4_4.json"
+    assert main(["realize", "--group", "S4", "--m", "4", "--seed", "0", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_verify_survives_mutated_certificates(capsys, tmp_path, s4_4_certificate, data):
+    mutated, moved_geometry = data.draw(_mutation(s4_4_certificate))
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(mutated))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code in (0, 2, 5)
+    assert not caught
+    if code:
+        assert len(err.splitlines()) == 1
+        assert err.startswith(("error: ", "verification failed at: "))
+    if moved_geometry:
+        assert code != 0

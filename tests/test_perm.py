@@ -1,8 +1,13 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsglab import perm
 from tsglab.perm import (
     ClassLabel,
     GroupAction,
@@ -30,6 +35,7 @@ from tsglab.perm import (
 )
 
 GROUPS = ("A4", "S4", "A5")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def natural_action(g):
@@ -114,6 +120,27 @@ def test_subgroup_reps_are_closed(name):
         assert all(a * b in h for a in h for b in h)
 
 
+@pytest.mark.parametrize("name", GROUPS)
+def test_subgroup_reps_match_golden(name):
+    """Same representatives in the same order as recorded in
+    golden/subgroup_reps.json before the enumeration moved to the Cayley table."""
+    perm._subgroups_up_to_conjugacy.cache_clear()
+    rows = [[len(h), sorted(p.images for p in h)] for h in subgroups_up_to_conjugacy(name)]
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    golden = json.loads((GOLDEN / "subgroup_reps.json").read_text())[name]
+    assert len(rows) == golden["classes"]
+    assert hashlib.sha256(blob).hexdigest() == golden["sha256"]
+
+
+@pytest.mark.parametrize("name,classes,subgroups", [("A4", 5, 10), ("S4", 11, 30), ("A5", 9, 59)])
+def test_subgroup_class_and_total_counts(name, classes, subgroups):
+    g = standard_group(name)
+    reps = subgroups_up_to_conjugacy(name)
+    class_sizes = [len({frozenset(x * p * x.inverse() for p in h) for x in g.elements})
+                   for h in reps]
+    assert len(reps) == classes and sum(class_sizes) == subgroups
+
+
 # ---------------------------------------------------------- coset actions
 
 
@@ -137,6 +164,17 @@ def test_coset_action_rejects_non_subgroup():
     s4 = standard_group("S4")
     with pytest.raises(NotASubgroupError):
         coset_action(s4, frozenset([from_cycles(4, (0, 1))]))
+
+
+@pytest.mark.parametrize("name,h", [
+    ("S4", frozenset([identity(4), from_cycles(4, (0, 1)), from_cycles(4, (1, 2))])),
+    ("A4", frozenset([identity(4), from_cycles(4, (0, 1))])),  # a subgroup of S4 only
+    ("S4", frozenset([identity(5), from_cycles(5, (0, 1), (2, 3))])),
+    ("S4", frozenset()),
+], ids=["not-closed", "outside-g", "other-degree", "empty"])
+def test_coset_transversal_rejects_non_subgroup(name, h):
+    with pytest.raises(NotASubgroupError):
+        coset_transversal(standard_group(name), h)
 
 
 def test_group_rejects_set_not_closed_under_product():
