@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .perm import (
+    GROUP_ORDER,
     GroupAction,
     PermGroup,
     Permutation,
@@ -127,8 +128,6 @@ class OrbitPlan:
         return self.group
 
     def part_size(self, spec: PartSpec) -> int:
-        from .perm import GROUP_ORDER
-
         if spec.kind == "free":
             return GROUP_ORDER[self.building_group] * spec.count
         return PART_SIZES[spec.kind]
@@ -152,49 +151,30 @@ def plan(group: str, m: int) -> OrbitPlan:
         raise NotAdmissibleError(
             f"K_{m} admits no embedding with symmetry group {group}: {verdict.violated_rule.text}")
 
-    def free(group_name: str, n: int) -> list[PartSpec]:
-        from .perm import GROUP_ORDER
-
-        assert n * GROUP_ORDER[group_name] >= 0
-        return [PartSpec("free", n)] if n else []
-
     if group == "S4":
-        k = m % 24
+        n_free, k = divmod(m, 24)
         extras = {0: [], 4: ["tetra_corners"], 8: ["twin_tetra"],
                   12: ["tetra_edge"], 20: ["twin_tetra", "tetra_edge"]}[k]
-        parts = free("S4", m // 24) + [PartSpec(e) for e in extras]
-        return OrbitPlan("S4", m, tuple(parts), Model.TETRA_FULL)
-
-    if group == "A5":
-        k = m % 60
+        model = Model.TETRA_FULL
+    elif group == "A5":
+        n_free, k = divmod(m, 60)
         extras = {0: [], 1: ["center"], 5: ["simplex_corners"], 20: ["simplex_edge"]}[k]
         model = Model.DODECA_ROT if k in (0, 1) else Model.SIMPLEX4
-        parts = free("A5", m // 60) + [PartSpec(e) for e in extras]
-        return OrbitPlan("A5", m, tuple(parts), model)
-
-    # A4
-    if m == 4:
-        return OrbitPlan("A4", 4, (PartSpec("knotted_k4"),), Model.TETRA_ROT, knotted=True)
-    if m == 5:
-        return OrbitPlan("A4", 5, (PartSpec("knotted_k5"),), Model.TETRA_ROT, knotted=True)
-    if m % 12 in (0, 4, 8):
-        if m % 24 == 16:
-            # m = 12(2n+1) + 4: an odd number of free A4 orbits plus corners
-            n_free = (m - 4) // 12
-            parts = free("A4", n_free) + [PartSpec("tetra_corners")]
-            return OrbitPlan("A4", m, tuple(parts), Model.TETRA_ROT)
+    elif m in (4, 5):
+        return OrbitPlan("A4", m, (PartSpec(f"knotted_k{m}"),), Model.TETRA_ROT, knotted=True)
+    elif m % 12 in (0, 4, 8) and m % 24 != 16:
         sub = plan("S4", m)
         return OrbitPlan("A4", m, sub.parts, sub.model, restriction=RESTRICT_EVEN_S4)
-    if m % 60 in (1, 5):
+    elif m % 60 in (1, 5):
         sub = plan("A5", m)
         return OrbitPlan("A4", m, sub.parts, sub.model, restriction=RESTRICT_STAB_A5)
-    if m % 12 == 1:
-        parts = free("A4", (m - 1) // 12) + [PartSpec("center")]
-        return OrbitPlan("A4", m, tuple(parts), Model.TETRA_ROT)
-    if m % 12 == 5:
-        parts = free("A4", (m - 5) // 12) + [PartSpec("tetra_corners"), PartSpec("center")]
-        return OrbitPlan("A4", m, tuple(parts), Model.TETRA_ROT)
-    raise AssertionError(f"admissible m={m} for A4 fell through the case split")
+    else:
+        # free A4 orbits plus corners (m = 12(2n+1) + 4), a center, or both
+        n_free, k = divmod(m, 12)
+        extras = {4: ["tetra_corners"], 1: ["center"], 5: ["tetra_corners", "center"]}[k]
+        model = Model.TETRA_ROT
+    parts = [PartSpec("free", n_free)] if n_free else []
+    return OrbitPlan(group, m, tuple(parts + [PartSpec(e) for e in extras]), model)
 
 
 # subgroups whose cosets realize each special part
@@ -235,10 +215,6 @@ class VertexAction:
         return self.action.m
 
 
-def _acting_group(p: OrbitPlan) -> PermGroup:
-    return standard_group(p.building_group)
-
-
 def restricted_group(p: OrbitPlan) -> Optional[PermGroup]:
     if p.restriction == RESTRICT_EVEN_S4:
         return standard_group("A4")
@@ -250,7 +226,7 @@ def restricted_group(p: OrbitPlan) -> Optional[PermGroup]:
 def build(p: OrbitPlan) -> VertexAction:
     """Materialize a plan as an explicit faithful permutation action: the
     direct sum of one coset, natural or one-point action per block."""
-    g = _acting_group(p)
+    g = standard_group(p.building_group)
     blocks: list[BuiltPart] = []
     pieces: list[GroupAction] = []
     center = GroupAction(g, np.zeros((g.order, 1), dtype=np.intp))

@@ -139,6 +139,11 @@ def _is_part_label(x) -> bool:
 _SECTIONS = {"model": dict, "elements": list, "vertices": list, "arcs": list, "report": dict}
 _MODEL_FIELDS = {"tag": lambda x: isinstance(x, str), "theta": _is_number, "t": _is_number,
                  "seed": lambda x: x is None or _is_int(x)}
+_REPORT_FIELDS = {
+    **dict.fromkeys(("h1", "h2", "h3", "h4", "h5"), lambda x: isinstance(x, bool)),
+    "orbit_count": _is_int,
+    "profile": lambda x: isinstance(x, dict) and all(map(_is_int, x.values())),
+}
 _RECORD_FIELDS = {
     "elements": {"perm": _ints, "matrix": _numbers(16), "vertex_images": _ints},
     "vertices": {"id": _is_int, "part": _is_part_label, "coords": _numbers(4)},
@@ -163,12 +168,13 @@ def _check_schema(data: dict) -> None:
     here; the checks reject them."""
     if not isinstance(data, dict) or set(data) != _TOP_KEYS:
         raise SchemaError(f"top-level keys must be {sorted(_TOP_KEYS)}")
-    if data["schema_version"] != SCHEMA_VERSION:
+    if not _is_int(data["schema_version"]) or data["schema_version"] != SCHEMA_VERSION:
         raise SchemaError(f"schema version {data['schema_version']} != {SCHEMA_VERSION}")
     for section, kind in _SECTIONS.items():
         if not isinstance(data[section], kind):
             raise SchemaError(f"{section} must be a JSON {'object' if kind is dict else 'array'}")
     _check_record("model", data["model"], _MODEL_FIELDS)
+    _check_record("report", data["report"], _REPORT_FIELDS)
     for section, fields in _RECORD_FIELDS.items():
         for rec in data[section]:
             _check_record(section, rec, fields)

@@ -383,11 +383,7 @@ def part_coords(model: Model, part: BuiltPart, rep: dict[Permutation, np.ndarray
     return np.array([rep[r] @ base for r in part.reps])
 
 
-_MODEL_DEFAULT_GROUP = {Model.TETRA_ROT: "A4", Model.TETRA_FULL: "S4",
-                        Model.DODECA_ROT: "A5", Model.SIMPLEX4: "A5"}
-
-
-def free_orbit_coords(model: Model, group: Optional[PermGroup] = None, n: int = 1,
+def free_orbit_coords(model: Model, group: PermGroup, n: int = 1,
                       config: ModelConfig | None = None,
                       avoid: Optional[np.ndarray] = None) -> list[np.ndarray]:
     """n regular orbits from base points sampled clear of every fixed circle.
@@ -395,12 +391,10 @@ def free_orbit_coords(model: Model, group: Optional[PermGroup] = None, n: int = 
     Each base point keeps distance >= 0.05 from all fixed-point circles, and
     all produced points stay pairwise >= 1e-3 apart (also from `avoid`,
     whose own points must already be that far apart).
-    Deterministic for a fixed seed.  The group defaults to the model's full
-    symmetry group.
+    Deterministic for a fixed seed.
     """
     if n < 1:
         raise ValueError("need n >= 1 free orbits")
-    group = group or standard_group(_MODEL_DEFAULT_GROUP[model])
     config = config or ModelConfig()
     rep = representation(group, model)
     circles = [c for c in circles_of(rep).values() if not c.empty]
@@ -457,7 +451,6 @@ class Realization:
     config: ModelConfig
     rep: dict[Permutation, np.ndarray]       # for the acting (possibly restricted) group
     coords: np.ndarray                       # (m, 4)
-    parent_rep: Optional[dict[Permutation, np.ndarray]] = None
     circles: dict[Permutation, FixedCircle] = field(default_factory=dict)
 
     @property
@@ -571,13 +564,8 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     coords = np.vstack([coords_blocks[i] for i in range(len(va.parts))])
 
     sub = restricted_group(p)
-    if sub is None:
-        rep = rep_full
-        parent_rep = None
-    else:
-        rep = {e: rep_full[e] for e in sub.elements}
-        parent_rep = rep_full
-    r = Realization(p, va, p.model, config, rep, coords, parent_rep)
+    rep = rep_full if sub is None else {e: rep_full[e] for e in sub.elements}
+    r = Realization(p, va, p.model, config, rep, coords)
     validate_realization(r)
     return r
 

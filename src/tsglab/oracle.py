@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .perm import (
     ClassLabel,
@@ -29,11 +28,15 @@ from .perm import (
     standard_group,
     subgroups_up_to_conjugacy,
 )
-from .profiles import CLASS_WEIGHTS, CongruenceSet, FixedVertexProfile, m_rules, profile_rules
-
-# the oracle reports no multiset in which a non-trivial element fixes more
-# vertices than this, whichever rules are dropped; it bounds the cap search
-_MAX_FIX = 3
+from .profiles import (
+    CLASS_WEIGHTS,
+    MAX_FIX,
+    CongruenceSet,
+    FixedVertexProfile,
+    m_rules,
+    profile_rules,
+    rule_abiding_profiles,
+)
 
 
 class OracleInconsistencyError(RuntimeError):
@@ -84,18 +87,11 @@ def transitive_types(group: str) -> tuple[TransitiveType, ...]:
 def class_caps(group: str, drop_rules: tuple[str, ...] = ()) -> tuple[tuple[ClassLabel, int], ...]:
     """Cap on each non-identity class's fixed-vertex count under the rules
     left after dropping `drop_rules`: the largest count the class takes over
-    the profiles in the box {0..3}^classes that pass those rules.  A profile
+    the rule-abiding profiles of the box {0..MAX_FIX}^classes.  A profile
     outside the box fails the max-count test regardless."""
-    labels = tuple(CLASS_WEIGHTS[group])
-    rules = profile_rules(group, drop_rules)
-    caps = dict.fromkeys(labels, 0)
-    for values in product(range(_MAX_FIX + 1), repeat=len(labels)):
-        counts = dict(zip(labels, values))
-        profile = FixedVertexProfile.from_counts(group, counts)
-        if all(r.holds_for_profile(profile) for r in rules):
-            for label, n in counts.items():
-                caps[label] = max(caps[label], n)
-    return tuple(caps.items())
+    profiles = rule_abiding_profiles(group, drop_rules)
+    return tuple((label, max(p.counts()[label] for p in profiles))
+                 for label in CLASS_WEIGHTS[group])
 
 
 def admissible_types(group: str, drop_rules: tuple[str, ...] = ()) -> tuple[TransitiveType, ...]:
@@ -130,7 +126,7 @@ def feasible_multisets(group: str, m: int, *, use_m_rules: bool = False,
 
     def leaf(agg: list[int], chosen: list[tuple[TransitiveType, int]]):
         profile = FixedVertexProfile.from_counts(group, dict(zip(labels, agg)), m)
-        if profile.max_count() > _MAX_FIX:
+        if profile.max_count() > MAX_FIX:
             return
         if not all(r.holds_for_profile(profile) for r in rules):
             return

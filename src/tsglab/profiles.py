@@ -9,16 +9,20 @@ caps the profiles hard; Burnside's orbit-count identity
     # orbits = (1/|G|) * sum over g of |fix(g)|
 
 then pins m modulo |G| for each surviving profile.  This module encodes
-the caps as an ordered rule list, enumerates the surviving profiles, and
-answers admissibility queries for A4 (mod 12) and A5 (mod 60).  S4 gives
-no standalone profile table; its verdict follows a chain of congruences
-(n4 = 0 forces m even, the even-subgroup constraint forces m ≡ 0 mod 4,
-and a parity count kills m ≡ 16 mod 24).
+the caps as an ordered rule list and walks the box {0..MAX_FIX}^classes
+once per (group, dropped rules), in rule_abiding_profiles (cached).  That
+one walk gives the A4 (mod 12) and A5 (mod 60) residue sets, the verdict
+witnesses and the oracle's per-class caps.  S4 gives no standalone profile
+table; its verdict follows a chain of congruences (n4 = 0 forces m even,
+the even-subgroup constraint forces m ≡ 0 mod 4, and a parity count kills
+m ≡ 16 mod 24).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from typing import Callable, Optional
 
 from .perm import EXPECTED_CLASSES, ClassLabel, GROUP_NAMES, GROUP_ORDER
@@ -28,6 +32,10 @@ CLASS_WEIGHTS = {
     group: {label: size for label, size in sizes.items() if label.order > 1}
     for group, sizes in EXPECTED_CLASSES.items()
 }
+
+# no non-trivial element fixes more vertices than this, whichever rules are
+# dropped: the bound of the box every profile walk runs over
+MAX_FIX = 3
 
 # profile field of each non-identity class, in the order key() reports them
 _FIELD_OF = {
@@ -235,7 +243,7 @@ _RULES = {
         "m_mod_12_tetra",
         "m mod 12 must lie in {0, 1, 4, 5, 8} (even-subgroup constraint)",
         "m",
-        lambda m: m % 12 in {0, 1, 4, 5, 8},
+        lambda m: m in admissible_residues("A4"),
     ),
     "m_ne_16_mod_24": Rule(
         "m_ne_16_mod_24",
@@ -251,13 +259,13 @@ _RESIDUE_RULES = {
         "residues_mod_12",
         "Burnside integrality over the allowed profiles forces m ≡ 0, 1, 4, 5, 8 (mod 12)",
         "m",
-        lambda m: m % 12 in {0, 1, 4, 5, 8},
+        lambda m: m in admissible_residues("A4"),
     ),
     "A5": Rule(
         "residues_mod_60",
         "Burnside integrality over the allowed profiles forces m ≡ 0, 1, 5, 20 (mod 60)",
         "m",
-        lambda m: m % 60 in {0, 1, 5, 20},
+        lambda m: m in admissible_residues("A5"),
     ),
 }
 
@@ -314,6 +322,19 @@ def passes_profile_rules(group: str, p: FixedVertexProfile, drop: tuple[str, ...
     return all(r.holds_for_profile(p) for r in profile_rules(group, drop))
 
 
+@lru_cache(maxsize=None)
+def rule_abiding_profiles(group: str, drop: tuple[str, ...] = ()) -> tuple[FixedVertexProfile, ...]:
+    """Every profile in the box {0..MAX_FIX}^classes that passes the group's
+    profile rules minus the dropped ones, in key() order.  The one walk of
+    the box: residue sets, witnesses and oracle caps all read it."""
+    labels = tuple(CLASS_WEIGHTS[group])
+    rules = profile_rules(group, drop)
+    box = (FixedVertexProfile.from_counts(group, dict(zip(labels, values)))
+           for values in product(range(MAX_FIX + 1), repeat=len(labels)))
+    kept = (p for p in box if all(r.holds_for_profile(p) for r in rules))
+    return tuple(sorted(kept, key=FixedVertexProfile.key))
+
+
 def enumerate_profiles(group: str) -> tuple[FixedVertexProfile, ...]:
     """All profiles in the cap box that survive every rule.
 
@@ -322,21 +343,7 @@ def enumerate_profiles(group: str) -> tuple[FixedVertexProfile, ...]:
     """
     if group == "S4":
         raise ValueError("S4 has no profile table; use necessity_check, which walks the congruence chain")
-    out = []
-    if group == "A4":
-        for n2 in range(4):
-            for n3 in range(4):
-                p = FixedVertexProfile("A4", n2=n2, n3=n3)
-                if passes_profile_rules("A4", p):
-                    out.append(p)
-    else:
-        for n2 in range(4):
-            for n3 in range(4):
-                for n5 in range(4):
-                    p = FixedVertexProfile("A5", n2=n2, n3=n3, n5=n5)
-                    if passes_profile_rules("A5", p):
-                        out.append(p)
-    return tuple(sorted(out, key=lambda p: p.key()))
+    return rule_abiding_profiles(group)
 
 
 def residues_from_profile(group: str, p: FixedVertexProfile) -> int:
@@ -359,17 +366,17 @@ S4_WITNESSES = {
 }
 
 
+@lru_cache(maxsize=None)
 def admissible_residues(group: str) -> CongruenceSet:
-    if group == "S4":
-        a4 = admissible_residues("A4").residues
-        residues = frozenset(
-            r for r in range(24)
-            if r % 4 == 0 and (r % 12) in a4 and r != 16
-        )
-        return CongruenceSet(24, residues)
+    """A4 and A5: the Burnside residues of the profile table.  S4: the
+    residues that pass its congruence chain."""
     order = GROUP_ORDER[group]
-    residues = frozenset(residues_from_profile(group, p) for p in enumerate_profiles(group))
-    return CongruenceSet(order, residues)
+    if group == "S4":
+        chain = m_rules(group)
+        return CongruenceSet(order, frozenset(
+            r for r in range(order) if all(rule.holds_for_m(r) for rule in chain)))
+    return CongruenceSet(order, frozenset(
+        residues_from_profile(group, p) for p in enumerate_profiles(group)))
 
 
 def necessity_check(group: str, m: int) -> Verdict:
@@ -393,7 +400,7 @@ def necessity_check(group: str, m: int) -> Verdict:
         raise AssertionError("inadmissible S4 m must violate a chain rule")
     if m in residues:
         witnesses = tuple(
-            p for p in enumerate_profiles(group)
+            p for p in rule_abiding_profiles(group)
             if residues_from_profile(group, p) == m % residues.modulus
         )
         note = ""

@@ -223,6 +223,10 @@ def _drop_element(data):
     data["elements"].pop()
 
 
+def _drop_report_h2(data):
+    del data["report"]["h2"]
+
+
 @pytest.mark.parametrize("mutate", [
     _set(("elements", 0, "matrix"), 5),
     _set(("vertices",), 5),
@@ -250,6 +254,15 @@ def _drop_element(data):
     _set(("model", "tag"), "simplex4"),
     _set(("restriction",), "a4_in_a5"),
     _set(("vertices", 0, "part"), "bogus"),
+    _set(("report", "h1"), "x"),
+    _set(("report", "h3"), 7),
+    _set(("report", "h5"), 1.5),
+    _set(("report", "orbit_count"), True),
+    _set(("report", "profile", "n4"), False),
+    _set(("report", "profile"), []),
+    _set(("report", "extra"), 1),
+    _drop_report_h2,
+    _set(("schema_version",), True),
 ], ids=lambda f: f.__name__)
 def test_verify_rejects_mistyped_fields(capsys, tmp_path, mutate):
     out_file = str(tmp_path / "h.json")

@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
+import io
 import json
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from tsglab.perm import (
     is_faithful,
     orbit_partition,
     standard_group,
+    subgroups_up_to_conjugacy,
 )
 from tsglab.oracle import (
     admissible_types,
@@ -24,7 +28,13 @@ from tsglab.oracle import (
     oracle_residues,
     transitive_types,
 )
-from tsglab.profiles import FixedVertexProfile, admissible_residues, passes_profile_rules, profile_rules
+from tsglab.profiles import (
+    FixedVertexProfile,
+    admissible_residues,
+    passes_profile_rules,
+    profile_rules,
+    rule_abiding_profiles,
+)
 
 GROUPS = ("A4", "S4", "A5")
 GOLDEN = Path(__file__).parent / "golden"
@@ -238,3 +248,51 @@ def test_pruned_search_equals_brute_force(group, bound):
             pruned = [(tuple((t.subgroup_index, c) for t, c in ms.counts), ms.profile, ms.faithful)
                       for ms in feasible_multisets(group, m, drop_rules=drop)]
             assert pruned == _brute_force_multisets(group, m, drop), (group, m, drop)
+
+
+def test_crosscheck_script_output_matches_golden():
+    """scripts/crosscheck_oracle.py prints the caps, the surviving types and
+    the residues gained for every single profile-rule drop of every group;
+    golden/crosscheck_oracle.txt is its output before the caps and residue
+    sets were derived from one shared walk of the profile box."""
+    script = Path(__file__).parents[1] / "scripts" / "crosscheck_oracle.py"
+    spec = importlib.util.spec_from_file_location("crosscheck_oracle", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert module.main() == 0
+    assert out.getvalue() == (GOLDEN / "crosscheck_oracle.txt").read_text()
+
+
+def _subgroup_burnside_residues(group, drop):
+    """Residues r mod |G| for which some rule-abiding box profile makes the
+    Burnside orbit count of every subgroup representative H an integer:
+    (r + sum over h in H, h != 1, of n_class(h)) / |H|."""
+    g = standard_group(group)
+    subgroups = [[g.class_of[h] for h in sub if h != g.identity]
+                 for sub in subgroups_up_to_conjugacy(group)]
+    residues = set()
+    for p in rule_abiding_profiles(group, drop):
+        counts = p.counts()
+        for r in range(g.order):
+            if all((r + sum(counts[label] for label in labels)) % (len(labels) + 1) == 0
+                   for labels in subgroups):
+                residues.add(r)
+    return residues
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_oracle_residues_pass_subgroup_burnside(group):
+    """Restricting a feasible action to any subgroup H still gives a whole
+    number of H-orbits, so the oracle can only find residues that pass
+    Burnside for every subgroup; with all rules on, that alone gives the
+    A4 and A5 tables, and for S4 only m_ne_16_mod_24 removes 16."""
+    for drop in [()] + [(r.id,) for r in profile_rules(group)]:
+        allowed = _subgroup_burnside_residues(group, drop)
+        assert oracle_residues(group, drop_rules=drop).residues <= allowed, drop
+    allowed = _subgroup_burnside_residues(group, ())
+    if group == "S4":
+        assert allowed == {0, 4, 8, 12, 16, 20}
+    else:
+        assert allowed == admissible_residues(group).residues

@@ -1,8 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsglab.profiles import (
+    CLASS_WEIGHTS,
+    MAX_FIX,
     CongruenceSet,
     DomainError,
     FixedVertexProfile,
@@ -15,8 +19,10 @@ from tsglab.profiles import (
     passes_profile_rules,
     profile_rules,
     residues_from_profile,
+    rule_abiding_profiles,
     rule_set,
 )
+from tsglab.actions import plan
 
 # The classification targets, one congruence set per group.
 A4_SET = {0, 1, 4, 5, 8}
@@ -192,6 +198,32 @@ def test_verdict_population_invariant():
 
 
 # ------------------------------------------------------- consistency
+
+
+def test_plan_and_necessity_check_reuse_the_cached_walk():
+    def calls():
+        plan("A5", 80)
+        for group, m in (("A4", 13), ("A4", 7), ("S4", 28), ("A5", 65), ("A5", 25)):
+            necessity_check(group, m)
+
+    calls()
+    before = rule_abiding_profiles.cache_info()
+    for _ in range(3):
+        calls()
+    after = rule_abiding_profiles.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+
+
+@pytest.mark.parametrize("group", ["A4", "S4", "A5"])
+def test_walk_is_the_rule_filtered_box_in_key_order(group):
+    labels = list(CLASS_WEIGHTS[group])
+    box = [FixedVertexProfile.from_counts(group, dict(zip(labels, values)))
+           for values in product(range(MAX_FIX + 1), repeat=len(labels))]
+    for drop in [()] + [(r.id,) for r in profile_rules(group)]:
+        expect = sorted((p for p in box if passes_profile_rules(group, p, drop)),
+                        key=FixedVertexProfile.key)
+        assert list(rule_abiding_profiles(group, drop)) == expect, drop
 
 
 @pytest.mark.parametrize("group", ["A4", "S4", "A5"])
