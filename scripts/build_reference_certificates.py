@@ -24,7 +24,7 @@ def main() -> int:
         p = plan(group, m)
         va = build(p)
         r = realize(p, va)
-        report = full_report(va, r)
+        report = full_report(r)
         path = outdir / f"{group.lower()}_m{m}.json"
         write_certificate(str(path), r, report)
         results = verify_certificate(read_certificate(str(path)))

@@ -197,7 +197,6 @@ class BuiltPart:
     start: int
     size: int
     reps: Optional[tuple[Permutation, ...]]
-    stabilizer: tuple[Permutation, ...]
 
 
 @dataclass
@@ -231,9 +230,9 @@ def build(p: OrbitPlan) -> VertexAction:
     pieces: list[GroupAction] = []
     center = GroupAction(g, np.zeros((g.order, 1), dtype=np.intp))
 
-    def add(kind: str, piece: GroupAction, reps=None, stab=(), label=None):
+    def add(kind: str, piece: GroupAction, reps=None, label=None):
         start = sum(b.size for b in blocks)
-        blocks.append(BuiltPart(kind, label or kind, start, piece.m, reps, tuple(stab)))
+        blocks.append(BuiltPart(kind, label or kind, start, piece.m, reps))
         pieces.append(piece)
 
     for spec in p.parts:
@@ -242,14 +241,14 @@ def build(p: OrbitPlan) -> VertexAction:
             h = frozenset([g.identity]) if free else _PART_SUBGROUP[spec.kind]()
             piece, reps = coset_action(g, h), tuple(coset_transversal(g, h))
             for j in range(spec.count):
-                add(spec.kind, piece, reps, sorted(h), f"free{j}" if free else None)
+                add(spec.kind, piece, reps, f"free{j}" if free else None)
         elif spec.kind in _NATURAL_PARTS:
             add(spec.kind, natural_action(g))
         elif spec.kind == "center":
-            add("center", center, stab=g.elements)
+            add("center", center)
         else:  # knotted_k5
             add("knotted_k4", natural_action(g))
-            add("center", center, stab=g.elements)
+            add("center", center)
 
     full = direct_sum(pieces)
     if full.m != p.m:

@@ -187,6 +187,11 @@ def _check_schema(data: dict) -> None:
     header = (group, data["restriction"], data["model"]["tag"])
     if header not in PLAN_HEADERS:
         raise SchemaError(f"(group, restriction, model tag) = {header} is not one a plan produces")
+    model = data["model"]
+    try:
+        ModelConfig(theta=model["theta"], t=model["t"], seed=model["seed"])
+    except ValueError as err:
+        raise SchemaError(f"model: {err}") from err
     m = data["m"]
     if not _is_int(m) or m != len(data["vertices"]):
         raise SchemaError(f"m = {m!r} but the file holds {len(data['vertices'])} vertex records")
@@ -277,21 +282,27 @@ def verify_certificate(data: dict) -> list[CheckResult]:
         return results
 
     def check_hypotheses():
-        report = full_report(va, real)
+        report = full_report(real)
         if not report.overall:
             raise AssertionError(f"hypothesis checks failed: {report.details}")
         flags = {k: data["report"][k] for k in ("h1", "h2", "h3", "h4", "h5")}
         if not all(flags.values()):
             raise AssertionError(f"stored flags claim a failure: {flags}")
         fresh = report.arcs or {}
-        stored_pairs = {tuple(a["pair"]) for a in data["arcs"]}
-        if stored_pairs != set(fresh):
-            raise AssertionError("stored arc pairs differ from recomputed assignment")
+        stored_pairs = sorted(tuple(a["pair"]) for a in data["arcs"])
+        if stored_pairs != sorted(fresh):
+            raise AssertionError("stored arc pairs are not the recomputed pinned pairs, "
+                                 "one record each")
         for rec in data["arcs"]:
-            arc = fresh[tuple(rec["pair"])]
+            u, v = rec["pair"]
+            arc = fresh[(u, v)]
+            fixer = Permutation(tuple(rec["fixer"]))
+            if fixer not in va.action.group.element_set or fixer.is_identity() \
+                    or tuple(va.action.image(fixer)[[u, v]]) != (u, v):
+                raise AssertionError(f"stored fixer of pair {rec['pair']} is not a "
+                                     "non-trivial group element fixing both vertices")
             basis = np.array(rec["basis"])
-            stored_arc = Arc(tuple(rec["pair"]), Permutation(tuple(rec["fixer"])),
-                             type(arc.circle)(basis), rec["start"], rec["sweep"])
+            stored_arc = Arc((u, v), fixer, type(arc.circle)(basis), rec["start"], rec["sweep"])
             for s in (0.5, 0.0):
                 gap = float(np.linalg.norm(stored_arc.point_at(s) - arc.point_at(s)))
                 require_at_most(gap, 1e-8,

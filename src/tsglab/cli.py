@@ -110,7 +110,7 @@ def cmd_realize(args) -> int:
     try:
         va = build(p)
         real = realize(p, va, config)
-        report = full_report(va, real)
+        report = full_report(real)
     except UnsupportedGeometryError as err:
         print(f"group={args.group} m={args.m}: {err}", file=sys.stderr)
         return EXIT_KNOTTED

@@ -9,9 +9,9 @@ pairs that are pinned to fixed circles.
         elements to share one fixed circle
     h2  every pinned pair bounds an arc of its circle whose interior is
         free of vertices, and the arcs' interiors are pairwise disjoint
-    h3  any element leaving an arc's boundary pair or an interior point
-        invariant maps the arc onto itself; arcs map onto arcs of image
-        pairs (the assignment commutes with the action)
+    h3  every element maps each arc onto the arc of the image pair (the
+        assignment commutes with the action); that an element fixing an
+        interior point of an arc maps the arc onto itself follows from h2
     h4  an element that swaps some pair may fix at most 2 vertices (the
         fixed vertices span a complete subgraph that must fit in a proper
         sub-arc of a circle)
@@ -40,10 +40,6 @@ ANGLE_EPS = 1e-9
 
 class ArcAssignmentError(RuntimeError):
     """The gray-arc system cannot be built as specified."""
-
-
-class NonConsecutivePairError(ArcAssignmentError):
-    """Both candidate arcs between a pinned pair contain other vertices."""
 
 
 @dataclass(frozen=True)
@@ -115,8 +111,9 @@ def required_pairs(va: VertexAction) -> list[tuple[int, int]]:
     return [(int(pinned[i]), int(pinned[j])) for i, j in zip(rows, cols)]
 
 
-def check_h1(va: VertexAction, r: Realization) -> bool:
+def check_h1(r: Realization) -> bool:
     """All non-trivial fixers of each pinned pair share one fixed circle."""
+    va = r.vertex_action
     for u, v in required_pairs(va):
         circles = [r.circle_of(e) for e in pair_stabilizer(va.action, u, v)
                    if not e.is_identity()]
@@ -128,21 +125,20 @@ def check_h1(va: VertexAction, r: Realization) -> bool:
     return True
 
 
-def _vertices_on_circle(r: Realization, circle: FixedCircle) -> list[int]:
-    return np.flatnonzero(circle.on_circle(r.coords, PAIR_TOL)).tolist()
-
-
-def assign_arcs(va: VertexAction, r: Realization) -> ArcAssignment:
-    """Pick the witness arc for every pinned pair.
+def assign_arcs(r: Realization) -> ArcAssignment:
+    """Pick the witness arc for every pinned pair (h2).
 
     The pair's two endpoints cut its circle into two arcs; the one whose
     interior contains no vertex is chosen (the shorter one when both
     qualify).  Afterwards all arc interiors are verified pairwise disjoint,
     including across circles, where two arcs could only meet in the two
     intersection points of their circles.
+
+    Precondition: `r` passes h1, so the circle of the first non-trivial
+    fixer of a pair is the circle of all of them.  full_report checks h1
+    and calls this only when it holds.
     """
-    if not check_h1(va, r):
-        raise ArcAssignmentError("pairs are fixed by elements with different circles")
+    va = r.vertex_action
     arcs: ArcAssignment = {}
     for u, v in required_pairs(va):
         fixer = next(e for e in pair_stabilizer(va.action, u, v) if not e.is_identity())
@@ -155,13 +151,14 @@ def assign_arcs(va: VertexAction, r: Realization) -> ArcAssignment:
         ccw = (a_v - a_u) % (2 * math.pi)
         candidates = [Arc((u, v), fixer, circle, a_u, ccw),
                       Arc((u, v), fixer, circle, a_u, ccw - 2 * math.pi)]
-        others = [w for w in _vertices_on_circle(r, circle) if w not in (u, v)]
+        others = [w for w in np.flatnonzero(circle.on_circle(r.coords, PAIR_TOL)).tolist()
+                  if w not in (u, v)]
         open_arcs = [
             arc for arc in candidates
             if not any(arc.interior_contains_point(r.coords[w], margin=1e-7) for w in others)
         ]
         if not open_arcs:
-            raise NonConsecutivePairError(
+            raise ArcAssignmentError(
                 f"pair ({u}, {v}) is separated by other vertices on its circle")
         arcs[(u, v)] = min(open_arcs, key=lambda a: abs(a.sweep))
     _verify_disjoint_interiors(r, arcs)
@@ -173,15 +170,11 @@ def _verify_disjoint_interiors(r: Realization, arcs: ArcAssignment):
     for i, a in enumerate(items):
         for b in items[i + 1:]:
             if a.circle.same_circle(b.circle):
-                for s in (0.0, 1.0):
+                for s in (0.0, 1.0, 0.5):
                     if a.interior_contains_angle(b.angle_at(s)) or \
                        b.interior_contains_angle(a.angle_at(s)):
                         raise ArcAssignmentError(
                             f"arcs of {a.pair} and {b.pair} overlap on their circle")
-                if a.interior_contains_angle(b.angle_at(0.5)) or \
-                   b.interior_contains_angle(a.angle_at(0.5)):
-                    raise ArcAssignmentError(
-                        f"arcs of {a.pair} and {b.pair} overlap on their circle")
             else:
                 crossings = circles_intersection(a.circle, b.circle)
                 for p in crossings:
@@ -196,36 +189,28 @@ def _image_pair(va: VertexAction, f: Permutation, pair: tuple[int, int]) -> tupl
     return (x, y) if x < y else (y, x)
 
 
-def check_h3(va: VertexAction, r: Realization, arcs: ArcAssignment) -> bool:
+def check_h3(r: Realization, arcs: ArcAssignment) -> bool:
     """Equivariance of the arc system.
 
-    For every element f and arc A over pair P: the image of A must be the
-    assigned arc of f(P) as a point set.  Arcs with equal endpoints agree
-    as point sets exactly when their midpoints agree.  Elements fixing an
-    interior point of A (their circles cross there, or they carry the arc's
-    own circle) must map A onto itself.
+    For every element f and arc A over pair P, B = arcs[f(P)] must exist
+    and f must move A's midpoint onto B's.  Invariance already maps A's
+    endpoints onto B's, and arcs with equal endpoints agree as point sets
+    exactly when their midpoints agree, so f(A) = B.
+
+    An element fixing an interior point of A then maps A onto itself: the
+    fixed point lies in the interior of f(A) = B as well, and distinct
+    arcs have disjoint interiors (h2), so B = A.  Precondition: `arcs`
+    pass h2, as every assignment assign_arcs returns does.
     """
+    va = r.vertex_action
+    mids = {pair: arc.midpoint for pair, arc in arcs.items()}
     for f in va.action.group.elements:
         mat = r.rep[f]
-        for pair, arc in arcs.items():
-            target = arcs.get(_image_pair(va, f, pair))
+        for pair, mid in mids.items():
+            target = mids.get(_image_pair(va, f, pair))
             if target is None:
                 return False
-            moved_mid = mat @ arc.midpoint
-            if not float(np.linalg.norm(moved_mid - target.midpoint)) <= PAIR_TOL:
-                return False
-            if f.is_identity():
-                continue
-            # interior fixed point of f on this arc forces f(A) = A
-            fc = r.circle_of(f)
-            if fc.empty:
-                continue
-            if fc.same_circle(arc.circle):
-                fixes_interior = True
-            else:
-                crossings = circles_intersection(fc, arc.circle)
-                fixes_interior = any(arc.interior_contains_point(p) for p in crossings)
-            if fixes_interior and target is not arcs[pair]:
+            if not float(np.linalg.norm(mat @ mid - target)) <= PAIR_TOL:
                 return False
     return True
 
@@ -248,8 +233,9 @@ def check_h4(va: VertexAction) -> bool:
     return all(fixed_count(va.action, e) <= 2 for e in _interchangers(va))
 
 
-def check_h5(va: VertexAction, r: Realization) -> bool:
+def check_h5(r: Realization) -> bool:
     """Pair-swapping elements are rotations with unshared circles."""
+    va = r.vertex_action
     nontrivial = [e for e in va.action.group.elements if not e.is_identity()]
     for g in _interchangers(va):
         cg = r.circle_of(g)
@@ -261,15 +247,15 @@ def check_h5(va: VertexAction, r: Realization) -> bool:
     return True
 
 
-def full_report(va: VertexAction, r: Realization) -> HypothesisReport:
+def full_report(r: Realization) -> HypothesisReport:
     """Run all five checks and build the arc system; any failure flips the
     overall verdict, with the reason recorded in details."""
     details: dict = {}
-    h1 = check_h1(va, r)
+    h1 = check_h1(r)
     arcs: Optional[ArcAssignment] = None
     if h1:
         try:
-            arcs = assign_arcs(va, r)
+            arcs = assign_arcs(r)
             h2 = True
             details["arc_count"] = len(arcs)
         except ArcAssignmentError as err:
@@ -278,7 +264,7 @@ def full_report(va: VertexAction, r: Realization) -> HypothesisReport:
     else:
         h2 = False
         details["arc_error"] = "pair fixers disagree on circles"
-    h3 = check_h3(va, r, arcs) if arcs is not None else False
-    h4 = check_h4(va)
-    h5 = check_h5(va, r)
+    h3 = check_h3(r, arcs) if arcs is not None else False
+    h4 = check_h4(r.vertex_action)
+    h5 = check_h5(r)
     return HypothesisReport(h1, h2, h3, h4, h5, arcs, details)

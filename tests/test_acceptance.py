@@ -5,7 +5,9 @@ lines and timings.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -35,28 +37,16 @@ from tsglab.perm import (
 )
 from tsglab.profiles import admissible_residues, necessity_check
 
+from .conftest import REFERENCES
+
 GROUPS = ("A4", "S4", "A5")
 GOLDEN = Path(__file__).parent / "golden"
-
-REFERENCES = ([("S4", m) for m in (24, 4, 8, 12, 20, 28)]
-              + [("A5", m) for m in (60, 61, 5, 20, 80)]
-              + [("A4", m) for m in (16, 13, 17)])
 
 
 def _report(criterion: str, started: float, budget: float):
     elapsed = time.monotonic() - started
     assert elapsed < budget, f"{criterion} took {elapsed:.2f}s, budget {budget}s"
     print(f"\nACCEPTANCE {criterion}: PASS ({elapsed:.2f}s < {budget}s)")
-
-
-@pytest.fixture(scope="module")
-def realized_references():
-    out = {}
-    for g, m in REFERENCES:
-        p = plan(g, m)
-        va = build(p)
-        out[(g, m)] = (va, realize(p, va))
-    return out
 
 
 def test_criterion_1_table_reproduction():
@@ -116,9 +106,9 @@ def test_criterion_3_construction_soundness():
     _report(f"3 (construction soundness, {checked} cases)", t0, 30.0)
 
 
-def test_criterion_4_geometric_fidelity(realized_references):
+def test_criterion_4_geometric_fidelity(realized):
     t0 = time.monotonic()
-    for (g, m), (va, r) in realized_references.items():
+    for (g, m), (va, r) in realized.items():
         group = r.group
         assert _max_hom_error(group, r.rep) <= 1e-8, (g, m)
         for e in group.elements:
@@ -137,21 +127,21 @@ def test_criterion_4_geometric_fidelity(realized_references):
     _report("4 (geometric fidelity, 14 realizations)", t0, 10.0)
 
 
-def test_criterion_5_edge_certificates(realized_references):
+def test_criterion_5_edge_certificates(realized):
     t0 = time.monotonic()
-    for (g, m), (va, r) in realized_references.items():
-        report = full_report(va, r)
+    for (g, m), (va, r) in realized.items():
+        report = full_report(r)
         assert report.overall, (g, m, report.details)
 
     # fixture 1: a vertex dragged onto the wrong fixed circle
-    va, r = realized_references[("S4", 12)]
+    va, r = realized[("S4", 12)]
     s4 = standard_group("S4")
     bad_coords = r.coords.copy()
     other = next(e for e in s4.elements if e.order() == 2 and not e.is_even()
                  and not r.circle_of(e).contains(bad_coords[0], 1e-6))
     bad_coords[0] = r.circle_of(other).point_at(0.37)
     corrupted = Realization(r.plan, va, r.model, r.config, r.rep, bad_coords)
-    assert not full_report(va, corrupted).overall
+    assert not full_report(corrupted).overall
 
     # fixture 2: edge parameter forced to the midpoint is refused outright
     with pytest.raises(ValueError):
@@ -194,5 +184,23 @@ def test_reference_certificates_byte_identical(tmp_path):
         va = build(p)
         r = realize(p, va, ModelConfig(seed=golden["seed"]))
         path = tmp_path / f"{name}.json"
-        write_certificate(str(path), r, full_report(va, r))
+        write_certificate(str(path), r, full_report(r))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
+
+def test_reference_script_writes_verified_certificates(tmp_path, monkeypatch, capsys):
+    """scripts/build_reference_certificates.py realizes, writes and verifies
+    the reference cases named in golden/reference_digests.json."""
+    script = Path(__file__).parents[1] / "scripts" / "build_reference_certificates.py"
+    spec = importlib.util.spec_from_file_location("build_reference_certificates", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    golden = json.loads((GOLDEN / "reference_digests.json").read_text())
+    names = {f"{group.lower()}_m{m}" for group, m in module.REFERENCES}
+    assert names == set(golden["sha256"])
+    assert module.REFERENCES == REFERENCES
+    monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path)])
+    assert module.main() == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(REFERENCES) and all(line.endswith("verified") for line in out)
+    assert {path.stem for path in tmp_path.glob("*.json")} == names

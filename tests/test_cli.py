@@ -263,6 +263,8 @@ def _drop_report_h2(data):
     _set(("report", "extra"), 1),
     _drop_report_h2,
     _set(("schema_version",), True),
+    _set(("model", "theta"), 0.0),
+    _set(("model", "t"), 0.6),
 ], ids=lambda f: f.__name__)
 def test_verify_rejects_mistyped_fields(capsys, tmp_path, mutate):
     out_file = str(tmp_path / "h.json")
@@ -274,6 +276,33 @@ def test_verify_rejects_mistyped_fields(capsys, tmp_path, mutate):
     Path(out_file).write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--in", out_file)
     assert code == 2 and err.startswith("error: ") and out == ""
+
+
+def _duplicate_arc(data):
+    data["arcs"].append(copy.deepcopy(data["arcs"][0]))
+
+
+def _drop_arc(data):
+    del data["arcs"][0]
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(("arcs", 0, "fixer"), []),
+    _set(("arcs", 0, "fixer"), [0, 1, 2, 3]),
+    _duplicate_arc,
+    _drop_arc,
+], ids=lambda f: f.__name__)
+def test_verify_rejects_bad_arc_records(capsys, tmp_path, mutate):
+    out_file = str(tmp_path / "i.json")
+    code, out, _ = run(capsys, "realize", "--group", "S4", "--m", "28", "--out", out_file,
+                       "--seed", "1")
+    assert code == 0 and "arcs=6" in out
+    data = json.loads(Path(out_file).read_text())
+    mutate(data)
+    Path(out_file).write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--in", out_file)
+    assert code == 5 and "edge-hypotheses: FAILED" in out
+    assert err == "verification failed at: edge-hypotheses\n"
 
 
 @pytest.mark.parametrize("m,reason", [("36", "special-part vertices"), ("12", "separation")])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 
 from tsglab.actions import Model, VertexAction, build, plan
 from tsglab.edges import (
+    PAIR_TOL,
     ArcAssignmentError,
+    _image_pair,
+    _verify_disjoint_interiors,
     assign_arcs,
     check_h1,
     check_h3,
@@ -14,24 +18,13 @@ from tsglab.edges import (
     full_report,
     required_pairs,
 )
-from tsglab.geometry import ModelConfig, Realization, realize, representation
-from tsglab.perm import GroupAction, closure, from_cycles, standard_group
+from tsglab.geometry import ModelConfig, Realization, circles_intersection, realize, representation
+from tsglab.perm import GroupAction, standard_group
+from tsglab.profiles import admissible_residues
+
+from .conftest import REFERENCES
 
 S4 = standard_group("S4")
-
-REFERENCES = ([("S4", m) for m in (24, 4, 8, 12, 20, 28)]
-              + [("A5", m) for m in (60, 61, 5, 20, 80)]
-              + [("A4", m) for m in (16, 13, 17)])
-
-
-@pytest.fixture(scope="module")
-def realized():
-    out = {}
-    for g, m in REFERENCES:
-        p = plan(g, m)
-        va = build(p)
-        out[(g, m)] = (va, realize(p, va))
-    return out
 
 
 # ------------------------------------------------------------ required pairs
@@ -70,14 +63,14 @@ def test_s4_8_pairs_join_twin_tetra_vertices(realized):
     (("A5", 5), 10), (("A5", 20), 10), (("A5", 80), 10), (("A4", 17), 4),
 ])
 def test_arc_counts(realized, key, count):
-    va, r = realized[key]
-    arcs = assign_arcs(va, r)
+    _, r = realized[key]
+    arcs = assign_arcs(r)
     assert len(arcs) == count
 
 
 def test_arc_endpoints_are_pair_coordinates(realized):
-    va, r = realized[("S4", 12)]
-    for (u, v), arc in assign_arcs(va, r).items():
+    _, r = realized[("S4", 12)]
+    for (u, v), arc in assign_arcs(r).items():
         ends = {0.0: r.coords[u], 1.0: r.coords[v]}
         for s, target in ends.items():
             assert np.linalg.norm(arc.point_at(s) - target) < 1e-8
@@ -85,8 +78,8 @@ def test_arc_endpoints_are_pair_coordinates(realized):
 
 def test_arc_interiors_vertex_free(realized):
     for key in (("S4", 20), ("A5", 80), ("A4", 17)):
-        va, r = realized[key]
-        for arc in assign_arcs(va, r).values():
+        _, r = realized[key]
+        for arc in assign_arcs(r).values():
             for v in range(r.m):
                 if v in arc.pair:
                     continue
@@ -95,7 +88,7 @@ def test_arc_interiors_vertex_free(realized):
 
 def test_arc_assignment_is_equivariant_as_pair_map(realized):
     va, r = realized[("A5", 20)]
-    arcs = assign_arcs(va, r)
+    arcs = assign_arcs(r)
     for f in va.action.group.elements:
         img = va.action.image(f)
         for (u, v) in arcs:
@@ -108,19 +101,19 @@ def test_arc_assignment_is_equivariant_as_pair_map(realized):
 
 @pytest.mark.parametrize("key", REFERENCES)
 def test_all_references_pass_everything(realized, key):
-    va, r = realized[key]
-    rep = full_report(va, r)
+    _, r = realized[key]
+    rep = full_report(r)
     assert rep.overall, (key, rep.details)
 
 
 def test_h1_vacuous_for_unique_fixer(realized):
-    va, r = realized[("S4", 4)]
-    assert check_h1(va, r)
+    _, r = realized[("S4", 4)]
+    assert check_h1(r)
 
 
 def test_h3_arc_fixed_by_edge_reversing_involution(realized):
     va, r = realized[("S4", 12)]
-    arcs = assign_arcs(va, r)
+    arcs = assign_arcs(r)
     (u, v), arc = next(iter(arcs.items()))
     # some involution swaps u and v; it must map the arc onto itself
     swappers = [e for e in S4.elements
@@ -136,8 +129,8 @@ def test_h4_on_natural_a5(realized):
 
 
 def test_h5_transposition_circles_unshared(realized):
-    va, r = realized[("S4", 12)]
-    assert check_h5(va, r)
+    _, r = realized[("S4", 12)]
+    assert check_h5(r)
 
 
 # ------------------------------------------------------- corrupted fixtures
@@ -151,7 +144,7 @@ def test_fixture_wrong_circle_vertex_fails(realized):
                  and not r.circle_of(e).contains(bad_coords[0], 1e-6))
     bad_coords[0] = r.circle_of(other).point_at(0.37)
     bad = Realization(r.plan, va, r.model, r.config, r.rep, bad_coords)
-    report = full_report(va, bad)
+    report = full_report(bad)
     assert not report.h2
     assert not report.overall
     assert "arc_error" in report.details
@@ -198,9 +191,95 @@ def _pair_at_circle_intersection() -> tuple[VertexAction, Realization]:
 
 def test_fixture_pair_at_intersection_fails_h1():
     va, r = _pair_at_circle_intersection()
-    assert not check_h1(va, r)
-    report = full_report(va, r)
+    assert not check_h1(r)
+    report = full_report(r)
     assert not report.overall
+
+
+def _complement(arc):
+    """The other arc of the same circle between the same two vertices."""
+    return dataclasses.replace(arc, sweep=arc.sweep - math.copysign(2 * math.pi, arc.sweep))
+
+
+@pytest.mark.parametrize("key", [("S4", 12), ("A5", 20)])
+def test_fixture_complement_arc_fails_h3(realized, key):
+    _, r = realized[key]
+    arcs = assign_arcs(r)
+    pair = next(iter(arcs))
+    arcs[pair] = _complement(arcs[pair])
+    assert not check_h3(r, arcs)
+
+
+@pytest.mark.parametrize("key", [("S4", 12), ("A5", 20)])
+def test_fixture_dropped_arc_fails_h3(realized, key):
+    _, r = realized[key]
+    arcs = assign_arcs(r)
+    del arcs[next(iter(arcs))]
+    assert not check_h3(r, arcs)
+
+
+# ------------------------------------------ h3 second clause is implied by h2
+
+
+def _two_clause_h3(r, arcs) -> bool:
+    """check_h3 with the clause it dropped: besides equivariance, an element
+    fixing an interior point of an arc (their circles cross there, or it
+    carries the arc's own circle) must map the arc onto itself."""
+    va = r.vertex_action
+    for f in va.action.group.elements:
+        mat = r.rep[f]
+        for pair, arc in arcs.items():
+            target = arcs.get(_image_pair(va, f, pair))
+            if target is None:
+                return False
+            moved_mid = mat @ arc.midpoint
+            if not float(np.linalg.norm(moved_mid - target.midpoint)) <= PAIR_TOL:
+                return False
+            if f.is_identity():
+                continue
+            fc = r.circle_of(f)
+            if fc.empty:
+                continue
+            if fc.same_circle(arc.circle):
+                fixes_interior = True
+            else:
+                crossings = circles_intersection(fc, arc.circle)
+                fixes_interior = any(arc.interior_contains_point(p) for p in crossings)
+            if fixes_interior and target is not arcs[pair]:
+                return False
+    return True
+
+
+def _disjoint(r, arcs) -> bool:
+    try:
+        _verify_disjoint_interiors(r, arcs)
+    except ArcAssignmentError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("group", ["A4", "S4", "A5"])
+def test_h3_equals_two_clause_h3(group):
+    """On every admissible, non-knotted m < 100 (seed 0), and on every
+    single complement-arc mutation that keeps the interiors disjoint, the
+    equivariance clause alone gives the two-clause verdict."""
+    cases = mutations = 0
+    for m in range(4, 100):
+        if m not in admissible_residues(group):
+            continue
+        p = plan(group, m)
+        if p.knotted:
+            continue
+        r = realize(p, build(p), ModelConfig(seed=0))
+        arcs = assign_arcs(r)
+        assert check_h3(r, arcs) == _two_clause_h3(r, arcs), (group, m)
+        cases += 1
+        for pair in arcs:
+            mutated = {**arcs, pair: _complement(arcs[pair])}
+            if _disjoint(r, mutated):
+                assert check_h3(r, mutated) == _two_clause_h3(r, mutated), (group, m, pair)
+                mutations += 1
+    assert cases and mutations
 
 
 # ------------------------------------------------- h4 reduction soundness

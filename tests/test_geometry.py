@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsglab.actions import Model, build, measured_profile, plan
+from tsglab.actions import Model, measured_profile, plan
 from tsglab.geometry import (
     POLE,
     FixedCircle,
@@ -24,6 +24,8 @@ from tsglab.geometry import (
 )
 from tsglab.geometry import _max_hom_error
 from tsglab.perm import a4_inside_a5, from_cycles, standard_group
+
+from .conftest import REFERENCES
 
 S4 = standard_group("S4")
 A4 = standard_group("A4")
@@ -225,16 +227,9 @@ def test_free_orbit_determinism():
 # ------------------------------------------------------------ realization
 
 
-REFERENCES = ([("S4", m) for m in (24, 4, 8, 12, 20, 28)]
-              + [("A5", m) for m in (60, 61, 5, 20, 80)]
-              + [("A4", m) for m in (16, 13, 17)])
-
-
 @pytest.mark.parametrize("group,m", REFERENCES)
-def test_reference_realizations(group, m):
-    p = plan(group, m)
-    va = build(p)
-    r = realize(p, va)
+def test_reference_realizations(realized, group, m):
+    va, r = realized[(group, m)]
     assert geometric_profile(r).key() == measured_profile(va).key()
 
 
