@@ -3,7 +3,9 @@
 A certificate stores the acting group's permutations, their 4x4 matrices,
 the vertex coordinates with part labels, the witness arc system and the
 hypothesis verdicts.  Verification reconstructs all objects from the file
-alone and re-runs every invariant; nothing is trusted.
+alone and re-runs every invariant; nothing is trusted.  The stored arcs
+are checked as a witness (edges.full_report on them): any arc system that
+meets the edge hypotheses passes, not only the one realize picked.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .actions import PART_SIZES, PLAN_HEADERS, Model, VertexAction, measured_profile
 from .edges import Arc, full_report
-from .geometry import REALIZATION_CHECKS, ModelConfig, Realization, require_at_most
+from .geometry import REALIZATION_CHECKS, FixedCircle, ModelConfig, Realization
 from .perm import (
     GROUP_NAMES,
     GROUP_ORDER,
@@ -282,31 +284,20 @@ def verify_certificate(data: dict) -> list[CheckResult]:
         return results
 
     def check_hypotheses():
-        report = full_report(real)
+        arcs = {}
+        for rec in data["arcs"]:
+            pair = tuple(rec["pair"])
+            if pair in arcs:
+                raise AssertionError(f"two arc records for pair {rec['pair']}")
+            circle = FixedCircle(np.array(rec["basis"], dtype=float))
+            arcs[pair] = Arc(pair, Permutation(tuple(rec["fixer"])), circle,
+                             rec["start"], rec["sweep"])
+        report = full_report(real, arcs)
         if not report.overall:
             raise AssertionError(f"hypothesis checks failed: {report.details}")
         flags = {k: data["report"][k] for k in ("h1", "h2", "h3", "h4", "h5")}
         if not all(flags.values()):
             raise AssertionError(f"stored flags claim a failure: {flags}")
-        fresh = report.arcs or {}
-        stored_pairs = sorted(tuple(a["pair"]) for a in data["arcs"])
-        if stored_pairs != sorted(fresh):
-            raise AssertionError("stored arc pairs are not the recomputed pinned pairs, "
-                                 "one record each")
-        for rec in data["arcs"]:
-            u, v = rec["pair"]
-            arc = fresh[(u, v)]
-            fixer = Permutation(tuple(rec["fixer"]))
-            if fixer not in va.action.group.element_set or fixer.is_identity() \
-                    or tuple(va.action.image(fixer)[[u, v]]) != (u, v):
-                raise AssertionError(f"stored fixer of pair {rec['pair']} is not a "
-                                     "non-trivial group element fixing both vertices")
-            basis = np.array(rec["basis"])
-            stored_arc = Arc((u, v), fixer, type(arc.circle)(basis), rec["start"], rec["sweep"])
-            for s in (0.5, 0.0):
-                gap = float(np.linalg.norm(stored_arc.point_at(s) - arc.point_at(s)))
-                require_at_most(gap, 1e-8,
-                                f"stored arc for pair {rec['pair']} differs from recomputed")
 
     run("edge-hypotheses", check_hypotheses)
     return results

@@ -1,14 +1,15 @@
 """Certificates that the edges of K_m can be laid down equivariantly.
 
 Once the vertices sit on the sphere invariantly, the edges embed without
-collisions provided the five conditions below hold; the checker verifies
-each one on a realization and constructs the witness arc system for the
-pairs that are pinned to fixed circles.
+collisions provided the five conditions below hold.  h2 and h3 are
+judged on a witness arc system for the pairs that are pinned to fixed
+circles: the one assign_arcs picks, or one read from a certificate.
 
     h1  a pair fixed pointwise by two non-trivial elements forces the two
         elements to share one fixed circle
-    h2  every pinned pair bounds an arc of its circle whose interior is
-        free of vertices, and the arcs' interiors are pairwise disjoint
+    h2  every pinned pair has one arc of its fixers' circle between its
+        two vertices, whose interior is free of vertices, and the arcs'
+        interiors are pairwise disjoint (check_arcs, for any arc system)
     h3  every element maps each arc onto the arc of the image pair (the
         assignment commutes with the action); that an element fixing an
         interior point of an arc maps the arc onto itself follows from h2
@@ -126,43 +127,79 @@ def check_h1(r: Realization) -> bool:
 
 
 def assign_arcs(r: Realization) -> ArcAssignment:
-    """Pick the witness arc for every pinned pair (h2).
+    """Pick the witness arc for every pinned pair; check_arcs judges it (h2).
 
-    The pair's two endpoints cut its circle into two arcs; the one whose
-    interior contains no vertex is chosen (the shorter one when both
-    qualify).  Afterwards all arc interiors are verified pairwise disjoint,
-    including across circles, where two arcs could only meet in the two
-    intersection points of their circles.
+    The pair's two endpoints cut the circle of its first non-trivial fixer
+    into two arcs; the one whose interior contains no vertex is picked (the
+    shorter one when both qualify, or when neither does).
 
     Precondition: `r` passes h1, so the circle of the first non-trivial
-    fixer of a pair is the circle of all of them.  full_report checks h1
-    and calls this only when it holds.
+    fixer of a pair is the circle of all of them and is not empty.
+    full_report checks h1 and calls this only when it holds.
     """
     va = r.vertex_action
     arcs: ArcAssignment = {}
     for u, v in required_pairs(va):
         fixer = next(e for e in pair_stabilizer(va.action, u, v) if not e.is_identity())
         circle = r.circle_of(fixer)
-        pu, pv = r.coords[u], r.coords[v]
-        if not (circle.contains(pu, PAIR_TOL) and circle.contains(pv, PAIR_TOL)):
-            raise ArcAssignmentError(
-                f"pair ({u}, {v}) does not sit on the fixed circle of {fixer}")
-        a_u, a_v = circle.angle_of(pu), circle.angle_of(pv)
+        a_u, a_v = circle.angle_of(r.coords[u]), circle.angle_of(r.coords[v])
         ccw = (a_v - a_u) % (2 * math.pi)
         candidates = [Arc((u, v), fixer, circle, a_u, ccw),
                       Arc((u, v), fixer, circle, a_u, ccw - 2 * math.pi)]
-        others = [w for w in np.flatnonzero(circle.on_circle(r.coords, PAIR_TOL)).tolist()
-                  if w not in (u, v)]
-        open_arcs = [
-            arc for arc in candidates
-            if not any(arc.interior_contains_point(r.coords[w], margin=1e-7) for w in others)
-        ]
-        if not open_arcs:
-            raise ArcAssignmentError(
-                f"pair ({u}, {v}) is separated by other vertices on its circle")
-        arcs[(u, v)] = min(open_arcs, key=lambda a: abs(a.sweep))
-    _verify_disjoint_interiors(r, arcs)
+        arcs[(u, v)] = min(candidates,
+                           key=lambda a: (bool(_vertices_inside(r, a)), abs(a.sweep)))
     return arcs
+
+
+def _vertices_inside(r: Realization, arc: Arc) -> list[int]:
+    """Vertices other than the arc's own pair that lie in its interior.
+    Which vertices sit on the circle is read from the fixer's own circle,
+    so a slightly tilted stored basis cannot hide one."""
+    on_circle = np.flatnonzero(r.circle_of(arc.fixer).on_circle(r.coords, PAIR_TOL)).tolist()
+    return [w for w in on_circle if w not in arc.pair
+            and arc.interior_contains_angle(arc.circle.angle_of(r.coords[w]), margin=1e-7)]
+
+
+def _joins(arc: Arc, p: np.ndarray, q: np.ndarray) -> bool:
+    """The arc runs from p to q or from q to p, within PAIR_TOL."""
+    ends = np.array([arc.point_at(0.0), arc.point_at(1.0)])
+    gaps = [np.linalg.norm(ends - np.array(pts), axis=1).max() for pts in ((p, q), (q, p))]
+    return bool(np.minimum(*gaps) <= PAIR_TOL)
+
+
+def check_arcs(r: Realization, arcs: ArcAssignment) -> None:
+    """h2 on any arc system, picked by assign_arcs or read from a file.
+
+    Raises ArcAssignmentError naming the first offending pair.  The pair
+    set is checked first, so every later coordinate lookup goes through a
+    pinned pair; every tolerance test fails on NaN.
+    """
+    va = r.vertex_action
+    required = set(required_pairs(va))
+    extra, missing = sorted(set(arcs) - required), sorted(required - set(arcs))
+    if extra:
+        raise ArcAssignmentError(f"arc over pair {extra[0]}, which is not a pinned pair")
+    if missing:
+        raise ArcAssignmentError(f"pinned pair {missing[0]} has no arc")
+    for (u, v), arc in arcs.items():
+        fixer = arc.fixer
+        if fixer not in va.action.group.element_set or fixer.is_identity() \
+                or tuple(va.action.image(fixer)[[u, v]]) != (u, v):
+            raise ArcAssignmentError(f"fixer of pair {(u, v)} is not a non-trivial "
+                                     "group element fixing both vertices")
+        basis = arc.circle.basis
+        gram = float(np.abs(basis @ basis.T - np.eye(2)).max())
+        if not gram <= PAIR_TOL or not arc.circle.same_circle(r.circle_of(fixer)):
+            raise ArcAssignmentError(f"arc of pair {(u, v)} is not on the fixed circle "
+                                     "of its fixer")
+        if not (math.isfinite(arc.start) and 0 < abs(arc.sweep) < 2 * math.pi) \
+                or not _joins(arc, r.coords[u], r.coords[v]):
+            raise ArcAssignmentError(f"arc of pair {(u, v)} does not run between "
+                                     "its two vertices")
+        inside = _vertices_inside(r, arc)
+        if inside:
+            raise ArcAssignmentError(f"arc of pair {(u, v)} has vertex {inside[0]} inside")
+    _verify_disjoint_interiors(r, arcs)
 
 
 def _verify_disjoint_interiors(r: Realization, arcs: ArcAssignment):
@@ -170,9 +207,10 @@ def _verify_disjoint_interiors(r: Realization, arcs: ArcAssignment):
     for i, a in enumerate(items):
         for b in items[i + 1:]:
             if a.circle.same_circle(b.circle):
+                # each arc measures angles in its own basis of the plane
                 for s in (0.0, 1.0, 0.5):
-                    if a.interior_contains_angle(b.angle_at(s)) or \
-                       b.interior_contains_angle(a.angle_at(s)):
+                    if a.interior_contains_angle(a.circle.angle_of(b.point_at(s))) or \
+                       b.interior_contains_angle(b.circle.angle_of(a.point_at(s))):
                         raise ArcAssignmentError(
                             f"arcs of {a.pair} and {b.pair} overlap on their circle")
             else:
@@ -200,7 +238,7 @@ def check_h3(r: Realization, arcs: ArcAssignment) -> bool:
     An element fixing an interior point of A then maps A onto itself: the
     fixed point lies in the interior of f(A) = B as well, and distinct
     arcs have disjoint interiors (h2), so B = A.  Precondition: `arcs`
-    pass h2, as every assignment assign_arcs returns does.
+    pass check_arcs; full_report calls this only then.
     """
     va = r.vertex_action
     mids = {pair: arc.midpoint for pair, arc in arcs.items()}
@@ -247,24 +285,24 @@ def check_h5(r: Realization) -> bool:
     return True
 
 
-def full_report(r: Realization) -> HypothesisReport:
-    """Run all five checks and build the arc system; any failure flips the
-    overall verdict, with the reason recorded in details."""
+def full_report(r: Realization, arcs: Optional[ArcAssignment] = None) -> HypothesisReport:
+    """Run all five checks on an arc system, by default the one assign_arcs
+    picks; any failure flips the overall verdict, with the reason recorded
+    in details.  The report keeps the arcs only when they pass h2."""
     details: dict = {}
     h1 = check_h1(r)
-    arcs: Optional[ArcAssignment] = None
-    if h1:
-        try:
-            arcs = assign_arcs(r)
-            h2 = True
-            details["arc_count"] = len(arcs)
-        except ArcAssignmentError as err:
-            h2 = False
-            details["arc_error"] = str(err)
-    else:
-        h2 = False
+    if arcs is None and h1:
+        arcs = assign_arcs(r)
+    h2 = False
+    if arcs is None:
         details["arc_error"] = "pair fixers disagree on circles"
-    h3 = check_h3(r, arcs) if arcs is not None else False
+    else:
+        try:
+            check_arcs(r, arcs)
+            h2 = True
+        except ArcAssignmentError as err:
+            details["arc_error"] = str(err)
+    h3 = h2 and check_h3(r, arcs)
     h4 = check_h4(r.vertex_action)
     h5 = check_h5(r)
-    return HypothesisReport(h1, h2, h3, h4, h5, arcs, details)
+    return HypothesisReport(h1, h2, h3, h4, h5, arcs if h2 else None, details)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -95,13 +95,15 @@ class FixedCircle:
     def empty(self) -> bool:
         return self.basis is None
 
+    @cached_property
     def projector(self) -> np.ndarray:
+        """Orthogonal projector onto the circle's plane, built once per circle."""
         if self.empty:
             raise ValueError("empty fixed set has no plane")
         return self.basis.T @ self.basis
 
     def residual(self, p: np.ndarray) -> float:
-        return float(np.linalg.norm(p - self.projector() @ p))
+        return float(np.linalg.norm(p - self.projector @ p))
 
     def contains(self, p: np.ndarray, tol: float = ON_CIRCLE_TOL) -> bool:
         return not self.empty and self.residual(p) <= tol
@@ -110,7 +112,7 @@ class FixedCircle:
         """Boolean mask of the rows of coords lying on the circle (none if empty)."""
         if self.empty:
             return np.zeros(len(coords), dtype=bool)
-        return np.linalg.norm(coords - coords @ self.projector(), axis=1) <= tol
+        return np.linalg.norm(coords - coords @ self.projector, axis=1) <= tol
 
     def angle_of(self, p: np.ndarray) -> float:
         x, y = float(self.basis[0] @ p), float(self.basis[1] @ p)
@@ -122,7 +124,7 @@ class FixedCircle:
     def same_circle(self, other: "FixedCircle", tol: float = CIRCLE_EQ_TOL) -> bool:
         if self.empty or other.empty:
             return self.empty and other.empty
-        return float(np.abs(self.projector() - other.projector()).max()) <= tol
+        return float(np.abs(self.projector - other.projector).max()) <= tol
 
 
 def circles_intersection(c1: FixedCircle, c2: FixedCircle, tol: float = CIRCLE_EQ_TOL) -> np.ndarray:
@@ -130,7 +132,7 @@ def circles_intersection(c1: FixedCircle, c2: FixedCircle, tol: float = CIRCLE_E
     if c1.same_circle(c2):
         raise ValueError("circles coincide")
     # shared directions = eigenvectors of P1 @ P2 restricted to both planes
-    stack = np.vstack([np.eye(4) - c1.projector(), np.eye(4) - c2.projector()])
+    stack = np.vstack([np.eye(4) - c1.projector, np.eye(4) - c2.projector])
     _, s, vt = np.linalg.svd(stack)
     line = vt[s < tol * 10]
     if line.shape[0] == 0:

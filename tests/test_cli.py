@@ -1,14 +1,18 @@
 import copy
 import json
+import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tsglab import cli
+from tsglab import cli, edges
+from tsglab.certificate import write_certificate
 from tsglab.cli import main
+from tsglab.edges import full_report
 from tsglab.geometry import PrecisionError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -286,23 +290,94 @@ def _drop_arc(data):
     del data["arcs"][0]
 
 
-@pytest.mark.parametrize("mutate", [
-    _set(("arcs", 0, "fixer"), []),
-    _set(("arcs", 0, "fixer"), [0, 1, 2, 3]),
-    _duplicate_arc,
-    _drop_arc,
-], ids=lambda f: f.__name__)
-def test_verify_rejects_bad_arc_records(capsys, tmp_path, mutate):
+def _sweep_past_full_turn(data):
+    arc = data["arcs"][0]
+    arc["sweep"] += math.copysign(2 * math.pi, arc["sweep"])
+
+
+def _descending_pair(data):
+    data["arcs"][0]["pair"].reverse()
+
+
+def _basis_of_another_arc(data):
+    data["arcs"][0]["basis"] = copy.deepcopy(data["arcs"][1]["basis"])
+
+
+def _basis_scaled(data):
+    data["arcs"][0]["basis"] = [[2 * x for x in row] for row in data["arcs"][0]["basis"]]
+
+
+def _s4_28(capsys, tmp_path):
     out_file = str(tmp_path / "i.json")
     code, out, _ = run(capsys, "realize", "--group", "S4", "--m", "28", "--out", out_file,
                        "--seed", "1")
     assert code == 0 and "arcs=6" in out
-    data = json.loads(Path(out_file).read_text())
+    return out_file, json.loads(Path(out_file).read_text())
+
+
+_BAD_ARCS = [
+    (_set(("arcs", 0, "fixer"), []), "not a non-trivial group element"),
+    (_set(("arcs", 0, "fixer"), [0, 1, 2, 3]), "not a non-trivial group element"),
+    (_duplicate_arc, "two arc records"),
+    (_drop_arc, "has no arc"),
+    (_sweep_past_full_turn, "does not run between"),
+    (_descending_pair, "is not a pinned pair"),
+    (_set(("arcs", 0, "pair"), [-4, 25]), "is not a pinned pair"),
+    (_basis_of_another_arc, "not on the fixed circle"),
+    (_basis_scaled, "not on the fixed circle"),
+    (_set(("arcs", 0, "start"), float("nan")), "does not run between"),
+    (_set(("arcs", 0, "start"), float("inf")), "does not run between"),
+]
+
+
+@pytest.mark.parametrize("mutate,reason", _BAD_ARCS, ids=[f.__name__ for f, _ in _BAD_ARCS])
+def test_verify_rejects_bad_arc_records(capsys, tmp_path, mutate, reason):
+    out_file, data = _s4_28(capsys, tmp_path)
     mutate(data)
     Path(out_file).write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--in", out_file)
-    assert code == 5 and "edge-hypotheses: FAILED" in out
+    assert code == 5 and "edge-hypotheses: FAILED" in out and reason in out
     assert err == "verification failed at: edge-hypotheses\n"
+
+
+def _reverse_arcs(data):
+    """Write every arc from its other endpoint."""
+    for arc in data["arcs"]:
+        arc["start"], arc["sweep"] = arc["start"] + arc["sweep"], -arc["sweep"]
+
+
+def _rotate_bases(data, alpha=0.7):
+    """Rotate every arc's basis within its plane by alpha, shifting start to match."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    for arc in data["arcs"]:
+        b0, b1 = np.array(arc["basis"])
+        arc["basis"] = [(c * b0 + s * b1).tolist(), (c * b1 - s * b0).tolist()]
+        arc["start"] -= alpha
+
+
+@pytest.mark.parametrize("rewrite", [_reverse_arcs, _rotate_bases])
+def test_verify_accepts_rewritten_arc_records(capsys, tmp_path, rewrite):
+    """The stored arcs are a witness: any valid arc passes, whichever
+    endpoint it starts from and whatever basis spans its circle."""
+    out_file, data = _s4_28(capsys, tmp_path)
+    rewrite(data)
+    Path(out_file).write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--in", out_file)
+    assert code == 0 and "certificate valid" in out, (out, err)
+
+
+def test_verify_never_picks_arcs(capsys, tmp_path, monkeypatch, realized):
+    """Verification checks the stored arcs and never re-runs arc picking."""
+    for (group, m), (_, r) in realized.items():
+        write_certificate(str(tmp_path / f"{group}_{m}.json"), r, full_report(r))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify called assign_arcs")
+
+    monkeypatch.setattr(edges, "assign_arcs", refuse)
+    for (group, m) in realized:
+        code, out, err = run(capsys, "verify", "--in", str(tmp_path / f"{group}_{m}.json"))
+        assert code == 0 and "certificate valid" in out, (group, m, err)
 
 
 @pytest.mark.parametrize("m,reason", [("36", "special-part vertices"), ("12", "separation")])
@@ -483,3 +558,68 @@ def test_verify_survives_mutated_certificates(capsys, tmp_path, s4_4_certificate
         assert err.startswith(("error: ", "verification failed at: "))
     if moved_geometry:
         assert code != 0
+
+
+# ------------------------------------------------------- metamorphic checks
+
+_METAMORPHIC_CASES = [("A4", 13), ("A4", 24), ("A4", 61), ("S4", 4), ("S4", 28), ("S4", 36),
+                      ("A5", 20), ("A5", 80)]
+
+
+@pytest.fixture(scope="module")
+def metamorphic_certificates(tmp_path_factory):
+    out = {}
+    directory = tmp_path_factory.mktemp("metamorphic")
+    for group, m in _METAMORPHIC_CASES:
+        path = directory / f"{group}_{m}.json"
+        assert main(["realize", "--group", group, "--m", str(m), "--seed", "0",
+                     "--out", str(path)]) == 0
+        out[(group, m)] = json.loads(path.read_text())
+    return out
+
+
+def _conjugate(data, rng):
+    """Move the whole picture by a random Q in SO(4): matrices M -> Q M Q^T,
+    coordinates p -> Q p, arc basis rows b -> Q b."""
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    for e in data["elements"]:
+        mat = q @ np.array(e["matrix"]).reshape(4, 4) @ q.T
+        e["matrix"] = mat.ravel().tolist()
+    for v in data["vertices"]:
+        v["coords"] = (q @ np.array(v["coords"])).tolist()
+    for arc in data["arcs"]:
+        arc["basis"] = (np.array(arc["basis"]) @ q.T).tolist()
+
+
+def _relabel(data, rng):
+    """Rename vertex i to sigma(i) for a random permutation sigma; arc
+    pairs stay ascending and arc angles are left alone, so an arc whose
+    pair order flips is now written from its other endpoint."""
+    sigma = rng.permutation(data["m"])
+    for e in data["elements"]:
+        images = np.empty(data["m"], dtype=int)
+        images[sigma] = sigma[e["vertex_images"]]
+        e["vertex_images"] = images.tolist()
+    for v in data["vertices"]:
+        v["id"] = int(sigma[v["id"]])
+    for arc in data["arcs"]:
+        arc["pair"] = sorted(int(sigma[w]) for w in arc["pair"])
+
+
+@pytest.mark.parametrize("edit", [_conjugate, _relabel], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("case", _METAMORPHIC_CASES, ids=lambda c: f"{c[0]}_{c[1]}")
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_verify_accepts_moved_and_relabelled_certificates(capsys, tmp_path,
+                                                          metamorphic_certificates,
+                                                          case, edit, seed):
+    data = copy.deepcopy(metamorphic_certificates[case])
+    edit(data, np.random.default_rng(seed))
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 0 and "certificate valid" in out, (case, edit.__name__, err)

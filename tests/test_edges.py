@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tsglab.edges import (
     _image_pair,
     _verify_disjoint_interiors,
     assign_arcs,
+    check_arcs,
     check_h1,
     check_h3,
     check_h4,
@@ -18,7 +20,15 @@ from tsglab.edges import (
     full_report,
     required_pairs,
 )
-from tsglab.geometry import ModelConfig, Realization, circles_intersection, realize, representation
+from tsglab import edges
+from tsglab.geometry import (
+    FixedCircle,
+    ModelConfig,
+    Realization,
+    circles_intersection,
+    realize,
+    representation,
+)
 from tsglab.perm import GroupAction, standard_group
 from tsglab.profiles import admissible_residues
 
@@ -216,6 +226,57 @@ def test_fixture_dropped_arc_fails_h3(realized, key):
     arcs = assign_arcs(r)
     del arcs[next(iter(arcs))]
     assert not check_h3(r, arcs)
+
+
+# ----------------------------------------------------------- arc checking
+
+
+def test_check_arcs_rejects_vertex_inside(realized):
+    """Move a vertex of S4 m=12 into the interior of an arc: check_arcs
+    names it, and assign_arcs picks the other arc of that pair instead."""
+    va, r = realized[("S4", 12)]
+    arcs = assign_arcs(r)
+    pair, arc = next(iter(arcs.items()))
+    w = next(x for x in range(r.m) if x not in pair)
+    coords = r.coords.copy()
+    coords[w] = arc.midpoint
+    moved = Realization(r.plan, va, r.model, r.config, r.rep, coords)
+    message = f"arc of pair {pair} has vertex {w} inside"
+    with pytest.raises(ArcAssignmentError, match=re.escape(message)):
+        check_arcs(moved, arcs)
+    assert assign_arcs(moved)[pair].sweep == pytest.approx(_complement(arc).sweep)
+
+
+def _rotated(arc, alpha):
+    """The same arc, described in its plane's basis turned by alpha."""
+    b0, b1 = arc.circle.basis
+    c, s = math.cos(alpha), math.sin(alpha)
+    basis = np.array([c * b0 + s * b1, c * b1 - s * b0])
+    return dataclasses.replace(arc, circle=FixedCircle(basis), start=arc.start - alpha)
+
+
+def test_overlap_found_across_bases(realized):
+    """Two arcs on one circle overlap whatever bases describe them."""
+    _, r = realized[("S4", 12)]
+    pair, arc = next(iter(assign_arcs(r).items()))
+    twin = dataclasses.replace(_rotated(arc, math.pi), pair=(pair[0], pair[1] + 100))
+    assert np.linalg.norm(twin.midpoint - arc.midpoint) < 1e-12
+    with pytest.raises(ArcAssignmentError, match="overlap"):
+        _verify_disjoint_interiors(r, {pair: arc, twin.pair: twin})
+
+
+def test_full_report_skips_h3_when_arcs_fail(realized, monkeypatch):
+    _, r = realized[("A5", 20)]
+    arcs = assign_arcs(r)
+    del arcs[next(iter(arcs))]
+
+    def refuse(*args):
+        raise AssertionError("check_h3 ran on arcs that failed h2")
+
+    monkeypatch.setattr(edges, "check_h3", refuse)
+    report = full_report(r, arcs)
+    assert not report.h2 and not report.h3 and report.arcs is None
+    assert "has no arc" in report.details["arc_error"]
 
 
 # ------------------------------------------ h3 second clause is implied by h2
