@@ -269,7 +269,7 @@ def measured_profile(va: VertexAction) -> FixedVertexProfile:
     """Count fixed vertices per element class (constant on classes for any
     action this module builds; perm.class_fixed_counts raises otherwise)."""
     a = va.action
-    return FixedVertexProfile.from_counts(a.group.name, class_fixed_counts(a), a.m)
+    return FixedVertexProfile.from_counts(a.group.name, class_fixed_counts(a))
 
 
 def has_free_edge(va: VertexAction, in_parent: bool = False) -> bool:

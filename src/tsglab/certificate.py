@@ -47,11 +47,11 @@ def certificate_dict(r: Realization, report) -> dict:
     va = r.vertex_action
     act = va.action
     elements = []
-    for e in act.group.elements:
+    for e, mat, img in zip(act.group.elements, r.mats, act.images):
         elements.append({
             "perm": list(e.images),
-            "matrix": [float(x) for x in np.asarray(r.rep[e]).ravel()],  # row-major
-            "vertex_images": act.image(e).tolist(),
+            "matrix": [float(x) for x in mat.ravel()],  # row-major
+            "vertex_images": img.tolist(),
         })
     vertices = [
         {"id": i, "part": va.labels[i], "coords": [float(x) for x in r.coords[i]]}
@@ -75,7 +75,7 @@ def certificate_dict(r: Realization, report) -> dict:
             "tag": r.model.value,
             "theta": float(r.config.theta),
             "t": float(r.config.t),
-            "seed": r.config.rng_seed,
+            "seed": r.config.seed,
         },
         "restriction": r.plan.restriction if r.plan else None,
         "elements": elements,
@@ -140,7 +140,7 @@ def _is_part_label(x) -> bool:
 # container type of each section, and a type test for each field of its records
 _SECTIONS = {"model": dict, "elements": list, "vertices": list, "arcs": list, "report": dict}
 _MODEL_FIELDS = {"tag": lambda x: isinstance(x, str), "theta": _is_number, "t": _is_number,
-                 "seed": lambda x: x is None or _is_int(x)}
+                 "seed": _is_int}
 _REPORT_FIELDS = {
     **dict.fromkeys(("h1", "h2", "h3", "h4", "h5"), lambda x: isinstance(x, bool)),
     "orbit_count": _is_int,
@@ -216,13 +216,13 @@ def _rebuild(data: dict) -> tuple[VertexAction, Realization]:
     group = PermGroup(data["group"], perms[0].degree, perms, [])
     record = dict(zip(perms, data["elements"]))
     ga = GroupAction(group, np.array([record[e]["vertex_images"] for e in group.elements]))
-    rep = {e: np.array(record[e]["matrix"], dtype=float).reshape(4, 4) for e in group.elements}
+    mats = np.array([record[e]["matrix"] for e in group.elements], dtype=float).reshape(-1, 4, 4)
     vertices = sorted(data["vertices"], key=lambda v: v["id"])
     va = VertexAction(ga, tuple(v["part"] for v in vertices), ())
     coords = np.array([v["coords"] for v in vertices])
     cfg = ModelConfig(theta=data["model"]["theta"], t=data["model"]["t"],
                       seed=data["model"]["seed"])
-    real = Realization(None, va, Model(data["model"]["tag"]), cfg, rep, coords)
+    real = Realization(None, va, Model(data["model"]["tag"]), cfg, mats, coords)
     return va, real
 
 

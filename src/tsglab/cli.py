@@ -26,7 +26,6 @@ from .geometry import ModelConfig, PlacementError, PrecisionError, UnsupportedGe
 from .oracle import OracleInconsistencyError, feasible_multisets, oracle_residues
 from .perm import GROUP_NAMES
 from .profiles import (
-    DomainError,
     admissible_residues,
     enumerate_profiles,
     necessity_check,
@@ -41,11 +40,7 @@ EXIT_KNOTTED = 4
 EXIT_CHECK_FAILED = 5
 
 def cmd_classify(args) -> int:
-    try:
-        verdict = necessity_check(args.group, args.m)
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    verdict = necessity_check(args.group, args.m)
     modulus = admissible_residues(args.group).modulus
     if verdict.admissible:
         print(f"group={args.group} m={args.m}: ADMISSIBLE (m = {args.m % modulus} mod {modulus})")
@@ -97,11 +92,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    try:
-        verdict = necessity_check(args.group, args.m)
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    verdict = necessity_check(args.group, args.m)
     if not verdict.admissible:
         print(f"group={args.group} m={args.m}: INADMISSIBLE; nothing to realize", file=sys.stderr)
         return EXIT_INADMISSIBLE
@@ -191,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--group", required=True, choices=GROUP_NAMES)
     r.add_argument("--m", required=True, type=int)
     r.add_argument("--out", required=True)
-    r.add_argument("--seed", type=int, default=None)
+    r.add_argument("--seed", type=int, default=ModelConfig().seed)
     r.add_argument("--theta", type=float, default=ModelConfig().theta)
     r.add_argument("--t", type=float, default=ModelConfig().t)
     r.set_defaults(fn=cmd_realize)

@@ -242,8 +242,7 @@ def check_h3(r: Realization, arcs: ArcAssignment) -> bool:
     """
     va = r.vertex_action
     mids = {pair: arc.midpoint for pair, arc in arcs.items()}
-    for f in va.action.group.elements:
-        mat = r.rep[f]
+    for f, mat in zip(va.action.group.elements, r.mats):
         for pair, mid in mids.items():
             target = mids.get(_image_pair(va, f, pair))
             if target is None:

@@ -23,7 +23,6 @@ realizer leans on that dichotomy throughout.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -59,17 +58,13 @@ class PlacementError(RuntimeError):
     """Free-orbit base point sampling failed the separation requirements."""
 
 
-def default_seed() -> int:
-    return int(os.environ.get("TSGLAB_SEED", "0"))
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Geometry knobs: twin-tetra latitude, edge-point parameter, rng seed."""
 
     theta: float = math.pi / 6
     t: float = 1.0 / 3.0
-    seed: Optional[int] = None
+    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.theta < math.pi / 2:
@@ -78,10 +73,6 @@ class ModelConfig:
             raise ValueError(
                 f"edge parameter t must lie strictly between 0 and 1/2, got {self.t}; "
                 "t = 1/2 would land on edge midpoints, which edge-reversing involutions fix")
-
-    @property
-    def rng_seed(self) -> int:
-        return default_seed() if self.seed is None else self.seed
 
 
 @dataclass(frozen=True)
@@ -317,30 +308,34 @@ _MODEL_DEGREE = {Model.TETRA_ROT: 4, Model.TETRA_FULL: 4,
                  Model.DODECA_ROT: 5, Model.SIMPLEX4: 5}
 
 
-def representation(group: PermGroup, model: Model) -> dict[Permutation, np.ndarray]:
-    """Faithful map from group elements to SO(4) matrices for the model."""
+def representation(group: PermGroup, model: Model) -> np.ndarray:
+    """Faithful SO(4) matrices for the model: a (|G|, 4, 4) array whose row i
+    is the matrix of group.elements[i], the row order of group.cayley and
+    of a GroupAction's images."""
     if group.degree != _MODEL_DEGREE[model]:
         raise ValueError(f"{model.value} needs degree-{_MODEL_DEGREE[model]} permutations, "
                          f"got degree {group.degree}")
     if model in (Model.TETRA_ROT, Model.DODECA_ROT, Model.SIMPLEX4):
         if any(not e.is_even() for e in group.elements):
             raise ValueError(f"{model.value} represents even permutations only")
-    rep = {}
-    for e in group.elements:
+    mats = np.empty((group.order, 4, 4))
+    for i, e in enumerate(group.elements):
         if model is Model.TETRA_ROT:
-            mat = _block(_tetra_std(e), 1.0)
+            mats[i] = _block(_tetra_std(e), 1.0)
         elif model is Model.TETRA_FULL:
-            mat = _block(_tetra_std(e), 1.0 if e.is_even() else -1.0)
+            mats[i] = _block(_tetra_std(e), 1.0 if e.is_even() else -1.0)
         elif model is Model.DODECA_ROT:
-            mat = _block(_icosahedral_table()[e.images], 1.0)
+            mats[i] = _block(_icosahedral_table()[e.images], 1.0)
         else:
-            mat = _B5 @ _perm_matrix(e) @ _B5.T
-        rep[e] = mat
-    return rep
+            mats[i] = _B5 @ _perm_matrix(e) @ _B5.T
+    return mats
 
 
-def circles_of(rep: dict[Permutation, np.ndarray]) -> dict[Permutation, FixedCircle]:
-    return {e: fixed_set(m) for e, m in rep.items() if not e.is_identity()}
+def circles_of(group: PermGroup, mats: np.ndarray) -> dict[Permutation, FixedCircle]:
+    """Fixed circle of every non-identity element, keyed by element (edge
+    checks look circles up by the elements that fix a pair); mats is in
+    group row order, as representation returns it."""
+    return {e: fixed_set(m) for e, m in zip(group.elements, mats) if not e.is_identity()}
 
 
 # ----------------------------------------------------------- orbit coords
@@ -373,7 +368,7 @@ def _natural_corner(model: Model, i: int) -> np.ndarray:
     return simplex_corner(i)
 
 
-def part_coords(model: Model, part: BuiltPart, rep: dict[Permutation, np.ndarray],
+def part_coords(model: Model, part: BuiltPart, group: PermGroup, mats: np.ndarray,
                 config: ModelConfig) -> np.ndarray:
     """Coordinates for one built orbit block, aligned with its indexing."""
     if part.kind in ("tetra_corners", "knotted_k4", "simplex_corners"):
@@ -382,38 +377,37 @@ def part_coords(model: Model, part: BuiltPart, rep: dict[Permutation, np.ndarray
     if part.kind == "center":
         return POLE.reshape(1, 4).copy()
     base = _part_base_point(model, part.kind, config)
-    return np.array([rep[r] @ base for r in part.reps])
+    return mats[[group.index[r] for r in part.reps]] @ base
 
 
-def free_orbit_coords(model: Model, group: PermGroup, n: int = 1,
+def free_orbit_coords(mats: np.ndarray, circles: dict[Permutation, FixedCircle], n: int = 1,
                       config: ModelConfig | None = None,
                       avoid: Optional[np.ndarray] = None) -> list[np.ndarray]:
-    """n regular orbits from base points sampled clear of every fixed circle.
+    """n regular orbits of the group with matrices mats, from base points
+    sampled clear of every fixed circle in circles (as circles_of gives them).
 
     Each base point keeps distance >= 0.05 from all fixed-point circles, and
     all produced points stay pairwise >= 1e-3 apart (also from `avoid`,
-    whose own points must already be that far apart).
-    Deterministic for a fixed seed.
+    whose own points must already be that far apart).  Orbit row i is the
+    image of the base point under mats[i].  Deterministic for a fixed seed.
     """
     if n < 1:
         raise ValueError("need n >= 1 free orbits")
     config = config or ModelConfig()
-    rep = representation(group, model)
-    circles = [c for c in circles_of(rep).values() if not c.empty]
-    rng = np.random.default_rng(config.rng_seed)
+    circles = [c for c in circles.values() if not c.empty]
+    rng = np.random.default_rng(config.seed)
     placed = np.empty((0, 4)) if avoid is None else np.asarray(avoid)
     closest = closest_distance(placed)
     if closest < FREE_ORBIT_SEP:
         raise PlacementError(f"special-part vertices are only {closest} apart")
     orbits = []
-    mats = [rep[e] for e in group.elements]
     for _ in range(n):
         for attempt in range(400):
             p = rng.standard_normal(4)
             p /= np.linalg.norm(p)
             if circles and min(c.residual(p) for c in circles) < FREE_CIRCLE_CLEARANCE:
                 continue
-            orbit = np.array([mat @ p for mat in mats])
+            orbit = mats @ p
             if min(closest_distance(orbit), closest_distance(orbit, placed)) < FREE_ORBIT_SEP:
                 continue
             orbits.append(orbit)
@@ -451,8 +445,8 @@ class Realization:
     vertex_action: VertexAction
     model: Model
     config: ModelConfig
-    rep: dict[Permutation, np.ndarray]       # for the acting (possibly restricted) group
-    coords: np.ndarray                       # (m, 4)
+    mats: np.ndarray    # (|G|, 4, 4), acting (possibly restricted) group; row i is elements[i]
+    coords: np.ndarray  # (m, 4)
     circles: dict[Permutation, FixedCircle] = field(default_factory=dict)
 
     @property
@@ -465,7 +459,7 @@ class Realization:
 
     def circle_of(self, e: Permutation) -> FixedCircle:
         if not self.circles:
-            self.circles = circles_of(self.rep)
+            self.circles = circles_of(self.group, self.mats)
         return self.circles[e]
 
 
@@ -476,19 +470,17 @@ def require_at_most(value: float, bound: float, message: str) -> None:
         raise AssertionError(message)
 
 
-def _max_hom_error(group: PermGroup, rep: dict[Permutation, np.ndarray]) -> float:
-    mats = np.array([rep[e] for e in group.elements])
+def _max_hom_error(group: PermGroup, mats: np.ndarray) -> float:
     row_errors = [np.abs(mats[i] @ mats - mats[group.cayley[i]]).max() for i in range(group.order)]
     return float(np.max(row_errors))
 
 
 def _check_matrices(r: Realization) -> None:
-    mats = np.array([r.rep[e] for e in r.group.elements])
-    ortho = float(np.abs(mats.transpose(0, 2, 1) @ mats - np.eye(4)).max())
+    ortho = float(np.abs(r.mats.transpose(0, 2, 1) @ r.mats - np.eye(4)).max())
     require_at_most(ortho, ORTHO_TOL, f"matrices not orthogonal to tolerance: {ortho}")
-    det = float(np.abs(np.linalg.det(mats) - 1).max())
+    det = float(np.abs(np.linalg.det(r.mats) - 1).max())
     require_at_most(det, ORTHO_TOL * 10, f"matrices must have determinant +1, off by {det}")
-    hom = _max_hom_error(r.group, r.rep)
+    hom = _max_hom_error(r.group, r.mats)
     require_at_most(hom, HOM_TOL, f"matrix homomorphism error {hom}")
 
 
@@ -496,9 +488,9 @@ def _check_invariance(r: Realization) -> None:
     act = r.vertex_action.action
     # non-finite coordinates give a NaN error, which fails quietly below
     with np.errstate(invalid="ignore", over="ignore"):
-        for e in r.group.elements:
-            moved = r.coords @ r.rep[e].T
-            err = float(np.abs(moved - r.coords[act.image(e)]).max())
+        for e, mat, img in zip(r.group.elements, r.mats, act.images):
+            moved = r.coords @ mat.T
+            err = float(np.abs(moved - r.coords[img]).max())
             require_at_most(err, INVARIANCE_TOL,
                             f"element {e.images} moves vertices off their images by {err}")
 
@@ -545,29 +537,23 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
             f"K_{p.m} with group {p.group} needs knotted edges; no matrix model is provided")
     config = config or ModelConfig()
     va = va or build(p)
-    parent_group = standard_group(p.building_group)
-    rep_full = representation(parent_group, p.model)
+    parent = standard_group(p.building_group)
+    mats = representation(parent, p.model)
+    circles = circles_of(parent, mats)
 
-    coords_blocks: dict[int, np.ndarray] = {}
-    fixed_coords = []
-    for i, b in enumerate(va.parts):
-        if b.kind != "free":
-            block = part_coords(p.model, b, rep_full, config)
-            coords_blocks[i] = block
-            fixed_coords.append(block)
-    n_free = sum(1 for b in va.parts if b.kind == "free")
-    if n_free:
-        avoid = np.vstack(fixed_coords) if fixed_coords else None
-        orbits = free_orbit_coords(p.model, parent_group, n_free, config, avoid=avoid)
-        it = iter(orbits)
-        for i, b in enumerate(va.parts):
-            if b.kind == "free":
-                coords_blocks[i] = next(it)
-    coords = np.vstack([coords_blocks[i] for i in range(len(va.parts))])
+    specials = [part_coords(p.model, b, parent, mats, config)
+                for b in va.parts if b.kind != "free"]
+    n_free = len(va.parts) - len(specials)
+    avoid = np.vstack(specials) if specials else None
+    frees = iter(free_orbit_coords(mats, circles, n_free, config, avoid) if n_free else ())
+    blocks = iter(specials)
+    coords = np.vstack([next(frees if b.kind == "free" else blocks) for b in va.parts])
 
     sub = restricted_group(p)
-    rep = rep_full if sub is None else {e: rep_full[e] for e in sub.elements}
-    r = Realization(p, va, p.model, config, rep, coords)
+    if sub is not None:
+        mats = mats[[parent.index[e] for e in sub.elements]]
+        circles = {e: circles[e] for e in sub.elements if not e.is_identity()}
+    r = Realization(p, va, p.model, config, mats, coords, circles)
     validate_realization(r)
     return r
 
@@ -587,4 +573,4 @@ def geometric_profile(r: Realization) -> FixedVertexProfile:
         if len(vals) != 1:
             raise AssertionError(f"geometric counts differ within class {label}: {vals}")
         counts[label] = vals.pop()
-    return FixedVertexProfile.from_counts(r.group.name, counts, r.m)
+    return FixedVertexProfile.from_counts(r.group.name, counts)

@@ -30,7 +30,6 @@ from .perm import (
 )
 from .profiles import (
     CLASS_WEIGHTS,
-    MAX_FIX,
     CongruenceSet,
     FixedVertexProfile,
     m_rules,
@@ -114,23 +113,21 @@ def feasible_multisets(group: str, m: int, *, use_m_rules: bool = False,
     """
     if m < 0:
         raise ValueError("m must be non-negative")
+    if use_m_rules and not all(r.holds_for_m(m) for r in m_rules(group)):
+        return []
     caps = class_caps(group, drop_rules)
     labels = [label for label, _ in caps]
     types = admissible_types(group, drop_rules)
     fixes = [[t.fix(label) for label in labels] for t in types]
     rules = profile_rules(group, drop_rules)
-    m_ok = not use_m_rules or all(r.holds_for_m(m) for r in m_rules(group))
     elements = frozenset(standard_group(group).elements)
     ident = frozenset([standard_group(group).identity])
     out: list[OrbitMultiset] = []
 
     def leaf(agg: list[int], chosen: list[tuple[TransitiveType, int]]):
-        profile = FixedVertexProfile.from_counts(group, dict(zip(labels, agg)), m)
-        if profile.max_count() > MAX_FIX:
-            return
+        # no max-count test: the search keeps aggregates within caps <= MAX_FIX
+        profile = FixedVertexProfile.from_counts(group, dict(zip(labels, agg)))
         if not all(r.holds_for_profile(profile) for r in rules):
-            return
-        if not m_ok:
             return
         ker = elements
         for t, _ in chosen:
@@ -173,7 +170,7 @@ def materialize(ms: OrbitMultiset) -> GroupAction:
 
 def measured_multiset_profile(ms: OrbitMultiset) -> FixedVertexProfile:
     act = materialize(ms)
-    return FixedVertexProfile.from_counts(ms.group, class_fixed_counts(act), act.m)
+    return FixedVertexProfile.from_counts(ms.group, class_fixed_counts(act))
 
 
 def oracle_residues(group: str, *, drop_rules: tuple[str, ...] = ()) -> CongruenceSet:

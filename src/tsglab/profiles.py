@@ -1,10 +1,10 @@
 """Fixed-vertex profiles and the congruence classification.
 
-A profile records how many vertices each element class fixes (n2, n3, ...;
-n1 is always the vertex count m).  When one of A4, S4, A5 acts on the
-vertices of K_m through orientation-preserving isometries of the 3-sphere,
-the fixed set of every non-trivial isometry is a circle or empty, which
-caps the profiles hard; Burnside's orbit-count identity
+A profile records how many vertices each non-identity element class fixes
+(n2, n3, ...).  When one of A4, S4, A5 acts on the vertices of K_m through
+orientation-preserving isometries of the 3-sphere, the fixed set of every
+non-trivial isometry is a circle or empty, which caps the profiles hard;
+Burnside's orbit-count identity
 
     # orbits = (1/|G|) * sum over g of |fix(g)|
 
@@ -61,7 +61,7 @@ class FixedVertexProfile:
 
     n2 counts involutions inside the even subgroup (all involutions for A4
     and A5), n2p the S4 involutions outside it, n4/n5 the order-4/order-5
-    classes where they exist.  n1 = m is carried only on measured profiles.
+    classes where they exist.
     """
 
     group: str
@@ -70,7 +70,6 @@ class FixedVertexProfile:
     n2p: Optional[int] = None
     n4: Optional[int] = None
     n5: Optional[int] = None
-    n1: Optional[int] = None
 
     def __post_init__(self):
         if self.group not in GROUP_NAMES:
@@ -92,10 +91,9 @@ class FixedVertexProfile:
                 raise ValueError("fixed-vertex counts must be non-negative")
 
     @classmethod
-    def from_counts(cls, group: str, counts: dict[ClassLabel, int],
-                    n1: Optional[int] = None) -> "FixedVertexProfile":
+    def from_counts(cls, group: str, counts: dict[ClassLabel, int]) -> "FixedVertexProfile":
         """Profile from per-class counts; classes left out count 0."""
-        return cls(group, n1=n1, **{_FIELD_OF[label]: n for label, n in counts.items()})
+        return cls(group, **{_FIELD_OF[label]: n for label, n in counts.items()})
 
     def named_counts(self) -> dict[str, int]:
         """Counts of the group's classes by field name, in key() order."""
@@ -107,7 +105,7 @@ class FixedVertexProfile:
                 if (n := getattr(self, name)) is not None}
 
     def key(self) -> tuple:
-        """Comparison key ignoring n1 (used for witness matching)."""
+        """Comparison key: the counts in field order (used for witness matching)."""
         return tuple(self.named_counts().values())
 
     def max_count(self) -> int:

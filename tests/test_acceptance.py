@@ -110,18 +110,18 @@ def test_criterion_4_geometric_fidelity(realized):
     t0 = time.monotonic()
     for (g, m), (va, r) in realized.items():
         group = r.group
-        assert _max_hom_error(group, r.rep) <= 1e-8, (g, m)
-        for e in group.elements:
-            moved = r.coords @ r.rep[e].T
+        assert _max_hom_error(group, r.mats) <= 1e-8, (g, m)
+        for e, mat in zip(group.elements, r.mats):
+            moved = r.coords @ mat.T
             target = r.coords[va.action.image(e)]
             assert float(np.abs(moved - target).max()) <= 1e-9, (g, m)
         assert geometric_profile(r).key() == measured_profile(va).key(), (g, m)
         # rotation/glide dichotomy, with EMPTY exactly where the model demands
         empty_order = {Model.TETRA_FULL: 4, Model.SIMPLEX4: 5}.get(r.model)
-        for e in group.elements:
+        for e, mat in zip(group.elements, r.mats):
             if e.is_identity():
                 continue
-            fc = fixed_set(r.rep[e])
+            fc = fixed_set(mat)
             expected_empty = empty_order is not None and e.order() == empty_order
             assert fc.empty == expected_empty, (g, m, e)
     _report("4 (geometric fidelity, 14 realizations)", t0, 10.0)
@@ -140,7 +140,7 @@ def test_criterion_5_edge_certificates(realized):
     other = next(e for e in s4.elements if e.order() == 2 and not e.is_even()
                  and not r.circle_of(e).contains(bad_coords[0], 1e-6))
     bad_coords[0] = r.circle_of(other).point_at(0.37)
-    corrupted = Realization(r.plan, va, r.model, r.config, r.rep, bad_coords)
+    corrupted = Realization(r.plan, va, r.model, r.config, r.mats, bad_coords)
     assert not full_report(corrupted).overall
 
     # fixture 2: edge parameter forced to the midpoint is refused outright

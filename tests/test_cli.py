@@ -60,6 +60,8 @@ def test_classify_usage_errors(capsys):
     assert code == 2 and "m >= 4" in err
     code, _, _ = run(capsys, "classify", "--group", "Z9", "--m", "12")
     assert code == 2
+    code, _, err = run(capsys, "realize", "--group", "S4", "--m", "3", "--out", "unused.json")
+    assert code == 2 and "m >= 4" in err
 
 
 # ------------------------------------------------------------------- table
@@ -249,6 +251,7 @@ def _drop_report_h2(data):
     _set(("arcs", 0, "fixer"), "x"),
     _set(("arcs", 0, "basis"), [[0.0, 0.0, 0.0, 1.0]]),
     _set(("model", "seed"), "x"),
+    _set(("model", "seed"), None),
     _set(("model", "theta"), "x"),
     _set(("model", "t"), None),
     _set(("model", "tag"), "bogus"),

@@ -130,7 +130,7 @@ def test_h3_arc_fixed_by_edge_reversing_involution(realized):
                 if va.action.image(e)[u] == v and va.action.image(e)[v] == u]
     assert swappers
     for f in swappers:
-        assert np.linalg.norm(r.rep[f] @ arc.midpoint - arc.midpoint) < 1e-8
+        assert np.linalg.norm(r.mats[S4.index[f]] @ arc.midpoint - arc.midpoint) < 1e-8
 
 
 def test_h4_on_natural_a5(realized):
@@ -153,7 +153,7 @@ def test_fixture_wrong_circle_vertex_fails(realized):
     other = next(e for e in S4.elements if e.order() == 2 and not e.is_even()
                  and not r.circle_of(e).contains(bad_coords[0], 1e-6))
     bad_coords[0] = r.circle_of(other).point_at(0.37)
-    bad = Realization(r.plan, va, r.model, r.config, r.rep, bad_coords)
+    bad = Realization(r.plan, va, r.model, r.config, r.mats, bad_coords)
     report = full_report(bad)
     assert not report.h2
     assert not report.overall
@@ -191,12 +191,12 @@ def _pair_at_circle_intersection() -> tuple[VertexAction, Realization]:
         act.append(first + rest)
     ga = GroupAction(S4, act)
     va = VertexAction(ga, ("pole",) * 2 + ("free",) * 24, ())
-    rep = representation(S4, Model.TETRA_FULL)
+    mats = representation(S4, Model.TETRA_FULL)
     rng = np.random.default_rng(2)
     base = rng.standard_normal(4)
     base /= np.linalg.norm(base)
-    coords = np.vstack([[0, 0, 0, 1.0], [0, 0, 0, -1.0]] + [rep[x] @ base for x in S4.elements])
-    return va, Realization(None, va, Model.TETRA_FULL, ModelConfig(), rep, coords)
+    coords = np.vstack([[0, 0, 0, 1.0], [0, 0, 0, -1.0]] + [mat @ base for mat in mats])
+    return va, Realization(None, va, Model.TETRA_FULL, ModelConfig(), mats, coords)
 
 
 def test_fixture_pair_at_intersection_fails_h1():
@@ -240,7 +240,7 @@ def test_check_arcs_rejects_vertex_inside(realized):
     w = next(x for x in range(r.m) if x not in pair)
     coords = r.coords.copy()
     coords[w] = arc.midpoint
-    moved = Realization(r.plan, va, r.model, r.config, r.rep, coords)
+    moved = Realization(r.plan, va, r.model, r.config, r.mats, coords)
     message = f"arc of pair {pair} has vertex {w} inside"
     with pytest.raises(ArcAssignmentError, match=re.escape(message)):
         check_arcs(moved, arcs)
@@ -287,8 +287,7 @@ def _two_clause_h3(r, arcs) -> bool:
     fixing an interior point of an arc (their circles cross there, or it
     carries the arc's own circle) must map the arc onto itself."""
     va = r.vertex_action
-    for f in va.action.group.elements:
-        mat = r.rep[f]
+    for f, mat in zip(va.action.group.elements, r.mats):
         for pair, arc in arcs.items():
             target = arcs.get(_image_pair(va, f, pair))
             if target is None:

@@ -22,6 +22,7 @@ from tsglab.geometry import (
     tetra_corner,
     validate_realization,
 )
+from tsglab import geometry
 from tsglab.geometry import _max_hom_error
 from tsglab.perm import a4_inside_a5, from_cycles, standard_group
 
@@ -32,14 +33,14 @@ A4 = standard_group("A4")
 A5 = standard_group("A5")
 
 
+GROUP_OF = {Model.TETRA_FULL: S4, Model.TETRA_ROT: A4, Model.DODECA_ROT: A5, Model.SIMPLEX4: A5}
+
+
 @pytest.fixture(scope="module")
 def reps():
-    return {
-        Model.TETRA_FULL: representation(S4, Model.TETRA_FULL),
-        Model.TETRA_ROT: representation(A4, Model.TETRA_ROT),
-        Model.DODECA_ROT: representation(A5, Model.DODECA_ROT),
-        Model.SIMPLEX4: representation(A5, Model.SIMPLEX4),
-    }
+    """model -> {element: matrix}, for looking matrices up by element."""
+    return {model: dict(zip(g.elements, representation(g, model)))
+            for model, g in GROUP_OF.items()}
 
 
 # --------------------------------------------------------- representations
@@ -58,11 +59,11 @@ def test_matrices_special_orthogonal(reps):
             assert abs(np.linalg.det(mat) - 1) < 1e-9
 
 
-def test_homomorphism_error_tiny(reps):
-    assert _max_hom_error(S4, reps[Model.TETRA_FULL]) < 1e-12
-    assert _max_hom_error(A5, reps[Model.DODECA_ROT]) < 1e-12
-    assert _max_hom_error(A5, reps[Model.SIMPLEX4]) < 1e-12
-    assert _max_hom_error(A4, reps[Model.TETRA_ROT]) < 1e-12
+def test_homomorphism_error_tiny():
+    assert _max_hom_error(S4, representation(S4, Model.TETRA_FULL)) < 1e-12
+    assert _max_hom_error(A5, representation(A5, Model.DODECA_ROT)) < 1e-12
+    assert _max_hom_error(A5, representation(A5, Model.SIMPLEX4)) < 1e-12
+    assert _max_hom_error(A4, representation(A4, Model.TETRA_ROT)) < 1e-12
 
 
 def test_representations_faithful(reps):
@@ -130,9 +131,10 @@ def test_3cycle_circle_contains_complementary_simplex_vertices(reps):
     assert fc.contains(simplex_corner(3)) and fc.contains(simplex_corner(4))
 
 
-def test_circle_pairs_intersect_in_0_or_2_points(reps):
+def test_circle_pairs_intersect_in_0_or_2_points():
     for model in (Model.TETRA_FULL, Model.SIMPLEX4):
-        circles = [c for c in circles_of(reps[model]).values() if not c.empty]
+        g = GROUP_OF[model]
+        circles = [c for c in circles_of(g, representation(g, model)).values() if not c.empty]
         distinct = []
         for c in circles:
             if all(not c.same_circle(d) for d in distinct):
@@ -156,7 +158,7 @@ def _part_block(r, kind):
 
 
 def _stabilizer_sizes(r, block):
-    return {sum(1 for mat in r.rep.values() if np.linalg.norm(mat @ p - p) < 1e-9)
+    return {sum(1 for mat in r.mats if np.linalg.norm(mat @ p - p) < 1e-9)
             for p in block}
 
 
@@ -165,7 +167,7 @@ def test_tetra_corners_natural_permutation():
     coords = _part_block(r, "tetra_corners")
     for e in S4.elements:
         for i in range(4):
-            assert np.linalg.norm(r.rep[e] @ coords[i] - coords[e.images[i]]) < 1e-9
+            assert np.linalg.norm(r.mats[S4.index[e]] @ coords[i] - coords[e.images[i]]) < 1e-9
 
 
 def test_twin_tetra_has_order3_stabilizers():
@@ -199,10 +201,15 @@ def test_midpoint_parameter_rejected():
 # ------------------------------------------------------------ free orbits
 
 
+def _matrices_and_circles(g, model):
+    mats = representation(g, model)
+    return mats, circles_of(g, mats)
+
+
 def test_free_orbit_sizes():
-    orbits = free_orbit_coords(Model.TETRA_ROT, A4, 1)
+    orbits = free_orbit_coords(*_matrices_and_circles(A4, Model.TETRA_ROT), 1)
     assert len(orbits) == 1 and orbits[0].shape == (12, 4)
-    orbits = free_orbit_coords(Model.SIMPLEX4, A5, 2)
+    orbits = free_orbit_coords(*_matrices_and_circles(A5, Model.SIMPLEX4), 2)
     assert sum(o.shape[0] for o in orbits) == 120
     pool = np.vstack(orbits)
     diff = np.linalg.norm(pool[:, None] - pool[None, :], axis=2)
@@ -211,16 +218,16 @@ def test_free_orbit_sizes():
 
 
 def test_free_orbits_clear_of_circles():
-    rep = representation(A4, Model.TETRA_ROT)
-    circles = [c for c in circles_of(rep).values() if not c.empty]
-    orbits = free_orbit_coords(Model.TETRA_ROT, A4, 1, ModelConfig(seed=3))
+    mats, by_element = _matrices_and_circles(A4, Model.TETRA_ROT)
+    circles = [c for c in by_element.values() if not c.empty]
+    orbits = free_orbit_coords(mats, by_element, 1, ModelConfig(seed=3))
     base = orbits[0][0]
     assert min(c.residual(base) for c in circles) >= 0.05
 
 
 def test_free_orbit_determinism():
-    a = free_orbit_coords(Model.DODECA_ROT, A5, 1, ModelConfig(seed=11))[0]
-    b = free_orbit_coords(Model.DODECA_ROT, A5, 1, ModelConfig(seed=11))[0]
+    a = free_orbit_coords(*_matrices_and_circles(A5, Model.DODECA_ROT), 1, ModelConfig(seed=11))[0]
+    b = free_orbit_coords(*_matrices_and_circles(A5, Model.DODECA_ROT), 1, ModelConfig(seed=11))[0]
     assert np.array_equal(a, b)
 
 
@@ -237,7 +244,7 @@ def test_a5_61_only_center_touches_circles():
     p = plan("A5", 61)
     r = realize(p)
     center_idx = r.vertex_action.labels.index("center")
-    for e, c in circles_of(r.rep).items():
+    for e, c in circles_of(r.group, r.mats).items():
         on = [v for v in range(r.m) if c.contains(r.coords[v])]
         assert on == [center_idx]
 
@@ -254,8 +261,8 @@ def test_a4_13_pole_vertex_fixed_by_all():
     r = realize(plan("A4", 13))
     pole = _part_block(r, "center")[0]
     assert np.array_equal(pole, [0.0, 0.0, 0.0, 1.0])
-    assert len(r.rep) == 12 and r.model is Model.TETRA_ROT
-    for mat in r.rep.values():
+    assert len(r.mats) == 12 and r.model is Model.TETRA_ROT
+    for mat in r.mats:
         assert np.linalg.norm(mat @ pole - pole) < 1e-12
 
 
@@ -266,6 +273,25 @@ def test_restricted_realizations_validate():
         r = realize(p)
         assert r.group.name == "A4"
         assert geometric_profile(r).key() == measured_profile(r.vertex_action).key()
+
+
+@pytest.mark.parametrize("group,m,calls", [("A4", 61, 59), ("S4", 28, 23)])
+def test_realize_computes_each_fixed_circle_once(monkeypatch, group, m, calls):
+    """realize builds the building group's circles once, for placement and
+    for the realization alike: one fixed_set per non-identity element of
+    the building group (A5 for the restricted A4 m=61, S4 for S4 m=28)."""
+    count = 0
+    real_fixed_set = geometry.fixed_set
+
+    def counting(matrix):
+        nonlocal count
+        count += 1
+        return real_fixed_set(matrix)
+
+    p = plan(group, m)
+    monkeypatch.setattr(geometry, "fixed_set", counting)
+    realize(p)
+    assert count == calls
 
 
 def test_knotted_plans_refused():

@@ -224,7 +224,7 @@ def _brute_force_multisets(group, m, drop):
                 ker &= t.core
                 for label, f in t.fix_vector:
                     counts[label] = counts.get(label, 0) + c * f
-            profile = FixedVertexProfile.from_counts(group, counts, m)
+            profile = FixedVertexProfile.from_counts(group, counts)
             faithful = len(ker) == 1
             if (profile.max_count() <= 3 and passes_profile_rules(group, profile, drop)
                     and (faithful or m < 4)):
