@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .actions import VertexAction
-from .geometry import FixedCircle, Realization, circles_intersection
+from .geometry import CIRCLE_EQ_TOL, FixedCircle, Realization, circles_intersection
 from .perm import Permutation, fixed_count, is_faithful, pair_fixer_counts, pair_stabilizer
 
 PAIR_TOL = 1e-8
@@ -273,14 +273,17 @@ def check_h4(va: VertexAction) -> bool:
 def check_h5(r: Realization) -> bool:
     """Pair-swapping elements are rotations with unshared circles."""
     va = r.vertex_action
-    nontrivial = [e for e in va.action.group.elements if not e.is_identity()]
+    owners = [e for e in va.action.group.elements
+              if not e.is_identity() and not r.circle_of(e).empty]
+    projectors = np.array([r.circle_of(e).projector for e in owners]).reshape(-1, 4, 4)
     for g in _interchangers(va):
         cg = r.circle_of(g)
         if cg.empty:
             return False
-        for h in nontrivial:
-            if h != g and cg.same_circle(r.circle_of(h)):
-                return False
+        # the same_circle test, against every non-empty circle at once
+        shared = np.abs(projectors - cg.projector).max(axis=(1, 2)) <= CIRCLE_EQ_TOL
+        if any(s and h != g for s, h in zip(shared, owners)):
+            return False
     return True
 
 

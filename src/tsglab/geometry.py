@@ -390,6 +390,11 @@ def free_orbit_coords(mats: np.ndarray, circles: dict[Permutation, FixedCircle],
     all produced points stay pairwise >= 1e-3 apart (also from `avoid`,
     whose own points must already be that far apart).  Orbit row i is the
     image of the base point under mats[i].  Deterministic for a fixed seed.
+
+    `avoid` must be a union of orbits of the group (the special parts are).
+    The placed points then stay invariant, and since every matrix is an
+    isometry, a candidate orbit clears them exactly when its base point
+    does: one distance per placed point and attempt, not |G| of them.
     """
     if n < 1:
         raise ValueError("need n >= 1 free orbits")
@@ -408,7 +413,11 @@ def free_orbit_coords(mats: np.ndarray, circles: dict[Permutation, FixedCircle],
             if circles and min(c.residual(p) for c in circles) < FREE_CIRCLE_CLEARANCE:
                 continue
             orbit = mats @ p
-            if min(closest_distance(orbit), closest_distance(orbit, placed)) < FREE_ORBIT_SEP:
+            # row 0 is the identity: PermGroup sorts its elements, and the
+            # identity tuple comes first
+            base, others = orbit[0], orbit[1:]
+            own = float(np.linalg.norm(others - base, axis=1).min())
+            if min(own, closest_distance(base[None], placed)) < FREE_ORBIT_SEP:
                 continue
             orbits.append(orbit)
             placed = np.vstack([placed, orbit])
@@ -418,18 +427,21 @@ def free_orbit_coords(mats: np.ndarray, circles: dict[Permutation, FixedCircle],
     return orbits
 
 
-def closest_distance(a: np.ndarray, b: Optional[np.ndarray] = None) -> float:
+def closest_distance(a: np.ndarray, b: Optional[np.ndarray] = None,
+                     rows: Optional[np.ndarray] = None) -> float:
     """Smallest distance from a row of a to a row of b, or to another row of
-    a when b is None (inf when there is no such pair).  Works through a in
-    blocks of rows, so memory stays linear in len(b); a NaN gives NaN."""
+    a when b is None (inf when there is no such pair).  `rows` restricts
+    the first point to those rows of a (all by default).  Works through
+    them in blocks, so memory stays linear in len(b); a NaN gives NaN."""
     same = b is None
     b = a if same else b
+    rows = np.arange(len(a)) if rows is None else np.asarray(rows)
     mins = [np.inf]
-    for start in range(0, len(a) if len(b) else 0, _DISTANCE_BLOCK):
-        d = np.linalg.norm(a[start:start + _DISTANCE_BLOCK, None, :] - b[None, :, :], axis=2)
+    for start in range(0, len(rows) if len(b) else 0, _DISTANCE_BLOCK):
+        block = rows[start:start + _DISTANCE_BLOCK]
+        d = np.linalg.norm(a[block, None, :] - b[None, :, :], axis=2)
         if same:
-            rows = np.arange(len(d))
-            d[rows, start + rows] = np.inf
+            d[np.arange(len(block)), block] = np.inf
         mins.append(d.min())
     return float(np.min(mins))
 
@@ -495,8 +507,27 @@ def _check_invariance(r: Realization) -> None:
                             f"element {e.images} moves vertices off their images by {err}")
 
 
+def _min_separation(r: Realization) -> float:
+    """Closest pair, measured from one representative per vertex orbit.
+
+    The smallest vertex of each orbit represents it.  For a pair (g.v, w)
+    with v a representative, |g.v - w| = |v - g^-1.w| once the coordinates
+    are invariant, so the representatives' distances to all m points cover
+    every pair: (#orbits)*m distances instead of m^2/2.
+    """
+    images = r.vertex_action.action.images
+    representatives = np.flatnonzero(images.min(axis=0) == np.arange(r.m))
+    return closest_distance(r.coords, rows=representatives)
+
+
 def _check_separation(r: Realization) -> None:
-    closest = closest_distance(r.coords)
+    # Sound only after `invariance` (and, on a certificate, the action
+    # checks) have passed: the images must form a group action, and each
+    # vertex may sit off its image by at most INVARIANCE_TOL per coordinate.
+    # The two vertex errors in a pair then move a distance by at most
+    # 2*INVARIANCE_TOL per coordinate (4e-9 in length), plus a relative
+    # 2*ORTHO_TOL from the matrices: far below MIN_VERTEX_SEP (1e-6).
+    closest = _min_separation(r)
     require_at_most(MIN_VERTEX_SEP, closest, f"vertices only {closest} apart")
 
 
@@ -509,7 +540,8 @@ def _check_profile(r: Realization) -> None:
 
 # The invariants every realization must satisfy, in order.  realize() runs
 # them through validate_realization; certificate verification runs the same
-# list on the objects it rebuilds from a file.
+# list on the objects it rebuilds from a file.  The order matters:
+# separation relies on invariance having passed.
 REALIZATION_CHECKS = (
     ("homomorphism", _check_matrices),
     ("invariance", _check_invariance),

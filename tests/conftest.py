@@ -1,5 +1,6 @@
 """Shared fixtures: the 14 reference cases, realized once per session."""
 
+import numpy as np
 import pytest
 
 from tsglab.actions import build, plan
@@ -20,3 +21,18 @@ def realized():
         va = build(p)
         out[(g, m)] = (va, realize(p, va))
     return out
+
+
+def close_free_orbits():
+    """S4 m=48 with its second free orbit moved to the orbit of a point
+    1e-7 from the first orbit's base point: exactly invariant, each orbit
+    well spread, yet two vertices 1e-7 apart."""
+    p = plan("S4", 48)
+    r = realize(p, build(p))
+    first, second = (b for b in r.vertex_action.parts if b.kind == "free")
+    base = r.coords[first.start]
+    nudge = np.array([1.0, -1.0, 0.5, 0.25])
+    nudge -= (nudge @ base) * base
+    moved = base + 1e-7 * nudge / np.linalg.norm(nudge)
+    r.coords[second.start:second.start + second.size] = r.mats @ (moved / np.linalg.norm(moved))
+    return r

@@ -10,10 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tsglab import cli, edges
-from tsglab.certificate import write_certificate
+from tsglab.certificate import read_certificate, verify_certificate, write_certificate
 from tsglab.cli import main
 from tsglab.edges import full_report
 from tsglab.geometry import PrecisionError
+
+from .conftest import close_free_orbits
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -381,6 +383,27 @@ def test_verify_never_picks_arcs(capsys, tmp_path, monkeypatch, realized):
     for (group, m) in realized:
         code, out, err = run(capsys, "verify", "--in", str(tmp_path / f"{group}_{m}.json"))
         assert code == 0 and "certificate valid" in out, (group, m, err)
+
+
+def test_verify_rejects_close_free_orbits(capsys, tmp_path):
+    """Written as a certificate, two free orbits 1e-7 apart fail at separation."""
+    r = close_free_orbits()
+    out_file = tmp_path / "close.json"
+    write_certificate(str(out_file), r, full_report(r))
+    code, out, err = run(capsys, "verify", "--in", str(out_file))
+    assert code == 5
+    assert "invariance: ok" in out and "separation: FAILED" in out
+    assert "verification failed at: separation" in err
+
+
+def test_verify_checks_the_action_before_separation(capsys, tmp_path):
+    """Separation measures from one vertex per orbit; verify may run it only
+    after the action and the invariance checks."""
+    out_file = str(tmp_path / "s4_28.json")
+    run(capsys, "realize", "--group", "S4", "--m", "28", "--out", out_file)
+    names = [res.name for res in verify_certificate(read_certificate(out_file))]
+    assert names.index("action-homomorphism") < names.index("invariance") \
+        < names.index("separation")
 
 
 @pytest.mark.parametrize("m,reason", [("36", "special-part vertices"), ("12", "separation")])

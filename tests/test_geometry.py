@@ -8,25 +8,29 @@ from hypothesis import strategies as st
 from tsglab.actions import Model, measured_profile, plan
 from tsglab.geometry import (
     POLE,
+    REALIZATION_CHECKS,
     FixedCircle,
     ModelConfig,
+    PlacementError,
     PrecisionError,
     UnsupportedGeometryError,
     circles_intersection,
     circles_of,
+    closest_distance,
     fixed_set,
     free_orbit_coords,
     geometric_profile,
     realize,
     representation,
+    simplex_corner,
     tetra_corner,
     validate_realization,
 )
 from tsglab import geometry
-from tsglab.geometry import _max_hom_error
+from tsglab.geometry import _max_hom_error, _min_separation
 from tsglab.perm import a4_inside_a5, from_cycles, standard_group
 
-from .conftest import REFERENCES
+from .conftest import REFERENCES, close_free_orbits
 
 S4 = standard_group("S4")
 A4 = standard_group("A4")
@@ -231,6 +235,68 @@ def test_free_orbit_determinism():
     assert np.array_equal(a, b)
 
 
+def _all_pairs_placement(mats, circles, n, config, avoid):
+    """free_orbit_coords with the all-pairs distance tests: every point of
+    a candidate orbit against every other point and every placed point.
+    Returns the orbits and the number of candidates the distances refused."""
+    circles = [c for c in circles.values() if not c.empty]
+    rng = np.random.default_rng(config.seed)
+    placed = np.empty((0, 4)) if avoid is None else avoid
+    orbits, refused = [], 0
+    for _ in range(n):
+        for _attempt in range(400):
+            p = rng.standard_normal(4)
+            p /= np.linalg.norm(p)
+            if min(c.residual(p) for c in circles) < geometry.FREE_CIRCLE_CLEARANCE:
+                continue
+            orbit = mats @ p
+            own = np.linalg.norm(orbit[:, None] - orbit[None, :], axis=2)
+            np.fill_diagonal(own, np.inf)
+            cross = np.linalg.norm(orbit[:, None] - placed[None, :], axis=2)
+            if min(own.min(), cross.min(initial=np.inf)) < geometry.FREE_ORBIT_SEP:
+                refused += 1
+                continue
+            orbits.append(orbit)
+            placed = np.vstack([placed, orbit])
+            break
+        else:
+            raise PlacementError("no orbit placed")
+    return orbits, refused
+
+
+# special parts each model's group leaves invariant
+_INVARIANT_AVOID = {
+    Model.TETRA_ROT: np.vstack([tetra_corner(i) for i in range(4)] + [POLE]),
+    Model.TETRA_FULL: np.vstack([tetra_corner(i) for i in range(4)]),
+    Model.DODECA_ROT: POLE[None],
+    Model.SIMPLEX4: np.vstack([simplex_corner(i) for i in range(5)]),
+}
+
+
+@pytest.mark.parametrize("crowded", [False, True], ids=["default", "crowded"])
+@pytest.mark.parametrize("model", list(GROUP_OF), ids=lambda m: m.value)
+@pytest.mark.parametrize("seed", range(5))
+def test_free_orbit_placement_matches_all_pairs_checks(monkeypatch, model, seed, crowded):
+    """Testing base points only accepts exactly the orbits the all-pairs
+    checks accept, on the same random stream (20 orbits, so every n <= 20
+    is a prefix of this run).  Crowded placement drops the circle clearance
+    and asks for 0.15 between points, so that candidates close to another
+    point of their own orbit or of a placed one do get refused."""
+    if crowded:
+        monkeypatch.setattr(geometry, "FREE_CIRCLE_CLEARANCE", 0.0)
+        monkeypatch.setattr(geometry, "FREE_ORBIT_SEP", 0.15)
+    mats, circles = _matrices_and_circles(GROUP_OF[model], model)
+    cfg = ModelConfig(seed=seed)
+    refused = 0
+    for avoid in (None, _INVARIANT_AVOID[model]):
+        fast = free_orbit_coords(mats, circles, 20, cfg, avoid)
+        slow, count = _all_pairs_placement(mats, circles, 20, cfg, avoid)
+        refused += count
+        assert len(fast) == len(slow) == 20
+        assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
+    assert refused > 0 or not crowded
+
+
 # ------------------------------------------------------------ realization
 
 
@@ -320,3 +386,31 @@ def test_validate_rejects_non_finite_coordinate(bad):
 def test_free_orbit_profile_all_zero():
     r = realize(plan("A5", 60))
     assert all(v == 0 for v in geometric_profile(r).counts().values())
+
+
+# ------------------------------------------------------------- separation
+
+
+def test_separation_runs_after_invariance():
+    """The separation check measures from one vertex per orbit, which is
+    sound only once invariance has passed."""
+    names = [name for name, _ in REALIZATION_CHECKS]
+    assert names.index("homomorphism") < names.index("invariance") < names.index("separation")
+
+
+def test_close_free_orbits_fail_separation():
+    r = close_free_orbits()
+    assert 0.9e-7 < closest_distance(r.coords) < 1.1e-7
+    with pytest.raises(AssertionError, match="^separation: "):
+        validate_realization(r)
+
+
+@pytest.fixture(scope="module")
+def large_orbit_realizations():
+    return {(g, m): realize(plan(g, m)) for g, m in (("A4", 1213), ("S4", 1204), ("A5", 1205))}
+
+
+@pytest.mark.parametrize("group,m", REFERENCES + [("A4", 1213), ("S4", 1204), ("A5", 1205)])
+def test_separation_matches_all_pairs(realized, large_orbit_realizations, group, m):
+    r = realized[(group, m)][1] if (group, m) in realized else large_orbit_realizations[(group, m)]
+    assert abs(_min_separation(r) - closest_distance(r.coords)) <= 1e-12
