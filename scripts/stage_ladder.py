@@ -2,11 +2,11 @@
 """Time the certificate pipeline stage by stage over a ladder of m.
 
 Usage: PYTHONPATH=src python3 scripts/stage_ladder.py [--groups A4,S4,A5]
-           [--targets 300,1200,3000,6000] [--repeats 3] [--seed 0]
+           [--targets 300,1200,3000,6000]
 
 For each group and each target, the admissible non-knotted m closest to
 the target (the smaller one on a tie) is run through build, realize,
-full_report, write, read and verify, `--repeats` times in one process
+full_report, write, read and verify, `REPEATS` times in one process
 after one untimed warm-up pass.  Each stage time is the median wall
 second over the repeats; `end_to_end_s` is their sum.  One BLAS thread.
 Prints one JSON object per (group, m) line, then nothing else.
@@ -34,6 +34,7 @@ from tsglab.geometry import ModelConfig, realize
 from tsglab.profiles import necessity_check
 
 STAGES = ("build", "realize", "full_report", "write", "read", "verify")
+REPEATS = 3
 
 
 def nearest_m(group: str, target: int) -> int:
@@ -69,10 +70,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--groups", default="A4,S4,A5")
     parser.add_argument("--targets", default="300,1200,3000,6000")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    config = ModelConfig(seed=args.seed)
+    config = ModelConfig()
     targets = [int(t) for t in args.targets.split(",")]
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "cert.json")
@@ -80,7 +79,7 @@ def main() -> int:
             for target in targets:
                 m = nearest_m(group, target)
                 one_pass(group, m, config, path)
-                runs = [one_pass(group, m, config, path) for _ in range(args.repeats)]
+                runs = [one_pass(group, m, config, path) for _ in range(REPEATS)]
                 row = {"group": group, "m": m, "cert_bytes": Path(path).stat().st_size}
                 row.update({f"{s}_s": round(statistics.median(r[s] for r in runs), 4)
                             for s in STAGES})

@@ -280,9 +280,10 @@ def check_h5(r: Realization) -> bool:
         cg = r.circle_of(g)
         if cg.empty:
             return False
-        # the same_circle test, against every non-empty circle at once
+        # the same_circle test, against every non-empty circle at once; g
+        # is among them and always matches itself
         shared = np.abs(projectors - cg.projector).max(axis=(1, 2)) <= CIRCLE_EQ_TOL
-        if any(s and h != g for s, h in zip(shared, owners)):
+        if np.count_nonzero(shared) > 1:
             return False
     return True
 

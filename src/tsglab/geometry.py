@@ -413,8 +413,7 @@ def free_orbit_coords(mats: np.ndarray, circles: dict[Permutation, FixedCircle],
             if circles and min(c.residual(p) for c in circles) < FREE_CIRCLE_CLEARANCE:
                 continue
             orbit = mats @ p
-            # row 0 is the identity: PermGroup sorts its elements, and the
-            # identity tuple comes first
+            # any row of an invariant orbit can serve as the base point
             base, others = orbit[0], orbit[1:]
             own = float(np.linalg.norm(others - base, axis=1).min())
             if min(own, closest_distance(base[None], placed)) < FREE_ORBIT_SEP:
