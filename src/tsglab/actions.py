@@ -34,15 +34,13 @@ from .perm import (
     GROUP_ORDER,
     GroupAction,
     PermGroup,
-    Permutation,
     a4_inside_a5,
     class_fixed_counts,
     closure,
-    coset_action,
-    coset_transversal,
     direct_sum,
     from_cycles,
     is_faithful,
+    left_cosets,
     natural_action,
     pair_fixer_counts,
     restrict_action,
@@ -190,13 +188,14 @@ _NATURAL_PARTS = {"tetra_corners", "simplex_corners", "knotted_k4"}
 @dataclass(frozen=True)
 class BuiltPart:
     """One realized orbit block: vertex range plus the coset data that
-    pins its geometry (reps is None for natural and center parts)."""
+    pins its geometry: the row of each coset's representative (None for
+    natural and center parts)."""
 
     kind: str
     label: str
     start: int
     size: int
-    reps: Optional[tuple[Permutation, ...]]
+    reps: Optional[tuple[int, ...]]
 
 
 @dataclass
@@ -239,9 +238,10 @@ def build(p: OrbitPlan) -> VertexAction:
         if spec.kind == "free" or spec.kind in _PART_SUBGROUP:
             free = spec.kind == "free"
             h = frozenset([g.identity]) if free else _PART_SUBGROUP[spec.kind]()
-            piece, reps = coset_action(g, h), tuple(coset_transversal(g, h))
+            reps, coset_of = left_cosets(g, h)
+            piece = GroupAction(g, coset_of[g.cayley[:, reps]])  # as coset_action builds it
             for j in range(spec.count):
-                add(spec.kind, piece, reps, f"free{j}" if free else None)
+                add(spec.kind, piece, tuple(reps), f"free{j}" if free else None)
         elif spec.kind in _NATURAL_PARTS:
             add(spec.kind, natural_action(g))
         elif spec.kind == "center":

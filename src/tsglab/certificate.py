@@ -62,7 +62,7 @@ def certificate_dict(r: Realization, report) -> dict:
         for (u, v), arc in sorted(report.arcs.items()):
             arcs.append({
                 "pair": [u, v],
-                "fixer": list(arc.fixer.images),
+                "fixer": list(act.group.elements[arc.fixer].images),
                 "basis": [[float(x) for x in row] for row in arc.circle.basis],
                 "start": float(arc.start),
                 "sweep": float(arc.sweep),
@@ -116,20 +116,22 @@ def read_certificate(path: str) -> dict:
     return data
 
 
+# JSON gives int, float, bool, str, None, list or dict; exact type tests
+# keep true and false out of the integers
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int
 
 
 def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    return type(x) in (int, float)
 
 
 def _ints(x) -> bool:
-    return isinstance(x, list) and all(map(_is_int, x))
+    return isinstance(x, list) and set(map(type, x)) <= {int}
 
 
 def _numbers(n: int):
-    return lambda x: isinstance(x, list) and len(x) == n and all(map(_is_number, x))
+    return lambda x: isinstance(x, list) and len(x) == n and set(map(type, x)) <= {int, float}
 
 
 def _is_part_label(x) -> bool:
@@ -290,8 +292,9 @@ def verify_certificate(data: dict) -> list[CheckResult]:
             if pair in arcs:
                 raise AssertionError(f"two arc records for pair {rec['pair']}")
             circle = FixedCircle(np.array(rec["basis"], dtype=float))
-            arcs[pair] = Arc(pair, Permutation(tuple(rec["fixer"])), circle,
-                             rec["start"], rec["sweep"])
+            # a permutation outside the group gets row -1, which check_arcs rejects
+            fixer = real.group.index.get(Permutation(tuple(rec["fixer"])), -1)
+            arcs[pair] = Arc(pair, fixer, circle, rec["start"], rec["sweep"])
         report = full_report(real, arcs)
         if not report.overall:
             raise AssertionError(f"hypothesis checks failed: {report.details}")

@@ -33,10 +33,11 @@ import numpy as np
 
 from .actions import VertexAction
 from .geometry import CIRCLE_EQ_TOL, FixedCircle, Realization, circles_intersection
-from .perm import Permutation, fixed_count, is_faithful, pair_fixer_counts, pair_stabilizer
+from .perm import is_faithful, pair_fixer_counts, pair_stabilizer
 
 PAIR_TOL = 1e-8
 ANGLE_EPS = 1e-9
+INSIDE_MARGIN = 1e-7  # angular margin for a vertex inside an arc's interior
 
 
 class ArcAssignmentError(RuntimeError):
@@ -52,7 +53,7 @@ class Arc:
     """
 
     pair: tuple[int, int]
-    fixer: Permutation          # a non-trivial element whose circle carries the arc
+    fixer: int                  # row of a non-trivial element whose circle carries the arc
     circle: FixedCircle
     start: float
     sweep: float
@@ -116,8 +117,7 @@ def check_h1(r: Realization) -> bool:
     """All non-trivial fixers of each pinned pair share one fixed circle."""
     va = r.vertex_action
     for u, v in required_pairs(va):
-        circles = [r.circle_of(e) for e in pair_stabilizer(va.action, u, v)
-                   if not e.is_identity()]
+        circles = [r.circles[i] for i in pair_stabilizer(va.action, u, v)[1:]]
         if any(c.empty for c in circles):
             return False
         first = circles[0]
@@ -140,8 +140,8 @@ def assign_arcs(r: Realization) -> ArcAssignment:
     va = r.vertex_action
     arcs: ArcAssignment = {}
     for u, v in required_pairs(va):
-        fixer = next(e for e in pair_stabilizer(va.action, u, v) if not e.is_identity())
-        circle = r.circle_of(fixer)
+        fixer = pair_stabilizer(va.action, u, v)[1]
+        circle = r.circles[fixer]
         a_u, a_v = circle.angle_of(r.coords[u]), circle.angle_of(r.coords[v])
         ccw = (a_v - a_u) % (2 * math.pi)
         candidates = [Arc((u, v), fixer, circle, a_u, ccw),
@@ -155,9 +155,9 @@ def _vertices_inside(r: Realization, arc: Arc) -> list[int]:
     """Vertices other than the arc's own pair that lie in its interior.
     Which vertices sit on the circle is read from the fixer's own circle,
     so a slightly tilted stored basis cannot hide one."""
-    on_circle = np.flatnonzero(r.circle_of(arc.fixer).on_circle(r.coords, PAIR_TOL)).tolist()
+    on_circle = np.flatnonzero(r.circles[arc.fixer].on_circle(r.coords, PAIR_TOL)).tolist()
     return [w for w in on_circle if w not in arc.pair
-            and arc.interior_contains_angle(arc.circle.angle_of(r.coords[w]), margin=1e-7)]
+            and arc.interior_contains_angle(arc.circle.angle_of(r.coords[w]), INSIDE_MARGIN)]
 
 
 def _joins(arc: Arc, p: np.ndarray, q: np.ndarray) -> bool:
@@ -183,13 +183,13 @@ def check_arcs(r: Realization, arcs: ArcAssignment) -> None:
         raise ArcAssignmentError(f"pinned pair {missing[0]} has no arc")
     for (u, v), arc in arcs.items():
         fixer = arc.fixer
-        if fixer not in va.action.group.element_set or fixer.is_identity() \
-                or tuple(va.action.image(fixer)[[u, v]]) != (u, v):
+        if not 0 < fixer < va.action.group.order \
+                or tuple(va.action.images[fixer, [u, v]]) != (u, v):
             raise ArcAssignmentError(f"fixer of pair {(u, v)} is not a non-trivial "
                                      "group element fixing both vertices")
         basis = arc.circle.basis
         gram = float(np.abs(basis @ basis.T - np.eye(2)).max())
-        if not gram <= PAIR_TOL or not arc.circle.same_circle(r.circle_of(fixer)):
+        if not gram <= PAIR_TOL or not arc.circle.same_circle(r.circles[fixer]):
             raise ArcAssignmentError(f"arc of pair {(u, v)} is not on the fixed circle "
                                      "of its fixer")
         if not (math.isfinite(arc.start) and 0 < abs(arc.sweep) < 2 * math.pi) \
@@ -221,8 +221,7 @@ def _verify_disjoint_interiors(r: Realization, arcs: ArcAssignment):
                             f"arcs of {a.pair} and {b.pair} cross at a circle intersection")
 
 
-def _image_pair(va: VertexAction, f: Permutation, pair: tuple[int, int]) -> tuple[int, int]:
-    img = va.action.image(f)
+def _image_pair(img: np.ndarray, pair: tuple[int, int]) -> tuple[int, int]:
     x, y = int(img[pair[0]]), int(img[pair[1]])
     return (x, y) if x < y else (y, x)
 
@@ -240,11 +239,10 @@ def check_h3(r: Realization, arcs: ArcAssignment) -> bool:
     arcs have disjoint interiors (h2), so B = A.  Precondition: `arcs`
     pass check_arcs; full_report calls this only then.
     """
-    va = r.vertex_action
     mids = {pair: arc.midpoint for pair, arc in arcs.items()}
-    for f, mat in zip(va.action.group.elements, r.mats):
+    for img, mat in zip(r.vertex_action.action.images, r.mats):
         for pair, mid in mids.items():
-            target = mids.get(_image_pair(va, f, pair))
+            target = mids.get(_image_pair(img, pair))
             if target is None:
                 return False
             if not float(np.linalg.norm(mat @ mid - target)) <= PAIR_TOL:
@@ -252,12 +250,11 @@ def check_h3(r: Realization, arcs: ArcAssignment) -> bool:
     return True
 
 
-def _interchangers(va: VertexAction) -> list[Permutation]:
-    """Elements with a 2-cycle on the vertices (the identity has none)."""
-    imgs = va.action.images
-    moved = imgs != np.arange(va.m)
-    swaps = (moved & (np.take_along_axis(imgs, imgs, axis=1) == np.arange(va.m))).any(axis=1)
-    return [e for e, s in zip(va.action.group.elements, swaps) if s]
+def _interchangers(va: VertexAction) -> np.ndarray:
+    """Rows of the elements with a 2-cycle on the vertices (the identity has none)."""
+    imgs, ident = va.action.images, np.arange(va.m)
+    swaps = (imgs != ident) & (np.take_along_axis(imgs, imgs, axis=1) == ident)
+    return np.flatnonzero(swaps.any(axis=1))
 
 
 def check_h4(va: VertexAction) -> bool:
@@ -267,17 +264,14 @@ def check_h4(va: VertexAction) -> bool:
     to embed in a proper sub-arc of the element's circle, which a complete
     graph does exactly when it has at most 2 vertices.
     """
-    return all(fixed_count(va.action, e) <= 2 for e in _interchangers(va))
+    return bool((va.action.fixed()[_interchangers(va)].sum(axis=1) <= 2).all())
 
 
 def check_h5(r: Realization) -> bool:
     """Pair-swapping elements are rotations with unshared circles."""
-    va = r.vertex_action
-    owners = [e for e in va.action.group.elements
-              if not e.is_identity() and not r.circle_of(e).empty]
-    projectors = np.array([r.circle_of(e).projector for e in owners]).reshape(-1, 4, 4)
-    for g in _interchangers(va):
-        cg = r.circle_of(g)
+    projectors = np.array([c.projector for c in r.circles[1:] if not c.empty]).reshape(-1, 4, 4)
+    for g in _interchangers(r.vertex_action):
+        cg = r.circles[g]
         if cg.empty:
             return False
         # the same_circle test, against every non-empty circle at once; g

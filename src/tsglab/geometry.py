@@ -23,7 +23,7 @@ realizer leans on that dichotomy throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -34,10 +34,12 @@ from .perm import PermGroup, Permutation, standard_group
 from .profiles import FixedVertexProfile
 
 ORTHO_TOL = 1e-9
+DET_TOL = ORTHO_TOL * 10
 HOM_TOL = 1e-8
 INVARIANCE_TOL = 1e-9
 ON_CIRCLE_TOL = 1e-9
 CIRCLE_EQ_TOL = 1e-8
+SHARED_LINE_TOL = CIRCLE_EQ_TOL * 10  # singular values of a line two circles share
 MIN_VERTEX_SEP = 1e-6
 FREE_CIRCLE_CLEARANCE = 0.05
 FREE_ORBIT_SEP = 1e-3
@@ -118,14 +120,14 @@ class FixedCircle:
         return float(np.abs(self.projector - other.projector).max()) <= tol
 
 
-def circles_intersection(c1: FixedCircle, c2: FixedCircle, tol: float = CIRCLE_EQ_TOL) -> np.ndarray:
+def circles_intersection(c1: FixedCircle, c2: FixedCircle) -> np.ndarray:
     """Intersection points of two distinct fixed circles: 0 or 2 antipodes."""
     if c1.same_circle(c2):
         raise ValueError("circles coincide")
     # shared directions = eigenvectors of P1 @ P2 restricted to both planes
     stack = np.vstack([np.eye(4) - c1.projector, np.eye(4) - c2.projector])
     _, s, vt = np.linalg.svd(stack)
-    line = vt[s < tol * 10]
+    line = vt[s < SHARED_LINE_TOL]
     if line.shape[0] == 0:
         return np.empty((0, 4))
     if line.shape[0] > 1:
@@ -331,11 +333,11 @@ def representation(group: PermGroup, model: Model) -> np.ndarray:
     return mats
 
 
-def circles_of(group: PermGroup, mats: np.ndarray) -> dict[Permutation, FixedCircle]:
-    """Fixed circle of every non-identity element, keyed by element (edge
-    checks look circles up by the elements that fix a pair); mats is in
-    group row order, as representation returns it."""
-    return {e: fixed_set(m) for e, m in zip(group.elements, mats) if not e.is_identity()}
+def circles_of(group: PermGroup, mats: np.ndarray) -> tuple[Optional[FixedCircle], ...]:
+    """Fixed circle of every element of group, in the row order of mats as
+    representation returns them; None at row 0, the identity, which fixes
+    the whole sphere."""
+    return (None,) + tuple(fixed_set(m) for m in mats[1:])
 
 
 # ----------------------------------------------------------- orbit coords
@@ -368,8 +370,7 @@ def _natural_corner(model: Model, i: int) -> np.ndarray:
     return simplex_corner(i)
 
 
-def part_coords(model: Model, part: BuiltPart, group: PermGroup, mats: np.ndarray,
-                config: ModelConfig) -> np.ndarray:
+def part_coords(model: Model, part: BuiltPart, mats: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Coordinates for one built orbit block, aligned with its indexing."""
     if part.kind in ("tetra_corners", "knotted_k4", "simplex_corners"):
         n = 4 if part.kind != "simplex_corners" else 5
@@ -377,10 +378,10 @@ def part_coords(model: Model, part: BuiltPart, group: PermGroup, mats: np.ndarra
     if part.kind == "center":
         return POLE.reshape(1, 4).copy()
     base = _part_base_point(model, part.kind, config)
-    return mats[[group.index[r] for r in part.reps]] @ base
+    return mats[list(part.reps)] @ base
 
 
-def free_orbit_coords(mats: np.ndarray, circles: dict[Permutation, FixedCircle], n: int = 1,
+def free_orbit_coords(mats: np.ndarray, circles: tuple[Optional[FixedCircle], ...], n: int = 1,
                       config: ModelConfig | None = None,
                       avoid: Optional[np.ndarray] = None) -> list[np.ndarray]:
     """n regular orbits of the group with matrices mats, from base points
@@ -399,7 +400,7 @@ def free_orbit_coords(mats: np.ndarray, circles: dict[Permutation, FixedCircle],
     if n < 1:
         raise ValueError("need n >= 1 free orbits")
     config = config or ModelConfig()
-    circles = [c for c in circles.values() if not c.empty]
+    circles = [c for c in circles[1:] if not c.empty]
     rng = np.random.default_rng(config.seed)
     placed = np.empty((0, 4)) if avoid is None else np.asarray(avoid)
     closest = closest_distance(placed)
@@ -458,7 +459,6 @@ class Realization:
     config: ModelConfig
     mats: np.ndarray    # (|G|, 4, 4), acting (possibly restricted) group; row i is elements[i]
     coords: np.ndarray  # (m, 4)
-    circles: dict[Permutation, FixedCircle] = field(default_factory=dict)
 
     @property
     def group(self) -> PermGroup:
@@ -468,10 +468,12 @@ class Realization:
     def m(self) -> int:
         return self.vertex_action.m
 
-    def circle_of(self, e: Permutation) -> FixedCircle:
-        if not self.circles:
-            self.circles = circles_of(self.group, self.mats)
-        return self.circles[e]
+    @cached_property
+    def circles(self) -> tuple[Optional[FixedCircle], ...]:
+        """Fixed circle of each element in row order (None at row 0).
+        realize sets it; a realization rebuilt from a file computes it on
+        first use."""
+        return circles_of(self.group, self.mats)
 
 
 def require_at_most(value: float, bound: float, message: str) -> None:
@@ -490,7 +492,7 @@ def _check_matrices(r: Realization) -> None:
     ortho = float(np.abs(r.mats.transpose(0, 2, 1) @ r.mats - np.eye(4)).max())
     require_at_most(ortho, ORTHO_TOL, f"matrices not orthogonal to tolerance: {ortho}")
     det = float(np.abs(np.linalg.det(r.mats) - 1).max())
-    require_at_most(det, ORTHO_TOL * 10, f"matrices must have determinant +1, off by {det}")
+    require_at_most(det, DET_TOL, f"matrices must have determinant +1, off by {det}")
     hom = _max_hom_error(r.group, r.mats)
     require_at_most(hom, HOM_TOL, f"matrix homomorphism error {hom}")
 
@@ -572,7 +574,7 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     mats = representation(parent, p.model)
     circles = circles_of(parent, mats)
 
-    specials = [part_coords(p.model, b, parent, mats, config)
+    specials = [part_coords(p.model, b, mats, config)
                 for b in va.parts if b.kind != "free"]
     n_free = len(va.parts) - len(specials)
     avoid = np.vstack(specials) if specials else None
@@ -582,9 +584,10 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
 
     sub = restricted_group(p)
     if sub is not None:
-        mats = mats[[parent.index[e] for e in sub.elements]]
-        circles = {e: circles[e] for e in sub.elements if not e.is_identity()}
-    r = Realization(p, va, p.model, config, mats, coords, circles)
+        rows = [parent.index[e] for e in sub.elements]
+        mats, circles = mats[rows], tuple(circles[i] for i in rows)
+    r = Realization(p, va, p.model, config, mats, coords)
+    r.circles = circles
     validate_realization(r)
     return r
 
@@ -597,10 +600,10 @@ def geometric_profile(r: Realization) -> FixedVertexProfile:
     constant on every class (the profile check compares it with the
     combinatorial measured profile)."""
     counts = {}
-    for label, members in r.group.classes.items():
+    for label, rows in r.group.classes.items():
         if label.order == 1:
             continue
-        vals = {int(r.circle_of(e).on_circle(r.coords).sum()) for e in members}
+        vals = {int(r.circles[i].on_circle(r.coords).sum()) for i in rows}
         if len(vals) != 1:
             raise AssertionError(f"geometric counts differ within class {label}: {vals}")
         counts[label] = vals.pop()

@@ -168,11 +168,6 @@ def materialize(ms: OrbitMultiset) -> GroupAction:
     return direct_sum(actions)
 
 
-def measured_multiset_profile(ms: OrbitMultiset) -> FixedVertexProfile:
-    act = materialize(ms)
-    return FixedVertexProfile.from_counts(ms.group, class_fixed_counts(act))
-
-
 def oracle_residues(group: str, *, drop_rules: tuple[str, ...] = ()) -> CongruenceSet:
     """Residues r with feasible multisets at r, r + |G| and r + 2|G|.
 

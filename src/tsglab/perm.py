@@ -1,12 +1,16 @@
 """Exact permutation kernel for the polyhedral groups A4, S4 and A5.
 
 Groups are stored fully enumerated (at most 60 elements) with their
-Cayley table, elements are image tuples, and a vertex action is an integer
-array with one row of vertex images per group element (in the group's
-sorted element order).  Elements are
-classified by (order, parity): that partition is coarser than true
-conjugacy for A4 and A5, but it is exactly the granularity at which
-fixed-vertex counts are constant on the actions this package builds.
+Cayley table, and elements are image tuples sorted once.  Below PermGroup
+an element is its row in that order: the identity is always row 0, a
+vertex action is an integer array with one row of vertex images per
+element, and the matrices, fixed circles, arc fixers, pair stabilizers,
+classes and coset representatives of the other modules are rows too.
+Permutations appear only where a group is defined and where a certificate
+is read or written.  Elements are classified by (order, parity): that
+partition is coarser than true conjugacy for A4 and A5, but it is exactly
+the granularity at which fixed-vertex counts are constant on the actions
+this package builds.
 """
 
 from __future__ import annotations
@@ -49,12 +53,6 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (p * q)(i) = p(q(i)): apply q first.
         return Permutation(tuple(self.images[j] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
 
     def order(self) -> int:
         n = 1
@@ -142,10 +140,11 @@ class PermGroup:
     """One of A4, S4, A5 (or an isomorphic copy inside a larger symmetric
     group), fully enumerated, with the (order, parity) class partition.
 
-    `index` maps an element to its row in the sorted element order and
-    `cayley[i, j]` is the row of elements[i] * elements[j].  Building the
-    table fails unless the elements are closed under product, and a finite
-    set closed under product is a group.
+    `index` maps an element to its row in the sorted element order (the
+    identity sorts first, at row 0), `classes` maps each class label to its
+    rows, and `cayley[i, j]` is the row of elements[i] * elements[j].
+    Building the table fails unless the elements are closed under product,
+    and a finite set closed under product is a group.
     """
 
     def __init__(self, name: str, degree: int, elements, generators):
@@ -160,10 +159,10 @@ class PermGroup:
         self.order = len(elements)
         self.element_set = frozenset(elements)
         self.class_of = {e: class_label(e) for e in elements}
-        classes: dict[ClassLabel, list[Permutation]] = {}
-        for e in elements:
-            classes.setdefault(self.class_of[e], []).append(e)
-        self.classes = {lab: tuple(es) for lab, es in classes.items()}
+        classes: dict[ClassLabel, list[int]] = {}
+        for i, e in enumerate(elements):
+            classes.setdefault(self.class_of[e], []).append(i)
+        self.classes = {lab: tuple(rows) for lab, rows in classes.items()}
         self._check()
         self.index = {e: i for i, e in enumerate(elements)}
         self.cayley = _cayley_table(elements)
@@ -173,12 +172,12 @@ class PermGroup:
             raise ValueError(f"{self.name} must have {GROUP_ORDER[self.name]} elements, got {self.order}")
         if len(self.element_set) != self.order:
             raise ValueError("repeated group elements")
-        if self.identity not in self.element_set:
+        if self.elements[0] != self.identity:
             raise ValueError("missing identity")
         for g in self.generators:
             if g not in self.element_set:
                 raise ValueError("generator outside element set")
-        sizes = {lab: len(es) for lab, es in self.classes.items()}
+        sizes = {lab: len(rows) for lab, rows in self.classes.items()}
         if sizes != EXPECTED_CLASSES[self.name]:
             raise ValueError(f"{self.name} class sizes {sizes} do not match {EXPECTED_CLASSES[self.name]}")
 
@@ -264,13 +263,12 @@ def _subgroups_up_to_conjugacy(name: str) -> tuple[frozenset[Permutation], ...]:
     # class is represented by its lexicographically least member.
     g = standard_group(name)
     table = g.cayley.tolist()
-    e = g.index[g.identity]
-    inv = (g.cayley == e).argmax(axis=1)
+    inv = (g.cayley == 0).argmax(axis=1)  # the identity is row 0
     conj = g.cayley[g.cayley, inv[:, None]].tolist()  # conj[x][i]: row of x * i * x^-1
 
     def generated(gens) -> int:
         # breadth-first from the identity, multiplying by each generator row
-        mask, frontier = 1 << e, [e]
+        mask, frontier = 1, [0]
         while frontier:
             fresh = []
             for x in frontier:
@@ -316,7 +314,7 @@ class GroupAction:
         ident = np.arange(images.shape[1])
         if not (np.sort(images, axis=1) == ident).all():
             raise ValueError(f"every row of the action must be a bijection on 0..{len(ident) - 1}")
-        if not (images[group.index[group.identity]] == ident).all():
+        if not (images[0] == ident).all():
             raise ValueError("identity must act as the identity")
         self.group = group
         self.images = images
@@ -324,9 +322,6 @@ class GroupAction:
     @property
     def m(self) -> int:
         return self.images.shape[1]
-
-    def image(self, e: Permutation) -> np.ndarray:
-        return self.images[self.group.index[e]]
 
     def fixed(self) -> np.ndarray:
         """Boolean (|G|, m) mask: element i fixes vertex v."""
@@ -348,7 +343,7 @@ def check_homomorphism(a: GroupAction) -> None:
             raise InconsistentActionError(f"act({e1} * {e2}) != act({e1}) * act({e2})")
 
 
-def _left_cosets(g: PermGroup, h: frozenset[Permutation]) -> tuple[list[int], np.ndarray]:
+def left_cosets(g: PermGroup, h: frozenset[Permutation]) -> tuple[list[int], np.ndarray]:
     """Rows of the left-coset representatives of h in g (first row of each
     coset) and the coset number of every row of g.  h must be a non-empty
     subset of g closed under product, which makes it a subgroup."""
@@ -364,20 +359,10 @@ def _left_cosets(g: PermGroup, h: frozenset[Permutation]) -> tuple[list[int], np
     return reps, coset_of
 
 
-def coset_transversal(g: PermGroup, h: frozenset[Permutation]) -> list[Permutation]:
-    """Deterministic left-coset representatives of h in g (first element of
-    each coset in sorted group order)."""
-    return [g.elements[r] for r in _left_cosets(g, h)[0]]
-
-
 def coset_action(g: PermGroup, h: frozenset[Permutation]) -> GroupAction:
     """Left-multiplication action of g on the left cosets of h."""
-    reps, coset_of = _left_cosets(g, h)
+    reps, coset_of = left_cosets(g, h)
     return GroupAction(g, coset_of[g.cayley[:, reps]])
-
-
-def fixed_count(a: GroupAction, e: Permutation) -> int:
-    return int(np.count_nonzero(a.image(e) == np.arange(a.m)))
 
 
 def class_fixed_counts(a: GroupAction) -> dict[ClassLabel, int]:
@@ -388,10 +373,10 @@ def class_fixed_counts(a: GroupAction) -> dict[ClassLabel, int]:
     """
     counts = a.fixed().sum(axis=1)
     out = {}
-    for label, members in a.group.classes.items():
+    for label, rows in a.group.classes.items():
         if label.order == 1:
             continue
-        vals = {int(counts[a.group.index[e]]) for e in members}
+        vals = set(counts[list(rows)].tolist())
         if len(vals) != 1:
             raise InconsistentActionError(f"class {label} fixes {sorted(vals)} vertices")
         out[label] = vals.pop()
@@ -411,28 +396,6 @@ def burnside_orbit_count(a: GroupAction) -> int:
     return total // a.group.order
 
 
-def orbit_partition(a: GroupAction) -> list[list[int]]:
-    """Orbits by union-find; the independent cross-check for Burnside counting."""
-    parent = list(range(a.m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in a.group.generators if a.group.generators else a.group.elements:
-        img = a.image(e).tolist()
-        for v in range(a.m):
-            ra, rb = find(v), find(img[v])
-            if ra != rb:
-                parent[rb] = ra
-    orbits: dict[int, list[int]] = {}
-    for v in range(a.m):
-        orbits.setdefault(find(v), []).append(v)
-    return sorted(orbits.values())
-
-
 def kernel(a: GroupAction) -> frozenset[Permutation]:
     return frozenset(e for e, k in zip(a.group.elements, a.fixed().all(axis=1)) if k)
 
@@ -442,12 +405,13 @@ def is_faithful(a: GroupAction) -> bool:
     return len(kernel(a)) == 1
 
 
-def pair_stabilizer(a: GroupAction, u: int, v: int) -> tuple[Permutation, ...]:
-    """All elements fixing both u and v (pointwise)."""
+def pair_stabilizer(a: GroupAction, u: int, v: int) -> tuple[int, ...]:
+    """Rows of all elements fixing both u and v (pointwise), ascending, so
+    the identity comes first."""
     if u == v or not (0 <= u < a.m and 0 <= v < a.m):
         raise ValueError(f"need two distinct vertices below m={a.m}")
     fixes = (a.images[:, u] == u) & (a.images[:, v] == v)
-    return tuple(e for e, f in zip(a.group.elements, fixes) if f)
+    return tuple(np.flatnonzero(fixes).tolist())
 
 
 def pair_fixer_counts(a: GroupAction) -> tuple[np.ndarray, np.ndarray]:

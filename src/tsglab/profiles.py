@@ -316,10 +316,6 @@ def m_rules(group: str) -> tuple[Rule, ...]:
     return tuple(r for r in rule_set(group) if r.kind == "m")
 
 
-def passes_profile_rules(group: str, p: FixedVertexProfile, drop: tuple[str, ...] = ()) -> bool:
-    return all(r.holds_for_profile(p) for r in profile_rules(group, drop))
-
-
 @lru_cache(maxsize=None)
 def rule_abiding_profiles(group: str, drop: tuple[str, ...] = ()) -> tuple[FixedVertexProfile, ...]:
     """Every profile in the box {0..MAX_FIX}^classes that passes the group's

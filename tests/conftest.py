@@ -5,6 +5,7 @@ import pytest
 
 from tsglab.actions import build, plan
 from tsglab.geometry import realize
+from tsglab.profiles import profile_rules
 
 REFERENCES = ([("S4", m) for m in (24, 4, 8, 12, 20, 28)]
               + [("A5", m) for m in (60, 61, 5, 20, 80)]
@@ -36,3 +37,32 @@ def close_free_orbits():
     moved = base + 1e-7 * nudge / np.linalg.norm(nudge)
     r.coords[second.start:second.start + second.size] = r.mats @ (moved / np.linalg.norm(moved))
     return r
+
+
+def orbit_partition(a):
+    """Orbits by union-find over the generators' image rows; the independent
+    cross-check for Burnside counting."""
+    g = a.group
+    rows = [g.index[e] for e in g.generators] if g.generators else range(g.order)
+    parent = list(range(a.m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in rows:
+        img = a.images[i].tolist()
+        for v in range(a.m):
+            ra, rb = find(v), find(img[v])
+            if ra != rb:
+                parent[rb] = ra
+    orbits: dict[int, list[int]] = {}
+    for v in range(a.m):
+        orbits.setdefault(find(v), []).append(v)
+    return sorted(orbits.values())
+
+
+def passes_profile_rules(group, p, drop=()):
+    return all(r.holds_for_profile(p) for r in profile_rules(group, drop))

@@ -111,9 +111,9 @@ def test_criterion_4_geometric_fidelity(realized):
     for (g, m), (va, r) in realized.items():
         group = r.group
         assert _max_hom_error(group, r.mats) <= 1e-8, (g, m)
-        for e, mat in zip(group.elements, r.mats):
+        for img, mat in zip(va.action.images, r.mats):
             moved = r.coords @ mat.T
-            target = r.coords[va.action.image(e)]
+            target = r.coords[img]
             assert float(np.abs(moved - target).max()) <= 1e-9, (g, m)
         assert geometric_profile(r).key() == measured_profile(va).key(), (g, m)
         # rotation/glide dichotomy, with EMPTY exactly where the model demands
@@ -137,9 +137,9 @@ def test_criterion_5_edge_certificates(realized):
     va, r = realized[("S4", 12)]
     s4 = standard_group("S4")
     bad_coords = r.coords.copy()
-    other = next(e for e in s4.elements if e.order() == 2 and not e.is_even()
-                 and not r.circle_of(e).contains(bad_coords[0], 1e-6))
-    bad_coords[0] = r.circle_of(other).point_at(0.37)
+    other = next(i for i, e in enumerate(s4.elements) if e.order() == 2 and not e.is_even()
+                 and not r.circles[i].contains(bad_coords[0], 1e-6))
+    bad_coords[0] = r.circles[other].point_at(0.37)
     corrupted = Realization(r.plan, va, r.model, r.config, r.mats, bad_coords)
     assert not full_report(corrupted).overall
 

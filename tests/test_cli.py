@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import random
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tsglab import cli, edges
+from tsglab import cli, edges, geometry
 from tsglab.certificate import read_certificate, verify_certificate, write_certificate
 from tsglab.cli import main
 from tsglab.edges import full_report
@@ -246,7 +247,9 @@ def _drop_report_h2(data):
     _set(("vertices", 0, "coords", 1), "x"),
     _set(("vertices", 0, "part"), 3),
     _set(("elements", 1, "perm", 0), True),
+    _set(("elements", 1, "perm", 0), 1.5),
     _set(("elements", 1, "vertex_images", 0), 1.0),
+    _set(("elements", 1, "vertex_images", 0), True),
     _set(("elements", 1, "matrix", 3), None),
     _set(("arcs", 0, "start"), "x"),
     _set(("arcs", 0, "sweep"), [1.0]),
@@ -649,3 +652,35 @@ def test_verify_accepts_moved_and_relabelled_certificates(capsys, tmp_path,
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--in", str(path))
     assert code == 0 and "certificate valid" in out, (case, edit.__name__, err)
+
+
+def test_verify_reports_a_fixed_set_failure_at_profile(monkeypatch, metamorphic_certificates):
+    """A rebuilt realization computes its circles on first use, in the
+    profile check, so an ambiguous fixed set fails there."""
+    def ambiguous(matrix):
+        raise PrecisionError("ambiguous")
+
+    monkeypatch.setattr(geometry, "fixed_set", ambiguous)
+    results = verify_certificate(copy.deepcopy(metamorphic_certificates[("S4", 28)]))
+    assert [(c.name, c.message) for c in results if not c.ok] == [("profile", "ambiguous")]
+
+
+def _move_vertex(data):
+    data["vertices"][0]["coords"][0] += 1e-3
+
+
+@pytest.mark.parametrize("corrupt", [None, _move_vertex], ids=["valid", "moved-vertex"])
+@pytest.mark.parametrize("case", _METAMORPHIC_CASES, ids=lambda c: f"{c[0]}_{c[1]}")
+def test_verify_ignores_the_order_of_element_records(metamorphic_certificates, case, corrupt):
+    """The verifier sorts the stored elements into rows itself and reads each
+    arc fixer's row from its permutation, so shuffled element records give
+    the same checks with the same messages."""
+    data = copy.deepcopy(metamorphic_certificates[case])
+    if corrupt:
+        corrupt(data)
+    shuffled = copy.deepcopy(data)
+    random.Random(7).shuffle(shuffled["elements"])
+    assert [e["perm"] for e in shuffled["elements"]] != [e["perm"] for e in data["elements"]]
+    expect = [(c.name, c.ok, c.message) for c in verify_certificate(data)]
+    assert [(c.name, c.ok, c.message) for c in verify_certificate(shuffled)] == expect
+    assert all(ok for _, ok, _ in expect) == (corrupt is None)

@@ -99,8 +99,7 @@ def test_arc_interiors_vertex_free(realized):
 def test_arc_assignment_is_equivariant_as_pair_map(realized):
     va, r = realized[("A5", 20)]
     arcs = assign_arcs(r)
-    for f in va.action.group.elements:
-        img = va.action.image(f)
+    for img in va.action.images:
         for (u, v) in arcs:
             x, y = sorted((img[u], img[v]))
             assert (x, y) in arcs
@@ -126,11 +125,10 @@ def test_h3_arc_fixed_by_edge_reversing_involution(realized):
     arcs = assign_arcs(r)
     (u, v), arc = next(iter(arcs.items()))
     # some involution swaps u and v; it must map the arc onto itself
-    swappers = [e for e in S4.elements
-                if va.action.image(e)[u] == v and va.action.image(e)[v] == u]
+    swappers = [f for f, img in enumerate(va.action.images) if img[u] == v and img[v] == u]
     assert swappers
     for f in swappers:
-        assert np.linalg.norm(r.mats[S4.index[f]] @ arc.midpoint - arc.midpoint) < 1e-8
+        assert np.linalg.norm(r.mats[f] @ arc.midpoint - arc.midpoint) < 1e-8
 
 
 def test_h4_on_natural_a5(realized):
@@ -150,9 +148,9 @@ def test_fixture_wrong_circle_vertex_fails(realized):
     va, r = realized[("S4", 12)]
     bad_coords = r.coords.copy()
     # drag one edge vertex onto a different transposition's circle
-    other = next(e for e in S4.elements if e.order() == 2 and not e.is_even()
-                 and not r.circle_of(e).contains(bad_coords[0], 1e-6))
-    bad_coords[0] = r.circle_of(other).point_at(0.37)
+    other = next(i for i, e in enumerate(S4.elements) if e.order() == 2 and not e.is_even()
+                 and not r.circles[i].contains(bad_coords[0], 1e-6))
+    bad_coords[0] = r.circles[other].point_at(0.37)
     bad = Realization(r.plan, va, r.model, r.config, r.mats, bad_coords)
     report = full_report(bad)
     assert not report.h2
@@ -287,17 +285,17 @@ def _two_clause_h3(r, arcs) -> bool:
     fixing an interior point of an arc (their circles cross there, or it
     carries the arc's own circle) must map the arc onto itself."""
     va = r.vertex_action
-    for f, mat in zip(va.action.group.elements, r.mats):
+    for f, (img, mat) in enumerate(zip(va.action.images, r.mats)):
         for pair, arc in arcs.items():
-            target = arcs.get(_image_pair(va, f, pair))
+            target = arcs.get(_image_pair(img, pair))
             if target is None:
                 return False
             moved_mid = mat @ arc.midpoint
             if not float(np.linalg.norm(moved_mid - target.midpoint)) <= PAIR_TOL:
                 return False
-            if f.is_identity():
+            if f == 0:  # the identity
                 continue
-            fc = r.circle_of(f)
+            fc = r.circles[f]
             if fc.empty:
                 continue
             if fc.same_circle(arc.circle):

@@ -138,7 +138,7 @@ def test_3cycle_circle_contains_complementary_simplex_vertices(reps):
 def test_circle_pairs_intersect_in_0_or_2_points():
     for model in (Model.TETRA_FULL, Model.SIMPLEX4):
         g = GROUP_OF[model]
-        circles = [c for c in circles_of(g, representation(g, model)).values() if not c.empty]
+        circles = [c for c in circles_of(g, representation(g, model))[1:] if not c.empty]
         distinct = []
         for c in circles:
             if all(not c.same_circle(d) for d in distinct):
@@ -222,9 +222,9 @@ def test_free_orbit_sizes():
 
 
 def test_free_orbits_clear_of_circles():
-    mats, by_element = _matrices_and_circles(A4, Model.TETRA_ROT)
-    circles = [c for c in by_element.values() if not c.empty]
-    orbits = free_orbit_coords(mats, by_element, 1, ModelConfig(seed=3))
+    mats, by_row = _matrices_and_circles(A4, Model.TETRA_ROT)
+    circles = [c for c in by_row[1:] if not c.empty]
+    orbits = free_orbit_coords(mats, by_row, 1, ModelConfig(seed=3))
     base = orbits[0][0]
     assert min(c.residual(base) for c in circles) >= 0.05
 
@@ -239,7 +239,7 @@ def _all_pairs_placement(mats, circles, n, config, avoid):
     """free_orbit_coords with the all-pairs distance tests: every point of
     a candidate orbit against every other point and every placed point.
     Returns the orbits and the number of candidates the distances refused."""
-    circles = [c for c in circles.values() if not c.empty]
+    circles = [c for c in circles[1:] if not c.empty]
     rng = np.random.default_rng(config.seed)
     placed = np.empty((0, 4)) if avoid is None else avoid
     orbits, refused = [], 0
@@ -310,7 +310,7 @@ def test_a5_61_only_center_touches_circles():
     p = plan("A5", 61)
     r = realize(p)
     center_idx = r.vertex_action.labels.index("center")
-    for e, c in circles_of(r.group, r.mats).items():
+    for c in circles_of(r.group, r.mats)[1:]:
         on = [v for v in range(r.m) if c.contains(r.coords[v])]
         assert on == [center_idx]
 
@@ -319,7 +319,7 @@ def test_s4_12_each_transposition_circle_holds_two_vertices():
     r = realize(plan("S4", 12))
     for e in S4.elements:
         if e.order() == 2 and not e.is_even():
-            c = r.circle_of(e)
+            c = r.circles[S4.index[e]]
             assert sum(1 for p in r.coords if c.contains(p)) == 2
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -19,14 +20,12 @@ from tsglab.perm import (
     check_homomorphism,
     closure,
     coset_action,
-    coset_transversal,
     direct_sum,
-    fixed_count,
     from_cycles,
     identity,
     is_faithful,
     kernel,
-    orbit_partition,
+    left_cosets,
     pair_stabilizer,
     restrict_action,
     standard_group,
@@ -34,12 +33,26 @@ from tsglab.perm import (
     subgroups_up_to_conjugacy,
 )
 
+from .conftest import orbit_partition
+
 GROUPS = ("A4", "S4", "A5")
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def natural_action(g):
     return GroupAction(g, [e.images for e in g.elements])
+
+
+def inverse(p):
+    inv = [0] * p.degree
+    for i, j in enumerate(p.images):
+        inv[j] = i
+    return Permutation(tuple(inv))
+
+
+def fixed_count(a, e):
+    """Vertices fixed by element e, read from its row."""
+    return int(a.fixed()[a.group.index[e]].sum())
 
 
 # ---------------------------------------------------------------- groups
@@ -74,7 +87,7 @@ def test_a5_has_24_order5_elements():
 def test_group_closed_under_product_and_inverse(name):
     g = standard_group(name)
     for a in g.elements:
-        assert a.inverse() in g.element_set
+        assert inverse(a) in g.element_set
     for a in g.generators:
         for b in g.elements:
             assert a * b in g.element_set
@@ -89,6 +102,26 @@ def test_a4_inside_a5_is_point_stabilizer():
     h = a4_inside_a5()
     assert h.name == "A4" and h.degree == 5 and len(h) == 12
     assert all(e.images[4] == 4 for e in h.elements)
+
+
+def _shuffled_a5():
+    perms = list(standard_group("A5").elements)
+    random.Random(5).shuffle(perms)
+    return PermGroup("A5", 5, perms, [])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: standard_group("A4"), lambda: standard_group("S4"), lambda: standard_group("A5"),
+    a4_inside_a5, _shuffled_a5,
+], ids=["A4", "S4", "A5", "a4_inside_a5", "shuffled-A5"])
+def test_rows_put_identity_first_and_classes_agree_with_class_of(make):
+    g = make()
+    assert g.elements[0] == g.identity and g.index[g.identity] == 0
+    assert list(g.elements) == sorted(g.elements)
+    assert sorted(i for rows in g.classes.values() for i in rows) == list(range(g.order))
+    for label, rows in g.classes.items():
+        assert list(rows) == sorted(rows)
+        assert all(g.class_of[g.elements[i]] == label for i in rows)
 
 
 # ------------------------------------------------------------- subgroups
@@ -136,7 +169,7 @@ def test_subgroup_reps_match_golden(name):
 def test_subgroup_class_and_total_counts(name, classes, subgroups):
     g = standard_group(name)
     reps = subgroups_up_to_conjugacy(name)
-    class_sizes = [len({frozenset(x * p * x.inverse() for p in h) for x in g.elements})
+    class_sizes = [len({frozenset(x * p * inverse(x) for p in h) for x in g.elements})
                    for h in reps]
     assert len(reps) == classes and sum(class_sizes) == subgroups
 
@@ -173,8 +206,9 @@ def test_coset_action_rejects_non_subgroup():
     ("S4", frozenset()),
 ], ids=["not-closed", "outside-g", "other-degree", "empty"])
 def test_coset_transversal_rejects_non_subgroup(name, h):
+    # coset_action finds the transversal first, and that is where h is judged
     with pytest.raises(NotASubgroupError):
-        coset_transversal(standard_group(name), h)
+        coset_action(standard_group(name), h)
 
 
 def test_group_rejects_set_not_closed_under_product():
@@ -189,7 +223,7 @@ def test_group_rejects_set_not_closed_under_product():
 def test_transversal_covers_group():
     s4 = standard_group("S4")
     h = closure((from_cycles(4, (0, 1)),), 4)
-    reps = coset_transversal(s4, h)
+    reps = [s4.elements[r] for r in left_cosets(s4, h)[0]]
     assert len(reps) == 12
     assert len({r * hh for r in reps for hh in h}) == 24
 
@@ -301,23 +335,23 @@ def test_natural_a4_is_faithful():
 def test_regular_pair_stabilizer_trivial():
     a4 = standard_group("A4")
     reg = coset_action(a4, frozenset([a4.identity]))
-    assert pair_stabilizer(reg, 0, 5) == (a4.identity,)
+    assert pair_stabilizer(reg, 0, 5) == (0,)  # the identity's row
 
 
 def test_degree8_axis_pair_has_order3_stabilizer():
     s4 = standard_group("S4")
     tc = from_cycles(4, (0, 1, 2))
     a = coset_action(s4, closure((tc,), 4))
-    u, v = [w for w in range(a.m) if a.image(tc)[w] == w]
+    u, v = [w for w in range(a.m) if a.images[s4.index[tc]][w] == w]
     stab = pair_stabilizer(a, u, v)
     assert len(stab) == 3
-    assert frozenset(stab) == closure((tc,), 4)
+    assert frozenset(s4.elements[i] for i in stab) == closure((tc,), 4)
 
 
 def test_natural_a5_pair_34_stabilized_by_3cycle():
     a5 = standard_group("A5")
     stab = pair_stabilizer(natural_action(a5), 3, 4)
-    assert frozenset(stab) == closure((from_cycles(5, (0, 1, 2)),), 5)
+    assert frozenset(a5.elements[i] for i in stab) == closure((from_cycles(5, (0, 1, 2)),), 5)
 
 
 def test_pair_stabilizer_rejects_equal_vertices():
@@ -337,7 +371,8 @@ def test_action_is_homomorphism(name, data):
     a = coset_action(g, h)
     e1 = data.draw(st.sampled_from(g.elements))
     e2 = data.draw(st.sampled_from(g.elements))
-    assert (a.image(e1 * e2) == a.image(e1)[a.image(e2)]).all()
+    row = g.index
+    assert (a.images[row[e1 * e2]] == a.images[row[e1]][a.images[row[e2]]]).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -361,7 +396,7 @@ def test_coset_action_faithful_iff_trivial_core(name, data):
     # the kernel is exactly the intersection of the conjugates of h
     inter = frozenset(g.elements)
     for x in g.elements:
-        xinv = x.inverse()
+        xinv = inverse(x)
         inter &= frozenset(x * hh * xinv for hh in h)
     assert core == inter
 
