@@ -6,12 +6,11 @@ those are the rules the classification depends on."""
 import sys
 
 from tsglab.oracle import admissible_types, class_caps, oracle_residues, transitive_types
-from tsglab.profiles import FixedVertexProfile, admissible_residues, profile_rules
+from tsglab.profiles import admissible_residues, profile_rules
 
 
 def caps_text(group: str, drop: tuple[str, ...] = ()) -> str:
-    caps = FixedVertexProfile.from_counts(group, dict(class_caps(group, drop)))
-    return " ".join(f"{name}<={n}" for name, n in caps.named_counts().items())
+    return " ".join(f"{name}<={n}" for name, n in class_caps(group, drop))
 
 
 def main() -> int:

@@ -36,9 +36,9 @@ from .perm import (
     PermGroup,
     a4_inside_a5,
     class_fixed_counts,
-    closure,
     direct_sum,
     from_cycles,
+    generated,
     is_faithful,
     left_cosets,
     natural_action,
@@ -175,11 +175,11 @@ def plan(group: str, m: int) -> OrbitPlan:
     return OrbitPlan(group, m, tuple(parts + [PartSpec(e) for e in extras]), model)
 
 
-# subgroups whose cosets realize each special part
-_PART_SUBGROUP = {
-    "twin_tetra": lambda: closure((from_cycles(4, (0, 1, 2)),), 4),
-    "tetra_edge": lambda: closure((from_cycles(4, (0, 1)),), 4),
-    "simplex_edge": lambda: closure((from_cycles(5, (0, 1, 2)),), 5),
+# generator of the subgroup whose cosets realize each special part
+_PART_GENERATOR = {
+    "twin_tetra": from_cycles(4, (0, 1, 2)),
+    "tetra_edge": from_cycles(4, (0, 1)),
+    "simplex_edge": from_cycles(5, (0, 1, 2)),
 }
 
 _NATURAL_PARTS = {"tetra_corners", "simplex_corners", "knotted_k4"}
@@ -235,9 +235,9 @@ def build(p: OrbitPlan) -> VertexAction:
         pieces.append(piece)
 
     for spec in p.parts:
-        if spec.kind == "free" or spec.kind in _PART_SUBGROUP:
+        if spec.kind == "free" or spec.kind in _PART_GENERATOR:
             free = spec.kind == "free"
-            h = frozenset([g.identity]) if free else _PART_SUBGROUP[spec.kind]()
+            h = (0,) if free else generated(g, g.rows([_PART_GENERATOR[spec.kind]]))
             reps, coset_of = left_cosets(g, h)
             piece = GroupAction(g, coset_of[g.cayley[:, reps]])  # as coset_action builds it
             for j in range(spec.count):

@@ -27,7 +27,6 @@ from .perm import (
     GROUP_ORDER,
     GroupAction,
     PermGroup,
-    Permutation,
     burnside_orbit_count,
     check_homomorphism,
     is_faithful,
@@ -49,7 +48,7 @@ def certificate_dict(r: Realization, report) -> dict:
     elements = []
     for e, mat, img in zip(act.group.elements, r.mats, act.images):
         elements.append({
-            "perm": list(e.images),
+            "perm": e.tolist(),
             "matrix": [float(x) for x in mat.ravel()],  # row-major
             "vertex_images": img.tolist(),
         })
@@ -62,7 +61,7 @@ def certificate_dict(r: Realization, report) -> dict:
         for (u, v), arc in sorted(report.arcs.items()):
             arcs.append({
                 "pair": [u, v],
-                "fixer": list(act.group.elements[arc.fixer].images),
+                "fixer": act.group.elements[arc.fixer].tolist(),
                 "basis": [[float(x) for x in row] for row in arc.circle.basis],
                 "start": float(arc.start),
                 "sweep": float(arc.sweep),
@@ -110,7 +109,8 @@ def read_certificate(path: str) -> dict:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
+            # RecursionError: arrays or objects nested too deep to parse
             raise SchemaError(f"not valid JSON: {err}") from err
     _check_schema(data)
     return data
@@ -213,12 +213,12 @@ class CheckResult:
 
 
 def _rebuild(data: dict) -> tuple[VertexAction, Realization]:
-    perms = [Permutation(tuple(e["perm"])) for e in data["elements"]]
-    # the group's Cayley table exists only if the stored elements are closed under product
-    group = PermGroup(data["group"], perms[0].degree, perms, [])
-    record = dict(zip(perms, data["elements"]))
-    ga = GroupAction(group, np.array([record[e]["vertex_images"] for e in group.elements]))
-    mats = np.array([record[e]["matrix"] for e in group.elements], dtype=float).reshape(-1, 4, 4)
+    # in row order; the group's Cayley table exists only if the stored
+    # elements are closed under product
+    records = sorted(data["elements"], key=lambda e: e["perm"])
+    group = PermGroup(data["group"], [e["perm"] for e in records])
+    ga = GroupAction(group, np.array([e["vertex_images"] for e in records]))
+    mats = np.array([e["matrix"] for e in records], dtype=float).reshape(-1, 4, 4)
     vertices = sorted(data["vertices"], key=lambda v: v["id"])
     va = VertexAction(ga, tuple(v["part"] for v in vertices), ())
     coords = np.array([v["coords"] for v in vertices])
@@ -292,8 +292,8 @@ def verify_certificate(data: dict) -> list[CheckResult]:
             if pair in arcs:
                 raise AssertionError(f"two arc records for pair {rec['pair']}")
             circle = FixedCircle(np.array(rec["basis"], dtype=float))
-            # a permutation outside the group gets row -1, which check_arcs rejects
-            fixer = real.group.index.get(Permutation(tuple(rec["fixer"])), -1)
+            # a list that is no element gets row -1, which check_arcs rejects
+            fixer = int(real.group.rows([rec["fixer"]])[0])
             arcs[pair] = Arc(pair, fixer, circle, rec["start"], rec["sweep"])
         report = full_report(real, arcs)
         if not report.overall:

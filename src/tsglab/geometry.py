@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .actions import BuiltPart, Model, OrbitPlan, VertexAction, measured_profile, restricted_group
-from .perm import PermGroup, Permutation, standard_group
+from .perm import PermGroup, standard_group
 from .profiles import FixedVertexProfile
 
 ORTHO_TOL = 1e-9
@@ -182,15 +182,13 @@ _B4 = _sumzero_basis(4)  # 3 x 4
 _B5 = _sumzero_basis(5)  # 4 x 5
 
 
-def _perm_matrix(p: Permutation) -> np.ndarray:
-    n = p.degree
-    mat = np.zeros((n, n))
-    for i in range(n):
-        mat[p.images[i], i] = 1.0
+def _perm_matrix(p: np.ndarray) -> np.ndarray:
+    mat = np.zeros((len(p), len(p)))
+    mat[p, np.arange(len(p))] = 1.0
     return mat
 
 
-def _tetra_std(p: Permutation) -> np.ndarray:
+def _tetra_std(p: np.ndarray) -> np.ndarray:
     return _B4 @ _perm_matrix(p) @ _B4.T
 
 
@@ -283,15 +281,13 @@ def _icosahedral_table() -> dict[tuple[int, ...], np.ndarray]:
     for rot in mats:
         images = tuple(triple_of[nearest_axis(rot @ axis_vecs[triple[0]])]
                        for triple in triples)
-        p = Permutation(images)
-        assert p.is_even()
-        table[p.images] = rot
+        table[images] = rot
     assert len(table) == 60
     # spot-check the labeling is a homomorphism
     for a in list(table)[:6]:
         for b in list(table)[:6]:
-            prod = Permutation(a) * Permutation(b)
-            err = np.abs(table[prod.images] - table[a] @ table[b]).max()
+            prod = tuple(a[j] for j in b)
+            err = np.abs(table[prod] - table[a] @ table[b]).max()
             assert err < 1e-9, "triple labeling is not multiplicative"
     return table
 
@@ -317,24 +313,23 @@ def representation(group: PermGroup, model: Model) -> np.ndarray:
     if group.degree != _MODEL_DEGREE[model]:
         raise ValueError(f"{model.value} needs degree-{_MODEL_DEGREE[model]} permutations, "
                          f"got degree {group.degree}")
-    if model in (Model.TETRA_ROT, Model.DODECA_ROT, Model.SIMPLEX4):
-        if any(not e.is_even() for e in group.elements):
-            raise ValueError(f"{model.value} represents even permutations only")
+    if model is not Model.TETRA_FULL and not group.even.all():
+        raise ValueError(f"{model.value} represents even permutations only")
     mats = np.empty((group.order, 4, 4))
-    for i, e in enumerate(group.elements):
+    for i, (e, even) in enumerate(zip(group.elements, group.even)):
         if model is Model.TETRA_ROT:
             mats[i] = _block(_tetra_std(e), 1.0)
         elif model is Model.TETRA_FULL:
-            mats[i] = _block(_tetra_std(e), 1.0 if e.is_even() else -1.0)
+            mats[i] = _block(_tetra_std(e), 1.0 if even else -1.0)
         elif model is Model.DODECA_ROT:
-            mats[i] = _block(_icosahedral_table()[e.images], 1.0)
+            mats[i] = _block(_icosahedral_table()[tuple(e.tolist())], 1.0)
         else:
             mats[i] = _B5 @ _perm_matrix(e) @ _B5.T
     return mats
 
 
-def circles_of(group: PermGroup, mats: np.ndarray) -> tuple[Optional[FixedCircle], ...]:
-    """Fixed circle of every element of group, in the row order of mats as
+def circles_of(mats: np.ndarray) -> tuple[Optional[FixedCircle], ...]:
+    """Fixed circle of every element, in the row order of mats as
     representation returns them; None at row 0, the identity, which fixes
     the whole sphere."""
     return (None,) + tuple(fixed_set(m) for m in mats[1:])
@@ -473,7 +468,7 @@ class Realization:
         """Fixed circle of each element in row order (None at row 0).
         realize sets it; a realization rebuilt from a file computes it on
         first use."""
-        return circles_of(self.group, self.mats)
+        return circles_of(self.mats)
 
 
 def require_at_most(value: float, bound: float, message: str) -> None:
@@ -505,7 +500,7 @@ def _check_invariance(r: Realization) -> None:
             moved = r.coords @ mat.T
             err = float(np.abs(moved - r.coords[img]).max())
             require_at_most(err, INVARIANCE_TOL,
-                            f"element {e.images} moves vertices off their images by {err}")
+                            f"element {tuple(e.tolist())} moves vertices off their images by {err}")
 
 
 def _min_separation(r: Realization) -> float:
@@ -572,7 +567,7 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     va = va or build(p)
     parent = standard_group(p.building_group)
     mats = representation(parent, p.model)
-    circles = circles_of(parent, mats)
+    circles = circles_of(mats)
 
     specials = [part_coords(p.model, b, mats, config)
                 for b in va.parts if b.kind != "free"]
@@ -584,7 +579,7 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
 
     sub = restricted_group(p)
     if sub is not None:
-        rows = [parent.index[e] for e in sub.elements]
+        rows = parent.rows(sub.elements)
         mats, circles = mats[rows], tuple(circles[i] for i in rows)
     r = Realization(p, va, p.model, config, mats, coords)
     r.circles = circles
@@ -600,11 +595,11 @@ def geometric_profile(r: Realization) -> FixedVertexProfile:
     constant on every class (the profile check compares it with the
     combinatorial measured profile)."""
     counts = {}
-    for label, rows in r.group.classes.items():
-        if label.order == 1:
+    for name, rows in r.group.classes.items():
+        if name == "n1":
             continue
         vals = {int(r.circles[i].on_circle(r.coords).sum()) for i in rows}
         if len(vals) != 1:
-            raise AssertionError(f"geometric counts differ within class {label}: {vals}")
-        counts[label] = vals.pop()
+            raise AssertionError(f"geometric counts differ within class {name}: {vals}")
+        counts[name] = vals.pop()
     return FixedVertexProfile.from_counts(r.group.name, counts)

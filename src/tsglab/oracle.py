@@ -18,12 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .perm import (
-    ClassLabel,
-    GroupAction,
     GROUP_ORDER,
     class_fixed_counts,
     coset_action,
-    direct_sum,
     kernel,
     standard_group,
     subgroups_up_to_conjugacy,
@@ -49,11 +46,11 @@ class TransitiveType:
     group: str
     subgroup_index: int
     degree: int
-    fix_vector: tuple[tuple[ClassLabel, int], ...]
-    core: frozenset  # kernel of the coset action
+    fix_vector: tuple[tuple[str, int], ...]  # fixed cosets by class name
+    core: tuple[int, ...]  # rows of the kernel of the coset action
 
-    def fix(self, label: ClassLabel) -> int:
-        return dict(self.fix_vector).get(label, 0)
+    def fix(self, name: str) -> int:
+        return dict(self.fix_vector).get(name, 0)
 
 
 @dataclass(frozen=True)
@@ -83,14 +80,14 @@ def transitive_types(group: str) -> tuple[TransitiveType, ...]:
 
 
 @lru_cache(maxsize=None)
-def class_caps(group: str, drop_rules: tuple[str, ...] = ()) -> tuple[tuple[ClassLabel, int], ...]:
+def class_caps(group: str, drop_rules: tuple[str, ...] = ()) -> tuple[tuple[str, int], ...]:
     """Cap on each non-identity class's fixed-vertex count under the rules
     left after dropping `drop_rules`: the largest count the class takes over
     the rule-abiding profiles of the box {0..MAX_FIX}^classes.  A profile
     outside the box fails the max-count test regardless."""
     profiles = rule_abiding_profiles(group, drop_rules)
-    return tuple((label, max(p.counts()[label] for p in profiles))
-                 for label in CLASS_WEIGHTS[group])
+    return tuple((name, max(p.named_counts()[name] for p in profiles))
+                 for name in CLASS_WEIGHTS[group])
 
 
 def admissible_types(group: str, drop_rules: tuple[str, ...] = ()) -> tuple[TransitiveType, ...]:
@@ -98,7 +95,7 @@ def admissible_types(group: str, drop_rules: tuple[str, ...] = ()) -> tuple[Tran
     caps = class_caps(group, drop_rules)
     return tuple(
         t for t in transitive_types(group)
-        if all(t.fix(label) <= cap for label, cap in caps)
+        if all(t.fix(name) <= cap for name, cap in caps)
     )
 
 
@@ -116,23 +113,21 @@ def feasible_multisets(group: str, m: int, *, use_m_rules: bool = False,
     if use_m_rules and not all(r.holds_for_m(m) for r in m_rules(group)):
         return []
     caps = class_caps(group, drop_rules)
-    labels = [label for label, _ in caps]
+    names = [name for name, _ in caps]
     types = admissible_types(group, drop_rules)
-    fixes = [[t.fix(label) for label in labels] for t in types]
+    fixes = [[t.fix(name) for name in names] for t in types]
     rules = profile_rules(group, drop_rules)
-    elements = frozenset(standard_group(group).elements)
-    ident = frozenset([standard_group(group).identity])
     out: list[OrbitMultiset] = []
 
     def leaf(agg: list[int], chosen: list[tuple[TransitiveType, int]]):
         # no max-count test: the search keeps aggregates within caps <= MAX_FIX
-        profile = FixedVertexProfile.from_counts(group, dict(zip(labels, agg)))
+        profile = FixedVertexProfile.from_counts(group, dict(zip(names, agg)))
         if not all(r.holds_for_profile(profile) for r in rules):
             return
-        ker = elements
+        ker = set(range(GROUP_ORDER[group]))
         for t, _ in chosen:
-            ker &= t.core
-        faithful = ker == ident
+            ker.intersection_update(t.core)
+        faithful = ker == {0}  # only the identity row
         if faithful or m < 4:
             out.append(OrbitMultiset(group, tuple(chosen), m, profile, faithful))
 
@@ -151,21 +146,8 @@ def feasible_multisets(group: str, m: int, *, use_m_rules: bool = False,
                 chosen + [(t, c)])
         dfs(i + 1, remaining, agg, chosen)
 
-    dfs(0, m, [0] * len(labels), [])
+    dfs(0, m, [0] * len(names), [])
     return out
-
-
-def materialize(ms: OrbitMultiset) -> GroupAction:
-    """Assemble the multiset as an explicit direct-sum action."""
-    g = standard_group(ms.group)
-    subs = subgroups_up_to_conjugacy(ms.group)
-    actions = []
-    for t, c in ms.counts:
-        for _ in range(c):
-            actions.append(coset_action(g, subs[t.subgroup_index]))
-    if not actions:
-        raise ValueError("empty multiset has no action to materialize")
-    return direct_sum(actions)
 
 
 def oracle_residues(group: str, *, drop_rules: tuple[str, ...] = ()) -> CongruenceSet:

@@ -1,21 +1,25 @@
 """Exact permutation kernel for the polyhedral groups A4, S4 and A5.
 
-Groups are stored fully enumerated (at most 60 elements) with their
-Cayley table, and elements are image tuples sorted once.  Below PermGroup
-an element is its row in that order: the identity is always row 0, a
-vertex action is an integer array with one row of vertex images per
-element, and the matrices, fixed circles, arc fixers, pair stabilizers,
-classes and coset representatives of the other modules are rows too.
-Permutations appear only where a group is defined and where a certificate
-is read or written.  Elements are classified by (order, parity): that
-partition is coarser than true conjugacy for A4 and A5, but it is exactly
-the granularity at which fixed-vertex counts are constant on the actions
-this package builds.
+A group is one integer array of image rows, `PermGroup.elements`, shape
+(|G|, degree), sorted once: row i lists the images of the letters
+0..degree-1 under element i, and the identity always sorts first, at
+row 0.  Everywhere else an element is its row: a vertex action is an
+integer array with one row of vertex images per element, and the
+matrices, fixed circles, arc fixers, pair stabilizers, subgroups, kernels
+and coset representatives of the other modules are rows too.
+`PermGroup.rows` turns image lists back into rows; a permutation appears
+only where a group is defined and where a certificate is read or written.
+
+Elements are classified by (order, parity) and the classes carry the
+profile field names: n1 (the identity), n2 (involutions in the even
+subgroup), n2p (odd involutions, S4 only), n3, n4 and n5 (elements of
+that order).  That partition is coarser than true conjugacy for A4 and
+A5, but it is exactly the granularity at which fixed-vertex counts are
+constant on the actions this package builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _all_permutations
 
@@ -36,150 +40,93 @@ class InconsistentActionError(RuntimeError):
     fixed-vertex count that varies within an element class."""
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    """A permutation of {0..degree-1} stored as its image tuple."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a bijection on 0..{len(self.images) - 1}: {self.images}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # (p * q)(i) = p(q(i)): apply q first.
-        return Permutation(tuple(self.images[j] for j in other.images))
-
-    def order(self) -> int:
-        n = 1
-        p = self
-        ident = identity(self.degree)
-        while p != ident:
-            p = p * self
-            n += 1
-        return n
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    def is_even(self) -> bool:
-        seen = [False] * self.degree
-        parity = 0
-        for i in range(self.degree):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-                length += 1
-            parity ^= (length - 1) & 1
-        return parity == 0
-
-
-def identity(degree: int) -> Permutation:
-    return Permutation(tuple(range(degree)))
-
-
-def from_cycles(degree: int, *cycles: tuple[int, ...]) -> Permutation:
+def from_cycles(degree: int, *cycles: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of the product of disjoint cycles."""
     images = list(range(degree))
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             images[a] = b
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
-@dataclass(frozen=True, order=True)
-class ClassLabel:
-    """Element class: order plus membership in the even (index-2) subgroup.
-
-    For A4 and A5 every element is even, so classes are just orders; in S4
-    the flag splits the two involution types (double transpositions vs
-    plain transpositions).
-    """
-
-    order: int
-    in_even_subgroup: bool
-
-    def __post_init__(self):
-        if self.order not in (1, 2, 3, 4, 5):
-            raise ValueError(f"unsupported element order {self.order}")
-        if self.order % 2 == 1 and not self.in_even_subgroup:
-            raise ValueError("odd-order elements are always even permutations")
-
-
-def class_label(p: Permutation) -> ClassLabel:
-    return ClassLabel(p.order(), p.is_even())
-
-
-# class sizes {label: count}, fixed by the group structure
+# class sizes by class name, fixed by the group structure, in key() order
 EXPECTED_CLASSES = {
-    "A4": {ClassLabel(1, True): 1, ClassLabel(2, True): 3, ClassLabel(3, True): 8},
-    "S4": {
-        ClassLabel(1, True): 1,
-        ClassLabel(2, True): 3,
-        ClassLabel(2, False): 6,
-        ClassLabel(3, True): 8,
-        ClassLabel(4, False): 6,
-    },
-    "A5": {
-        ClassLabel(1, True): 1,
-        ClassLabel(2, True): 15,
-        ClassLabel(3, True): 20,
-        ClassLabel(5, True): 24,
-    },
+    "A4": {"n1": 1, "n2": 3, "n3": 8},
+    "S4": {"n1": 1, "n2": 3, "n2p": 6, "n3": 8, "n4": 6},
+    "A5": {"n1": 1, "n2": 15, "n3": 20, "n5": 24},
 }
+
+
+def _even(perms: np.ndarray) -> np.ndarray:
+    """True for each row with an even number of inversions."""
+    d = perms.shape[1]
+    inversions = (perms[:, :, None] > perms[:, None, :]) & np.triu(np.ones((d, d), bool), 1)
+    return inversions.sum(axis=(1, 2)) % 2 == 0
 
 
 class PermGroup:
     """One of A4, S4, A5 (or an isomorphic copy inside a larger symmetric
-    group), fully enumerated, with the (order, parity) class partition.
+    group), fully enumerated as the sorted image rows `elements`.
 
-    `index` maps an element to its row in the sorted element order (the
-    identity sorts first, at row 0), `classes` maps each class label to its
-    rows, and `cayley[i, j]` is the row of elements[i] * elements[j].
-    Building the table fails unless the elements are closed under product,
-    and a finite set closed under product is a group.
+    `cayley[i, j]` is the row of elements[i] * elements[j], the product
+    applying elements[j] first; building it fails unless the rows are
+    closed under product, and a finite set closed under product is a
+    group.  `even` and `orders` give each row's parity and order, and
+    `classes` maps each class name to its ascending rows.
     """
 
-    def __init__(self, name: str, degree: int, elements, generators):
+    def __init__(self, name: str, perms):
         if name not in GROUP_NAMES:
             raise ValueError(f"unknown group name {name!r}")
-        elements = tuple(sorted(elements))
-        self.name = name
-        self.degree = degree
-        self.elements = elements
-        self.generators = tuple(generators)
-        self.identity = identity(degree)
-        self.order = len(elements)
-        self.element_set = frozenset(elements)
-        self.class_of = {e: class_label(e) for e in elements}
-        classes: dict[ClassLabel, list[int]] = {}
-        for i, e in enumerate(elements):
-            classes.setdefault(self.class_of[e], []).append(i)
-        self.classes = {lab: tuple(rows) for lab, rows in classes.items()}
-        self._check()
-        self.index = {e: i for i, e in enumerate(elements)}
-        self.cayley = _cayley_table(elements)
-
-    def _check(self):
-        if self.order != GROUP_ORDER[self.name]:
-            raise ValueError(f"{self.name} must have {GROUP_ORDER[self.name]} elements, got {self.order}")
-        if len(self.element_set) != self.order:
+        try:
+            perms = np.asarray(perms)
+        except ValueError:  # numpy refuses lists of unequal length
+            perms = np.empty(0)
+        if perms.ndim != 2 or not np.issubdtype(perms.dtype, np.integer):
+            raise ValueError("group elements must be equal-length lists of integers")
+        n, d = perms.shape
+        if n != GROUP_ORDER[name]:
+            raise ValueError(f"{name} must have {GROUP_ORDER[name]} elements, got {n}")
+        if not (np.sort(perms, axis=1) == np.arange(d)).all():
+            raise ValueError(f"every group element must be a bijection on 0..{d - 1}")
+        perms = perms[np.lexsort(perms.T[::-1])]
+        if not np.diff(perms, axis=0).any(axis=1).all():
             raise ValueError("repeated group elements")
-        if self.elements[0] != self.identity:
+        if (perms[0] != np.arange(d)).any():
             raise ValueError("missing identity")
-        for g in self.generators:
-            if g not in self.element_set:
-                raise ValueError("generator outside element set")
-        sizes = {lab: len(rows) for lab, rows in self.classes.items()}
-        if sizes != EXPECTED_CLASSES[self.name]:
-            raise ValueError(f"{self.name} class sizes {sizes} do not match {EXPECTED_CLASSES[self.name]}")
+        perms.setflags(write=False)  # shared by every action and cached group
+        self.name, self.elements, self.order, self.degree = name, perms, n, d
+        # base-degree codes: sorted rows give sorted codes, found by binary search
+        self._weights = d ** np.arange(d - 1, -1, -1)
+        self._codes = perms @ self._weights
+        self.cayley = self.rows(perms[:, perms].reshape(-1, d)).reshape(n, n)
+        if (self.cayley < 0).any():
+            raise ValueError("group elements are not closed under product")
+        self.even = _even(perms)
+        self.orders = np.zeros(n, dtype=int)
+        power, k = np.arange(n), 1
+        while not self.orders.all():
+            self.orders[(power == 0) & (self.orders == 0)] = k
+            power, k = self.cayley[power, np.arange(n)], k + 1
+        names = ["n2p" if o == 2 and not e else f"n{o}"
+                 for o, e in zip(self.orders.tolist(), self.even.tolist())]
+        sizes = {c: names.count(c) for c in set(names)}
+        if sizes != EXPECTED_CLASSES[name]:
+            raise ValueError(f"{name} class sizes {sizes} do not match {EXPECTED_CLASSES[name]}")
+        self.classes = {c: tuple(i for i, x in enumerate(names) if x == c)
+                        for c in EXPECTED_CLASSES[name]}
+
+    def rows(self, perms) -> np.ndarray:
+        """Row of each image list in perms, or -1 for one that is no element.
+        A row counts only if it equals the query entry for entry: the
+        base-degree code of a list that is not a permutation can collide
+        with an element's."""
+        perms = np.asarray(perms)
+        if perms.ndim != 2 or perms.shape[1] != self.degree \
+                or not np.issubdtype(perms.dtype, np.integer):
+            return np.full(len(perms), -1)
+        found = np.minimum(np.searchsorted(self._codes, perms @ self._weights), self.order - 1)
+        return np.where((self.elements[found] == perms).all(axis=1), found, -1)
 
     def __len__(self) -> int:
         return self.order
@@ -188,64 +135,49 @@ class PermGroup:
         return f"PermGroup({self.name}, degree={self.degree})"
 
 
-def _cayley_table(elements: tuple[Permutation, ...]) -> np.ndarray:
-    # Encode each image tuple as a base-degree number; sorted tuples give
-    # sorted codes, so a product is located by binary search.
-    perms = np.array([e.images for e in elements])
-    weights = perms.shape[1] ** np.arange(perms.shape[1] - 1, -1, -1)
-    codes = perms @ weights
-    products = perms[:, perms] @ weights  # [i, j]: code of elements[i] * elements[j]
-    table = np.minimum(np.searchsorted(codes, products), len(codes) - 1)
-    if not (codes[table] == products).all():
-        raise ValueError("group elements are not closed under product")
-    return table
-
-
-def closure(generators, degree: int) -> frozenset[Permutation]:
-    """Multiplicative closure of a generator set (small groups only)."""
-    if not generators:
-        return frozenset([identity(degree)])
-    els = {identity(degree)} | set(generators)
-    frontier = list(els)
-    while frontier:
-        fresh = []
-        for a in generators:
-            for b in frontier:
-                c = a * b
-                if c not in els:
-                    els.add(c)
-                    fresh.append(c)
-        frontier = fresh
-    return frozenset(els)
-
-
 @lru_cache(maxsize=None)
 def standard_group(name: str) -> PermGroup:
-    """Canonical copies: A4/S4 on 4 letters, A5 on 5 letters."""
-    if name == "S4":
-        elements = [Permutation(p) for p in _all_permutations(range(4))]
-        gens = [from_cycles(4, (0, 1)), from_cycles(4, (0, 1, 2, 3))]
-    elif name == "A4":
-        elements = [Permutation(p) for p in _all_permutations(range(4)) if Permutation(p).is_even()]
-        gens = [from_cycles(4, (0, 1), (2, 3)), from_cycles(4, (0, 1, 2))]
-    elif name == "A5":
-        elements = [Permutation(p) for p in _all_permutations(range(5)) if Permutation(p).is_even()]
-        gens = [from_cycles(5, (0, 1), (2, 3)), from_cycles(5, (0, 1, 2, 3, 4))]
-    else:
-        raise ValueError(f"unknown group name {name!r}")
-    return PermGroup(name, elements[0].degree, elements, gens)
+    """Canonical copies: S4 on 4 letters, A4 its even rows, A5 the even
+    permutations of 5 letters."""
+    perms = np.array(list(_all_permutations(range(5 if name == "A5" else 4))))
+    return PermGroup(name, perms if name == "S4" else perms[_even(perms)])
 
 
 @lru_cache(maxsize=None)
 def a4_inside_a5() -> PermGroup:
-    """The fixed representative A4 <= A5: even permutations fixing letter 4,
-    generated by a double transposition and a 3-cycle."""
-    gens = (from_cycles(5, (0, 1), (2, 3)), from_cycles(5, (0, 1, 2)))
-    return PermGroup("A4", 5, closure(gens, 5), gens)
+    """The fixed representative A4 <= A5: the rows of A5 fixing letter 4."""
+    a5 = standard_group("A5").elements
+    return PermGroup("A4", a5[a5[:, 4] == 4])
 
 
-def subgroups_up_to_conjugacy(group) -> tuple[frozenset[Permutation], ...]:
-    """One representative per conjugacy class of subgroups.
+def _closure(table: list[list[int]], gens) -> int:
+    """Bitmask of the rows generated by the rows gens: breadth-first from
+    the identity, multiplying by each generator row of the Cayley table."""
+    mask, frontier = 1, [0]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for s in gens:
+                y = table[s][x]
+                if not mask >> y & 1:
+                    mask |= 1 << y
+                    fresh.append(y)
+        frontier = fresh
+    return mask
+
+
+def _mask_rows(mask: int, order: int) -> tuple[int, ...]:
+    return tuple(i for i in range(order) if mask >> i & 1)
+
+
+def generated(g: PermGroup, gens) -> tuple[int, ...]:
+    """Ascending rows of the subgroup of g generated by the rows gens."""
+    return _mask_rows(_closure(g.cayley.tolist(), gens), g.order)
+
+
+def subgroups_up_to_conjugacy(group) -> tuple[tuple[int, ...], ...]:
+    """One representative per conjugacy class of subgroups, each as its
+    ascending rows.
 
     Exhaustive closure over all 1- and 2-generated subsets on the Cayley
     table; every subgroup of A4, S4 and A5 is generated by at most two
@@ -256,54 +188,40 @@ def subgroups_up_to_conjugacy(group) -> tuple[frozenset[Permutation], ...]:
 
 
 @lru_cache(maxsize=None)
-def _subgroups_up_to_conjugacy(name: str) -> tuple[frozenset[Permutation], ...]:
-    # Works on Cayley-table rows: an element is its row index, a subgroup the
-    # bitmask of its rows.  Row order is the sorted element order, so sorting
-    # by (order, sorted rows) sorts by (order, sorted image tuples), and each
-    # class is represented by its lexicographically least member.
+def _subgroups_up_to_conjugacy(name: str) -> tuple[tuple[int, ...], ...]:
+    # A subgroup is the bitmask of its rows.  Row order is the sorted
+    # element order, so sorting by (order, sorted rows) sorts by (order,
+    # sorted image rows), and each class is represented by its
+    # lexicographically least member.
     g = standard_group(name)
     table = g.cayley.tolist()
     inv = (g.cayley == 0).argmax(axis=1)  # the identity is row 0
     conj = g.cayley[g.cayley, inv[:, None]].tolist()  # conj[x][i]: row of x * i * x^-1
 
-    def generated(gens) -> int:
-        # breadth-first from the identity, multiplying by each generator row
-        mask, frontier = 1, [0]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for s in gens:
-                    y = table[s][x]
-                    if not mask >> y & 1:
-                        mask |= 1 << y
-                        fresh.append(y)
-            frontier = fresh
-        return mask
-
     # <a, b> is the join of <a> and <b>: close one pair of cyclic subgroups
     # at a time, skipping pairs where one already contains the other
     cyclic: dict[int, int] = {}
     for a in range(g.order):
-        cyclic.setdefault(generated((a,)), a)
+        cyclic.setdefault(_closure(table, (a,)), a)
     subgroups = set(cyclic)
     pairs = list(cyclic.items())
     for i, (ha, a) in enumerate(pairs):
         for hb, b in pairs[i + 1:]:
             if ha & hb not in (ha, hb):
-                subgroups.add(generated((a, b)))
+                subgroups.add(_closure(table, (a, b)))
 
-    rows = {h: [i for i in range(g.order) if h >> i & 1] for h in subgroups}
+    rows = {h: _mask_rows(h, g.order) for h in subgroups}
     reps, seen = [], set()
     for h in sorted(subgroups, key=lambda h: (len(rows[h]), rows[h])):
         if h not in seen:
-            reps.append(h)
+            reps.append(rows[h])
             seen.update(sum(1 << c[i] for i in rows[h]) for c in conj)
-    return tuple(frozenset(g.elements[i] for i in rows[h]) for h in reps)
+    return tuple(reps)
 
 
 class GroupAction:
     """An action of a PermGroup on {0..m-1}: images[i] is the vertex
-    permutation of group.elements[i], as an integer image array."""
+    permutation of row i, as an integer image array."""
 
     def __init__(self, group: PermGroup, images):
         images = np.asarray(images)
@@ -330,25 +248,27 @@ class GroupAction:
 
 def natural_action(g: PermGroup) -> GroupAction:
     """g acting on its own letters."""
-    return GroupAction(g, [e.images for e in g.elements])
+    return GroupAction(g, g.elements)
 
 
 def check_homomorphism(a: GroupAction) -> None:
-    imgs = a.images
-    for i, e1 in enumerate(a.group.elements):
-        # row j compares act(e1 * e2) with act(e1) after act(e2), e2 = elements[j]
+    imgs, elements = a.images, a.group.elements
+    for i in range(a.group.order):
+        # row j compares act(i * j) with act(i) after act(j)
         bad = np.flatnonzero((imgs[a.group.cayley[i]] != imgs[i][imgs]).any(axis=1))
         if len(bad):
-            e2 = a.group.elements[bad[0]]
+            e1, e2 = elements[i].tolist(), elements[bad[0]].tolist()
             raise InconsistentActionError(f"act({e1} * {e2}) != act({e1}) * act({e2})")
 
 
-def left_cosets(g: PermGroup, h: frozenset[Permutation]) -> tuple[list[int], np.ndarray]:
-    """Rows of the left-coset representatives of h in g (first row of each
-    coset) and the coset number of every row of g.  h must be a non-empty
-    subset of g closed under product, which makes it a subgroup."""
-    rows = np.array([g.index.get(p, -1) for p in h], dtype=np.intp)
-    if not len(rows) or (rows < 0).any() or not np.isin(g.cayley[np.ix_(rows, rows)], rows).all():
+def left_cosets(g: PermGroup, h) -> tuple[list[int], np.ndarray]:
+    """Rows of the left-coset representatives of the rows h in g (first row
+    of each coset) and the coset number of every row of g.  h must be a
+    non-empty set of rows of g closed under product, which makes it a
+    subgroup."""
+    rows = np.asarray(h, dtype=np.intp)
+    if not len(rows) or not np.isin(rows, np.arange(g.order)).all() \
+            or not np.isin(g.cayley[np.ix_(rows, rows)], rows).all():
         raise NotASubgroupError("h is not a subgroup of g")
     coset_of = np.full(g.order, -1, dtype=np.intp)
     reps = []
@@ -359,27 +279,27 @@ def left_cosets(g: PermGroup, h: frozenset[Permutation]) -> tuple[list[int], np.
     return reps, coset_of
 
 
-def coset_action(g: PermGroup, h: frozenset[Permutation]) -> GroupAction:
-    """Left-multiplication action of g on the left cosets of h."""
+def coset_action(g: PermGroup, h) -> GroupAction:
+    """Left-multiplication action of g on the left cosets of the rows h."""
     reps, coset_of = left_cosets(g, h)
     return GroupAction(g, coset_of[g.cayley[:, reps]])
 
 
-def class_fixed_counts(a: GroupAction) -> dict[ClassLabel, int]:
-    """Fixed-vertex count of each non-identity element class.
+def class_fixed_counts(a: GroupAction) -> dict[str, int]:
+    """Fixed-vertex count of each non-identity element class, by name.
 
     The count must be constant on every class (it is for every action this
     package builds); a class on which it varies raises InconsistentActionError.
     """
     counts = a.fixed().sum(axis=1)
     out = {}
-    for label, rows in a.group.classes.items():
-        if label.order == 1:
+    for name, rows in a.group.classes.items():
+        if name == "n1":
             continue
         vals = set(counts[list(rows)].tolist())
         if len(vals) != 1:
-            raise InconsistentActionError(f"class {label} fixes {sorted(vals)} vertices")
-        out[label] = vals.pop()
+            raise InconsistentActionError(f"class {name} fixes {sorted(vals)} vertices")
+        out[name] = vals.pop()
     return out
 
 
@@ -396,8 +316,9 @@ def burnside_orbit_count(a: GroupAction) -> int:
     return total // a.group.order
 
 
-def kernel(a: GroupAction) -> frozenset[Permutation]:
-    return frozenset(e for e, k in zip(a.group.elements, a.fixed().all(axis=1)) if k)
+def kernel(a: GroupAction) -> tuple[int, ...]:
+    """Ascending rows of the elements that fix every vertex."""
+    return tuple(np.flatnonzero(a.fixed().all(axis=1)).tolist())
 
 
 def is_faithful(a: GroupAction) -> bool:
@@ -429,7 +350,7 @@ def direct_sum(actions: list[GroupAction]) -> GroupAction:
     if not actions:
         raise ValueError("need at least one action")
     g = actions[0].group
-    if any(a.group is not g and a.group.element_set != g.element_set for a in actions):
+    if any(not np.array_equal(a.group.elements, g.elements) for a in actions):
         raise ValueError("all actions must share one group")
     offsets = np.cumsum([0] + [a.m for a in actions[:-1]])
     return GroupAction(g, np.hstack([a.images + off for a, off in zip(actions, offsets)]))
@@ -437,6 +358,7 @@ def direct_sum(actions: list[GroupAction]) -> GroupAction:
 
 def restrict_action(a: GroupAction, sub: PermGroup) -> GroupAction:
     """Restriction to a subgroup whose elements are drawn from a.group."""
-    if not sub.element_set <= a.group.element_set:
+    rows = a.group.rows(sub.elements)
+    if (rows < 0).any():
         raise ValueError("subgroup elements must belong to the acting group")
-    return GroupAction(sub, a.images[[a.group.index[e] for e in sub.elements]])
+    return GroupAction(sub, a.images[rows])

@@ -25,26 +25,17 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Optional
 
-from .perm import EXPECTED_CLASSES, ClassLabel, GROUP_NAMES, GROUP_ORDER
+from .perm import EXPECTED_CLASSES, GROUP_NAMES, GROUP_ORDER
 
-# Burnside weights: size of each non-identity class
+# Burnside weights: size of each non-identity class, by field name in key() order
 CLASS_WEIGHTS = {
-    group: {label: size for label, size in sizes.items() if label.order > 1}
+    group: {name: size for name, size in sizes.items() if name != "n1"}
     for group, sizes in EXPECTED_CLASSES.items()
 }
 
 # no non-trivial element fixes more vertices than this, whichever rules are
 # dropped: the bound of the box every profile walk runs over
 MAX_FIX = 3
-
-# profile field of each non-identity class, in the order key() reports them
-_FIELD_OF = {
-    ClassLabel(2, True): "n2",
-    ClassLabel(2, False): "n2p",
-    ClassLabel(3, True): "n3",
-    ClassLabel(4, False): "n4",
-    ClassLabel(5, True): "n5",
-}
 
 
 class NotAdmissibleError(ValueError):
@@ -86,22 +77,18 @@ class FixedVertexProfile:
         else:
             if self.n2p is not None or self.n4 is not None or self.n5 is not None:
                 raise ValueError("n2p/n4/n5 are not A4 classes")
-        for v in self.counts().values():
+        for v in self.named_counts().values():
             if v < 0:
                 raise ValueError("fixed-vertex counts must be non-negative")
 
     @classmethod
-    def from_counts(cls, group: str, counts: dict[ClassLabel, int]) -> "FixedVertexProfile":
-        """Profile from per-class counts; classes left out count 0."""
-        return cls(group, **{_FIELD_OF[label]: n for label, n in counts.items()})
+    def from_counts(cls, group: str, counts: dict[str, int]) -> "FixedVertexProfile":
+        """Profile from per-class counts by field name; classes left out count 0."""
+        return cls(group, **counts)
 
     def named_counts(self) -> dict[str, int]:
         """Counts of the group's classes by field name, in key() order."""
-        return {name: n for name in _FIELD_OF.values()
-                if (n := getattr(self, name)) is not None}
-
-    def counts(self) -> dict[ClassLabel, int]:
-        return {label: n for label, name in _FIELD_OF.items()
+        return {name: n for name in ("n2", "n2p", "n3", "n4", "n5")
                 if (n := getattr(self, name)) is not None}
 
     def key(self) -> tuple:
@@ -109,7 +96,7 @@ class FixedVertexProfile:
         return tuple(self.named_counts().values())
 
     def max_count(self) -> int:
-        return max(self.counts().values())
+        return max(self.named_counts().values())
 
 
 @dataclass(frozen=True)
@@ -321,10 +308,10 @@ def rule_abiding_profiles(group: str, drop: tuple[str, ...] = ()) -> tuple[Fixed
     """Every profile in the box {0..MAX_FIX}^classes that passes the group's
     profile rules minus the dropped ones, in key() order.  The one walk of
     the box: residue sets, witnesses and oracle caps all read it."""
-    labels = tuple(CLASS_WEIGHTS[group])
+    names = tuple(CLASS_WEIGHTS[group])
     rules = profile_rules(group, drop)
-    box = (FixedVertexProfile.from_counts(group, dict(zip(labels, values)))
-           for values in product(range(MAX_FIX + 1), repeat=len(labels)))
+    box = (FixedVertexProfile.from_counts(group, dict(zip(names, values)))
+           for values in product(range(MAX_FIX + 1), repeat=len(names)))
     kept = (p for p in box if all(r.holds_for_profile(p) for r in rules))
     return tuple(sorted(kept, key=FixedVertexProfile.key))
 
@@ -343,7 +330,7 @@ def enumerate_profiles(group: str) -> tuple[FixedVertexProfile, ...]:
 def residues_from_profile(group: str, p: FixedVertexProfile) -> int:
     """The unique residue of m mod |G| making the Burnside average integral."""
     order = GROUP_ORDER[group]
-    weighted = sum(CLASS_WEIGHTS[group][lab] * n for lab, n in p.counts().items())
+    weighted = sum(CLASS_WEIGHTS[group][name] * n for name, n in p.named_counts().items())
     return (-weighted) % order
 
 

@@ -40,10 +40,8 @@ def close_free_orbits():
 
 
 def orbit_partition(a):
-    """Orbits by union-find over the generators' image rows; the independent
+    """Orbits by union-find over every element's image row; the independent
     cross-check for Burnside counting."""
-    g = a.group
-    rows = [g.index[e] for e in g.generators] if g.generators else range(g.order)
     parent = list(range(a.m))
 
     def find(x: int) -> int:
@@ -52,8 +50,7 @@ def orbit_partition(a):
             x = parent[x]
         return x
 
-    for i in rows:
-        img = a.images[i].tolist()
+    for img in a.images.tolist():
         for v in range(a.m):
             ra, rb = find(v), find(img[v])
             if ra != rb:

@@ -118,12 +118,10 @@ def test_criterion_4_geometric_fidelity(realized):
         assert geometric_profile(r).key() == measured_profile(va).key(), (g, m)
         # rotation/glide dichotomy, with EMPTY exactly where the model demands
         empty_order = {Model.TETRA_FULL: 4, Model.SIMPLEX4: 5}.get(r.model)
-        for e, mat in zip(group.elements, r.mats):
-            if e.is_identity():
-                continue
-            fc = fixed_set(mat)
-            expected_empty = empty_order is not None and e.order() == empty_order
-            assert fc.empty == expected_empty, (g, m, e)
+        for i in range(1, group.order):  # row 0 is the identity
+            fc = fixed_set(r.mats[i])
+            expected_empty = group.orders[i] == empty_order
+            assert fc.empty == expected_empty, (g, m, i)
     _report("4 (geometric fidelity, 14 realizations)", t0, 10.0)
 
 
@@ -137,8 +135,8 @@ def test_criterion_5_edge_certificates(realized):
     va, r = realized[("S4", 12)]
     s4 = standard_group("S4")
     bad_coords = r.coords.copy()
-    other = next(i for i, e in enumerate(s4.elements) if e.order() == 2 and not e.is_even()
-                 and not r.circles[i].contains(bad_coords[0], 1e-6))
+    other = next(i for i in s4.classes["n2p"]
+                 if not r.circles[i].contains(bad_coords[0], 1e-6))
     bad_coords[0] = r.circles[other].point_at(0.37)
     corrupted = Realization(r.plan, va, r.model, r.config, r.mats, bad_coords)
     assert not full_report(corrupted).overall
@@ -148,7 +146,7 @@ def test_criterion_5_edge_certificates(realized):
         ModelConfig(t=0.5)
 
     # fixture 3: an interchanger fixing three vertices breaks h4
-    act = [e.images + (4, 5, 6) for e in s4.elements]
+    act = [p + [4, 5, 6] for p in s4.elements.tolist()]
     synthetic = VertexAction(GroupAction(s4, act), ("nat",) * 4 + ("pin",) * 3, ())
     assert not check_h4(synthetic)
     _report("5 (edge certificates + 3 corrupted fixtures)", t0, 10.0)

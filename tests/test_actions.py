@@ -124,7 +124,7 @@ def test_build_a5_61_profile():
 def test_regular_only_plans_fix_nothing():
     for group, m in (("S4", 24), ("A5", 60)):
         p = measured_profile(build(plan(group, m)))
-        assert all(v == 0 for v in p.counts().values())
+        assert all(v == 0 for v in p.named_counts().values())
 
 
 def test_restricted_action_group_is_a4():

@@ -315,6 +315,14 @@ def _basis_scaled(data):
     data["arcs"][0]["basis"] = [[2 * x for x in row] for row in data["arcs"][0]["basis"]]
 
 
+def _fixer_sharing_a_code(data):
+    # same base-degree code as the stored fixer, but not a permutation
+    fixer = data["arcs"][0]["fixer"]
+    j = next(j for j, x in enumerate(fixer[:-1]) if x > 0)
+    fixer[j] -= 1
+    fixer[j + 1] += len(fixer)
+
+
 def _s4_28(capsys, tmp_path):
     out_file = str(tmp_path / "i.json")
     code, out, _ = run(capsys, "realize", "--group", "S4", "--m", "28", "--out", out_file,
@@ -326,6 +334,8 @@ def _s4_28(capsys, tmp_path):
 _BAD_ARCS = [
     (_set(("arcs", 0, "fixer"), []), "not a non-trivial group element"),
     (_set(("arcs", 0, "fixer"), [0, 1, 2, 3]), "not a non-trivial group element"),
+    (_set(("arcs", 0, "fixer"), [0, 0, 1, 2]), "not a non-trivial group element"),
+    (_fixer_sharing_a_code, "not a non-trivial group element"),
     (_duplicate_arc, "two arc records"),
     (_drop_arc, "has no arc"),
     (_sweep_past_full_turn, "does not run between"),
@@ -429,6 +439,42 @@ def test_realize_ambiguous_numerics_exit_5(capsys, tmp_path, monkeypatch):
                          "--out", str(tmp_path / "x.json"))
     assert code == 5 and err == "error: singular values too close to zero to classify\n"
     assert out == ""
+
+
+def _perm_of_other_degree(data):
+    data["elements"][1]["perm"].append(4)
+
+
+def _perm_not_a_bijection(data):
+    data["elements"][1]["perm"] = [0, 0, 1, 2]
+
+
+def _perm_too_large(data):
+    data["elements"][1]["perm"][0] = 2 ** 70
+
+
+_BAD_PERMS = [
+    (_perm_of_other_degree, "equal-length lists of integers"),
+    (_perm_not_a_bijection, "must be a bijection"),
+    (_perm_too_large, "equal-length lists of integers"),
+]
+
+
+@pytest.mark.parametrize("mutate,reason", _BAD_PERMS, ids=[f.__name__ for f, _ in _BAD_PERMS])
+def test_verify_rejects_bad_element_perms_at_group_closure(capsys, tmp_path, mutate, reason):
+    out_file, data = _s4_28(capsys, tmp_path)
+    mutate(data)
+    Path(out_file).write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--in", out_file)
+    assert code == 5 and out.startswith("group-closure: FAILED") and reason in out
+    assert err == "verification failed at: group-closure\n"
+
+
+def test_verify_rejects_deeply_nested_json(capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200000)
+    code, out, err = run(capsys, "verify", "--in", str(bad))
+    assert code == 2 and out == "" and err.startswith("error: not valid JSON")
 
 
 def test_realize_into_missing_directory_exit_2(capsys, tmp_path):

@@ -148,8 +148,8 @@ def test_fixture_wrong_circle_vertex_fails(realized):
     va, r = realized[("S4", 12)]
     bad_coords = r.coords.copy()
     # drag one edge vertex onto a different transposition's circle
-    other = next(i for i, e in enumerate(S4.elements) if e.order() == 2 and not e.is_even()
-                 and not r.circles[i].contains(bad_coords[0], 1e-6))
+    other = next(i for i in S4.classes["n2p"]
+                 if not r.circles[i].contains(bad_coords[0], 1e-6))
     bad_coords[0] = r.circles[other].point_at(0.37)
     bad = Realization(r.plan, va, r.model, r.config, r.mats, bad_coords)
     report = full_report(bad)
@@ -166,9 +166,7 @@ def test_fixture_midpoint_parameter_rejected():
 def _interchanger_fixes_three_action() -> VertexAction:
     # natural S4 on 4 letters plus 3 global fixed points: any transposition
     # swaps a pair while fixing 2 + 3 = 5 > 2 vertices
-    act = []
-    for e in S4.elements:
-        act.append(e.images + (4, 5, 6))
+    act = [p + [4, 5, 6] for p in S4.elements.tolist()]
     ga = GroupAction(S4, act)
     return VertexAction(ga, ("nat",) * 4 + ("pin",) * 3, ())
 
@@ -181,12 +179,10 @@ def test_fixture_interchanger_fixing_three_fails_h4():
 def _pair_at_circle_intersection() -> tuple[VertexAction, Realization]:
     # two vertices at the poles: even elements fix both, odd ones swap them;
     # the pair is pinned by elements with different circles, breaking h1
-    reg = {e: i for i, e in enumerate(S4.elements)}
     act = []
-    for e in S4.elements:
-        first = (0, 1) if e.is_even() else (1, 0)
-        rest = tuple(2 + reg[e * x] for x in S4.elements)
-        act.append(first + rest)
+    for i in range(S4.order):
+        first = [0, 1] if S4.even[i] else [1, 0]
+        act.append(first + (2 + S4.cayley[i]).tolist())
     ga = GroupAction(S4, act)
     va = VertexAction(ga, ("pole",) * 2 + ("free",) * 24, ())
     mats = representation(S4, Model.TETRA_FULL)

@@ -42,8 +42,8 @@ GROUP_OF = {Model.TETRA_FULL: S4, Model.TETRA_ROT: A4, Model.DODECA_ROT: A5, Mod
 
 @pytest.fixture(scope="module")
 def reps():
-    """model -> {element: matrix}, for looking matrices up by element."""
-    return {model: dict(zip(g.elements, representation(g, model)))
+    """model -> {image tuple: matrix}, for looking matrices up by element."""
+    return {model: dict(zip(map(tuple, g.elements.tolist()), representation(g, model)))
             for model, g in GROUP_OF.items()}
 
 
@@ -53,7 +53,7 @@ def reps():
 def test_identity_maps_to_identity(reps):
     for model, rep in reps.items():
         g = A4 if model is Model.TETRA_ROT else (S4 if model is Model.TETRA_FULL else A5)
-        assert np.abs(rep[g.identity] - np.eye(4)).max() < 1e-12
+        assert np.abs(rep[from_cycles(g.degree)] - np.eye(4)).max() < 1e-12
 
 
 def test_matrices_special_orthogonal(reps):
@@ -106,12 +106,14 @@ def test_dichotomy_by_model(reps):
     # order-5 elements of the simplex model; rotation-only models never
     expect_empty = {Model.TETRA_FULL: 4, Model.SIMPLEX4: 5}
     for model, rep in reps.items():
+        g = GROUP_OF[model]
         for e, mat in rep.items():
-            if e.is_identity():
+            i = g.rows([e])[0]
+            if i == 0:  # the identity
                 continue
             fc = fixed_set(mat)
             if model in expect_empty:
-                assert fc.empty == (e.order() == expect_empty[model]), (model, e)
+                assert fc.empty == (g.orders[i] == expect_empty[model]), (model, e)
             else:
                 assert not fc.empty
             if not fc.empty:
@@ -138,7 +140,7 @@ def test_3cycle_circle_contains_complementary_simplex_vertices(reps):
 def test_circle_pairs_intersect_in_0_or_2_points():
     for model in (Model.TETRA_FULL, Model.SIMPLEX4):
         g = GROUP_OF[model]
-        circles = [c for c in circles_of(g, representation(g, model))[1:] if not c.empty]
+        circles = [c for c in circles_of(representation(g, model))[1:] if not c.empty]
         distinct = []
         for c in circles:
             if all(not c.same_circle(d) for d in distinct):
@@ -169,9 +171,9 @@ def _stabilizer_sizes(r, block):
 def test_tetra_corners_natural_permutation():
     r = realize(plan("S4", 4))
     coords = _part_block(r, "tetra_corners")
-    for e in S4.elements:
+    for mat, e in zip(r.mats, S4.elements):
         for i in range(4):
-            assert np.linalg.norm(r.mats[S4.index[e]] @ coords[i] - coords[e.images[i]]) < 1e-9
+            assert np.linalg.norm(mat @ coords[i] - coords[e[i]]) < 1e-9
 
 
 def test_twin_tetra_has_order3_stabilizers():
@@ -207,7 +209,7 @@ def test_midpoint_parameter_rejected():
 
 def _matrices_and_circles(g, model):
     mats = representation(g, model)
-    return mats, circles_of(g, mats)
+    return mats, circles_of(mats)
 
 
 def test_free_orbit_sizes():
@@ -310,17 +312,16 @@ def test_a5_61_only_center_touches_circles():
     p = plan("A5", 61)
     r = realize(p)
     center_idx = r.vertex_action.labels.index("center")
-    for c in circles_of(r.group, r.mats)[1:]:
+    for c in circles_of(r.mats)[1:]:
         on = [v for v in range(r.m) if c.contains(r.coords[v])]
         assert on == [center_idx]
 
 
 def test_s4_12_each_transposition_circle_holds_two_vertices():
     r = realize(plan("S4", 12))
-    for e in S4.elements:
-        if e.order() == 2 and not e.is_even():
-            c = r.circles[S4.index[e]]
-            assert sum(1 for p in r.coords if c.contains(p)) == 2
+    for i in S4.classes["n2p"]:  # the transpositions
+        c = r.circles[i]
+        assert sum(1 for p in r.coords if c.contains(p)) == 2
 
 
 def test_a4_13_pole_vertex_fixed_by_all():
@@ -385,7 +386,7 @@ def test_validate_rejects_non_finite_coordinate(bad):
 
 def test_free_orbit_profile_all_zero():
     r = realize(plan("A5", 60))
-    assert all(v == 0 for v in geometric_profile(r).counts().values())
+    assert all(v == 0 for v in geometric_profile(r).named_counts().values())
 
 
 # ------------------------------------------------------------- separation

@@ -11,18 +11,20 @@ from hypothesis import strategies as st
 
 from tsglab.perm import (
     GROUP_ORDER,
-    ClassLabel,
+    GroupAction,
     burnside_orbit_count,
     class_fixed_counts,
+    coset_action,
+    direct_sum,
     is_faithful,
     standard_group,
     subgroups_up_to_conjugacy,
 )
 from tsglab.oracle import (
+    OrbitMultiset,
     admissible_types,
     class_caps,
     feasible_multisets,
-    materialize,
     oracle_residues,
     transitive_types,
 )
@@ -38,11 +40,7 @@ from .conftest import orbit_partition, passes_profile_rules
 GROUPS = ("A4", "S4", "A5")
 GOLDEN = Path(__file__).parent / "golden"
 
-INV = ClassLabel(2, True)
-TRANSP = ClassLabel(2, False)
-ORD3 = ClassLabel(3, True)
-ORD4 = ClassLabel(4, False)
-ORD5 = ClassLabel(5, True)
+INV, TRANSP, ORD3, ORD4, ORD5 = "n2", "n2p", "n3", "n4", "n5"
 
 
 # ------------------------------------------------------------ type tables
@@ -153,6 +151,19 @@ def test_dropping_n5ne2_changes_a5_set():
 # -------------------------------------------------- witness soundness
 
 
+def materialize(ms: OrbitMultiset) -> GroupAction:
+    """Assemble the multiset as an explicit direct-sum action."""
+    g = standard_group(ms.group)
+    subs = subgroups_up_to_conjugacy(ms.group)
+    actions = []
+    for t, c in ms.counts:
+        for _ in range(c):
+            actions.append(coset_action(g, subs[t.subgroup_index]))
+    if not actions:
+        raise ValueError("empty multiset has no action to materialize")
+    return direct_sum(actions)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(GROUPS), st.integers(min_value=4, max_value=100))
 def test_multisets_materialize_faithfully(group, m):
@@ -213,17 +224,17 @@ def _brute_force_multisets(group, m, drop):
     """Every multiset over all transitive types, each checked only at the
     leaf: no type filter, no cap pruning."""
     types = transitive_types(group)
-    elements = frozenset(standard_group(group).elements)
+    rows = frozenset(range(GROUP_ORDER[group]))
     out = []
 
     def dfs(i, remaining, chosen):
         if remaining == 0:
             counts = {}
-            ker = elements
+            ker = rows
             for t, c in chosen:
-                ker &= t.core
-                for label, f in t.fix_vector:
-                    counts[label] = counts.get(label, 0) + c * f
+                ker &= frozenset(t.core)
+                for name, f in t.fix_vector:
+                    counts[name] = counts.get(name, 0) + c * f
             profile = FixedVertexProfile.from_counts(group, counts)
             faithful = len(ker) == 1
             if (profile.max_count() <= 3 and passes_profile_rules(group, profile, drop)
@@ -270,14 +281,15 @@ def _subgroup_burnside_residues(group, drop):
     Burnside orbit count of every subgroup representative H an integer:
     (r + sum over h in H, h != 1, of n_class(h)) / |H|."""
     g = standard_group(group)
-    subgroups = [[g.class_of[h] for h in sub if h != g.identity]
+    name_of = {i: name for name, rows in g.classes.items() for i in rows}
+    subgroups = [[name_of[h] for h in sub if h != 0]  # row 0 is the identity
                  for sub in subgroups_up_to_conjugacy(group)]
     residues = set()
     for p in rule_abiding_profiles(group, drop):
-        counts = p.counts()
+        counts = p.named_counts()
         for r in range(g.order):
-            if all((r + sum(counts[label] for label in labels)) % (len(labels) + 1) == 0
-                   for labels in subgroups):
+            if all((r + sum(counts[name] for name in names)) % (len(names) + 1) == 0
+                   for names in subgroups):
                 residues.add(r)
     return residues
 
