@@ -72,6 +72,10 @@ PART_SIZES = {
 RESTRICT_EVEN_S4 = "a4_in_s4"   # even elements of S4
 RESTRICT_STAB_A5 = "a4_in_a5"   # even permutations fixing letter 4
 
+# the (group, m) that only a knotted-edge construction realizes: plan()
+# records their combinatorial actions, and no certificate describes them
+KNOTTED_CASES = (("A4", 4), ("A4", 5))
+
 # every (group, restriction, model tag) that plan() produces
 PLAN_HEADERS = (
     ("A4", None, Model.TETRA_ROT.value),
@@ -158,7 +162,7 @@ def plan(group: str, m: int) -> OrbitPlan:
         n_free, k = divmod(m, 60)
         extras = {0: [], 1: ["center"], 5: ["simplex_corners"], 20: ["simplex_edge"]}[k]
         model = Model.DODECA_ROT if k in (0, 1) else Model.SIMPLEX4
-    elif m in (4, 5):
+    elif (group, m) in KNOTTED_CASES:
         return OrbitPlan("A4", m, (PartSpec(f"knotted_k{m}"),), Model.TETRA_ROT, knotted=True)
     elif m % 12 in (0, 4, 8) and m % 24 != 16:
         sub = plan("S4", m)
@@ -269,7 +273,7 @@ def measured_profile(va: VertexAction) -> FixedVertexProfile:
     """Count fixed vertices per element class (constant on classes for any
     action this module builds; perm.class_fixed_counts raises otherwise)."""
     a = va.action
-    return FixedVertexProfile.from_counts(a.group.name, class_fixed_counts(a))
+    return FixedVertexProfile(a.group.name, **class_fixed_counts(a))
 
 
 def has_free_edge(va: VertexAction, in_parent: bool = False) -> bool:

@@ -3,9 +3,20 @@
 A certificate stores the acting group's permutations, their 4x4 matrices,
 the vertex coordinates with part labels, the witness arc system and the
 hypothesis verdicts.  Verification reconstructs all objects from the file
-alone and re-runs every invariant; nothing is trusted.  The stored arcs
-are checked as a witness (edges.full_report on them): any arc system that
-meets the edge hypotheses passes, not only the one realize picked.
+alone and re-runs every invariant; nothing is trusted.  The steps, in
+order, stopping at the first failure:
+
+    group-closure        the stored elements form the group (rebuild)
+    action-homomorphism  the stored vertex images are a faithful action
+    homomorphism, invariance, separation, profile
+                         geometry.REALIZATION_CHECKS, as realize runs
+                         them; profile also compares the stored profile
+    burnside             the stored orbit count
+    edge-hypotheses      the stored arcs and h1..h5 flags
+
+The stored arcs are checked as a witness (edges.full_report on them): any
+arc system that meets the edge hypotheses passes, not only the one
+realize picked.
 """
 
 from __future__ import annotations
@@ -19,7 +30,14 @@ from typing import Optional
 
 import numpy as np
 
-from .actions import PART_SIZES, PLAN_HEADERS, Model, VertexAction, measured_profile
+from .actions import (
+    KNOTTED_CASES,
+    PART_SIZES,
+    PLAN_HEADERS,
+    Model,
+    VertexAction,
+    measured_profile,
+)
 from .edges import Arc, full_report
 from .geometry import REALIZATION_CHECKS, FixedCircle, ModelConfig, Realization
 from .perm import (
@@ -167,9 +185,9 @@ def _check_record(section: str, rec, fields: dict) -> None:
 def _check_schema(data: dict) -> None:
     """Shapes, types and header values: every field the verifier reads has
     the JSON type it expects, group, restriction and model tag are a triple
-    plan() produces, every vertex carries a part label build() gives, and
-    the group has its order of element records.  NaN and inf are numbers
-    here; the checks reject them."""
+    plan() produces, (group, m) is not a knotted case, every vertex carries
+    a part label build() gives, and the group has its order of element
+    records.  NaN and inf are numbers here; the checks reject them."""
     if not isinstance(data, dict) or set(data) != _TOP_KEYS:
         raise SchemaError(f"top-level keys must be {sorted(_TOP_KEYS)}")
     if not _is_int(data["schema_version"]) or data["schema_version"] != SCHEMA_VERSION:
@@ -199,6 +217,9 @@ def _check_schema(data: dict) -> None:
     m = data["m"]
     if not _is_int(m) or m != len(data["vertices"]):
         raise SchemaError(f"m = {m!r} but the file holds {len(data['vertices'])} vertex records")
+    if (group, m) in KNOTTED_CASES:
+        raise SchemaError(f"K_{m} with group {group} needs knotted edges; "
+                          "no certificate describes it")
     if any(len(e["vertex_images"]) != m for e in data["elements"]):
         raise SchemaError(f"every vertex_images list needs m = {m} entries")
     if sorted(v["id"] for v in data["vertices"]) != list(range(m)):
@@ -212,7 +233,7 @@ class CheckResult:
     message: str = ""
 
 
-def _rebuild(data: dict) -> tuple[VertexAction, Realization]:
+def _rebuild(data: dict) -> Realization:
     # in row order; the group's Cayley table exists only if the stored
     # elements are closed under product
     records = sorted(data["elements"], key=lambda e: e["perm"])
@@ -224,85 +245,74 @@ def _rebuild(data: dict) -> tuple[VertexAction, Realization]:
     coords = np.array([v["coords"] for v in vertices])
     cfg = ModelConfig(theta=data["model"]["theta"], t=data["model"]["t"],
                       seed=data["model"]["seed"])
-    real = Realization(None, va, Model(data["model"]["tag"]), cfg, mats, coords)
-    return va, real
+    return Realization(None, va, Model(data["model"]["tag"]), cfg, mats, coords)
+
+
+def _check_action(data: dict, real: Realization) -> None:
+    check_homomorphism(real.vertex_action.action)
+    if not is_faithful(real.vertex_action.action):
+        raise AssertionError("vertex action is not faithful")
+
+
+def _realization_step(name: str, check):
+    """A REALIZATION_CHECKS entry as a verify step; the profile step also
+    compares the profile stored in the file with the recomputed one."""
+    def step(data: dict, real: Realization) -> None:
+        check(real)
+        if name == "profile":
+            expect = measured_profile(real.vertex_action).named_counts()
+            stored = data["report"]["profile"]
+            if stored != expect:
+                raise AssertionError(f"stored profile {stored} != recomputed {expect}")
+    return name, step
+
+
+def _check_orbits(data: dict, real: Realization) -> None:
+    count = burnside_orbit_count(real.vertex_action.action)
+    if count != data["report"]["orbit_count"]:
+        raise AssertionError(f"orbit count {count} != stored {data['report']['orbit_count']}")
+
+
+def _check_hypotheses(data: dict, real: Realization) -> None:
+    arcs = {}
+    for rec in data["arcs"]:
+        pair = tuple(rec["pair"])
+        if pair in arcs:
+            raise AssertionError(f"two arc records for pair {rec['pair']}")
+        circle = FixedCircle(np.array(rec["basis"], dtype=float))
+        # a list that is no element gets row -1, which check_arcs rejects
+        fixer = int(real.group.rows([rec["fixer"]])[0])
+        arcs[pair] = Arc(pair, fixer, circle, rec["start"], rec["sweep"])
+    report = full_report(real, arcs)
+    if not report.overall:
+        raise AssertionError(f"hypothesis checks failed: {report.details}")
+    flags = {k: data["report"][k] for k in ("h1", "h2", "h3", "h4", "h5")}
+    if not all(flags.values()):
+        raise AssertionError(f"stored flags claim a failure: {flags}")
+
+
+# run in this order after group-closure (see the module docstring)
+VERIFY_STEPS = (
+    ("action-homomorphism", _check_action),
+    *(_realization_step(name, check) for name, check in REALIZATION_CHECKS),
+    ("burnside", _check_orbits),
+    ("edge-hypotheses", _check_hypotheses),
+)
 
 
 def verify_certificate(data: dict) -> list[CheckResult]:
-    """Re-run every check from file contents alone, in a fixed order.
-
-    The realization invariants are geometry.REALIZATION_CHECKS, the same
-    list realize() runs; the file-only steps around them check the stored
-    group, action and recorded results.  Stops at the first failure so
-    callers can name the broken invariant.
-    """
-    results: list[CheckResult] = []
-
-    def run(name: str, *steps) -> bool:
-        try:
-            for step in steps:
-                step()
-        except Exception as err:
-            results.append(CheckResult(name, False, str(err)))
-            return False
+    """Re-run every check from file contents alone: group-closure rebuilds
+    the realization, then VERIFY_STEPS run in order.  Stops at the first
+    failure so callers can name the broken invariant."""
+    results, name = [], "group-closure"
+    try:
+        real = _rebuild(data)
         results.append(CheckResult(name, True))
-        return True
-
-    state: dict = {}
-
-    def rebuild():
-        state["va"], state["real"] = _rebuild(data)
-
-    if not run("group-closure", rebuild):
-        return results
-    va: VertexAction = state["va"]
-    real: Realization = state["real"]
-
-    def check_action_hom():
-        check_homomorphism(va.action)
-        if not is_faithful(va.action):
-            raise AssertionError("vertex action is not faithful")
-
-    if not run("action-homomorphism", check_action_hom):
-        return results
-
-    def check_stored_profile():
-        expect = measured_profile(va).named_counts()
-        stored = data["report"]["profile"]
-        if stored != expect:
-            raise AssertionError(f"stored profile {stored} != recomputed {expect}")
-
-    file_steps = {"profile": (check_stored_profile,)}
-    for name, check in REALIZATION_CHECKS:
-        if not run(name, lambda: check(real), *file_steps.get(name, ())):
-            return results
-
-    def check_orbits():
-        count = burnside_orbit_count(va.action)
-        if count != data["report"]["orbit_count"]:
-            raise AssertionError(f"orbit count {count} != stored {data['report']['orbit_count']}")
-
-    if not run("burnside", check_orbits):
-        return results
-
-    def check_hypotheses():
-        arcs = {}
-        for rec in data["arcs"]:
-            pair = tuple(rec["pair"])
-            if pair in arcs:
-                raise AssertionError(f"two arc records for pair {rec['pair']}")
-            circle = FixedCircle(np.array(rec["basis"], dtype=float))
-            # a list that is no element gets row -1, which check_arcs rejects
-            fixer = int(real.group.rows([rec["fixer"]])[0])
-            arcs[pair] = Arc(pair, fixer, circle, rec["start"], rec["sweep"])
-        report = full_report(real, arcs)
-        if not report.overall:
-            raise AssertionError(f"hypothesis checks failed: {report.details}")
-        flags = {k: data["report"][k] for k in ("h1", "h2", "h3", "h4", "h5")}
-        if not all(flags.values()):
-            raise AssertionError(f"stored flags claim a failure: {flags}")
-
-    run("edge-hypotheses", check_hypotheses)
+        for name, check in VERIFY_STEPS:
+            check(data, real)
+            results.append(CheckResult(name, True))
+    except Exception as err:
+        results.append(CheckResult(name, False, str(err)))
     return results
 
 

@@ -602,4 +602,4 @@ def geometric_profile(r: Realization) -> FixedVertexProfile:
         if len(vals) != 1:
             raise AssertionError(f"geometric counts differ within class {name}: {vals}")
         counts[name] = vals.pop()
-    return FixedVertexProfile.from_counts(r.group.name, counts)
+    return FixedVertexProfile(r.group.name, **counts)

@@ -9,7 +9,7 @@ surviving degrees with a rule-abiding aggregate profile.  Aggregate counts
 only grow as orbits are added, so the search never adds a copy of a type
 that would bust a cap.  The residue sets this produces must equal the ones
 the profile engine derives; for S4 they must fall out of the profile caps
-alone, with the two m-congruence rules switched off.
+alone, since the oracle never reads the m-congruence rules.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .profiles import (
     CLASS_WEIGHTS,
     CongruenceSet,
     FixedVertexProfile,
-    m_rules,
     profile_rules,
     rule_abiding_profiles,
 )
@@ -99,8 +98,7 @@ def admissible_types(group: str, drop_rules: tuple[str, ...] = ()) -> tuple[Tran
     )
 
 
-def feasible_multisets(group: str, m: int, *, use_m_rules: bool = False,
-                       drop_rules: tuple[str, ...] = ()) -> list[OrbitMultiset]:
+def feasible_multisets(group: str, m: int, *, drop_rules: tuple[str, ...] = ()) -> list[OrbitMultiset]:
     """Every multiset of admissible orbit types summing to m whose aggregate
     profile passes the rules.
 
@@ -110,8 +108,6 @@ def feasible_multisets(group: str, m: int, *, use_m_rules: bool = False,
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    if use_m_rules and not all(r.holds_for_m(m) for r in m_rules(group)):
-        return []
     caps = class_caps(group, drop_rules)
     names = [name for name, _ in caps]
     types = admissible_types(group, drop_rules)
@@ -121,8 +117,8 @@ def feasible_multisets(group: str, m: int, *, use_m_rules: bool = False,
 
     def leaf(agg: list[int], chosen: list[tuple[TransitiveType, int]]):
         # no max-count test: the search keeps aggregates within caps <= MAX_FIX
-        profile = FixedVertexProfile.from_counts(group, dict(zip(names, agg)))
-        if not all(r.holds_for_profile(profile) for r in rules):
+        profile = FixedVertexProfile(group, **dict(zip(names, agg)))
+        if not all(r.check(profile) for r in rules):
             return
         ker = set(range(GROUP_ORDER[group]))
         for t, _ in chosen:

@@ -29,6 +29,10 @@ GROUP_NAMES = ("A4", "S4", "A5")
 
 GROUP_ORDER = {"A4": 12, "S4": 24, "A5": 60}
 
+# rows are found by base-degree codes in int64; the largest code, d**d - 1,
+# fits for d <= 15 and wraps from d = 16 on
+MAX_DEGREE = 15
+
 
 class NotASubgroupError(ValueError):
     """Raised when a coset action is requested for a non-subgroup."""
@@ -85,6 +89,8 @@ class PermGroup:
         if perms.ndim != 2 or not np.issubdtype(perms.dtype, np.integer):
             raise ValueError("group elements must be equal-length lists of integers")
         n, d = perms.shape
+        if d > MAX_DEGREE:
+            raise ValueError(f"degree {d} exceeds the limit of {MAX_DEGREE} letters")
         if n != GROUP_ORDER[name]:
             raise ValueError(f"{name} must have {GROUP_ORDER[name]} elements, got {n}")
         if not (np.sort(perms, axis=1) == np.arange(d)).all():

@@ -8,9 +8,12 @@ Burnside's orbit-count identity
 
     # orbits = (1/|G|) * sum over g of |fix(g)|
 
-then pins m modulo |G| for each surviving profile.  This module encodes
-the caps as an ordered rule list and walks the box {0..MAX_FIX}^classes
-once per (group, dropped rules), in rule_abiding_profiles (cached).  That
+then pins m modulo |G| for each surviving profile.  The classes a group's
+profiles have are the keys of CLASS_WEIGHTS, read from the class table
+perm.EXPECTED_CLASSES.  Each cap is one Rule record whose check takes a
+profile (kind "profile") or m (kind "m"); rule_set lists a group's rules
+in derivation order.  The box {0..MAX_FIX}^classes is walked once per
+(group, dropped rules), in rule_abiding_profiles (cached).  That
 one walk gives the A4 (mod 12) and A5 (mod 60) residue sets, the verdict
 witnesses and the oracle's per-class caps.  S4 gives no standalone profile
 table; its verdict follows a chain of congruences (n4 = 0 forces m even,
@@ -20,7 +23,7 @@ m ≡ 16 mod 24).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Optional
@@ -52,7 +55,8 @@ class FixedVertexProfile:
 
     n2 counts involutions inside the even subgroup (all involutions for A4
     and A5), n2p the S4 involutions outside it, n4/n5 the order-4/order-5
-    classes where they exist.
+    classes where they exist.  The group's classes are the keys of its
+    CLASS_WEIGHTS: those default to 0, the others must stay None.
     """
 
     group: str
@@ -65,38 +69,25 @@ class FixedVertexProfile:
     def __post_init__(self):
         if self.group not in GROUP_NAMES:
             raise ValueError(f"unknown group {self.group!r}")
-        if self.group == "S4":
-            object.__setattr__(self, "n2p", 0 if self.n2p is None else self.n2p)
-            object.__setattr__(self, "n4", 0 if self.n4 is None else self.n4)
-            if self.n5 is not None:
-                raise ValueError("n5 is not an S4 class")
-        elif self.group == "A5":
-            object.__setattr__(self, "n5", 0 if self.n5 is None else self.n5)
-            if self.n2p is not None or self.n4 is not None:
-                raise ValueError("n2p/n4 are not A5 classes")
-        else:
-            if self.n2p is not None or self.n4 is not None or self.n5 is not None:
-                raise ValueError("n2p/n4/n5 are not A4 classes")
-        for v in self.named_counts().values():
-            if v < 0:
-                raise ValueError("fixed-vertex counts must be non-negative")
-
-    @classmethod
-    def from_counts(cls, group: str, counts: dict[str, int]) -> "FixedVertexProfile":
-        """Profile from per-class counts by field name; classes left out count 0."""
-        return cls(group, **counts)
+        names = CLASS_WEIGHTS[self.group]
+        extra = [n for n in _COUNT_FIELDS if n not in names and getattr(self, n) is not None]
+        if extra:
+            raise ValueError(f"{'/'.join(extra)} not {self.group} classes")
+        for name in names:
+            object.__setattr__(self, name, getattr(self, name) or 0)
+        if min(self.key()) < 0:
+            raise ValueError("fixed-vertex counts must be non-negative")
 
     def named_counts(self) -> dict[str, int]:
         """Counts of the group's classes by field name, in key() order."""
-        return {name: n for name in ("n2", "n2p", "n3", "n4", "n5")
-                if (n := getattr(self, name)) is not None}
+        return {name: getattr(self, name) for name in CLASS_WEIGHTS[self.group]}
 
     def key(self) -> tuple:
-        """Comparison key: the counts in field order (used for witness matching)."""
+        """Comparison key: the counts in class order (used for witness matching)."""
         return tuple(self.named_counts().values())
 
-    def max_count(self) -> int:
-        return max(self.named_counts().values())
+
+_COUNT_FIELDS = tuple(f.name for f in fields(FixedVertexProfile) if f.name != "group")
 
 
 @dataclass(frozen=True)
@@ -111,16 +102,6 @@ class Rule:
     text: str
     kind: str
     check: Callable
-
-    def holds_for_profile(self, p: FixedVertexProfile) -> bool:
-        if self.kind != "profile":
-            raise ValueError(f"rule {self.id} does not apply to profiles")
-        return self.check(p)
-
-    def holds_for_m(self, m: int) -> bool:
-        if self.kind != "m":
-            raise ValueError(f"rule {self.id} does not apply to m")
-        return self.check(m)
 
 
 @dataclass(frozen=True)
@@ -156,87 +137,87 @@ class Verdict:
 
 
 def _cap_all(bound):
-    return lambda p: p.max_count() <= bound
+    return lambda p: max(p.key()) <= bound
 
 
 def _cap_involutions(bound):
     return lambda p: p.n2 <= bound and (p.n2p is None or p.n2p <= bound)
 
 
-_RULES = {
-    "fix_le_3": Rule(
+_RULES = {r.id: r for r in (
+    Rule(
         "fix_le_3",
         "no non-trivial element fixes more than 3 vertices",
         "profile",
         _cap_all(3),
     ),
-    "inv_fix_le_2": Rule(
+    Rule(
         "inv_fix_le_2",
         "no order 2 element fixes more than 2 vertices",
         "profile",
         _cap_involutions(2),
     ),
-    "inv_fix_le_1": Rule(
+    Rule(
         "inv_fix_le_1",
         "no order 2 element of the even subgroup fixes more than 1 vertex",
         "profile",
         lambda p: p.n2 <= 1,
     ),
-    "n3_zero_forces_n2_zero": Rule(
+    Rule(
         "n3_zero_forces_n2_zero",
         "a vertex fixed by an involution is fixed by every element, so n3 = 0 forces n2 = 0",
         "profile",
         lambda p: p.n2 == 0 or p.n3 >= 1,
     ),
-    "inv_vertex_excludes_n3_eq_3": Rule(
+    Rule(
         "inv_vertex_excludes_n3_eq_3",
         "if an involution fixes a vertex then no element fixes 3 vertices",
         "profile",
         lambda p: not (p.n2 == 1 and p.n3 == 3),
     ),
-    "fix_le_2": Rule(
+    Rule(
         "fix_le_2",
         "no element fixes 3 vertices",
         "profile",
         _cap_all(2),
     ),
-    "single_fix_couples": Rule(
+    Rule(
         "single_fix_couples",
         "n3 = 1 or n5 = 1 forces n2 = n3 = n5 = 1",
         "profile",
         lambda p: (p.n3 != 1 and p.n5 != 1) or (p.n2 == 1 and p.n3 == 1 and p.n5 == 1),
     ),
-    "n5ne2": Rule(
+    Rule(
         "n5ne2",
         "n5 != 2: two vertices fixed by an order 5 rotation would force edges crossing at the dodecahedral center",
         "profile",
         lambda p: p.n5 != 2,
     ),
-    "n4_zero": Rule(
+    Rule(
         "n4_zero",
         "every order 4 element has empty fixed point set, so n4 = 0",
         "profile",
         lambda p: p.n4 == 0,
     ),
-    "m_mod_4": Rule(
+    Rule(
         "m_mod_4",
         "m ≡ 0 (mod 4)",
         "m",
         lambda m: m % 4 == 0,
     ),
-    "m_mod_12_tetra": Rule(
+    Rule(
         "m_mod_12_tetra",
         "m mod 12 must lie in {0, 1, 4, 5, 8} (even-subgroup constraint)",
         "m",
         lambda m: m in admissible_residues("A4"),
     ),
-    "m_ne_16_mod_24": Rule(
+    Rule(
         "m_ne_16_mod_24",
         "m ≢ 16 (mod 24)",
         "m",
         lambda m: m % 24 != 16,
     ),
-}
+)}
 
 # terminal residue rules cited by verdicts for A4/A5
 _RESIDUE_RULES = {
@@ -310,9 +291,9 @@ def rule_abiding_profiles(group: str, drop: tuple[str, ...] = ()) -> tuple[Fixed
     the box: residue sets, witnesses and oracle caps all read it."""
     names = tuple(CLASS_WEIGHTS[group])
     rules = profile_rules(group, drop)
-    box = (FixedVertexProfile.from_counts(group, dict(zip(names, values)))
+    box = (FixedVertexProfile(group, **dict(zip(names, values)))
            for values in product(range(MAX_FIX + 1), repeat=len(names)))
-    kept = (p for p in box if all(r.holds_for_profile(p) for r in rules))
+    kept = (p for p in box if all(r.check(p) for r in rules))
     return tuple(sorted(kept, key=FixedVertexProfile.key))
 
 
@@ -355,7 +336,7 @@ def admissible_residues(group: str) -> CongruenceSet:
     if group == "S4":
         chain = m_rules(group)
         return CongruenceSet(order, frozenset(
-            r for r in range(order) if all(rule.holds_for_m(r) for rule in chain)))
+            r for r in range(order) if all(rule.check(r) for rule in chain)))
     return CongruenceSet(order, frozenset(
         residues_from_profile(group, p) for p in enumerate_profiles(group)))
 
@@ -376,7 +357,7 @@ def necessity_check(group: str, m: int) -> Verdict:
             witness = S4_WITNESSES[m % 24]
             return Verdict(group, m, True, (witness,), None)
         for rule in m_rules("S4"):
-            if not rule.holds_for_m(m):
+            if not rule.check(m):
                 return Verdict(group, m, False, (), rule)
         raise AssertionError("inadmissible S4 m must violate a chain rule")
     if m in residues:

@@ -62,4 +62,4 @@ def orbit_partition(a):
 
 
 def passes_profile_rules(group, p, drop=()):
-    return all(r.holds_for_profile(p) for r in profile_rules(group, drop))
+    return all(r.check(p) for r in profile_rules(group, drop))

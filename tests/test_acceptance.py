@@ -35,7 +35,7 @@ from tsglab.perm import (
     is_faithful,
     standard_group,
 )
-from tsglab.profiles import admissible_residues, necessity_check
+from tsglab.profiles import admissible_residues, m_rules, necessity_check
 
 from .conftest import REFERENCES
 
@@ -77,7 +77,7 @@ def test_criterion_2_oracle_equivalence():
     # the two m-congruence rules, and adding them changes nothing
     for m in range(0, 3 * GROUP_ORDER["S4"]):
         assert bool(feasible_multisets("S4", m)) == bool(
-            feasible_multisets("S4", m, use_m_rules=True))
+            all(r.check(m) for r in m_rules("S4")) and feasible_multisets("S4", m))
     _report("2 (oracle equivalence)", t0, 60.0)
 
 

@@ -11,10 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tsglab import cli, edges, geometry
+from tsglab.actions import Model, build, plan
 from tsglab.certificate import read_certificate, verify_certificate, write_certificate
 from tsglab.cli import main
 from tsglab.edges import full_report
 from tsglab.geometry import PrecisionError
+from tsglab.perm import standard_group
 
 from .conftest import close_free_orbits
 
@@ -112,6 +114,22 @@ def test_realize_knotted_exit_4(capsys, tmp_path):
     code, _, err = run(capsys, "realize", "--group", "A4", "--m", "5",
                        "--out", str(tmp_path / "x.json"))
     assert code == 4 and "knotted" in err
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_verify_rejects_knotted_cases(capsys, tmp_path, m):
+    """K_4 and K_5 with A4 get no certificate; a hand-built file (natural
+    action on the tetrahedron corners, plus the pole for m = 5) that passes
+    every check is still refused as a schema error."""
+    p = plan("A4", m)
+    coords = np.array([geometry.tetra_corner(i) for i in range(4)] + [geometry.POLE] * (m - 4))
+    mats = geometry.representation(standard_group("A4"), Model.TETRA_ROT)
+    r = geometry.Realization(p, build(p), Model.TETRA_ROT, geometry.ModelConfig(), mats, coords)
+    out_file = tmp_path / "knotted.json"
+    write_certificate(str(out_file), r, full_report(r))
+    code, out, err = run(capsys, "verify", "--in", str(out_file))
+    assert code == 2 and out == ""
+    assert err == f"error: K_{m} with group A4 needs knotted edges; no certificate describes it\n"
 
 
 def test_realize_inadmissible_exit_3(capsys, tmp_path):
@@ -419,6 +437,16 @@ def test_verify_checks_the_action_before_separation(capsys, tmp_path):
         < names.index("separation")
 
 
+def test_verify_runs_every_step_in_order(capsys, tmp_path):
+    out_file = str(tmp_path / "s4_28.json")
+    run(capsys, "realize", "--group", "S4", "--m", "28", "--out", out_file)
+    results = verify_certificate(read_certificate(out_file))
+    assert [(res.name, res.ok, res.message) for res in results] == [
+        (name, True, "") for name in (
+            "group-closure", "action-homomorphism", "homomorphism", "invariance",
+            "separation", "profile", "burnside", "edge-hypotheses")]
+
+
 @pytest.mark.parametrize("m,reason", [("36", "special-part vertices"), ("12", "separation")])
 def test_realize_crowded_vertices_exit_5(capsys, tmp_path, m, reason):
     # t = 1e-7 puts two edge points next to every corner: with a free orbit
@@ -453,10 +481,16 @@ def _perm_too_large(data):
     data["elements"][1]["perm"][0] = 2 ** 70
 
 
+def _perms_of_degree_16(data):
+    for e in data["elements"]:
+        e["perm"] += list(range(4, 16))
+
+
 _BAD_PERMS = [
     (_perm_of_other_degree, "equal-length lists of integers"),
     (_perm_not_a_bijection, "must be a bijection"),
     (_perm_too_large, "equal-length lists of integers"),
+    (_perms_of_degree_16, "degree 16 exceeds the limit of 15 letters"),
 ]
 
 

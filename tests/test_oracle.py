@@ -31,6 +31,7 @@ from tsglab.oracle import (
 from tsglab.profiles import (
     FixedVertexProfile,
     admissible_residues,
+    m_rules,
     profile_rules,
     rule_abiding_profiles,
 )
@@ -135,7 +136,7 @@ def test_s4_oracle_ignores_m_rules_entirely():
     engine = admissible_residues("S4")
     assert oracle_residues("S4") == engine
     for m in range(0, 72):
-        with_m = bool(feasible_multisets("S4", m, use_m_rules=True))
+        with_m = bool(all(r.check(m) for r in m_rules("S4")) and feasible_multisets("S4", m))
         without = bool(feasible_multisets("S4", m))
         assert with_m == without
 
@@ -171,7 +172,7 @@ def test_multisets_materialize_faithfully(group, m):
         act = materialize(ms)
         assert act.m == m
         assert is_faithful(act)
-        measured = FixedVertexProfile.from_counts(ms.group, class_fixed_counts(act))
+        measured = FixedVertexProfile(ms.group, **class_fixed_counts(act))
         assert measured.key() == ms.profile.key()
         n_orbits = sum(c for _, c in ms.counts)
         assert burnside_orbit_count(act) == n_orbits == len(orbit_partition(act))
@@ -235,9 +236,9 @@ def _brute_force_multisets(group, m, drop):
                 ker &= frozenset(t.core)
                 for name, f in t.fix_vector:
                     counts[name] = counts.get(name, 0) + c * f
-            profile = FixedVertexProfile.from_counts(group, counts)
+            profile = FixedVertexProfile(group, **counts)
             faithful = len(ker) == 1
-            if (profile.max_count() <= 3 and passes_profile_rules(group, profile, drop)
+            if (max(profile.key()) <= 3 and passes_profile_rules(group, profile, drop)
                     and (faithful or m < 4)):
                 out.append((tuple((t.subgroup_index, c) for t, c in chosen), profile, faithful))
             return

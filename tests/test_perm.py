@@ -171,6 +171,25 @@ def test_group_rejects_bad_rows(case, message):
         PermGroup("A5", _corrupt_rows()[case])
 
 
+def _a4_on_letters_0_and_last_three(degree):
+    """A4 moving letters 0, degree-3, degree-2, degree-1 and fixing the rest."""
+    letters = [0, degree - 3, degree - 2, degree - 1]
+    rows = np.tile(np.arange(degree), (12, 1))
+    rows[:, letters] = np.array(letters)[standard_group("A4").elements]
+    return rows
+
+
+def test_group_accepts_degree_15():
+    g = PermGroup("A4", _a4_on_letters_0_and_last_three(15))
+    assert g.degree == 15 and (g.rows(g.elements) == np.arange(12)).all()
+
+
+@pytest.mark.parametrize("degree", [16, 17])
+def test_group_rejects_degrees_above_15(degree):
+    with pytest.raises(ValueError, match=f"degree {degree} exceeds the limit of 15 letters"):
+        PermGroup("A4", _a4_on_letters_0_and_last_three(degree))
+
+
 def test_rows_match_entry_for_entry():
     """rows() finds a query only if it equals an element: a list that is no
     permutation but has an element's base-degree code gets -1."""

@@ -56,6 +56,58 @@ def test_every_rule_has_statement_text():
             assert r.text.strip()
 
 
+_CAPS = [
+    ("fix_le_3", "no non-trivial element fixes more than 3 vertices"),
+    ("inv_fix_le_2", "no order 2 element fixes more than 2 vertices"),
+]
+_INV_LE_1 = ("inv_fix_le_1", "no order 2 element of the even subgroup fixes more than 1 vertex")
+_N3_ZERO = ("n3_zero_forces_n2_zero",
+            "a vertex fixed by an involution is fixed by every element, so n3 = 0 forces n2 = 0")
+_INV_N3 = ("inv_vertex_excludes_n3_eq_3",
+           "if an involution fixes a vertex then no element fixes 3 vertices")
+RULE_SETS = {
+    "A4": _CAPS + [_INV_LE_1, _N3_ZERO, _INV_N3],
+    "S4": _CAPS + [_INV_LE_1, _N3_ZERO, _INV_N3,
+                   ("n4_zero", "every order 4 element has empty fixed point set, so n4 = 0"),
+                   ("m_mod_4", "m ≡ 0 (mod 4)"),
+                   ("m_mod_12_tetra",
+                    "m mod 12 must lie in {0, 1, 4, 5, 8} (even-subgroup constraint)"),
+                   ("m_ne_16_mod_24", "m ≢ 16 (mod 24)")],
+    "A5": _CAPS + [("fix_le_2", "no element fixes 3 vertices"), _INV_LE_1, _N3_ZERO,
+                   ("single_fix_couples", "n3 = 1 or n5 = 1 forces n2 = n3 = n5 = 1"),
+                   ("n5ne2", "n5 != 2: two vertices fixed by an order 5 rotation would force "
+                             "edges crossing at the dodecahedral center")],
+}
+M_RULE_IDS = {"A4": [], "S4": ["m_mod_4", "m_mod_12_tetra", "m_ne_16_mod_24"], "A5": []}
+
+
+@pytest.mark.parametrize("group", ["A4", "S4", "A5"])
+def test_rule_set_ids_and_texts_in_order(group):
+    assert [(r.id, r.text) for r in rule_set(group)] == RULE_SETS[group]
+
+
+@pytest.mark.parametrize("group", ["A4", "S4", "A5"])
+def test_profile_and_m_rules_split_the_rule_set(group):
+    ids = [rid for rid, _ in RULE_SETS[group]]
+    assert [r.id for r in m_rules(group)] == M_RULE_IDS[group]
+    assert [r.id for r in profile_rules(group)] == [i for i in ids if i not in M_RULE_IDS[group]]
+    assert {r.kind for r in m_rules(group)} <= {"m"}
+    assert {r.kind for r in profile_rules(group)} == {"profile"}
+
+
+@pytest.mark.parametrize("group,rid,text,residues", [
+    ("A4", "residues_mod_12",
+     "Burnside integrality over the allowed profiles forces m ≡ 0, 1, 4, 5, 8 (mod 12)", A4_SET),
+    ("A5", "residues_mod_60",
+     "Burnside integrality over the allowed profiles forces m ≡ 0, 1, 5, 20 (mod 60)", A5_SET),
+], ids=["A4", "A5"])
+def test_residue_rules(group, rid, text, residues):
+    order = admissible_residues(group).modulus
+    rule = necessity_check(group, order + 2).violated_rule
+    assert (rule.id, rule.text, rule.kind) == (rid, text, "m")
+    assert {m for m in range(order, 2 * order) if rule.check(m)} == {order + r for r in residues}
+
+
 # ----------------------------------------------------------------- tables
 
 
@@ -219,7 +271,7 @@ def test_plan_and_necessity_check_reuse_the_cached_walk():
 @pytest.mark.parametrize("group", ["A4", "S4", "A5"])
 def test_walk_is_the_rule_filtered_box_in_key_order(group):
     labels = list(CLASS_WEIGHTS[group])
-    box = [FixedVertexProfile.from_counts(group, dict(zip(labels, values)))
+    box = [FixedVertexProfile(group, **dict(zip(labels, values)))
            for values in product(range(MAX_FIX + 1), repeat=len(labels))]
     for drop in [()] + [(r.id,) for r in profile_rules(group)]:
         expect = sorted((p for p in box if passes_profile_rules(group, p, drop)),
