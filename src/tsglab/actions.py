@@ -46,7 +46,7 @@ from .perm import (
     restrict_action,
     standard_group,
 )
-from .profiles import FixedVertexProfile, NotAdmissibleError, necessity_check
+from .profiles import KNOTTED_CASES, FixedVertexProfile, NotAdmissibleError, necessity_check
 
 
 class Model(str, Enum):
@@ -71,10 +71,6 @@ PART_SIZES = {
 
 RESTRICT_EVEN_S4 = "a4_in_s4"   # even elements of S4
 RESTRICT_STAB_A5 = "a4_in_a5"   # even permutations fixing letter 4
-
-# the (group, m) that only a knotted-edge construction realizes: plan()
-# records their combinatorial actions, and no certificate describes them
-KNOTTED_CASES = (("A4", 4), ("A4", 5))
 
 # every (group, restriction, model tag) that plan() produces
 PLAN_HEADERS = (

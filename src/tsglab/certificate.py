@@ -1,13 +1,35 @@
 """Self-contained realization files: write, read back, re-check everything.
 
-A certificate stores the acting group's permutations, their 4x4 matrices,
-the vertex coordinates with part labels, the witness arc system and the
-hypothesis verdicts.  Verification reconstructs all objects from the file
-alone and re-runs every invariant; nothing is trusted.  The steps, in
-order, stopping at the first failure:
+A certificate (schema version 2) stores a realization in orbit form:
 
-    group-closure        the stored elements form the group (rebuild)
-    action-homomorphism  the stored vertex images are a faithful action
+    elements    one record per group element: its permutation `perm` and
+                its 4x4 special-orthogonal `matrix` (row-major)
+    generators  `perm` and `vertex_images` of two elements that generate
+                the group, PermGroup.generators: the first pair of rows,
+                in row order, that generates it
+    vertices    one record per vertex orbit: `id`, the smallest vertex of
+                the orbit, with the orbit's `part` label and its `coords`
+    arcs        the witness arc system
+    report      the hypothesis verdicts, the profile and the orbit count
+
+The group action fixes everything else, and the verifier derives it.  The
+image row of every other element comes from the generators' rows, from
+the identity outward over the Cayley table: act(x * s) = act(x) after
+act(s).  The vertex records must be exactly the orbit minima of that
+action, one per orbit.  Every other vertex w of the orbit of a record v
+gets mats[t] @ coords[v], through the first row t that maps v to w.  A
+stored row or coordinate is never overwritten, and nothing derived is
+trusted: the steps below check the whole action and all m coordinates.
+A file of any other schema version, such as a version 1 file with every
+image row and every coordinate, is a schema error that names its version.
+
+Verification reconstructs all objects from the file alone and re-runs
+every invariant.  The steps, in order, stopping at the first failure:
+
+    group-closure        the stored elements form the group, the stored
+                         generators generate it, and the vertex records
+                         are the orbit minima (rebuild)
+    action-homomorphism  the derived vertex images are a faithful action
     homomorphism, invariance, separation, profile
                          geometry.REALIZATION_CHECKS, as realize runs
                          them; profile also compares the stored profile
@@ -31,7 +53,6 @@ from typing import Optional
 import numpy as np
 
 from .actions import (
-    KNOTTED_CASES,
     PART_SIZES,
     PLAN_HEADERS,
     Model,
@@ -45,15 +66,19 @@ from .perm import (
     GROUP_ORDER,
     GroupAction,
     PermGroup,
+    action_from_generators,
     burnside_orbit_count,
     check_homomorphism,
     is_faithful,
+    orbit_minima,
+    orbit_representatives,
 )
+from .profiles import KNOTTED_CASES
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _TOP_KEYS = {"schema_version", "group", "m", "model", "restriction",
-             "elements", "vertices", "arcs", "report"}
+             "elements", "generators", "vertices", "arcs", "report"}
 
 
 class SchemaError(ValueError):
@@ -63,17 +88,13 @@ class SchemaError(ValueError):
 def certificate_dict(r: Realization, report) -> dict:
     va = r.vertex_action
     act = va.action
-    elements = []
-    for e, mat, img in zip(act.group.elements, r.mats, act.images):
-        elements.append({
-            "perm": e.tolist(),
-            "matrix": [float(x) for x in mat.ravel()],  # row-major
-            "vertex_images": img.tolist(),
-        })
-    vertices = [
-        {"id": i, "part": va.labels[i], "coords": [float(x) for x in r.coords[i]]}
-        for i in range(r.m)
-    ]
+    group = act.group
+    elements = [{"perm": perm, "matrix": mat}  # matrix row-major
+                for perm, mat in zip(group.elements.tolist(), r.mats.reshape(-1, 16).tolist())]
+    generators = [{"perm": group.elements[s].tolist(), "vertex_images": act.images[s].tolist()}
+                  for s in group.generators]
+    vertices = [{"id": v, "part": va.labels[v], "coords": r.coords[v].tolist()}
+                for v in orbit_representatives(act).tolist()]
     arcs = []
     if report.arcs:
         for (u, v), arc in sorted(report.arcs.items()):
@@ -96,6 +117,7 @@ def certificate_dict(r: Realization, report) -> dict:
         },
         "restriction": r.plan.restriction if r.plan else None,
         "elements": elements,
+        "generators": generators,
         "vertices": vertices,
         "arcs": arcs,
         "report": {
@@ -158,7 +180,8 @@ def _is_part_label(x) -> bool:
 
 
 # container type of each section, and a type test for each field of its records
-_SECTIONS = {"model": dict, "elements": list, "vertices": list, "arcs": list, "report": dict}
+_SECTIONS = {"model": dict, "elements": list, "generators": list, "vertices": list,
+             "arcs": list, "report": dict}
 _MODEL_FIELDS = {"tag": lambda x: isinstance(x, str), "theta": _is_number, "t": _is_number,
                  "seed": _is_int}
 _REPORT_FIELDS = {
@@ -167,7 +190,8 @@ _REPORT_FIELDS = {
     "profile": lambda x: isinstance(x, dict) and all(map(_is_int, x.values())),
 }
 _RECORD_FIELDS = {
-    "elements": {"perm": _ints, "matrix": _numbers(16), "vertex_images": _ints},
+    "elements": {"perm": _ints, "matrix": _numbers(16)},
+    "generators": {"perm": _ints, "vertex_images": _ints},
     "vertices": {"id": _is_int, "part": _is_part_label, "coords": _numbers(4)},
     "arcs": {"pair": _ints, "fixer": _ints, "start": _is_number, "sweep": _is_number,
              "basis": lambda x: isinstance(x, list) and len(x) == 2 and all(map(_numbers(4), x))},
@@ -183,15 +207,22 @@ def _check_record(section: str, rec, fields: dict) -> None:
 
 
 def _check_schema(data: dict) -> None:
-    """Shapes, types and header values: every field the verifier reads has
-    the JSON type it expects, group, restriction and model tag are a triple
-    plan() produces, (group, m) is not a knotted case, every vertex carries
-    a part label build() gives, and the group has its order of element
-    records.  NaN and inf are numbers here; the checks reject them."""
-    if not isinstance(data, dict) or set(data) != _TOP_KEYS:
+    """Version, shapes, types and header values: the file is schema
+    version 2, every field the verifier reads has the JSON type it
+    expects, group, restriction and model tag are a triple plan()
+    produces, (group, m) is not a knotted case, every vertex record
+    carries a part label build() gives, vertex ids are distinct vertices,
+    there is one vertex record per orbit the report counts, and the group
+    has its order of element records.  NaN and inf are numbers here; the
+    checks reject them."""
+    if not isinstance(data, dict):
+        raise SchemaError("a certificate is a JSON object")
+    version = data.get("schema_version")
+    if not _is_int(version) or version != SCHEMA_VERSION:
+        raise SchemaError(f"schema version {version!r} is not supported; "
+                          f"this verifier reads version {SCHEMA_VERSION}")
+    if set(data) != _TOP_KEYS:
         raise SchemaError(f"top-level keys must be {sorted(_TOP_KEYS)}")
-    if not _is_int(data["schema_version"]) or data["schema_version"] != SCHEMA_VERSION:
-        raise SchemaError(f"schema version {data['schema_version']} != {SCHEMA_VERSION}")
     for section, kind in _SECTIONS.items():
         if not isinstance(data[section], kind):
             raise SchemaError(f"{section} must be a JSON {'object' if kind is dict else 'array'}")
@@ -215,15 +246,19 @@ def _check_schema(data: dict) -> None:
     except ValueError as err:
         raise SchemaError(f"model: {err}") from err
     m = data["m"]
-    if not _is_int(m) or m != len(data["vertices"]):
-        raise SchemaError(f"m = {m!r} but the file holds {len(data['vertices'])} vertex records")
+    if not _is_int(m) or m < 1:
+        raise SchemaError(f"m must be a positive integer, got {m!r}")
     if (group, m) in KNOTTED_CASES:
         raise SchemaError(f"K_{m} with group {group} needs knotted edges; "
                           "no certificate describes it")
-    if any(len(e["vertex_images"]) != m for e in data["elements"]):
+    if any(len(g["vertex_images"]) != m for g in data["generators"]):
         raise SchemaError(f"every vertex_images list needs m = {m} entries")
-    if sorted(v["id"] for v in data["vertices"]) != list(range(m)):
-        raise SchemaError(f"vertex ids must be exactly 0..{m - 1}")
+    ids = [v["id"] for v in data["vertices"]]
+    if len(set(ids)) != len(ids) or not all(0 <= i < m for i in ids):
+        raise SchemaError(f"vertex ids must be distinct vertices 0..{m - 1}")
+    if len(ids) != data["report"]["orbit_count"]:
+        raise SchemaError(f"the report counts {data['report']['orbit_count']} orbits "
+                          f"but the file holds {len(ids)} vertex records")
 
 
 @dataclass
@@ -238,14 +273,39 @@ def _rebuild(data: dict) -> Realization:
     # elements are closed under product
     records = sorted(data["elements"], key=lambda e: e["perm"])
     group = PermGroup(data["group"], [e["perm"] for e in records])
-    ga = GroupAction(group, np.array([e["vertex_images"] for e in records]))
+    # one query per record: a list of another length gets row -1, no error
+    gens = [int(group.rows([g["perm"]])[0]) for g in data["generators"]]
+    ga = action_from_generators(group, gens, [g["vertex_images"] for g in data["generators"]])
     mats = np.array([e["matrix"] for e in records], dtype=float).reshape(-1, 4, 4)
-    vertices = sorted(data["vertices"], key=lambda v: v["id"])
-    va = VertexAction(ga, tuple(v["part"] for v in vertices), ())
-    coords = np.array([v["coords"] for v in vertices])
+    coords, labels = _orbit_coords(ga, mats, data["vertices"])
+    va = VertexAction(ga, labels, ())
     cfg = ModelConfig(theta=data["model"]["theta"], t=data["model"]["t"],
                       seed=data["model"]["seed"])
     return Realization(None, va, Model(data["model"]["tag"]), cfg, mats, coords)
+
+
+def _orbit_coords(action: GroupAction, mats: np.ndarray, records: list) -> tuple:
+    """Coordinates and part labels of all m vertices from one vertex
+    record per orbit, which must sit at the orbit's smallest vertex."""
+    stored = {v["id"]: v for v in records}
+    reps = orbit_representatives(action).tolist()
+    extra, missing = sorted(set(stored) - set(reps)), sorted(set(reps) - set(stored))
+    if extra:
+        raise ValueError(f"vertex record {extra[0]} is not the smallest vertex of its orbit")
+    if missing:
+        raise ValueError(f"the orbit of vertex {missing[0]} has no vertex record")
+    m = action.m
+    rep_of = orbit_minima(action)
+    # the first row carrying each vertex's orbit minimum to it; if none does,
+    # the action is no homomorphism, which action-homomorphism reports
+    t = (action.images[:, rep_of] == np.arange(m)).argmax(axis=0)
+    base = np.zeros((m, 4))
+    base[reps] = [stored[v]["coords"] for v in reps]
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails at invariance
+        coords = np.einsum("wij,wj->wi", mats[t], base[rep_of])
+    coords[reps] = base[reps]
+    parts = np.array([stored[v]["part"] for v in reps], dtype=object)
+    return coords, tuple(parts[np.searchsorted(reps, rep_of)])
 
 
 def _check_action(data: dict, real: Realization) -> None:

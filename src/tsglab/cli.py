@@ -24,8 +24,9 @@ from .certificate import (
 from .edges import full_report
 from .geometry import ModelConfig, PlacementError, PrecisionError, UnsupportedGeometryError, realize
 from .oracle import OracleInconsistencyError, feasible_multisets, oracle_residues
-from .perm import GROUP_NAMES
+from .perm import GROUP_NAMES, GROUP_ORDER
 from .profiles import (
+    CLASS_WEIGHTS,
     admissible_residues,
     enumerate_profiles,
     necessity_check,
@@ -56,22 +57,19 @@ def cmd_classify(args) -> int:
     return EXIT_INADMISSIBLE
 
 
-_A4_HEADER = "n2,n3,m_mod_12"
-_A5_HEADER = "n2,n3,n5,m_mod_60"
-
-
 def table_lines(group: str) -> list[str]:
-    if group == "A4":
-        lines = [_A4_HEADER, "0,0 or 3,0"]
-        for p in enumerate_profiles("A4"):
-            if (p.n2, p.n3) in ((0, 0), (0, 3)):
-                continue
-            lines.append(f"{p.n2},{p.n3},{residues_from_profile('A4', p)}")
-        return lines
-    if group == "A5":
-        lines = [_A5_HEADER]
-        for p in enumerate_profiles("A5"):
-            lines.append(f"{p.n2},{p.n3},{p.n5},{residues_from_profile('A5', p)}")
+    if group != "S4":
+        # one row per residue, in profile order; profiles sharing a residue
+        # differ in one class, written "a or b" (A4: n3 = 0 or 3)
+        names = tuple(CLASS_WEIGHTS[group])
+        by_residue: dict[int, list[tuple]] = {}
+        for p in enumerate_profiles(group):
+            by_residue.setdefault(residues_from_profile(group, p), []).append(p.key())
+        lines = [f"{','.join(names)},m_mod_{GROUP_ORDER[group]}"]
+        for residue, keys in by_residue.items():
+            cells = [" or ".join(map(str, sorted(set(column)))) for column in zip(*keys)]
+            assert sum(" or " in c for c in cells) <= 1, f"residue {residue}: two classes differ"
+            lines.append(",".join(cells + [str(residue)]))
         return lines
     chain = [
         ("n4_zero", "order-4 elements fix no vertices (n4 = 0)"),

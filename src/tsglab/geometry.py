@@ -30,13 +30,14 @@ from typing import Optional
 import numpy as np
 
 from .actions import BuiltPart, Model, OrbitPlan, VertexAction, measured_profile, restricted_group
-from .perm import PermGroup, standard_group
+from .perm import PermGroup, orbit_representatives, standard_group
 from .profiles import FixedVertexProfile
 
 ORTHO_TOL = 1e-9
 DET_TOL = ORTHO_TOL * 10
 HOM_TOL = 1e-8
 INVARIANCE_TOL = 1e-9
+SPHERE_TOL = 1e-9
 ON_CIRCLE_TOL = 1e-9
 CIRCLE_EQ_TOL = 1e-8
 SHARED_LINE_TOL = CIRCLE_EQ_TOL * 10  # singular values of a line two circles share
@@ -496,6 +497,8 @@ def _check_invariance(r: Realization) -> None:
     act = r.vertex_action.action
     # non-finite coordinates give a NaN error, which fails quietly below
     with np.errstate(invalid="ignore", over="ignore"):
+        radius = float(np.abs(np.linalg.norm(r.coords, axis=1) - 1).max())
+        require_at_most(radius, SPHERE_TOL, f"vertices lie off the unit sphere by {radius}")
         for e, mat, img in zip(r.group.elements, r.mats, act.images):
             moved = r.coords @ mat.T
             err = float(np.abs(moved - r.coords[img]).max())
@@ -511,8 +514,7 @@ def _min_separation(r: Realization) -> float:
     are invariant, so the representatives' distances to all m points cover
     every pair: (#orbits)*m distances instead of m^2/2.
     """
-    images = r.vertex_action.action.images
-    representatives = np.flatnonzero(images.min(axis=0) == np.arange(r.m))
+    representatives = orbit_representatives(r.vertex_action.action)
     return closest_distance(r.coords, rows=representatives)
 
 

@@ -20,7 +20,7 @@ constant on the actions this package builds.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations as _all_permutations
 
 import numpy as np
@@ -121,6 +121,14 @@ class PermGroup:
             raise ValueError(f"{name} class sizes {sizes} do not match {EXPECTED_CLASSES[name]}")
         self.classes = {c: tuple(i for i, x in enumerate(names) if x == c)
                         for c in EXPECTED_CLASSES[name]}
+
+    @cached_property
+    def generators(self) -> tuple[int, int]:
+        """The first pair of rows, in row order, that generates the whole
+        group: the rows whose vertex images a certificate stores."""
+        table, whole = self.cayley.tolist(), (1 << self.order) - 1
+        return next((a, b) for a in range(1, self.order) for b in range(a + 1, self.order)
+                    if _closure(table, (a, b)) == whole)
 
     def rows(self, perms) -> np.ndarray:
         """Row of each image list in perms, or -1 for one that is no element.
@@ -258,13 +266,50 @@ def natural_action(g: PermGroup) -> GroupAction:
 
 
 def check_homomorphism(a: GroupAction) -> None:
-    imgs, elements = a.images, a.group.elements
-    for i in range(a.group.order):
-        # row j compares act(i * j) with act(i) after act(j)
-        bad = np.flatnonzero((imgs[a.group.cayley[i]] != imgs[i][imgs]).any(axis=1))
+    """act(x * s) == act(x) after act(s) for every row x and each of the
+    group's generators s.  That is as strong as testing every pair: the
+    identity acts trivially, and every element is a product of generators."""
+    imgs, g = a.images, a.group
+    for s in g.generators:
+        # row x compares act(x * s) with act(x) after act(s)
+        bad = np.flatnonzero((imgs[g.cayley[:, s]] != imgs[:, imgs[s]]).any(axis=1))
         if len(bad):
-            e1, e2 = elements[i].tolist(), elements[bad[0]].tolist()
+            e1, e2 = g.elements[bad[0]].tolist(), g.elements[s].tolist()
             raise InconsistentActionError(f"act({e1} * {e2}) != act({e1}) * act({e2})")
+
+
+def action_from_generators(g: PermGroup, gens, gen_images) -> GroupAction:
+    """The action table that sends the generator rows gens to the image
+    rows gen_images: breadth-first from the identity, row x * s gets
+    act(x) after act(s).  A stored generator row is never overwritten, so
+    the table holds every given row.  Raises ValueError unless gens are
+    distinct non-identity rows that generate g and each image row is a
+    bijection.  Whether the table is a homomorphism (whether the images
+    respect the relations of g) is check_homomorphism's question."""
+    gens = [int(s) for s in gens]
+    if len(set(gens)) < len(gens) or not all(0 < s < g.order for s in gens):
+        raise ValueError("generators must be distinct non-identity group elements")
+    reached = len(generated(g, gens))
+    if reached < g.order:
+        raise ValueError(f"the generators generate {reached} of the {g.order} group elements")
+    gen_images = np.asarray(gen_images)
+    if gen_images.ndim != 2 or len(gen_images) != len(gens) \
+            or not np.issubdtype(gen_images.dtype, np.integer):
+        raise ValueError("generator images must be equal-length lists of integers")
+    m = gen_images.shape[1]
+    if not (np.sort(gen_images, axis=1) == np.arange(m)).all():
+        raise ValueError(f"every generator image row must be a bijection on 0..{m - 1}")
+    images = np.empty((g.order, m), dtype=np.intp)
+    images[0], images[gens] = np.arange(m), gen_images
+    table, queue = g.cayley.tolist(), [0]
+    for x in queue:  # breadth-first: the queue grows while it is read
+        for s in gens:
+            y = table[x][s]
+            if y not in queue:
+                queue.append(y)
+                if y not in gens:
+                    images[y] = images[x][images[s]]
+    return GroupAction(g, images)
 
 
 def left_cosets(g: PermGroup, h) -> tuple[list[int], np.ndarray]:
@@ -320,6 +365,29 @@ def burnside_orbit_count(a: GroupAction) -> int:
         raise InconsistentActionError(
             f"fixed-point sum {total} not divisible by group order {a.group.order}")
     return total // a.group.order
+
+
+def orbit_minima(a: GroupAction) -> np.ndarray:
+    """For each vertex, the smallest vertex of its orbit: the smallest
+    vertex the generators' rows join it to, found by passing labels along
+    those rows until none changes.  Read off the generator rows alone, the
+    orbits stay those of the permutations they generate even when the
+    rest of the table is no homomorphism, so such a table is reported by
+    check_homomorphism and not as a wrong orbit."""
+    low = np.arange(a.m)
+    while True:
+        before = low
+        for img in a.images[list(a.group.generators)]:
+            low = np.minimum(low, low[img])     # v takes the label of s.v
+            low[img] = np.minimum(low[img], low)  # s.v takes the label of v
+        if (low == before).all():
+            return low
+
+
+def orbit_representatives(a: GroupAction) -> np.ndarray:
+    """The smallest vertex of each orbit, ascending: the vertices that no
+    element maps to a smaller one."""
+    return np.flatnonzero(orbit_minima(a) == np.arange(a.m))
 
 
 def kernel(a: GroupAction) -> tuple[int, ...]:

@@ -36,6 +36,10 @@ CLASS_WEIGHTS = {
     for group, sizes in EXPECTED_CLASSES.items()
 }
 
+# the (group, m) that only a knotted-edge construction realizes: plan()
+# records their combinatorial actions, and no certificate describes them
+KNOTTED_CASES = (("A4", 4), ("A4", 5))
+
 # no non-trivial element fixes more vertices than this, whichever rules are
 # dropped: the bound of the box every profile walk runs over
 MAX_FIX = 3
@@ -366,7 +370,7 @@ def necessity_check(group: str, m: int) -> Verdict:
             if residues_from_profile(group, p) == m % residues.modulus
         )
         note = ""
-        if group == "A4" and m in (4, 5):
+        if (group, m) in KNOTTED_CASES:
             note = "only the knotted-edge construction realizes this case; geometry is out of scope"
         return Verdict(group, m, True, witnesses, None, note)
     return Verdict(group, m, False, (), _RESIDUE_RULES[group])

@@ -63,3 +63,26 @@ def orbit_partition(a):
 
 def passes_profile_rules(group, p, drop=()):
     return all(r.check(p) for r in profile_rules(group, drop))
+
+
+def expand_certificate(data):
+    """The image row of every element, keyed by its permutation, and all m
+    coordinates of a certificate, worked out here from products of the
+    stored generators and not through the verifier."""
+    m = data["m"]
+    mats = {tuple(e["perm"]): np.array(e["matrix"]).reshape(4, 4) for e in data["elements"]}
+    gens = [(tuple(g["perm"]), np.array(g["vertex_images"])) for g in data["generators"]]
+    identity = tuple(range(len(gens[0][0])))
+    images, frontier = {identity: np.arange(m)}, [identity]
+    while frontier:
+        x = frontier.pop()
+        for perm, img in gens:
+            y = tuple(x[k] for k in perm)  # x * perm: perm first
+            if y not in images:
+                images[y] = images[x][img]
+                frontier.append(y)
+    coords = np.empty((m, 4))
+    for v in data["vertices"]:
+        for e, img in images.items():
+            coords[img[v["id"]]] = mats[e] @ np.array(v["coords"])
+    return images, coords

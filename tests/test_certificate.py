@@ -1,0 +1,176 @@
+"""Orbit-form certificates: what a file fixes, and the faults only that
+form can carry (generators, orbit representatives, a vertex off the
+sphere)."""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tsglab.certificate import _rebuild, certificate_dict, read_certificate, write_certificate
+from tsglab.cli import main
+from tsglab.edges import full_report
+from tsglab.geometry import fixed_set
+from tsglab.perm import PermGroup, generated
+
+from .conftest import REFERENCES, expand_certificate
+
+ROOT = Path(__file__).parents[1]
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def semantic_digest(images, mats, coords) -> str:
+    """sha256 over the shapes and little-endian bytes of the action, the
+    matrices and the coordinates."""
+    h = hashlib.sha256()
+    for arr, dtype in ((images, "<i8"), (mats, "<f8"), (coords, "<f8")):
+        a = np.ascontiguousarray(arr, dtype=dtype)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_reference_cases_keep_their_semantics(realized, tmp_path):
+    """realize gives the action, matrices and coordinates recorded in
+    golden/reference_semantics.json (seed 0) for the 14 reference cases,
+    and each file rebuilds to the same action and matrices, and to
+    coordinates within 1e-14."""
+    golden = json.loads((GOLDEN / "reference_semantics.json").read_text())
+    assert set(golden["sha256"]) == {f"{g.lower()}_m{m}" for g, m in REFERENCES}
+    same_numpy = golden["numpy"] == np.__version__
+    for (group, m), (_, r) in realized.items():
+        images = r.vertex_action.action.images
+        if same_numpy:
+            expect = golden["sha256"][f"{group.lower()}_m{m}"]
+            assert semantic_digest(images, r.mats, r.coords) == expect, (group, m)
+        path = tmp_path / f"{group}_{m}.json"
+        write_certificate(str(path), r, full_report(r))
+        back = _rebuild(read_certificate(str(path)))
+        assert (back.vertex_action.action.images == images).all(), (group, m)
+        assert (back.mats == r.mats).all(), (group, m)
+        assert np.abs(back.coords - r.coords).max() <= 1e-14, (group, m)
+    if not same_numpy:
+        pytest.skip(f"digests were recorded with numpy {golden['numpy']}, not {np.__version__}")
+
+
+def test_a_file_holds_one_vertex_record_per_orbit(realized):
+    for (group, m), (va, r) in realized.items():
+        data = certificate_dict(r, full_report(r))
+        ids = [v["id"] for v in data["vertices"]]
+        assert len(ids) == data["report"]["orbit_count"] == va.plan.orbit_count
+        assert ids == sorted(ids) and ids[0] == 0
+        gens = [g["perm"] for g in data["generators"]]
+        assert gens == r.group.elements[list(r.group.generators)].tolist()
+
+
+def _certificate(tmp_path, group, m):
+    path = tmp_path / f"{group}_{m}.json"
+    assert main(["realize", "--group", group, "--m", str(m), "--out", str(path)]) == 0
+    return path, json.loads(path.read_text())
+
+
+def _verify(capsys, path, data):
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["verify", "--in", str(path)])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("group,m", [("A4", 13), ("S4", 4), ("S4", 24), ("A5", 60),
+                                     ("A4", 1213)])
+def test_doubled_coordinates_fail_at_invariance(capsys, tmp_path, group, m):
+    path, data = _certificate(tmp_path, group, m)
+    for v in data["vertices"]:
+        v["coords"] = [2 * x for x in v["coords"]]
+    code, out, err = _verify(capsys, path, data)
+    assert code == 5 and "invariance: FAILED (vertices lie off the unit sphere" in out
+    assert err == "verification failed at: invariance\n"
+
+
+def test_generators_that_do_not_generate_fail_at_group_closure(capsys, tmp_path):
+    """The second generator is replaced by an element of a proper subgroup
+    that contains the first one, with its true vertex images."""
+    path, data = _certificate(tmp_path, "S4", 28)
+    images = expand_certificate(data)[0]
+    g = PermGroup("S4", [e["perm"] for e in data["elements"]])
+    a = data["generators"][0]["perm"]
+    row_a = int(g.rows([a])[0])
+    c = next(p for p in g.elements.tolist()[1:]
+             if p != a and len(generated(g, (row_a, int(g.rows([p])[0])))) < g.order)
+    data["generators"][1] = {"perm": c, "vertex_images": images[tuple(c)].tolist()}
+    code, out, err = _verify(capsys, path, data)
+    assert code == 5 and out.startswith("group-closure: FAILED (the generators generate ")
+    assert err == "verification failed at: group-closure\n"
+
+
+def test_an_inconsistent_edge_fails_at_action_homomorphism(capsys, tmp_path):
+    """The second generator, of order 3, gets the vertex images of an
+    element of order 5 that still generates A5 with the first one.  No
+    homomorphism does that, so some edge of the derived table breaks.  The
+    orbits are those of the same permutation group, so the fault is
+    reported as a broken homomorphism, not as a wrong vertex record.
+    (test_perm checks the direct check_homomorphism call on a corrupt
+    row, generator or not.)"""
+    path, data = _certificate(tmp_path, "A5", 80)
+    images = expand_certificate(data)[0]
+    g = PermGroup("A5", [e["perm"] for e in data["elements"]])
+    a, b = (int(g.rows([gen["perm"]])[0]) for gen in data["generators"])
+    assert g.orders[b] == 3
+    c = next(r for r in range(g.order)
+             if g.orders[r] == 5 and len(generated(g, (a, r))) == g.order)
+    data["generators"][1]["vertex_images"] = images[tuple(g.elements[c].tolist())].tolist()
+    code, out, err = _verify(capsys, path, data)
+    assert code == 5 and "group-closure: ok" in out
+    assert "action-homomorphism: FAILED (act(" in out
+    assert err == "verification failed at: action-homomorphism\n"
+
+
+def test_representative_off_its_stabilizer_circle_fails_at_invariance(capsys, tmp_path):
+    """A5 m=20 is one simplex_edge orbit: its representative is fixed by
+    a 3-cycle and lies on that element's circle.  Moved off the circle but
+    kept on the sphere, the stabilizer moves it."""
+    path, data = _certificate(tmp_path, "A5", 20)
+    (rep,) = data["vertices"]
+    images = expand_certificate(data)[0]
+    stabilizer = [p for p, img in images.items() if img[rep["id"]] == rep["id"]]
+    assert len(stabilizer) == 3 and data["vertices"][0]["part"] == "simplex_edge"
+    fixer = next(p for p in stabilizer if list(p) != sorted(p))
+    matrix = next(e["matrix"] for e in data["elements"] if tuple(e["perm"]) == fixer)
+    circle = fixed_set(np.array(matrix).reshape(4, 4))
+    p = np.array(rep["coords"])
+    assert circle.contains(p)
+    off = np.array([0.3, -0.2, 0.5, 0.1])
+    off -= circle.projector @ off
+    moved = p + 1e-3 * off / np.linalg.norm(off)
+    rep["coords"] = (moved / np.linalg.norm(moved)).tolist()
+    code, out, err = _verify(capsys, path, data)
+    assert code == 5 and "invariance: FAILED (element " in out and "moves vertices" in out
+    assert err == "verification failed at: invariance\n"
+
+
+def test_a_record_off_the_orbit_minimum_fails_at_group_closure(capsys, tmp_path):
+    path, data = _certificate(tmp_path, "S4", 28)
+    data["vertices"][0]["id"] = 1
+    code, out, _ = _verify(capsys, path, data)
+    assert code == 5
+    assert out.startswith("group-closure: FAILED (vertex record 1 is not the smallest vertex")
+
+
+def test_version_1_file_is_a_schema_error():
+    """tests/golden/v1_a4_m13.json was written by the version 1 writer;
+    `python -m tsglab.cli verify` names its version and exits 2."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    v1 = GOLDEN / "v1_a4_m13.json"
+    assert json.loads(v1.read_text())["schema_version"] == 1
+    proc = subprocess.run([sys.executable, "-m", "tsglab.cli", "verify", "--in", str(v1)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: schema version 1 is not supported; "
+                           "this verifier reads version 2\n")

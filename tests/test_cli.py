@@ -18,7 +18,7 @@ from tsglab.edges import full_report
 from tsglab.geometry import PrecisionError
 from tsglab.perm import standard_group
 
-from .conftest import close_free_orbits
+from .conftest import close_free_orbits, expand_certificate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -169,8 +169,8 @@ def test_verify_detects_swapped_permutation(capsys, tmp_path):
     out_file = str(tmp_path / "d.json")
     run(capsys, "realize", "--group", "S4", "--m", "24", "--out", out_file, "--seed", "1")
     data = json.loads(Path(out_file).read_text())
-    e5, e6 = data["elements"][5], data["elements"][6]
-    e5["vertex_images"], e6["vertex_images"] = e6["vertex_images"], e5["vertex_images"]
+    a, b = data["generators"]
+    a["vertex_images"], b["vertex_images"] = b["vertex_images"], a["vertex_images"]
     Path(out_file).write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--in", out_file)
     assert code == 5
@@ -221,7 +221,7 @@ def _renumber_vertex(data):
 
 
 def _short_vertex_images(data):
-    data["elements"][2]["vertex_images"].pop()
+    data["generators"][1]["vertex_images"].pop()
 
 
 @pytest.mark.parametrize("mutate", [_mutate_m, _shrink_m, _drop_vertex, _renumber_vertex,
@@ -266,8 +266,15 @@ def _drop_report_h2(data):
     _set(("vertices", 0, "part"), 3),
     _set(("elements", 1, "perm", 0), True),
     _set(("elements", 1, "perm", 0), 1.5),
-    _set(("elements", 1, "vertex_images", 0), 1.0),
-    _set(("elements", 1, "vertex_images", 0), True),
+    _set(("generators", 1, "vertex_images", 0), 1.0),
+    _set(("generators", 1, "vertex_images", 0), True),
+    _set(("generators",), {}),
+    _set(("generators", 0), [1, 2]),
+    _set(("generators", 0, "perm"), "x"),
+    _set(("generators", 0, "vertex_images"), None),
+    _set(("report", "orbit_count"), 3),
+    _set(("m",), 0),
+    _set(("schema_version",), 1),
     _set(("elements", 1, "matrix", 3), None),
     _set(("arcs", 0, "start"), "x"),
     _set(("arcs", 0, "sweep"), [1.0]),
@@ -704,16 +711,21 @@ def _conjugate(data, rng):
 
 
 def _relabel(data, rng):
-    """Rename vertex i to sigma(i) for a random permutation sigma; arc
-    pairs stay ascending and arc angles are left alone, so an arc whose
-    pair order flips is now written from its other endpoint."""
+    """Rename vertex i to sigma(i) for a random permutation sigma.  The
+    vertex records move to the smallest new label of each orbit, picked
+    here again; arc pairs stay ascending and arc angles are left alone, so
+    an arc whose pair order flips is now written from its other endpoint."""
     sigma = rng.permutation(data["m"])
-    for e in data["elements"]:
-        images = np.empty(data["m"], dtype=int)
-        images[sigma] = sigma[e["vertex_images"]]
-        e["vertex_images"] = images.tolist()
+    images, coords = expand_certificate(data)
+    moved = np.empty_like(coords)
+    moved[sigma] = coords
+    for g in data["generators"]:
+        relabelled = np.empty(data["m"], dtype=int)
+        relabelled[sigma] = sigma[g["vertex_images"]]
+        g["vertex_images"] = relabelled.tolist()
     for v in data["vertices"]:
-        v["id"] = int(sigma[v["id"]])
+        rep = int(min(sigma[img[v["id"]]] for img in images.values()))
+        v["id"], v["coords"] = rep, moved[rep].tolist()
     for arc in data["arcs"]:
         arc["pair"] = sorted(int(sigma[w]) for w in arc["pair"])
 

@@ -14,6 +14,7 @@ from tsglab.perm import (
     InconsistentActionError,
     NotASubgroupError,
     PermGroup,
+    action_from_generators,
     burnside_orbit_count,
     check_homomorphism,
     coset_action,
@@ -23,6 +24,8 @@ from tsglab.perm import (
     is_faithful,
     kernel,
     left_cosets,
+    orbit_minima,
+    orbit_representatives,
     pair_stabilizer,
     restrict_action,
     standard_group,
@@ -505,3 +508,72 @@ def test_parity_multiplicative():
         g = standard_group(name)
         assert (g.even[g.cayley] == (g.even[:, None] == g.even[None, :])).all()
     assert not standard_group("S4").even.all()
+
+
+# -------------------------------------------------------------- generators
+
+_ALL_GROUPS = [lambda n=n: standard_group(n) for n in GROUPS] + [a4_inside_a5]
+
+
+@pytest.mark.parametrize("make", _ALL_GROUPS)
+def test_generators_are_the_first_generating_pair(make):
+    g = make()
+    a, b = g.generators
+    pairs = [(i, j) for i in range(g.order) for j in range(i + 1, g.order)]
+    first = next(p for p in pairs if len(generated(g, p)) == g.order)
+    assert (a, b) == first
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_check_homomorphism_catches_any_corrupt_row(name):
+    """Only the generators' edges are tested, yet a corrupt row is caught
+    wherever it sits, generator or not."""
+    g = standard_group(name)
+    a = coset_action(g, (0,))  # regular
+    for r in range(1, g.order):
+        bad = a.images.copy()
+        bad[r, [0, 1]] = bad[r, [1, 0]]
+        with pytest.raises(InconsistentActionError, match=r"^act\("):
+            check_homomorphism(GroupAction(g, bad))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GROUPS), st.data())
+def test_action_from_generators_rebuilds_every_action(name, data):
+    g = standard_group(name)
+    picks = data.draw(st.lists(st.sampled_from(subgroups_up_to_conjugacy(name)),
+                               min_size=1, max_size=3))
+    a = direct_sum([coset_action(g, h) for h in picks])
+    gens = list(g.generators)
+    rebuilt = action_from_generators(g, gens, a.images[gens])
+    assert (rebuilt.images == a.images).all()
+    assert (orbit_minima(a) == a.images.min(axis=0)).all()
+    assert orbit_representatives(a).tolist() == [orbit[0] for orbit in orbit_partition(a)]
+
+
+def test_action_from_generators_keeps_inconsistent_generator_rows():
+    """Images that break a relation still give a table, with the stored
+    rows in place; check_homomorphism rejects it."""
+    g = standard_group("S4")
+    a = natural_action(g)
+    gens = list(g.generators)
+    swapped = a.images[gens[::-1]]
+    table = action_from_generators(g, gens, swapped)
+    assert (table.images[gens] == swapped).all()
+    with pytest.raises(InconsistentActionError):
+        check_homomorphism(table)
+
+
+@pytest.mark.parametrize("gens,images,message", [
+    ([1, 2], None, "generate 6 of the 24"),
+    ([1, 1], None, "distinct non-identity"),
+    ([0, 8], None, "distinct non-identity"),
+    ([1, 8], [[0, 1, 2, 3]], "equal-length lists"),
+    ([1, 8], [[0, 1, 2, 2], [0, 1, 2, 3]], "bijection"),
+    ([1, 8], [[0.0, 1.0, 3.0, 2.0], [1.0, 2.0, 0.0, 3.0]], "integers"),
+])
+def test_action_from_generators_rejects(gens, images, message):
+    g = standard_group("S4")
+    images = g.elements[gens] if images is None else images
+    with pytest.raises(ValueError, match=message):
+        action_from_generators(g, gens, images)
