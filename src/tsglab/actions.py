@@ -72,6 +72,9 @@ PART_SIZES = {
 RESTRICT_EVEN_S4 = "a4_in_s4"   # even elements of S4
 RESTRICT_STAB_A5 = "a4_in_a5"   # even permutations fixing letter 4
 
+# the group whose orbits a restricted plan lays down
+RESTRICTION_PARENT = {RESTRICT_EVEN_S4: "S4", RESTRICT_STAB_A5: "A5"}
+
 # every (group, restriction, model tag) that plan() produces
 PLAN_HEADERS = (
     ("A4", None, Model.TETRA_ROT.value),
@@ -119,11 +122,7 @@ class OrbitPlan:
     @property
     def building_group(self) -> str:
         """Group whose orbits are laid down (the parent for restrictions)."""
-        if self.restriction == RESTRICT_EVEN_S4:
-            return "S4"
-        if self.restriction == RESTRICT_STAB_A5:
-            return "A5"
-        return self.group
+        return RESTRICTION_PARENT.get(self.restriction, self.group)
 
     def part_size(self, spec: PartSpec) -> int:
         if spec.kind == "free":

@@ -28,7 +28,7 @@ every invariant.  The steps, in order, stopping at the first failure:
 
     group-closure        the stored elements form the group, the stored
                          generators generate it, and the vertex records
-                         are the orbit minima (rebuild)
+                         are the orbit minima; part labels span their parts' sizes (rebuild)
     action-homomorphism  the derived vertex images are a faithful action
     homomorphism, invariance, separation, profile
                          geometry.REALIZATION_CHECKS, as realize runs
@@ -47,6 +47,7 @@ import json
 import os
 import re
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,12 +56,13 @@ import numpy as np
 from .actions import (
     PART_SIZES,
     PLAN_HEADERS,
+    RESTRICTION_PARENT,
     Model,
     VertexAction,
     measured_profile,
 )
 from .edges import Arc, full_report
-from .geometry import REALIZATION_CHECKS, FixedCircle, ModelConfig, Realization
+from .geometry import REALIZATION_CHECKS, ModelConfig, Realization
 from .perm import (
     GROUP_NAMES,
     GROUP_ORDER,
@@ -101,7 +103,7 @@ def certificate_dict(r: Realization, report) -> dict:
             arcs.append({
                 "pair": [u, v],
                 "fixer": act.group.elements[arc.fixer].tolist(),
-                "basis": [[float(x) for x in row] for row in arc.circle.basis],
+                "basis": [[float(x) for x in row] for row in arc.basis],
                 "start": float(arc.start),
                 "sweep": float(arc.sweep),
             })
@@ -277,16 +279,18 @@ def _rebuild(data: dict) -> Realization:
     gens = [int(group.rows([g["perm"]])[0]) for g in data["generators"]]
     ga = action_from_generators(group, gens, [g["vertex_images"] for g in data["generators"]])
     mats = np.array([e["matrix"] for e in records], dtype=float).reshape(-1, 4, 4)
-    coords, labels = _orbit_coords(ga, mats, data["vertices"])
+    free_size = GROUP_ORDER[RESTRICTION_PARENT.get(data["restriction"], data["group"])]
+    coords, labels = _orbit_coords(ga, mats, data["vertices"], free_size)
     va = VertexAction(ga, labels, ())
     cfg = ModelConfig(theta=data["model"]["theta"], t=data["model"]["t"],
                       seed=data["model"]["seed"])
     return Realization(None, va, Model(data["model"]["tag"]), cfg, mats, coords)
 
 
-def _orbit_coords(action: GroupAction, mats: np.ndarray, records: list) -> tuple:
+def _orbit_coords(action: GroupAction, mats: np.ndarray, records: list, free_size: int) -> tuple:
     """Coordinates and part labels of all m vertices from one vertex
-    record per orbit, which must sit at the orbit's smallest vertex."""
+    record per orbit, which must sit at the orbit's smallest vertex.
+    Each label spans its part's size (free_size for a free part)."""
     stored = {v["id"]: v for v in records}
     reps = orbit_representatives(action).tolist()
     extra, missing = sorted(set(stored) - set(reps)), sorted(set(reps) - set(stored))
@@ -305,7 +309,12 @@ def _orbit_coords(action: GroupAction, mats: np.ndarray, records: list) -> tuple
         coords = np.einsum("wij,wj->wi", mats[t], base[rep_of])
     coords[reps] = base[reps]
     parts = np.array([stored[v]["part"] for v in reps], dtype=object)
-    return coords, tuple(parts[np.searchsorted(reps, rep_of)])
+    labels = tuple(parts[np.searchsorted(reps, rep_of)])
+    for label, count in Counter(labels).items():
+        size = PART_SIZES.get(label, free_size)
+        if count != size:
+            raise ValueError(f"part {label!r} spans {count} vertices instead of {size}")
+    return coords, labels
 
 
 def _check_action(data: dict, real: Realization) -> None:
@@ -339,10 +348,10 @@ def _check_hypotheses(data: dict, real: Realization) -> None:
         pair = tuple(rec["pair"])
         if pair in arcs:
             raise AssertionError(f"two arc records for pair {rec['pair']}")
-        circle = FixedCircle(np.array(rec["basis"], dtype=float))
+        basis = np.array(rec["basis"], dtype=float)
         # a list that is no element gets row -1, which check_arcs rejects
         fixer = int(real.group.rows([rec["fixer"]])[0])
-        arcs[pair] = Arc(pair, fixer, circle, rec["start"], rec["sweep"])
+        arcs[pair] = Arc(pair, fixer, basis, rec["start"], rec["sweep"])
     report = full_report(real, arcs)
     if not report.overall:
         raise AssertionError(f"hypothesis checks failed: {report.details}")

@@ -11,6 +11,7 @@ failed edge hypotheses).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .actions import build, plan
@@ -160,6 +161,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if all_match else EXIT_CHECK_FAILED
 
 
+@functools.cache  # parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsglab",

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .actions import VertexAction
-from .geometry import CIRCLE_EQ_TOL, FixedCircle, Realization, circles_intersection
+from .geometry import Realization, circles_intersection, plane_distance, projectors, same_circle
 from .perm import is_faithful, pair_fixer_counts, pair_stabilizer
 
 PAIR_TOL = 1e-8
@@ -54,15 +55,20 @@ class Arc:
 
     pair: tuple[int, int]
     fixer: int                  # row of a non-trivial element whose circle carries the arc
-    circle: FixedCircle
+    basis: np.ndarray           # (2, 4) orthonormal rows; angle 0 at basis[0], pi/2 at basis[1]
     start: float
     sweep: float
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        return projectors(self.basis)
 
     def angle_at(self, s: float) -> float:
         return self.start + s * self.sweep
 
     def point_at(self, s: float) -> np.ndarray:
-        return self.circle.point_at(self.angle_at(s))
+        angle = self.angle_at(s)
+        return math.cos(angle) * self.basis[0] + math.sin(angle) * self.basis[1]
 
     @property
     def midpoint(self) -> np.ndarray:
@@ -76,9 +82,14 @@ class Arc:
         return margin < rel < span - margin
 
     def interior_contains_point(self, p: np.ndarray, margin: float = ANGLE_EPS) -> bool:
-        if not self.circle.contains(p, tol=PAIR_TOL):
+        if not plane_distance(self.projector, p) <= PAIR_TOL:
             return False
-        return self.interior_contains_angle(self.circle.angle_of(p), margin)
+        return self.interior_contains_angle(_angle(self.basis, p), margin)
+
+
+def _angle(basis: np.ndarray, p: np.ndarray) -> float:
+    x, y = float(basis[0] @ p), float(basis[1] @ p)
+    return math.atan2(y, x)
 
 
 ArcAssignment = dict[tuple[int, int], Arc]
@@ -116,12 +127,11 @@ def required_pairs(va: VertexAction) -> list[tuple[int, int]]:
 def check_h1(r: Realization) -> bool:
     """All non-trivial fixers of each pinned pair share one fixed circle."""
     va = r.vertex_action
+    planes = projectors(r.circles)
     for u, v in required_pairs(va):
-        circles = [r.circles[i] for i in pair_stabilizer(va.action, u, v)[1:]]
-        if any(c.empty for c in circles):
-            return False
-        first = circles[0]
-        if any(not first.same_circle(c) for c in circles[1:]):
+        fixers = planes[list(pair_stabilizer(va.action, u, v)[1:])]
+        # a zero projector is no circle, which nothing can share
+        if not (fixers[0].any() and same_circle(fixers, fixers[0]).all()):
             return False
     return True
 
@@ -141,11 +151,11 @@ def assign_arcs(r: Realization) -> ArcAssignment:
     arcs: ArcAssignment = {}
     for u, v in required_pairs(va):
         fixer = pair_stabilizer(va.action, u, v)[1]
-        circle = r.circles[fixer]
-        a_u, a_v = circle.angle_of(r.coords[u]), circle.angle_of(r.coords[v])
+        basis = r.circles[fixer]
+        a_u, a_v = _angle(basis, r.coords[u]), _angle(basis, r.coords[v])
         ccw = (a_v - a_u) % (2 * math.pi)
-        candidates = [Arc((u, v), fixer, circle, a_u, ccw),
-                      Arc((u, v), fixer, circle, a_u, ccw - 2 * math.pi)]
+        candidates = [Arc((u, v), fixer, basis, a_u, ccw),
+                      Arc((u, v), fixer, basis, a_u, ccw - 2 * math.pi)]
         arcs[(u, v)] = min(candidates,
                            key=lambda a: (bool(_vertices_inside(r, a)), abs(a.sweep)))
     return arcs
@@ -155,9 +165,9 @@ def _vertices_inside(r: Realization, arc: Arc) -> list[int]:
     """Vertices other than the arc's own pair that lie in its interior.
     Which vertices sit on the circle is read from the fixer's own circle,
     so a slightly tilted stored basis cannot hide one."""
-    on_circle = np.flatnonzero(r.circles[arc.fixer].on_circle(r.coords, PAIR_TOL)).tolist()
-    return [w for w in on_circle if w not in arc.pair
-            and arc.interior_contains_angle(arc.circle.angle_of(r.coords[w]), INSIDE_MARGIN)]
+    distance = plane_distance(projectors(r.circles[arc.fixer]), r.coords)
+    return [w for w in np.flatnonzero(distance <= PAIR_TOL).tolist() if w not in arc.pair
+            and arc.interior_contains_angle(_angle(arc.basis, r.coords[w]), INSIDE_MARGIN)]
 
 
 def _joins(arc: Arc, p: np.ndarray, q: np.ndarray) -> bool:
@@ -187,9 +197,8 @@ def check_arcs(r: Realization, arcs: ArcAssignment) -> None:
                 or tuple(va.action.images[fixer, [u, v]]) != (u, v):
             raise ArcAssignmentError(f"fixer of pair {(u, v)} is not a non-trivial "
                                      "group element fixing both vertices")
-        basis = arc.circle.basis
-        gram = float(np.abs(basis @ basis.T - np.eye(2)).max())
-        if not gram <= PAIR_TOL or not arc.circle.same_circle(r.circles[fixer]):
+        gram = float(np.abs(arc.basis @ arc.basis.T - np.eye(2)).max())
+        if not gram <= PAIR_TOL or not same_circle(arc.projector, projectors(r.circles[fixer])):
             raise ArcAssignmentError(f"arc of pair {(u, v)} is not on the fixed circle "
                                      "of its fixer")
         if not (math.isfinite(arc.start) and 0 < abs(arc.sweep) < 2 * math.pi) \
@@ -206,15 +215,15 @@ def _verify_disjoint_interiors(r: Realization, arcs: ArcAssignment):
     items = list(arcs.values())
     for i, a in enumerate(items):
         for b in items[i + 1:]:
-            if a.circle.same_circle(b.circle):
+            if same_circle(a.projector, b.projector):
                 # each arc measures angles in its own basis of the plane
                 for s in (0.0, 1.0, 0.5):
-                    if a.interior_contains_angle(a.circle.angle_of(b.point_at(s))) or \
-                       b.interior_contains_angle(b.circle.angle_of(a.point_at(s))):
+                    if a.interior_contains_angle(_angle(a.basis, b.point_at(s))) or \
+                       b.interior_contains_angle(_angle(b.basis, a.point_at(s))):
                         raise ArcAssignmentError(
                             f"arcs of {a.pair} and {b.pair} overlap on their circle")
             else:
-                crossings = circles_intersection(a.circle, b.circle)
+                crossings = circles_intersection(a.projector, b.projector)
                 for p in crossings:
                     if a.interior_contains_point(p) and b.interior_contains_point(p):
                         raise ArcAssignmentError(
@@ -268,16 +277,11 @@ def check_h4(va: VertexAction) -> bool:
 
 
 def check_h5(r: Realization) -> bool:
-    """Pair-swapping elements are rotations with unshared circles."""
-    projectors = np.array([c.projector for c in r.circles[1:] if not c.empty]).reshape(-1, 4, 4)
+    """Pair-swapping elements are rotations with unshared circles.  Each is
+    compared with every row, its own included; no circle matches row 0."""
+    planes = projectors(r.circles)
     for g in _interchangers(r.vertex_action):
-        cg = r.circles[g]
-        if cg.empty:
-            return False
-        # the same_circle test, against every non-empty circle at once; g
-        # is among them and always matches itself
-        shared = np.abs(projectors - cg.projector).max(axis=(1, 2)) <= CIRCLE_EQ_TOL
-        if np.count_nonzero(shared) > 1:
+        if np.count_nonzero(same_circle(planes, planes[g])) > 1:
             return False
     return True
 

@@ -18,6 +18,14 @@ Four models, all inside SO(4):
 A non-identity special-orthogonal 4x4 matrix either fixes a geodesic
 circle of the sphere pointwise (its +1 eigenplane) or fixes nothing; the
 realizer leans on that dichotomy throughout.
+
+Fixed circles are one (|G|, 2, 4) array of plane bases in element row
+order (circles_of).  An all-zero row is "no circle": at each element that
+fixes nothing, and at the identity, whose circle no check asks for.  The
+checks read circles through projectors Bᵀ·B, and the zero projector acts
+as "no circle" must: every unit point lies 1 from its plane, so it holds
+no vertex and never blocks placement, and within CIRCLE_EQ_TOL it equals
+only another zero projector (a rank-2 projector has an entry >= 1/2).
 """
 
 from __future__ import annotations
@@ -78,55 +86,29 @@ class ModelConfig:
                 "t = 1/2 would land on edge midpoints, which edge-reversing involutions fix")
 
 
-@dataclass(frozen=True)
-class FixedCircle:
-    """The pointwise-fixed set of an isometry: a geodesic circle stored as an
-    orthonormal basis of its plane, or the EMPTY marker (basis None)."""
-
-    basis: Optional[np.ndarray]  # shape (2, 4), orthonormal rows
-
-    @property
-    def empty(self) -> bool:
-        return self.basis is None
-
-    @cached_property
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the circle's plane, built once per circle."""
-        if self.empty:
-            raise ValueError("empty fixed set has no plane")
-        return self.basis.T @ self.basis
-
-    def residual(self, p: np.ndarray) -> float:
-        return float(np.linalg.norm(p - self.projector @ p))
-
-    def contains(self, p: np.ndarray, tol: float = ON_CIRCLE_TOL) -> bool:
-        return not self.empty and self.residual(p) <= tol
-
-    def on_circle(self, coords: np.ndarray, tol: float = ON_CIRCLE_TOL) -> np.ndarray:
-        """Boolean mask of the rows of coords lying on the circle (none if empty)."""
-        if self.empty:
-            return np.zeros(len(coords), dtype=bool)
-        return np.linalg.norm(coords - coords @ self.projector, axis=1) <= tol
-
-    def angle_of(self, p: np.ndarray) -> float:
-        x, y = float(self.basis[0] @ p), float(self.basis[1] @ p)
-        return math.atan2(y, x)
-
-    def point_at(self, angle: float) -> np.ndarray:
-        return math.cos(angle) * self.basis[0] + math.sin(angle) * self.basis[1]
-
-    def same_circle(self, other: "FixedCircle", tol: float = CIRCLE_EQ_TOL) -> bool:
-        if self.empty or other.empty:
-            return self.empty and other.empty
-        return float(np.abs(self.projector - other.projector).max()) <= tol
+def projectors(bases: np.ndarray) -> np.ndarray:
+    """Orthogonal projectors Bᵀ·B onto the planes of (..., 2, 4) bases, as
+    (..., 4, 4); a zero basis (no circle) gives the zero projector."""
+    return np.swapaxes(bases, -1, -2) @ bases
 
 
-def circles_intersection(c1: FixedCircle, c2: FixedCircle) -> np.ndarray:
-    """Intersection points of two distinct fixed circles: 0 or 2 antipodes."""
-    if c1.same_circle(c2):
+def plane_distance(projector: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance of each point from the plane of each projector (both may be
+    stacks that broadcast).  A unit point lies 1 from the zero projector."""
+    return np.linalg.norm(points - points @ projector, axis=-1)
+
+
+def same_circle(p: np.ndarray, q: np.ndarray, tol: float = CIRCLE_EQ_TOL) -> np.ndarray:
+    """Do the projectors p and q (stacks that broadcast) agree entrywise?"""
+    return np.abs(p - q).max(axis=(-2, -1)) <= tol
+
+
+def circles_intersection(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Intersection points of two distinct circles' projectors: 0 or 2 antipodes."""
+    if same_circle(p1, p2):
         raise ValueError("circles coincide")
     # shared directions = eigenvectors of P1 @ P2 restricted to both planes
-    stack = np.vstack([np.eye(4) - c1.projector, np.eye(4) - c2.projector])
+    stack = np.vstack([np.eye(4) - p1, np.eye(4) - p2])
     _, s, vt = np.linalg.svd(stack)
     line = vt[s < SHARED_LINE_TOL]
     if line.shape[0] == 0:
@@ -145,27 +127,30 @@ def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     return np.array(sorted(out, key=lambda r: tuple(np.round(r, 9))))
 
 
-def fixed_set(matrix: np.ndarray) -> FixedCircle:
-    """+1 eigenplane of a special-orthogonal matrix, via the kernel of M - I.
-
-    The identity is rejected (it fixes the whole sphere, not a circle), and
-    singular values falling in the ambiguous band raise PrecisionError
-    rather than guessing a dimension.
+def fixed_set(mats: np.ndarray) -> np.ndarray:
+    """+1 eigenplanes of a (..., 4, 4) stack of special-orthogonal matrices,
+    from one SVD of M - I: (..., 2, 4) orthonormal bases, zero where a
+    matrix fixes nothing.  The identity is rejected (it fixes the whole
+    sphere, not a circle), and singular values in the ambiguous band raise
+    PrecisionError rather than guessing a dimension; the first offending
+    matrix decides the error.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    _, s, vt = np.linalg.svd(m - np.eye(4))
-    if np.any((s >= _SV_ZERO) & (s < _SV_AMBIGUOUS)):
-        raise PrecisionError(f"singular values too close to zero to classify: {s}")
-    dim = int(np.sum(s < _SV_ZERO))
-    if dim == 4:
-        raise ValueError("identity matrix fixes the whole sphere; not a circle")
-    if dim == 0:
-        return FixedCircle(None)
-    if dim != 2:
-        raise PrecisionError(f"fixed subspace of dimension {dim}; SO(4) allows only 0, 2 or 4")
-    return FixedCircle(_canonical_rows(vt[-2:]))
+    m = np.asarray(mats, dtype=float)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError("expected 4x4 matrices")
+    _, sv, vt = np.linalg.svd(m.reshape(-1, 4, 4) - np.eye(4))
+    bases = np.zeros((len(sv), 2, 4))
+    for i, s in enumerate(sv):
+        if np.any((s >= _SV_ZERO) & (s < _SV_AMBIGUOUS)):
+            raise PrecisionError(f"singular values too close to zero to classify: {s}")
+        dim = int(np.sum(s < _SV_ZERO))
+        if dim == 4:
+            raise ValueError("identity matrix fixes the whole sphere; not a circle")
+        if dim == 2:
+            bases[i] = _canonical_rows(vt[i, -2:])
+        elif dim:
+            raise PrecisionError(f"fixed subspace of dimension {dim}; SO(4) allows only 0, 2 or 4")
+    return bases.reshape(m.shape[:-2] + (2, 4))
 
 
 # ------------------------------------------------------------------ bases
@@ -329,11 +314,11 @@ def representation(group: PermGroup, model: Model) -> np.ndarray:
     return mats
 
 
-def circles_of(mats: np.ndarray) -> tuple[Optional[FixedCircle], ...]:
-    """Fixed circle of every element, in the row order of mats as
-    representation returns them; None at row 0, the identity, which fixes
-    the whole sphere."""
-    return (None,) + tuple(fixed_set(m) for m in mats[1:])
+def circles_of(mats: np.ndarray) -> np.ndarray:
+    """Fixed circle of every element as a (|G|, 2, 4) array of plane bases,
+    in the row order of mats as representation returns them; zero at row
+    0, the identity, as at the elements that fix nothing."""
+    return np.concatenate([np.zeros((1, 2, 4)), fixed_set(mats[1:])])
 
 
 # ----------------------------------------------------------- orbit coords
@@ -377,14 +362,14 @@ def part_coords(model: Model, part: BuiltPart, mats: np.ndarray, config: ModelCo
     return mats[list(part.reps)] @ base
 
 
-def free_orbit_coords(mats: np.ndarray, circles: tuple[Optional[FixedCircle], ...], n: int = 1,
+def free_orbit_coords(mats: np.ndarray, circles: np.ndarray, n: int = 1,
                       config: ModelConfig | None = None,
                       avoid: Optional[np.ndarray] = None) -> list[np.ndarray]:
     """n regular orbits of the group with matrices mats, from base points
     sampled clear of every fixed circle in circles (as circles_of gives them).
 
-    Each base point keeps distance >= 0.05 from all fixed-point circles, and
-    all produced points stay pairwise >= 1e-3 apart (also from `avoid`,
+    Each base point keeps distance >= 0.05 from each fixed circle's plane,
+    and all produced points stay pairwise >= 1e-3 apart (also from `avoid`,
     whose own points must already be that far apart).  Orbit row i is the
     image of the base point under mats[i].  Deterministic for a fixed seed.
 
@@ -396,7 +381,7 @@ def free_orbit_coords(mats: np.ndarray, circles: tuple[Optional[FixedCircle], ..
     if n < 1:
         raise ValueError("need n >= 1 free orbits")
     config = config or ModelConfig()
-    circles = [c for c in circles[1:] if not c.empty]
+    planes = projectors(circles)
     rng = np.random.default_rng(config.seed)
     placed = np.empty((0, 4)) if avoid is None else np.asarray(avoid)
     closest = closest_distance(placed)
@@ -407,7 +392,7 @@ def free_orbit_coords(mats: np.ndarray, circles: tuple[Optional[FixedCircle], ..
         for attempt in range(400):
             p = rng.standard_normal(4)
             p /= np.linalg.norm(p)
-            if circles and min(c.residual(p) for c in circles) < FREE_CIRCLE_CLEARANCE:
+            if plane_distance(planes, p).min() < FREE_CIRCLE_CLEARANCE:
                 continue
             orbit = mats @ p
             # any row of an invariant orbit can serve as the base point
@@ -465,10 +450,9 @@ class Realization:
         return self.vertex_action.m
 
     @cached_property
-    def circles(self) -> tuple[Optional[FixedCircle], ...]:
-        """Fixed circle of each element in row order (None at row 0).
-        realize sets it; a realization rebuilt from a file computes it on
-        first use."""
+    def circles(self) -> np.ndarray:
+        """circles_of(mats): realize sets it, and a realization rebuilt
+        from a file computes it on first use."""
         return circles_of(self.mats)
 
 
@@ -582,7 +566,7 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     sub = restricted_group(p)
     if sub is not None:
         rows = parent.rows(sub.elements)
-        mats, circles = mats[rows], tuple(circles[i] for i in rows)
+        mats, circles = mats[rows], circles[rows]
     r = Realization(p, va, p.model, config, mats, coords)
     r.circles = circles
     validate_realization(r)
@@ -596,11 +580,12 @@ def geometric_profile(r: Realization) -> FixedVertexProfile:
     """Count vertices on each element's fixed circle; the count must be
     constant on every class (the profile check compares it with the
     combinatorial measured profile)."""
+    planes = projectors(r.circles)
     counts = {}
     for name, rows in r.group.classes.items():
         if name == "n1":
             continue
-        vals = {int(r.circles[i].on_circle(r.coords).sum()) for i in rows}
+        vals = {int(np.sum(plane_distance(planes[i], r.coords) <= ON_CIRCLE_TOL)) for i in rows}
         if len(vals) != 1:
             raise AssertionError(f"geometric counts differ within class {name}: {vals}")
         counts[name] = vals.pop()

@@ -7,6 +7,7 @@ lines and timings.
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -24,6 +25,8 @@ from tsglab.geometry import (
     _max_hom_error,
     fixed_set,
     geometric_profile,
+    plane_distance,
+    projectors,
     realize,
     representation,
 )
@@ -121,7 +124,7 @@ def test_criterion_4_geometric_fidelity(realized):
         for i in range(1, group.order):  # row 0 is the identity
             fc = fixed_set(r.mats[i])
             expected_empty = group.orders[i] == empty_order
-            assert fc.empty == expected_empty, (g, m, i)
+            assert (not fc.any()) == expected_empty, (g, m, i)
     _report("4 (geometric fidelity, 14 realizations)", t0, 10.0)
 
 
@@ -136,8 +139,9 @@ def test_criterion_5_edge_certificates(realized):
     s4 = standard_group("S4")
     bad_coords = r.coords.copy()
     other = next(i for i in s4.classes["n2p"]
-                 if not r.circles[i].contains(bad_coords[0], 1e-6))
-    bad_coords[0] = r.circles[other].point_at(0.37)
+                 if plane_distance(projectors(r.circles[i]), bad_coords[0]) > 1e-6)
+    b0, b1 = r.circles[other]
+    bad_coords[0] = math.cos(0.37) * b0 + math.sin(0.37) * b1
     corrupted = Realization(r.plan, va, r.model, r.config, r.mats, bad_coords)
     assert not full_report(corrupted).overall
 

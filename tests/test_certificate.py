@@ -15,7 +15,7 @@ import pytest
 from tsglab.certificate import _rebuild, certificate_dict, read_certificate, write_certificate
 from tsglab.cli import main
 from tsglab.edges import full_report
-from tsglab.geometry import fixed_set
+from tsglab.geometry import fixed_set, plane_distance, projectors
 from tsglab.perm import PermGroup, generated
 
 from .conftest import REFERENCES, expand_certificate
@@ -142,11 +142,11 @@ def test_representative_off_its_stabilizer_circle_fails_at_invariance(capsys, tm
     assert len(stabilizer) == 3 and data["vertices"][0]["part"] == "simplex_edge"
     fixer = next(p for p in stabilizer if list(p) != sorted(p))
     matrix = next(e["matrix"] for e in data["elements"] if tuple(e["perm"]) == fixer)
-    circle = fixed_set(np.array(matrix).reshape(4, 4))
+    plane = projectors(fixed_set(np.array(matrix).reshape(4, 4)))
     p = np.array(rep["coords"])
-    assert circle.contains(p)
+    assert plane_distance(plane, p) <= 1e-9
     off = np.array([0.3, -0.2, 0.5, 0.1])
-    off -= circle.projector @ off
+    off -= plane @ off
     moved = p + 1e-3 * off / np.linalg.norm(off)
     rep["coords"] = (moved / np.linalg.norm(moved)).tolist()
     code, out, err = _verify(capsys, path, data)

@@ -177,6 +177,23 @@ def test_verify_detects_swapped_permutation(capsys, tmp_path):
     assert "homomorphism" in (out + err)
 
 
+def test_verify_checks_part_labels_against_their_parts(capsys, tmp_path):
+    """A4 m=13 is one free orbit and the center: with their labels
+    swapped, 'center' spans 12 vertices, so group-closure refuses it."""
+    out_file = str(tmp_path / "labels.json")
+    run(capsys, "realize", "--group", "A4", "--m", "13", "--out", out_file)
+    data = json.loads(Path(out_file).read_text())
+    swap = {"free0": "center", "center": "free0"}
+    assert sorted(v["part"] for v in data["vertices"]) == sorted(swap)
+    for v in data["vertices"]:
+        v["part"] = swap[v["part"]]
+    Path(out_file).write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--in", out_file)
+    assert code == 5
+    assert "group-closure: FAILED (part 'center' spans 12 vertices instead of 1)" in out
+    assert err == "verification failed at: group-closure\n"
+
+
 def test_verify_detects_broken_closure(capsys, tmp_path):
     out_file = str(tmp_path / "e.json")
     run(capsys, "realize", "--group", "S4", "--m", "24", "--out", out_file, "--seed", "1")
@@ -340,6 +357,10 @@ def _basis_scaled(data):
     data["arcs"][0]["basis"] = [[2 * x for x in row] for row in data["arcs"][0]["basis"]]
 
 
+def _zero_basis(data):
+    data["arcs"][0]["basis"] = [[0.0] * 4, [0.0] * 4]
+
+
 def _fixer_sharing_a_code(data):
     # same base-degree code as the stored fixer, but not a permutation
     fixer = data["arcs"][0]["fixer"]
@@ -368,6 +389,7 @@ _BAD_ARCS = [
     (_set(("arcs", 0, "pair"), [-4, 25]), "is not a pinned pair"),
     (_basis_of_another_arc, "not on the fixed circle"),
     (_basis_scaled, "not on the fixed circle"),
+    (_zero_basis, "not on the fixed circle"),
     (_set(("arcs", 0, "start"), float("nan")), "does not run between"),
     (_set(("arcs", 0, "start"), float("inf")), "does not run between"),
 ]
@@ -546,6 +568,19 @@ def test_oracle_drop_rule_detects_divergence(capsys):
     code, out, _ = run(capsys, "oracle", "--group", "A5", "--drop-rule", "n5ne2")
     assert code == 5
     assert "match=NO" in out
+
+
+def test_oracle_after_a_drop_rule_run_uses_every_rule(capsys):
+    """main reuses one parser: a dropped rule does not carry over to the
+    next call in the process."""
+    assert main(["oracle", "--group", "A5", "--drop-rule", "n5ne2"]) == 5
+    capsys.readouterr()
+    code, out, _ = run(capsys, "oracle")
+    assert code == 0
+    assert out == ("group=A4 oracle={0,1,4,5,8} engine={0,1,4,5,8} match=yes\n"
+                   "group=S4 oracle={0,4,8,12,20} engine={0,4,8,12,20} match=yes\n"
+                   "group=A5 oracle={0,1,5,20} engine={0,1,5,20} match=yes\n")
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_oracle_rejects_unknown_rule_id(capsys):

@@ -22,12 +22,14 @@ from tsglab.edges import (
 )
 from tsglab import edges
 from tsglab.geometry import (
-    FixedCircle,
     ModelConfig,
     Realization,
     circles_intersection,
+    plane_distance,
+    projectors,
     realize,
     representation,
+    same_circle,
 )
 from tsglab.perm import GroupAction, standard_group
 from tsglab.profiles import admissible_residues
@@ -149,8 +151,9 @@ def test_fixture_wrong_circle_vertex_fails(realized):
     bad_coords = r.coords.copy()
     # drag one edge vertex onto a different transposition's circle
     other = next(i for i in S4.classes["n2p"]
-                 if not r.circles[i].contains(bad_coords[0], 1e-6))
-    bad_coords[0] = r.circles[other].point_at(0.37)
+                 if plane_distance(projectors(r.circles[i]), bad_coords[0]) > 1e-6)
+    b0, b1 = r.circles[other]
+    bad_coords[0] = math.cos(0.37) * b0 + math.sin(0.37) * b1
     bad = Realization(r.plan, va, r.model, r.config, r.mats, bad_coords)
     report = full_report(bad)
     assert not report.h2
@@ -243,10 +246,10 @@ def test_check_arcs_rejects_vertex_inside(realized):
 
 def _rotated(arc, alpha):
     """The same arc, described in its plane's basis turned by alpha."""
-    b0, b1 = arc.circle.basis
+    b0, b1 = arc.basis
     c, s = math.cos(alpha), math.sin(alpha)
     basis = np.array([c * b0 + s * b1, c * b1 - s * b0])
-    return dataclasses.replace(arc, circle=FixedCircle(basis), start=arc.start - alpha)
+    return dataclasses.replace(arc, basis=basis, start=arc.start - alpha)
 
 
 def test_overlap_found_across_bases(realized):
@@ -291,13 +294,13 @@ def _two_clause_h3(r, arcs) -> bool:
                 return False
             if f == 0:  # the identity
                 continue
-            fc = r.circles[f]
-            if fc.empty:
+            fc = projectors(r.circles[f])
+            if not fc.any():
                 continue
-            if fc.same_circle(arc.circle):
+            if same_circle(fc, arc.projector):
                 fixes_interior = True
             else:
-                crossings = circles_intersection(fc, arc.circle)
+                crossings = circles_intersection(fc, arc.projector)
                 fixes_interior = any(arc.interior_contains_point(p) for p in crossings)
             if fixes_interior and target is not arcs[pair]:
                 return False

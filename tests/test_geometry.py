@@ -9,7 +9,6 @@ from tsglab.actions import Model, measured_profile, plan
 from tsglab.geometry import (
     POLE,
     REALIZATION_CHECKS,
-    FixedCircle,
     ModelConfig,
     PlacementError,
     PrecisionError,
@@ -20,8 +19,11 @@ from tsglab.geometry import (
     fixed_set,
     free_orbit_coords,
     geometric_profile,
+    plane_distance,
+    projectors,
     realize,
     representation,
+    same_circle,
     simplex_corner,
     tetra_corner,
     validate_realization,
@@ -87,13 +89,13 @@ def test_incompatible_pairs_rejected():
 
 
 def test_4cycle_is_fixed_point_free(reps):
-    assert fixed_set(reps[Model.TETRA_FULL][from_cycles(4, (0, 1, 2, 3))]).empty
+    assert not fixed_set(reps[Model.TETRA_FULL][from_cycles(4, (0, 1, 2, 3))]).any()
 
 
 def test_5cycle_glides_in_simplex_but_rotates_in_dodeca(reps):
     five = from_cycles(5, (0, 1, 2, 3, 4))
-    assert fixed_set(reps[Model.SIMPLEX4][five]).empty
-    assert not fixed_set(reps[Model.DODECA_ROT][five]).empty
+    assert not fixed_set(reps[Model.SIMPLEX4][five]).any()
+    assert fixed_set(reps[Model.DODECA_ROT][five]).any()
 
 
 def test_identity_rejected_by_fixed_set():
@@ -102,8 +104,9 @@ def test_identity_rejected_by_fixed_set():
 
 
 def test_dichotomy_by_model(reps):
-    # EMPTY exactly on order-4 elements of the twisted tetra model and on
-    # order-5 elements of the simplex model; rotation-only models never
+    # no circle (a zero basis) exactly on order-4 elements of the twisted
+    # tetra model and on order-5 elements of the simplex model; never in
+    # the rotation-only models; otherwise an orthonormal basis
     expect_empty = {Model.TETRA_FULL: 4, Model.SIMPLEX4: 5}
     for model, rep in reps.items():
         g = GROUP_OF[model]
@@ -112,12 +115,49 @@ def test_dichotomy_by_model(reps):
             if i == 0:  # the identity
                 continue
             fc = fixed_set(mat)
-            if model in expect_empty:
-                assert fc.empty == (g.orders[i] == expect_empty[model]), (model, e)
-            else:
-                assert not fc.empty
-            if not fc.empty:
-                assert fc.basis.shape == (2, 4)
+            assert fc.shape == (2, 4)
+            empty = not fc.any()
+            assert empty == (g.orders[i] == expect_empty.get(model)), (model, e)
+            if not empty:
+                assert np.abs(fc @ fc.T - np.eye(2)).max() < 1e-12
+
+
+def test_circles_of_rows_equal_lone_fixed_sets():
+    """The one stacked SVD gives each row bitwise what fixed_set gives for
+    that matrix alone."""
+    for model, g in GROUP_OF.items():
+        mats = representation(g, model)
+        circles = circles_of(mats)
+        assert circles.shape == (g.order, 2, 4)
+        for i in range(1, g.order):
+            assert np.array_equal(circles[i], fixed_set(mats[i])), (model, i)
+
+
+def test_circles_of_zero_rows_are_the_identity_and_the_fixed_point_free():
+    empty_class = {Model.TETRA_FULL: "n4", Model.SIMPLEX4: "n5"}
+    for model, g in GROUP_OF.items():
+        zero = np.flatnonzero(~circles_of(representation(g, model)).any(axis=(1, 2)))
+        expect = [0] + (list(g.classes[empty_class[model]]) if model in empty_class else [])
+        assert zero.tolist() == expect, model
+
+
+def test_no_circle_is_on_nothing_and_equals_only_no_circle():
+    mats = representation(A4, Model.TETRA_ROT)
+    planes = projectors(circles_of(mats))
+    zero, circle = planes[0], planes[1]
+    assert np.abs(plane_distance(zero, np.vstack([POLE, tetra_corner(0)])) - 1).max() < 1e-12
+    assert same_circle(zero, np.zeros((4, 4)))
+    assert not same_circle(zero, planes[1:]).any()
+    assert plane_distance(circle, POLE) < 1e-12 and not same_circle(circle, zero)
+
+
+def test_fixed_set_stack_raises_at_first_offending_matrix(reps):
+    rotation = reps[Model.TETRA_ROT][from_cycles(4, (0, 1, 2))]
+    reflection = np.diag([-1.0, 1.0, 1.0, 1.0])  # fixes a 3-space
+    with pytest.raises(ValueError, match="identity"):
+        fixed_set(np.stack([rotation, np.eye(4), reflection]))
+    with pytest.raises(PrecisionError, match="dimension 3"):
+        fixed_set(np.stack([rotation, reflection, np.eye(4)]))
 
 
 def test_double_transposition_circle_in_simplex(reps):
@@ -127,30 +167,31 @@ def test_double_transposition_circle_in_simplex(reps):
 
     w = _B5 @ np.array([3.0, 3.0, -2.0, -2.0, -2.0])
     w /= np.linalg.norm(w)
-    assert fc.contains(w, tol=1e-9)
+    assert plane_distance(projectors(fc), w) <= 1e-9
 
 
 def test_3cycle_circle_contains_complementary_simplex_vertices(reps):
     from tsglab.geometry import simplex_corner
 
     fc = fixed_set(reps[Model.SIMPLEX4][from_cycles(5, (0, 1, 2))])
-    assert fc.contains(simplex_corner(3)) and fc.contains(simplex_corner(4))
+    corners = np.vstack([simplex_corner(3), simplex_corner(4)])
+    assert (plane_distance(projectors(fc), corners) <= 1e-9).all()
 
 
 def test_circle_pairs_intersect_in_0_or_2_points():
     for model in (Model.TETRA_FULL, Model.SIMPLEX4):
         g = GROUP_OF[model]
-        circles = [c for c in circles_of(representation(g, model))[1:] if not c.empty]
+        circles = [c for c in projectors(circles_of(representation(g, model))) if c.any()]
         distinct = []
         for c in circles:
-            if all(not c.same_circle(d) for d in distinct):
+            if all(not same_circle(c, d) for d in distinct):
                 distinct.append(c)
         for i, c in enumerate(distinct):
             for d in distinct[i + 1:]:
                 pts = circles_intersection(c, d)
                 assert pts.shape[0] in (0, 2)
                 for p in pts:
-                    assert c.contains(p, 1e-8) and d.contains(p, 1e-8)
+                    assert plane_distance(c, p) <= 1e-8 and plane_distance(d, p) <= 1e-8
 
 
 # ------------------------------------------------------------ part coords
@@ -225,10 +266,9 @@ def test_free_orbit_sizes():
 
 def test_free_orbits_clear_of_circles():
     mats, by_row = _matrices_and_circles(A4, Model.TETRA_ROT)
-    circles = [c for c in by_row[1:] if not c.empty]
     orbits = free_orbit_coords(mats, by_row, 1, ModelConfig(seed=3))
     base = orbits[0][0]
-    assert min(c.residual(base) for c in circles) >= 0.05
+    assert min(np.linalg.norm(base - b.T @ (b @ base)) for b in by_row[1:]) >= 0.05
 
 
 def test_free_orbit_determinism():
@@ -241,7 +281,7 @@ def _all_pairs_placement(mats, circles, n, config, avoid):
     """free_orbit_coords with the all-pairs distance tests: every point of
     a candidate orbit against every other point and every placed point.
     Returns the orbits and the number of candidates the distances refused."""
-    circles = [c for c in circles[1:] if not c.empty]
+    circles = [b for b in circles if b.any()]
     rng = np.random.default_rng(config.seed)
     placed = np.empty((0, 4)) if avoid is None else avoid
     orbits, refused = [], 0
@@ -249,7 +289,8 @@ def _all_pairs_placement(mats, circles, n, config, avoid):
         for _attempt in range(400):
             p = rng.standard_normal(4)
             p /= np.linalg.norm(p)
-            if min(c.residual(p) for c in circles) < geometry.FREE_CIRCLE_CLEARANCE:
+            if min(np.linalg.norm(p - b.T @ (b @ p)) for b in circles) \
+                    < geometry.FREE_CIRCLE_CLEARANCE:
                 continue
             orbit = mats @ p
             own = np.linalg.norm(orbit[:, None] - orbit[None, :], axis=2)
@@ -312,16 +353,14 @@ def test_a5_61_only_center_touches_circles():
     p = plan("A5", 61)
     r = realize(p)
     center_idx = r.vertex_action.labels.index("center")
-    for c in circles_of(r.mats)[1:]:
-        on = [v for v in range(r.m) if c.contains(r.coords[v])]
-        assert on == [center_idx]
+    for c in projectors(circles_of(r.mats)[1:]):
+        assert np.flatnonzero(plane_distance(c, r.coords) <= 1e-9).tolist() == [center_idx]
 
 
 def test_s4_12_each_transposition_circle_holds_two_vertices():
     r = realize(plan("S4", 12))
     for i in S4.classes["n2p"]:  # the transpositions
-        c = r.circles[i]
-        assert sum(1 for p in r.coords if c.contains(p)) == 2
+        assert (plane_distance(projectors(r.circles[i]), r.coords) <= 1e-9).sum() == 2
 
 
 def test_a4_13_pole_vertex_fixed_by_all():
@@ -345,20 +384,20 @@ def test_restricted_realizations_validate():
 @pytest.mark.parametrize("group,m,calls", [("A4", 61, 59), ("S4", 28, 23)])
 def test_realize_computes_each_fixed_circle_once(monkeypatch, group, m, calls):
     """realize builds the building group's circles once, for placement and
-    for the realization alike: one fixed_set per non-identity element of
-    the building group (A5 for the restricted A4 m=61, S4 for S4 m=28)."""
-    count = 0
+    for the realization alike: one fixed_set call on the stack of the
+    non-identity elements of the building group (A5 for the restricted A4
+    m=61, S4 for S4 m=28)."""
+    stacks = []
     real_fixed_set = geometry.fixed_set
 
-    def counting(matrix):
-        nonlocal count
-        count += 1
-        return real_fixed_set(matrix)
+    def counting(mats):
+        stacks.append(len(mats))
+        return real_fixed_set(mats)
 
     p = plan(group, m)
     monkeypatch.setattr(geometry, "fixed_set", counting)
     realize(p)
-    assert count == calls
+    assert stacks == [calls]
 
 
 def test_knotted_plans_refused():
