@@ -124,19 +124,18 @@ def required_pairs(va: VertexAction) -> list[tuple[int, int]]:
     return [(int(pinned[i]), int(pinned[j])) for i, j in zip(rows, cols)]
 
 
-def check_h1(r: Realization) -> bool:
+def check_h1(r: Realization, pairs: list[tuple[int, int]]) -> bool:
     """All non-trivial fixers of each pinned pair share one fixed circle."""
-    va = r.vertex_action
     planes = projectors(r.circles)
-    for u, v in required_pairs(va):
-        fixers = planes[list(pair_stabilizer(va.action, u, v)[1:])]
+    for u, v in pairs:
+        fixers = planes[list(pair_stabilizer(r.vertex_action.action, u, v)[1:])]
         # a zero projector is no circle, which nothing can share
         if not (fixers[0].any() and same_circle(fixers, fixers[0]).all()):
             return False
     return True
 
 
-def assign_arcs(r: Realization) -> ArcAssignment:
+def assign_arcs(r: Realization, pairs: list[tuple[int, int]]) -> ArcAssignment:
     """Pick the witness arc for every pinned pair; check_arcs judges it (h2).
 
     The pair's two endpoints cut the circle of its first non-trivial fixer
@@ -147,10 +146,9 @@ def assign_arcs(r: Realization) -> ArcAssignment:
     fixer of a pair is the circle of all of them and is not empty.
     full_report checks h1 and calls this only when it holds.
     """
-    va = r.vertex_action
     arcs: ArcAssignment = {}
-    for u, v in required_pairs(va):
-        fixer = pair_stabilizer(va.action, u, v)[1]
+    for u, v in pairs:
+        fixer = pair_stabilizer(r.vertex_action.action, u, v)[1]
         basis = r.circles[fixer]
         a_u, a_v = _angle(basis, r.coords[u]), _angle(basis, r.coords[v])
         ccw = (a_v - a_u) % (2 * math.pi)
@@ -177,7 +175,7 @@ def _joins(arc: Arc, p: np.ndarray, q: np.ndarray) -> bool:
     return bool(np.minimum(*gaps) <= PAIR_TOL)
 
 
-def check_arcs(r: Realization, arcs: ArcAssignment) -> None:
+def check_arcs(r: Realization, arcs: ArcAssignment, pairs: list[tuple[int, int]]) -> None:
     """h2 on any arc system, picked by assign_arcs or read from a file.
 
     Raises ArcAssignmentError naming the first offending pair.  The pair
@@ -185,7 +183,7 @@ def check_arcs(r: Realization, arcs: ArcAssignment) -> None:
     pinned pair; every tolerance test fails on NaN.
     """
     va = r.vertex_action
-    required = set(required_pairs(va))
+    required = set(pairs)
     extra, missing = sorted(set(arcs) - required), sorted(required - set(arcs))
     if extra:
         raise ArcAssignmentError(f"arc over pair {extra[0]}, which is not a pinned pair")
@@ -291,15 +289,16 @@ def full_report(r: Realization, arcs: Optional[ArcAssignment] = None) -> Hypothe
     picks; any failure flips the overall verdict, with the reason recorded
     in details.  The report keeps the arcs only when they pass h2."""
     details: dict = {}
-    h1 = check_h1(r)
+    pairs = required_pairs(r.vertex_action)  # once per report; the checks share it
+    h1 = check_h1(r, pairs)
     if arcs is None and h1:
-        arcs = assign_arcs(r)
+        arcs = assign_arcs(r, pairs)
     h2 = False
     if arcs is None:
         details["arc_error"] = "pair fixers disagree on circles"
     else:
         try:
-            check_arcs(r, arcs)
+            check_arcs(r, arcs, pairs)
             h2 = True
         except ArcAssignmentError as err:
             details["arc_error"] = str(err)

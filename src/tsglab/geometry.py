@@ -15,6 +15,19 @@ Four models, all inside SO(4):
                 the sum-zero subspace of 5-space.  Order-5 elements are
                 glide rotations with empty fixed sets.
 
+Each model is one stacked product over the permutation matrices P of the
+elements.  The tetrahedral models take the block B4·P·B4ᵀ (B4 a basis of
+the sum-zero subspace of 4-space) with last diagonal entry 1 or the parity
+sign; SIMPLEX4 takes B5·P·B5ᵀ.  DODECA_ROT is the action A -> R·A·Rᵀ of
+those SIMPLEX4 matrices on the self-dual 2-forms (e01+e23, e02-e13,
+e03+e12)/√2, faithful because A5 is simple and not inside SU(2).  It is
+written in the frame of the half-turn axes of (0 1)(2 3), (0 2)(1 3) and
+(0 3)(1 2), the first two read off a column of I + H = 2·a·aᵀ (H the
+half-turn) and the third their cross product, so no eigensolver picks a
+sign.  The icosahedron then
+sits at the cyclic shifts of (0, ±1, ±φ): every entry is exactly one of 0,
+±1/2, ±φ/2, ±1/(2φ), ±1, and the computed entries are snapped to them.
+
 A non-identity special-orthogonal 4x4 matrix either fixes a geodesic
 circle of the sphere pointwise (its +1 eigenplane) or fixes nothing; the
 realizer leans on that dichotomy throughout.
@@ -32,13 +45,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .actions import BuiltPart, Model, OrbitPlan, VertexAction, measured_profile, restricted_group
-from .perm import PermGroup, orbit_representatives, standard_group
+from .perm import PermGroup, from_cycles, orbit_representatives, standard_group
 from .profiles import FixedVertexProfile
 
 ORTHO_TOL = 1e-9
@@ -168,16 +181,6 @@ _B4 = _sumzero_basis(4)  # 3 x 4
 _B5 = _sumzero_basis(5)  # 4 x 5
 
 
-def _perm_matrix(p: np.ndarray) -> np.ndarray:
-    mat = np.zeros((len(p), len(p)))
-    mat[p, np.arange(len(p))] = 1.0
-    return mat
-
-
-def _tetra_std(p: np.ndarray) -> np.ndarray:
-    return _B4 @ _perm_matrix(p) @ _B4.T
-
-
 def tetra_corner(i: int) -> np.ndarray:
     """Corner of the regular tetrahedron, embedded in the equator x4 = 0."""
     v = _B4 @ (np.eye(4)[i] - 0.25)
@@ -193,99 +196,36 @@ def simplex_corner(i: int) -> np.ndarray:
 POLE = np.array([0.0, 0.0, 0.0, 1.0])
 
 
-# --------------------------------------------------------- icosahedral A5
-
-
-@lru_cache(maxsize=None)
-def _icosahedral_table() -> dict[tuple[int, ...], np.ndarray]:
-    """The 60 rotations of an icosahedron, keyed by the even permutation
-    they induce on the five triples of mutually orthogonal 2-fold axes."""
-    phi = (1 + math.sqrt(5)) / 2
-    verts = []
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            v = np.array([0.0, s1, s2 * phi])
-            for _ in range(3):
-                v = np.array([v[1], v[2], v[0]])
-                verts.append(v.copy())
-    verts = np.array(verts)
-    verts /= np.linalg.norm(verts[0])
-    dots = verts @ verts.T
-    edges = [(i, j) for i in range(12) for j in range(12) if i != j and dots[i, j] > 0.3]
-    assert len(edges) == 60
-
-    def frame(i: int, j: int) -> np.ndarray:
-        u = verts[i]
-        w = verts[j] - float(verts[j] @ u) * u
-        w /= np.linalg.norm(w)
-        return np.column_stack([u, w, np.cross(u, w)])
-
-    f0_inv = frame(*edges[0]).T
-    mats, seen = [], set()
-    for i, j in edges:
-        rot = frame(i, j) @ f0_inv
-        key = tuple(np.round(rot, 8).ravel())
-        if key not in seen:
-            seen.add(key)
-            mats.append(rot)
-    assert len(mats) == 60
-
-    def canon_axis(v: np.ndarray) -> np.ndarray:
-        k = int(np.argmax(np.abs(v)))
-        return -v if v[k] < 0 else v
-
-    axis_vecs: list[np.ndarray] = []
-    for rot in mats:
-        if abs(np.trace(rot) + 1) < 1e-8:  # rotation by pi; involutions are symmetric
-            w, vecs = np.linalg.eigh(rot)
-            a = canon_axis(vecs[:, int(np.argmax(w))])
-            if all(abs(float(a @ b)) < 1 - 1e-6 for b in axis_vecs):
-                axis_vecs.append(a)
-    assert len(axis_vecs) == 15
-    axis_vecs.sort(key=lambda a: tuple(np.round(a, 8)))
-
-    def nearest_axis(v: np.ndarray) -> int:
-        dots = [abs(float(v @ a)) for a in axis_vecs]
-        k = int(np.argmax(dots))
-        assert dots[k] > 1 - 1e-6, "rotated axis matches no stored axis"
-        return k
-
-    triple_of = [-1] * 15
-    triples: list[list[int]] = []
-    for i in range(15):
-        if triple_of[i] >= 0:
-            continue
-        members = [i] + [j for j in range(15) if j != i
-                         and abs(float(axis_vecs[i] @ axis_vecs[j])) < 1e-6]
-        assert len(members) == 3
-        for k in members:
-            triple_of[k] = len(triples)
-        triples.append(members)
-    assert len(triples) == 5
-
-    table: dict[tuple[int, ...], np.ndarray] = {}
-    for rot in mats:
-        images = tuple(triple_of[nearest_axis(rot @ axis_vecs[triple[0]])]
-                       for triple in triples)
-        table[images] = rot
-    assert len(table) == 60
-    # spot-check the labeling is a homomorphism
-    for a in list(table)[:6]:
-        for b in list(table)[:6]:
-            prod = tuple(a[j] for j in b)
-            err = np.abs(table[prod] - table[a] @ table[b]).max()
-            assert err < 1e-9, "triple labeling is not multiplicative"
-    return table
-
-
 # --------------------------------------------------------- representations
 
 
-def _block(r3: np.ndarray, last: float) -> np.ndarray:
-    out = np.zeros((4, 4))
-    out[:3, :3] = r3
-    out[3, 3] = last
-    return out
+# the self-dual 2-forms e01+e23, e02-e13, e03+e12 as antisymmetric matrices
+_SELF_DUAL = np.zeros((3, 4, 4))
+_SELF_DUAL[[0, 0, 1, 1, 2, 2], [0, 2, 0, 1, 0, 1], [1, 3, 2, 3, 3, 2]] = 1, 1, 1, -1, 1, 1
+_SELF_DUAL -= _SELF_DUAL.transpose(0, 2, 1)
+
+_PHI = (1 + math.sqrt(5)) / 2
+_ICOSA_ENTRIES = np.array([-1, -_PHI / 2, -0.5, -0.5 / _PHI, 0, 0.5 / _PHI, 0.5, _PHI / 2, 1])
+
+# two of the three involutions fixing letter 4; their product is the third
+_KLEIN_INVOLUTIONS = [from_cycles(5, (0, 1), (2, 3)), from_cycles(5, (0, 2), (1, 3))]
+
+
+def _icosahedral(group: PermGroup, simplex: np.ndarray) -> np.ndarray:
+    """The SO(3) action A -> R·A·Rᵀ of the SIMPLEX4 matrices R on self-dual
+    2-forms, in the frame of the Klein involutions' axes, snapped to the
+    nine exact entries of an icosahedral rotation in that frame."""
+    rows = group.rows(_KLEIN_INVOLUTIONS)
+    if (rows < 0).any():
+        raise ValueError(f"{Model.DODECA_ROT.value} needs the involutions (0 1)(2 3) and "
+                         "(0 2)(1 3) among the group elements")
+    so3 = np.einsum("kij,nia,lab,njb->nkl", _SELF_DUAL, simplex, _SELF_DUAL, simplex) / 4
+    halves = np.eye(3) + so3[rows]  # 2·a·aᵀ for a half-turn about the unit axis a
+    cols = halves[[0, 1], :, halves.diagonal(axis1=1, axis2=2).argmax(axis=1)]
+    a, b = cols / np.linalg.norm(cols, axis=1, keepdims=True)
+    frame = np.column_stack([a, b, np.cross(a, b)])
+    r3 = frame.T @ so3 @ frame
+    return _ICOSA_ENTRIES[np.abs(r3[..., None] - _ICOSA_ENTRIES).argmin(axis=-1)]
 
 
 _MODEL_DEGREE = {Model.TETRA_ROT: 4, Model.TETRA_FULL: 4,
@@ -301,16 +241,15 @@ def representation(group: PermGroup, model: Model) -> np.ndarray:
                          f"got degree {group.degree}")
     if model is not Model.TETRA_FULL and not group.even.all():
         raise ValueError(f"{model.value} represents even permutations only")
-    mats = np.empty((group.order, 4, 4))
-    for i, (e, even) in enumerate(zip(group.elements, group.even)):
-        if model is Model.TETRA_ROT:
-            mats[i] = _block(_tetra_std(e), 1.0)
-        elif model is Model.TETRA_FULL:
-            mats[i] = _block(_tetra_std(e), 1.0 if even else -1.0)
-        elif model is Model.DODECA_ROT:
-            mats[i] = _block(_icosahedral_table()[tuple(e.tolist())], 1.0)
-        else:
-            mats[i] = _B5 @ _perm_matrix(e) @ _B5.T
+    perms = np.eye(group.degree)[group.elements].transpose(0, 2, 1)  # P[e[j], j] = 1
+    if model is Model.SIMPLEX4:
+        return _B5 @ perms @ _B5.T
+    mats = np.zeros((group.order, 4, 4))
+    if model is Model.DODECA_ROT:
+        mats[:, :3, :3] = _icosahedral(group, _B5 @ perms @ _B5.T)
+    else:
+        mats[:, :3, :3] = _B4 @ perms @ _B4.T
+    mats[:, 3, 3] = np.where(group.even, 1.0, -1.0)
     return mats
 
 

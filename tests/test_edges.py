@@ -39,6 +39,11 @@ from .conftest import REFERENCES
 S4 = standard_group("S4")
 
 
+def _arcs(r: Realization):
+    """The arcs full_report picks, for a realization that passes h1."""
+    return assign_arcs(r, required_pairs(r.vertex_action))
+
+
 # ------------------------------------------------------------ required pairs
 
 
@@ -76,13 +81,13 @@ def test_s4_8_pairs_join_twin_tetra_vertices(realized):
 ])
 def test_arc_counts(realized, key, count):
     _, r = realized[key]
-    arcs = assign_arcs(r)
+    arcs = _arcs(r)
     assert len(arcs) == count
 
 
 def test_arc_endpoints_are_pair_coordinates(realized):
     _, r = realized[("S4", 12)]
-    for (u, v), arc in assign_arcs(r).items():
+    for (u, v), arc in _arcs(r).items():
         ends = {0.0: r.coords[u], 1.0: r.coords[v]}
         for s, target in ends.items():
             assert np.linalg.norm(arc.point_at(s) - target) < 1e-8
@@ -91,7 +96,7 @@ def test_arc_endpoints_are_pair_coordinates(realized):
 def test_arc_interiors_vertex_free(realized):
     for key in (("S4", 20), ("A5", 80), ("A4", 17)):
         _, r = realized[key]
-        for arc in assign_arcs(r).values():
+        for arc in _arcs(r).values():
             for v in range(r.m):
                 if v in arc.pair:
                     continue
@@ -100,7 +105,7 @@ def test_arc_interiors_vertex_free(realized):
 
 def test_arc_assignment_is_equivariant_as_pair_map(realized):
     va, r = realized[("A5", 20)]
-    arcs = assign_arcs(r)
+    arcs = _arcs(r)
     for img in va.action.images:
         for (u, v) in arcs:
             x, y = sorted((img[u], img[v]))
@@ -119,12 +124,12 @@ def test_all_references_pass_everything(realized, key):
 
 def test_h1_vacuous_for_unique_fixer(realized):
     _, r = realized[("S4", 4)]
-    assert check_h1(r)
+    assert check_h1(r, required_pairs(r.vertex_action))
 
 
 def test_h3_arc_fixed_by_edge_reversing_involution(realized):
     va, r = realized[("S4", 12)]
-    arcs = assign_arcs(r)
+    arcs = _arcs(r)
     (u, v), arc = next(iter(arcs.items()))
     # some involution swaps u and v; it must map the arc onto itself
     swappers = [f for f, img in enumerate(va.action.images) if img[u] == v and img[v] == u]
@@ -198,7 +203,7 @@ def _pair_at_circle_intersection() -> tuple[VertexAction, Realization]:
 
 def test_fixture_pair_at_intersection_fails_h1():
     va, r = _pair_at_circle_intersection()
-    assert not check_h1(r)
+    assert not check_h1(r, required_pairs(r.vertex_action))
     report = full_report(r)
     assert not report.overall
 
@@ -211,7 +216,7 @@ def _complement(arc):
 @pytest.mark.parametrize("key", [("S4", 12), ("A5", 20)])
 def test_fixture_complement_arc_fails_h3(realized, key):
     _, r = realized[key]
-    arcs = assign_arcs(r)
+    arcs = _arcs(r)
     pair = next(iter(arcs))
     arcs[pair] = _complement(arcs[pair])
     assert not check_h3(r, arcs)
@@ -220,7 +225,7 @@ def test_fixture_complement_arc_fails_h3(realized, key):
 @pytest.mark.parametrize("key", [("S4", 12), ("A5", 20)])
 def test_fixture_dropped_arc_fails_h3(realized, key):
     _, r = realized[key]
-    arcs = assign_arcs(r)
+    arcs = _arcs(r)
     del arcs[next(iter(arcs))]
     assert not check_h3(r, arcs)
 
@@ -232,7 +237,7 @@ def test_check_arcs_rejects_vertex_inside(realized):
     """Move a vertex of S4 m=12 into the interior of an arc: check_arcs
     names it, and assign_arcs picks the other arc of that pair instead."""
     va, r = realized[("S4", 12)]
-    arcs = assign_arcs(r)
+    arcs = _arcs(r)
     pair, arc = next(iter(arcs.items()))
     w = next(x for x in range(r.m) if x not in pair)
     coords = r.coords.copy()
@@ -240,8 +245,8 @@ def test_check_arcs_rejects_vertex_inside(realized):
     moved = Realization(r.plan, va, r.model, r.config, r.mats, coords)
     message = f"arc of pair {pair} has vertex {w} inside"
     with pytest.raises(ArcAssignmentError, match=re.escape(message)):
-        check_arcs(moved, arcs)
-    assert assign_arcs(moved)[pair].sweep == pytest.approx(_complement(arc).sweep)
+        check_arcs(moved, arcs, required_pairs(va))
+    assert _arcs(moved)[pair].sweep == pytest.approx(_complement(arc).sweep)
 
 
 def _rotated(arc, alpha):
@@ -255,7 +260,7 @@ def _rotated(arc, alpha):
 def test_overlap_found_across_bases(realized):
     """Two arcs on one circle overlap whatever bases describe them."""
     _, r = realized[("S4", 12)]
-    pair, arc = next(iter(assign_arcs(r).items()))
+    pair, arc = next(iter(_arcs(r).items()))
     twin = dataclasses.replace(_rotated(arc, math.pi), pair=(pair[0], pair[1] + 100))
     assert np.linalg.norm(twin.midpoint - arc.midpoint) < 1e-12
     with pytest.raises(ArcAssignmentError, match="overlap"):
@@ -264,7 +269,7 @@ def test_overlap_found_across_bases(realized):
 
 def test_full_report_skips_h3_when_arcs_fail(realized, monkeypatch):
     _, r = realized[("A5", 20)]
-    arcs = assign_arcs(r)
+    arcs = _arcs(r)
     del arcs[next(iter(arcs))]
 
     def refuse(*args):
@@ -274,6 +279,19 @@ def test_full_report_skips_h3_when_arcs_fail(realized, monkeypatch):
     report = full_report(r, arcs)
     assert not report.h2 and not report.h3 and report.arcs is None
     assert "has no arc" in report.details["arc_error"]
+
+
+def test_full_report_computes_pinned_pairs_once(realized, monkeypatch):
+    calls = []
+
+    def counted(va):
+        calls.append(va)
+        return required_pairs(va)
+
+    monkeypatch.setattr(edges, "required_pairs", counted)
+    _, r = realized[("S4", 12)]
+    assert full_report(r).overall
+    assert len(calls) == 1
 
 
 # ------------------------------------------ h3 second clause is implied by h2
@@ -328,7 +346,7 @@ def test_h3_equals_two_clause_h3(group):
         if p.knotted:
             continue
         r = realize(p, build(p), ModelConfig(seed=0))
-        arcs = assign_arcs(r)
+        arcs = _arcs(r)
         assert check_h3(r, arcs) == _two_clause_h3(r, arcs), (group, m)
         cases += 1
         for pair in arcs:

@@ -30,7 +30,7 @@ from tsglab.geometry import (
 )
 from tsglab import geometry
 from tsglab.geometry import _max_hom_error, _min_separation
-from tsglab.perm import a4_inside_a5, from_cycles, standard_group
+from tsglab.perm import PermGroup, a4_inside_a5, from_cycles, standard_group
 
 from .conftest import REFERENCES, close_free_orbits
 
@@ -83,6 +83,38 @@ def test_incompatible_pairs_rejected():
         representation(S4, Model.SIMPLEX4)
     with pytest.raises(ValueError):
         representation(S4, Model.TETRA_ROT)  # odd elements have no rotation image
+    # an A4 on five letters that moves letter 4 lacks (0 1)(2 3) and (0 2)(1 3)
+    a4_fixing_3 = PermGroup("A4", A5.elements[A5.elements[:, 3] == 3])
+    with pytest.raises(ValueError, match="involutions"):
+        representation(a4_fixing_3, Model.DODECA_ROT)
+
+
+def test_dodeca_rot_is_icosahedral_in_the_klein_frame(reps):
+    """Every entry is exactly one of the nine icosahedral values, the Klein
+    involutions fixing letter 4 are diagonal, and the traces are the
+    icosahedral character: 3, -1, 0 on n1, n2, n3, and phi on one 5-cycle
+    class and -1/phi on the other (x and x^2 lie in different classes)."""
+    rep = reps[Model.DODECA_ROT]
+    phi = (1 + math.sqrt(5)) / 2
+    values = {0.0, 0.5, phi / 2, 1 / (2 * phi), 1.0}
+    values |= {-x for x in values}
+    mats = np.array(list(rep.values()))  # in A5 row order
+    block = mats[:, :3, :3]
+    assert set(block.ravel().tolist()) <= values
+    assert (mats[:, 3] == POLE).all() and (mats[:, :, 3] == POLE).all()
+    for cycles in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        mat = rep[from_cycles(5, *cycles)]
+        assert (mat == np.diag(np.diag(mat))).all(), cycles
+    expect = {"n1": {3.0}, "n2": {-1.0}, "n3": {0.0}}
+    for name, rows in A5.classes.items():
+        rows = list(rows)
+        traces = np.trace(block[rows], axis1=1, axis2=2)
+        if name in expect:
+            assert set(np.round(traces, 12).tolist()) == expect[name], name
+        else:
+            squares = np.trace(block[A5.cayley[rows, rows]], axis1=1, axis2=2)
+            for pair in zip(traces, squares):
+                assert sorted(pair) == pytest.approx([-1 / phi, phi], abs=1e-12)
 
 
 # ------------------------------------------------------------- fixed sets
