@@ -21,6 +21,12 @@ circles: the one assign_arcs picks, or one read from a certificate.
 
 Free pairs need none of this; they are routed away from the fixed-point
 set, which the certificate does not model explicitly.
+
+The arc tests run on stacked arrays, not per arc or per pair.  The
+disjointness part of h2 tests all pairs of arcs in one batch
+(_verify_disjoint_interiors), and h3 is one product of every matrix with
+every arc midpoint.  All pairs stay cheap: every admissible non-knotted
+m below 400 pins at most 10 pairs, so there are at most 45 pairs of arcs.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .actions import VertexAction
-from .geometry import Realization, circles_intersection, plane_distance, projectors, same_circle
+from .geometry import PrecisionError, Realization, plane_distance, projectors, same_circle, shared_lines
 from .perm import is_faithful, pair_fixer_counts, pair_stabilizer
 
 PAIR_TOL = 1e-8
@@ -75,11 +81,7 @@ class Arc:
         return self.point_at(0.5)
 
     def interior_contains_angle(self, phi: float, margin: float = ANGLE_EPS) -> bool:
-        span = abs(self.sweep)
-        rel = (phi - self.start) % (2 * math.pi)
-        if self.sweep < 0:
-            rel = (2 * math.pi - rel) % (2 * math.pi)
-        return margin < rel < span - margin
+        return bool(_interior_holds(self.start, self.sweep, phi, margin))
 
     def interior_contains_point(self, p: np.ndarray, margin: float = ANGLE_EPS) -> bool:
         if not plane_distance(self.projector, p) <= PAIR_TOL:
@@ -87,9 +89,28 @@ class Arc:
         return self.interior_contains_angle(_angle(self.basis, p), margin)
 
 
+def _interior_holds(start, sweep, phi, margin: float = ANGLE_EPS):
+    """Does the interior of the arc from `start` turning by `sweep` hold the
+    angle phi, at least `margin` from both ends?  Elementwise on arrays
+    that broadcast."""
+    rel = np.mod(phi - start, 2 * math.pi)
+    rel = np.where(sweep < 0, np.mod(2 * math.pi - rel, 2 * math.pi), rel)
+    return (margin < rel) & (rel < np.abs(sweep) - margin)
+
+
 def _angle(basis: np.ndarray, p: np.ndarray) -> float:
+    """Angle of one point in the plane basis.  assign_arcs stores it as an
+    arc's start, so it stays one product per point: a stacked product may
+    round differently and change certificate bytes."""
     x, y = float(basis[0] @ p), float(basis[1] @ p)
     return math.atan2(y, x)
+
+
+def _angles(bases: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Angles of points (..., P, 4) in the planes of bases (..., 2, 4), as
+    (..., P); the leading dimensions broadcast."""
+    xy = points @ np.swapaxes(bases, -1, -2)
+    return np.arctan2(xy[..., 1], xy[..., 0])
 
 
 ArcAssignment = dict[tuple[int, int], Arc]
@@ -146,26 +167,38 @@ def assign_arcs(r: Realization, pairs: list[tuple[int, int]]) -> ArcAssignment:
     fixer of a pair is the circle of all of them and is not empty.
     full_report checks h1 and calls this only when it holds.
     """
-    arcs: ArcAssignment = {}
+    candidates = []
     for u, v in pairs:
         fixer = pair_stabilizer(r.vertex_action.action, u, v)[1]
         basis = r.circles[fixer]
         a_u, a_v = _angle(basis, r.coords[u]), _angle(basis, r.coords[v])
         ccw = (a_v - a_u) % (2 * math.pi)
-        candidates = [Arc((u, v), fixer, basis, a_u, ccw),
-                      Arc((u, v), fixer, basis, a_u, ccw - 2 * math.pi)]
-        arcs[(u, v)] = min(candidates,
-                           key=lambda a: (bool(_vertices_inside(r, a)), abs(a.sweep)))
+        candidates += [Arc((u, v), fixer, basis, a_u, ccw),
+                       Arc((u, v), fixer, basis, a_u, ccw - 2 * math.pi)]
+    blocked = _vertices_inside(r, candidates).any(axis=1).tolist()
+    arcs: ArcAssignment = {}
+    for k in range(0, len(candidates), 2):
+        _, arc = min(zip(blocked[k:k + 2], candidates[k:k + 2]),
+                     key=lambda c: (c[0], abs(c[1].sweep)))
+        arcs[arc.pair] = arc
     return arcs
 
 
-def _vertices_inside(r: Realization, arc: Arc) -> list[int]:
-    """Vertices other than the arc's own pair that lie in its interior.
-    Which vertices sit on the circle is read from the fixer's own circle,
-    so a slightly tilted stored basis cannot hide one."""
-    distance = plane_distance(projectors(r.circles[arc.fixer]), r.coords)
-    return [w for w in np.flatnonzero(distance <= PAIR_TOL).tolist() if w not in arc.pair
-            and arc.interior_contains_angle(_angle(arc.basis, r.coords[w]), INSIDE_MARGIN)]
+def _vertices_inside(r: Realization, arcs: list[Arc]) -> np.ndarray:
+    """inside[k, w]: vertex w, not of arc k's own pair, lies in the interior
+    of arc k.  Which vertices sit on the circle is read from each fixer's
+    own circle, so a slightly tilted stored basis cannot hide one."""
+    inside = np.zeros((len(arcs), r.m), dtype=bool)
+    if not arcs:
+        return inside
+    on_circle = plane_distance(projectors(r.circles[[a.fixer for a in arcs]]), r.coords) <= PAIR_TOL
+    ends = np.array([a.pair for a in arcs])
+    on_circle &= (np.arange(r.m) != ends[:, :1]) & (np.arange(r.m) != ends[:, 1:])
+    k, w = np.nonzero(on_circle)  # angles only where needed: few vertices sit on a circle
+    phi = _angles(np.array([a.basis for a in arcs])[k], r.coords[w, None])[:, 0]
+    inside[k, w] = _interior_holds(np.array([a.start for a in arcs])[k],
+                                   np.array([a.sweep for a in arcs])[k], phi, INSIDE_MARGIN)
+    return inside
 
 
 def _joins(arc: Arc, p: np.ndarray, q: np.ndarray) -> bool:
@@ -182,55 +215,98 @@ def check_arcs(r: Realization, arcs: ArcAssignment, pairs: list[tuple[int, int]]
     set is checked first, so every later coordinate lookup goes through a
     pinned pair; every tolerance test fails on NaN.
     """
-    va = r.vertex_action
     required = set(pairs)
     extra, missing = sorted(set(arcs) - required), sorted(required - set(arcs))
     if extra:
         raise ArcAssignmentError(f"arc over pair {extra[0]}, which is not a pinned pair")
     if missing:
         raise ArcAssignmentError(f"pinned pair {missing[0]} has no arc")
-    for (u, v), arc in arcs.items():
-        fixer = arc.fixer
-        if not 0 < fixer < va.action.group.order \
-                or tuple(va.action.images[fixer, [u, v]]) != (u, v):
-            raise ArcAssignmentError(f"fixer of pair {(u, v)} is not a non-trivial "
-                                     "group element fixing both vertices")
-        gram = float(np.abs(arc.basis @ arc.basis.T - np.eye(2)).max())
-        if not gram <= PAIR_TOL or not same_circle(arc.projector, projectors(r.circles[fixer])):
-            raise ArcAssignmentError(f"arc of pair {(u, v)} is not on the fixed circle "
-                                     "of its fixer")
-        if not (math.isfinite(arc.start) and 0 < abs(arc.sweep) < 2 * math.pi) \
-                or not _joins(arc, r.coords[u], r.coords[v]):
-            raise ArcAssignmentError(f"arc of pair {(u, v)} does not run between "
-                                     "its two vertices")
-        inside = _vertices_inside(r, arc)
-        if inside:
-            raise ArcAssignmentError(f"arc of pair {(u, v)} has vertex {inside[0]} inside")
+    checked, fault = [], None
+    for pair, arc in arcs.items():
+        fault = _arc_fault(r, pair, arc)
+        if fault:
+            break
+        checked.append(pair)
+    # the vertex test of every arc before the first fault, in one pass
+    inside = _vertices_inside(r, [arcs[pair] for pair in checked])
+    for pair, row in zip(checked, inside):
+        if row.any():
+            raise ArcAssignmentError(f"arc of pair {pair} has vertex {np.flatnonzero(row)[0]} inside")
+    if fault:
+        raise ArcAssignmentError(fault)
     _verify_disjoint_interiors(r, arcs)
 
 
+def _arc_fault(r: Realization, pair: tuple[int, int], arc: Arc) -> Optional[str]:
+    """Why `arc` is no arc of its fixer's circle between the two vertices of
+    `pair`, or None; check_arcs tests the vertices inside it."""
+    u, v = pair
+    action = r.vertex_action.action
+    if not 0 < arc.fixer < action.group.order or tuple(action.images[arc.fixer, [u, v]]) != (u, v):
+        return f"fixer of pair {pair} is not a non-trivial group element fixing both vertices"
+    gram = float(np.abs(arc.basis @ arc.basis.T - np.eye(2)).max())
+    if not gram <= PAIR_TOL or not same_circle(arc.projector, projectors(r.circles[arc.fixer])):
+        return f"arc of pair {pair} is not on the fixed circle of its fixer"
+    if not (math.isfinite(arc.start) and 0 < abs(arc.sweep) < 2 * math.pi) \
+            or not _joins(arc, r.coords[u], r.coords[v]):
+        return f"arc of pair {pair} does not run between its two vertices"
+    return None
+
+
+_ENDS_AND_MIDDLE = np.array([0.0, 1.0, 0.5])
+
+
 def _verify_disjoint_interiors(r: Realization, arcs: ArcAssignment):
+    """The arcs' interiors are pairwise disjoint: one batched test of all
+    pairs, raising for the first bad pair in row-major order.
+
+    Two arcs on one circle overlap when either interior holds an end or the
+    midpoint of the other; each arc measures angles in its own basis of the
+    plane.  Arcs on distinct circles can meet only at the 0 or 2 antipodes
+    on the line their planes share (one stacked SVD over those pairs), and
+    cross when both interiors hold one of them.
+    """
     items = list(arcs.values())
-    for i, a in enumerate(items):
-        for b in items[i + 1:]:
-            if same_circle(a.projector, b.projector):
-                # each arc measures angles in its own basis of the plane
-                for s in (0.0, 1.0, 0.5):
-                    if a.interior_contains_angle(_angle(a.basis, b.point_at(s))) or \
-                       b.interior_contains_angle(_angle(b.basis, a.point_at(s))):
-                        raise ArcAssignmentError(
-                            f"arcs of {a.pair} and {b.pair} overlap on their circle")
-            else:
-                crossings = circles_intersection(a.projector, b.projector)
-                for p in crossings:
-                    if a.interior_contains_point(p) and b.interior_contains_point(p):
-                        raise ArcAssignmentError(
-                            f"arcs of {a.pair} and {b.pair} cross at a circle intersection")
+    if len(items) < 2:
+        return
+    bases = np.array([a.basis for a in items])
+    planes = np.array([a.projector for a in items])
+    starts = np.array([a.start for a in items])
+    sweeps = np.array([a.sweep for a in items])
+    i, j = np.triu_indices(len(items), 1)
+    same = same_circle(planes[i], planes[j])
 
+    # ends[a, s]: the start, end and midpoint of arc a
+    turns = starts[:, None] + _ENDS_AND_MIDDLE * sweeps[:, None]
+    ends = np.cos(turns)[..., None] * bases[:, None, 0] + np.sin(turns)[..., None] * bases[:, None, 1]
+    # holds[a, b]: the interior of arc a holds one of those points of arc b
+    phi = _angles(bases, ends.reshape(1, -1, 4)).reshape(len(items), len(items), 3)
+    holds = _interior_holds(starts[:, None, None], sweeps[:, None, None], phi).any(axis=2)
+    overlap = same & (holds[i, j] | holds[j, i])
 
-def _image_pair(img: np.ndarray, pair: tuple[int, int]) -> tuple[int, int]:
-    x, y = int(img[pair[0]]), int(img[pair[1]])
-    return (x, y) if x < y else (y, x)
+    a, b = i[~same], j[~same]
+    lines, v = shared_lines(planes[a], planes[b])
+    crossings = np.stack([v, -v], axis=1)
+
+    def holds_crossing(k):
+        on_circle = plane_distance(planes[k], crossings) <= PAIR_TOL
+        return on_circle & _interior_holds(starts[k, None], sweeps[k, None],
+                                           _angles(bases[k], crossings))
+
+    cross, ambiguous = np.zeros_like(same), np.zeros_like(same)
+    cross[~same] = (lines == 1) & (holds_crossing(a) & holds_crossing(b)).any(axis=1)
+    ambiguous[~same] = lines > 1
+
+    bad = np.flatnonzero(overlap | cross | ambiguous)
+    if bad.size:
+        k = bad[0]
+        first, second = items[i[k]].pair, items[j[k]].pair
+        if overlap[k]:
+            raise ArcAssignmentError(f"arcs of {first} and {second} overlap on their circle")
+        if cross[k]:
+            raise ArcAssignmentError(
+                f"arcs of {first} and {second} cross at a circle intersection")
+        raise PrecisionError("distinct circles sharing a 2-plane")
 
 
 def check_h3(r: Realization, arcs: ArcAssignment) -> bool:
@@ -239,22 +315,28 @@ def check_h3(r: Realization, arcs: ArcAssignment) -> bool:
     For every element f and arc A over pair P, B = arcs[f(P)] must exist
     and f must move A's midpoint onto B's.  Invariance already maps A's
     endpoints onto B's, and arcs with equal endpoints agree as point sets
-    exactly when their midpoints agree, so f(A) = B.
+    exactly when their midpoints agree, so f(A) = B.  Both tests run on
+    all (element, arc) at once.
 
     An element fixing an interior point of A then maps A onto itself: the
     fixed point lies in the interior of f(A) = B as well, and distinct
     arcs have disjoint interiors (h2), so B = A.  Precondition: `arcs`
     pass check_arcs; full_report calls this only then.
     """
-    mids = {pair: arc.midpoint for pair, arc in arcs.items()}
-    for img, mat in zip(r.vertex_action.action.images, r.mats):
-        for pair, mid in mids.items():
-            target = mids.get(_image_pair(img, pair))
-            if target is None:
-                return False
-            if not float(np.linalg.norm(mat @ mid - target)) <= PAIR_TOL:
-                return False
-    return True
+    if not arcs:
+        return True
+    pairs = np.array(list(arcs))
+    codes = pairs[:, 0] * r.m + pairs[:, 1]
+    order = np.argsort(codes)
+    images = np.sort(r.vertex_action.action.images[:, pairs], axis=-1)
+    image_codes = images[..., 0] * r.m + images[..., 1]
+    # target[f, k]: the arc over the image of pair k under element f
+    target = order[np.searchsorted(codes[order], image_codes).clip(max=len(codes) - 1)]
+    if not (codes[target] == image_codes).all():
+        return False
+    mids = np.array([arc.midpoint for arc in arcs.values()])
+    err = np.linalg.norm(np.einsum("fij,kj->fki", r.mats, mids) - mids[target], axis=-1).max()
+    return bool(err <= PAIR_TOL)
 
 
 def _interchangers(va: VertexAction) -> np.ndarray:
@@ -278,10 +360,8 @@ def check_h5(r: Realization) -> bool:
     """Pair-swapping elements are rotations with unshared circles.  Each is
     compared with every row, its own included; no circle matches row 0."""
     planes = projectors(r.circles)
-    for g in _interchangers(r.vertex_action):
-        if np.count_nonzero(same_circle(planes, planes[g])) > 1:
-            return False
-    return True
+    swappers = planes[_interchangers(r.vertex_action)]
+    return bool((np.count_nonzero(same_circle(swappers[:, None], planes), axis=1) <= 1).all())
 
 
 def full_report(r: Realization, arcs: Optional[ArcAssignment] = None) -> HypothesisReport:

@@ -116,28 +116,42 @@ def same_circle(p: np.ndarray, q: np.ndarray, tol: float = CIRCLE_EQ_TOL) -> np.
     return np.abs(p - q).max(axis=(-2, -1)) <= tol
 
 
+def shared_lines(p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For projectors onto distinct planes (stacks of one shape), from one
+    stacked SVD of [I - P1; I - P2]: how many directions the planes share
+    (singular values below SHARED_LINE_TOL), and a unit vector along the
+    shared line, which means something only where that count is 1."""
+    stack = np.concatenate([np.eye(4) - p1, np.eye(4) - p2], axis=-2)
+    _, s, vt = np.linalg.svd(stack)
+    line = vt[..., -1, :]  # singular values come in descending order
+    return np.count_nonzero(s < SHARED_LINE_TOL, axis=-1), \
+        line / np.linalg.norm(line, axis=-1, keepdims=True)
+
+
 def circles_intersection(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Intersection points of two distinct circles' projectors: 0 or 2 antipodes."""
     if same_circle(p1, p2):
         raise ValueError("circles coincide")
-    # shared directions = eigenvectors of P1 @ P2 restricted to both planes
-    stack = np.vstack([np.eye(4) - p1, np.eye(4) - p2])
-    _, s, vt = np.linalg.svd(stack)
-    line = vt[s < SHARED_LINE_TOL]
-    if line.shape[0] == 0:
+    count, v = shared_lines(p1, p2)
+    if count == 0:
         return np.empty((0, 4))
-    if line.shape[0] > 1:
+    if count > 1:
         raise PrecisionError("distinct circles sharing a 2-plane")
-    v = line[0] / np.linalg.norm(line[0])
     return np.vstack([v, -v])
 
 
 def _canonical_rows(rows: np.ndarray) -> np.ndarray:
-    out = []
-    for r in rows:
-        k = int(np.argmax(np.abs(r)))
-        out.append(-r if r[k] < 0 else r)
-    return np.array(sorted(out, key=lambda r: tuple(np.round(r, 9))))
+    """Stacked (..., 2, 4) plane bases in one canonical form: each row
+    signed so its largest entry in magnitude (the first on a tie) is
+    positive, then the two rows ordered by their entries rounded to 9
+    decimals (kept in place when those agree)."""
+    top = np.take_along_axis(rows, np.abs(rows).argmax(axis=-1)[..., None], axis=-1)
+    signed = np.where(top < 0, -rows, rows)
+    key = np.round(signed, 9)
+    differ = key[..., 0, :] != key[..., 1, :]
+    first = differ.argmax(axis=-1)[..., None]
+    swap = np.take_along_axis(key[..., 1, :], first, -1) < np.take_along_axis(key[..., 0, :], first, -1)
+    return np.where(swap[..., None], signed[..., ::-1, :], signed)
 
 
 def fixed_set(mats: np.ndarray) -> np.ndarray:
@@ -152,17 +166,17 @@ def fixed_set(mats: np.ndarray) -> np.ndarray:
     if m.shape[-2:] != (4, 4):
         raise ValueError("expected 4x4 matrices")
     _, sv, vt = np.linalg.svd(m.reshape(-1, 4, 4) - np.eye(4))
-    bases = np.zeros((len(sv), 2, 4))
-    for i, s in enumerate(sv):
-        if np.any((s >= _SV_ZERO) & (s < _SV_AMBIGUOUS)):
-            raise PrecisionError(f"singular values too close to zero to classify: {s}")
-        dim = int(np.sum(s < _SV_ZERO))
-        if dim == 4:
+    dim = np.count_nonzero(sv < _SV_ZERO, axis=1)
+    ambiguous = ((sv >= _SV_ZERO) & (sv < _SV_AMBIGUOUS)).any(axis=1)
+    offending = np.flatnonzero(ambiguous | ((dim != 0) & (dim != 2)))
+    if offending.size:
+        i = offending[0]
+        if ambiguous[i]:
+            raise PrecisionError(f"singular values too close to zero to classify: {sv[i]}")
+        if dim[i] == 4:
             raise ValueError("identity matrix fixes the whole sphere; not a circle")
-        if dim == 2:
-            bases[i] = _canonical_rows(vt[i, -2:])
-        elif dim:
-            raise PrecisionError(f"fixed subspace of dimension {dim}; SO(4) allows only 0, 2 or 4")
+        raise PrecisionError(f"fixed subspace of dimension {dim[i]}; SO(4) allows only 0, 2 or 4")
+    bases = np.where((dim == 2)[:, None, None], _canonical_rows(vt[:, -2:]), 0.0)
     return bases.reshape(m.shape[:-2] + (2, 4))
 
 
@@ -518,13 +532,17 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
 def geometric_profile(r: Realization) -> FixedVertexProfile:
     """Count vertices on each element's fixed circle; the count must be
     constant on every class (the profile check compares it with the
-    combinatorial measured profile)."""
+    combinatorial measured profile).  Every element is counted, one stacked
+    distance per class, not one representative: the matrices are a
+    homomorphism only to HOM_TOL, ten times ON_CIRCLE_TOL, so a crafted file
+    can give two conjugate elements different counts."""
     planes = projectors(r.circles)
     counts = {}
     for name, rows in r.group.classes.items():
         if name == "n1":
             continue
-        vals = {int(np.sum(plane_distance(planes[i], r.coords) <= ON_CIRCLE_TOL)) for i in rows}
+        on_circle = plane_distance(planes[list(rows)], r.coords) <= ON_CIRCLE_TOL
+        vals = set(np.count_nonzero(on_circle, axis=1).tolist())
         if len(vals) != 1:
             raise AssertionError(f"geometric counts differ within class {name}: {vals}")
         counts[name] = vals.pop()

@@ -361,6 +361,14 @@ def _zero_basis(data):
     data["arcs"][0]["basis"] = [[0.0] * 4, [0.0] * 4]
 
 
+def _complement_every_arc(data):
+    """Replace each arc by the other arc of its circle between the same two
+    vertices; the six arcs form one orbit, so the system stays equivariant
+    and only the disjointness test can reject it."""
+    for arc in data["arcs"]:
+        arc["sweep"] -= math.copysign(2 * math.pi, arc["sweep"])
+
+
 def _fixer_sharing_a_code(data):
     # same base-degree code as the stored fixer, but not a permutation
     fixer = data["arcs"][0]["fixer"]
@@ -392,6 +400,7 @@ _BAD_ARCS = [
     (_zero_basis, "not on the fixed circle"),
     (_set(("arcs", 0, "start"), float("nan")), "does not run between"),
     (_set(("arcs", 0, "start"), float("inf")), "does not run between"),
+    (_complement_every_arc, "arcs of (24, 25) and (24, 26) cross at a circle intersection"),
 ]
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import re
@@ -7,9 +8,10 @@ import pytest
 
 from tsglab.actions import Model, VertexAction, build, plan
 from tsglab.edges import (
+    ANGLE_EPS,
     PAIR_TOL,
+    Arc,
     ArcAssignmentError,
-    _image_pair,
     _verify_disjoint_interiors,
     assign_arcs,
     check_arcs,
@@ -22,7 +24,9 @@ from tsglab.edges import (
 )
 from tsglab import edges
 from tsglab.geometry import (
+    SHARED_LINE_TOL,
     ModelConfig,
+    PrecisionError,
     Realization,
     circles_intersection,
     plane_distance,
@@ -294,7 +298,129 @@ def test_full_report_computes_pinned_pairs_once(realized, monkeypatch):
     assert len(calls) == 1
 
 
+# ------------------------------------ batched disjointness vs pairwise loop
+
+
+def _old_angle(basis, p):
+    return math.atan2(float(basis[1] @ p), float(basis[0] @ p))
+
+
+def _old_holds_angle(arc, phi):
+    rel = (phi - arc.start) % (2 * math.pi)
+    if arc.sweep < 0:
+        rel = (2 * math.pi - rel) % (2 * math.pi)
+    return ANGLE_EPS < rel < abs(arc.sweep) - ANGLE_EPS
+
+
+def _old_holds_point(arc, p):
+    return bool(plane_distance(arc.projector, p) <= PAIR_TOL) \
+        and _old_holds_angle(arc, _old_angle(arc.basis, p))
+
+
+def _old_crossings(p1, p2):
+    _, s, vt = np.linalg.svd(np.vstack([np.eye(4) - p1, np.eye(4) - p2]))
+    line = vt[s < SHARED_LINE_TOL]
+    if line.shape[0] == 0:
+        return np.empty((0, 4))
+    if line.shape[0] > 1:
+        raise PrecisionError("distinct circles sharing a 2-plane")
+    v = line[0] / np.linalg.norm(line[0])
+    return np.vstack([v, -v])
+
+
+def _pairwise_disjoint(r, arcs):
+    """The pairwise loop that the batched test replaced, with one SVD per
+    pair of arcs on distinct circles, kept as its oracle."""
+    items = list(arcs.values())
+    for i, a in enumerate(items):
+        for b in items[i + 1:]:
+            if same_circle(a.projector, b.projector):
+                for s in (0.0, 1.0, 0.5):
+                    if _old_holds_angle(a, _old_angle(a.basis, b.point_at(s))) or \
+                       _old_holds_angle(b, _old_angle(b.basis, a.point_at(s))):
+                        raise ArcAssignmentError(
+                            f"arcs of {a.pair} and {b.pair} overlap on their circle")
+            else:
+                for p in _old_crossings(a.projector, b.projector):
+                    if _old_holds_point(a, p) and _old_holds_point(b, p):
+                        raise ArcAssignmentError(
+                            f"arcs of {a.pair} and {b.pair} cross at a circle intersection")
+
+
+def _outcome(check, r, arcs):
+    try:
+        check(r, arcs)
+    except (ArcAssignmentError, PrecisionError) as err:
+        return type(err).__name__, str(err)
+    return None
+
+
+def _arc_orbits(va, pairs):
+    orbits, seen = [], set()
+    for u, v in pairs:
+        if (u, v) not in seen:
+            orbit = {tuple(sorted(img[[u, v]].tolist())) for img in va.action.images}
+            orbits.append(sorted(orbit))
+            seen |= orbit
+    return orbits
+
+
+@pytest.mark.parametrize("group", ["A4", "S4", "A5"])
+def test_batched_disjointness_matches_pairwise_loop(group):
+    """On every admissible, non-knotted m < 200 (seed 0), on every single
+    complement-arc mutation, on every whole-orbit complement and with a
+    twin added over each arc, the batched test raises what the pairwise
+    loop raises, type and message, or passes where it passes.  A whole orbit of complements keeps the
+    system equivariant and is rejected for crossing."""
+    seen = collections.Counter()
+    for m in range(4, 200):
+        if m not in admissible_residues(group):
+            continue
+        p = plan(group, m)
+        if p.knotted:
+            continue
+        r = realize(p, build(p), ModelConfig(seed=0))
+        arcs = _arcs(r)
+        singles = [{**arcs, pair: _complement(arcs[pair])} for pair in arcs]
+        orbits = [{**arcs, **{pair: _complement(arcs[pair]) for pair in orbit}}
+                  for orbit in _arc_orbits(r.vertex_action, arcs)]
+        # an arc's twin, described in its basis turned half a turn, overlaps it
+        twins = [{**arcs, (u, v + r.m): dataclasses.replace(_rotated(arcs[u, v], math.pi),
+                                                          pair=(u, v + r.m))}
+                 for u, v in arcs]
+        kinds = (("valid", [arcs]), ("single", singles), ("orbit", orbits), ("twin", twins))
+        for kind, systems in kinds:
+            for system in systems:
+                expected = _outcome(_pairwise_disjoint, r, system)
+                assert _outcome(_verify_disjoint_interiors, r, system) == expected, (m, kind)
+                verdict = next((w for w in ("overlap", "cross", "sharing") if w in expected[1]),
+                               expected[1]) if expected else "disjoint"
+                seen[kind, verdict] += 1
+                if kind == "orbit":
+                    assert check_h3(r, system) and verdict == "cross", (m, expected)
+    assert seen["valid", "disjoint"] and seen["orbit", "cross"] and seen["twin", "overlap"], seen
+
+
+def test_distinct_circles_sharing_a_plane_raise_precision_error(realized):
+    """Two circles whose projectors differ by more than CIRCLE_EQ_TOL but
+    whose planes share two directions to SHARED_LINE_TOL: neither test
+    guesses a crossing."""
+    _, r = realized[("S4", 12)]
+    eps = 5e-8
+    a = Arc((0, 1), 1, np.eye(4)[:2], 0.0, 1.0)
+    b = Arc((2, 3), 1, np.array([[1.0, 0, 0, 0], [0, math.cos(eps), math.sin(eps), 0]]), 2.0, 1.0)
+    assert not same_circle(a.projector, b.projector)
+    for check in (_verify_disjoint_interiors, _pairwise_disjoint):
+        with pytest.raises(PrecisionError, match="sharing a 2-plane"):
+            check(r, {a.pair: a, b.pair: b})
+
+
 # ------------------------------------------ h3 second clause is implied by h2
+
+
+def _image_pair(img: np.ndarray, pair: tuple[int, int]) -> tuple[int, int]:
+    x, y = int(img[pair[0]]), int(img[pair[1]])
+    return (x, y) if x < y else (y, x)
 
 
 def _two_clause_h3(r, arcs) -> bool:

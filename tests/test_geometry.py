@@ -29,7 +29,7 @@ from tsglab.geometry import (
     validate_realization,
 )
 from tsglab import geometry
-from tsglab.geometry import _max_hom_error, _min_separation
+from tsglab.geometry import _canonical_rows, _max_hom_error, _min_separation
 from tsglab.perm import PermGroup, a4_inside_a5, from_cycles, standard_group
 
 from .conftest import REFERENCES, close_free_orbits
@@ -190,6 +190,45 @@ def test_fixed_set_stack_raises_at_first_offending_matrix(reps):
         fixed_set(np.stack([rotation, np.eye(4), reflection]))
     with pytest.raises(PrecisionError, match="dimension 3"):
         fixed_set(np.stack([rotation, reflection, np.eye(4)]))
+
+
+def _canonical_rows_loop(rows):
+    """The per-basis loop that the stacked _canonical_rows replaced."""
+    out = []
+    for r in rows:
+        k = int(np.argmax(np.abs(r)))
+        out.append(-r if r[k] < 0 else r)
+    return np.array(sorted(out, key=lambda r: tuple(np.round(r, 9))))
+
+
+def test_canonical_rows_match_the_per_basis_loop():
+    """Bitwise, on the raw SVD bases of every non-identity element of the
+    four models, on random in-plane rotations and sign flips of them, and
+    on rows whose rounded keys tie or whose largest entries tie."""
+    rng = np.random.default_rng(0)
+    raw = np.concatenate([np.linalg.svd(representation(g, model)[1:] - np.eye(4))[2][:, -2:]
+                          for model, g in GROUP_OF.items()])
+    turn = rng.uniform(0, 2 * np.pi, len(raw))
+    c, s = np.cos(turn)[:, None], np.sin(turn)[:, None]
+    turned = np.stack([c * raw[:, 0] + s * raw[:, 1], c * raw[:, 1] - s * raw[:, 0]], axis=1)
+    flipped = turned * rng.choice([-1.0, 1.0], size=(len(raw), 2, 1))
+    row = np.array([0.6, -0.8, 0.0, 0.0])
+    ties = np.array([[row, row + 1e-12], [row + 1e-12, row], [-row, row],
+                     [[0.5, -0.5, 0.5, -0.5], [-0.5, 0.5, -0.5, 0.5]]])
+    for bases in (raw, turned, flipped, ties):
+        stacked = _canonical_rows(bases)
+        for got, basis in zip(stacked, bases):
+            assert got.tobytes() == _canonical_rows_loop(basis).tobytes(), basis
+
+
+def test_fixed_set_ambiguous_singular_values_raise_at_first_offending_matrix(reps):
+    rotation = reps[Model.TETRA_ROT][from_cycles(4, (0, 1, 2))]
+    tiny = np.eye(4)
+    tiny[:2, :2] = [[math.cos(5e-7), -math.sin(5e-7)], [math.sin(5e-7), math.cos(5e-7)]]
+    with pytest.raises(PrecisionError, match="too close to zero"):
+        fixed_set(np.stack([rotation, tiny, np.eye(4)]))
+    with pytest.raises(ValueError, match="identity"):
+        fixed_set(np.stack([rotation, np.eye(4), tiny]))
 
 
 def test_double_transposition_circle_in_simplex(reps):
