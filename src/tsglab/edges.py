@@ -339,29 +339,31 @@ def check_h3(r: Realization, arcs: ArcAssignment) -> bool:
     return bool(err <= PAIR_TOL)
 
 
-def _interchangers(va: VertexAction) -> np.ndarray:
-    """Rows of the elements with a 2-cycle on the vertices (the identity has none)."""
+def interchangers(va: VertexAction) -> np.ndarray:
+    """Rows of the elements with a 2-cycle on the vertices (the identity has
+    none); full_report computes them once for check_h4 and check_h5."""
     imgs, ident = va.action.images, np.arange(va.m)
     swaps = (imgs != ident) & (np.take_along_axis(imgs, imgs, axis=1) == ident)
     return np.flatnonzero(swaps.any(axis=1))
 
 
-def check_h4(va: VertexAction) -> bool:
-    """Pair-swapping elements may fix at most two vertices.
+def check_h4(va: VertexAction, swappers: np.ndarray) -> bool:
+    """Pair-swapping elements (rows `swappers`, from interchangers) may fix
+    at most two vertices.
 
     The vertices fixed by such an element span a complete subgraph that has
     to embed in a proper sub-arc of the element's circle, which a complete
     graph does exactly when it has at most 2 vertices.
     """
-    return bool((va.action.fixed()[_interchangers(va)].sum(axis=1) <= 2).all())
+    return bool((va.action.fixed()[swappers].sum(axis=1) <= 2).all())
 
 
-def check_h5(r: Realization) -> bool:
-    """Pair-swapping elements are rotations with unshared circles.  Each is
-    compared with every row, its own included; no circle matches row 0."""
+def check_h5(r: Realization, swappers: np.ndarray) -> bool:
+    """Pair-swapping elements (rows `swappers`, from interchangers) are
+    rotations with unshared circles.  Each is compared with every row, its
+    own included; no circle matches row 0."""
     planes = projectors(r.circles)
-    swappers = planes[_interchangers(r.vertex_action)]
-    return bool((np.count_nonzero(same_circle(swappers[:, None], planes), axis=1) <= 1).all())
+    return bool((np.count_nonzero(same_circle(planes[swappers, None], planes), axis=1) <= 1).all())
 
 
 def full_report(r: Realization, arcs: Optional[ArcAssignment] = None) -> HypothesisReport:
@@ -383,6 +385,7 @@ def full_report(r: Realization, arcs: Optional[ArcAssignment] = None) -> Hypothe
         except ArcAssignmentError as err:
             details["arc_error"] = str(err)
     h3 = h2 and check_h3(r, arcs)
-    h4 = check_h4(r.vertex_action)
-    h5 = check_h5(r)
+    swappers = interchangers(r.vertex_action)
+    h4 = check_h4(r.vertex_action, swappers)
+    h5 = check_h5(r, swappers)
     return HypothesisReport(h1, h2, h3, h4, h5, arcs if h2 else None, details)

@@ -43,6 +43,7 @@ only another zero projector (a rank-2 projector has an entry >= 1/2).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,7 +68,11 @@ FREE_CIRCLE_CLEARANCE = 0.05
 FREE_ORBIT_SEP = 1e-3
 _SV_ZERO = 1e-7
 _SV_AMBIGUOUS = 1e-6
-_DISTANCE_BLOCK = 32  # rows per block in closest_distance
+_CELL_MARGIN = 2.0 ** -20  # relative widening of a cell over the search radius
+_CELL_SPAN = 2 ** 14  # most cells across the points' range on one axis
+_PAIR_CHUNK = 2 ** 20  # most candidate pairs measured at once
+# cell offsets on the first three axes, in ascending code order; CellGrid.runs
+_NEIGHBOURS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
 
 
 class PrecisionError(RuntimeError):
@@ -322,24 +327,41 @@ def free_orbit_coords(mats: np.ndarray, circles: np.ndarray, n: int = 1,
     sampled clear of every fixed circle in circles (as circles_of gives them).
 
     Each base point keeps distance >= 0.05 from each fixed circle's plane,
-    and all produced points stay pairwise >= 1e-3 apart (also from `avoid`,
-    whose own points must already be that far apart).  Orbit row i is the
-    image of the base point under mats[i].  Deterministic for a fixed seed.
+    and all produced points stay pairwise >= FREE_ORBIT_SEP (1e-3) apart
+    (also from `avoid`, whose own points must already be that far apart).
+    Orbit row i is the image of the base point under mats[i].
+    Deterministic for a fixed seed.
 
     `avoid` must be a union of orbits of the group (the special parts are).
     The placed points then stay invariant, and since every matrix is an
     isometry, a candidate orbit clears them exactly when its base point
-    does: one distance per placed point and attempt, not |G| of them.
+    does.  Placed points go into a CellGrid of radius FREE_ORBIT_SEP, one
+    accepted orbit at a time, so the base point is measured only against
+    the points in its 81 neighbouring cells: every point closer than the
+    radius lies there, and the decisions are those of measuring it against
+    every placed point.
     """
     if n < 1:
         raise ValueError("need n >= 1 free orbits")
     config = config or ModelConfig()
+    sep = FREE_ORBIT_SEP
     planes = projectors(circles)
     rng = np.random.default_rng(config.seed)
-    placed = np.empty((0, 4)) if avoid is None else np.asarray(avoid)
-    closest = closest_distance(placed)
-    if closest < FREE_ORBIT_SEP:
+    avoid = np.empty((0, 4)) if avoid is None else np.asarray(avoid, dtype=float)
+    closest = closest_distance(avoid)
+    if not closest >= sep:
         raise PlacementError(f"special-part vertices are only {closest} apart")
+    # every orbit point is a unit vector: the box holds it up to rounding
+    grid = CellGrid(sep, min(-1.0, avoid.min(initial=0.0)), max(1.0, avoid.max(initial=0.0)))
+    around = (grid.runs[:, None] + (-1, 0, 1)).ravel()  # the 81 neighbouring cells
+    placed = np.concatenate([avoid, np.empty((n * len(mats), 4))])
+    cells: dict[int, list[int]] = {}  # cell code -> rows of placed
+
+    def add(start: int, stop: int) -> None:
+        for row, code in enumerate(grid.codes(placed[start:stop]).tolist(), start):
+            cells.setdefault(code, []).append(row)
+
+    add(0, len(avoid))
     orbits = []
     for _ in range(n):
         for attempt in range(400):
@@ -350,34 +372,100 @@ def free_orbit_coords(mats: np.ndarray, circles: np.ndarray, n: int = 1,
             orbit = mats @ p
             # any row of an invariant orbit can serve as the base point
             base, others = orbit[0], orbit[1:]
-            own = float(np.linalg.norm(others - base, axis=1).min())
-            if min(own, closest_distance(base[None], placed)) < FREE_ORBIT_SEP:
+            nearest = float(np.linalg.norm(others - base, axis=1).min())
+            near = [row for code in (grid.codes(base) + around).tolist() for row in cells.get(code, ())]
+            if near:
+                nearest = min(nearest, np.linalg.norm(placed[near] - base, axis=1).min())
+            if nearest < sep:
                 continue
+            start = len(avoid) + len(mats) * len(orbits)
+            placed[start:start + len(mats)] = orbit
+            add(start, start + len(mats))
             orbits.append(orbit)
-            placed = np.vstack([placed, orbit])
             break
         else:
             raise PlacementError(f"could not place free orbit after 400 attempts (n={n})")
     return orbits
 
 
-def closest_distance(a: np.ndarray, b: Optional[np.ndarray] = None,
-                     rows: Optional[np.ndarray] = None) -> float:
-    """Smallest distance from a row of a to a row of b, or to another row of
-    a when b is None (inf when there is no such pair).  `rows` restricts
-    the first point to those rows of a (all by default).  Works through
-    them in blocks, so memory stays linear in len(b); a NaN gives NaN."""
-    same = b is None
-    b = a if same else b
+class CellGrid:
+    """Cubic cells of R^4 for exact search within a radius h: every pair of
+    points closer than h lies in neighbouring cells, the 3^4 = 81 around
+    either point's own cell (itself included).
+
+    A cell is w >= h·(1 + 2^-20) wide, so such a pair is less than
+    1 - 2^-21 widths apart on each axis.  Rounding in (p - origin) / w costs
+    a few units of 2^-53 on values below 2^15, far less than the 2^-21
+    to spare, so it cannot push the pair two cells apart.  w is also at
+    least (hi - lo) / 2^14: each cell coordinate of a point in [lo, hi] then
+    lies in 1..2^14 + 1 (one cell of rim below), and the int64 code,
+    row-major in that base plus 3, stays below 2^57 for any h.  The codes
+    are linear in the cell coordinates, so the 81 neighbours of a cell are
+    27 runs of three consecutive codes (last axis fastest), each centred
+    at the cell's code plus one of the ascending offsets `runs`.
+    """
+
+    def __init__(self, h: float, lo: float, hi: float):
+        self.width = max(h * (1 + _CELL_MARGIN), (hi - lo) / _CELL_SPAN)
+        self.origin = lo - self.width
+        base = int((hi - lo) / self.width) + 3
+        self.place = np.array([base ** 3, base ** 2, base, 1])
+        self.runs = _NEIGHBOURS @ self.place[:3]
+
+    def codes(self, points: np.ndarray) -> np.ndarray:
+        """The int64 code of each point's cell (finite points only)."""
+        return np.floor((points - self.origin) / self.width).astype(np.int64) @ self.place
+
+
+def _closest_pair(points: np.ndarray, rows: np.ndarray, partners: np.ndarray) -> float:
+    """Smallest distance from a point of `rows` to any other point, exact.
+
+    h, the smallest distance over the pairs (rows[j], partners[i, j]) and
+    (rows[j], the next row cyclically) that are not self-pairs, is the
+    distance of an actual pair; the next row makes sure there is one when
+    any pair exists.  So the answer is min(h, d) over the pairs closer than
+    h, and a CellGrid of radius h finds each of those in the 81 cells
+    around its row: the rows' runs of neighbouring cells are looked up in
+    the sorted codes of all points, all rows at once, and only those pairs
+    are measured, at most _PAIR_CHUNK at a time.  NaN for non-finite input,
+    inf when there is no pair.
+    """
+    if not np.isfinite(points).all():
+        return math.nan
+    if len(points) < 2 or len(rows) == 0:
+        return math.inf
+    partners = np.concatenate([partners, ((rows + 1) % len(points))[None]])
+    d = np.linalg.norm(points[partners] - points[rows], axis=-1)
+    h = float(d[partners != rows].min(initial=np.inf))
+    if h == 0:
+        return h
+    grid = CellGrid(h, points.min(), points.max())
+    codes = grid.codes(points)
+    order = np.argsort(codes)
+    ranked = codes[order]
+    rows = rows[np.argsort(codes[rows])]  # ascending needles search faster
+    runs = len(grid.runs)
+    near = (codes[rows, None] + grid.runs).ravel()
+    start = np.searchsorted(ranked, near - 1)
+    count = np.searchsorted(ranked, near + 1, side="right") - start
+    per_row = count.reshape(-1, runs).sum(axis=1)
+    step = max(1, _PAIR_CHUNK // max(int(per_row.max()), 1))  # bounded memory on crowded input
+    for first in range(0, len(rows), step):
+        s, c = start[first * runs:(first + step) * runs], count[first * runs:(first + step) * runs]
+        other = order[np.repeat(s - np.cumsum(c) + c, c) + np.arange(c.sum())]
+        row = np.repeat(rows[first:first + step], per_row[first:first + step])
+        d = np.linalg.norm(points[other] - points[row], axis=1)
+        h = min(h, float(d[other != row].min(initial=np.inf)))
+    return h
+
+
+def closest_distance(a: np.ndarray, rows: Optional[np.ndarray] = None) -> float:
+    """Smallest distance from a row of a (one of `rows`, all by default) to
+    another row of a: inf when there is no such pair, NaN when a has a
+    non-finite entry.  Exact, through the cell index of _closest_pair."""
+    a = np.asarray(a, dtype=float)
     rows = np.arange(len(a)) if rows is None else np.asarray(rows)
-    mins = [np.inf]
-    for start in range(0, len(rows) if len(b) else 0, _DISTANCE_BLOCK):
-        block = rows[start:start + _DISTANCE_BLOCK]
-        d = np.linalg.norm(a[block, None, :] - b[None, :, :], axis=2)
-        if same:
-            d[np.arange(len(block)), block] = np.inf
-        mins.append(d.min())
-    return float(np.min(mins))
+    return _closest_pair(a, rows, np.empty((0, len(rows)), dtype=int))
 
 
 # ------------------------------------------------------------ realization
@@ -449,10 +537,16 @@ def _min_separation(r: Realization) -> float:
     The smallest vertex of each orbit represents it.  For a pair (g.v, w)
     with v a representative, |g.v - w| = |v - g^-1.w| once the coordinates
     are invariant, so the representatives' distances to all m points cover
-    every pair: (#orbits)*m distances instead of m^2/2.
+    every pair.  The search radius h of the cell index is the smallest
+    distance from a representative to the rest of its own orbit, |G|
+    distances per representative: an actual pair, and no larger than the
+    spacing of any orbit's own points, so each representative's
+    neighbouring cells hold few points and the cost stays about linear in
+    m (see _closest_pair).
     """
-    representatives = orbit_representatives(r.vertex_action.action)
-    return closest_distance(r.coords, rows=representatives)
+    act = r.vertex_action.action
+    reps = orbit_representatives(act)
+    return _closest_pair(r.coords, reps, act.images[:, reps])
 
 
 def _check_separation(r: Realization) -> None:

@@ -18,7 +18,7 @@ import pytest
 from tsglab.actions import Model, VertexAction, build, has_free_edge, measured_profile, plan
 from tsglab.certificate import write_certificate
 from tsglab.cli import table_lines
-from tsglab.edges import check_h4, full_report
+from tsglab.edges import check_h4, full_report, interchangers
 from tsglab.geometry import (
     ModelConfig,
     Realization,
@@ -152,7 +152,7 @@ def test_criterion_5_edge_certificates(realized):
     # fixture 3: an interchanger fixing three vertices breaks h4
     act = [p + [4, 5, 6] for p in s4.elements.tolist()]
     synthetic = VertexAction(GroupAction(s4, act), ("nat",) * 4 + ("pin",) * 3, ())
-    assert not check_h4(synthetic)
+    assert not check_h4(synthetic, interchangers(synthetic))
     _report("5 (edge certificates + 3 corrupted fixtures)", t0, 10.0)
 
 

@@ -20,6 +20,7 @@ from tsglab.edges import (
     check_h4,
     check_h5,
     full_report,
+    interchangers,
     required_pairs,
 )
 from tsglab import edges
@@ -144,12 +145,12 @@ def test_h3_arc_fixed_by_edge_reversing_involution(realized):
 
 def test_h4_on_natural_a5(realized):
     va, r = realized[("A5", 5)]
-    assert check_h4(va)
+    assert check_h4(va, interchangers(va))
 
 
 def test_h5_transposition_circles_unshared(realized):
     _, r = realized[("S4", 12)]
-    assert check_h5(r)
+    assert check_h5(r, interchangers(r.vertex_action))
 
 
 # ------------------------------------------------------- corrupted fixtures
@@ -185,7 +186,7 @@ def _interchanger_fixes_three_action() -> VertexAction:
 
 def test_fixture_interchanger_fixing_three_fails_h4():
     va = _interchanger_fixes_three_action()
-    assert not check_h4(va)
+    assert not check_h4(va, interchangers(va))
 
 
 def _pair_at_circle_intersection() -> tuple[VertexAction, Realization]:
@@ -293,6 +294,19 @@ def test_full_report_computes_pinned_pairs_once(realized, monkeypatch):
         return required_pairs(va)
 
     monkeypatch.setattr(edges, "required_pairs", counted)
+    _, r = realized[("S4", 12)]
+    assert full_report(r).overall
+    assert len(calls) == 1
+
+
+def test_full_report_computes_interchangers_once(realized, monkeypatch):
+    calls = []
+
+    def counted(va):
+        calls.append(va)
+        return interchangers(va)
+
+    monkeypatch.setattr(edges, "interchangers", counted)
     _, r = realized[("S4", 12)]
     assert full_report(r).overall
     assert len(calls) == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from tsglab.geometry import (
     validate_realization,
 )
 from tsglab import geometry
-from tsglab.geometry import _canonical_rows, _max_hom_error, _min_separation
-from tsglab.perm import PermGroup, a4_inside_a5, from_cycles, standard_group
+from tsglab.geometry import CellGrid, _canonical_rows, _closest_pair, _max_hom_error, _min_separation
+from tsglab.perm import PermGroup, a4_inside_a5, from_cycles, orbit_representatives, standard_group
 
 from .conftest import REFERENCES, close_free_orbits
 
@@ -486,7 +487,7 @@ def test_parameters_robust(theta, t):
     assert geometric_profile(r).key() == (0, 2, 2, 0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_validate_rejects_non_finite_coordinate(bad):
     r = realize(plan("S4", 24), config=ModelConfig(seed=1))
     r.coords[0, 1] = bad
@@ -525,3 +526,110 @@ def large_orbit_realizations():
 def test_separation_matches_all_pairs(realized, large_orbit_realizations, group, m):
     r = realized[(group, m)][1] if (group, m) in realized else large_orbit_realizations[(group, m)]
     assert abs(_min_separation(r) - closest_distance(r.coords)) <= 1e-12
+
+
+def _brute_closest(points, rows=None):
+    """Every pair (row, other point), one row at a time: the norm of the
+    difference, as the cell index measures it, but with no index."""
+    best = np.inf
+    for i in range(len(points)) if rows is None else rows:
+        d = np.linalg.norm(points - points[i], axis=1)
+        d[i] = np.inf
+        best = min(best, d.min())
+    return best
+
+
+@pytest.mark.parametrize("group,m", REFERENCES + [("A4", 1213), ("S4", 1204), ("A5", 1205)])
+def test_cell_index_equals_brute_force(realized, large_orbit_realizations, group, m):
+    r = realized[(group, m)][1] if (group, m) in realized else large_orbit_realizations[(group, m)]
+    reps = orbit_representatives(r.vertex_action.action)
+    assert _min_separation(r) == _brute_closest(r.coords, reps)
+    assert closest_distance(r.coords) == _brute_closest(r.coords)
+
+
+def test_cell_index_close_free_orbits_pair():
+    """The 1e-7 pair: far below the search radius, found exactly."""
+    r = close_free_orbits()
+    reps = orbit_representatives(r.vertex_action.action)
+    assert _min_separation(r) == _brute_closest(r.coords, reps) < 1.1e-7
+    assert closest_distance(r.coords) == _brute_closest(r.coords)
+
+
+def test_cell_codes_stay_below_2_62():
+    """A radius of 1e-7 over a spread of 2e6 would need 2e13 cells per axis;
+    the width floor of spread / 2^14 keeps the codes in range."""
+    grid = CellGrid(1e-7, -1e6, 1e6)
+    corners = np.array([[-1e6] * 4, [1e6] * 4])
+    assert (grid.codes(corners) + grid.runs.max() + 1).max() < 2 ** 62
+    points = np.array([[1e6, 0, 0, 0], [0.0, 0, 0, 0], [-1e6, 0, 0, 0], [1e-7, 0, 0, 0]])
+    assert closest_distance(points) == _brute_closest(points) == 1e-7
+
+
+def test_cell_index_coincident_points():
+    points = np.random.default_rng(0).standard_normal((40, 4))
+    points[31] = points[7]
+    assert closest_distance(points) == _brute_closest(points) == 0.0
+    assert closest_distance(points, rows=[7]) == 0.0
+    assert closest_distance(points, rows=[6, 8]) == _brute_closest(points, [6, 8]) > 0
+
+
+def test_cell_index_pair_exactly_h_apart():
+    """Partners give h = 0.5 (rows 0 and 1); rows 0 and 2 are exactly h
+    apart, and rows 0 and 3 one unit in the last place closer."""
+    points = np.array([[-3.0, -3, -3, -3], [-3, -2.5, -3, -3], [-2.5, -3, -3, -3],
+                       [-3, -3, -3, np.nextafter(-2.5, -3)], [-9.0, -9, -9, -9]])
+    rows, partners = np.array([0]), np.array([[1]])
+    assert _closest_pair(points[:3], rows, partners) == _brute_closest(points[:3], rows) == 0.5
+    assert _closest_pair(points, rows, partners) == _brute_closest(points, rows) < 0.5
+
+
+def test_cell_index_pair_straddling_negative_boundary():
+    """Rows 0 and 3, 2e-3 apart on either side of a cell boundary at
+    x0 < 0; the partners and the next rows give h = 0.5 (rows 1 and 2)."""
+    points = np.array([[0.0, 0, 0, 0], [-3, -3, -3, -3], [-3, -2.5, -3, -3], [0, 0, 0, 0]])
+    grid = CellGrid(0.5, -3.0, 0.0)
+    boundary = grid.origin + 4 * grid.width
+    assert boundary < 0
+    points[0, 0], points[3, 0] = boundary - 1e-3, boundary + 1e-3
+    assert grid.codes(points[0]) != grid.codes(points[3])
+    rows = np.array([0, 1])
+    assert _closest_pair(points, rows, np.array([[0, 2]])) == _brute_closest(points, rows) < 2.1e-3
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(1e-6, 10), st.integers(2, 60))
+def test_cell_index_random_clusters(seed, scale, m):
+    """Clustered points at negative and positive coordinates, some
+    snapped to a coarse lattice so that pairs sit on cell boundaries."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((m, 4)) * scale - scale
+    points[::3] = np.round(points[::3] / scale * 4) * scale / 4
+    rows = rng.choice(m, size=max(1, m // 4), replace=False)
+    assert closest_distance(points) == _brute_closest(points)
+    assert closest_distance(points, rows=rows) == _brute_closest(points, rows)
+
+
+def test_cell_index_in_small_chunks(monkeypatch, large_orbit_realizations):
+    """Crowded input is measured a few rows at a time; the answer is the same."""
+    r = large_orbit_realizations[("A4", 1213)]
+    reps = orbit_representatives(r.vertex_action.action)
+    crowded = np.random.default_rng(2).standard_normal((300, 4)) * 1e-3
+    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 5)
+    assert _min_separation(r) == _brute_closest(r.coords, reps)
+    assert closest_distance(crowded) == _brute_closest(crowded)
+
+
+def test_cell_index_one_point_and_no_rows():
+    assert closest_distance(np.zeros((1, 4))) == np.inf
+    assert closest_distance(np.zeros((0, 4))) == np.inf
+    assert closest_distance(np.eye(4), rows=[]) == np.inf
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_closest_distance_non_finite_is_nan(bad):
+    points = np.random.default_rng(1).standard_normal((12, 4))
+    points[5, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(closest_distance(points))
+        assert math.isnan(closest_distance(points, rows=[0]))
