@@ -40,7 +40,7 @@ import numpy as np
 
 from .actions import VertexAction
 from .geometry import PrecisionError, Realization, plane_distance, projectors, same_circle, shared_lines
-from .perm import is_faithful, pair_fixer_counts, pair_stabilizer
+from .perm import is_faithful, pair_fixer_counts, pair_stabilizers
 
 PAIR_TOL = 1e-8
 ANGLE_EPS = 1e-9
@@ -145,18 +145,18 @@ def required_pairs(va: VertexAction) -> list[tuple[int, int]]:
     return [(int(pinned[i]), int(pinned[j])) for i, j in zip(rows, cols)]
 
 
-def check_h1(r: Realization, pairs: list[tuple[int, int]]) -> bool:
-    """All non-trivial fixers of each pinned pair share one fixed circle."""
+def check_h1(r: Realization, fixers: np.ndarray) -> bool:
+    """All non-trivial fixers of each pinned pair share one fixed circle,
+    the circle of the first of them.  fixers is the (pairs, |G|) mask of
+    non-trivial fixers that full_report computes once."""
     planes = projectors(r.circles)
-    for u, v in pairs:
-        fixers = planes[list(pair_stabilizer(r.vertex_action.action, u, v)[1:])]
-        # a zero projector is no circle, which nothing can share
-        if not (fixers[0].any() and same_circle(fixers, fixers[0]).all()):
-            return False
-    return True
+    first = planes[fixers.argmax(axis=1)]
+    shared = same_circle(planes, first[:, None]) | ~fixers
+    # a zero projector is no circle, which nothing can share
+    return bool((first.any(axis=(1, 2)) & shared.all(axis=1)).all())
 
 
-def assign_arcs(r: Realization, pairs: list[tuple[int, int]]) -> ArcAssignment:
+def assign_arcs(r: Realization, pairs: list[tuple[int, int]], fixers: np.ndarray) -> ArcAssignment:
     """Pick the witness arc for every pinned pair; check_arcs judges it (h2).
 
     The pair's two endpoints cut the circle of its first non-trivial fixer
@@ -164,12 +164,12 @@ def assign_arcs(r: Realization, pairs: list[tuple[int, int]]) -> ArcAssignment:
     shorter one when both qualify, or when neither does).
 
     Precondition: `r` passes h1, so the circle of the first non-trivial
-    fixer of a pair is the circle of all of them and is not empty.
-    full_report checks h1 and calls this only when it holds.
+    fixer of a pair (the first True in its row of `fixers`, as for
+    check_h1) is the circle of all of them and is not empty.  full_report
+    checks h1 and calls this only when it holds.
     """
     candidates = []
-    for u, v in pairs:
-        fixer = pair_stabilizer(r.vertex_action.action, u, v)[1]
+    for (u, v), fixer in zip(pairs, fixers.argmax(axis=1).tolist()):
         basis = r.circles[fixer]
         a_u, a_v = _angle(basis, r.coords[u]), _angle(basis, r.coords[v])
         ccw = (a_v - a_u) % (2 * math.pi)
@@ -372,9 +372,11 @@ def full_report(r: Realization, arcs: Optional[ArcAssignment] = None) -> Hypothe
     in details.  The report keeps the arcs only when they pass h2."""
     details: dict = {}
     pairs = required_pairs(r.vertex_action)  # once per report; the checks share it
-    h1 = check_h1(r, pairs)
+    fixers = pair_stabilizers(r.vertex_action.action, pairs)
+    fixers[:, 0] = False  # h1 and the arcs read the non-trivial fixers
+    h1 = check_h1(r, fixers)
     if arcs is None and h1:
-        arcs = assign_arcs(r, pairs)
+        arcs = assign_arcs(r, pairs, fixers)
     h2 = False
     if arcs is None:
         details["arc_error"] = "pair fixers disagree on circles"

@@ -71,6 +71,8 @@ _SV_AMBIGUOUS = 1e-6
 _CELL_MARGIN = 2.0 ** -20  # relative widening of a cell over the search radius
 _CELL_SPAN = 2 ** 14  # most cells across the points' range on one axis
 _PAIR_CHUNK = 2 ** 20  # most candidate pairs measured at once
+_HOM_CHUNK = 2 ** 9  # most (row, matrix) products per homomorphism chunk: 64 KB
+_INVARIANCE_CHUNK = 2 ** 11  # most (element, vertex) images per invariance chunk
 # cell offsets on the first three axes, in ascending code order; CellGrid.runs
 _NEIGHBOURS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
 
@@ -505,8 +507,22 @@ def require_at_most(value: float, bound: float, message: str) -> None:
 
 
 def _max_hom_error(group: PermGroup, mats: np.ndarray) -> float:
-    row_errors = [np.abs(mats[i] @ mats - mats[group.cayley[i]]).max() for i in range(group.order)]
-    return float(np.max(row_errors))
+    """Largest entry of |mats[a] @ mats[b] - mats[a * b]| over every pair
+    (a, b), not only generator pairs: errors add up along words.  A chunk
+    of k rows is one (4k, 4) @ (4, 4|G|) product, whose block (a, b) is
+    mats[a] @ mats[b]; k is about _HOM_CHUNK // |G|, so each temporary
+    stays near 64 KB.  NaN anywhere gives NaN."""
+    n = len(mats)
+    right = mats.transpose(1, 0, 2).reshape(4, 4 * n)
+    step = max(1, _HOM_CHUNK // n)
+    worst = np.float64(0.0)
+    for first in range(0, n, step):
+        rows = slice(first, first + step)
+        prod = mats[rows].reshape(-1, 4) @ right
+        blocks = prod.reshape(-1, 4, n, 4)
+        blocks -= mats[group.cayley[rows]].transpose(0, 2, 1, 3)
+        worst = np.maximum(worst, np.abs(prod, out=prod).max())  # NaN stays NaN
+    return float(worst)
 
 
 def _check_matrices(r: Realization) -> None:
@@ -518,17 +534,32 @@ def _check_matrices(r: Realization) -> None:
     require_at_most(hom, HOM_TOL, f"matrix homomorphism error {hom}")
 
 
+def _invariance_errors(r: Realization):
+    """For each element, the largest coordinate by which it moves a vertex
+    off its image: yields (first row, errors) for chunks of about
+    _INVARIANCE_CHUNK // m rows (at least one), each one stacked product.
+    From m = 2^11 on a chunk is one row: larger temporaries leave the
+    cache and are slower."""
+    images = r.vertex_action.action.images
+    step = max(1, _INVARIANCE_CHUNK // r.m)
+    for first in range(0, r.group.order, step):
+        rows = slice(first, first + step)
+        moved = r.coords @ r.mats[rows].transpose(0, 2, 1)
+        moved -= r.coords[images[rows]]
+        yield first, np.abs(moved, out=moved).max(axis=(1, 2))
+
+
 def _check_invariance(r: Realization) -> None:
-    act = r.vertex_action.action
     # non-finite coordinates give a NaN error, which fails quietly below
     with np.errstate(invalid="ignore", over="ignore"):
         radius = float(np.abs(np.linalg.norm(r.coords, axis=1) - 1).max())
         require_at_most(radius, SPHERE_TOL, f"vertices lie off the unit sphere by {radius}")
-        for e, mat, img in zip(r.group.elements, r.mats, act.images):
-            moved = r.coords @ mat.T
-            err = float(np.abs(moved - r.coords[img]).max())
-            require_at_most(err, INVARIANCE_TOL,
-                            f"element {tuple(e.tolist())} moves vertices off their images by {err}")
+        for first, errors in _invariance_errors(r):
+            bad = np.flatnonzero(~(errors <= INVARIANCE_TOL))
+            if bad.size:  # the first offending element fails the check
+                e, err = r.group.elements[first + bad[0]], float(errors[bad[0]])
+                require_at_most(err, INVARIANCE_TOL,
+                                f"element {tuple(e.tolist())} moves vertices off their images by {err}")
 
 
 def _min_separation(r: Realization) -> float:

@@ -235,7 +235,10 @@ def _subgroups_up_to_conjugacy(name: str) -> tuple[tuple[int, ...], ...]:
 
 class GroupAction:
     """An action of a PermGroup on {0..m-1}: images[i] is the vertex
-    permutation of row i, as an integer image array."""
+    permutation of row i, as an integer image array.
+
+    images is a read-only view (the caller's array stays writable), so the
+    orbit minima, computed on first use, are cached on the action."""
 
     def __init__(self, group: PermGroup, images):
         images = np.asarray(images)
@@ -249,11 +252,19 @@ class GroupAction:
         if not (images[0] == ident).all():
             raise ValueError("identity must act as the identity")
         self.group = group
-        self.images = images
+        self.images = images.view()
+        self.images.setflags(write=False)
 
     @property
     def m(self) -> int:
         return self.images.shape[1]
+
+    @cached_property
+    def minima(self) -> np.ndarray:
+        """orbit_minima, once per action, read-only."""
+        low = _orbit_minima(self)
+        low.setflags(write=False)
+        return low
 
     def fixed(self) -> np.ndarray:
         """Boolean (|G|, m) mask: element i fixes vertex v."""
@@ -373,7 +384,13 @@ def orbit_minima(a: GroupAction) -> np.ndarray:
     those rows until none changes.  Read off the generator rows alone, the
     orbits stay those of the permutations they generate even when the
     rest of the table is no homomorphism, so such a table is reported by
-    check_homomorphism and not as a wrong orbit."""
+    check_homomorphism and not as a wrong orbit.  The images are read-only,
+    so the minima are computed once per action and cached (a.minima);
+    the returned array is read-only too."""
+    return a.minima
+
+
+def _orbit_minima(a: GroupAction) -> np.ndarray:
     low = np.arange(a.m)
     while True:
         before = low
@@ -387,7 +404,7 @@ def orbit_minima(a: GroupAction) -> np.ndarray:
 def orbit_representatives(a: GroupAction) -> np.ndarray:
     """The smallest vertex of each orbit, ascending: the vertices that no
     element maps to a smaller one."""
-    return np.flatnonzero(orbit_minima(a) == np.arange(a.m))
+    return np.flatnonzero(a.minima == np.arange(a.m))
 
 
 def kernel(a: GroupAction) -> tuple[int, ...]:
@@ -400,13 +417,13 @@ def is_faithful(a: GroupAction) -> bool:
     return len(kernel(a)) == 1
 
 
-def pair_stabilizer(a: GroupAction, u: int, v: int) -> tuple[int, ...]:
-    """Rows of all elements fixing both u and v (pointwise), ascending, so
-    the identity comes first."""
-    if u == v or not (0 <= u < a.m and 0 <= v < a.m):
+def pair_stabilizers(a: GroupAction, pairs) -> np.ndarray:
+    """Boolean (len(pairs), |G|) mask: row k marks the elements fixing both
+    vertices of pairs[k] pointwise, the identity (column 0) included."""
+    ends = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    if (ends[:, 0] == ends[:, 1]).any() or not ((0 <= ends) & (ends < a.m)).all():
         raise ValueError(f"need two distinct vertices below m={a.m}")
-    fixes = (a.images[:, u] == u) & (a.images[:, v] == v)
-    return tuple(np.flatnonzero(fixes).tolist())
+    return (a.images[:, ends] == ends).all(axis=2).T
 
 
 def pair_fixer_counts(a: GroupAction) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from tsglab.actions import (
     measured_profile,
     plan,
 )
-from tsglab.perm import burnside_orbit_count, is_faithful, pair_stabilizer
+from tsglab.perm import burnside_orbit_count, is_faithful, pair_stabilizers
 from tsglab.profiles import NotAdmissibleError, necessity_check
 
 from .conftest import orbit_partition, passes_profile_rules
@@ -159,7 +159,7 @@ def test_free_orbit_gives_free_edge():
     va = build(plan("S4", 24))
     assert has_free_edge(va)
     u, v = 0, 1  # two vertices of one regular orbit
-    assert pair_stabilizer(va.action, u, v) == (0,)  # the identity's row
+    assert pair_stabilizers(va.action, [(u, v)]).nonzero()[1].tolist() == [0]  # the identity's row
 
 
 def test_twin_tetra_alone_has_free_edge_across_axes():

@@ -12,10 +12,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsglab.certificate import _rebuild, certificate_dict, read_certificate, write_certificate
+from tsglab import perm
+from tsglab.actions import build, plan
+from tsglab.certificate import (
+    _rebuild,
+    certificate_dict,
+    first_failure,
+    read_certificate,
+    verify_certificate,
+    write_certificate,
+)
 from tsglab.cli import main
 from tsglab.edges import full_report
-from tsglab.geometry import fixed_set, plane_distance, projectors
+from tsglab.geometry import fixed_set, plane_distance, projectors, realize
 from tsglab.perm import PermGroup, generated
 
 from .conftest import REFERENCES, expand_certificate
@@ -174,3 +183,23 @@ def test_version_1_file_is_a_schema_error():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: schema version 1 is not supported; "
                            "this verifier reads version 2\n")
+
+
+@pytest.mark.parametrize("group,m", [("S4", 28), ("A4", 61)])
+def test_orbit_minima_computed_once_per_realize_write_and_per_verify(monkeypatch, tmp_path, group, m):
+    """realize (separation) and write share the minima of one action, and
+    verify's group-closure and separation share those of the rebuilt one."""
+    calls, original = [], perm._orbit_minima
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(perm, "_orbit_minima", counted)
+    p = plan(group, m)
+    r = realize(p, build(p))
+    path = str(tmp_path / "cert.json")
+    write_certificate(path, r, full_report(r))
+    assert len(calls) == 1
+    assert first_failure(verify_certificate(read_certificate(path))) is None
+    assert len(calls) == 2

@@ -36,7 +36,7 @@ from tsglab.geometry import (
     representation,
     same_circle,
 )
-from tsglab.perm import GroupAction, standard_group
+from tsglab.perm import GroupAction, pair_stabilizers, standard_group
 from tsglab.profiles import admissible_residues
 
 from .conftest import REFERENCES
@@ -44,9 +44,16 @@ from .conftest import REFERENCES
 S4 = standard_group("S4")
 
 
+def _fixers(r: Realization):
+    """The non-trivial fixer mask of the pinned pairs, as full_report builds it."""
+    fixers = pair_stabilizers(r.vertex_action.action, required_pairs(r.vertex_action))
+    fixers[:, 0] = False
+    return fixers
+
+
 def _arcs(r: Realization):
     """The arcs full_report picks, for a realization that passes h1."""
-    return assign_arcs(r, required_pairs(r.vertex_action))
+    return assign_arcs(r, required_pairs(r.vertex_action), _fixers(r))
 
 
 # ------------------------------------------------------------ required pairs
@@ -129,7 +136,7 @@ def test_all_references_pass_everything(realized, key):
 
 def test_h1_vacuous_for_unique_fixer(realized):
     _, r = realized[("S4", 4)]
-    assert check_h1(r, required_pairs(r.vertex_action))
+    assert check_h1(r, _fixers(r))
 
 
 def test_h3_arc_fixed_by_edge_reversing_involution(realized):
@@ -208,7 +215,7 @@ def _pair_at_circle_intersection() -> tuple[VertexAction, Realization]:
 
 def test_fixture_pair_at_intersection_fails_h1():
     va, r = _pair_at_circle_intersection()
-    assert not check_h1(r, required_pairs(r.vertex_action))
+    assert not check_h1(r, _fixers(r))
     report = full_report(r)
     assert not report.overall
 

@@ -13,6 +13,7 @@ from tsglab.geometry import (
     ModelConfig,
     PlacementError,
     PrecisionError,
+    Realization,
     UnsupportedGeometryError,
     circles_intersection,
     circles_of,
@@ -633,3 +634,110 @@ def test_closest_distance_non_finite_is_nan(bad):
         warnings.simplefilter("error")
         assert math.isnan(closest_distance(points))
         assert math.isnan(closest_distance(points, rows=[0]))
+
+
+# ------------------------------------- stacked realization checks vs loops
+
+STACKED_CASES = REFERENCES + [("A4", 24), ("A4", 61), ("A4", 1213), ("S4", 1204), ("A5", 1205)]
+
+
+@pytest.fixture(scope="module")
+def stacked_cases(realized, large_orbit_realizations):
+    out = {key: r for key, (_, r) in realized.items()}
+    out.update(large_orbit_realizations)
+    out.update({(g, m): realize(plan(g, m)) for g, m in (("A4", 24), ("A4", 61))})
+    return out
+
+
+def _loop_hom_error(group, mats):
+    """One element row at a time against every matrix."""
+    return float(np.max([np.abs(mats[i] @ mats - mats[group.cayley[i]]).max()
+                         for i in range(group.order)]))
+
+
+def _loop_invariance_errors(r):
+    """One element at a time: its largest coordinate off the image."""
+    return [float(np.abs(r.coords @ mat.T - r.coords[img]).max())
+            for mat, img in zip(r.mats, r.vertex_action.action.images)]
+
+
+def _loop_invariance_message(r):
+    """The message of the first element over INVARIANCE_TOL, or None."""
+    for e, err in zip(r.group.elements, _loop_invariance_errors(r)):
+        if not err <= geometry.INVARIANCE_TOL:
+            return f"invariance: element {tuple(e.tolist())} moves vertices off their images by {err}"
+    return None
+
+
+def _stacked_errors(r):
+    chunks = list(geometry._invariance_errors(r))
+    assert [first for first, _ in chunks] == list(range(0, r.group.order, len(chunks[0][1])))
+    return np.concatenate([errors for _, errors in chunks]).tolist()
+
+
+@pytest.mark.parametrize("group,m", STACKED_CASES)
+def test_stacked_checks_equal_per_element_loops(stacked_cases, group, m):
+    r = stacked_cases[(group, m)]
+    assert _max_hom_error(r.group, r.mats) == _loop_hom_error(r.group, r.mats)
+    assert _stacked_errors(r) == _loop_invariance_errors(r)
+
+
+def test_invariance_chunks_end_in_a_partial_chunk(stacked_cases):
+    """A5 m=80 takes 2^11 // 80 = 25 rows per chunk: 25, 25 and a last 10."""
+    r = stacked_cases[("A5", 80)]
+    assert [len(errors) for _, errors in geometry._invariance_errors(r)] == [25, 25, 10]
+    assert [len(errors) for _, errors in geometry._invariance_errors(stacked_cases[("A5", 1205)])] == [1] * 60
+
+
+def _copy(r, mats=None, coords=None):
+    return Realization(r.plan, r.vertex_action, r.model, r.config,
+                       r.mats.copy() if mats is None else mats,
+                       r.coords.copy() if coords is None else coords)
+
+
+@pytest.mark.parametrize("group,m", [("A4", 13), ("S4", 28), ("A5", 80), ("A5", 1205)])
+@pytest.mark.parametrize("row", [1, -1])
+def test_corrupt_matrix_entry_fails_homomorphism_as_the_loop(stacked_cases, group, m, row):
+    r = _copy(stacked_cases[(group, m)])
+    r.mats[row, 1, 2] += 2e-8
+    hom = _max_hom_error(r.group, r.mats)
+    assert hom == _loop_hom_error(r.group, r.mats) > geometry.HOM_TOL
+    with pytest.raises(AssertionError, match="^homomorphism: "):
+        validate_realization(r)
+
+
+@pytest.mark.parametrize("group,m", [("A4", 13), ("S4", 28), ("A5", 80), ("A5", 1205)])
+@pytest.mark.parametrize("vertex", [0, -1])
+def test_moved_vertex_fails_invariance_as_the_loop(stacked_cases, group, m, vertex):
+    r = _copy(stacked_cases[(group, m)])
+    p = r.coords[vertex] + 1e-6 * np.array([1.0, -2.0, 0.5, 1.5])
+    r.coords[vertex] = p / np.linalg.norm(p)
+    expected = _loop_invariance_message(r)
+    assert expected is not None
+    assert _stacked_errors(r) == _loop_invariance_errors(r)
+    with pytest.raises(AssertionError) as err:
+        validate_realization(r)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("row", [7, 30, 59])
+def test_first_bad_element_in_a_later_chunk_is_named(stacked_cases, row):
+    """A5 m=80: a rotation tilted on one row only, in the first, second or
+    last chunk, is the element the invariance check names."""
+    r = _copy(stacked_cases[("A5", 80)])
+    c, s = math.cos(1e-6), math.sin(1e-6)
+    r.mats[row] = r.mats[row] @ np.array([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    expected = _loop_invariance_message(r)
+    assert expected is not None and str(tuple(r.group.elements[row].tolist())) in expected
+    with pytest.raises(AssertionError) as err:
+        geometry._check_invariance(r)
+    assert "invariance: " + str(err.value) == expected
+
+
+@pytest.mark.parametrize("group,m", [("S4", 28), ("A5", 80)])
+@pytest.mark.parametrize("row", [0, 3, -1])
+def test_nan_matrix_entry_gives_nan_hom_error(stacked_cases, group, m, row):
+    """The builtin max(0.0, nan) would give 0.0, which passes HOM_TOL."""
+    r = _copy(stacked_cases[(group, m)])
+    r.mats[row, 2, 1] = np.nan
+    assert math.isnan(_max_hom_error(r.group, r.mats))

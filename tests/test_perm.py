@@ -26,7 +26,7 @@ from tsglab.perm import (
     left_cosets,
     orbit_minima,
     orbit_representatives,
-    pair_stabilizer,
+    pair_stabilizers,
     restrict_action,
     standard_group,
     a4_inside_a5,
@@ -401,6 +401,40 @@ def test_group_action_rejects_bad_images(corrupt, message):
         GroupAction(s4, corrupt(images, s4))
 
 
+def test_group_action_images_are_read_only():
+    a = coset_action(standard_group("A4"), (0,))
+    with pytest.raises(ValueError, match="read-only"):
+        a.images[1, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        orbit_minima(a)[0] = 1
+
+
+def test_group_action_leaves_the_callers_array_writable():
+    s4 = standard_group("S4")
+    images = s4.elements.copy()
+    a = GroupAction(s4, images)
+    assert images.flags.writeable and not a.images.flags.writeable
+    assert np.shares_memory(images, a.images)
+
+
+def test_orbit_minima_cached_per_action(monkeypatch):
+    calls, original = [], perm._orbit_minima
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(perm, "_orbit_minima", counted)
+    g = standard_group("S4")
+    a = direct_sum([coset_action(g, h) for h in subgroups_up_to_conjugacy(g)[:3]])
+    first = orbit_minima(a)
+    assert orbit_minima(a) is first
+    assert orbit_representatives(a).tolist() == np.unique(first).tolist()
+    assert len(calls) == 1
+    orbit_minima(GroupAction(g, a.images))  # a new action computes its own
+    assert len(calls) == 2
+
+
 # ------------------------------------------------------------ faithfulness
 
 
@@ -424,6 +458,11 @@ def test_natural_a4_is_faithful():
 
 
 # ---------------------------------------------------------- pair stabilizers
+
+
+def pair_stabilizer(a, u, v):
+    """Ascending rows of the elements fixing both u and v."""
+    return tuple(np.flatnonzero(pair_stabilizers(a, [(u, v)])[0]).tolist())
 
 
 def test_regular_pair_stabilizer_trivial():
