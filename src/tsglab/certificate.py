@@ -61,7 +61,7 @@ from .actions import (
     VertexAction,
     measured_profile,
 )
-from .edges import Arc, full_report
+from .edges import Arcs, full_report
 from .geometry import REALIZATION_CHECKS, ModelConfig, Realization
 from .perm import (
     GROUP_NAMES,
@@ -72,7 +72,6 @@ from .perm import (
     burnside_orbit_count,
     check_homomorphism,
     is_faithful,
-    orbit_minima,
     orbit_representatives,
 )
 from .profiles import KNOTTED_CASES
@@ -99,14 +98,11 @@ def certificate_dict(r: Realization, report) -> dict:
                 for v in orbit_representatives(act).tolist()]
     arcs = []
     if report.arcs:
-        for (u, v), arc in sorted(report.arcs.items()):
-            arcs.append({
-                "pair": [u, v],
-                "fixer": act.group.elements[arc.fixer].tolist(),
-                "basis": [[float(x) for x in row] for row in arc.basis],
-                "start": float(arc.start),
-                "sweep": float(arc.sweep),
-            })
+        a = report.arcs.take(np.lexsort(report.arcs.pairs.T[::-1]))  # rows sorted by pair
+        arcs = [{"pair": pair, "fixer": fixer, "basis": basis, "start": start, "sweep": sweep}
+                for pair, fixer, basis, start, sweep in zip(
+                    a.pairs.tolist(), group.elements[a.fixers].tolist(), a.bases.tolist(),
+                    a.starts.tolist(), a.sweeps.tolist())]
     return {
         "schema_version": SCHEMA_VERSION,
         "group": act.group.name,
@@ -195,7 +191,8 @@ _RECORD_FIELDS = {
     "elements": {"perm": _ints, "matrix": _numbers(16)},
     "generators": {"perm": _ints, "vertex_images": _ints},
     "vertices": {"id": _is_int, "part": _is_part_label, "coords": _numbers(4)},
-    "arcs": {"pair": _ints, "fixer": _ints, "start": _is_number, "sweep": _is_number,
+    "arcs": {"pair": lambda x: _ints(x) and len(x) == 2, "fixer": _ints,
+             "start": _is_number, "sweep": _is_number,
              "basis": lambda x: isinstance(x, list) and len(x) == 2 and all(map(_numbers(4), x))},
 }
 
@@ -299,7 +296,7 @@ def _orbit_coords(action: GroupAction, mats: np.ndarray, records: list, free_siz
     if missing:
         raise ValueError(f"the orbit of vertex {missing[0]} has no vertex record")
     m = action.m
-    rep_of = orbit_minima(action)
+    rep_of = action.minima
     # the first row carrying each vertex's orbit minimum to it; if none does,
     # the action is no homomorphism, which action-homomorphism reports
     t = (action.images[:, rep_of] == np.arange(m)).argmax(axis=0)
@@ -343,15 +340,19 @@ def _check_orbits(data: dict, real: Realization) -> None:
 
 
 def _check_hypotheses(data: dict, real: Realization) -> None:
-    arcs = {}
-    for rec in data["arcs"]:
-        pair = tuple(rec["pair"])
-        if pair in arcs:
+    records = data["arcs"]
+    seen = set()
+    for rec in records:
+        if tuple(rec["pair"]) in seen:
             raise AssertionError(f"two arc records for pair {rec['pair']}")
-        basis = np.array(rec["basis"], dtype=float)
-        # a list that is no element gets row -1, which check_arcs rejects
-        fixer = int(real.group.rows([rec["fixer"]])[0])
-        arcs[pair] = Arc(pair, fixer, basis, rec["start"], rec["sweep"])
+        seen.add(tuple(rec["pair"]))
+    arcs = Arcs(np.array([rec["pair"] for rec in records], dtype=int).reshape(-1, 2),
+                # one query per record: a list that is no element gets row -1,
+                # which check_arcs rejects
+                np.array([real.group.rows([rec["fixer"]])[0] for rec in records], dtype=int),
+                np.array([rec["basis"] for rec in records], dtype=float).reshape(-1, 2, 4),
+                np.array([rec["start"] for rec in records], dtype=float),
+                np.array([rec["sweep"] for rec in records], dtype=float))
     report = full_report(real, arcs)
     if not report.overall:
         raise AssertionError(f"hypothesis checks failed: {report.details}")

@@ -22,11 +22,15 @@ circles: the one assign_arcs picks, or one read from a certificate.
 Free pairs need none of this; they are routed away from the fixed-point
 set, which the certificate does not model explicitly.
 
-The arc tests run on stacked arrays, not per arc or per pair.  The
-disjointness part of h2 tests all pairs of arcs in one batch
-(_verify_disjoint_interiors), and h3 is one product of every matrix with
-every arc midpoint.  All pairs stay cheap: every admissible non-knotted
-m below 400 pins at most 10 pairs, so there are at most 45 pairs of arcs.
+An arc system is one Arcs value: row-aligned arrays of pairs, fixers,
+plane bases, start angles and sweeps, one row per arc.  Every arc test
+runs on those rows at once, not per arc or per pair: Arcs.points gives
+the ends and midpoints, _interior_holds is the one interior test,
+check_arcs finds faults as masks over all rows, the disjointness part of
+h2 tests all pairs of arcs in one batch (_verify_disjoint_interiors), and
+h3 is one product of every matrix with every arc midpoint.  All pairs
+stay cheap: every admissible non-knotted m below 400 pins at most 10
+pairs, so there are at most 45 pairs of arcs.
 """
 
 from __future__ import annotations
@@ -51,48 +55,49 @@ class ArcAssignmentError(RuntimeError):
     """The gray-arc system cannot be built as specified."""
 
 
-@dataclass(frozen=True)
-class Arc:
-    """An arc of a fixed circle: start angle plus signed sweep to the end.
+@dataclass(frozen=True, eq=False)
+class Arcs:
+    """A witness arc system, one row per arc: row k is an arc of the fixed
+    circle of element fixers[k] between the vertices pairs[k].
 
-    Interior angles are start + s*sweep for s in (0, 1); the endpoints are
-    exactly the embedded coordinates of the pair.
+    Interior angles are starts[k] + s*sweeps[k] for s in (0, 1), measured
+    in the plane basis bases[k] (angle 0 at bases[k, 0], pi/2 at
+    bases[k, 1]); the ends are exactly the embedded coordinates of the
+    pair.  The pairs are distinct.
     """
 
-    pair: tuple[int, int]
-    fixer: int                  # row of a non-trivial element whose circle carries the arc
-    basis: np.ndarray           # (2, 4) orthonormal rows; angle 0 at basis[0], pi/2 at basis[1]
-    start: float
-    sweep: float
+    pairs: np.ndarray   # (k, 2) vertex pairs
+    fixers: np.ndarray  # (k,) rows of non-trivial elements whose circles carry the arcs
+    bases: np.ndarray   # (k, 2, 4) orthonormal rows
+    starts: np.ndarray  # (k,)
+    sweeps: np.ndarray  # (k,) signed turn from start to end
+
+    def __len__(self) -> int:
+        return len(self.pairs)
 
     @cached_property
-    def projector(self) -> np.ndarray:
-        return projectors(self.basis)
+    def projectors(self) -> np.ndarray:
+        return projectors(self.bases)
 
-    def angle_at(self, s: float) -> float:
-        return self.start + s * self.sweep
+    def take(self, rows) -> "Arcs":
+        return Arcs(self.pairs[rows], self.fixers[rows], self.bases[rows],
+                    self.starts[rows], self.sweeps[rows])
 
-    def point_at(self, s: float) -> np.ndarray:
-        angle = self.angle_at(s)
-        return math.cos(angle) * self.basis[0] + math.sin(angle) * self.basis[1]
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return self.point_at(0.5)
-
-    def interior_contains_angle(self, phi: float, margin: float = ANGLE_EPS) -> bool:
-        return bool(_interior_holds(self.start, self.sweep, phi, margin))
-
-    def interior_contains_point(self, p: np.ndarray, margin: float = ANGLE_EPS) -> bool:
-        if not plane_distance(self.projector, p) <= PAIR_TOL:
-            return False
-        return self.interior_contains_angle(_angle(self.basis, p), margin)
+    def points(self, s) -> np.ndarray:
+        """The points at parameters s (S,) of every arc, as (k, S, 4)."""
+        turns = self.starts[:, None] + np.asarray(s) * self.sweeps[:, None]
+        return np.cos(turns)[..., None] * self.bases[:, None, 0] \
+            + np.sin(turns)[..., None] * self.bases[:, None, 1]
 
 
-def _interior_holds(start, sweep, phi, margin: float = ANGLE_EPS):
-    """Does the interior of the arc from `start` turning by `sweep` hold the
-    angle phi, at least `margin` from both ends?  Elementwise on arrays
-    that broadcast."""
+def _interior_holds(arcs: Arcs, rows, points: np.ndarray, margin: float = ANGLE_EPS) -> np.ndarray:
+    """holds[n, p]: the interior of arc rows[n] holds the angle of
+    points[n, p] (points broadcast to (len(rows), P, 4)) in its own basis,
+    at least `margin` from both ends.  Whether the point lies on the arc's
+    circle at all is the caller's test."""
+    xy = points @ np.swapaxes(arcs.bases[rows], 1, 2)
+    phi = np.arctan2(xy[..., 1], xy[..., 0])
+    start, sweep = arcs.starts[rows, None], arcs.sweeps[rows, None]
     rel = np.mod(phi - start, 2 * math.pi)
     rel = np.where(sweep < 0, np.mod(2 * math.pi - rel, 2 * math.pi), rel)
     return (margin < rel) & (rel < np.abs(sweep) - margin)
@@ -106,16 +111,6 @@ def _angle(basis: np.ndarray, p: np.ndarray) -> float:
     return math.atan2(y, x)
 
 
-def _angles(bases: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Angles of points (..., P, 4) in the planes of bases (..., 2, 4), as
-    (..., P); the leading dimensions broadcast."""
-    xy = points @ np.swapaxes(bases, -1, -2)
-    return np.arctan2(xy[..., 1], xy[..., 0])
-
-
-ArcAssignment = dict[tuple[int, int], Arc]
-
-
 @dataclass
 class HypothesisReport:
     h1: bool
@@ -123,7 +118,7 @@ class HypothesisReport:
     h3: bool
     h4: bool
     h5: bool
-    arcs: Optional[ArcAssignment]
+    arcs: Optional[Arcs]
     details: dict = field(default_factory=dict)
 
     @property
@@ -156,7 +151,7 @@ def check_h1(r: Realization, fixers: np.ndarray) -> bool:
     return bool((first.any(axis=(1, 2)) & shared.all(axis=1)).all())
 
 
-def assign_arcs(r: Realization, pairs: list[tuple[int, int]], fixers: np.ndarray) -> ArcAssignment:
+def assign_arcs(r: Realization, pairs: list[tuple[int, int]], fixers: np.ndarray) -> Arcs:
     """Pick the witness arc for every pinned pair; check_arcs judges it (h2).
 
     The pair's two endpoints cut the circle of its first non-trivial fixer
@@ -168,95 +163,103 @@ def assign_arcs(r: Realization, pairs: list[tuple[int, int]], fixers: np.ndarray
     check_h1) is the circle of all of them and is not empty.  full_report
     checks h1 and calls this only when it holds.
     """
-    candidates = []
-    for (u, v), fixer in zip(pairs, fixers.argmax(axis=1).tolist()):
+    if not pairs:
+        return Arcs(np.empty((0, 2), dtype=int), np.empty(0, dtype=int), np.empty((0, 2, 4)),
+                    np.empty(0), np.empty(0))
+    rows = np.repeat(fixers.argmax(axis=1), 2)
+    starts, sweeps = [], []
+    for (u, v), fixer in zip(pairs, rows[::2].tolist()):
         basis = r.circles[fixer]
         a_u, a_v = _angle(basis, r.coords[u]), _angle(basis, r.coords[v])
         ccw = (a_v - a_u) % (2 * math.pi)
-        candidates += [Arc((u, v), fixer, basis, a_u, ccw),
-                       Arc((u, v), fixer, basis, a_u, ccw - 2 * math.pi)]
-    blocked = _vertices_inside(r, candidates).any(axis=1).tolist()
-    arcs: ArcAssignment = {}
-    for k in range(0, len(candidates), 2):
-        _, arc = min(zip(blocked[k:k + 2], candidates[k:k + 2]),
-                     key=lambda c: (c[0], abs(c[1].sweep)))
-        arcs[arc.pair] = arc
-    return arcs
+        starts += [a_u, a_u]
+        sweeps += [ccw, ccw - 2 * math.pi]
+    candidates = Arcs(np.repeat(pairs, 2, axis=0), rows, r.circles[rows],
+                      np.array(starts), np.array(sweeps))
+    blocked = _vertices_inside(r, candidates).any(axis=1).reshape(-1, 2)
+    size = np.abs(candidates.sweeps).reshape(-1, 2)
+    # the key (blocked, |sweep|); the first candidate wins a tie
+    second = (blocked[:, 1] < blocked[:, 0]) \
+        | ((blocked[:, 1] == blocked[:, 0]) & (size[:, 1] < size[:, 0]))
+    return candidates.take(2 * np.arange(len(pairs)) + second)
 
 
-def _vertices_inside(r: Realization, arcs: list[Arc]) -> np.ndarray:
+def _vertices_inside(r: Realization, arcs: Arcs) -> np.ndarray:
     """inside[k, w]: vertex w, not of arc k's own pair, lies in the interior
     of arc k.  Which vertices sit on the circle is read from each fixer's
     own circle, so a slightly tilted stored basis cannot hide one."""
-    inside = np.zeros((len(arcs), r.m), dtype=bool)
-    if not arcs:
-        return inside
-    on_circle = plane_distance(projectors(r.circles[[a.fixer for a in arcs]]), r.coords) <= PAIR_TOL
-    ends = np.array([a.pair for a in arcs])
-    on_circle &= (np.arange(r.m) != ends[:, :1]) & (np.arange(r.m) != ends[:, 1:])
+    on_circle = plane_distance(projectors(r.circles[arcs.fixers]), r.coords) <= PAIR_TOL
+    on_circle &= (np.arange(r.m) != arcs.pairs[:, :1]) & (np.arange(r.m) != arcs.pairs[:, 1:])
     k, w = np.nonzero(on_circle)  # angles only where needed: few vertices sit on a circle
-    phi = _angles(np.array([a.basis for a in arcs])[k], r.coords[w, None])[:, 0]
-    inside[k, w] = _interior_holds(np.array([a.start for a in arcs])[k],
-                                   np.array([a.sweep for a in arcs])[k], phi, INSIDE_MARGIN)
+    inside = np.zeros_like(on_circle)
+    inside[k, w] = _interior_holds(arcs, k, r.coords[w, None], INSIDE_MARGIN)[:, 0]
     return inside
 
 
-def _joins(arc: Arc, p: np.ndarray, q: np.ndarray) -> bool:
-    """The arc runs from p to q or from q to p, within PAIR_TOL."""
-    ends = np.array([arc.point_at(0.0), arc.point_at(1.0)])
-    gaps = [np.linalg.norm(ends - np.array(pts), axis=1).max() for pts in ((p, q), (q, p))]
-    return bool(np.minimum(*gaps) <= PAIR_TOL)
-
-
-def check_arcs(r: Realization, arcs: ArcAssignment, pairs: list[tuple[int, int]]) -> None:
+def check_arcs(r: Realization, arcs: Arcs, pairs: list[tuple[int, int]]) -> None:
     """h2 on any arc system, picked by assign_arcs or read from a file.
 
     Raises ArcAssignmentError naming the first offending pair.  The pair
     set is checked first, so every later coordinate lookup goes through a
-    pinned pair; every tolerance test fails on NaN.
+    pinned pair.  Then the first row with a fault decides (_first_fault),
+    unless a vertex lies inside an arc of a row before it; disjointness
+    comes last.  Every tolerance test fails on NaN.
     """
+    given = list(map(tuple, arcs.pairs.tolist()))
     required = set(pairs)
-    extra, missing = sorted(set(arcs) - required), sorted(required - set(arcs))
+    extra, missing = sorted(set(given) - required), sorted(required - set(given))
     if extra:
         raise ArcAssignmentError(f"arc over pair {extra[0]}, which is not a pinned pair")
     if missing:
         raise ArcAssignmentError(f"pinned pair {missing[0]} has no arc")
-    checked, fault = [], None
-    for pair, arc in arcs.items():
-        fault = _arc_fault(r, pair, arc)
-        if fault:
-            break
-        checked.append(pair)
-    # the vertex test of every arc before the first fault, in one pass
-    inside = _vertices_inside(r, [arcs[pair] for pair in checked])
-    for pair, row in zip(checked, inside):
-        if row.any():
-            raise ArcAssignmentError(f"arc of pair {pair} has vertex {np.flatnonzero(row)[0]} inside")
+    if not pairs:
+        return
+    row, fault = _first_fault(r, arcs)
+    k, w = np.nonzero(_vertices_inside(r, arcs.take(slice(row))))
+    if k.size:
+        raise ArcAssignmentError(f"arc of pair {given[k[0]]} has vertex {w[0]} inside")
     if fault:
         raise ArcAssignmentError(fault)
-    _verify_disjoint_interiors(r, arcs)
+    _verify_disjoint_interiors(arcs)
 
 
-def _arc_fault(r: Realization, pair: tuple[int, int], arc: Arc) -> Optional[str]:
-    """Why `arc` is no arc of its fixer's circle between the two vertices of
-    `pair`, or None; check_arcs tests the vertices inside it."""
-    u, v = pair
+def _first_fault(r: Realization, arcs: Arcs) -> tuple[int, Optional[str]]:
+    """The first row that is no arc of its fixer's circle between the two
+    vertices of its pair, and why, or (len(arcs), None).  A row's first
+    fault in the order fixer, circle, ends names it.  Rows must be pinned
+    pairs.  NaN or infinite fields, a NaN or infinite start among them,
+    give NaN points and fail every tolerance test without a warning."""
     action = r.vertex_action.action
-    if not 0 < arc.fixer < action.group.order or tuple(action.images[arc.fixer, [u, v]]) != (u, v):
-        return f"fixer of pair {pair} is not a non-trivial group element fixing both vertices"
-    gram = float(np.abs(arc.basis @ arc.basis.T - np.eye(2)).max())
-    if not gram <= PAIR_TOL or not same_circle(arc.projector, projectors(r.circles[arc.fixer])):
-        return f"arc of pair {pair} is not on the fixed circle of its fixer"
-    if not (math.isfinite(arc.start) and 0 < abs(arc.sweep) < 2 * math.pi) \
-            or not _joins(arc, r.coords[u], r.coords[v]):
-        return f"arc of pair {pair} does not run between its two vertices"
-    return None
+    u, v = arcs.pairs.T
+    known = (0 < arcs.fixers) & (arcs.fixers < action.group.order)
+    fixer = np.where(known, arcs.fixers, 0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = np.abs(arcs.bases @ np.swapaxes(arcs.bases, 1, 2) - np.eye(2)).max(axis=(1, 2))
+        vertices = np.stack([r.coords[u], r.coords[v]], axis=1)
+        points = arcs.points([0.0, 1.0])
+        gap = np.minimum(*(np.linalg.norm(points - e, axis=2).max(axis=1)
+                           for e in (vertices, vertices[:, ::-1])))
+        faults = [
+            (~known | (action.images[fixer, u] != u) | (action.images[fixer, v] != v),
+             "fixer of pair {} is not a non-trivial group element fixing both vertices"),
+            (~(gram <= PAIR_TOL) | ~same_circle(arcs.projectors, projectors(r.circles[fixer])),
+             "arc of pair {} is not on the fixed circle of its fixer"),
+            (~(np.isfinite(arcs.starts) & (0 < np.abs(arcs.sweeps))
+               & (np.abs(arcs.sweeps) < 2 * math.pi) & (gap <= PAIR_TOL)),
+             "arc of pair {} does not run between its two vertices"),
+        ]
+    bad = np.any([mask for mask, _ in faults], axis=0)
+    if not bad.any():
+        return len(arcs), None
+    row = int(bad.argmax())
+    message = next(text for mask, text in faults if mask[row])
+    return row, message.format(tuple(arcs.pairs[row].tolist()))
 
 
 _ENDS_AND_MIDDLE = np.array([0.0, 1.0, 0.5])
 
 
-def _verify_disjoint_interiors(r: Realization, arcs: ArcAssignment):
+def _verify_disjoint_interiors(arcs: Arcs):
     """The arcs' interiors are pairwise disjoint: one batched test of all
     pairs, raising for the first bad pair in row-major order.
 
@@ -266,22 +269,15 @@ def _verify_disjoint_interiors(r: Realization, arcs: ArcAssignment):
     on the line their planes share (one stacked SVD over those pairs), and
     cross when both interiors hold one of them.
     """
-    items = list(arcs.values())
-    if len(items) < 2:
+    if len(arcs) < 2:
         return
-    bases = np.array([a.basis for a in items])
-    planes = np.array([a.projector for a in items])
-    starts = np.array([a.start for a in items])
-    sweeps = np.array([a.sweep for a in items])
-    i, j = np.triu_indices(len(items), 1)
+    planes = arcs.projectors
+    i, j = np.triu_indices(len(arcs), 1)
     same = same_circle(planes[i], planes[j])
 
-    # ends[a, s]: the start, end and midpoint of arc a
-    turns = starts[:, None] + _ENDS_AND_MIDDLE * sweeps[:, None]
-    ends = np.cos(turns)[..., None] * bases[:, None, 0] + np.sin(turns)[..., None] * bases[:, None, 1]
-    # holds[a, b]: the interior of arc a holds one of those points of arc b
-    phi = _angles(bases, ends.reshape(1, -1, 4)).reshape(len(items), len(items), 3)
-    holds = _interior_holds(starts[:, None, None], sweeps[:, None, None], phi).any(axis=2)
+    # holds[a, b]: the interior of arc a holds the start, end or midpoint of arc b
+    points = arcs.points(_ENDS_AND_MIDDLE).reshape(1, -1, 4)
+    holds = _interior_holds(arcs, slice(None), points).reshape(len(arcs), len(arcs), 3).any(axis=2)
     overlap = same & (holds[i, j] | holds[j, i])
 
     a, b = i[~same], j[~same]
@@ -290,8 +286,7 @@ def _verify_disjoint_interiors(r: Realization, arcs: ArcAssignment):
 
     def holds_crossing(k):
         on_circle = plane_distance(planes[k], crossings) <= PAIR_TOL
-        return on_circle & _interior_holds(starts[k, None], sweeps[k, None],
-                                           _angles(bases[k], crossings))
+        return on_circle & _interior_holds(arcs, k, crossings)
 
     cross, ambiguous = np.zeros_like(same), np.zeros_like(same)
     cross[~same] = (lines == 1) & (holds_crossing(a) & holds_crossing(b)).any(axis=1)
@@ -300,7 +295,7 @@ def _verify_disjoint_interiors(r: Realization, arcs: ArcAssignment):
     bad = np.flatnonzero(overlap | cross | ambiguous)
     if bad.size:
         k = bad[0]
-        first, second = items[i[k]].pair, items[j[k]].pair
+        first, second = (tuple(arcs.pairs[x].tolist()) for x in (i[k], j[k]))
         if overlap[k]:
             raise ArcAssignmentError(f"arcs of {first} and {second} overlap on their circle")
         if cross[k]:
@@ -309,11 +304,11 @@ def _verify_disjoint_interiors(r: Realization, arcs: ArcAssignment):
         raise PrecisionError("distinct circles sharing a 2-plane")
 
 
-def check_h3(r: Realization, arcs: ArcAssignment) -> bool:
+def check_h3(r: Realization, arcs: Arcs) -> bool:
     """Equivariance of the arc system.
 
-    For every element f and arc A over pair P, B = arcs[f(P)] must exist
-    and f must move A's midpoint onto B's.  Invariance already maps A's
+    For every element f and arc A over pair P, the arc B over f(P) must
+    exist and f must move A's midpoint onto B's.  Invariance already maps A's
     endpoints onto B's, and arcs with equal endpoints agree as point sets
     exactly when their midpoints agree, so f(A) = B.  Both tests run on
     all (element, arc) at once.
@@ -323,18 +318,17 @@ def check_h3(r: Realization, arcs: ArcAssignment) -> bool:
     arcs have disjoint interiors (h2), so B = A.  Precondition: `arcs`
     pass check_arcs; full_report calls this only then.
     """
-    if not arcs:
+    if not len(arcs):
         return True
-    pairs = np.array(list(arcs))
-    codes = pairs[:, 0] * r.m + pairs[:, 1]
+    codes = arcs.pairs[:, 0] * r.m + arcs.pairs[:, 1]
     order = np.argsort(codes)
-    images = np.sort(r.vertex_action.action.images[:, pairs], axis=-1)
+    images = np.sort(r.vertex_action.action.images[:, arcs.pairs], axis=-1)
     image_codes = images[..., 0] * r.m + images[..., 1]
     # target[f, k]: the arc over the image of pair k under element f
     target = order[np.searchsorted(codes[order], image_codes).clip(max=len(codes) - 1)]
     if not (codes[target] == image_codes).all():
         return False
-    mids = np.array([arc.midpoint for arc in arcs.values()])
+    mids = arcs.points([0.5])[:, 0]
     err = np.linalg.norm(np.einsum("fij,kj->fki", r.mats, mids) - mids[target], axis=-1).max()
     return bool(err <= PAIR_TOL)
 
@@ -366,7 +360,7 @@ def check_h5(r: Realization, swappers: np.ndarray) -> bool:
     return bool((np.count_nonzero(same_circle(planes[swappers, None], planes), axis=1) <= 1).all())
 
 
-def full_report(r: Realization, arcs: Optional[ArcAssignment] = None) -> HypothesisReport:
+def full_report(r: Realization, arcs: Optional[Arcs] = None) -> HypothesisReport:
     """Run all five checks on an arc system, by default the one assign_arcs
     picks; any failure flips the overall verdict, with the reason recorded
     in details.  The report keeps the arcs only when they pass h2."""

@@ -118,9 +118,9 @@ def plane_distance(projector: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.linalg.norm(points - points @ projector, axis=-1)
 
 
-def same_circle(p: np.ndarray, q: np.ndarray, tol: float = CIRCLE_EQ_TOL) -> np.ndarray:
+def same_circle(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Do the projectors p and q (stacks that broadcast) agree entrywise?"""
-    return np.abs(p - q).max(axis=(-2, -1)) <= tol
+    return np.abs(p - q).max(axis=(-2, -1)) <= CIRCLE_EQ_TOL
 
 
 def shared_lines(p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,8 +313,8 @@ def _natural_corner(model: Model, i: int) -> np.ndarray:
 
 def part_coords(model: Model, part: BuiltPart, mats: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Coordinates for one built orbit block, aligned with its indexing."""
-    if part.kind in ("tetra_corners", "knotted_k4", "simplex_corners"):
-        n = 4 if part.kind != "simplex_corners" else 5
+    if part.kind in ("tetra_corners", "simplex_corners"):
+        n = 4 if part.kind == "tetra_corners" else 5
         return np.array([_natural_corner(model, i) for i in range(n)])
     if part.kind == "center":
         return POLE.reshape(1, 4).copy()

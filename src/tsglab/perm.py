@@ -261,7 +261,14 @@ class GroupAction:
 
     @cached_property
     def minima(self) -> np.ndarray:
-        """orbit_minima, once per action, read-only."""
+        """For each vertex, the smallest vertex of its orbit: the smallest
+        vertex the generators' rows join it to, found by passing labels
+        along those rows until none changes.  Read off the generator rows
+        alone, the orbits stay those of the permutations they generate even
+        when the rest of the table is no homomorphism, so such a table is
+        reported by check_homomorphism and not as a wrong orbit.  The
+        images are read-only, so the minima are computed once per action;
+        the array is read-only too."""
         low = _orbit_minima(self)
         low.setflags(write=False)
         return low
@@ -376,18 +383,6 @@ def burnside_orbit_count(a: GroupAction) -> int:
         raise InconsistentActionError(
             f"fixed-point sum {total} not divisible by group order {a.group.order}")
     return total // a.group.order
-
-
-def orbit_minima(a: GroupAction) -> np.ndarray:
-    """For each vertex, the smallest vertex of its orbit: the smallest
-    vertex the generators' rows join it to, found by passing labels along
-    those rows until none changes.  Read off the generator rows alone, the
-    orbits stay those of the permutations they generate even when the
-    rest of the table is no homomorphism, so such a table is reported by
-    check_homomorphism and not as a wrong orbit.  The images are read-only,
-    so the minima are computed once per action and cached (a.minima);
-    the returned array is read-only too."""
-    return a.minima
 
 
 def _orbit_minima(a: GroupAction) -> np.ndarray:

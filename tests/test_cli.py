@@ -297,6 +297,8 @@ def _drop_report_h2(data):
     _set(("arcs", 0, "sweep"), [1.0]),
     _set(("arcs", 0, "fixer"), "x"),
     _set(("arcs", 0, "basis"), [[0.0, 0.0, 0.0, 1.0]]),
+    _set(("arcs", 0, "pair"), [24, 25, 24]),
+    _set(("arcs", 0, "pair"), []),
     _set(("model", "seed"), "x"),
     _set(("model", "seed"), None),
     _set(("model", "theta"), "x"),

@@ -1,7 +1,7 @@
 import collections
-import dataclasses
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,9 +9,10 @@ import pytest
 from tsglab.actions import Model, VertexAction, build, plan
 from tsglab.edges import (
     ANGLE_EPS,
+    INSIDE_MARGIN,
     PAIR_TOL,
-    Arc,
     ArcAssignmentError,
+    Arcs,
     _verify_disjoint_interiors,
     assign_arcs,
     check_arcs,
@@ -51,9 +52,47 @@ def _fixers(r: Realization):
     return fixers
 
 
-def _arcs(r: Realization):
+def _arcs(r: Realization) -> Arcs:
     """The arcs full_report picks, for a realization that passes h1."""
     return assign_arcs(r, required_pairs(r.vertex_action), _fixers(r))
+
+
+class _Arc(NamedTuple):
+    """One row of an Arcs, for the per-arc reference loops and for editing
+    an arc system one arc at a time."""
+
+    pair: tuple[int, int]
+    fixer: int
+    basis: np.ndarray
+    start: float
+    sweep: float
+
+    @property
+    def projector(self) -> np.ndarray:
+        return projectors(self.basis)
+
+    def point_at(self, s: float) -> np.ndarray:
+        angle = self.start + s * self.sweep
+        return math.cos(angle) * self.basis[0] + math.sin(angle) * self.basis[1]
+
+    @property
+    def midpoint(self) -> np.ndarray:
+        return self.point_at(0.5)
+
+
+def _rows(arcs: Arcs) -> list[_Arc]:
+    return [_Arc(tuple(pair), fixer, basis, start, sweep) for pair, fixer, basis, start, sweep
+            in zip(arcs.pairs.tolist(), arcs.fixers.tolist(), arcs.bases,
+                   arcs.starts.tolist(), arcs.sweeps.tolist())]
+
+
+def _system(rows: list[_Arc]) -> Arcs:
+    """The Arcs with these rows, in this order."""
+    return Arcs(np.array([a.pair for a in rows], dtype=int).reshape(-1, 2),
+                np.array([a.fixer for a in rows], dtype=int),
+                np.array([a.basis for a in rows], dtype=float).reshape(-1, 2, 4),
+                np.array([a.start for a in rows], dtype=float),
+                np.array([a.sweep for a in rows], dtype=float))
 
 
 # ------------------------------------------------------------ required pairs
@@ -99,25 +138,26 @@ def test_arc_counts(realized, key, count):
 
 def test_arc_endpoints_are_pair_coordinates(realized):
     _, r = realized[("S4", 12)]
-    for (u, v), arc in _arcs(r).items():
-        ends = {0.0: r.coords[u], 1.0: r.coords[v]}
+    arcs = _arcs(r)
+    for (u, v), points in zip(arcs.pairs, arcs.points([0.0, 1.0])):
+        ends = {0: r.coords[u], 1: r.coords[v]}
         for s, target in ends.items():
-            assert np.linalg.norm(arc.point_at(s) - target) < 1e-8
+            assert np.linalg.norm(points[s] - target) < 1e-8
 
 
 def test_arc_interiors_vertex_free(realized):
     for key in (("S4", 20), ("A5", 80), ("A4", 17)):
         _, r = realized[key]
-        for arc in _arcs(r).values():
+        for arc in _rows(_arcs(r)):
             for v in range(r.m):
                 if v in arc.pair:
                     continue
-                assert not arc.interior_contains_point(r.coords[v], margin=1e-9)
+                assert not _old_holds_point(arc, r.coords[v], margin=1e-9)
 
 
 def test_arc_assignment_is_equivariant_as_pair_map(realized):
     va, r = realized[("A5", 20)]
-    arcs = _arcs(r)
+    arcs = set(map(tuple, _arcs(r).pairs.tolist()))
     for img in va.action.images:
         for (u, v) in arcs:
             x, y = sorted((img[u], img[v]))
@@ -141,8 +181,8 @@ def test_h1_vacuous_for_unique_fixer(realized):
 
 def test_h3_arc_fixed_by_edge_reversing_involution(realized):
     va, r = realized[("S4", 12)]
-    arcs = _arcs(r)
-    (u, v), arc = next(iter(arcs.items()))
+    arc = _rows(_arcs(r))[0]
+    u, v = arc.pair
     # some involution swaps u and v; it must map the arc onto itself
     swappers = [f for f, img in enumerate(va.action.images) if img[u] == v and img[v] == u]
     assert swappers
@@ -220,26 +260,23 @@ def test_fixture_pair_at_intersection_fails_h1():
     assert not report.overall
 
 
-def _complement(arc):
+def _complement(arc: _Arc) -> _Arc:
     """The other arc of the same circle between the same two vertices."""
-    return dataclasses.replace(arc, sweep=arc.sweep - math.copysign(2 * math.pi, arc.sweep))
+    return arc._replace(sweep=arc.sweep - math.copysign(2 * math.pi, arc.sweep))
 
 
 @pytest.mark.parametrize("key", [("S4", 12), ("A5", 20)])
 def test_fixture_complement_arc_fails_h3(realized, key):
     _, r = realized[key]
-    arcs = _arcs(r)
-    pair = next(iter(arcs))
-    arcs[pair] = _complement(arcs[pair])
-    assert not check_h3(r, arcs)
+    arcs = _rows(_arcs(r))
+    arcs[0] = _complement(arcs[0])
+    assert not check_h3(r, _system(arcs))
 
 
 @pytest.mark.parametrize("key", [("S4", 12), ("A5", 20)])
 def test_fixture_dropped_arc_fails_h3(realized, key):
     _, r = realized[key]
-    arcs = _arcs(r)
-    del arcs[next(iter(arcs))]
-    assert not check_h3(r, arcs)
+    assert not check_h3(r, _arcs(r).take(slice(1, None)))
 
 
 # ----------------------------------------------------------- arc checking
@@ -250,7 +287,8 @@ def test_check_arcs_rejects_vertex_inside(realized):
     names it, and assign_arcs picks the other arc of that pair instead."""
     va, r = realized[("S4", 12)]
     arcs = _arcs(r)
-    pair, arc = next(iter(arcs.items()))
+    arc = _rows(arcs)[0]
+    pair = arc.pair
     w = next(x for x in range(r.m) if x not in pair)
     coords = r.coords.copy()
     coords[w] = arc.midpoint
@@ -258,31 +296,30 @@ def test_check_arcs_rejects_vertex_inside(realized):
     message = f"arc of pair {pair} has vertex {w} inside"
     with pytest.raises(ArcAssignmentError, match=re.escape(message)):
         check_arcs(moved, arcs, required_pairs(va))
-    assert _arcs(moved)[pair].sweep == pytest.approx(_complement(arc).sweep)
+    assert _rows(_arcs(moved))[0].sweep == pytest.approx(_complement(arc).sweep)
 
 
-def _rotated(arc, alpha):
+def _rotated(arc: _Arc, alpha: float) -> _Arc:
     """The same arc, described in its plane's basis turned by alpha."""
     b0, b1 = arc.basis
     c, s = math.cos(alpha), math.sin(alpha)
     basis = np.array([c * b0 + s * b1, c * b1 - s * b0])
-    return dataclasses.replace(arc, basis=basis, start=arc.start - alpha)
+    return arc._replace(basis=basis, start=arc.start - alpha)
 
 
 def test_overlap_found_across_bases(realized):
     """Two arcs on one circle overlap whatever bases describe them."""
     _, r = realized[("S4", 12)]
-    pair, arc = next(iter(_arcs(r).items()))
-    twin = dataclasses.replace(_rotated(arc, math.pi), pair=(pair[0], pair[1] + 100))
+    arc = _rows(_arcs(r))[0]
+    twin = _rotated(arc, math.pi)._replace(pair=(arc.pair[0], arc.pair[1] + 100))
     assert np.linalg.norm(twin.midpoint - arc.midpoint) < 1e-12
     with pytest.raises(ArcAssignmentError, match="overlap"):
-        _verify_disjoint_interiors(r, {pair: arc, twin.pair: twin})
+        _verify_disjoint_interiors(_system([arc, twin]))
 
 
 def test_full_report_skips_h3_when_arcs_fail(realized, monkeypatch):
     _, r = realized[("A5", 20)]
-    arcs = _arcs(r)
-    del arcs[next(iter(arcs))]
+    arcs = _arcs(r).take(slice(1, None))
 
     def refuse(*args):
         raise AssertionError("check_h3 ran on arcs that failed h2")
@@ -326,16 +363,16 @@ def _old_angle(basis, p):
     return math.atan2(float(basis[1] @ p), float(basis[0] @ p))
 
 
-def _old_holds_angle(arc, phi):
+def _old_holds_angle(arc, phi, margin=ANGLE_EPS):
     rel = (phi - arc.start) % (2 * math.pi)
     if arc.sweep < 0:
         rel = (2 * math.pi - rel) % (2 * math.pi)
-    return ANGLE_EPS < rel < abs(arc.sweep) - ANGLE_EPS
+    return margin < rel < abs(arc.sweep) - margin
 
 
-def _old_holds_point(arc, p):
+def _old_holds_point(arc, p, margin=ANGLE_EPS):
     return bool(plane_distance(arc.projector, p) <= PAIR_TOL) \
-        and _old_holds_angle(arc, _old_angle(arc.basis, p))
+        and _old_holds_angle(arc, _old_angle(arc.basis, p), margin)
 
 
 def _old_crossings(p1, p2):
@@ -349,10 +386,10 @@ def _old_crossings(p1, p2):
     return np.vstack([v, -v])
 
 
-def _pairwise_disjoint(r, arcs):
+def _pairwise_disjoint(arcs):
     """The pairwise loop that the batched test replaced, with one SVD per
     pair of arcs on distinct circles, kept as its oracle."""
-    items = list(arcs.values())
+    items = _rows(arcs)
     for i, a in enumerate(items):
         for b in items[i + 1:]:
             if same_circle(a.projector, b.projector):
@@ -368,9 +405,9 @@ def _pairwise_disjoint(r, arcs):
                             f"arcs of {a.pair} and {b.pair} cross at a circle intersection")
 
 
-def _outcome(check, r, arcs):
+def _outcome(check, arcs):
     try:
-        check(r, arcs)
+        check(arcs)
     except (ArcAssignmentError, PrecisionError) as err:
         return type(err).__name__, str(err)
     return None
@@ -401,19 +438,18 @@ def test_batched_disjointness_matches_pairwise_loop(group):
         if p.knotted:
             continue
         r = realize(p, build(p), ModelConfig(seed=0))
-        arcs = _arcs(r)
-        singles = [{**arcs, pair: _complement(arcs[pair])} for pair in arcs]
-        orbits = [{**arcs, **{pair: _complement(arcs[pair]) for pair in orbit}}
-                  for orbit in _arc_orbits(r.vertex_action, arcs)]
+        arcs = _rows(_arcs(r))
+        singles = [arcs[:k] + [_complement(arc)] + arcs[k + 1:] for k, arc in enumerate(arcs)]
+        orbits = [[_complement(arc) if arc.pair in orbit else arc for arc in arcs]
+                  for orbit in _arc_orbits(r.vertex_action, [arc.pair for arc in arcs])]
         # an arc's twin, described in its basis turned half a turn, overlaps it
-        twins = [{**arcs, (u, v + r.m): dataclasses.replace(_rotated(arcs[u, v], math.pi),
-                                                          pair=(u, v + r.m))}
-                 for u, v in arcs]
+        twins = [arcs + [_rotated(arc, math.pi)._replace(pair=(arc.pair[0], arc.pair[1] + r.m))]
+                 for arc in arcs]
         kinds = (("valid", [arcs]), ("single", singles), ("orbit", orbits), ("twin", twins))
         for kind, systems in kinds:
-            for system in systems:
-                expected = _outcome(_pairwise_disjoint, r, system)
-                assert _outcome(_verify_disjoint_interiors, r, system) == expected, (m, kind)
+            for system in map(_system, systems):
+                expected = _outcome(_pairwise_disjoint, system)
+                assert _outcome(_verify_disjoint_interiors, system) == expected, (m, kind)
                 verdict = next((w for w in ("overlap", "cross", "sharing") if w in expected[1]),
                                expected[1]) if expected else "disjoint"
                 seen[kind, verdict] += 1
@@ -422,18 +458,137 @@ def test_batched_disjointness_matches_pairwise_loop(group):
     assert seen["valid", "disjoint"] and seen["orbit", "cross"] and seen["twin", "overlap"], seen
 
 
-def test_distinct_circles_sharing_a_plane_raise_precision_error(realized):
+def test_distinct_circles_sharing_a_plane_raise_precision_error():
     """Two circles whose projectors differ by more than CIRCLE_EQ_TOL but
     whose planes share two directions to SHARED_LINE_TOL: neither test
     guesses a crossing."""
-    _, r = realized[("S4", 12)]
     eps = 5e-8
-    a = Arc((0, 1), 1, np.eye(4)[:2], 0.0, 1.0)
-    b = Arc((2, 3), 1, np.array([[1.0, 0, 0, 0], [0, math.cos(eps), math.sin(eps), 0]]), 2.0, 1.0)
+    a = _Arc((0, 1), 1, np.eye(4)[:2], 0.0, 1.0)
+    b = _Arc((2, 3), 1, np.array([[1.0, 0, 0, 0], [0, math.cos(eps), math.sin(eps), 0]]), 2.0, 1.0)
     assert not same_circle(a.projector, b.projector)
     for check in (_verify_disjoint_interiors, _pairwise_disjoint):
         with pytest.raises(PrecisionError, match="sharing a 2-plane"):
-            check(r, {a.pair: a, b.pair: b})
+            check(_system([a, b]))
+
+
+# --------------------------------------- batched check_arcs vs per-arc loop
+
+
+def _joins(arc: _Arc, p: np.ndarray, q: np.ndarray) -> bool:
+    """The arc runs from p to q or from q to p, within PAIR_TOL."""
+    ends = np.array([arc.point_at(0.0), arc.point_at(1.0)])
+    gaps = [np.linalg.norm(ends - np.array(pts), axis=1).max() for pts in ((p, q), (q, p))]
+    return bool(np.minimum(*gaps) <= PAIR_TOL)
+
+
+def _arc_fault(r: Realization, arc: _Arc):
+    """Why `arc` is no arc of its fixer's circle between the two vertices of
+    its pair, or None."""
+    u, v = pair = arc.pair
+    action = r.vertex_action.action
+    if not 0 < arc.fixer < action.group.order or tuple(action.images[arc.fixer, [u, v]]) != (u, v):
+        return f"fixer of pair {pair} is not a non-trivial group element fixing both vertices"
+    gram = float(np.abs(arc.basis @ arc.basis.T - np.eye(2)).max())
+    if not gram <= PAIR_TOL or not same_circle(arc.projector, projectors(r.circles[arc.fixer])):
+        return f"arc of pair {pair} is not on the fixed circle of its fixer"
+    if not (math.isfinite(arc.start) and 0 < abs(arc.sweep) < 2 * math.pi) \
+            or not _joins(arc, r.coords[u], r.coords[v]):
+        return f"arc of pair {pair} does not run between its two vertices"
+    return None
+
+
+def _per_arc_check_arcs(r: Realization, arcs: Arcs, pairs) -> None:
+    """check_arcs as the loop over arcs that the masks replaced, with one
+    vertex at a time for the vertex test, kept as its oracle."""
+    rows = _rows(arcs)
+    required, given = set(pairs), {arc.pair for arc in rows}
+    extra, missing = sorted(given - required), sorted(required - given)
+    if extra:
+        raise ArcAssignmentError(f"arc over pair {extra[0]}, which is not a pinned pair")
+    if missing:
+        raise ArcAssignmentError(f"pinned pair {missing[0]} has no arc")
+    fault = None
+    for arc in rows:
+        fault = _arc_fault(r, arc)
+        if fault:
+            break
+        circle = projectors(r.circles[arc.fixer])
+        for w, p in enumerate(r.coords):
+            if w not in arc.pair and plane_distance(circle, p) <= PAIR_TOL \
+                    and _old_holds_angle(arc, _old_angle(arc.basis, p), INSIDE_MARGIN):
+                raise ArcAssignmentError(f"arc of pair {arc.pair} has vertex {w} inside")
+    if fault:
+        raise ArcAssignmentError(fault)
+    _pairwise_disjoint(arcs)
+
+
+_ARC_EDITS = {
+    "identity fixer": lambda arc: arc._replace(fixer=0),
+    "nan start": lambda arc: arc._replace(start=float("nan")),
+    "inf start": lambda arc: arc._replace(start=float("inf")),
+    "nan basis": lambda arc: arc._replace(basis=np.full((2, 4), np.nan)),
+    "complement": _complement,
+    "basis x1.5": lambda arc: arc._replace(basis=1.5 * arc.basis),
+    "sweep x1.5": lambda arc: arc._replace(sweep=1.5 * arc.sweep),
+    "reversed": lambda arc: arc._replace(start=arc.start + arc.sweep, sweep=-arc.sweep),
+    "swapped pair": lambda arc: arc._replace(pair=arc.pair[::-1]),
+    # two faults in one arc: the first in the order fixer, circle, ends names it
+    "identity fixer, basis x1.5": lambda arc: arc._replace(fixer=0, basis=1.5 * arc.basis),
+    "basis x1.5, nan start": lambda arc: arc._replace(basis=1.5 * arc.basis, start=float("nan")),
+}
+
+
+@pytest.mark.parametrize("group,m,seed", [
+    ("S4", 20, 0), ("A5", 5, 0), ("A5", 80, 0), ("A4", 17, 0), ("A4", 61, 0), ("S4", 28, 1),
+])
+def test_check_arcs_matches_per_arc_loop(group, m, seed):
+    """Every edit above, at the first, a middle and the last arc and at the
+    first and last together, and every pair of distinct edits at the first
+    and last arc: the batched check raises what the per-arc loop raises,
+    type and message, or passes where it passes.  A4 m=61 pins no pair, so
+    only its empty system is checked."""
+    p = plan(group, m)
+    r = realize(p, build(p), ModelConfig(seed=seed))
+    pairs = required_pairs(r.vertex_action)
+    arcs = _rows(_arcs(r))
+    last = len(arcs) - 1
+    systems = [arcs]
+    for edit in _ARC_EDITS.values() if arcs else ():
+        for rows in ((0,), (last // 2,), (last,), (0, last)):
+            systems.append([edit(arc) if k in rows else arc for k, arc in enumerate(arcs)])
+        for second in _ARC_EDITS.values():
+            if second is not edit:
+                systems.append([edit(arcs[0])] + arcs[1:last] + [second(arcs[last])])
+    seen = collections.Counter()
+    for system in map(_system, systems):
+        expected = _outcome(lambda a: _per_arc_check_arcs(r, a, pairs), system)
+        assert _outcome(lambda a: check_arcs(r, a, pairs), system) == expected, expected
+        seen[next((w for w in ("fixer of", "not on", "does not run", "inside", "pinned",
+                               "overlap", "cross") if expected and w in expected[1]), None)] += 1
+    assert seen[None], seen
+    if arcs:
+        assert seen["fixer of"] and seen["not on"] and seen["does not run"] and seen["pinned"], seen
+
+
+@pytest.mark.parametrize("vertex_first", [True, False])
+def test_check_arcs_reports_a_vertex_inside_only_before_the_first_fault(vertex_first):
+    """A vertex inside an arc before the first faulty arc is reported; one
+    inside an arc after it is not, the fault is."""
+    p = plan("S4", 28)
+    r = realize(p, build(p), ModelConfig(seed=1))
+    arcs = _rows(_arcs(r))
+    inside, faulty = (0, len(arcs) - 1) if vertex_first else (len(arcs) - 1, 0)
+    w = next(x for x in range(r.m) if all(x not in arc.pair for arc in arcs))
+    coords = r.coords.copy()
+    coords[w] = arcs[inside].midpoint
+    moved = Realization(r.plan, r.vertex_action, r.model, r.config, r.mats, coords)
+    arcs[faulty] = arcs[faulty]._replace(start=float("nan"))
+    if vertex_first:
+        message = f"arc of pair {arcs[inside].pair} has vertex {w} inside"
+    else:
+        message = f"arc of pair {arcs[faulty].pair} does not run between its two vertices"
+    with pytest.raises(ArcAssignmentError, match=re.escape(message)):
+        check_arcs(moved, _system(arcs), required_pairs(r.vertex_action))
 
 
 # ------------------------------------------ h3 second clause is implied by h2
@@ -449,6 +604,7 @@ def _two_clause_h3(r, arcs) -> bool:
     fixing an interior point of an arc (their circles cross there, or it
     carries the arc's own circle) must map the arc onto itself."""
     va = r.vertex_action
+    arcs = {arc.pair: arc for arc in _rows(arcs)}
     for f, (img, mat) in enumerate(zip(va.action.images, r.mats)):
         for pair, arc in arcs.items():
             target = arcs.get(_image_pair(img, pair))
@@ -466,15 +622,15 @@ def _two_clause_h3(r, arcs) -> bool:
                 fixes_interior = True
             else:
                 crossings = circles_intersection(fc, arc.projector)
-                fixes_interior = any(arc.interior_contains_point(p) for p in crossings)
-            if fixes_interior and target is not arcs[pair]:
+                fixes_interior = any(_old_holds_point(arc, p) for p in crossings)
+            if fixes_interior and target is not arc:
                 return False
     return True
 
 
-def _disjoint(r, arcs) -> bool:
+def _disjoint(arcs) -> bool:
     try:
-        _verify_disjoint_interiors(r, arcs)
+        _verify_disjoint_interiors(arcs)
     except ArcAssignmentError:
         return False
     return True
@@ -496,10 +652,11 @@ def test_h3_equals_two_clause_h3(group):
         arcs = _arcs(r)
         assert check_h3(r, arcs) == _two_clause_h3(r, arcs), (group, m)
         cases += 1
-        for pair in arcs:
-            mutated = {**arcs, pair: _complement(arcs[pair])}
-            if _disjoint(r, mutated):
-                assert check_h3(r, mutated) == _two_clause_h3(r, mutated), (group, m, pair)
+        rows = _rows(arcs)
+        for k, arc in enumerate(rows):
+            mutated = _system(rows[:k] + [_complement(arc)] + rows[k + 1:])
+            if _disjoint(mutated):
+                assert check_h3(r, mutated) == _two_clause_h3(r, mutated), (group, m, arc.pair)
                 mutations += 1
     assert cases and mutations
 

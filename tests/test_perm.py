@@ -24,7 +24,6 @@ from tsglab.perm import (
     is_faithful,
     kernel,
     left_cosets,
-    orbit_minima,
     orbit_representatives,
     pair_stabilizers,
     restrict_action,
@@ -406,7 +405,7 @@ def test_group_action_images_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         a.images[1, 0] = 0
     with pytest.raises(ValueError, match="read-only"):
-        orbit_minima(a)[0] = 1
+        a.minima[0] = 1
 
 
 def test_group_action_leaves_the_callers_array_writable():
@@ -427,11 +426,11 @@ def test_orbit_minima_cached_per_action(monkeypatch):
     monkeypatch.setattr(perm, "_orbit_minima", counted)
     g = standard_group("S4")
     a = direct_sum([coset_action(g, h) for h in subgroups_up_to_conjugacy(g)[:3]])
-    first = orbit_minima(a)
-    assert orbit_minima(a) is first
+    first = a.minima
+    assert a.minima is first
     assert orbit_representatives(a).tolist() == np.unique(first).tolist()
     assert len(calls) == 1
-    orbit_minima(GroupAction(g, a.images))  # a new action computes its own
+    GroupAction(g, a.images).minima  # a new action computes its own
     assert len(calls) == 2
 
 
@@ -586,7 +585,7 @@ def test_action_from_generators_rebuilds_every_action(name, data):
     gens = list(g.generators)
     rebuilt = action_from_generators(g, gens, a.images[gens])
     assert (rebuilt.images == a.images).all()
-    assert (orbit_minima(a) == a.images.min(axis=0)).all()
+    assert (a.minima == a.images.min(axis=0)).all()
     assert orbit_representatives(a).tolist() == [orbit[0] for orbit in orbit_partition(a)]
 
 
