@@ -212,10 +212,11 @@ class VertexAction:
         return self.action.m
 
 
-def restricted_group(p: OrbitPlan) -> Optional[PermGroup]:
-    if p.restriction == RESTRICT_EVEN_S4:
+def restricted_group(restriction: Optional[str]) -> Optional[PermGroup]:
+    """The subgroup of the parent group that a restriction tag keeps, or None."""
+    if restriction == RESTRICT_EVEN_S4:
         return standard_group("A4")
-    if p.restriction == RESTRICT_STAB_A5:
+    if restriction == RESTRICT_STAB_A5:
         return a4_inside_a5()
     return None
 
@@ -254,7 +255,7 @@ def build(p: OrbitPlan) -> VertexAction:
         raise AssertionError(f"built {full.m} vertices, plan says {p.m}")
     labels = tuple(b.label for b in blocks for _ in range(b.size))
 
-    sub = restricted_group(p)
+    sub = restricted_group(p.restriction)
     if sub is None:
         va = VertexAction(full, labels, tuple(blocks), p)
     else:

@@ -1,34 +1,35 @@
 """Self-contained realization files: write, read back, re-check everything.
 
-A certificate (schema version 2) stores a realization in orbit form:
+A certificate (schema version 3, compact JSON with sorted keys) stores a
+realization in generator form:
 
-    elements    one record per group element: its permutation `perm` and
-                its 4x4 special-orthogonal `matrix` (row-major)
-    generators  `perm` and `vertex_images` of two elements that generate
-                the group, PermGroup.generators: the first pair of rows,
-                in row order, that generates it
+    generators  `perm`, `vertex_images` and `matrix` (4x4 special
+                orthogonal, row-major) of two elements that generate the
+                group, PermGroup.generators: the first such pair of rows
     vertices    one record per vertex orbit: `id`, the smallest vertex of
                 the orbit, with the orbit's `part` label and its `coords`
     arcs        the witness arc system
     report      the hypothesis verdicts, the profile and the orbit count
 
-The group action fixes everything else, and the verifier derives it.  The
-image row of every other element comes from the generators' rows, from
-the identity outward over the Cayley table: act(x * s) = act(x) after
-act(s).  The vertex records must be exactly the orbit minima of that
-action, one per orbit.  Every other vertex w of the orbit of a record v
-gets mats[t] @ coords[v], through the first row t that maps v to w.  A
-stored row or coordinate is never overwritten, and nothing derived is
-trusted: the steps below check the whole action and all m coordinates.
-A file of any other schema version, such as a version 1 file with every
-image row and every coordinate, is a schema error that names its version.
+The header's `restriction`, or else its `group`, names the permutation
+group; the generator perms must be elements of it.  The verifier derives
+the rest along one spanning tree, from the identity outward over the
+Cayley table: row x * s gets act(x) after act(s) and the matrix M(x) @
+M(s), the identity exactly I.  The vertex records must be exactly the
+orbit minima of that action, one per orbit.  Every other vertex w of the
+orbit of a record v gets mats[t] @ coords[v], through the first row t that
+maps v to w.  A stored row, matrix or coordinate is never overwritten, and
+nothing derived is trusted: the steps below check the whole action, every
+matrix and all m coordinates.  A file of any other schema version, such as
+a version 2 file with every element's perm and matrix, is a schema error
+that names its version.
 
 Verification reconstructs all objects from the file alone and re-runs
 every invariant.  The steps, in order, stopping at the first failure:
 
-    group-closure        the stored elements form the group, the stored
-                         generators generate it, and the vertex records
-                         are the orbit minima; part labels span their parts' sizes (rebuild)
+    group-closure        the generators are elements of the header's group
+                         and generate it, and the vertex records are the
+                         orbit minima; part labels span their parts' sizes (rebuild)
     action-homomorphism  the derived vertex images are a faithful action
     homomorphism, invariance, separation, profile
                          geometry.REALIZATION_CHECKS, as realize runs
@@ -46,6 +47,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
@@ -60,6 +62,7 @@ from .actions import (
     Model,
     VertexAction,
     measured_profile,
+    restricted_group,
 )
 from .edges import Arcs, full_report
 from .geometry import REALIZATION_CHECKS, ModelConfig, Realization
@@ -67,19 +70,20 @@ from .perm import (
     GROUP_NAMES,
     GROUP_ORDER,
     GroupAction,
-    PermGroup,
     action_from_generators,
     burnside_orbit_count,
     check_homomorphism,
     is_faithful,
+    matrices_from_generators,
     orbit_representatives,
+    standard_group,
 )
 from .profiles import KNOTTED_CASES
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _TOP_KEYS = {"schema_version", "group", "m", "model", "restriction",
-             "elements", "generators", "vertices", "arcs", "report"}
+             "generators", "vertices", "arcs", "report"}
 
 
 class SchemaError(ValueError):
@@ -90,9 +94,8 @@ def certificate_dict(r: Realization, report) -> dict:
     va = r.vertex_action
     act = va.action
     group = act.group
-    elements = [{"perm": perm, "matrix": mat}  # matrix row-major
-                for perm, mat in zip(group.elements.tolist(), r.mats.reshape(-1, 16).tolist())]
-    generators = [{"perm": group.elements[s].tolist(), "vertex_images": act.images[s].tolist()}
+    generators = [{"perm": group.elements[s].tolist(), "vertex_images": act.images[s].tolist(),
+                   "matrix": r.mats[s].ravel().tolist()}  # matrix row-major
                   for s in group.generators]
     vertices = [{"id": v, "part": va.labels[v], "coords": r.coords[v].tolist()}
                 for v in orbit_representatives(act).tolist()]
@@ -114,7 +117,6 @@ def certificate_dict(r: Realization, report) -> dict:
             "seed": r.config.seed,
         },
         "restriction": r.plan.restriction if r.plan else None,
-        "elements": elements,
         "generators": generators,
         "vertices": vertices,
         "arcs": arcs,
@@ -129,7 +131,7 @@ def certificate_dict(r: Realization, report) -> dict:
 
 def write_certificate(path: str, r: Realization, report) -> None:
     """Serialize atomically; identical inputs produce identical bytes."""
-    payload = json.dumps(certificate_dict(r, report), sort_keys=True, indent=1)
+    payload = json.dumps(certificate_dict(r, report), sort_keys=True, separators=(",", ":"))
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -155,21 +157,23 @@ def read_certificate(path: str) -> dict:
 
 
 # JSON gives int, float, bool, str, None, list or dict; exact type tests
-# keep true and false out of the integers
+# keep true and false out of the integers.  An integer must fit int64 and a
+# number float64, the arrays the verifier reads them into.
 def _is_int(x) -> bool:
-    return type(x) is int
+    return type(x) is int and -2 ** 63 <= x < 2 ** 63
 
 
 def _is_number(x) -> bool:
-    return type(x) in (int, float)
+    return type(x) is float or type(x) is int and abs(x) <= sys.float_info.max
 
 
 def _ints(x) -> bool:
-    return isinstance(x, list) and set(map(type, x)) <= {int}
+    return isinstance(x, list) and set(map(type, x)) <= {int} \
+        and _is_int(min(x, default=0)) and _is_int(max(x, default=0))
 
 
 def _numbers(n: int):
-    return lambda x: isinstance(x, list) and len(x) == n and set(map(type, x)) <= {int, float}
+    return lambda x: isinstance(x, list) and len(x) == n and all(map(_is_number, x))
 
 
 def _is_part_label(x) -> bool:
@@ -178,8 +182,7 @@ def _is_part_label(x) -> bool:
 
 
 # container type of each section, and a type test for each field of its records
-_SECTIONS = {"model": dict, "elements": list, "generators": list, "vertices": list,
-             "arcs": list, "report": dict}
+_SECTIONS = {"model": dict, "generators": list, "vertices": list, "arcs": list, "report": dict}
 _MODEL_FIELDS = {"tag": lambda x: isinstance(x, str), "theta": _is_number, "t": _is_number,
                  "seed": _is_int}
 _REPORT_FIELDS = {
@@ -188,8 +191,7 @@ _REPORT_FIELDS = {
     "profile": lambda x: isinstance(x, dict) and all(map(_is_int, x.values())),
 }
 _RECORD_FIELDS = {
-    "elements": {"perm": _ints, "matrix": _numbers(16)},
-    "generators": {"perm": _ints, "vertex_images": _ints},
+    "generators": {"perm": _ints, "vertex_images": _ints, "matrix": _numbers(16)},
     "vertices": {"id": _is_int, "part": _is_part_label, "coords": _numbers(4)},
     "arcs": {"pair": lambda x: _ints(x) and len(x) == 2, "fixer": _ints,
              "start": _is_number, "sweep": _is_number,
@@ -207,12 +209,12 @@ def _check_record(section: str, rec, fields: dict) -> None:
 
 def _check_schema(data: dict) -> None:
     """Version, shapes, types and header values: the file is schema
-    version 2, every field the verifier reads has the JSON type it
-    expects, group, restriction and model tag are a triple plan()
-    produces, (group, m) is not a knotted case, every vertex record
-    carries a part label build() gives, vertex ids are distinct vertices,
-    there is one vertex record per orbit the report counts, and the group
-    has its order of element records.  NaN and inf are numbers here; the
+    version 3, every field the verifier reads has the JSON type it
+    expects, within int64 for an integer and float64 for a number, group,
+    restriction and model tag are a triple plan() produces, (group, m) is
+    not a knotted case, every vertex record carries a part label build()
+    gives, vertex ids are distinct vertices, and there is one vertex
+    record per orbit the report counts.  NaN and inf are numbers here; the
     checks reject them."""
     if not isinstance(data, dict):
         raise SchemaError("a certificate is a JSON object")
@@ -233,9 +235,6 @@ def _check_schema(data: dict) -> None:
     group = data["group"]
     if group not in GROUP_NAMES:
         raise SchemaError(f"group must be one of {list(GROUP_NAMES)}, got {group!r}")
-    if len(data["elements"]) != GROUP_ORDER[group]:
-        raise SchemaError(f"{group} needs {GROUP_ORDER[group]} element records, "
-                          f"the file holds {len(data['elements'])}")
     header = (group, data["restriction"], data["model"]["tag"])
     if header not in PLAN_HEADERS:
         raise SchemaError(f"(group, restriction, model tag) = {header} is not one a plan produces")
@@ -268,14 +267,13 @@ class CheckResult:
 
 
 def _rebuild(data: dict) -> Realization:
-    # in row order; the group's Cayley table exists only if the stored
-    # elements are closed under product
-    records = sorted(data["elements"], key=lambda e: e["perm"])
-    group = PermGroup(data["group"], [e["perm"] for e in records])
-    # one query per record: a list of another length gets row -1, no error
+    # _check_schema passes only headers plan() produces, so this is its group
+    group = restricted_group(data["restriction"]) or standard_group(data["group"])
+    # one query per record: a list that is no element gets row -1, no error
     gens = [int(group.rows([g["perm"]])[0]) for g in data["generators"]]
     ga = action_from_generators(group, gens, [g["vertex_images"] for g in data["generators"]])
-    mats = np.array([e["matrix"] for e in records], dtype=float).reshape(-1, 4, 4)
+    mats = matrices_from_generators(group, gens, np.array(
+        [g["matrix"] for g in data["generators"]], dtype=float).reshape(-1, 4, 4))
     free_size = GROUP_ORDER[RESTRICTION_PARENT.get(data["restriction"], data["group"])]
     coords, labels = _orbit_coords(ga, mats, data["vertices"], free_size)
     va = VertexAction(ga, labels, ())
@@ -387,7 +385,4 @@ def verify_certificate(data: dict) -> list[CheckResult]:
 
 
 def first_failure(results: list[CheckResult]) -> Optional[CheckResult]:
-    for res in results:
-        if not res.ok:
-            return res
-    return None
+    return next((res for res in results if not res.ok), None)

@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .actions import BuiltPart, Model, OrbitPlan, VertexAction, measured_profile, restricted_group
-from .perm import PermGroup, from_cycles, orbit_representatives, standard_group
+from .perm import PermGroup, from_cycles, matrices_from_generators, orbit_representatives, standard_group
 from .profiles import FixedVertexProfile
 
 ORTHO_TOL = 1e-9
@@ -133,18 +133,6 @@ def shared_lines(p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray
     line = vt[..., -1, :]  # singular values come in descending order
     return np.count_nonzero(s < SHARED_LINE_TOL, axis=-1), \
         line / np.linalg.norm(line, axis=-1, keepdims=True)
-
-
-def circles_intersection(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Intersection points of two distinct circles' projectors: 0 or 2 antipodes."""
-    if same_circle(p1, p2):
-        raise ValueError("circles coincide")
-    count, v = shared_lines(p1, p2)
-    if count == 0:
-        return np.empty((0, 4))
-    if count > 1:
-        raise PrecisionError("distinct circles sharing a 2-plane")
-    return np.vstack([v, -v])
 
 
 def _canonical_rows(rows: np.ndarray) -> np.ndarray:
@@ -630,7 +618,8 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     config = config or ModelConfig()
     va = va or build(p)
     parent = standard_group(p.building_group)
-    mats = representation(parent, p.model)
+    gens = list(parent.generators)
+    mats = matrices_from_generators(parent, gens, representation(parent, p.model)[gens])
     circles = circles_of(mats)
 
     specials = [part_coords(p.model, b, mats, config)
@@ -641,7 +630,7 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     blocks = iter(specials)
     coords = np.vstack([next(frees if b.kind == "free" else blocks) for b in va.parts])
 
-    sub = restricted_group(p)
+    sub = restricted_group(p.restriction)
     if sub is not None:
         rows = parent.rows(sub.elements)
         mats, circles = mats[rows], circles[rows]

@@ -125,7 +125,7 @@ class PermGroup:
     @cached_property
     def generators(self) -> tuple[int, int]:
         """The first pair of rows, in row order, that generates the whole
-        group: the rows whose vertex images a certificate stores."""
+        group: the rows a certificate stores as its generator records."""
         table, whole = self.cayley.tolist(), (1 << self.order) - 1
         return next((a, b) for a in range(1, self.order) for b in range(a + 1, self.order)
                     if _closure(table, (a, b)) == whole)
@@ -296,29 +296,17 @@ def check_homomorphism(a: GroupAction) -> None:
             raise InconsistentActionError(f"act({e1} * {e2}) != act({e1}) * act({e2})")
 
 
-def action_from_generators(g: PermGroup, gens, gen_images) -> GroupAction:
-    """The action table that sends the generator rows gens to the image
-    rows gen_images: breadth-first from the identity, row x * s gets
-    act(x) after act(s).  A stored generator row is never overwritten, so
-    the table holds every given row.  Raises ValueError unless gens are
-    distinct non-identity rows that generate g and each image row is a
-    bijection.  Whether the table is a homomorphism (whether the images
-    respect the relations of g) is check_homomorphism's question."""
+def _along_tree(g: PermGroup, gens, identity: np.ndarray, gen_values, product) -> np.ndarray:
+    """A value for every row from the identity's and those of the generator
+    rows gens: breadth-first from the identity over the Cayley table, row
+    x * s gets product(value of x, value of s), and a generator's value is
+    never overwritten.  Raises ValueError unless gens are distinct
+    non-identity rows that generate g."""
     gens = [int(s) for s in gens]
     if len(set(gens)) < len(gens) or not all(0 < s < g.order for s in gens):
         raise ValueError("generators must be distinct non-identity group elements")
-    reached = len(generated(g, gens))
-    if reached < g.order:
-        raise ValueError(f"the generators generate {reached} of the {g.order} group elements")
-    gen_images = np.asarray(gen_images)
-    if gen_images.ndim != 2 or len(gen_images) != len(gens) \
-            or not np.issubdtype(gen_images.dtype, np.integer):
-        raise ValueError("generator images must be equal-length lists of integers")
-    m = gen_images.shape[1]
-    if not (np.sort(gen_images, axis=1) == np.arange(m)).all():
-        raise ValueError(f"every generator image row must be a bijection on 0..{m - 1}")
-    images = np.empty((g.order, m), dtype=np.intp)
-    images[0], images[gens] = np.arange(m), gen_images
+    values = np.empty((g.order, *identity.shape), dtype=identity.dtype)
+    values[0], values[gens] = identity, gen_values
     table, queue = g.cayley.tolist(), [0]
     for x in queue:  # breadth-first: the queue grows while it is read
         for s in gens:
@@ -326,8 +314,34 @@ def action_from_generators(g: PermGroup, gens, gen_images) -> GroupAction:
             if y not in queue:
                 queue.append(y)
                 if y not in gens:
-                    images[y] = images[x][images[s]]
-    return GroupAction(g, images)
+                    values[y] = product(values[x], values[s])
+    if len(queue) < g.order:
+        raise ValueError(f"the generators generate {len(queue)} of the {g.order} group elements")
+    return values
+
+
+def action_from_generators(g: PermGroup, gens, gen_images) -> GroupAction:
+    """The action table that sends the generator rows gens to the image
+    rows gen_images, along _along_tree: act(x * s) is act(x) after act(s).
+    Each image row must be a bijection.  Whether the table is a
+    homomorphism (whether the images respect the relations of g) is
+    check_homomorphism's question."""
+    gen_images = np.asarray(gen_images)
+    if gen_images.ndim != 2 or len(gen_images) != len(gens) \
+            or not np.issubdtype(gen_images.dtype, np.integer):
+        raise ValueError("generator images must be equal-length lists of integers")
+    m = gen_images.shape[1]
+    if not (np.sort(gen_images, axis=1) == np.arange(m)).all():
+        raise ValueError(f"every generator image row must be a bijection on 0..{m - 1}")
+    return GroupAction(g, _along_tree(g, gens, np.arange(m), gen_images, lambda a, b: a[b]))
+
+
+def matrices_from_generators(g: PermGroup, gens, gen_mats) -> np.ndarray:
+    """The (|G|, 4, 4) matrices that give the generator rows gens the
+    matrices gen_mats, along the same tree: M(x * s) = M(x) @ M(s), and
+    the identity's is exactly I.  Whether they form a homomorphism is
+    geometry's homomorphism check."""
+    return _along_tree(g, gens, np.eye(4), gen_mats, np.matmul)
 
 
 def left_cosets(g: PermGroup, h) -> tuple[list[int], np.ndarray]:

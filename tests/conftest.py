@@ -66,23 +66,23 @@ def passes_profile_rules(group, p, drop=()):
 
 
 def expand_certificate(data):
-    """The image row of every element, keyed by its permutation, and all m
-    coordinates of a certificate, worked out here from products of the
-    stored generators and not through the verifier."""
+    """The image row and the matrix of every element, keyed by its
+    permutation, and all m coordinates of a certificate, worked out here
+    from products of the stored generators and not through the verifier."""
     m = data["m"]
-    mats = {tuple(e["perm"]): np.array(e["matrix"]).reshape(4, 4) for e in data["elements"]}
-    gens = [(tuple(g["perm"]), np.array(g["vertex_images"])) for g in data["generators"]]
+    gens = [(tuple(g["perm"]), np.array(g["vertex_images"]), np.array(g["matrix"]).reshape(4, 4))
+            for g in data["generators"]]
     identity = tuple(range(len(gens[0][0])))
-    images, frontier = {identity: np.arange(m)}, [identity]
+    images, mats, frontier = {identity: np.arange(m)}, {identity: np.eye(4)}, [identity]
     while frontier:
         x = frontier.pop()
-        for perm, img in gens:
+        for perm, img, mat in gens:
             y = tuple(x[k] for k in perm)  # x * perm: perm first
             if y not in images:
-                images[y] = images[x][img]
+                images[y], mats[y] = images[x][img], mats[x] @ mat
                 frontier.append(y)
     coords = np.empty((m, 4))
     for v in data["vertices"]:
         for e, img in images.items():
             coords[img[v["id"]]] = mats[e] @ np.array(v["coords"])
-    return images, coords
+    return images, mats, coords

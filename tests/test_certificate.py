@@ -25,7 +25,7 @@ from tsglab.certificate import (
 from tsglab.cli import main
 from tsglab.edges import full_report
 from tsglab.geometry import fixed_set, plane_distance, projectors, realize
-from tsglab.perm import PermGroup, generated
+from tsglab.perm import generated, standard_group
 
 from .conftest import REFERENCES, expand_certificate
 
@@ -106,13 +106,14 @@ def test_generators_that_do_not_generate_fail_at_group_closure(capsys, tmp_path)
     """The second generator is replaced by an element of a proper subgroup
     that contains the first one, with its true vertex images."""
     path, data = _certificate(tmp_path, "S4", 28)
-    images = expand_certificate(data)[0]
-    g = PermGroup("S4", [e["perm"] for e in data["elements"]])
+    images, mats, _ = expand_certificate(data)
+    g = standard_group("S4")
     a = data["generators"][0]["perm"]
     row_a = int(g.rows([a])[0])
     c = next(p for p in g.elements.tolist()[1:]
              if p != a and len(generated(g, (row_a, int(g.rows([p])[0])))) < g.order)
-    data["generators"][1] = {"perm": c, "vertex_images": images[tuple(c)].tolist()}
+    data["generators"][1] = {"perm": c, "vertex_images": images[tuple(c)].tolist(),
+                             "matrix": mats[tuple(c)].ravel().tolist()}
     code, out, err = _verify(capsys, path, data)
     assert code == 5 and out.startswith("group-closure: FAILED (the generators generate ")
     assert err == "verification failed at: group-closure\n"
@@ -128,7 +129,7 @@ def test_an_inconsistent_edge_fails_at_action_homomorphism(capsys, tmp_path):
     row, generator or not.)"""
     path, data = _certificate(tmp_path, "A5", 80)
     images = expand_certificate(data)[0]
-    g = PermGroup("A5", [e["perm"] for e in data["elements"]])
+    g = standard_group("A5")
     a, b = (int(g.rows([gen["perm"]])[0]) for gen in data["generators"])
     assert g.orders[b] == 3
     c = next(r for r in range(g.order)
@@ -150,8 +151,7 @@ def test_representative_off_its_stabilizer_circle_fails_at_invariance(capsys, tm
     stabilizer = [p for p, img in images.items() if img[rep["id"]] == rep["id"]]
     assert len(stabilizer) == 3 and data["vertices"][0]["part"] == "simplex_edge"
     fixer = next(p for p in stabilizer if list(p) != sorted(p))
-    matrix = next(e["matrix"] for e in data["elements"] if tuple(e["perm"]) == fixer)
-    plane = projectors(fixed_set(np.array(matrix).reshape(4, 4)))
+    plane = projectors(fixed_set(expand_certificate(data)[1][fixer]))
     p = np.array(rep["coords"])
     assert plane_distance(plane, p) <= 1e-9
     off = np.array([0.3, -0.2, 0.5, 0.1])
@@ -163,6 +163,35 @@ def test_representative_off_its_stabilizer_circle_fails_at_invariance(capsys, tm
     assert err == "verification failed at: invariance\n"
 
 
+def test_a_generator_matrix_that_breaks_a_relation_fails_at_homomorphism(capsys, tmp_path):
+    """The first generator's matrix is turned by a further rotation: still
+    special orthogonal, but the matrices derived from it no longer respect
+    the relations of the group."""
+    path, data = _certificate(tmp_path, "A5", 20)
+    turn = np.eye(4)
+    turn[:2, :2] = [[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]]
+    gen = data["generators"][0]
+    gen["matrix"] = (turn @ np.array(gen["matrix"]).reshape(4, 4)).ravel().tolist()
+    code, out, err = _verify(capsys, path, data)
+    assert code == 5 and "action-homomorphism: ok" in out
+    assert "homomorphism: FAILED (matrix homomorphism error" in out
+    assert err == "verification failed at: homomorphism\n"
+
+
+@pytest.mark.parametrize("group,m,perm", [
+    ("A4", 24, [1, 0, 2, 3]),     # A4 in S4: an odd permutation
+    ("A4", 61, [1, 2, 3, 4, 0]),  # A4 in A5: an even one that moves letter 4
+], ids=["odd-in-A4", "moves-4-in-A4"])
+def test_a_generator_outside_the_header_group_fails_at_group_closure(capsys, tmp_path,
+                                                                     group, m, perm):
+    path, data = _certificate(tmp_path, group, m)
+    data["generators"][1]["perm"] = perm
+    code, out, err = _verify(capsys, path, data)
+    assert code == 5
+    assert out.startswith("group-closure: FAILED (generators must be distinct non-identity")
+    assert err == "verification failed at: group-closure\n"
+
+
 def test_a_record_off_the_orbit_minimum_fails_at_group_closure(capsys, tmp_path):
     path, data = _certificate(tmp_path, "S4", 28)
     data["vertices"][0]["id"] = 1
@@ -171,18 +200,33 @@ def test_a_record_off_the_orbit_minimum_fails_at_group_closure(capsys, tmp_path)
     assert out.startswith("group-closure: FAILED (vertex record 1 is not the smallest vertex")
 
 
-def test_version_1_file_is_a_schema_error():
-    """tests/golden/v1_a4_m13.json was written by the version 1 writer;
-    `python -m tsglab.cli verify` names its version and exits 2."""
+def _verify_old_version(version: int):
+    """`python -m tsglab.cli verify` on tests/golden/v<version>_a4_m13.json,
+    which the version <version> writer wrote."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    v1 = GOLDEN / "v1_a4_m13.json"
-    assert json.loads(v1.read_text())["schema_version"] == 1
-    proc = subprocess.run([sys.executable, "-m", "tsglab.cli", "verify", "--in", str(v1)],
+    old = GOLDEN / f"v{version}_a4_m13.json"
+    assert json.loads(old.read_text())["schema_version"] == version
+    return subprocess.run([sys.executable, "-m", "tsglab.cli", "verify", "--in", str(old)],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_version_1_file_is_a_schema_error():
+    """The version 1 file has every image row and every coordinate; the
+    verifier names its version and exits 2."""
+    proc = _verify_old_version(1)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: schema version 1 is not supported; "
-                           "this verifier reads version 2\n")
+                           "this verifier reads version 3\n")
+
+
+def test_version_2_file_is_a_schema_error():
+    """The version 2 file stores every element's perm and matrix; the
+    verifier names its version and exits 2."""
+    proc = _verify_old_version(2)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: schema version 2 is not supported; "
+                           "this verifier reads version 3\n")
 
 
 @pytest.mark.parametrize("group,m", [("S4", 28), ("A4", 61)])

@@ -30,12 +30,12 @@ from tsglab.geometry import (
     ModelConfig,
     PrecisionError,
     Realization,
-    circles_intersection,
     plane_distance,
     projectors,
     realize,
     representation,
     same_circle,
+    shared_lines,
 )
 from tsglab.perm import GroupAction, pair_stabilizers, standard_group
 from tsglab.profiles import admissible_residues
@@ -621,8 +621,8 @@ def _two_clause_h3(r, arcs) -> bool:
             if same_circle(fc, arc.projector):
                 fixes_interior = True
             else:
-                crossings = circles_intersection(fc, arc.projector)
-                fixes_interior = any(_old_holds_point(arc, p) for p in crossings)
+                count, v = shared_lines(fc, arc.projector)  # count 0 or 1: distinct circles
+                fixes_interior = bool(count) and any(_old_holds_point(arc, p) for p in (v, -v))
             if fixes_interior and target is not arc:
                 return False
     return True

@@ -15,7 +15,6 @@ from tsglab.geometry import (
     PrecisionError,
     Realization,
     UnsupportedGeometryError,
-    circles_intersection,
     circles_of,
     closest_distance,
     fixed_set,
@@ -26,6 +25,7 @@ from tsglab.geometry import (
     realize,
     representation,
     same_circle,
+    shared_lines,
     simplex_corner,
     tetra_corner,
     validate_realization,
@@ -261,9 +261,9 @@ def test_circle_pairs_intersect_in_0_or_2_points():
                 distinct.append(c)
         for i, c in enumerate(distinct):
             for d in distinct[i + 1:]:
-                pts = circles_intersection(c, d)
-                assert pts.shape[0] in (0, 2)
-                for p in pts:
+                count, v = shared_lines(c, d)
+                assert count in (0, 1)  # no point, or the antipodes on one line
+                for p in (v, -v)[:2 * count]:
                     assert plane_distance(c, p) <= 1e-8 and plane_distance(d, p) <= 1e-8
 
 
