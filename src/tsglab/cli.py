@@ -24,7 +24,7 @@ from .certificate import (
 )
 from .edges import full_report
 from .geometry import ModelConfig, PlacementError, PrecisionError, UnsupportedGeometryError, realize
-from .oracle import OracleInconsistencyError, feasible_multisets, oracle_residues
+from .oracle import OracleInconsistencyError, feasible_sweep, oracle_residues
 from .perm import GROUP_NAMES, GROUP_ORDER
 from .profiles import (
     CLASS_WEIGHTS,
@@ -156,7 +156,8 @@ def cmd_oracle(args) -> int:
               f"engine={{{','.join(map(str, engine.sorted()))}}} "
               f"match={'yes' if match else 'NO'}")
         if args.max_m is not None:
-            feas = [m for m in range(args.max_m + 1) if feasible_multisets(group, m, drop_rules=drop)]
+            sweep = feasible_sweep(group, args.max_m + 1, drop_rules=drop)
+            feas = [m for m, found in enumerate(sweep) if found]
             print(f"  feasible m <= {args.max_m}: {feas}")
     return EXIT_OK if all_match else EXIT_CHECK_FAILED
 

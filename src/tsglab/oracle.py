@@ -5,9 +5,11 @@ transitive piece is a coset action.  So: enumerate the coset-action types
 of each group with their exact per-class fixed-coset counts, derive from
 the active profile rules a cap on each class's count, then solve the
 integer knapsack asking which m are a non-negative combination of the
-surviving degrees with a rule-abiding aggregate profile.  Aggregate counts
-only grow as orbits are added, so the search never adds a copy of a type
-that would bust a cap.  The residue sets this produces must equal the ones
+surviving degrees with a rule-abiding aggregate profile.  One depth-first
+sweep answers every m below a bound (3|G| for the residues) at once, with
+its multisets bucketed by degree sum.  Aggregate counts only grow as orbits
+are added, so the sweep never adds a copy of a type that would bust a cap
+or the bound.  The residue sets this produces must equal the ones
 the profile engine derives; for S4 they must fall out of the profile caps
 alone, since the oracle never reads the m-congruence rules.
 """
@@ -98,52 +100,55 @@ def admissible_types(group: str, drop_rules: tuple[str, ...] = ()) -> tuple[Tran
     )
 
 
-def feasible_multisets(group: str, m: int, *, drop_rules: tuple[str, ...] = ()) -> list[OrbitMultiset]:
-    """Every multiset of admissible orbit types summing to m whose aggregate
-    profile passes the rules.
+def feasible_sweep(group: str, bound: int, *,
+                   drop_rules: tuple[str, ...] = ()) -> list[list[OrbitMultiset]]:
+    """Every multiset of admissible orbit types with degree sum m < bound
+    whose aggregate profile passes the rules, bucketed by m.
+
+    One depth-first walk serves the whole window: a node's degree sum is
+    its m, so each node is checked as a leaf when the walk reaches it and
+    then grows by copies of later types.  Bucket m lists its multisets in
+    the order a walk pruned at degree sum m would find them.
 
     Faithfulness of the assembled action is required on the K_m domain
     (m >= 4); below it the values only feed the periodicity scan, where
     the empty and single-fixed-point actions must count as feasible.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
     caps = class_caps(group, drop_rules)
     names = [name for name, _ in caps]
     types = admissible_types(group, drop_rules)
     fixes = [[t.fix(name) for name in names] for t in types]
+    cores = [frozenset(t.core) for t in types]
     rules = profile_rules(group, drop_rules)
-    out: list[OrbitMultiset] = []
+    out: list[list[OrbitMultiset]] = [[] for _ in range(bound)]
 
-    def leaf(agg: list[int], chosen: list[tuple[TransitiveType, int]]):
-        # no max-count test: the search keeps aggregates within caps <= MAX_FIX
-        profile = FixedVertexProfile(group, **dict(zip(names, agg)))
-        if not all(r.check(profile) for r in rules):
-            return
-        ker = set(range(GROUP_ORDER[group]))
-        for t, _ in chosen:
-            ker.intersection_update(t.core)
+    def visit(start: int, m: int, agg: list[int], ker: frozenset[int],
+              chosen: list[tuple[TransitiveType, int]]):
         faithful = ker == {0}  # only the identity row
         if faithful or m < 4:
-            out.append(OrbitMultiset(group, tuple(chosen), m, profile, faithful))
+            # no max-count test: the search keeps aggregates within caps <= MAX_FIX
+            profile = FixedVertexProfile(group, **dict(zip(names, agg)))
+            if all(r.check(profile) for r in rules):
+                out[m].append(OrbitMultiset(group, tuple(chosen), m, profile, faithful))
+        for i in range(start, len(types)):
+            t, fix = types[i], fixes[i]
+            # more copies of t than this would bust the bound or a class cap
+            top = min([(bound - 1 - m) // t.degree]
+                      + [(cap - a) // f for (_, cap), a, f in zip(caps, agg, fix) if f])
+            for c in range(top, 0, -1):
+                visit(i + 1, m + c * t.degree, [a + c * f for a, f in zip(agg, fix)],
+                      ker & cores[i], chosen + [(t, c)])
 
-    def dfs(i: int, remaining: int, agg: list[int], chosen: list[tuple[TransitiveType, int]]):
-        if remaining == 0:
-            leaf(agg, chosen)
-            return
-        if i == len(types):
-            return
-        t, fix = types[i], fixes[i]
-        # more copies of t than this would bust the degree sum or a class cap
-        top = min([remaining // t.degree]
-                  + [(cap - a) // f for (_, cap), a, f in zip(caps, agg, fix) if f])
-        for c in range(top, 0, -1):
-            dfs(i + 1, remaining - c * t.degree, [a + c * f for a, f in zip(agg, fix)],
-                chosen + [(t, c)])
-        dfs(i + 1, remaining, agg, chosen)
-
-    dfs(0, m, [0] * len(names), [])
+    if bound > 0:
+        visit(0, 0, [0] * len(names), frozenset(range(GROUP_ORDER[group])), [])
     return out
+
+
+def feasible_multisets(group: str, m: int, *, drop_rules: tuple[str, ...] = ()) -> list[OrbitMultiset]:
+    """The feasible multisets with degree sum exactly m: one sweep's last bucket."""
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    return feasible_sweep(group, m + 1, drop_rules=drop_rules)[m]
 
 
 def oracle_residues(group: str, *, drop_rules: tuple[str, ...] = ()) -> CongruenceSet:
@@ -154,8 +159,7 @@ def oracle_residues(group: str, *, drop_rules: tuple[str, ...] = ()) -> Congruen
     and is reported instead of smoothed over.
     """
     order = GROUP_ORDER[group]
-    feas = [bool(feasible_multisets(group, m, drop_rules=drop_rules))
-            for m in range(3 * order)]
+    feas = [bool(found) for found in feasible_sweep(group, 3 * order, drop_rules=drop_rules)]
     for m in range(2 * order):
         if feas[m] != feas[m + order]:
             raise OracleInconsistencyError(

@@ -247,3 +247,41 @@ def test_orbit_minima_computed_once_per_realize_write_and_per_verify(monkeypatch
     assert len(calls) == 1
     assert first_failure(verify_certificate(read_certificate(path))) is None
     assert len(calls) == 2
+
+
+# Construction steps a verify run must never enter: it trusts none of them.
+CONSTRUCTION = {("actions", "plan"), ("actions", "build"), ("geometry", "realize"),
+                ("geometry", "representation"), ("geometry", "part_coords"),
+                ("geometry", "free_orbit_coords"), ("edges", "assign_arcs")}
+
+
+def test_verify_trusts_no_construction_step(realized, tmp_path, capsys):
+    """`tsglab verify` on each reference-grid file (the 14 reference cases
+    plus the restricted A4 m=24 and m=61) enters src/ functions only off the
+    construction path: the verdict rests on the verify modules alone."""
+    src = Path(perm.__file__).parent
+    paths = []
+    for group, m in [*REFERENCES, ("A4", 24), ("A4", 61)]:
+        if (group, m) in realized:
+            r = realized[(group, m)][1]
+        else:
+            p = plan(group, m)
+            r = realize(p, build(p))
+        paths.append(str(tmp_path / f"{group}_{m}.json"))
+        write_certificate(paths[-1], r, full_report(r))
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call" and Path(frame.f_code.co_filename).parent == src:
+            entered.add((Path(frame.f_code.co_filename).stem, frame.f_code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        codes = [main(["verify", "--in", path]) for path in paths]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0] * 16
+    assert ("certificate", "verify_certificate") in entered
+    assert not entered & CONSTRUCTION, sorted(entered & CONSTRUCTION)

@@ -618,10 +618,10 @@ def test_oracle_rejects_unknown_rule_id(capsys):
 def test_oracle_aperiodic_search_exit_5(capsys, monkeypatch):
     import tsglab.oracle
 
-    def aperiodic(group, m, **kwargs):
-        return [m] if m == 7 else []
+    def aperiodic(group, bound, **kwargs):
+        return [[m] if m == 7 else [] for m in range(bound)]
 
-    monkeypatch.setattr(tsglab.oracle, "feasible_multisets", aperiodic)
+    monkeypatch.setattr(tsglab.oracle, "feasible_sweep", aperiodic)
     code, out, err = run(capsys, "oracle", "--group", "A4")
     assert code == 5 and out == ""
     assert err == "error: feasibility not 12-periodic at m=7 for A4\n"

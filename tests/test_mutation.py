@@ -6,20 +6,32 @@ A leaf changes by kind: an integer by +1 and -1, a float by +0.25 and
 by negation, a boolean flipped, a string suffixed.  A negated float within
 1e-12 of zero is its own kind, `negate~0`.  A mutant is named by its path,
 with a vertex record shown by its part label, and its kind, such as
-`vertices.[free0].coords.2 negate` or `model.seed +1`."""
+`vertices.[free0].coords.2 negate` or `model.seed +1`.
+
+Metamorphic relations ride along: a file seen in a rotated frame still
+verifies, while rotating only its matrices, or moving one free orbit onto
+another, is rejected at the named check."""
 
 import copy
 import json
 import re
 
+import numpy as np
 import pytest
 
 from tsglab.actions import build, plan
-from tsglab.certificate import SchemaError, _check_schema, certificate_dict, verify_certificate
+from tsglab.certificate import (
+    SchemaError,
+    _check_schema,
+    certificate_dict,
+    first_failure,
+    verify_certificate,
+)
 from tsglab.edges import full_report
 from tsglab.geometry import realize
 
 CASES = [("A4", 13), ("S4", 28), ("A4", 61)]
+RELATION_CASES = [("A4", 13), ("A4", 25), ("S4", 28), ("A5", 61)]
 
 # (pattern over the mutant's name, why the mutant is still a valid file)
 ALLOWED = [
@@ -72,9 +84,10 @@ def _accepts(data) -> bool:
 
 @pytest.fixture(scope="module")
 def certificates():
-    """Each case's certificate at seed 0, as the JSON text of a file reads back."""
+    """Each leaf-sweep and relation case's certificate at seed 0, as the
+    JSON text of a file reads back."""
     out = {}
-    for group, m in CASES:
+    for group, m in dict.fromkeys(CASES + RELATION_CASES):
         p = plan(group, m)
         r = realize(p, build(p))
         out[(group, m)] = json.loads(json.dumps(certificate_dict(r, full_report(r))))
@@ -83,7 +96,8 @@ def certificates():
 
 def test_only_allowlisted_leaf_mutants_verify(certificates):
     unexplained, used = [], set()
-    for case, data in certificates.items():
+    for case in CASES:
+        data = certificates[case]
         assert _accepts(data), case
         count = 0
         for path, value in _leaves(data):
@@ -107,3 +121,59 @@ def test_only_allowlisted_leaf_mutants_verify(certificates):
     assert not unexplained, "mutants that verify: " + "; ".join(unexplained)
     stale = [ALLOWED[i][0] for i in range(len(ALLOWED)) if i not in used]
     assert not stale, f"allowlist entries no mutant needs: {stale}"
+
+
+# ------------------------------------------------------ metamorphic relations
+
+
+def _random_rotation(seed: int) -> np.ndarray:
+    """A random SO(4) matrix: the Q of a Gaussian matrix's QR, signs fixed."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _conjugated(data, q, *, matrices_only=False):
+    """The file seen in the frame rotated by q: every generator matrix M
+    becomes q M qᵀ, every coordinate v becomes q v and every arc basis B
+    becomes B qᵀ.  With `matrices_only` the points stay where they were."""
+    out = copy.deepcopy(data)
+    for gen in out["generators"]:
+        gen["matrix"] = (q @ np.reshape(gen["matrix"], (4, 4)) @ q.T).ravel().tolist()
+    if not matrices_only:
+        for rec in out["vertices"]:
+            rec["coords"] = (q @ rec["coords"]).tolist()
+        for arc in out["arcs"]:
+            arc["basis"] = (np.asarray(arc["basis"]) @ q.T).tolist()
+    return out
+
+
+def _failed_check(data):
+    """The name of the first failed verify check, or None if the file verifies."""
+    _check_schema(data)
+    failed = first_failure(verify_certificate(data))
+    return None if failed is None else failed.name
+
+
+@pytest.mark.parametrize("case", RELATION_CASES, ids=lambda c: f"{c[0]}-m{c[1]}")
+def test_rotated_frame_keeps_the_verdict(certificates, case):
+    data = certificates[case]
+    assert _failed_check(data) is None
+    for seed in range(3):
+        assert _failed_check(_conjugated(data, _random_rotation(seed))) is None, seed
+
+
+@pytest.mark.parametrize("case", RELATION_CASES, ids=lambda c: f"{c[0]}-m{c[1]}")
+def test_rotating_only_the_matrices_fails_invariance(certificates, case):
+    data = certificates[case]
+    rotated = _conjugated(data, _random_rotation(0), matrices_only=True)
+    assert _failed_check(rotated) == "invariance"
+
+
+def test_free_orbit_copied_onto_another_fails_separation(certificates):
+    data = copy.deepcopy(certificates[("A4", 25)])
+    by_part = {rec["part"]: rec for rec in data["vertices"]}
+    by_part["free0"]["coords"] = list(by_part["free1"]["coords"])
+    assert _failed_check(data) == "separation"

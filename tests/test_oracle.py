@@ -25,6 +25,7 @@ from tsglab.oracle import (
     admissible_types,
     class_caps,
     feasible_multisets,
+    feasible_sweep,
     oracle_residues,
     transitive_types,
 )
@@ -260,6 +261,78 @@ def test_pruned_search_equals_brute_force(group, bound):
             pruned = [(tuple((t.subgroup_index, c) for t, c in ms.counts), ms.profile, ms.faithful)
                       for ms in feasible_multisets(group, m, drop_rules=drop)]
             assert pruned == _brute_force_multisets(group, m, drop), (group, m, drop)
+
+
+def _per_m_reference(group, m, drop):
+    """The search as it ran once per m before one sweep served the whole
+    window: a depth-first walk pruned at degree sum m, a leaf where the
+    remaining degree reaches 0."""
+    caps = class_caps(group, drop)
+    names = [name for name, _ in caps]
+    types = admissible_types(group, drop)
+    fixes = [[t.fix(name) for name in names] for t in types]
+    rules = profile_rules(group, drop)
+    out = []
+
+    def leaf(agg, chosen):
+        profile = FixedVertexProfile(group, **dict(zip(names, agg)))
+        if not all(r.check(profile) for r in rules):
+            return
+        ker = set(range(GROUP_ORDER[group]))
+        for t, _ in chosen:
+            ker.intersection_update(t.core)
+        faithful = ker == {0}
+        if faithful or m < 4:
+            out.append(OrbitMultiset(group, tuple(chosen), m, profile, faithful))
+
+    def dfs(i, remaining, agg, chosen):
+        if remaining == 0:
+            leaf(agg, chosen)
+            return
+        if i == len(types):
+            return
+        t, fix = types[i], fixes[i]
+        top = min([remaining // t.degree]
+                  + [(cap - a) // f for (_, cap), a, f in zip(caps, agg, fix) if f])
+        for c in range(top, 0, -1):
+            dfs(i + 1, remaining - c * t.degree, [a + c * f for a, f in zip(agg, fix)],
+                chosen + [(t, c)])
+        dfs(i + 1, remaining, agg, chosen)
+
+    dfs(0, m, [0] * len(names), [])
+    return out
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_sweep_buckets_equal_per_m_search(group):
+    """Each bucket of one 3|G| sweep is the per-m search's list, in order,
+    with all rules on and with each profile rule dropped in turn."""
+    order = GROUP_ORDER[group]
+    for drop in [()] + [(r.id,) for r in profile_rules(group)]:
+        sweep = feasible_sweep(group, 3 * order, drop_rules=drop)
+        assert len(sweep) == 3 * order
+        for m, bucket in enumerate(sweep):
+            assert bucket == _per_m_reference(group, m, drop), (group, m, drop)
+            assert feasible_multisets(group, m, drop_rules=drop) == bucket
+
+
+def test_sweep_below_zero_is_empty(capsys):
+    from tsglab.cli import main
+
+    assert feasible_sweep("A4", 0) == [] and feasible_sweep("A5", -3) == []
+    with pytest.raises(ValueError):
+        feasible_multisets("A4", -1)
+    assert main(["oracle", "--group", "A4", "--max-m", "-1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "  feasible m <= -1: []"
+
+
+def test_cli_max_m_200_lists_the_per_m_search(capsys):
+    from tsglab.cli import main
+
+    assert main(["oracle", "--group", "A5", "--max-m", "200"]) == 0
+    out = capsys.readouterr().out
+    expect = [m for m in range(201) if _per_m_reference("A5", m, ())]
+    assert out.splitlines()[1] == f"  feasible m <= 200: {expect}"
 
 
 def test_crosscheck_script_output_matches_golden():
