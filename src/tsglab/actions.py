@@ -19,7 +19,8 @@ couple of special ones tied to a polyhedron.  Part kinds and their sizes:
 For A4 most residues are reached by building the S4 or A5 action on the
 same vertices and restricting to an A4 subgroup; the re-embedding argument
 that cuts the symmetry group down needs an edge no non-trivial element
-fixes pointwise, which has_free_edge certifies.
+fixes pointwise.  has_free_edge looks for one; the acceptance walk checks
+it for every restricted plan, and no certificate carries it yet.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from .perm import (
     PermGroup,
     a4_inside_a5,
     class_fixed_counts,
+    coset_action,
     direct_sum,
     from_cycles,
     generated,
     is_faithful,
-    left_cosets,
     natural_action,
     pair_fixer_counts,
     restrict_action,
@@ -186,15 +187,12 @@ _NATURAL_PARTS = {"tetra_corners", "simplex_corners", "knotted_k4"}
 
 @dataclass(frozen=True)
 class BuiltPart:
-    """One realized orbit block: vertex range plus the coset data that
-    pins its geometry: the row of each coset's representative (None for
-    natural and center parts)."""
+    """One realized orbit block; its first vertex is the identity coset."""
 
     kind: str
     label: str
     start: int
     size: int
-    reps: Optional[tuple[int, ...]]
 
 
 @dataclass
@@ -229,19 +227,18 @@ def build(p: OrbitPlan) -> VertexAction:
     pieces: list[GroupAction] = []
     center = GroupAction(g, np.zeros((g.order, 1), dtype=np.intp))
 
-    def add(kind: str, piece: GroupAction, reps=None, label=None):
+    def add(kind: str, piece: GroupAction, label=None):
         start = sum(b.size for b in blocks)
-        blocks.append(BuiltPart(kind, label or kind, start, piece.m, reps))
+        blocks.append(BuiltPart(kind, label or kind, start, piece.m))
         pieces.append(piece)
 
     for spec in p.parts:
         if spec.kind == "free" or spec.kind in _PART_GENERATOR:
             free = spec.kind == "free"
             h = (0,) if free else generated(g, g.rows([_PART_GENERATOR[spec.kind]]))
-            reps, coset_of = left_cosets(g, h)
-            piece = GroupAction(g, coset_of[g.cayley[:, reps]])  # as coset_action builds it
+            piece = coset_action(g, h)
             for j in range(spec.count):
-                add(spec.kind, piece, tuple(reps), f"free{j}" if free else None)
+                add(spec.kind, piece, f"free{j}" if free else None)
         elif spec.kind in _NATURAL_PARTS:
             add(spec.kind, natural_action(g))
         elif spec.kind == "center":

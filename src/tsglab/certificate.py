@@ -18,11 +18,12 @@ Cayley table: row x * s gets act(x) after act(s) and the matrix M(x) @
 M(s), the identity exactly I.  The vertex records must be exactly the
 orbit minima of that action, one per orbit.  Every other vertex w of the
 orbit of a record v gets mats[t] @ coords[v], through the first row t that
-maps v to w.  A stored row, matrix or coordinate is never overwritten, and
-nothing derived is trusted: the steps below check the whole action, every
-matrix and all m coordinates.  A file of any other schema version, such as
-a version 2 file with every element's perm and matrix, is a schema error
-that names its version.
+maps v to w (geometry.orbit_coords, which realize uses too, so a file
+rebuilds bit for bit to what realize checked).  A stored row, matrix or
+coordinate is never overwritten, and nothing derived is trusted: the
+steps below check the whole action, every matrix and all m coordinates.
+A file of any other schema version, such as a version 2 file with every
+element's perm and matrix, is a schema error that names its version.
 
 Verification reconstructs all objects from the file alone and re-runs
 every invariant.  The steps, in order, stopping at the first failure:
@@ -65,7 +66,7 @@ from .actions import (
     restricted_group,
 )
 from .edges import Arcs, full_report
-from .geometry import REALIZATION_CHECKS, ModelConfig, Realization
+from .geometry import REALIZATION_CHECKS, ModelConfig, Realization, orbit_coords
 from .perm import (
     GROUP_NAMES,
     GROUP_ORDER,
@@ -275,17 +276,18 @@ def _rebuild(data: dict) -> Realization:
     mats = matrices_from_generators(group, gens, np.array(
         [g["matrix"] for g in data["generators"]], dtype=float).reshape(-1, 4, 4))
     free_size = GROUP_ORDER[RESTRICTION_PARENT.get(data["restriction"], data["group"])]
-    coords, labels = _orbit_coords(ga, mats, data["vertices"], free_size)
+    base, labels = _orbit_records(ga, data["vertices"], free_size)
+    coords = orbit_coords(ga.images, mats, base, ga.minima)
     va = VertexAction(ga, labels, ())
     cfg = ModelConfig(theta=data["model"]["theta"], t=data["model"]["t"],
                       seed=data["model"]["seed"])
     return Realization(None, va, Model(data["model"]["tag"]), cfg, mats, coords)
 
 
-def _orbit_coords(action: GroupAction, mats: np.ndarray, records: list, free_size: int) -> tuple:
-    """Coordinates and part labels of all m vertices from one vertex
-    record per orbit, which must sit at the orbit's smallest vertex.
-    Each label spans its part's size (free_size for a free part)."""
+def _orbit_records(action: GroupAction, records: list, free_size: int) -> tuple:
+    """Each record's coords at its id, in an (m, 4) array, and all m part
+    labels.  The records must be the orbit minima, one per orbit, and each
+    label spans its part's size (free_size for a free part)."""
     stored = {v["id"]: v for v in records}
     reps = orbit_representatives(action).tolist()
     extra, missing = sorted(set(stored) - set(reps)), sorted(set(reps) - set(stored))
@@ -293,23 +295,15 @@ def _orbit_coords(action: GroupAction, mats: np.ndarray, records: list, free_siz
         raise ValueError(f"vertex record {extra[0]} is not the smallest vertex of its orbit")
     if missing:
         raise ValueError(f"the orbit of vertex {missing[0]} has no vertex record")
-    m = action.m
-    rep_of = action.minima
-    # the first row carrying each vertex's orbit minimum to it; if none does,
-    # the action is no homomorphism, which action-homomorphism reports
-    t = (action.images[:, rep_of] == np.arange(m)).argmax(axis=0)
-    base = np.zeros((m, 4))
+    base = np.zeros((action.m, 4))
     base[reps] = [stored[v]["coords"] for v in reps]
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails at invariance
-        coords = np.einsum("wij,wj->wi", mats[t], base[rep_of])
-    coords[reps] = base[reps]
     parts = np.array([stored[v]["part"] for v in reps], dtype=object)
-    labels = tuple(parts[np.searchsorted(reps, rep_of)])
+    labels = tuple(parts[np.searchsorted(reps, action.minima)])
     for label, count in Counter(labels).items():
         size = PART_SIZES.get(label, free_size)
         if count != size:
             raise ValueError(f"part {label!r} spans {count} vertices instead of {size}")
-    return coords, labels
+    return base, labels
 
 
 def _check_action(data: dict, real: Realization) -> None:

@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .actions import BuiltPart, Model, OrbitPlan, VertexAction, measured_profile, restricted_group
+from .actions import Model, OrbitPlan, VertexAction, measured_profile, restricted_group
 from .perm import PermGroup, from_cycles, matrices_from_generators, orbit_representatives, standard_group
 from .profiles import FixedVertexProfile
 
@@ -104,6 +104,8 @@ class ModelConfig:
             raise ValueError(
                 f"edge parameter t must lie strictly between 0 and 1/2, got {self.t}; "
                 "t = 1/2 would land on edge midpoints, which edge-reversing involutions fix")
+        if not 0 <= self.seed < 2 ** 63:
+            raise ValueError(f"seed must lie in 0 <= seed < 2**63, got {self.seed}")
 
 
 def projectors(bases: np.ndarray) -> np.ndarray:
@@ -272,42 +274,40 @@ def circles_of(mats: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------- orbit coords
 
 
-_PART_BASE_EDGE = {"tetra_edge": (2, 3), "simplex_edge": (3, 4)}
-
-
-def _edge_point(corner_a: np.ndarray, corner_b: np.ndarray, t: float) -> np.ndarray:
-    p = (1 - t) * corner_a + t * corner_b
-    return p / np.linalg.norm(p)
-
-
-def _part_base_point(model: Model, kind: str, config: ModelConfig) -> np.ndarray:
+def _part_base_point(kind: str, config: ModelConfig) -> np.ndarray:
+    """The point at a special part's first vertex: the identity coset, or
+    letter 0 of a natural part."""
+    if kind == "tetra_corners":
+        return tetra_corner(0)
+    if kind == "simplex_corners":
+        return simplex_corner(0)
+    if kind == "center":
+        return POLE
     if kind == "twin_tetra":
         c = tetra_corner(3)[:3]
         return np.concatenate([math.cos(config.theta) * c, [math.sin(config.theta)]])
-    if kind == "tetra_edge":
-        i, j = _PART_BASE_EDGE[kind]
-        return _edge_point(tetra_corner(i), tetra_corner(j), config.t)
-    if kind == "simplex_edge":
-        i, j = _PART_BASE_EDGE[kind]
-        return _edge_point(simplex_corner(i), simplex_corner(j), config.t)
-    raise ValueError(f"part kind {kind!r} has no base point")
+    if kind not in ("tetra_edge", "simplex_edge"):
+        raise ValueError(f"part kind {kind!r} has no base point")
+    a, b = ((tetra_corner(2), tetra_corner(3)) if kind == "tetra_edge"
+            else (simplex_corner(3), simplex_corner(4)))
+    p = (1 - config.t) * a + config.t * b
+    return p / np.linalg.norm(p)
 
 
-def _natural_corner(model: Model, i: int) -> np.ndarray:
-    if model in (Model.TETRA_FULL, Model.TETRA_ROT):
-        return tetra_corner(i)
-    return simplex_corner(i)
-
-
-def part_coords(model: Model, part: BuiltPart, mats: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Coordinates for one built orbit block, aligned with its indexing."""
-    if part.kind in ("tetra_corners", "simplex_corners"):
-        n = 4 if part.kind == "tetra_corners" else 5
-        return np.array([_natural_corner(model, i) for i in range(n)])
-    if part.kind == "center":
-        return POLE.reshape(1, 4).copy()
-    base = _part_base_point(model, part.kind, config)
-    return mats[list(part.reps)] @ base
+def orbit_coords(images: np.ndarray, mats: np.ndarray, base: np.ndarray,
+                 rep_of: np.ndarray) -> np.ndarray:
+    """All m coordinates from one point per orbit, for realize and verify
+    alike: a representative v (rep_of[v] == v) keeps base[v] exactly, and
+    every other vertex w gets mats[t] @ base[rep_of[w]], t the first row of
+    the action images that carries rep_of[w] to w."""
+    m = len(rep_of)
+    # row 0 if no row does: that action is no homomorphism, which its check reports
+    t = (images[:, rep_of] == np.arange(m)).argmax(axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails at invariance
+        coords = np.einsum("wij,wj->wi", mats[t], base[rep_of])
+    reps = rep_of == np.arange(m)
+    coords[reps] = base[reps]
+    return coords
 
 
 def free_orbit_coords(mats: np.ndarray, circles: np.ndarray, n: int = 1,
@@ -622,18 +622,26 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     mats = matrices_from_generators(parent, gens, representation(parent, p.model)[gens])
     circles = circles_of(mats)
 
-    specials = [part_coords(p.model, b, mats, config)
-                for b in va.parts if b.kind != "free"]
-    n_free = len(va.parts) - len(specials)
-    avoid = np.vstack(specials) if specials else None
-    frees = iter(free_orbit_coords(mats, circles, n_free, config, avoid) if n_free else ())
-    blocks = iter(specials)
-    coords = np.vstack([next(frees if b.kind == "free" else blocks) for b in va.parts])
+    # each part is one orbit of the unrestricted action, its first vertex the minimum
+    images = (va.action if va.parent is None else va.parent).images
+    rep_of = np.repeat([b.start for b in va.parts], [b.size for b in va.parts])
+    frees = [b.start for b in va.parts if b.kind == "free"]
+    base = np.zeros((p.m, 4))
+    for b in va.parts:
+        if b.kind != "free":
+            base[b.start] = _part_base_point(b.kind, config)
+    if frees:
+        avoid = orbit_coords(images, mats, base, rep_of)[~np.isin(rep_of, frees)]
+        base[frees] = [orbit[0] for orbit in free_orbit_coords(mats, circles, len(frees), config, avoid)]
+    coords = orbit_coords(images, mats, base, rep_of)
 
     sub = restricted_group(p.restriction)
     if sub is not None:
+        # as verify derives them, from the generators and the orbit minima
         rows = parent.rows(sub.elements)
-        mats, circles = mats[rows], circles[rows]
+        mats = matrices_from_generators(sub, sub.generators, mats[rows[list(sub.generators)]])
+        circles = circles[rows]
+        coords = orbit_coords(va.action.images, mats, coords, va.action.minima)
     r = Realization(p, va, p.model, config, mats, coords)
     r.circles = circles
     validate_realization(r)

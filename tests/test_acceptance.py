@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 from tsglab.actions import Model, VertexAction, build, has_free_edge, measured_profile, plan
-from tsglab.certificate import write_certificate
+from tsglab.certificate import (
+    _rebuild,
+    first_failure,
+    read_certificate,
+    verify_certificate,
+    write_certificate,
+)
 from tsglab.cli import table_lines
 from tsglab.edges import check_h4, full_report, interchangers
 from tsglab.geometry import (
@@ -84,12 +90,21 @@ def test_criterion_2_oracle_equivalence():
     _report("2 (oracle equivalence)", t0, 60.0)
 
 
-def test_criterion_3_construction_soundness():
+# past the walk below: the large-orbits cases, with 20 to 101 free orbits
+LARGE_M = {"A4": (1205, 1213), "S4": (1204,), "A5": (1205,)}
+
+
+def test_criterion_3_construction_soundness(tmp_path):
+    """Every admissible non-knotted m below 400, and the large cases, is
+    built, realized, written, read back and verified, and the file
+    rebuilds bit for bit to the action, matrices and coordinates realize
+    checked."""
     t0 = time.monotonic()
     checked = 0
+    path = str(tmp_path / "cert.json")
     for group in GROUPS:
         cs = admissible_residues(group)
-        for m in range(4, 185):
+        for m in (*range(4, 400), *LARGE_M[group]):
             if m not in cs:
                 continue
             p = plan(group, m)
@@ -104,8 +119,18 @@ def test_criterion_3_construction_soundness():
             if p.restriction is not None:
                 assert has_free_edge(va), (group, m)
                 assert has_free_edge(va, in_parent=True), (group, m)
+            r = realize(p, va)
+            report = full_report(r)
+            assert report.overall, (group, m, report.details)
+            write_certificate(path, r, report)
+            data = read_certificate(path)
+            assert first_failure(verify_certificate(data)) is None, (group, m)
+            back = _rebuild(data)
+            assert np.array_equal(back.vertex_action.action.images, va.action.images), (group, m)
+            assert np.array_equal(back.mats, r.mats), (group, m)
+            assert np.array_equal(back.coords, r.coords), (group, m)
             checked += 1
-    assert checked > 100
+    assert checked > 250
     _report(f"3 (construction soundness, {checked} cases)", t0, 30.0)
 
 

@@ -47,8 +47,8 @@ def semantic_digest(images, mats, coords) -> str:
 def test_reference_cases_keep_their_semantics(realized, tmp_path):
     """realize gives the action, matrices and coordinates recorded in
     golden/reference_semantics.json (seed 0) for the 14 reference cases,
-    and each file rebuilds to the same action and matrices, and to
-    coordinates within 1e-14."""
+    and each file rebuilds to the same action, matrices and coordinates,
+    bit for bit."""
     golden = json.loads((GOLDEN / "reference_semantics.json").read_text())
     assert set(golden["sha256"]) == {f"{g.lower()}_m{m}" for g, m in REFERENCES}
     same_numpy = golden["numpy"] == np.__version__
@@ -60,9 +60,9 @@ def test_reference_cases_keep_their_semantics(realized, tmp_path):
         path = tmp_path / f"{group}_{m}.json"
         write_certificate(str(path), r, full_report(r))
         back = _rebuild(read_certificate(str(path)))
-        assert (back.vertex_action.action.images == images).all(), (group, m)
-        assert (back.mats == r.mats).all(), (group, m)
-        assert np.abs(back.coords - r.coords).max() <= 1e-14, (group, m)
+        assert np.array_equal(back.vertex_action.action.images, images), (group, m)
+        assert np.array_equal(back.mats, r.mats), (group, m)
+        assert np.array_equal(back.coords, r.coords), (group, m)
     if not same_numpy:
         pytest.skip(f"digests were recorded with numpy {golden['numpy']}, not {np.__version__}")
 
@@ -251,7 +251,7 @@ def test_orbit_minima_computed_once_per_realize_write_and_per_verify(monkeypatch
 
 # Construction steps a verify run must never enter: it trusts none of them.
 CONSTRUCTION = {("actions", "plan"), ("actions", "build"), ("geometry", "realize"),
-                ("geometry", "representation"), ("geometry", "part_coords"),
+                ("geometry", "representation"), ("geometry", "_part_base_point"),
                 ("geometry", "free_orbit_coords"), ("edges", "assign_arcs")}
 
 

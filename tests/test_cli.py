@@ -565,6 +565,29 @@ def test_verify_rejects_deeply_nested_json(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("error: not valid JSON")
 
 
+@pytest.mark.parametrize("seed,schema_error", [
+    (-1, "model: seed must lie in 0 <= seed < 2**63, got -1"),
+    (2 ** 63, "model field 'seed' has the wrong type, length or value"),
+])
+def test_out_of_range_seed_exits_2(capsys, tmp_path, seed, schema_error):
+    """A seed outside 0 <= seed < 2**63 (ModelConfig's range) is a usage
+    error for realize, which then writes nothing, and a schema error in a
+    file; the largest seed in range realizes and verifies."""
+    out_file = tmp_path / "c.json"
+    code, out, err = run(capsys, "realize", "--group", "S4", "--m", "28",
+                         "--out", str(out_file), "--seed", str(seed))
+    assert code == 2 and out == "" and not out_file.exists()
+    assert err == f"error: seed must lie in 0 <= seed < 2**63, got {seed}\n"
+    code, _, _ = run(capsys, "realize", "--group", "S4", "--m", "28",
+                     "--out", str(out_file), "--seed", str(2 ** 63 - 1))
+    assert code == 0
+    assert run(capsys, "verify", "--in", str(out_file))[0] == 0
+    data = json.loads(out_file.read_text())
+    data["model"]["seed"] = seed
+    out_file.write_text(json.dumps(data))
+    assert run(capsys, "verify", "--in", str(out_file)) == (2, "", f"error: {schema_error}\n")
+
+
 def test_realize_into_missing_directory_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "realize", "--group", "S4", "--m", "24",
                          "--out", str(tmp_path / "missing" / "c.json"))

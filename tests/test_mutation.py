@@ -8,9 +8,9 @@ by negation, a boolean flipped, a string suffixed.  A negated float within
 with a vertex record shown by its part label, and its kind, such as
 `vertices.[free0].coords.2 negate` or `model.seed +1`.
 
-Metamorphic relations ride along: a file seen in a rotated frame still
-verifies, while rotating only its matrices, or moving one free orbit onto
-another, is rejected at the named check."""
+Metamorphic relations ride along: a file seen in a rotated frame, or with
+its vertices renamed, still verifies, while rotating only its matrices, or
+moving one free orbit onto another, is rejected at the named check."""
 
 import copy
 import json
@@ -30,12 +30,16 @@ from tsglab.certificate import (
 from tsglab.edges import full_report
 from tsglab.geometry import realize
 
+from .conftest import expand_certificate
+
 CASES = [("A4", 13), ("S4", 28), ("A4", 61)]
 RELATION_CASES = [("A4", 13), ("A4", 25), ("S4", 28), ("A5", 61)]
+# relabelling also moves the records of a restricted file with arcs
+RELABEL_CASES = [*RELATION_CASES, ("A4", 65)]
 
 # (pattern over the mutant's name, why the mutant is still a valid file)
 ALLOWED = [
-    (r"model\.seed [+-]1", "the seed is provenance: checking it would mean replaying placement"),
+    (r"model\.seed \+1", "the seed is provenance: checking it would mean replaying placement"),
     (r"model\.theta \+0\.25", "no check reads theta yet; it only sets where the special parts sit"),
     (r"(generators\.\d+\.matrix|arcs\.\d+\.basis\.\d|vertices\.\[\w+\]\.coords)\.\d+ negate~0",
      "the sign of an entry within 1e-12 of zero is below every tolerance"),
@@ -87,7 +91,7 @@ def certificates():
     """Each leaf-sweep and relation case's certificate at seed 0, as the
     JSON text of a file reads back."""
     out = {}
-    for group, m in dict.fromkeys(CASES + RELATION_CASES):
+    for group, m in dict.fromkeys(CASES + RELABEL_CASES):
         p = plan(group, m)
         r = realize(p, build(p))
         out[(group, m)] = json.loads(json.dumps(certificate_dict(r, full_report(r))))
@@ -177,3 +181,37 @@ def test_free_orbit_copied_onto_another_fails_separation(certificates):
     by_part = {rec["part"]: rec for rec in data["vertices"]}
     by_part["free0"]["coords"] = list(by_part["free1"]["coords"])
     assert _failed_check(data) == "separation"
+
+
+def _relabelled(data, seed: int):
+    """The file with vertex v renamed new[v] for a random permutation new:
+    the generator images conjugated by it, each vertex record moved to its
+    orbit's smallest new label with the coordinates expand_certificate
+    gives that vertex, and each arc re-keyed, reversed where its pair's
+    order flips so that it still starts at the pair's first vertex."""
+    new = np.random.default_rng(seed).permutation(data["m"])
+    old = np.argsort(new)
+    images, _, coords = expand_certificate(data)
+    out = copy.deepcopy(data)
+    for gen in out["generators"]:
+        gen["vertex_images"] = new[np.asarray(gen["vertex_images"])[old]].tolist()
+    for rec in out["vertices"]:
+        rec["id"] = int(min(new[img[rec["id"]]] for img in images.values()))
+        rec["coords"] = coords[old[rec["id"]]].tolist()
+    out["vertices"].sort(key=lambda rec: rec["id"])
+    for arc in out["arcs"]:
+        u, v = new[arc["pair"]].tolist()
+        if u > v:
+            u, v = v, u
+            arc["start"], arc["sweep"] = arc["start"] + arc["sweep"], -arc["sweep"]
+        arc["pair"] = [u, v]
+    return out
+
+
+@pytest.mark.parametrize("case", RELABEL_CASES, ids=lambda c: f"{c[0]}-m{c[1]}")
+def test_relabelled_vertices_keep_the_verdict(certificates, case):
+    data = certificates[case]
+    for seed in range(3):
+        relabelled = _relabelled(data, seed)
+        assert relabelled["vertices"] != data["vertices"], seed
+        assert _failed_check(relabelled) is None, seed
