@@ -9,6 +9,8 @@ the target (the smaller one on a tie) is run through build, realize,
 full_report, write, read and verify, `REPEATS` times in one process
 after one untimed warm-up pass.  Each stage time is the median wall
 second over the repeats; `end_to_end_s` is their sum.  One BLAS thread.
+Every pass must write the same certificate bytes (their SHA-256 is the
+row's `cert_sha256`), or the script raises: placement is deterministic.
 Prints one JSON object per (group, m) line, then nothing else.
 """
 
@@ -20,6 +22,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
@@ -78,9 +81,15 @@ def main() -> int:
         for group in args.groups.split(","):
             for target in targets:
                 m = nearest_m(group, target)
-                one_pass(group, m, config, path)
-                runs = [one_pass(group, m, config, path) for _ in range(REPEATS)]
-                row = {"group": group, "m": m, "cert_bytes": Path(path).stat().st_size}
+                runs, digests = [], set()
+                for _ in range(REPEATS + 1):  # the first pass warms up
+                    runs.append(one_pass(group, m, config, path))
+                    digests.add(hashlib.sha256(Path(path).read_bytes()).hexdigest())
+                if len(digests) != 1:
+                    raise RuntimeError(f"{group} m={m}: repeated passes wrote different bytes")
+                runs = runs[1:]
+                row = {"group": group, "m": m, "cert_bytes": Path(path).stat().st_size,
+                       "cert_sha256": digests.pop()}
                 row.update({f"{s}_s": round(statistics.median(r[s] for r in runs), 4)
                             for s in STAGES})
                 row["end_to_end_s"] = round(sum(row[f"{s}_s"] for s in STAGES), 4)

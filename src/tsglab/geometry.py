@@ -75,6 +75,7 @@ _HOM_CHUNK = 2 ** 9  # most (row, matrix) products per homomorphism chunk: 64 KB
 _INVARIANCE_CHUNK = 2 ** 11  # most (element, vertex) images per invariance chunk
 # cell offsets on the first three axes, in ascending code order; CellGrid.runs
 _NEIGHBOURS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+_RUN_ENDS = np.array([-1, 2])[:, None, None]  # a run spans codes [centre - 1, centre + 2)
 
 
 class PrecisionError(RuntimeError):
@@ -325,17 +326,18 @@ def free_orbit_coords(mats: np.ndarray, circles: np.ndarray, n: int = 1,
     `avoid` must be a union of orbits of the group (the special parts are).
     The placed points then stay invariant, and since every matrix is an
     isometry, a candidate orbit clears them exactly when its base point
-    does.  Placed points go into a CellGrid of radius FREE_ORBIT_SEP, one
-    accepted orbit at a time, so the base point is measured only against
-    the points in its 81 neighbouring cells: every point closer than the
-    radius lies there, and the decisions are those of measuring it against
-    every placed point.
+    does.  Candidates come in batches, drawn as single draws give them,
+    and a batch is tested at once: circle clearance, then one CellGrid
+    lookup of radius FREE_ORBIT_SEP of each base point among the placed
+    points and the batch's orbits.  A scan in draw order accepts each
+    candidate that passed and is not close to an orbit it accepted before:
+    the decisions of trying the candidates one at a time.
     """
     if n < 1:
         raise ValueError("need n >= 1 free orbits")
     config = config or ModelConfig()
-    sep = FREE_ORBIT_SEP
-    planes = projectors(circles)
+    sep, size = FREE_ORBIT_SEP, len(mats)
+    bases = circles.reshape(-1, 4).T  # two columns per circle
     rng = np.random.default_rng(config.seed)
     avoid = np.empty((0, 4)) if avoid is None else np.asarray(avoid, dtype=float)
     closest = closest_distance(avoid)
@@ -343,38 +345,33 @@ def free_orbit_coords(mats: np.ndarray, circles: np.ndarray, n: int = 1,
         raise PlacementError(f"special-part vertices are only {closest} apart")
     # every orbit point is a unit vector: the box holds it up to rounding
     grid = CellGrid(sep, min(-1.0, avoid.min(initial=0.0)), max(1.0, avoid.max(initial=0.0)))
-    around = (grid.runs[:, None] + (-1, 0, 1)).ravel()  # the 81 neighbouring cells
-    placed = np.concatenate([avoid, np.empty((n * len(mats), 4))])
-    cells: dict[int, list[int]] = {}  # cell code -> rows of placed
-
-    def add(start: int, stop: int) -> None:
-        for row, code in enumerate(grid.codes(placed[start:stop]).tolist(), start):
-            cells.setdefault(code, []).append(row)
-
-    add(0, len(avoid))
-    orbits = []
-    for _ in range(n):
-        for attempt in range(400):
-            p = rng.standard_normal(4)
-            p /= np.linalg.norm(p)
-            if plane_distance(planes, p).min() < FREE_CIRCLE_CLEARANCE:
-                continue
-            orbit = mats @ p
-            # any row of an invariant orbit can serve as the base point
-            base, others = orbit[0], orbit[1:]
-            nearest = float(np.linalg.norm(others - base, axis=1).min())
-            near = [row for code in (grid.codes(base) + around).tolist() for row in cells.get(code, ())]
-            if near:
-                nearest = min(nearest, np.linalg.norm(placed[near] - base, axis=1).min())
-            if nearest < sep:
-                continue
-            start = len(avoid) + len(mats) * len(orbits)
-            placed[start:start + len(mats)] = orbit
-            add(start, start + len(mats))
-            orbits.append(orbit)
-            break
-        else:
-            raise PlacementError(f"could not place free orbit after 400 attempts (n={n})")
+    orbits, refused = [], 0
+    while len(orbits) < n:
+        p = rng.standard_normal(((n - len(orbits)) * 5 // 4 + 1, 4))
+        p /= np.sqrt(p[:, None] @ p[..., None])[:, 0]  # each row's np.linalg.norm, bitwise
+        batch = np.einsum("gij,bj->bgi", mats, p)  # bitwise mats @ row, for each row
+        along = np.square(p @ bases)  # a unit p is 1 - |B p|^2 squared from basis B's plane
+        clear = (along[:, ::2] + along[:, 1::2]).max(axis=1) <= 1 - FREE_CIRCLE_CLEARANCE ** 2
+        first = len(avoid) + size * len(orbits)  # row (first + size * j) is candidate j's base
+        points = np.concatenate([avoid, *orbits, batch.reshape(-1, 4)])
+        close = {}  # candidate -> candidates within sep of it (negative: placed points)
+        for row, other in grid.near(points, np.arange(first, len(points), size)):
+            d = points[other] - points[row]
+            hit = (np.sqrt((d * d).sum(axis=1)) < sep) & (other != row)  # np.linalg.norm's sum
+            pairs = ((np.array([row, other])[:, hit] - first) // size).T.tolist() if hit.any() else ()
+            for j, i in pairs:
+                close.setdefault(j, []).append(i)
+        taken = [False] * len(p)
+        for j, good in enumerate(clear.tolist()):
+            if good and not any(i < 0 or i == j or (i < j and taken[i]) for i in close.get(j, ())):
+                taken[j], refused = True, 0
+                orbits.append(batch[j])
+                if len(orbits) == n:
+                    break
+            else:
+                refused += 1
+                if refused == 400:
+                    raise PlacementError(f"could not place free orbit after 400 attempts (n={n})")
     return orbits
 
 
@@ -401,10 +398,29 @@ class CellGrid:
         base = int((hi - lo) / self.width) + 3
         self.place = np.array([base ** 3, base ** 2, base, 1])
         self.runs = _NEIGHBOURS @ self.place[:3]
+        self.ends = self.runs + _RUN_ENDS
 
     def codes(self, points: np.ndarray) -> np.ndarray:
         """The int64 code of each point's cell (finite points only)."""
         return np.floor((points - self.origin) / self.width).astype(np.int64) @ self.place
+
+    def near(self, points: np.ndarray, rows: np.ndarray):
+        """Yield (row, other) index arrays, at most about _PAIR_CHUNK pairs
+        at a time: every point `other` in the 81 cells around each of `rows`
+        (itself included).  The rows' runs of neighbouring cells are looked
+        up in the sorted codes of all points, all rows at once."""
+        codes = self.codes(points)
+        order = codes.argsort()
+        rows = rows[codes[rows].argsort()]  # ascending needles search faster
+        # (2, row, run): first and one-past-last rank of each run's three codes
+        start, stop = codes[order].searchsorted(codes[rows, None] + self.ends)
+        count = stop - start
+        per_row = count.sum(axis=1)
+        step = max(1, _PAIR_CHUNK // max(int(per_row.max()), 1))  # bounded memory on crowded input
+        for first in range(0, len(rows), step):
+            s, c = start[first:first + step].ravel(), count[first:first + step].ravel()
+            row = rows[first:first + step].repeat(per_row[first:first + step])
+            yield row, order[(s - c.cumsum() + c).repeat(c) + np.arange(len(row))]
 
 
 def _closest_pair(points: np.ndarray, rows: np.ndarray, partners: np.ndarray) -> float:
@@ -415,10 +431,8 @@ def _closest_pair(points: np.ndarray, rows: np.ndarray, partners: np.ndarray) ->
     distance of an actual pair; the next row makes sure there is one when
     any pair exists.  So the answer is min(h, d) over the pairs closer than
     h, and a CellGrid of radius h finds each of those in the 81 cells
-    around its row: the rows' runs of neighbouring cells are looked up in
-    the sorted codes of all points, all rows at once, and only those pairs
-    are measured, at most _PAIR_CHUNK at a time.  NaN for non-finite input,
-    inf when there is no pair.
+    around its row (CellGrid.near); only those pairs are measured.  NaN for
+    non-finite input, inf when there is no pair.
     """
     if not np.isfinite(points).all():
         return math.nan
@@ -429,21 +443,7 @@ def _closest_pair(points: np.ndarray, rows: np.ndarray, partners: np.ndarray) ->
     h = float(d[partners != rows].min(initial=np.inf))
     if h == 0:
         return h
-    grid = CellGrid(h, points.min(), points.max())
-    codes = grid.codes(points)
-    order = np.argsort(codes)
-    ranked = codes[order]
-    rows = rows[np.argsort(codes[rows])]  # ascending needles search faster
-    runs = len(grid.runs)
-    near = (codes[rows, None] + grid.runs).ravel()
-    start = np.searchsorted(ranked, near - 1)
-    count = np.searchsorted(ranked, near + 1, side="right") - start
-    per_row = count.reshape(-1, runs).sum(axis=1)
-    step = max(1, _PAIR_CHUNK // max(int(per_row.max()), 1))  # bounded memory on crowded input
-    for first in range(0, len(rows), step):
-        s, c = start[first * runs:(first + step) * runs], count[first * runs:(first + step) * runs]
-        other = order[np.repeat(s - np.cumsum(c) + c, c) + np.arange(c.sum())]
-        row = np.repeat(rows[first:first + step], per_row[first:first + step])
+    for row, other in CellGrid(h, points.min(), points.max()).near(points, rows):
         d = np.linalg.norm(points[other] - points[row], axis=1)
         h = min(h, float(d[other != row].min(initial=np.inf)))
     return h
@@ -620,7 +620,12 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     parent = standard_group(p.building_group)
     gens = list(parent.generators)
     mats = matrices_from_generators(parent, gens, representation(parent, p.model)[gens])
-    circles = circles_of(mats)
+    sub = restricted_group(p.restriction)
+    rows, acting = slice(None), mats.copy()  # the acting group's rows
+    if sub is not None:  # as verify derives them, from the generators
+        rows = parent.rows(sub.elements)
+        acting[rows] = matrices_from_generators(sub, sub.generators, mats[rows[list(sub.generators)]])
+    circles = circles_of(acting)
 
     # each part is one orbit of the unrestricted action, its first vertex the minimum
     images = (va.action if va.parent is None else va.parent).images
@@ -634,16 +639,10 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
         avoid = orbit_coords(images, mats, base, rep_of)[~np.isin(rep_of, frees)]
         base[frees] = [orbit[0] for orbit in free_orbit_coords(mats, circles, len(frees), config, avoid)]
     coords = orbit_coords(images, mats, base, rep_of)
-
-    sub = restricted_group(p.restriction)
-    if sub is not None:
-        # as verify derives them, from the generators and the orbit minima
-        rows = parent.rows(sub.elements)
-        mats = matrices_from_generators(sub, sub.generators, mats[rows[list(sub.generators)]])
-        circles = circles[rows]
-        coords = orbit_coords(va.action.images, mats, coords, va.action.minima)
-    r = Realization(p, va, p.model, config, mats, coords)
-    r.circles = circles
+    if sub is not None:  # as verify derives them, from the orbit minima
+        coords = orbit_coords(va.action.images, acting[rows], coords, va.action.minima)
+    r = Realization(p, va, p.model, config, acting[rows], coords)
+    r.circles = circles[rows]
     validate_realization(r)
     return r
 

@@ -307,11 +307,12 @@ def _along_tree(g: PermGroup, gens, identity: np.ndarray, gen_values, product) -
         raise ValueError("generators must be distinct non-identity group elements")
     values = np.empty((g.order, *identity.shape), dtype=identity.dtype)
     values[0], values[gens] = identity, gen_values
-    table, queue = g.cayley.tolist(), [0]
+    table, queue, seen = g.cayley.tolist(), [0], [True] + [False] * (g.order - 1)
     for x in queue:  # breadth-first: the queue grows while it is read
         for s in gens:
             y = table[x][s]
-            if y not in queue:
+            if not seen[y]:
+                seen[y] = True
                 queue.append(y)
                 if y not in gens:
                     values[y] = product(values[x], values[s])

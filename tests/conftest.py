@@ -1,5 +1,7 @@
 """Shared fixtures: the 14 reference cases, realized once per session."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,31 @@ def expand_certificate(data):
         for e, img in images.items():
             coords[img[v["id"]]] = mats[e] @ np.array(v["coords"])
     return images, mats, coords
+
+
+def relabel_vertices(data, new, reverse_arcs):
+    """A copy of a certificate with vertex v renamed new[v], for a
+    permutation new of 0..m-1: the generator images conjugated by it, each
+    vertex record moved to its orbit's smallest new label with the
+    coordinates expand_certificate gives that vertex, and each arc re-keyed
+    with its pair ascending.  An arc whose pair order flips is reversed if
+    reverse_arcs, so that it still starts at the pair's first vertex, and
+    otherwise keeps its angles, so that it is written from its other
+    endpoint."""
+    old = np.argsort(new)
+    images, _, coords = expand_certificate(data)
+    out = copy.deepcopy(data)
+    for gen in out["generators"]:
+        gen["vertex_images"] = new[np.asarray(gen["vertex_images"])[old]].tolist()
+    for rec in out["vertices"]:
+        rec["id"] = int(min(new[img[rec["id"]]] for img in images.values()))
+        rec["coords"] = coords[old[rec["id"]]].tolist()
+    out["vertices"].sort(key=lambda rec: rec["id"])
+    for arc in out["arcs"]:
+        u, v = new[arc["pair"]].tolist()
+        if u > v:
+            u, v = v, u
+            if reverse_arcs:
+                arc["start"], arc["sweep"] = arc["start"] + arc["sweep"], -arc["sweep"]
+        arc["pair"] = [u, v]
+    return out

@@ -17,7 +17,7 @@ from tsglab.edges import full_report
 from tsglab.geometry import PrecisionError
 from tsglab.perm import standard_group
 
-from .conftest import close_free_orbits, expand_certificate
+from .conftest import close_free_orbits, relabel_vertices
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -794,23 +794,10 @@ def _conjugate(data, rng):
 
 
 def _relabel(data, rng):
-    """Rename vertex i to sigma(i) for a random permutation sigma.  The
-    vertex records move to the smallest new label of each orbit, picked
-    here again; arc pairs stay ascending and arc angles are left alone, so
-    an arc whose pair order flips is now written from its other endpoint."""
-    sigma = rng.permutation(data["m"])
-    images, _, coords = expand_certificate(data)
-    moved = np.empty_like(coords)
-    moved[sigma] = coords
-    for g in data["generators"]:
-        relabelled = np.empty(data["m"], dtype=int)
-        relabelled[sigma] = sigma[g["vertex_images"]]
-        g["vertex_images"] = relabelled.tolist()
-    for v in data["vertices"]:
-        rep = int(min(sigma[img[v["id"]]] for img in images.values()))
-        v["id"], v["coords"] = rep, moved[rep].tolist()
-    for arc in data["arcs"]:
-        arc["pair"] = sorted(int(sigma[w]) for w in arc["pair"])
+    """Rename vertex i to sigma(i) for a random permutation sigma, with arc
+    angles left alone: an arc whose pair order flips is now written from
+    its other endpoint."""
+    data.update(relabel_vertices(data, rng.permutation(data["m"]), reverse_arcs=False))
 
 
 @pytest.mark.parametrize("edit", [_conjugate, _relabel], ids=lambda f: f.__name__)

@@ -413,6 +413,35 @@ def test_free_orbit_placement_matches_all_pairs_checks(monkeypatch, model, seed,
     assert refused > 0 or not crowded
 
 
+@pytest.mark.parametrize("crowded", [False, True], ids=["default", "crowded"])
+def test_free_orbit_placement_matches_all_pairs_checks_over_batches(monkeypatch, crowded):
+    """101 orbits of TETRA_ROT around A4's special parts, as many as A4
+    m=1213 places.  Candidates are tested a batch at a time, and crowded
+    placement refuses more candidates than the first batch has to spare
+    (101 // 4 + 1), so it draws further batches."""
+    if crowded:
+        monkeypatch.setattr(geometry, "FREE_CIRCLE_CLEARANCE", 0.0)
+        monkeypatch.setattr(geometry, "FREE_ORBIT_SEP", 0.15)
+    mats, circles = _matrices_and_circles(A4, Model.TETRA_ROT)
+    avoid, cfg = _INVARIANT_AVOID[Model.TETRA_ROT], ModelConfig(seed=0)
+    fast = free_orbit_coords(mats, circles, 101, cfg, avoid)
+    slow, refused = _all_pairs_placement(mats, circles, 101, cfg, avoid)
+    assert len(fast) == len(slow) == 101
+    assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
+    assert refused > 101 // 4 + 1 or not crowded
+
+
+def test_unmeetable_separation_fails_both_placements(monkeypatch):
+    """No two points of the sphere are 2.1 apart, so every candidate is too
+    close to its own orbit: both placements give up with PlacementError."""
+    monkeypatch.setattr(geometry, "FREE_ORBIT_SEP", 2.1)
+    mats, circles = _matrices_and_circles(A4, Model.TETRA_ROT)
+    with pytest.raises(PlacementError, match="after 400 attempts"):
+        free_orbit_coords(mats, circles, 2, ModelConfig(seed=0))
+    with pytest.raises(PlacementError):
+        _all_pairs_placement(mats, circles, 2, ModelConfig(seed=0), None)
+
+
 # ------------------------------------------------------------ realization
 
 
@@ -471,6 +500,15 @@ def test_realize_computes_each_fixed_circle_once(monkeypatch, group, m, calls):
     monkeypatch.setattr(geometry, "fixed_set", counting)
     realize(p)
     assert stacks == [calls]
+
+
+@pytest.mark.parametrize("m", [24, 61, 65, 1205])
+def test_restricted_realization_keeps_the_circles_verify_computes(m):
+    """A restricted plan's A4 matrices are derived from its generators, and
+    realize hands its checks the circles of exactly those matrices."""
+    r = realize(plan("A4", m))
+    assert r.plan.restriction is not None
+    assert np.array_equal(r.circles, circles_of(r.mats))
 
 
 def test_knotted_plans_refused():

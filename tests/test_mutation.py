@@ -30,7 +30,7 @@ from tsglab.certificate import (
 from tsglab.edges import full_report
 from tsglab.geometry import realize
 
-from .conftest import expand_certificate
+from .conftest import relabel_vertices
 
 CASES = [("A4", 13), ("S4", 28), ("A4", 61)]
 RELATION_CASES = [("A4", 13), ("A4", 25), ("S4", 28), ("A5", 61)]
@@ -183,35 +183,11 @@ def test_free_orbit_copied_onto_another_fails_separation(certificates):
     assert _failed_check(data) == "separation"
 
 
-def _relabelled(data, seed: int):
-    """The file with vertex v renamed new[v] for a random permutation new:
-    the generator images conjugated by it, each vertex record moved to its
-    orbit's smallest new label with the coordinates expand_certificate
-    gives that vertex, and each arc re-keyed, reversed where its pair's
-    order flips so that it still starts at the pair's first vertex."""
-    new = np.random.default_rng(seed).permutation(data["m"])
-    old = np.argsort(new)
-    images, _, coords = expand_certificate(data)
-    out = copy.deepcopy(data)
-    for gen in out["generators"]:
-        gen["vertex_images"] = new[np.asarray(gen["vertex_images"])[old]].tolist()
-    for rec in out["vertices"]:
-        rec["id"] = int(min(new[img[rec["id"]]] for img in images.values()))
-        rec["coords"] = coords[old[rec["id"]]].tolist()
-    out["vertices"].sort(key=lambda rec: rec["id"])
-    for arc in out["arcs"]:
-        u, v = new[arc["pair"]].tolist()
-        if u > v:
-            u, v = v, u
-            arc["start"], arc["sweep"] = arc["start"] + arc["sweep"], -arc["sweep"]
-        arc["pair"] = [u, v]
-    return out
-
-
 @pytest.mark.parametrize("case", RELABEL_CASES, ids=lambda c: f"{c[0]}-m{c[1]}")
 def test_relabelled_vertices_keep_the_verdict(certificates, case):
     data = certificates[case]
     for seed in range(3):
-        relabelled = _relabelled(data, seed)
+        new = np.random.default_rng(seed).permutation(data["m"])
+        relabelled = relabel_vertices(data, new, reverse_arcs=True)
         assert relabelled["vertices"] != data["vertices"], seed
         assert _failed_check(relabelled) is None, seed
