@@ -75,7 +75,6 @@ _HOM_CHUNK = 2 ** 9  # most (row, matrix) products per homomorphism chunk: 64 KB
 _INVARIANCE_CHUNK = 2 ** 11  # most (element, vertex) images per invariance chunk
 # cell offsets on the first three axes, in ascending code order; CellGrid.runs
 _NEIGHBOURS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
-_RUN_ENDS = np.array([-1, 2])[:, None, None]  # a run spans codes [centre - 1, centre + 2)
 
 
 class PrecisionError(RuntimeError):
@@ -327,11 +326,12 @@ def free_orbit_coords(mats: np.ndarray, circles: np.ndarray, n: int = 1,
     The placed points then stay invariant, and since every matrix is an
     isometry, a candidate orbit clears them exactly when its base point
     does.  Candidates come in batches, drawn as single draws give them,
-    and a batch is tested at once: circle clearance, then one CellGrid
-    lookup of radius FREE_ORBIT_SEP of each base point among the placed
-    points and the batch's orbits.  A scan in draw order accepts each
-    candidate that passed and is not close to an orbit it accepted before:
-    the decisions of trying the candidates one at a time.
+    and a batch is tested at once: circle clearance (from |B p| for each
+    circle's basis B, plane_distance's test up to rounding), then one
+    CellGrid lookup of radius FREE_ORBIT_SEP of each base point among the
+    placed points and the batch's orbits.  A scan in draw order accepts
+    each candidate that passed and is not close to an orbit it accepted
+    before, as trying the candidates one at a time would.
     """
     if n < 1:
         raise ValueError("need n >= 1 free orbits")
@@ -398,7 +398,6 @@ class CellGrid:
         base = int((hi - lo) / self.width) + 3
         self.place = np.array([base ** 3, base ** 2, base, 1])
         self.runs = _NEIGHBOURS @ self.place[:3]
-        self.ends = self.runs + _RUN_ENDS
 
     def codes(self, points: np.ndarray) -> np.ndarray:
         """The int64 code of each point's cell (finite points only)."""
@@ -412,8 +411,8 @@ class CellGrid:
         codes = self.codes(points)
         order = codes.argsort()
         rows = rows[codes[rows].argsort()]  # ascending needles search faster
-        # (2, row, run): first and one-past-last rank of each run's three codes
-        start, stop = codes[order].searchsorted(codes[rows, None] + self.ends)
+        # (2, row, run): first and one-past-last rank of each run's codes centre - 1..centre + 1
+        start, stop = codes[order].searchsorted(codes[rows, None] + self.runs + [[[-1]], [[2]]])
         count = stop - start
         per_row = count.sum(axis=1)
         step = max(1, _PAIR_CHUNK // max(int(per_row.max()), 1))  # bounded memory on crowded input
@@ -621,9 +620,9 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     gens = list(parent.generators)
     mats = matrices_from_generators(parent, gens, representation(parent, p.model)[gens])
     sub = restricted_group(p.restriction)
-    rows, acting = slice(None), mats.copy()  # the acting group's rows
+    acting = mats  # a copy with the acting group's rows re-derived if restricted
     if sub is not None:  # as verify derives them, from the generators
-        rows = parent.rows(sub.elements)
+        rows, acting = parent.rows(sub.elements), mats.copy()
         acting[rows] = matrices_from_generators(sub, sub.generators, mats[rows[list(sub.generators)]])
     circles = circles_of(acting)
 
@@ -640,9 +639,10 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
         base[frees] = [orbit[0] for orbit in free_orbit_coords(mats, circles, len(frees), config, avoid)]
     coords = orbit_coords(images, mats, base, rep_of)
     if sub is not None:  # as verify derives them, from the orbit minima
-        coords = orbit_coords(va.action.images, acting[rows], coords, va.action.minima)
-    r = Realization(p, va, p.model, config, acting[rows], coords)
-    r.circles = circles[rows]
+        mats, circles = acting[rows], circles[rows]
+        coords = orbit_coords(va.action.images, mats, coords, va.action.minima)
+    r = Realization(p, va, p.model, config, mats, coords)
+    r.circles = circles
     validate_realization(r)
     return r
 

@@ -94,8 +94,9 @@ def relabel_vertices(data, new, reverse_arcs):
     """A copy of a certificate with vertex v renamed new[v], for a
     permutation new of 0..m-1: the generator images conjugated by it, each
     vertex record moved to its orbit's smallest new label with the
-    coordinates expand_certificate gives that vertex, and each arc re-keyed
-    with its pair ascending.  An arc whose pair order flips is reversed if
+    coordinates expand_certificate gives that vertex (records keep their
+    places, so the ids are in no set order), and each arc re-keyed with its
+    pair ascending.  An arc whose pair order flips is reversed if
     reverse_arcs, so that it still starts at the pair's first vertex, and
     otherwise keeps its angles, so that it is written from its other
     endpoint."""
@@ -107,7 +108,6 @@ def relabel_vertices(data, new, reverse_arcs):
     for rec in out["vertices"]:
         rec["id"] = int(min(new[img[rec["id"]]] for img in images.values()))
         rec["coords"] = coords[old[rec["id"]]].tolist()
-    out["vertices"].sort(key=lambda rec: rec["id"])
     for arc in out["arcs"]:
         u, v = new[arc["pair"]].tolist()
         if u > v:
