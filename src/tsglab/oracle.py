@@ -141,6 +141,7 @@ def feasible_sweep(group: str, bound: int, *,
 
     if bound > 0:
         visit(0, 0, [0] * len(names), frozenset(range(GROUP_ORDER[group])), [])
+    del visit  # it refers to itself: unbound, the walk is freed now, not by a later collection
     return out
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import io
@@ -314,6 +315,21 @@ def test_sweep_buckets_equal_per_m_search(group):
         for m, bucket in enumerate(sweep):
             assert bucket == _per_m_reference(group, m, drop), (group, m, drop)
             assert feasible_multisets(group, m, drop_rules=drop) == bucket
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_sweep_leaves_no_cyclic_garbage(group):
+    """The walk's recursive closure is unbound when the sweep returns, so
+    its results are freed by reference counting, not left to the cycle
+    collector."""
+    feasible_sweep(group, 3 * GROUP_ORDER[group])  # warm the rule caches
+    gc.collect()
+    gc.disable()
+    try:
+        feasible_sweep(group, 3 * GROUP_ORDER[group])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sweep_below_zero_is_empty(capsys):
