@@ -620,7 +620,7 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     gens = list(parent.generators)
     mats = matrices_from_generators(parent, gens, representation(parent, p.model)[gens])
     sub = restricted_group(p.restriction)
-    acting = mats  # a copy with the acting group's rows re-derived if restricted
+    acting = mats  # if restricted, a copy with the acting group's rows re-derived
     if sub is not None:  # as verify derives them, from the generators
         rows, acting = parent.rows(sub.elements), mats.copy()
         acting[rows] = matrices_from_generators(sub, sub.generators, mats[rows[list(sub.generators)]])
