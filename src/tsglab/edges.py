@@ -43,10 +43,11 @@ from typing import Optional
 import numpy as np
 
 from .actions import VertexAction
-from .geometry import PrecisionError, Realization, plane_distance, projectors, same_circle, shared_lines
+from .geometry import (ERROR_TOL, PrecisionError, Realization, plane_distance, projectors, same_circle,
+                       shared_lines)
 from .perm import is_faithful, pair_fixer_counts, pair_stabilizers
 
-PAIR_TOL = 1e-8
+PAIR_TOL = 1e-8  # distance from an arc's circle within which a point lies on it
 ANGLE_EPS = 1e-9
 INSIDE_MARGIN = 1e-7  # angular margin for a vertex inside an arc's interior
 
@@ -242,10 +243,10 @@ def _first_fault(r: Realization, arcs: Arcs) -> tuple[int, Optional[str]]:
         faults = [
             (~known | (action.images[fixer, u] != u) | (action.images[fixer, v] != v),
              "fixer of pair {} is not a non-trivial group element fixing both vertices"),
-            (~(gram <= PAIR_TOL) | ~same_circle(arcs.projectors, projectors(r.circles[fixer])),
+            (~(gram <= ERROR_TOL) | ~same_circle(arcs.projectors, projectors(r.circles[fixer])),
              "arc of pair {} is not on the fixed circle of its fixer"),
             (~(np.isfinite(arcs.starts) & (0 < np.abs(arcs.sweeps))
-               & (np.abs(arcs.sweeps) < 2 * math.pi) & (gap <= PAIR_TOL)),
+               & (np.abs(arcs.sweeps) < 2 * math.pi) & (gap <= ERROR_TOL)),
              "arc of pair {} does not run between its two vertices"),
         ]
     bad = np.any([mask for mask, _ in faults], axis=0)
@@ -330,7 +331,7 @@ def check_h3(r: Realization, arcs: Arcs) -> bool:
         return False
     mids = arcs.points([0.5])[:, 0]
     err = np.linalg.norm(np.einsum("fij,kj->fki", r.mats, mids) - mids[target], axis=-1).max()
-    return bool(err <= PAIR_TOL)
+    return bool(err <= ERROR_TOL)
 
 
 def interchangers(va: VertexAction) -> np.ndarray:

@@ -55,11 +55,7 @@ from .actions import Model, OrbitPlan, VertexAction, measured_profile, restricte
 from .perm import PermGroup, from_cycles, matrices_from_generators, orbit_representatives, standard_group
 from .profiles import FixedVertexProfile
 
-ORTHO_TOL = 1e-9
-DET_TOL = ORTHO_TOL * 10
-HOM_TOL = 1e-8
-INVARIANCE_TOL = 1e-9
-SPHERE_TOL = 1e-9
+ERROR_TOL = 1e-12  # rounding error allowed in an identity that holds exactly
 ON_CIRCLE_TOL = 1e-9
 CIRCLE_EQ_TOL = 1e-8
 SHARED_LINE_TOL = CIRCLE_EQ_TOL * 10  # singular values of a line two circles share
@@ -318,7 +314,8 @@ def free_orbit_coords(mats: np.ndarray, circles: np.ndarray, n: int = 1,
 
     Each base point keeps distance >= 0.05 from each fixed circle's plane,
     and all produced points stay pairwise >= FREE_ORBIT_SEP (1e-3) apart
-    (also from `avoid`, whose own points must already be that far apart).
+    and that far from `avoid`.  How close the points of `avoid` sit to each
+    other is the `separation` check's question, not placement's.
     Orbit row i is the image of the base point under mats[i].
     Deterministic for a fixed seed.
 
@@ -340,9 +337,6 @@ def free_orbit_coords(mats: np.ndarray, circles: np.ndarray, n: int = 1,
     bases = circles.reshape(-1, 4).T  # two columns per circle
     rng = np.random.default_rng(config.seed)
     avoid = np.empty((0, 4)) if avoid is None else np.asarray(avoid, dtype=float)
-    closest = closest_distance(avoid)
-    if not closest >= sep:
-        raise PlacementError(f"special-part vertices are only {closest} apart")
     # every orbit point is a unit vector: the box holds it up to rounding
     grid = CellGrid(sep, min(-1.0, avoid.min(initial=0.0)), max(1.0, avoid.max(initial=0.0)))
     orbits, refused = [], 0
@@ -448,15 +442,6 @@ def _closest_pair(points: np.ndarray, rows: np.ndarray, partners: np.ndarray) ->
     return h
 
 
-def closest_distance(a: np.ndarray, rows: Optional[np.ndarray] = None) -> float:
-    """Smallest distance from a row of a (one of `rows`, all by default) to
-    another row of a: inf when there is no such pair, NaN when a has a
-    non-finite entry.  Exact, through the cell index of _closest_pair."""
-    a = np.asarray(a, dtype=float)
-    rows = np.arange(len(a)) if rows is None else np.asarray(rows)
-    return _closest_pair(a, rows, np.empty((0, len(rows)), dtype=int))
-
-
 # ------------------------------------------------------------ realization
 
 
@@ -514,11 +499,11 @@ def _max_hom_error(group: PermGroup, mats: np.ndarray) -> float:
 
 def _check_matrices(r: Realization) -> None:
     ortho = float(np.abs(r.mats.transpose(0, 2, 1) @ r.mats - np.eye(4)).max())
-    require_at_most(ortho, ORTHO_TOL, f"matrices not orthogonal to tolerance: {ortho}")
+    require_at_most(ortho, ERROR_TOL, f"matrices not orthogonal to tolerance: {ortho}")
     det = float(np.abs(np.linalg.det(r.mats) - 1).max())
-    require_at_most(det, DET_TOL, f"matrices must have determinant +1, off by {det}")
+    require_at_most(det, ERROR_TOL, f"matrices must have determinant +1, off by {det}")
     hom = _max_hom_error(r.group, r.mats)
-    require_at_most(hom, HOM_TOL, f"matrix homomorphism error {hom}")
+    require_at_most(hom, ERROR_TOL, f"matrix homomorphism error {hom}")
 
 
 def _invariance_errors(r: Realization):
@@ -540,12 +525,12 @@ def _check_invariance(r: Realization) -> None:
     # non-finite coordinates give a NaN error, which fails quietly below
     with np.errstate(invalid="ignore", over="ignore"):
         radius = float(np.abs(np.linalg.norm(r.coords, axis=1) - 1).max())
-        require_at_most(radius, SPHERE_TOL, f"vertices lie off the unit sphere by {radius}")
+        require_at_most(radius, ERROR_TOL, f"vertices lie off the unit sphere by {radius}")
         for first, errors in _invariance_errors(r):
-            bad = np.flatnonzero(~(errors <= INVARIANCE_TOL))
+            bad = np.flatnonzero(~(errors <= ERROR_TOL))
             if bad.size:  # the first offending element fails the check
                 e, err = r.group.elements[first + bad[0]], float(errors[bad[0]])
-                require_at_most(err, INVARIANCE_TOL,
+                require_at_most(err, ERROR_TOL,
                                 f"element {tuple(e.tolist())} moves vertices off their images by {err}")
 
 
@@ -570,10 +555,11 @@ def _min_separation(r: Realization) -> float:
 def _check_separation(r: Realization) -> None:
     # Sound only after `invariance` (and, on a certificate, the action
     # checks) have passed: the images must form a group action, and each
-    # vertex may sit off its image by at most INVARIANCE_TOL per coordinate.
+    # vertex may sit off its image by at most ERROR_TOL per coordinate.
     # The two vertex errors in a pair then move a distance by at most
-    # 2*INVARIANCE_TOL per coordinate (4e-9 in length), plus a relative
-    # 2*ORTHO_TOL from the matrices: far below MIN_VERTEX_SEP (1e-6).
+    # 2*ERROR_TOL per coordinate (4e-12 in length), plus a relative
+    # 2*ERROR_TOL from the matrices: far below MIN_VERTEX_SEP (1e-6).
+    # This is the one test of how close two vertices sit, special or free.
     closest = _min_separation(r)
     require_at_most(MIN_VERTEX_SEP, closest, f"vertices only {closest} apart")
 
@@ -651,20 +637,18 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
 
 
 def geometric_profile(r: Realization) -> FixedVertexProfile:
-    """Count vertices on each element's fixed circle; the count must be
-    constant on every class (the profile check compares it with the
-    combinatorial measured profile).  Every element is counted, one stacked
-    distance per class, not one representative: the matrices are a
-    homomorphism only to HOM_TOL, ten times ON_CIRCLE_TOL, so a crafted file
-    can give two conjugate elements different counts."""
-    planes = projectors(r.circles)
-    counts = {}
-    for name, rows in r.group.classes.items():
-        if name == "n1":
-            continue
-        on_circle = plane_distance(planes[list(rows)], r.coords) <= ON_CIRCLE_TOL
-        vals = set(np.count_nonzero(on_circle, axis=1).tolist())
-        if len(vals) != 1:
-            raise AssertionError(f"geometric counts differ within class {name}: {vals}")
-        counts[name] = vals.pop()
-    return FixedVertexProfile(r.group.name, **counts)
+    """Count the vertices on the fixed circle of one element per class (its
+    first row); the profile check compares them with the measured profile.
+
+    Once `invariance` and `separation` pass, an element g of order 2..5
+    moves a point at distance d from its circle by d to 2d.  So a vertex g
+    fixes lies within 2·ERROR_TOL of the circle, one g moves at least
+    MIN_VERTEX_SEP / 2 - ERROR_TOL from it; ON_CIRCLE_TOL lies between, so
+    the count is g's fixed-vertex count, shared by conjugates and by the
+    generators of one cyclic subgroup (A4 n3 holds g and g⁻¹, A5 n5 g and
+    g²), which make up every class.  An element with no circle fixes no
+    vertex, and every unit point lies 1 from its zero projector."""
+    names = [name for name in r.group.classes if name != "n1"]
+    planes = projectors(r.circles[[r.group.classes[name][0] for name in names]])
+    counts = np.count_nonzero(plane_distance(planes, r.coords) <= ON_CIRCLE_TOL, axis=1)
+    return FixedVertexProfile(r.group.name, **dict(zip(names, counts.tolist())))

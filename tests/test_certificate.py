@@ -178,6 +178,35 @@ def test_a_generator_matrix_that_breaks_a_relation_fails_at_homomorphism(capsys,
     assert err == "verification failed at: homomorphism\n"
 
 
+def _nudge_matrix_entry(data):
+    data["generators"][0]["matrix"][5] += 1e-10
+
+
+def _nudge_record_coordinate(data):
+    coords = data["vertices"][0]["coords"]
+    coords[int(np.abs(coords).argmax())] += 1e-10
+
+
+def _nudge_arc_start(data):
+    data["arcs"][0]["start"] += 1e-10
+
+
+@pytest.mark.parametrize("nudge,step,reason", [
+    (_nudge_matrix_entry, "homomorphism", "matrices not orthogonal"),
+    (_nudge_record_coordinate, "invariance", "vertices lie off the unit sphere"),
+    (_nudge_arc_start, "edge-hypotheses", "arc of pair (0, 2) does not run between its two vertices"),
+], ids=["matrix", "record", "arc-start"])
+def test_an_error_of_1e_10_fails_its_check(capsys, tmp_path, nudge, step, reason):
+    """1e-10 is a hundred times ERROR_TOL and far below every decision
+    threshold: one S4 m=20 field nudged by it breaks an identity that
+    holds exactly, and the check of that identity fails."""
+    path, data = _certificate(tmp_path, "S4", 20)
+    nudge(data)
+    code, out, err = _verify(capsys, path, data)
+    assert code == 5 and f"{step}: FAILED (" in out and reason in out
+    assert err == f"verification failed at: {step}\n"
+
+
 @pytest.mark.parametrize("group,m,perm", [
     ("A4", 24, [1, 0, 2, 3]),     # A4 in S4: an odd permutation
     ("A4", 61, [1, 2, 3, 4, 0]),  # A4 in A5: an even one that moves letter 4

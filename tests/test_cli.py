@@ -505,15 +505,27 @@ def test_verify_runs_every_step_in_order(capsys, tmp_path):
             "separation", "profile", "burnside", "edge-hypotheses")]
 
 
-@pytest.mark.parametrize("m,reason", [("36", "special-part vertices"), ("12", "separation")])
+@pytest.mark.parametrize("m,reason", [("36", "separation"), ("12", "separation")])
 def test_realize_crowded_vertices_exit_5(capsys, tmp_path, m, reason):
     # t = 1e-7 puts two edge points next to every corner: with a free orbit
-    # placement fails, without one the separation check does
+    # or without one, the separation check refuses them
     out_file = tmp_path / "x.json"
     code, out, err = run(capsys, "realize", "--group", "S4", "--m", m, "--t", "1e-7",
                          "--out", str(out_file))
     assert code == 5 and err.startswith("error: ") and reason in err and out == ""
     assert not out_file.exists()
+
+
+def test_close_special_parts_beside_a_free_orbit_verify(capsys, tmp_path):
+    """theta = 1e-4 puts the twin tetrahedra 2e-4 apart, closer than free
+    placement keeps its own points but far above MIN_VERTEX_SEP: S4 m=32,
+    which has a free orbit, realizes and verifies."""
+    out_file = str(tmp_path / "x.json")
+    code, out, err = run(capsys, "realize", "--group", "S4", "--m", "32", "--theta", "1e-4",
+                         "--out", out_file)
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "verify", "--in", out_file)
+    assert code == 0 and err == ""
 
 
 def test_realize_ambiguous_numerics_exit_5(capsys, tmp_path, monkeypatch):

@@ -26,6 +26,7 @@ from tsglab.edges import (
 )
 from tsglab import edges
 from tsglab.geometry import (
+    ERROR_TOL,
     SHARED_LINE_TOL,
     ModelConfig,
     PrecisionError,
@@ -475,10 +476,10 @@ def test_distinct_circles_sharing_a_plane_raise_precision_error():
 
 
 def _joins(arc: _Arc, p: np.ndarray, q: np.ndarray) -> bool:
-    """The arc runs from p to q or from q to p, within PAIR_TOL."""
+    """The arc runs from p to q or from q to p, within ERROR_TOL."""
     ends = np.array([arc.point_at(0.0), arc.point_at(1.0)])
     gaps = [np.linalg.norm(ends - np.array(pts), axis=1).max() for pts in ((p, q), (q, p))]
-    return bool(np.minimum(*gaps) <= PAIR_TOL)
+    return bool(np.minimum(*gaps) <= ERROR_TOL)
 
 
 def _arc_fault(r: Realization, arc: _Arc):
@@ -489,7 +490,7 @@ def _arc_fault(r: Realization, arc: _Arc):
     if not 0 < arc.fixer < action.group.order or tuple(action.images[arc.fixer, [u, v]]) != (u, v):
         return f"fixer of pair {pair} is not a non-trivial group element fixing both vertices"
     gram = float(np.abs(arc.basis @ arc.basis.T - np.eye(2)).max())
-    if not gram <= PAIR_TOL or not same_circle(arc.projector, projectors(r.circles[arc.fixer])):
+    if not gram <= ERROR_TOL or not same_circle(arc.projector, projectors(r.circles[arc.fixer])):
         return f"arc of pair {pair} is not on the fixed circle of its fixer"
     if not (math.isfinite(arc.start) and 0 < abs(arc.sweep) < 2 * math.pi) \
             or not _joins(arc, r.coords[u], r.coords[v]):
@@ -611,7 +612,7 @@ def _two_clause_h3(r, arcs) -> bool:
             if target is None:
                 return False
             moved_mid = mat @ arc.midpoint
-            if not float(np.linalg.norm(moved_mid - target.midpoint)) <= PAIR_TOL:
+            if not float(np.linalg.norm(moved_mid - target.midpoint)) <= ERROR_TOL:
                 return False
             if f == 0:  # the identity
                 continue

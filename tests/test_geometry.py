@@ -16,7 +16,6 @@ from tsglab.geometry import (
     Realization,
     UnsupportedGeometryError,
     circles_of,
-    closest_distance,
     fixed_set,
     free_orbit_coords,
     geometric_profile,
@@ -30,7 +29,8 @@ from tsglab.geometry import (
     tetra_corner,
     validate_realization,
 )
-from tsglab import geometry
+from tsglab import edges, geometry
+from tsglab.edges import full_report
 from tsglab.geometry import CellGrid, _canonical_rows, _closest_pair, _max_hom_error, _min_separation
 from tsglab.perm import PermGroup, a4_inside_a5, from_cycles, orbit_representatives, standard_group
 
@@ -567,6 +567,14 @@ def test_separation_matches_all_pairs(realized, large_orbit_realizations, group,
     assert abs(_min_separation(r) - closest_distance(r.coords)) <= 1e-12
 
 
+def closest_distance(a, rows=None):
+    """Smallest distance from a row of a (one of `rows`, all by default) to
+    another row of a, through the cell index of _closest_pair alone."""
+    a = np.asarray(a, dtype=float)
+    rows = np.arange(len(a)) if rows is None else np.asarray(rows)
+    return _closest_pair(a, rows, np.empty((0, len(rows)), dtype=int))
+
+
 def _brute_closest(points, rows=None):
     """Every pair (row, other point), one row at a time: the norm of the
     difference, as the cell index measures it, but with no index."""
@@ -700,9 +708,9 @@ def _loop_invariance_errors(r):
 
 
 def _loop_invariance_message(r):
-    """The message of the first element over INVARIANCE_TOL, or None."""
+    """The message of the first element over ERROR_TOL, or None."""
     for e, err in zip(r.group.elements, _loop_invariance_errors(r)):
-        if not err <= geometry.INVARIANCE_TOL:
+        if not err <= geometry.ERROR_TOL:
             return f"invariance: element {tuple(e.tolist())} moves vertices off their images by {err}"
     return None
 
@@ -739,7 +747,7 @@ def test_corrupt_matrix_entry_fails_homomorphism_as_the_loop(stacked_cases, grou
     r = _copy(stacked_cases[(group, m)])
     r.mats[row, 1, 2] += 2e-8
     hom = _max_hom_error(r.group, r.mats)
-    assert hom == _loop_hom_error(r.group, r.mats) > geometry.HOM_TOL
+    assert hom == _loop_hom_error(r.group, r.mats) > geometry.ERROR_TOL
     with pytest.raises(AssertionError, match="^homomorphism: "):
         validate_realization(r)
 
@@ -775,7 +783,68 @@ def test_first_bad_element_in_a_later_chunk_is_named(stacked_cases, row):
 @pytest.mark.parametrize("group,m", [("S4", 28), ("A5", 80)])
 @pytest.mark.parametrize("row", [0, 3, -1])
 def test_nan_matrix_entry_gives_nan_hom_error(stacked_cases, group, m, row):
-    """The builtin max(0.0, nan) would give 0.0, which passes HOM_TOL."""
+    """The builtin max(0.0, nan) would give 0.0, which passes ERROR_TOL."""
     r = _copy(stacked_cases[(group, m)])
     r.mats[row, 2, 1] = np.nan
     assert math.isnan(_max_hom_error(r.group, r.mats))
+
+
+# ------------------------------------------- one error bound, then decisions
+
+# every decision threshold: each decides a question whose answer is no
+# identity (the last two steer placement only)
+DECISION_THRESHOLDS = [
+    (geometry, "ON_CIRCLE_TOL"), (geometry, "CIRCLE_EQ_TOL"), (geometry, "SHARED_LINE_TOL"),
+    (geometry, "MIN_VERTEX_SEP"), (geometry, "_SV_ZERO"), (geometry, "_SV_AMBIGUOUS"),
+    (edges, "PAIR_TOL"), (edges, "ANGLE_EPS"), (edges, "INSIDE_MARGIN"),
+    (geometry, "FREE_CIRCLE_CLEARANCE"), (geometry, "FREE_ORBIT_SEP"),
+]
+
+
+def _identity_errors(r):
+    """The largest error realize leaves in each identity that holds exactly
+    in exact arithmetic, and the nearest vertex off any element's circle."""
+    circle_distances = plane_distance(projectors(r.circles[1:]), r.coords)
+    on_circle = circle_distances <= geometry.ON_CIRCLE_TOL
+    errors = {
+        "orthogonality": np.abs(r.mats.transpose(0, 2, 1) @ r.mats - np.eye(4)).max(),
+        "determinant": np.abs(np.linalg.det(r.mats) - 1).max(),
+        "homomorphism": _max_hom_error(r.group, r.mats),
+        "sphere": np.abs(np.linalg.norm(r.coords, axis=1) - 1).max(),
+        "invariance": max(e.max() for _, e in geometry._invariance_errors(r)),
+        "on-circle": circle_distances[on_circle].max(initial=0.0),
+    }
+    arcs = full_report(r).arcs
+    if len(arcs):  # assign_arcs starts each arc at the first vertex of its pair
+        index = {pair: k for k, pair in enumerate(map(tuple, arcs.pairs.tolist()))}
+        images = np.sort(r.vertex_action.action.images[:, arcs.pairs], axis=-1)
+        target = np.array([[index[tuple(pair)] for pair in row] for row in images.tolist()])
+        mids = arcs.points([0.5])[:, 0]
+        errors.update({
+            "arc gram": np.abs(arcs.bases @ arcs.bases.transpose(0, 2, 1) - np.eye(2)).max(),
+            "arc ends": np.linalg.norm(arcs.points([0.0, 1.0]) - r.coords[arcs.pairs], axis=2).max(),
+            "arc midpoints": np.linalg.norm(np.einsum("fij,kj->fki", r.mats, mids) - mids[target],
+                                            axis=2).max(),
+        })
+    return {name: float(err) for name, err in errors.items()}, float(circle_distances[~on_circle].min())
+
+
+def test_error_bound_sits_between_realized_errors_and_every_decision(stacked_cases):
+    """ERROR_TOL is at least 100 times the worst error realize leaves in
+    an exact identity on the reference-grid and large-orbits cases, every
+    decision threshold is at least 100 times ERROR_TOL, and ON_CIRCLE_TOL
+    is at most a hundredth of MIN_VERTEX_SEP (see geometric_profile).  A
+    numpy build whose rounding errors grow fails here first."""
+    worst, nearest_off_circle = {}, np.inf
+    for r in stacked_cases.values():
+        errors, off_circle = _identity_errors(r)
+        nearest_off_circle = min(nearest_off_circle, off_circle)
+        for name, err in errors.items():
+            worst[name] = max(worst.get(name, 0.0), err)
+    assert len(worst) == 9 and 100 * max(worst.values()) <= geometry.ERROR_TOL, worst
+    assert nearest_off_circle >= 100 * geometry.ON_CIRCLE_TOL
+    for module, name in DECISION_THRESHOLDS:
+        assert getattr(module, name) >= 100 * geometry.ERROR_TOL, name
+    assert 100 * geometry.ON_CIRCLE_TOL <= geometry.MIN_VERTEX_SEP
+    tolerances = {name for module in (geometry, edges) for name in vars(module) if name.endswith("_TOL")}
+    assert tolerances - {"ERROR_TOL"} <= {name for _, name in DECISION_THRESHOLDS}

@@ -4,7 +4,8 @@ explains why that file is still a valid certificate.
 
 A leaf changes by kind: an integer by +1 and -1, a float by +0.25 and
 by negation, a boolean flipped, a string suffixed.  A negated float within
-1e-12 of zero is its own kind, `negate~0`.  A mutant is named by its path,
+ERROR_TOL / 2 of zero, which moves by less than ERROR_TOL, is its own kind,
+`negate~0`.  A mutant is named by its path,
 with a vertex record shown by its part label, and its kind, such as
 `vertices.[free0].coords.2 negate` or `model.seed +1`.
 
@@ -28,7 +29,7 @@ from tsglab.certificate import (
     verify_certificate,
 )
 from tsglab.edges import full_report
-from tsglab.geometry import realize
+from tsglab.geometry import ERROR_TOL, realize
 
 from .conftest import relabel_vertices
 
@@ -42,7 +43,7 @@ ALLOWED = [
     (r"model\.seed \+1", "the seed is provenance: checking it would mean replaying placement"),
     (r"model\.theta \+0\.25", "no check reads theta yet; it only sets where the special parts sit"),
     (r"(generators\.\d+\.matrix|arcs\.\d+\.basis\.\d|vertices\.\[\w+\]\.coords)\.\d+ negate~0",
-     "the sign of an entry within 1e-12 of zero is below every tolerance"),
+     "the sign of an entry within ERROR_TOL / 2 of zero is below every tolerance"),
     (r"vertices\.\[free\d+\]\.coords\.\d negate",
      "a free orbit's representative reflected in a coordinate hyperplane is another generic "
      "point, so the file is another valid realization"),
@@ -67,7 +68,7 @@ def _changes(value):
         yield from (("+1", value + 1), ("-1", value - 1))
     elif isinstance(value, float):
         yield "+0.25", value + 0.25
-        yield "negate~0" if abs(value) < 1e-12 else "negate", -value
+        yield "negate~0" if abs(value) < ERROR_TOL / 2 else "negate", -value
     elif isinstance(value, str):
         yield "suffix", value + "x"
 
