@@ -20,8 +20,13 @@ orbit minima of that action, one per orbit.  Every other vertex w of the
 orbit of a record v gets mats[t] @ coords[v], through the first row t that
 maps v to w (geometry.orbit_coords, which realize uses too, so a file
 rebuilds bit for bit to what realize checked).  A stored row, matrix or
-coordinate is never overwritten, and nothing derived is trusted: the
-steps below check the whole action, every matrix and all m coordinates.
+coordinate is never overwritten, and nothing derived is trusted.
+`homomorphism` compares every pair of matrices.  `action-homomorphism`
+and `invariance` compare at the orbit representatives' columns only,
+|G| images per orbit: every row is a word in the generator rows and
+every coordinate is derived from a record, so that bounds the whole
+action and all m coordinates (perm.check_homomorphism,
+geometry._check_invariance).
 A file of any other schema version, such as a version 2 file with every
 element's perm and matrix, is a schema error that names its version.
 
@@ -66,11 +71,12 @@ from .actions import (
     restricted_group,
 )
 from .edges import Arcs, full_report
-from .geometry import REALIZATION_CHECKS, ModelConfig, Realization, orbit_coords
+from .geometry import REALIZATION_CHECKS, ModelConfig, PrecisionError, Realization
 from .perm import (
     GROUP_NAMES,
     GROUP_ORDER,
     GroupAction,
+    InconsistentActionError,
     action_from_generators,
     burnside_orbit_count,
     check_homomorphism,
@@ -277,11 +283,10 @@ def _rebuild(data: dict) -> Realization:
         [g["matrix"] for g in data["generators"]], dtype=float).reshape(-1, 4, 4))
     free_size = GROUP_ORDER[RESTRICTION_PARENT.get(data["restriction"], data["group"])]
     base, labels = _orbit_records(ga, data["vertices"], free_size)
-    coords = orbit_coords(ga.images, mats, base, ga.minima)
     va = VertexAction(ga, labels, ())
     cfg = ModelConfig(theta=data["model"]["theta"], t=data["model"]["t"],
                       seed=data["model"]["seed"])
-    return Realization(None, va, Model(data["model"]["tag"]), cfg, mats, coords)
+    return Realization(None, va, Model(data["model"]["tag"]), cfg, mats, base)
 
 
 def _orbit_records(action: GroupAction, records: list, free_size: int) -> tuple:
@@ -362,10 +367,18 @@ VERIFY_STEPS = (
 )
 
 
+# the exceptions by which a step rejects a file; SchemaError is a ValueError
+REJECTIONS = (AssertionError, ValueError, InconsistentActionError, PrecisionError)
+
+
 def verify_certificate(data: dict) -> list[CheckResult]:
     """Re-run every check from file contents alone: group-closure rebuilds
     the realization, then VERIFY_STEPS run in order.  Stops at the first
-    failure so callers can name the broken invariant."""
+    failure so callers can name the broken invariant.  A step that raises
+    one of REJECTIONS rejects the file with the exception's message; any
+    other exception is a fault of the verifier, reported as `internal
+    error (<type>): <message>`, and fails the step too, so the command
+    still exits with a failure and never a traceback."""
     results, name = [], "group-closure"
     try:
         real = _rebuild(data)
@@ -373,8 +386,10 @@ def verify_certificate(data: dict) -> list[CheckResult]:
         for name, check in VERIFY_STEPS:
             check(data, real)
             results.append(CheckResult(name, True))
-    except Exception as err:
+    except REJECTIONS as err:
         results.append(CheckResult(name, False, str(err)))
+    except Exception as err:  # a fault of the verifier, not a verdict on the file
+        results.append(CheckResult(name, False, f"internal error ({type(err).__name__}): {err}"))
     return results
 
 

@@ -56,6 +56,9 @@ from .perm import PermGroup, from_cycles, matrices_from_generators, orbit_repres
 from .profiles import FixedVertexProfile
 
 ERROR_TOL = 1e-12  # rounding error allowed in an identity that holds exactly
+# what `invariance` implies for every vertex, not only for the representatives
+# it compares: 3·ERROR_TOL and the rounding of orbit_coords (_check_invariance)
+ACTION_ERROR = 3 * ERROR_TOL + 1e-14
 ON_CIRCLE_TOL = 1e-9
 CIRCLE_EQ_TOL = 1e-8
 SHARED_LINE_TOL = CIRCLE_EQ_TOL * 10  # singular values of a line two circles share
@@ -68,7 +71,6 @@ _CELL_MARGIN = 2.0 ** -20  # relative widening of a cell over the search radius
 _CELL_SPAN = 2 ** 14  # most cells across the points' range on one axis
 _PAIR_CHUNK = 2 ** 20  # most candidate pairs measured at once
 _HOM_CHUNK = 2 ** 9  # most (row, matrix) products per homomorphism chunk: 64 KB
-_INVARIANCE_CHUNK = 2 ** 11  # most (element, vertex) images per invariance chunk
 # cell offsets on the first three axes, in ascending code order; CellGrid.runs
 _NEIGHBOURS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
 
@@ -293,15 +295,21 @@ def _part_base_point(kind: str, config: ModelConfig) -> np.ndarray:
 def orbit_coords(images: np.ndarray, mats: np.ndarray, base: np.ndarray,
                  rep_of: np.ndarray) -> np.ndarray:
     """All m coordinates from one point per orbit, for realize and verify
-    alike: a representative v (rep_of[v] == v) keeps base[v] exactly, and
-    every other vertex w gets mats[t] @ base[rep_of[w]], t the first row of
-    the action images that carries rep_of[w] to w."""
-    m = len(rep_of)
+    alike: a representative v (rep_of[v] == v, and rep_of maps every vertex
+    to one) keeps base[v] exactly, and every other vertex w gets
+    mats[t] @ base[rep_of[w]], t the first row of the action images that
+    carries rep_of[w] to w.  The rows are read off the representatives'
+    columns alone, |G| entries per orbit."""
+    m, order = len(rep_of), len(images)
+    reps = np.flatnonzero(rep_of == np.arange(m))
+    cols = images[:, reps]  # row x, column of v: the vertex x carries v to
+    own = rep_of[cols] == reps  # an entry names a t only for a vertex of v's orbit
+    t = np.full(m, order)
+    np.minimum.at(t, cols[own], np.nonzero(own)[0])
     # row 0 if no row does: that action is no homomorphism, which its check reports
-    t = (images[:, rep_of] == np.arange(m)).argmax(axis=0)
+    t[t == order] = 0
     with np.errstate(invalid="ignore", over="ignore"):  # NaN fails at invariance
         coords = np.einsum("wij,wj->wi", mats[t], base[rep_of])
-    reps = rep_of == np.arange(m)
     coords[reps] = base[reps]
     return coords
 
@@ -447,14 +455,15 @@ def _closest_pair(points: np.ndarray, rows: np.ndarray, partners: np.ndarray) ->
 
 @dataclass
 class Realization:
-    """A vertex action made concrete: matrices plus coordinates on the sphere."""
+    """A vertex action made concrete: matrices plus one point per vertex
+    orbit, from which every coordinate is derived."""
 
     plan: OrbitPlan
     vertex_action: VertexAction
     model: Model
     config: ModelConfig
-    mats: np.ndarray    # (|G|, 4, 4), acting (possibly restricted) group; row i is elements[i]
-    coords: np.ndarray  # (m, 4)
+    mats: np.ndarray  # (|G|, 4, 4), acting (possibly restricted) group; row i is elements[i]
+    base: np.ndarray  # (m, 4), read only at the orbit minima: one point per orbit
 
     @property
     def group(self) -> PermGroup:
@@ -463,6 +472,16 @@ class Realization:
     @property
     def m(self) -> int:
         return self.vertex_action.m
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """All m coordinates, (m, 4) and read-only: orbit_coords of base at
+        the orbit minima, as verify derives them from a file.  Computed on
+        first use, so mats and base are read then."""
+        act = self.vertex_action.action
+        coords = orbit_coords(act.images, self.mats, self.base, act.minima)
+        coords.setflags(write=False)
+        return coords
 
     @cached_property
     def circles(self) -> np.ndarray:
@@ -506,32 +525,42 @@ def _check_matrices(r: Realization) -> None:
     require_at_most(hom, ERROR_TOL, f"matrix homomorphism error {hom}")
 
 
-def _invariance_errors(r: Realization):
-    """For each element, the largest coordinate by which it moves a vertex
-    off its image: yields (first row, errors) for chunks of about
-    _INVARIANCE_CHUNK // m rows (at least one), each one stacked product.
-    From m = 2^11 on a chunk is one row: larger temporaries leave the
-    cache and are slower."""
-    images = r.vertex_action.action.images
-    step = max(1, _INVARIANCE_CHUNK // r.m)
-    for first in range(0, r.group.order, step):
-        rows = slice(first, first + step)
-        moved = r.coords @ r.mats[rows].transpose(0, 2, 1)
-        moved -= r.coords[images[rows]]
-        yield first, np.abs(moved, out=moved).max(axis=(1, 2))
+def _orbit_errors(r: Realization) -> np.ndarray:
+    """For each element g, the largest coordinate of M(g)·p(v) - p(g·v) over
+    the orbit representatives v: one stacked product of |G|·#orbits
+    vectors.  NaN anywhere gives NaN."""
+    act = r.vertex_action.action
+    reps = orbit_representatives(act)
+    with np.errstate(invalid="ignore", over="ignore"):
+        moved = r.coords[reps] @ r.mats.transpose(0, 2, 1)  # row g: M(g)·p(v), each v
+        moved -= r.coords[act.images[:, reps]]
+        return np.abs(moved, out=moved).max(axis=(1, 2))
 
 
 def _check_invariance(r: Realization) -> None:
+    """Every vertex within ERROR_TOL of the unit sphere, and each coordinate
+    of M(g)·p(v) - p(g·v) within ERROR_TOL for every element g at every
+    orbit representative v (_orbit_errors); the first element off its
+    images fails the check.
+
+    That bounds the whole action, since every coordinate is derived:
+    p(w) = M(t)·p(v) with t·v = w (orbit_coords).  Once `homomorphism`
+    passes, and the images form an action (`action-homomorphism` in
+    verify), g·t carries v to g·w, so M(g)·p(w) - p(g·w) is
+    (M(g)M(t) - M(g·t))·p(v), at most 2·ERROR_TOL per coordinate as
+    ||p(v)||_1 <= 2, plus g·t's error at v, at most ERROR_TOL, plus the
+    rounding of the product that made p(w), carried by M(g).  ACTION_ERROR
+    bounds the sum."""
     # non-finite coordinates give a NaN error, which fails quietly below
     with np.errstate(invalid="ignore", over="ignore"):
         radius = float(np.abs(np.linalg.norm(r.coords, axis=1) - 1).max())
-        require_at_most(radius, ERROR_TOL, f"vertices lie off the unit sphere by {radius}")
-        for first, errors in _invariance_errors(r):
-            bad = np.flatnonzero(~(errors <= ERROR_TOL))
-            if bad.size:  # the first offending element fails the check
-                e, err = r.group.elements[first + bad[0]], float(errors[bad[0]])
-                require_at_most(err, ERROR_TOL,
-                                f"element {tuple(e.tolist())} moves vertices off their images by {err}")
+    require_at_most(radius, ERROR_TOL, f"vertices lie off the unit sphere by {radius}")
+    errors = _orbit_errors(r)
+    bad = np.flatnonzero(~(errors <= ERROR_TOL))
+    if bad.size:
+        e, err = r.group.elements[bad[0]], float(errors[bad[0]])
+        require_at_most(err, ERROR_TOL,
+                        f"element {tuple(e.tolist())} moves vertices off their images by {err}")
 
 
 def _min_separation(r: Realization) -> float:
@@ -555,9 +584,9 @@ def _min_separation(r: Realization) -> float:
 def _check_separation(r: Realization) -> None:
     # Sound only after `invariance` (and, on a certificate, the action
     # checks) have passed: the images must form a group action, and each
-    # vertex may sit off its image by at most ERROR_TOL per coordinate.
+    # vertex may sit off its image by at most ACTION_ERROR per coordinate.
     # The two vertex errors in a pair then move a distance by at most
-    # 2*ERROR_TOL per coordinate (4e-12 in length), plus a relative
+    # 2*ACTION_ERROR per coordinate (1.2e-11 in length), plus a relative
     # 2*ERROR_TOL from the matrices: far below MIN_VERTEX_SEP (1e-6).
     # This is the one test of how close two vertices sit, special or free.
     closest = _min_separation(r)
@@ -623,11 +652,10 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     if frees:
         avoid = orbit_coords(images, mats, base, rep_of)[~np.isin(rep_of, frees)]
         base[frees] = [orbit[0] for orbit in free_orbit_coords(mats, circles, len(frees), config, avoid)]
-    coords = orbit_coords(images, mats, base, rep_of)
-    if sub is not None:  # as verify derives them, from the orbit minima
+    if sub is not None:  # the A4 orbit minima read the parent's coordinates
+        base = orbit_coords(images, mats, base, rep_of)
         mats, circles = acting[rows], circles[rows]
-        coords = orbit_coords(va.action.images, mats, coords, va.action.minima)
-    r = Realization(p, va, p.model, config, mats, coords)
+    r = Realization(p, va, p.model, config, mats, base)
     r.circles = circles
     validate_realization(r)
     return r
@@ -641,13 +669,14 @@ def geometric_profile(r: Realization) -> FixedVertexProfile:
     first row); the profile check compares them with the measured profile.
 
     Once `invariance` and `separation` pass, an element g of order 2..5
-    moves a point at distance d from its circle by d to 2d.  So a vertex g
-    fixes lies within 2·ERROR_TOL of the circle, one g moves at least
-    MIN_VERTEX_SEP / 2 - ERROR_TOL from it; ON_CIRCLE_TOL lies between, so
-    the count is g's fixed-vertex count, shared by conjugates and by the
-    generators of one cyclic subgroup (A4 n3 holds g and g⁻¹, A5 n5 g and
-    g²), which make up every class.  An element with no circle fixes no
-    vertex, and every unit point lies 1 from its zero projector."""
+    moves a point at distance d from its circle by d to 2d, and every
+    vertex sits off its image by at most ACTION_ERROR per coordinate.  So
+    a vertex g fixes lies within 2·ACTION_ERROR of the circle, one g moves
+    at least MIN_VERTEX_SEP / 2 - ACTION_ERROR from it; ON_CIRCLE_TOL lies
+    between, so the count is g's fixed-vertex count, shared by conjugates
+    and by the generators of one cyclic subgroup (A4 n3 holds g and g⁻¹,
+    A5 n5 g and g²), which make up every class.  An element with no circle
+    fixes no vertex, and every unit point lies 1 from its zero projector."""
     names = [name for name in r.group.classes if name != "n1"]
     planes = projectors(r.circles[[r.group.classes[name][0] for name in names]])
     counts = np.count_nonzero(plane_distance(planes, r.coords) <= ON_CIRCLE_TOL, axis=1)

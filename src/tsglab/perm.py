@@ -61,6 +61,19 @@ EXPECTED_CLASSES = {
 }
 
 
+def _bijections(rows: np.ndarray) -> bool:
+    """Is every row of the integer array a bijection on 0..d-1 (d its row
+    length)?  A range check, then one flat boolean scatter: row i's values
+    mark cells i·d..i·d+d-1, and every cell is marked exactly when no row
+    repeats a value."""
+    n, d = rows.shape
+    if rows.size and (rows.min() < 0 or rows.max() >= d):
+        return False
+    seen = np.zeros(n * d, dtype=bool)
+    seen[(rows.astype(np.intp, copy=False) + d * np.arange(n)[:, None]).ravel()] = True
+    return bool(seen.all())
+
+
 def _even(perms: np.ndarray) -> np.ndarray:
     """True for each row with an even number of inversions."""
     d = perms.shape[1]
@@ -93,7 +106,7 @@ class PermGroup:
             raise ValueError(f"degree {d} exceeds the limit of {MAX_DEGREE} letters")
         if n != GROUP_ORDER[name]:
             raise ValueError(f"{name} must have {GROUP_ORDER[name]} elements, got {n}")
-        if not (np.sort(perms, axis=1) == np.arange(d)).all():
+        if not _bijections(perms):
             raise ValueError(f"every group element must be a bijection on 0..{d - 1}")
         perms = perms[np.lexsort(perms.T[::-1])]
         if not np.diff(perms, axis=0).any(axis=1).all():
@@ -246,10 +259,9 @@ class GroupAction:
             raise ValueError(f"action images need shape ({group.order}, m), got {images.shape}")
         if not np.issubdtype(images.dtype, np.integer):
             raise ValueError(f"action images must be integers, not {images.dtype}")
-        ident = np.arange(images.shape[1])
-        if not (np.sort(images, axis=1) == ident).all():
-            raise ValueError(f"every row of the action must be a bijection on 0..{len(ident) - 1}")
-        if not (images[0] == ident).all():
+        if not _bijections(images):
+            raise ValueError(f"every row of the action must be a bijection on 0..{images.shape[1] - 1}")
+        if not (images[0] == np.arange(images.shape[1])).all():
             raise ValueError("identity must act as the identity")
         self.group = group
         self.images = images.view()
@@ -284,15 +296,27 @@ def natural_action(g: PermGroup) -> GroupAction:
 
 
 def check_homomorphism(a: GroupAction) -> None:
-    """act(x * s) == act(x) after act(s) for every row x and each of the
-    group's generators s.  That is as strong as testing every pair: the
-    identity acts trivially, and every element is a product of generators."""
+    """act(s)(φ_v(x)) == φ_v(s * x), with φ_v(x) = act(x)(v), for each of
+    the group's generators s, every row x and every orbit representative v:
+    2·|G| image comparisons per orbit, read off the representatives'
+    columns only.
+
+    That is complete when every row is a word in the generator rows, act(x)
+    the composition of the generators' rows along a word for x, as
+    action_from_generators gives them (the only source verify has) and as
+    every genuine action has them.  Then act(x)(φ_v(y)) = φ_v(x * y) for all
+    rows x and y, one generator at a time; the φ_v(y) make up v's orbit,
+    since their set is closed under the generator rows; so act(x) after
+    act(z) is act(x * z) on every vertex.  A table whose rows are not such
+    words can break the homomorphism off the representatives' columns
+    unseen."""
     imgs, g = a.images, a.group
+    cols = imgs[:, orbit_representatives(a)]  # row x, column of v: φ_v(x)
     for s in g.generators:
-        # row x compares act(x * s) with act(x) after act(s)
-        bad = np.flatnonzero((imgs[g.cayley[:, s]] != imgs[:, imgs[s]]).any(axis=1))
+        # row x compares act(s)(φ_v(x)) with φ_v(s * x)
+        bad = np.flatnonzero((imgs[s][cols] != cols[g.cayley[s]]).any(axis=1))
         if len(bad):
-            e1, e2 = g.elements[bad[0]].tolist(), g.elements[s].tolist()
+            e1, e2 = g.elements[s].tolist(), g.elements[bad[0]].tolist()
             raise InconsistentActionError(f"act({e1} * {e2}) != act({e1}) * act({e2})")
 
 
@@ -332,7 +356,7 @@ def action_from_generators(g: PermGroup, gens, gen_images) -> GroupAction:
             or not np.issubdtype(gen_images.dtype, np.integer):
         raise ValueError("generator images must be equal-length lists of integers")
     m = gen_images.shape[1]
-    if not (np.sort(gen_images, axis=1) == np.arange(m)).all():
+    if not _bijections(gen_images):
         raise ValueError(f"every generator image row must be a bijection on 0..{m - 1}")
     return GroupAction(g, _along_tree(g, gens, np.arange(m), gen_images, lambda a, b: a[b]))
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tsglab.actions import build, plan
-from tsglab.geometry import realize
+from tsglab.geometry import Realization, realize
+from tsglab.perm import InconsistentActionError
 from tsglab.profiles import profile_rules
 
 REFERENCES = ([("S4", m) for m in (24, 4, 8, 12, 20, 28)]
@@ -27,18 +28,31 @@ def realized():
 
 
 def close_free_orbits():
-    """S4 m=48 with its second free orbit moved to the orbit of a point
-    1e-7 from the first orbit's base point: exactly invariant, each orbit
-    well spread, yet two vertices 1e-7 apart."""
+    """S4 m=48 with the representative of its second free orbit moved to a
+    point 1e-7 from the first orbit's: invariant, each orbit well spread,
+    yet two vertices 1e-7 apart."""
     p = plan("S4", 48)
     r = realize(p, build(p))
     first, second = (b for b in r.vertex_action.parts if b.kind == "free")
-    base = r.coords[first.start]
+    point = r.base[first.start]
     nudge = np.array([1.0, -1.0, 0.5, 0.25])
-    nudge -= (nudge @ base) * base
-    moved = base + 1e-7 * nudge / np.linalg.norm(nudge)
-    r.coords[second.start:second.start + second.size] = r.mats @ (moved / np.linalg.norm(moved))
-    return r
+    nudge -= (nudge @ point) * point
+    moved = point + 1e-7 * nudge / np.linalg.norm(nudge)
+    base = r.base.copy()
+    base[second.start] = moved / np.linalg.norm(moved)
+    return Realization(r.plan, r.vertex_action, r.model, r.config, r.mats, base)
+
+
+def all_column_homomorphism(a):
+    """act(x * s) == act(x) after act(s) for every row x, each generator s
+    and all m columns: the reference for check_homomorphism, which reads
+    the orbit representatives' columns only."""
+    imgs, g = a.images, a.group
+    for s in g.generators:
+        bad = np.flatnonzero((imgs[g.cayley[:, s]] != imgs[:, imgs[s]]).any(axis=1))
+        if len(bad):
+            e1, e2 = g.elements[bad[0]].tolist(), g.elements[s].tolist()
+            raise InconsistentActionError(f"act({e1} * {e2}) != act({e1}) * act({e2})")
 
 
 def orbit_partition(a):

@@ -162,12 +162,12 @@ def test_criterion_5_edge_certificates(realized):
     # fixture 1: a vertex dragged onto the wrong fixed circle
     va, r = realized[("S4", 12)]
     s4 = standard_group("S4")
-    bad_coords = r.coords.copy()
+    base = r.base.copy()  # the edge orbit's representative moves, and its orbit with it
     other = next(i for i in s4.classes["n2p"]
-                 if plane_distance(projectors(r.circles[i]), bad_coords[0]) > 1e-6)
+                 if plane_distance(projectors(r.circles[i]), base[0]) > 1e-6)
     b0, b1 = r.circles[other]
-    bad_coords[0] = math.cos(0.37) * b0 + math.sin(0.37) * b1
-    corrupted = Realization(r.plan, va, r.model, r.config, r.mats, bad_coords)
+    base[0] = math.cos(0.37) * b0 + math.sin(0.37) * b1
+    corrupted = Realization(r.plan, va, r.model, r.config, r.mats, base)
     assert not full_report(corrupted).overall
 
     # fixture 2: edge parameter forced to the midpoint is refused outright

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsglab import perm
+from tsglab import certificate, perm
 from tsglab.actions import build, plan
 from tsglab.certificate import (
     _rebuild,
@@ -139,6 +139,31 @@ def test_an_inconsistent_edge_fails_at_action_homomorphism(capsys, tmp_path):
     assert code == 5 and "group-closure: ok" in out
     assert "action-homomorphism: FAILED (act(" in out
     assert err == "verification failed at: action-homomorphism\n"
+
+
+@pytest.mark.parametrize("fault,shown", [
+    (IndexError("index 7 is out of bounds for axis 0 with size 5"),
+     "internal error (IndexError): index 7 is out of bounds for axis 0 with size 5"),
+    (AssertionError("orbit count 3 != stored 2"), "orbit count 3 != stored 2"),
+])
+def test_a_verifier_fault_is_not_reported_as_a_rejection(capsys, tmp_path, monkeypatch,
+                                                         fault, shown):
+    """A step that raises anything but AssertionError, ValueError,
+    InconsistentActionError or PrecisionError is a fault of the verifier:
+    its result reads `internal error (<type>): ...`, apart from every
+    rejection, yet verify still fails the step, exits 5 and prints no
+    traceback.  A rejection keeps its bare message."""
+    def faulty(data, real):
+        raise fault
+
+    steps = tuple((name, faulty if name == "burnside" else check)
+                  for name, check in certificate.VERIFY_STEPS)
+    monkeypatch.setattr(certificate, "VERIFY_STEPS", steps)
+    path, data = _certificate(tmp_path, "A4", 13)
+    code, out, err = _verify(capsys, path, data)
+    assert code == 5 and "profile: ok\n" in out
+    assert f"burnside: FAILED ({shown})\n" in out
+    assert err == "verification failed at: burnside\n"
 
 
 def test_representative_off_its_stabilizer_circle_fails_at_invariance(capsys, tmp_path):

@@ -121,9 +121,9 @@ def test_verify_rejects_knotted_cases(capsys, tmp_path, m):
     action on the tetrahedron corners, plus the pole for m = 5) that passes
     every check is still refused as a schema error."""
     p = plan("A4", m)
-    coords = np.array([geometry.tetra_corner(i) for i in range(4)] + [geometry.POLE] * (m - 4))
+    base = np.array([geometry.tetra_corner(0)] * 4 + [geometry.POLE] * (m - 4))  # read at 0 and 4
     mats = geometry.representation(standard_group("A4"), Model.TETRA_ROT)
-    r = geometry.Realization(p, build(p), Model.TETRA_ROT, geometry.ModelConfig(), mats, coords)
+    r = geometry.Realization(p, build(p), Model.TETRA_ROT, geometry.ModelConfig(), mats, base)
     out_file = tmp_path / "knotted.json"
     write_certificate(str(out_file), r, full_report(r))
     code, out, err = run(capsys, "verify", "--in", str(out_file))

@@ -38,7 +38,7 @@ from tsglab.geometry import (
     same_circle,
     shared_lines,
 )
-from tsglab.perm import GroupAction, pair_stabilizers, standard_group
+from tsglab.perm import GroupAction, orbit_representatives, pair_stabilizers, standard_group
 from tsglab.profiles import admissible_residues
 
 from .conftest import REFERENCES
@@ -206,13 +206,13 @@ def test_h5_transposition_circles_unshared(realized):
 
 def test_fixture_wrong_circle_vertex_fails(realized):
     va, r = realized[("S4", 12)]
-    bad_coords = r.coords.copy()
-    # drag one edge vertex onto a different transposition's circle
+    base = r.base.copy()
+    # drag the edge orbit's representative onto a different transposition's circle
     other = next(i for i in S4.classes["n2p"]
-                 if plane_distance(projectors(r.circles[i]), bad_coords[0]) > 1e-6)
+                 if plane_distance(projectors(r.circles[i]), base[0]) > 1e-6)
     b0, b1 = r.circles[other]
-    bad_coords[0] = math.cos(0.37) * b0 + math.sin(0.37) * b1
-    bad = Realization(r.plan, va, r.model, r.config, r.mats, bad_coords)
+    base[0] = math.cos(0.37) * b0 + math.sin(0.37) * b1
+    bad = Realization(r.plan, va, r.model, r.config, r.mats, base)
     report = full_report(bad)
     assert not report.h2
     assert not report.overall
@@ -248,10 +248,11 @@ def _pair_at_circle_intersection() -> tuple[VertexAction, Realization]:
     va = VertexAction(ga, ("pole",) * 2 + ("free",) * 24, ())
     mats = representation(S4, Model.TETRA_FULL)
     rng = np.random.default_rng(2)
-    base = rng.standard_normal(4)
-    base /= np.linalg.norm(base)
-    coords = np.vstack([[0, 0, 0, 1.0], [0, 0, 0, -1.0]] + [mat @ base for mat in mats])
-    return va, Realization(None, va, Model.TETRA_FULL, ModelConfig(), mats, coords)
+    base = np.zeros((26, 4))
+    base[0, 3] = 1.0  # a pole; the odd elements carry it to the other, vertex 1
+    base[2] = rng.standard_normal(4)  # the free orbit's representative
+    base[2] /= np.linalg.norm(base[2])
+    return va, Realization(None, va, Model.TETRA_FULL, ModelConfig(), mats, base)
 
 
 def test_fixture_pair_at_intersection_fails_h1():
@@ -284,16 +285,17 @@ def test_fixture_dropped_arc_fails_h3(realized, key):
 
 
 def test_check_arcs_rejects_vertex_inside(realized):
-    """Move a vertex of S4 m=12 into the interior of an arc: check_arcs
+    """Move the representative of the other orbit of S4 m=20 (two special
+    parts) into the interior of an arc, its orbit along with it: check_arcs
     names it, and assign_arcs picks the other arc of that pair instead."""
-    va, r = realized[("S4", 12)]
+    va, r = realized[("S4", 20)]
     arcs = _arcs(r)
     arc = _rows(arcs)[0]
     pair = arc.pair
-    w = next(x for x in range(r.m) if x not in pair)
-    coords = r.coords.copy()
-    coords[w] = arc.midpoint
-    moved = Realization(r.plan, va, r.model, r.config, r.mats, coords)
+    w = next(x for x in orbit_representatives(va.action).tolist() if x not in pair)
+    base = r.base.copy()
+    base[w] = arc.midpoint
+    moved = Realization(r.plan, va, r.model, r.config, r.mats, base)
     message = f"arc of pair {pair} has vertex {w} inside"
     with pytest.raises(ArcAssignmentError, match=re.escape(message)):
         check_arcs(moved, arcs, required_pairs(va))
@@ -579,10 +581,11 @@ def test_check_arcs_reports_a_vertex_inside_only_before_the_first_fault(vertex_f
     r = realize(p, build(p), ModelConfig(seed=1))
     arcs = _rows(_arcs(r))
     inside, faulty = (0, len(arcs) - 1) if vertex_first else (len(arcs) - 1, 0)
-    w = next(x for x in range(r.m) if all(x not in arc.pair for arc in arcs))
-    coords = r.coords.copy()
-    coords[w] = arcs[inside].midpoint
-    moved = Realization(r.plan, r.vertex_action, r.model, r.config, r.mats, coords)
+    w = next(x for x in orbit_representatives(r.vertex_action.action).tolist()
+             if all(x not in arc.pair for arc in arcs))
+    base = r.base.copy()
+    base[w] = arcs[inside].midpoint
+    moved = Realization(r.plan, r.vertex_action, r.model, r.config, r.mats, base)
     arcs[faulty] = arcs[faulty]._replace(start=float("nan"))
     if vertex_first:
         message = f"arc of pair {arcs[inside].pair} has vertex {w} inside"

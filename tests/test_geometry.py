@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -32,9 +33,17 @@ from tsglab.geometry import (
 from tsglab import edges, geometry
 from tsglab.edges import full_report
 from tsglab.geometry import CellGrid, _canonical_rows, _closest_pair, _max_hom_error, _min_separation
-from tsglab.perm import PermGroup, a4_inside_a5, from_cycles, orbit_representatives, standard_group
+from tsglab.perm import (
+    GroupAction,
+    InconsistentActionError,
+    PermGroup,
+    check_homomorphism,
+    from_cycles,
+    orbit_representatives,
+    standard_group,
+)
 
-from .conftest import REFERENCES, close_free_orbits
+from .conftest import REFERENCES, all_column_homomorphism, close_free_orbits
 
 S4 = standard_group("S4")
 A4 = standard_group("A4")
@@ -528,8 +537,8 @@ def test_parameters_robust(theta, t):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_validate_rejects_non_finite_coordinate(bad):
-    r = realize(plan("S4", 24), config=ModelConfig(seed=1))
-    r.coords[0, 1] = bad
+    r = _copy(realize(plan("S4", 24), config=ModelConfig(seed=1)))
+    r.base[0, 1] = bad
     with pytest.raises(AssertionError, match="^invariance: "):
         validate_realization(r)
 
@@ -702,43 +711,65 @@ def _loop_hom_error(group, mats):
 
 
 def _loop_invariance_errors(r):
-    """One element at a time: its largest coordinate off the image."""
+    """One element at a time, over all m vertices: its largest coordinate
+    off the image.  The whole-action reference for the orbit-local check."""
     return [float(np.abs(r.coords @ mat.T - r.coords[img]).max())
             for mat, img in zip(r.mats, r.vertex_action.action.images)]
 
 
+def _loop_orbit_errors(r):
+    """One element at a time, at the orbit representatives only."""
+    reps = orbit_representatives(r.vertex_action.action)
+    return [float(np.abs(r.coords[reps] @ mat.T - r.coords[img[reps]]).max())
+            for mat, img in zip(r.mats, r.vertex_action.action.images)]
+
+
 def _loop_invariance_message(r):
-    """The message of the first element over ERROR_TOL, or None."""
-    for e, err in zip(r.group.elements, _loop_invariance_errors(r)):
+    """The message of the first element over ERROR_TOL at the
+    representatives, or None."""
+    for e, err in zip(r.group.elements, _loop_orbit_errors(r)):
         if not err <= geometry.ERROR_TOL:
             return f"invariance: element {tuple(e.tolist())} moves vertices off their images by {err}"
     return None
-
-
-def _stacked_errors(r):
-    chunks = list(geometry._invariance_errors(r))
-    assert [first for first, _ in chunks] == list(range(0, r.group.order, len(chunks[0][1])))
-    return np.concatenate([errors for _, errors in chunks]).tolist()
 
 
 @pytest.mark.parametrize("group,m", STACKED_CASES)
 def test_stacked_checks_equal_per_element_loops(stacked_cases, group, m):
     r = stacked_cases[(group, m)]
     assert _max_hom_error(r.group, r.mats) == _loop_hom_error(r.group, r.mats)
-    assert _stacked_errors(r) == _loop_invariance_errors(r)
+    assert geometry._orbit_errors(r).tolist() == _loop_orbit_errors(r)
+    assert max(_loop_invariance_errors(r)) <= geometry.ACTION_ERROR
 
 
-def test_invariance_chunks_end_in_a_partial_chunk(stacked_cases):
-    """A5 m=80 takes 2^11 // 80 = 25 rows per chunk: 25, 25 and a last 10."""
-    r = stacked_cases[("A5", 80)]
-    assert [len(errors) for _, errors in geometry._invariance_errors(r)] == [25, 25, 10]
-    assert [len(errors) for _, errors in geometry._invariance_errors(stacked_cases[("A5", 1205)])] == [1] * 60
+def test_orbit_local_checks_read_only_the_representatives_columns(stacked_cases):
+    """A5 m=80 and m=1205: reversing the other columns of every row but the
+    identity's and the generators' keeps each row a bijection and leaves
+    the coordinates, the invariance errors and check_homomorphism's
+    verdict as they were: the checks compare |G|·#orbits images, not
+    |G|·m.  The all-column reference rejects that table, which is no
+    action; its rows are no longer words in the generator rows, which
+    check_homomorphism needs."""
+    for m in (80, 1205):
+        r = stacked_cases[("A5", m)]
+        act = r.vertex_action.action
+        rows = np.setdiff1d(np.arange(1, r.group.order), r.group.generators)
+        others = np.setdiff1d(np.arange(r.m), orbit_representatives(act))
+        images = act.images.copy()
+        images[np.ix_(rows, others)] = images[np.ix_(rows, others[::-1])]
+        scrambled = GroupAction(r.group, images)
+        va = dataclasses.replace(r.vertex_action, action=scrambled)
+        s = Realization(r.plan, va, r.model, r.config, r.mats, r.base)
+        assert np.array_equal(s.coords, r.coords), m
+        assert np.array_equal(geometry._orbit_errors(s), geometry._orbit_errors(r)), m
+        check_homomorphism(scrambled)
+        with pytest.raises(InconsistentActionError):
+            all_column_homomorphism(scrambled)
 
 
-def _copy(r, mats=None, coords=None):
+def _copy(r, mats=None, base=None):
     return Realization(r.plan, r.vertex_action, r.model, r.config,
                        r.mats.copy() if mats is None else mats,
-                       r.coords.copy() if coords is None else coords)
+                       r.base.copy() if base is None else base)
 
 
 @pytest.mark.parametrize("group,m", [("A4", 13), ("S4", 28), ("A5", 80), ("A5", 1205)])
@@ -755,29 +786,76 @@ def test_corrupt_matrix_entry_fails_homomorphism_as_the_loop(stacked_cases, grou
 @pytest.mark.parametrize("group,m", [("A4", 13), ("S4", 28), ("A5", 80), ("A5", 1205)])
 @pytest.mark.parametrize("vertex", [0, -1])
 def test_moved_vertex_fails_invariance_as_the_loop(stacked_cases, group, m, vertex):
+    """Move the representative of vertex's orbit, the one point a file
+    stores for it, by about 1e-6.  Vertex 0 is a free orbit's
+    representative: its orbit moves along, still invariant, so every check
+    passes and the whole-action loop stays within ACTION_ERROR.  Vertex -1
+    lies in a special part, whose stabilizer no longer fixes the moved
+    point: invariance names the first element off its images at the
+    representatives, and the whole-action loop sees that element off too."""
     r = _copy(stacked_cases[(group, m)])
-    p = r.coords[vertex] + 1e-6 * np.array([1.0, -2.0, 0.5, 1.5])
-    r.coords[vertex] = p / np.linalg.norm(p)
-    expected = _loop_invariance_message(r)
+    v = r.vertex_action.action.minima[vertex]
+    p = r.base[v] + 1e-6 * np.array([1.0, -2.0, 0.5, 1.5])
+    r.base[v] = p / np.linalg.norm(p)
+    assert geometry._orbit_errors(r).tolist() == _loop_orbit_errors(r)
+    expected, whole = _loop_invariance_message(r), _loop_invariance_errors(r)
+    if vertex == 0:
+        assert expected is None and max(whole) <= geometry.ACTION_ERROR
+        validate_realization(r)
+        return
     assert expected is not None
-    assert _stacked_errors(r) == _loop_invariance_errors(r)
     with pytest.raises(AssertionError) as err:
         validate_realization(r)
     assert str(err.value) == expected
+    named = int(np.flatnonzero(np.array(_loop_orbit_errors(r)) > geometry.ERROR_TOL)[0])
+    assert whole[named] >= _loop_orbit_errors(r)[named]
+
+
+def _tilted(r, row, axes):
+    """r with the matrix of one row turned by 1e-6 in the plane of two axes."""
+    tilt = np.eye(4)
+    (a, b), c, s = axes, math.cos(1e-6), math.sin(1e-6)
+    tilt[[a, a, b, b], [a, b, a, b]] = c, -s, s, c
+    t = _copy(r)
+    t.mats[row] = t.mats[row] @ tilt
+    return t
 
 
 @pytest.mark.parametrize("row", [7, 30, 59])
 def test_first_bad_element_in_a_later_chunk_is_named(stacked_cases, row):
-    """A5 m=80: a rotation tilted on one row only, in the first, second or
-    last chunk, is the element the invariance check names."""
-    r = _copy(stacked_cases[("A5", 80)])
-    c, s = math.cos(1e-6), math.sin(1e-6)
-    r.mats[row] = r.mats[row] @ np.array([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    """A5 m=80: a rotation tilted on one row only, early, in the middle or
+    last, fails `homomorphism`, which runs first.  The derived coordinates
+    carry the tilt wherever that row is the first to reach a vertex, so
+    invariance alone sees it only at the special part's representative v,
+    whose stabilizer moves it: tilted in the plane of axes 2 and 3, the
+    check names the first element off its images at the representatives,
+    one of the row's coset (an element taking v where the row does), and
+    the whole-action loop sees that element off too.  Tilted in the plane
+    of axes 0 and 1, which p(v) = (0, 0, ., .) is orthogonal to,
+    invariance alone passes, while the whole-action loop does not: the
+    bound on the whole action rests on `homomorphism` as well."""
+    base = stacked_cases[("A5", 80)]
+    images = base.vertex_action.action.images
+    v = base.vertex_action.action.minima[-1]
+    r = _tilted(base, row, (2, 3))
+    with pytest.raises(AssertionError, match="^homomorphism: "):
+        validate_realization(r)
     expected = _loop_invariance_message(r)
-    assert expected is not None and str(tuple(r.group.elements[row].tolist())) in expected
+    assert expected is not None
     with pytest.raises(AssertionError) as err:
         geometry._check_invariance(r)
     assert "invariance: " + str(err.value) == expected
+    named = int(np.flatnonzero(np.array(_loop_orbit_errors(r)) > geometry.ERROR_TOL)[0])
+    assert images[named, v] == images[row, v]
+    assert _loop_invariance_errors(r)[named] > geometry.ERROR_TOL
+
+    r = _tilted(base, row, (0, 1))
+    assert np.array_equal(r.coords[v, :2], [0.0, 0.0])
+    with pytest.raises(AssertionError, match="^homomorphism: "):
+        validate_realization(r)
+    assert _loop_invariance_message(r) is None
+    geometry._check_invariance(r)
+    assert max(_loop_invariance_errors(r)) > geometry.ACTION_ERROR
 
 
 @pytest.mark.parametrize("group,m", [("S4", 28), ("A5", 80)])
@@ -811,7 +889,8 @@ def _identity_errors(r):
         "determinant": np.abs(np.linalg.det(r.mats) - 1).max(),
         "homomorphism": _max_hom_error(r.group, r.mats),
         "sphere": np.abs(np.linalg.norm(r.coords, axis=1) - 1).max(),
-        "invariance": max(e.max() for _, e in geometry._invariance_errors(r)),
+        "invariance": geometry._orbit_errors(r).max(),
+        "whole action": max(_loop_invariance_errors(r)),
         "on-circle": circle_distances[on_circle].max(initial=0.0),
     }
     arcs = full_report(r).arcs
@@ -831,20 +910,24 @@ def _identity_errors(r):
 
 def test_error_bound_sits_between_realized_errors_and_every_decision(stacked_cases):
     """ERROR_TOL is at least 100 times the worst error realize leaves in
-    an exact identity on the reference-grid and large-orbits cases, every
-    decision threshold is at least 100 times ERROR_TOL, and ON_CIRCLE_TOL
-    is at most a hundredth of MIN_VERTEX_SEP (see geometric_profile).  A
-    numpy build whose rounding errors grow fails here first."""
+    an exact identity on the reference-grid and large-orbits cases, the
+    whole action's error among them; ACTION_ERROR, what invariance at the
+    representatives implies for every vertex, is 3·ERROR_TOL and a
+    rounding allowance; every decision threshold is at least 100 times
+    ACTION_ERROR, and ON_CIRCLE_TOL is at most a hundredth of
+    MIN_VERTEX_SEP (see geometric_profile).  A numpy build whose rounding
+    errors grow fails here first."""
     worst, nearest_off_circle = {}, np.inf
     for r in stacked_cases.values():
         errors, off_circle = _identity_errors(r)
         nearest_off_circle = min(nearest_off_circle, off_circle)
         for name, err in errors.items():
             worst[name] = max(worst.get(name, 0.0), err)
-    assert len(worst) == 9 and 100 * max(worst.values()) <= geometry.ERROR_TOL, worst
+    assert len(worst) == 10 and 100 * max(worst.values()) <= geometry.ERROR_TOL, worst
     assert nearest_off_circle >= 100 * geometry.ON_CIRCLE_TOL
+    assert geometry.ACTION_ERROR == 3 * geometry.ERROR_TOL + 1e-14
     for module, name in DECISION_THRESHOLDS:
-        assert getattr(module, name) >= 100 * geometry.ERROR_TOL, name
+        assert getattr(module, name) >= 100 * geometry.ACTION_ERROR, name
     assert 100 * geometry.ON_CIRCLE_TOL <= geometry.MIN_VERTEX_SEP
     tolerances = {name for module in (geometry, edges) for name in vars(module) if name.endswith("_TOL")}
     assert tolerances - {"ERROR_TOL"} <= {name for _, name in DECISION_THRESHOLDS}

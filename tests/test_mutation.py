@@ -41,7 +41,8 @@ RELABEL_CASES = [*RELATION_CASES, ("A4", 65)]
 # (pattern over the mutant's name, why the mutant is still a valid file)
 ALLOWED = [
     (r"model\.seed \+1", "the seed is provenance: checking it would mean replaying placement"),
-    (r"model\.theta \+0\.25", "no check reads theta yet; it only sets where the special parts sit"),
+    (r"model\.theta \+0\.25", "theta is provenance: it sets where realize puts the twin tetrahedra, "
+     "and a file stores their points, which every check reads"),
     (r"(generators\.\d+\.matrix|arcs\.\d+\.basis\.\d|vertices\.\[\w+\]\.coords)\.\d+ negate~0",
      "the sign of an entry within ERROR_TOL / 2 of zero is below every tolerance"),
     (r"vertices\.\[free\d+\]\.coords\.\d negate",
@@ -79,12 +80,21 @@ def _name(data, path, kind):
     return ".".join(shown) + " " + kind
 
 
+def _verdict(data):
+    """verify_certificate's results, failing the test on a verifier fault:
+    a mutant must be accepted or rejected, never crash a step."""
+    results = verify_certificate(data)
+    faults = [res for res in results if res.message.startswith("internal error")]
+    assert not faults, faults
+    return results
+
+
 def _accepts(data) -> bool:
     try:
         _check_schema(data)
     except SchemaError:
         return False
-    return all(check.ok for check in verify_certificate(data))
+    return all(check.ok for check in _verdict(data))
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +168,7 @@ def _conjugated(data, q, *, matrices_only=False):
 def _failed_check(data):
     """The name of the first failed verify check, or None if the file verifies."""
     _check_schema(data)
-    failed = first_failure(verify_certificate(data))
+    failed = first_failure(_verdict(data))
     return None if failed is None else failed.name
 
 

@@ -32,7 +32,7 @@ from tsglab.perm import (
     subgroups_up_to_conjugacy,
 )
 
-from .conftest import orbit_partition
+from .conftest import all_column_homomorphism, orbit_partition
 
 GROUPS = ("A4", "S4", "A5")
 GOLDEN = Path(__file__).parent / "golden"
@@ -384,6 +384,16 @@ def _repeat_a_vertex(images, g):
     return images
 
 
+def _vertex_out_of_range(images, g):
+    images[-1] = (0, 1, 2, 4)
+    return images
+
+
+def _negative_vertex(images, g):
+    images[-1] = (-1, 0, 1, 2)
+    return images
+
+
 def _move_identity(images, g):
     images[0] = from_cycles(4, (0, 1))  # row 0 is the identity
     return images
@@ -391,7 +401,8 @@ def _move_identity(images, g):
 
 @pytest.mark.parametrize("corrupt,message", [
     (_drop_row, "shape"), (_float_images, "integers"),
-    (_repeat_a_vertex, "bijection"), (_move_identity, "identity"),
+    (_repeat_a_vertex, "bijection"), (_vertex_out_of_range, "bijection"),
+    (_negative_vertex, "bijection"), (_move_identity, "identity"),
 ])
 def test_group_action_rejects_bad_images(corrupt, message):
     s4 = standard_group("S4")
@@ -564,8 +575,9 @@ def test_generators_are_the_first_generating_pair(make):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_check_homomorphism_catches_any_corrupt_row(name):
-    """Only the generators' edges are tested, yet a corrupt row is caught
-    wherever it sits, generator or not."""
+    """Only the generators' edges at the representative's column are
+    tested, yet a row whose image of the representative, vertex 0, is
+    corrupt is caught wherever it sits, generator or not."""
     g = standard_group(name)
     a = coset_action(g, (0,))  # regular
     for r in range(1, g.order):
@@ -573,6 +585,42 @@ def test_check_homomorphism_catches_any_corrupt_row(name):
         bad[r, [0, 1]] = bad[r, [1, 0]]
         with pytest.raises(InconsistentActionError, match=r"^act\("):
             check_homomorphism(GroupAction(g, bad))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("gen", [0, 1])
+@pytest.mark.parametrize("column", ["representative", "other"])
+def test_check_homomorphism_agrees_with_the_all_column_reference(name, gen, column):
+    """On tables from action_from_generators, the form verify reads, the
+    orbit-local check and the all-column reference reject the same
+    tables: one generator's images of a representative (or of another
+    vertex) and of a second vertex swapped, in either generator, and
+    nothing swapped when the two are one.  The action has a regular
+    orbit, one with a stabilizer of order 2 and a fixed vertex."""
+    g = standard_group(name)
+    subs = subgroups_up_to_conjugacy(name)
+    a = direct_sum([coset_action(g, h) for h in (subs[0], subs[1], subs[-1])])
+    gens = list(g.generators)
+    reps = orbit_representatives(a)
+    others = np.setdiff1d(np.arange(a.m), reps)
+    columns = reps if column == "representative" else others[::len(others) // 4]
+    verdicts = []
+    for c in columns.tolist():
+        for d in range(a.m):
+            images = a.images[gens].copy()
+            images[gen, [c, d]] = images[gen, [d, c]]
+            table = action_from_generators(g, gens, images)
+            outcomes = []
+            for check in (check_homomorphism, all_column_homomorphism):
+                try:
+                    check(table)
+                    outcomes.append(True)
+                except InconsistentActionError as err:
+                    assert str(err).startswith("act(")
+                    outcomes.append(False)
+            assert outcomes[0] == outcomes[1], (c, d)
+            verdicts.append(outcomes[0])
+    assert set(verdicts) == {True, False}
 
 
 @settings(max_examples=30, deadline=None)
