@@ -336,10 +336,15 @@ def check_h3(r: Realization, arcs: Arcs) -> bool:
 
 def interchangers(va: VertexAction) -> np.ndarray:
     """Rows of the elements with a 2-cycle on the vertices (the identity has
-    none); full_report computes them once for check_h4 and check_h5."""
-    imgs, ident = va.action.images, np.arange(va.m)
-    swaps = (imgs != ident) & (np.take_along_axis(imgs, imgs, axis=1) == ident)
-    return np.flatnonzero(swaps.any(axis=1))
+    none); full_report computes them once for check_h4 and check_h5.
+
+    Read off the action's fixed-point table, no image at all: row x swaps a
+    pinned vertex w when it moves w and its square x * x fixes w.  A row x
+    swaps a vertex of trivial stabilizer exactly when x * x = e ≠ x, so
+    whenever some vertex is unpinned every involution swaps one."""
+    g, fixers = va.action.group, va.action.fixed_points.fixers
+    swaps = ~fixers & fixers[np.diagonal(g.cayley)]
+    return np.flatnonzero(swaps.any(axis=1) | (fixers.shape[1] < va.m) & (g.orders == 2))
 
 
 def check_h4(va: VertexAction, swappers: np.ndarray) -> bool:
@@ -350,7 +355,7 @@ def check_h4(va: VertexAction, swappers: np.ndarray) -> bool:
     to embed in a proper sub-arc of the element's circle, which a complete
     graph does exactly when it has at most 2 vertices.
     """
-    return bool((va.action.fixed()[swappers].sum(axis=1) <= 2).all())
+    return bool((va.action.fixed_points.counts[swappers] <= 2).all())
 
 
 def check_h5(r: Realization, swappers: np.ndarray) -> bool:

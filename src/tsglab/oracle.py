@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .perm import (
     GROUP_ORDER,
+    burnside_orbit_count,
     class_fixed_counts,
     coset_action,
     kernel,
@@ -73,8 +74,7 @@ def transitive_types(group: str) -> tuple[TransitiveType, ...]:
     for idx, h in enumerate(subgroups_up_to_conjugacy(group)):
         act = coset_action(g, h)
         vec = class_fixed_counts(act)
-        # Burnside on a transitive action: fixed points sum to |G|
-        if act.fixed().sum() != g.order:
+        if burnside_orbit_count(act) != 1:
             raise OracleInconsistencyError("transitive action with orbit count != 1")
         types.append(TransitiveType(group, idx, act.m, tuple(sorted(vec.items())), kernel(act)))
     return tuple(sorted(types, key=lambda t: -t.degree))

@@ -16,10 +16,17 @@ subgroup), n2p (odd involutions, S4 only), n3, n4 and n5 (elements of
 that order).  That partition is coarser than true conjugacy for A4 and
 A5, but it is exactly the granularity at which fixed-vertex counts are
 constant on the actions this package builds.
+
+Who fixes what is decided once per action, by `GroupAction.fixed_points`:
+the vertices with a non-trivial stabilizer, read off the orbit
+representatives' columns, and the rows that fix each of them.  Kernel,
+faithfulness, class counts, Burnside's count and the pair fixers all
+read that table, so none of them compares |G|·m images.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import permutations as _all_permutations
 
@@ -28,6 +35,8 @@ import numpy as np
 GROUP_NAMES = ("A4", "S4", "A5")
 
 GROUP_ORDER = {"A4": 12, "S4": 24, "A5": 60}
+
+FixedPoints = namedtuple("FixedPoints", "pinned fixers counts")  # GroupAction.fixed_points
 
 # rows are found by base-degree codes in int64; the largest code, d**d - 1,
 # fits for d <= 15 and wraps from d = 16 on
@@ -251,7 +260,8 @@ class GroupAction:
     permutation of row i, as an integer image array.
 
     images is a read-only view (the caller's array stays writable), so the
-    orbit minima, computed on first use, are cached on the action."""
+    orbit minima and the fixed-point table, each computed on first use,
+    are cached on the action."""
 
     def __init__(self, group: PermGroup, images):
         images = np.asarray(images)
@@ -285,9 +295,39 @@ class GroupAction:
         low.setflags(write=False)
         return low
 
-    def fixed(self) -> np.ndarray:
-        """Boolean (|G|, m) mask: element i fixes vertex v."""
-        return self.images == np.arange(self.m)
+    @cached_property
+    def fixed_points(self) -> FixedPoints:
+        """Which rows fix which vertices, as three read-only arrays: `pinned`,
+        the ascending vertices that some non-trivial row fixes; `fixers`,
+        the (|G|, len(pinned)) mask of the rows that fix each of them; and
+        `counts`, how many vertices each row fixes.  Read off the orbit
+        representatives' columns: |G|·#orbits images and a |G|·#pinned
+        gather, not |G|·m.
+
+        Let v be the representative of w's orbit and t a row with t·v = w.
+        Stabilizers along an orbit are conjugate, Stab(w) = t Stab(v) t⁻¹:
+        row x fixes w exactly when t⁻¹ * x * t fixes v, and w is pinned
+        exactly when v is.  Every other vertex is fixed by the identity
+        alone, so the identity fixes all m vertices and any other row only
+        pinned ones.  The counts then sum to the orbit sizes times their
+        stabilizer orders, |G| per orbit, which is Burnside's count.
+
+        That holds for a genuine action, whose rows act as the group does
+        on every vertex: every table build, coset_action, direct_sum and
+        restrict_action make, and any table of action_from_generators that
+        check_homomorphism passes (verify reads this table only after its
+        `action-homomorphism` step).  A table that is no action can fix
+        vertices off the representatives' columns unseen."""
+        reps, c = orbit_representatives(self), self.group.cayley
+        cols, orbit = self.images[:, reps], np.searchsorted(reps, self.minima)  # cols[x, o]: x·v
+        stab = cols == reps  # stab[h, o]: row h fixes v
+        pinned = np.flatnonzero((stab.sum(axis=0) > 1)[orbit])
+        t = (cols[:, orbit[pinned]] == pinned).argmax(axis=0)  # the first row with t·v = w
+        fixers = stab[c[(c == 0).argmax(axis=1)[t], c[:, t]], orbit[pinned]]  # t⁻¹ * x * t fixes v
+        table = FixedPoints(pinned, fixers, np.concatenate(([self.m], fixers[1:].sum(axis=1))))
+        for part in table:
+            part.setflags(write=False)
+        return table
 
 
 def natural_action(g: PermGroup) -> GroupAction:
@@ -399,12 +439,11 @@ def class_fixed_counts(a: GroupAction) -> dict[str, int]:
     The count must be constant on every class (it is for every action this
     package builds); a class on which it varies raises InconsistentActionError.
     """
-    counts = a.fixed().sum(axis=1)
     out = {}
     for name, rows in a.group.classes.items():
         if name == "n1":
             continue
-        vals = set(counts[list(rows)].tolist())
+        vals = set(a.fixed_points.counts[list(rows)].tolist())
         if len(vals) != 1:
             raise InconsistentActionError(f"class {name} fixes {sorted(vals)} vertices")
         out[name] = vals.pop()
@@ -417,7 +456,7 @@ def burnside_orbit_count(a: GroupAction) -> int:
     The sum is exact integer arithmetic; a non-integral average means the
     action table is corrupt, which is reported rather than rounded away.
     """
-    total = int(a.fixed().sum())
+    total = int(a.fixed_points.counts.sum())
     if total % a.group.order:
         raise InconsistentActionError(
             f"fixed-point sum {total} not divisible by group order {a.group.order}")
@@ -443,7 +482,7 @@ def orbit_representatives(a: GroupAction) -> np.ndarray:
 
 def kernel(a: GroupAction) -> tuple[int, ...]:
     """Ascending rows of the elements that fix every vertex."""
-    return tuple(np.flatnonzero(a.fixed().all(axis=1)).tolist())
+    return tuple(np.flatnonzero(a.fixed_points.counts == a.m).tolist())
 
 
 def is_faithful(a: GroupAction) -> bool:
@@ -464,10 +503,8 @@ def pair_fixer_counts(a: GroupAction) -> tuple[np.ndarray, np.ndarray]:
     """The vertices some non-trivial element fixes ("pinned", ascending) and,
     for each pair of them, how many elements fix both, the identity included.
     Every other vertex has a trivial stabilizer."""
-    fixed = a.fixed()
-    pinned = np.flatnonzero(fixed.sum(axis=0) > 1)
-    f = fixed[:, pinned].astype(np.int64)
-    return pinned, f.T @ f
+    f = a.fixed_points.fixers.astype(np.int64)
+    return a.fixed_points.pinned, f.T @ f
 
 
 def direct_sum(actions: list[GroupAction]) -> GroupAction:

@@ -55,6 +55,22 @@ def all_column_homomorphism(a):
             raise InconsistentActionError(f"act({e1} * {e2}) != act({e1}) * act({e2})")
 
 
+def all_column_fixed(a):
+    """Who fixes what, worked out from all |G|·m images: the reference for
+    GroupAction.fixed_points and edges.interchangers, which read the orbit
+    representatives' columns only.  The (|G|, m) mask of the rows fixing
+    each vertex, its row sums, the vertices fixed by more than the
+    identity ("pinned"), how many rows fix each pair of those, and the
+    rows that swap some pair of vertices."""
+    imgs, ident = a.images, np.arange(a.m)
+    fixed = imgs == ident
+    pinned = np.flatnonzero(fixed.sum(axis=0) > 1)
+    f = fixed[:, pinned].astype(np.int64)
+    swaps = (imgs != ident) & (np.take_along_axis(imgs, imgs, axis=1) == ident)
+    return {"fixed": fixed, "counts": fixed.sum(axis=1), "pinned": pinned, "pairs": f.T @ f,
+            "swappers": np.flatnonzero(swaps.any(axis=1))}
+
+
 def orbit_partition(a):
     """Orbits by union-find over every element's image row; the independent
     cross-check for Burnside counting."""

@@ -43,7 +43,7 @@ from tsglab.perm import (
     standard_group,
 )
 
-from .conftest import REFERENCES, all_column_homomorphism, close_free_orbits
+from .conftest import REFERENCES, all_column_fixed, all_column_homomorphism, close_free_orbits
 
 S4 = standard_group("S4")
 A4 = standard_group("A4")
@@ -744,11 +744,12 @@ def test_stacked_checks_equal_per_element_loops(stacked_cases, group, m):
 def test_orbit_local_checks_read_only_the_representatives_columns(stacked_cases):
     """A5 m=80 and m=1205: reversing the other columns of every row but the
     identity's and the generators' keeps each row a bijection and leaves
-    the coordinates, the invariance errors and check_homomorphism's
-    verdict as they were: the checks compare |G|·#orbits images, not
-    |G|·m.  The all-column reference rejects that table, which is no
-    action; its rows are no longer words in the generator rows, which
-    check_homomorphism needs."""
+    the coordinates, the invariance errors, check_homomorphism's verdict,
+    the fixed-point table and the interchangers as they were: they read
+    |G|·#orbits images, not |G|·m.  The all-column references reject that
+    table, which is no action; its rows are no longer words in the
+    generator rows, which check_homomorphism needs, and its fixed points
+    off the representatives' columns differ from the table's."""
     for m in (80, 1205):
         r = stacked_cases[("A5", m)]
         act = r.vertex_action.action
@@ -764,6 +765,10 @@ def test_orbit_local_checks_read_only_the_representatives_columns(stacked_cases)
         check_homomorphism(scrambled)
         with pytest.raises(InconsistentActionError):
             all_column_homomorphism(scrambled)
+        for part, kept in zip(scrambled.fixed_points, act.fixed_points):
+            assert np.array_equal(part, kept), m
+        assert np.array_equal(edges.interchangers(va), edges.interchangers(r.vertex_action)), m
+        assert not np.array_equal(all_column_fixed(scrambled)["counts"], act.fixed_points.counts), m
 
 
 def _copy(r, mats=None, base=None):
@@ -822,7 +827,7 @@ def _tilted(r, row, axes):
 
 
 @pytest.mark.parametrize("row", [7, 30, 59])
-def test_first_bad_element_in_a_later_chunk_is_named(stacked_cases, row):
+def test_tilted_row_fails_homomorphism_and_invariance_reads_it_at_the_representative(stacked_cases, row):
     """A5 m=80: a rotation tilted on one row only, early, in the middle or
     last, fails `homomorphism`, which runs first.  The derived coordinates
     carry the tilt wherever that row is the first to reach a vertex, so

@@ -9,6 +9,16 @@ ERROR_TOL / 2 of zero, which moves by less than ERROR_TOL, is its own kind,
 with a vertex record shown by its part label, and its kind, such as
 `vertices.[free0].coords.2 negate` or `model.seed +1`.
 
+Structural sweep: every key of three more certificates is deleted, every
+node is replaced by each JSON kind (`=null`, `=true`, `=0`, `=-1`,
+`=1.5`, `=2**70`, `=string`, `=[]`, `={}`), and every list is duplicated
+at its head and truncated; of a list longer than 4 only the first two,
+the middle and the last entry are visited.  A replacement that moves a
+number by less than ERROR_TOL / 2 is marked `~`, such as `=0~`.  Each
+mutant must exit as `tsglab verify` would with a rejection, 2 for a
+schema error or 5 for a failed step, or match its own allowlist, and
+never raise out of the verifier or fault inside it.
+
 Metamorphic relations ride along: a file seen in a rotated frame, or with
 its vertices renamed, still verifies, while rotating only its matrices, or
 moving one free orbit onto another, is rejected at the named check."""
@@ -53,6 +63,24 @@ ALLOWED = [
 ]
 
 
+# (pattern over a structural mutant's name, why the mutant is still a valid file)
+STRUCTURAL_ALLOWED = [
+    (r"model\.theta =1\.5", "theta is provenance, and 1.5 lies in its range"),
+    (r"(generators\.\d+\.matrix|arcs\.\d+\.basis\.\d|vertices\.\[\w+\]\.coords)\.\d+ =(0|-1)~",
+     "an entry within ERROR_TOL / 2 of the number that replaces it moves by less than ERROR_TOL"),
+    (r"vertices\.\[center\]\.coords\.3 =-1", "the antipodal pole is fixed by every element too"),
+    (r"arcs\.\d+\.basis\.0\.3 =-1",
+     "the arc is symmetric about its basis's second vector (2·start + sweep = ±π), so negating "
+     "the first one, (0, 0, 0, 1), leaves the same arc"),
+]
+STRUCTURAL_CASES = [("A4", 13), ("S4", 20), ("A4", 65)]
+
+# the JSON kinds a node is replaced by, each with its name
+JSON_KINDS = (("null", None), ("true", True), ("0", 0), ("-1", -1), ("1.5", 1.5),
+              ("2**70", 2 ** 70), ("string", "x"), ("[]", []), ("{}", {}))
+_DELETE = object()
+
+
 def _leaves(node, path=()):
     if isinstance(node, (dict, list)):
         for key, child in node.items() if isinstance(node, dict) else enumerate(node):
@@ -80,6 +108,21 @@ def _name(data, path, kind):
     return ".".join(shown) + " " + kind
 
 
+def _with(data, path, new):
+    """A copy of data with the node at path replaced by new, or deleted
+    if new is _DELETE."""
+    mutant = copy.deepcopy(data)
+    *parents, last = path
+    node = mutant
+    for key in parents:
+        node = node[key]
+    if new is _DELETE:
+        del node[last]
+    else:
+        node[last] = copy.deepcopy(new)
+    return mutant
+
+
 def _verdict(data):
     """verify_certificate's results, failing the test on a verifier fault:
     a mutant must be accepted or rejected, never crash a step."""
@@ -89,12 +132,20 @@ def _verdict(data):
     return results
 
 
-def _accepts(data) -> bool:
+def _exit_code(data) -> int:
+    """The exit code of `tsglab verify` on a file holding data: 2 for a
+    schema error, 5 for a failed step, 0 for a valid file.  Any other
+    exception escapes, as it would as a traceback, and a verifier fault
+    fails the test in _verdict."""
     try:
         _check_schema(data)
     except SchemaError:
-        return False
-    return all(check.ok for check in _verdict(data))
+        return 2
+    return 0 if first_failure(_verdict(data)) is None else 5
+
+
+def _accepts(data) -> bool:
+    return _exit_code(data) == 0
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +153,7 @@ def certificates():
     """Each leaf-sweep and relation case's certificate at seed 0, as the
     JSON text of a file reads back."""
     out = {}
-    for group, m in dict.fromkeys(CASES + RELABEL_CASES):
+    for group, m in dict.fromkeys(CASES + RELABEL_CASES + STRUCTURAL_CASES):
         p = plan(group, m)
         r = realize(p, build(p))
         out[(group, m)] = json.loads(json.dumps(certificate_dict(r, full_report(r))))
@@ -118,13 +169,7 @@ def test_only_allowlisted_leaf_mutants_verify(certificates):
         for path, value in _leaves(data):
             for kind, new in _changes(value):
                 count += 1
-                mutant = copy.deepcopy(data)
-                *parents, last = path
-                node = mutant
-                for key in parents:
-                    node = node[key]
-                node[last] = new
-                if not _accepts(mutant):
+                if not _accepts(_with(data, path, new)):
                     continue
                 name = _name(data, path, kind)
                 reasons = [i for i, (pattern, _) in enumerate(ALLOWED) if re.fullmatch(pattern, name)]
@@ -135,6 +180,64 @@ def test_only_allowlisted_leaf_mutants_verify(certificates):
         assert count > 100, case
     assert not unexplained, "mutants that verify: " + "; ".join(unexplained)
     stale = [ALLOWED[i][0] for i in range(len(ALLOWED)) if i not in used]
+    assert not stale, f"allowlist entries no mutant needs: {stale}"
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node below node, depth first; of a list
+    longer than 4 only the first two, the middle and the last entry."""
+    if isinstance(node, dict):
+        keys = list(node)
+    else:
+        keys = range(len(node)) if len(node) <= 4 else sorted({0, 1, len(node) // 2, len(node) - 1})
+    for key in keys:
+        yield path + (key,), node[key]
+        if isinstance(node[key], (dict, list)):
+            yield from _nodes(node[key], path + (key,))
+
+
+def _same_number(a, b) -> bool:
+    return type(a) in (int, float) and type(b) in (int, float) and a == b
+
+
+def _edits(value, in_dict):
+    """(kind, new value) for each structural edit of one node that changes
+    the file: deleting it from its dict, each JSON kind in its place, and
+    a list duplicated at its head or truncated."""
+    if in_dict:
+        yield "delete", _DELETE
+    for label, new in JSON_KINDS:
+        if json.dumps(new) == json.dumps(value) or _same_number(new, value):
+            continue
+        near = type(value) is float and type(new) in (int, float) and abs(value - new) < ERROR_TOL / 2
+        yield "=" + label + ("~" if near else ""), new
+    if isinstance(value, list) and value:
+        yield "duplicate", value[:1] + value
+        yield "truncate", value[:-1]
+
+
+def test_only_allowlisted_structural_mutants_verify(certificates):
+    unexplained, used = [], set()
+    for case in STRUCTURAL_CASES:
+        data = certificates[case]
+        assert _exit_code(data) == 0, case
+        count = 0
+        for path, value in _nodes(data):
+            for kind, new in _edits(value, isinstance(path[-1], str)):
+                count += 1
+                code = _exit_code(_with(data, path, new))
+                if code in (2, 5):
+                    continue
+                name = _name(data, path, kind)
+                reasons = [i for i, (pattern, _) in enumerate(STRUCTURAL_ALLOWED)
+                           if re.fullmatch(pattern, name)]
+                if reasons:
+                    used.add(reasons[0])
+                else:
+                    unexplained.append(f"{case[0]} m={case[1]}: {name} (exit {code})")
+        assert count > 500, case
+    assert not unexplained, "mutants that verify: " + "; ".join(unexplained)
+    stale = [STRUCTURAL_ALLOWED[i][0] for i in range(len(STRUCTURAL_ALLOWED)) if i not in used]
     assert not stale, f"allowlist entries no mutant needs: {stale}"
 
 

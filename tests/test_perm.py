@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsglab import perm
+from tsglab.actions import VertexAction, build, plan
+from tsglab.edges import interchangers
 from tsglab.perm import (
     GroupAction,
     InconsistentActionError,
@@ -25,14 +28,16 @@ from tsglab.perm import (
     kernel,
     left_cosets,
     orbit_representatives,
+    pair_fixer_counts,
     pair_stabilizers,
     restrict_action,
     standard_group,
     a4_inside_a5,
     subgroups_up_to_conjugacy,
 )
+from tsglab.profiles import admissible_residues
 
-from .conftest import all_column_homomorphism, orbit_partition
+from .conftest import all_column_fixed, all_column_homomorphism, orbit_partition
 
 GROUPS = ("A4", "S4", "A5")
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,8 +74,9 @@ def perms_of(g, rows):
 
 
 def fixed_count(a, p):
-    """Vertices fixed by the element with image tuple p, read from its row."""
-    return int(a.fixed()[row(a.group, p)].sum())
+    """Vertices fixed by the element with image tuple p, read from the
+    action's fixed-point table."""
+    return int(a.fixed_points.counts[row(a.group, p)])
 
 
 # ---------------------------------------------------------------- groups
@@ -621,6 +627,64 @@ def test_check_homomorphism_agrees_with_the_all_column_reference(name, gen, colu
             assert outcomes[0] == outcomes[1], (c, d)
             verdicts.append(outcomes[0])
     assert set(verdicts) == {True, False}
+
+
+def _built_actions(group, ms):
+    """The action build makes for each admissible m in ms, and its parent
+    when the plan is a restriction."""
+    for m in ms:
+        if m in admissible_residues(group):
+            va = build(plan(group, m))
+            yield f"{group} m={m}", va.action
+            if va.parent is not None:
+                yield f"{group} m={m} parent", va.parent
+
+
+def _coset_actions(group):
+    g = standard_group(group)
+    return [(f"{group}/H{i}", coset_action(g, h))
+            for i, h in enumerate(subgroups_up_to_conjugacy(group))]
+
+
+TABLE_CASES = {
+    "plans": lambda: (case for group in GROUPS for case in _built_actions(group, range(4, 400))),
+    "cosets": lambda: (case for group in GROUPS for case in _coset_actions(group)),
+    "sums": lambda: ((f"{x} + {y}", direct_sum([a, b])) for group in GROUPS
+                     for (x, a), (y, b) in itertools.combinations_with_replacement(
+                         _coset_actions(group), 2)),
+    # the large-orbits workload, and A4 m=1205, a restriction of A5
+    "large-orbits": lambda: itertools.chain(_built_actions("A4", [1205, 1213]),
+                                            _built_actions("S4", [1204]), _built_actions("A5", [1205])),
+}
+
+
+@pytest.mark.parametrize("kind", TABLE_CASES)
+def test_fixed_points_equal_the_all_column_reference(kind):
+    """The fixed-point table, read off the representatives' columns, and
+    everything read from it (kernel, pair fixer counts, interchangers)
+    equal the all-column reference: on every admissible plan's action
+    below m=400 and its parent, on every coset action of A4, S4 and A5
+    (unfaithful ones included), on every direct sum of two of those, and
+    on the large-orbits actions and A4 m=1205 with its parent."""
+    checked = 0
+    for name, a in TABLE_CASES[kind]():
+        ref = all_column_fixed(a)
+        pinned, fixers, counts = a.fixed_points
+        assert np.array_equal(pinned, ref["pinned"]), name
+        assert np.array_equal(fixers, ref["fixed"][:, pinned]), name
+        assert np.array_equal(counts, ref["counts"]), name
+        assert np.array_equal(pair_fixer_counts(a)[1], ref["pairs"]), name
+        assert kernel(a) == tuple(np.flatnonzero(ref["fixed"].all(axis=1)).tolist()), name
+        assert np.array_equal(interchangers(VertexAction(a, (), ())), ref["swappers"]), name
+        checked += 1
+    assert checked >= {"plans": 300, "cosets": 25, "sums": 126, "large-orbits": 5}[kind]
+
+
+def test_fixed_points_are_read_only():
+    a = coset_action(standard_group("S4"), (0, 1))
+    for part in a.fixed_points:
+        with pytest.raises(ValueError):
+            part[...] = 0
 
 
 @settings(max_examples=30, deadline=None)
