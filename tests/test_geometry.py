@@ -827,7 +827,7 @@ def _tilted(r, row, axes):
 
 
 @pytest.mark.parametrize("row", [7, 30, 59])
-def test_tilted_row_fails_homomorphism_and_invariance_reads_it_at_the_representative(stacked_cases, row):
+def test_first_bad_element_in_a_later_chunk_is_named(stacked_cases, row):
     """A5 m=80: a rotation tilted on one row only, early, in the middle or
     last, fails `homomorphism`, which runs first.  The derived coordinates
     carry the tilt wherever that row is the first to reach a vertex, so
