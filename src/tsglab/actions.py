@@ -228,7 +228,7 @@ def build(p: OrbitPlan) -> VertexAction:
     center = GroupAction(g, np.zeros((g.order, 1), dtype=np.intp))
 
     def add(kind: str, piece: GroupAction, label=None):
-        start = sum(b.size for b in blocks)
+        start = blocks[-1].start + blocks[-1].size if blocks else 0
         blocks.append(BuiltPart(kind, label or kind, start, piece.m))
         pieces.append(piece)
 

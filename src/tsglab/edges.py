@@ -28,7 +28,10 @@ runs on those rows at once, not per arc or per pair: Arcs.points gives
 the ends and midpoints, _interior_holds is the one interior test,
 check_arcs finds faults as masks over all rows, the disjointness part of
 h2 tests all pairs of arcs in one batch (_verify_disjoint_interiors), and
-h3 is one product of every matrix with every arc midpoint.  All pairs
+h3 is one product of every matrix with every arc midpoint.  Which
+vertices lie inside the arcs is judged exactly only on the few that one
+product of all coordinates with the fixers' plane bases finds near a
+fixer's circle (_vertices_inside), not on every row against all m.  All pairs
 stay cheap: every admissible non-knotted m below 400 pins at most 10
 pairs, so there are at most 45 pairs of arcs.
 """
@@ -188,12 +191,36 @@ def assign_arcs(r: Realization, pairs: list[tuple[int, int]], fixers: np.ndarray
 def _vertices_inside(r: Realization, arcs: Arcs) -> np.ndarray:
     """inside[k, w]: vertex w, not of arc k's own pair, lies in the interior
     of arc k.  Which vertices sit on the circle is read from each fixer's
-    own circle, so a slightly tilted stored basis cannot hide one."""
-    on_circle = plane_distance(projectors(r.circles[arcs.fixers]), r.coords) <= PAIR_TOL
-    on_circle &= (np.arange(r.m) != arcs.pairs[:, :1]) & (np.arange(r.m) != arcs.pairs[:, 1:])
-    k, w = np.nonzero(on_circle)  # angles only where needed: few vertices sit on a circle
-    inside = np.zeros_like(on_circle)
-    inside[k, w] = _interior_holds(arcs, k, r.coords[w, None], INSIDE_MARGIN)[:, 0]
+    own circle, so a slightly tilted stored basis cannot hide one.  Every
+    row names a group element: check_arcs passes the rows before its
+    first fault only.
+
+    The exact tests (not an end of the pair, plane_distance to the
+    fixer's circle at most PAIR_TOL, _interior_holds) run on candidates
+    only: the (vertex, fixer) entries whose |p|² − |Bp|², from one product
+    of all coordinates with the distinct fixers' bases B, is at most
+    PAIR_TOL.  No vertex the exact test keeps is lost.  r.circles rows are
+    orthonormal bases (or zero) from circles_of, never read from a file,
+    so the value is the squared distance to the plane, at most PAIR_TOL²
+    within PAIR_TOL of it; rounding adds a few units of 2⁻⁵³·|p|², below
+    PAIR_TOL for |p| up to about 10³, and invariance holds every vertex
+    to 1 ± ERROR_TOL first.  NaN fails both tests, and a zero basis
+    leaves |p|² ≈ 1, which both exclude."""
+    fixers = np.flatnonzero(np.bincount(arcs.fixers))  # the distinct fixers
+    p = r.coords
+    xy = np.square(r.circles[fixers].reshape(-1, 4) @ p.T)  # rows: x, y in each fixer's basis
+    near = np.einsum("wi,wi->w", p, p) - (xy[0::2] + xy[1::2]) <= PAIR_TOL
+    f, w = np.nonzero(near)  # few vertices sit near a circle
+    k, n = np.nonzero(arcs.fixers[:, None] == fixers[f])  # each candidate at its fixer's rows
+    w = w[n]
+    other = (w != arcs.pairs[k, 0]) & (w != arcs.pairs[k, 1])
+    k, w = k[other], w[other]
+    inside = np.zeros((len(arcs), r.m), dtype=bool)
+    if not k.size:  # the usual case: near the circles sit only the pairs' own vertices
+        return inside
+    on_circle = plane_distance(projectors(r.circles[arcs.fixers[k]]), p[w, None])[:, 0] <= PAIR_TOL
+    k, w = k[on_circle], w[on_circle]
+    inside[k, w] = _interior_holds(arcs, k, p[w, None], INSIDE_MARGIN)[:, 0]
     return inside
 
 

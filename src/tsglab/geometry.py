@@ -220,6 +220,14 @@ _ICOSA_ENTRIES = np.array([-1, -_PHI / 2, -0.5, -0.5 / _PHI, 0, 0.5 / _PHI, 0.5,
 _KLEIN_INVOLUTIONS = [from_cycles(5, (0, 1), (2, 3)), from_cycles(5, (0, 2), (1, 3))]
 
 
+def _self_dual_action(simplex: np.ndarray) -> np.ndarray:
+    """so3[n, k, l]: the coefficient of 2-form k in R·S_l·Rᵀ, for R the
+    matrix simplex[n] and S_l the self-dual 2-forms (each has squared norm
+    4 as a matrix).  One stacked product, then one contraction."""
+    conjugated = simplex[:, None] @ _SELF_DUAL @ np.swapaxes(simplex, 1, 2)[:, None]
+    return np.tensordot(conjugated, _SELF_DUAL, axes=([2, 3], [1, 2])).transpose(0, 2, 1) / 4
+
+
 def _icosahedral(group: PermGroup, simplex: np.ndarray) -> np.ndarray:
     """The SO(3) action A -> R·A·Rᵀ of the SIMPLEX4 matrices R on self-dual
     2-forms, in the frame of the Klein involutions' axes, snapped to the
@@ -228,7 +236,7 @@ def _icosahedral(group: PermGroup, simplex: np.ndarray) -> np.ndarray:
     if (rows < 0).any():
         raise ValueError(f"{Model.DODECA_ROT.value} needs the involutions (0 1)(2 3) and "
                          "(0 2)(1 3) among the group elements")
-    so3 = np.einsum("kij,nia,lab,njb->nkl", _SELF_DUAL, simplex, _SELF_DUAL, simplex) / 4
+    so3 = _self_dual_action(simplex)
     halves = np.eye(3) + so3[rows]  # 2·a·aᵀ for a half-turn about the unit axis a
     cols = halves[[0, 1], :, halves.diagonal(axis1=1, axis2=2).argmax(axis=1)]
     a, b = cols / np.linalg.norm(cols, axis=1, keepdims=True)

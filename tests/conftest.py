@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tsglab.actions import build, plan
-from tsglab.geometry import Realization, realize
+from tsglab.edges import INSIDE_MARGIN, PAIR_TOL, _interior_holds
+from tsglab.geometry import Realization, plane_distance, projectors, realize
 from tsglab.perm import InconsistentActionError
 from tsglab.profiles import profile_rules
 
@@ -69,6 +70,19 @@ def all_column_fixed(a):
     swaps = (imgs != ident) & (np.take_along_axis(imgs, imgs, axis=1) == ident)
     return {"fixed": fixed, "counts": fixed.sum(axis=1), "pinned": pinned, "pairs": f.T @ f,
             "swappers": np.flatnonzero(swaps.any(axis=1))}
+
+
+def all_vertex_inside(r, arcs):
+    """inside[k, w] with every arc row measured against all m vertices,
+    one stacked (rows, m, 4) product: the reference for
+    edges._vertices_inside, which runs the exact tests only on the
+    vertices one product with the fixers' bases finds near a circle."""
+    on_circle = plane_distance(projectors(r.circles[arcs.fixers]), r.coords) <= PAIR_TOL
+    on_circle &= (np.arange(r.m) != arcs.pairs[:, :1]) & (np.arange(r.m) != arcs.pairs[:, 1:])
+    k, w = np.nonzero(on_circle)
+    inside = np.zeros_like(on_circle)
+    inside[k, w] = _interior_holds(arcs, k, r.coords[w, None], INSIDE_MARGIN)[:, 0]
+    return inside
 
 
 def orbit_partition(a):

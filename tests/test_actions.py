@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from tsglab.actions import (
@@ -95,6 +97,16 @@ def test_plan_sizes_validated():
 
 
 # ------------------------------------------------------------------ builds
+
+
+def test_parts_start_at_the_cumulative_sums_of_their_sizes():
+    """A4 m=30000 builds 1250 free orbits of its parent S4, each starting
+    where the parts before it end."""
+    parts = build(plan("A4", 30000)).parts
+    sizes = [b.size for b in parts]
+    assert len(parts) == 1250
+    assert [b.start for b in parts] == list(itertools.accumulate(sizes[:-1], initial=0))
+    assert parts[-1].start + parts[-1].size == 30000
 
 
 def test_build_s4_4_profile_and_burnside():

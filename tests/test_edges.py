@@ -41,7 +41,7 @@ from tsglab.geometry import (
 from tsglab.perm import GroupAction, orbit_representatives, pair_stabilizers, standard_group
 from tsglab.profiles import admissible_residues
 
-from .conftest import REFERENCES
+from .conftest import REFERENCES, all_vertex_inside
 
 S4 = standard_group("S4")
 
@@ -284,6 +284,17 @@ def test_fixture_dropped_arc_fails_h3(realized, key):
 # ----------------------------------------------------------- arc checking
 
 
+def _moved_into(r: Realization, arc: _Arc, avoid) -> tuple[Realization, int]:
+    """r with the first orbit representative that lies in none of the
+    pairs `avoid` moved to the midpoint of `arc`, its orbit along with it,
+    and that representative."""
+    w = next(x for x in orbit_representatives(r.vertex_action.action).tolist()
+             if all(x not in pair for pair in avoid))
+    base = r.base.copy()
+    base[w] = arc.midpoint
+    return Realization(r.plan, r.vertex_action, r.model, r.config, r.mats, base), w
+
+
 def test_check_arcs_rejects_vertex_inside(realized):
     """Move the representative of the other orbit of S4 m=20 (two special
     parts) into the interior of an arc, its orbit along with it: check_arcs
@@ -292,10 +303,7 @@ def test_check_arcs_rejects_vertex_inside(realized):
     arcs = _arcs(r)
     arc = _rows(arcs)[0]
     pair = arc.pair
-    w = next(x for x in orbit_representatives(va.action).tolist() if x not in pair)
-    base = r.base.copy()
-    base[w] = arc.midpoint
-    moved = Realization(r.plan, va, r.model, r.config, r.mats, base)
+    moved, w = _moved_into(r, arc, [pair])
     message = f"arc of pair {pair} has vertex {w} inside"
     with pytest.raises(ArcAssignmentError, match=re.escape(message)):
         check_arcs(moved, arcs, required_pairs(va))
@@ -581,11 +589,7 @@ def test_check_arcs_reports_a_vertex_inside_only_before_the_first_fault(vertex_f
     r = realize(p, build(p), ModelConfig(seed=1))
     arcs = _rows(_arcs(r))
     inside, faulty = (0, len(arcs) - 1) if vertex_first else (len(arcs) - 1, 0)
-    w = next(x for x in orbit_representatives(r.vertex_action.action).tolist()
-             if all(x not in arc.pair for arc in arcs))
-    base = r.base.copy()
-    base[w] = arcs[inside].midpoint
-    moved = Realization(r.plan, r.vertex_action, r.model, r.config, r.mats, base)
+    moved, w = _moved_into(r, arcs[inside], [arc.pair for arc in arcs])
     arcs[faulty] = arcs[faulty]._replace(start=float("nan"))
     if vertex_first:
         message = f"arc of pair {arcs[inside].pair} has vertex {w} inside"
@@ -593,6 +597,71 @@ def test_check_arcs_reports_a_vertex_inside_only_before_the_first_fault(vertex_f
         message = f"arc of pair {arcs[faulty].pair} does not run between its two vertices"
     with pytest.raises(ArcAssignmentError, match=re.escape(message)):
         check_arcs(moved, _system(arcs), required_pairs(r.vertex_action))
+
+
+def _inside_calls(monkeypatch, run) -> list[tuple[Realization, Arcs]]:
+    """Every (realization, arc system) that run() hands _vertices_inside."""
+    calls, inside = [], edges._vertices_inside
+
+    def record(r, arcs):
+        calls.append((r, arcs))
+        return inside(r, arcs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(edges, "_vertices_inside", record)
+        try:
+            run()
+        except ArcAssignmentError:
+            pass
+    return calls
+
+
+def _pinned_realizations():
+    """Every admissible plan with 4 <= m < 400 that pins a pair, then S4
+    m=1204 and A5 m=1205, realized at seed 0."""
+    for group in ("A4", "S4", "A5"):
+        cs = admissible_residues(group)
+        plans = (plan(group, m) for m in range(4, 400) if m in cs)
+        yield from (realize(p) for p in plans if not p.knotted and required_pairs(build(p)))
+    for group, m in (("S4", 1204), ("A5", 1205)):
+        yield realize(plan(group, m))
+
+
+def _moved_realizations():
+    """The off-contract realizations of the two vertex-inside tests above,
+    each with the arcs assign_arcs picked before the move."""
+    r = realize(plan("S4", 20))
+    arc = _rows(_arcs(r))[0]
+    yield _moved_into(r, arc, [arc.pair])[0], _arcs(r)
+    r = realize(plan("S4", 28), config=ModelConfig(seed=1))
+    arcs = _rows(_arcs(r))
+    for inside in (0, -1):
+        yield _moved_into(r, arcs[inside], [arc.pair for arc in arcs])[0], _arcs(r)
+
+
+@pytest.mark.parametrize("kind", ["plans", "moved"])
+def test_vertices_inside_equals_the_all_vertex_reference(kind, monkeypatch):
+    """On assign_arcs' two candidate arcs per pair and on the arcs
+    check_arcs judges, the vertices inside each arc are those the
+    reference finds by measuring all m vertices against every row's
+    circle: on every admissible plan with pinned pairs below m = 400 and
+    on the large-orbits S4 and A5 cases, and on the moved realizations,
+    whose vertex inside an arc puts them outside the realize contract."""
+    calls = []
+    if kind == "plans":
+        for r in _pinned_realizations():
+            calls += _inside_calls(monkeypatch, lambda: full_report(r))
+    else:
+        for r, arcs in _moved_realizations():
+            pairs = required_pairs(r.vertex_action)
+            calls += _inside_calls(monkeypatch, lambda: check_arcs(r, arcs, pairs))
+            calls += _inside_calls(monkeypatch, lambda: _arcs(r))
+    # 146 plans below 400 and two large ones, each with its candidates and its picked arcs
+    assert len(calls) == (2 * 148 if kind == "plans" else 6)
+    for r, arcs in calls:
+        inside = edges._vertices_inside(r, arcs)
+        assert np.array_equal(inside, all_vertex_inside(r, arcs)), (r.group.name, r.m)
+        assert kind == "plans" or inside.any()  # each moved call has the vertex inside an arc
 
 
 # ------------------------------------------ h3 second clause is implied by h2
