@@ -16,10 +16,11 @@ group; the generator perms must be elements of it.  The verifier derives
 the rest along one spanning tree, from the identity outward over the
 Cayley table: row x * s gets act(x) after act(s) and the matrix M(x) @
 M(s), the identity exactly I.  The vertex records must be exactly the
-orbit minima of that action, one per orbit.  Every other vertex w of the
-orbit of a record v gets mats[t] @ coords[v], through the first row t that
-maps v to w (geometry.orbit_coords, which realize uses too, so a file
-rebuilds bit for bit to what realize checked).  A stored row, matrix or
+orbit minima of that action's orbit table (GroupAction.orbits), one per
+orbit.  Every other vertex w of the orbit of a record v gets mats[t] @
+coords[v], t its carrier row, the first row that maps v to w
+(geometry.orbit_coords, which realize uses too, so a file rebuilds bit
+for bit to what realize checked).  A stored row, matrix or
 coordinate is never overwritten, and nothing derived is trusted.
 `homomorphism` compares every pair of matrices.  `action-homomorphism`
 and `invariance` compare at the orbit representatives' columns only,
@@ -82,7 +83,6 @@ from .perm import (
     check_homomorphism,
     is_faithful,
     matrices_from_generators,
-    orbit_representatives,
     standard_group,
 )
 from .profiles import KNOTTED_CASES
@@ -105,7 +105,7 @@ def certificate_dict(r: Realization, report) -> dict:
                    "matrix": r.mats[s].ravel().tolist()}  # matrix row-major
                   for s in group.generators]
     vertices = [{"id": v, "part": va.labels[v], "coords": r.coords[v].tolist()}
-                for v in orbit_representatives(act).tolist()]
+                for v in act.orbits.reps.tolist()]
     arcs = []
     if report.arcs:
         a = report.arcs.take(np.lexsort(report.arcs.pairs.T[::-1]))  # rows sorted by pair
@@ -294,7 +294,7 @@ def _orbit_records(action: GroupAction, records: list, free_size: int) -> tuple:
     labels.  The records must be the orbit minima, one per orbit, and each
     label spans its part's size (free_size for a free part)."""
     stored = {v["id"]: v for v in records}
-    reps = orbit_representatives(action).tolist()
+    reps = action.orbits.reps.tolist()
     extra, missing = sorted(set(stored) - set(reps)), sorted(set(reps) - set(stored))
     if extra:
         raise ValueError(f"vertex record {extra[0]} is not the smallest vertex of its orbit")
@@ -303,7 +303,7 @@ def _orbit_records(action: GroupAction, records: list, free_size: int) -> tuple:
     base = np.zeros((action.m, 4))
     base[reps] = [stored[v]["coords"] for v in reps]
     parts = np.array([stored[v]["part"] for v in reps], dtype=object)
-    labels = tuple(parts[np.searchsorted(reps, action.minima)])
+    labels = tuple(parts[action.orbits.index])
     for label, count in Counter(labels).items():
         size = PART_SIZES.get(label, free_size)
         if count != size:

@@ -48,7 +48,7 @@ import numpy as np
 from .actions import VertexAction
 from .geometry import (ERROR_TOL, PrecisionError, Realization, plane_distance, projectors, same_circle,
                        shared_lines)
-from .perm import is_faithful, pair_fixer_counts, pair_stabilizers
+from .perm import is_faithful, pair_fixer_counts
 
 PAIR_TOL = 1e-8  # distance from an arc's circle within which a point lies on it
 ANGLE_EPS = 1e-9
@@ -399,7 +399,8 @@ def full_report(r: Realization, arcs: Optional[Arcs] = None) -> HypothesisReport
     in details.  The report keeps the arcs only when they pass h2."""
     details: dict = {}
     pairs = required_pairs(r.vertex_action)  # once per report; the checks share it
-    fixers = pair_stabilizers(r.vertex_action.action, pairs)
+    pinned, table, _ = r.vertex_action.action.fixed_points  # both ends of each pair are pinned
+    fixers = table[:, np.searchsorted(pinned, np.reshape(pairs, (-1, 2)))].all(axis=2).T
     fixers[:, 0] = False  # h1 and the arcs read the non-trivial fixers
     h1 = check_h1(r, fixers)
     if arcs is None and h1:

@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .actions import Model, OrbitPlan, VertexAction, measured_profile, restricted_group
-from .perm import PermGroup, from_cycles, matrices_from_generators, orbit_representatives, standard_group
+from .perm import Orbits, PermGroup, from_cycles, matrices_from_generators, orbit_table, standard_group
 from .profiles import FixedVertexProfile
 
 ERROR_TOL = 1e-12  # rounding error allowed in an identity that holds exactly
@@ -300,24 +300,14 @@ def _part_base_point(kind: str, config: ModelConfig) -> np.ndarray:
     return p / np.linalg.norm(p)
 
 
-def orbit_coords(images: np.ndarray, mats: np.ndarray, base: np.ndarray,
-                 rep_of: np.ndarray) -> np.ndarray:
+def orbit_coords(orbits: Orbits, mats: np.ndarray, base: np.ndarray) -> np.ndarray:
     """All m coordinates from one point per orbit, for realize and verify
-    alike: a representative v (rep_of[v] == v, and rep_of maps every vertex
-    to one) keeps base[v] exactly, and every other vertex w gets
-    mats[t] @ base[rep_of[w]], t the first row of the action images that
-    carries rep_of[w] to w.  The rows are read off the representatives'
-    columns alone, |G| entries per orbit."""
-    m, order = len(rep_of), len(images)
-    reps = np.flatnonzero(rep_of == np.arange(m))
-    cols = images[:, reps]  # row x, column of v: the vertex x carries v to
-    own = rep_of[cols] == reps  # an entry names a t only for a vertex of v's orbit
-    t = np.full(m, order)
-    np.minimum.at(t, cols[own], np.nonzero(own)[0])
-    # row 0 if no row does: that action is no homomorphism, which its check reports
-    t[t == order] = 0
+    alike, read off the orbit table (perm.orbit_table): a representative v
+    keeps base[v] exactly, and every other vertex w of v's orbit gets
+    mats[t] @ base[v], t its carrier row, the first row that carries v to w."""
+    reps, index, carrier = orbits
     with np.errstate(invalid="ignore", over="ignore"):  # NaN fails at invariance
-        coords = np.einsum("wij,wj->wi", mats[t], base[rep_of])
+        coords = np.einsum("wij,wj->wi", mats[carrier], base[reps][index])
     coords[reps] = base[reps]
     return coords
 
@@ -486,8 +476,7 @@ class Realization:
         """All m coordinates, (m, 4) and read-only: orbit_coords of base at
         the orbit minima, as verify derives them from a file.  Computed on
         first use, so mats and base are read then."""
-        act = self.vertex_action.action
-        coords = orbit_coords(act.images, self.mats, self.base, act.minima)
+        coords = orbit_coords(self.vertex_action.action.orbits, self.mats, self.base)
         coords.setflags(write=False)
         return coords
 
@@ -538,7 +527,7 @@ def _orbit_errors(r: Realization) -> np.ndarray:
     the orbit representatives v: one stacked product of |G|·#orbits
     vectors.  NaN anywhere gives NaN."""
     act = r.vertex_action.action
-    reps = orbit_representatives(act)
+    reps = act.orbits.reps
     with np.errstate(invalid="ignore", over="ignore"):
         moved = r.coords[reps] @ r.mats.transpose(0, 2, 1)  # row g: M(g)·p(v), each v
         moved -= r.coords[act.images[:, reps]]
@@ -585,7 +574,7 @@ def _min_separation(r: Realization) -> float:
     m (see _closest_pair).
     """
     act = r.vertex_action.action
-    reps = orbit_representatives(act)
+    reps = act.orbits.reps
     return _closest_pair(r.coords, reps, act.images[:, reps])
 
 
@@ -650,18 +639,18 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     circles = circles_of(acting)
 
     # each part is one orbit of the unrestricted action, its first vertex the minimum
-    images = (va.action if va.parent is None else va.parent).images
-    rep_of = np.repeat([b.start for b in va.parts], [b.size for b in va.parts])
+    low = np.repeat([b.start for b in va.parts], [b.size for b in va.parts])
+    orbits = orbit_table((va.action if va.parent is None else va.parent).images, low)
     frees = [b.start for b in va.parts if b.kind == "free"]
     base = np.zeros((p.m, 4))
     for b in va.parts:
         if b.kind != "free":
             base[b.start] = _part_base_point(b.kind, config)
     if frees:
-        avoid = orbit_coords(images, mats, base, rep_of)[~np.isin(rep_of, frees)]
+        avoid = orbit_coords(orbits, mats, base)[~np.isin(low, frees)]
         base[frees] = [orbit[0] for orbit in free_orbit_coords(mats, circles, len(frees), config, avoid)]
     if sub is not None:  # the A4 orbit minima read the parent's coordinates
-        base = orbit_coords(images, mats, base, rep_of)
+        base = orbit_coords(orbits, mats, base)
         mats, circles = acting[rows], circles[rows]
     r = Realization(p, va, p.model, config, mats, base)
     r.circles = circles

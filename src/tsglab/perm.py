@@ -17,11 +17,14 @@ that order).  That partition is coarser than true conjugacy for A4 and
 A5, but it is exactly the granularity at which fixed-vertex counts are
 constant on the actions this package builds.
 
-Who fixes what is decided once per action, by `GroupAction.fixed_points`:
-the vertices with a non-trivial stabilizer, read off the orbit
-representatives' columns, and the rows that fix each of them.  Kernel,
-faithfulness, class counts, Burnside's count and the pair fixers all
-read that table, so none of them compares |G|·m images.
+Who is where is decided once per action, by `GroupAction.orbits`
+(`orbit_table`): the orbit minima, each vertex's orbit and the first row
+that carries its orbit's minimum to it.  Who fixes what is decided once
+too, by `GroupAction.fixed_points`: the vertices with a non-trivial
+stabilizer, read off the orbit representatives' columns, and the rows
+that fix each of them.  Kernel, faithfulness, class counts, Burnside's
+count and the pair fixers all read that table, so none of them compares
+|G|·m images.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ GROUP_NAMES = ("A4", "S4", "A5")
 
 GROUP_ORDER = {"A4": 12, "S4": 24, "A5": 60}
 
+Orbits = namedtuple("Orbits", "reps index carrier")  # orbit_table, GroupAction.orbits
 FixedPoints = namedtuple("FixedPoints", "pinned fixers counts")  # GroupAction.fixed_points
 
 # rows are found by base-degree codes in int64; the largest code, d**d - 1,
@@ -260,7 +264,7 @@ class GroupAction:
     permutation of row i, as an integer image array.
 
     images is a read-only view (the caller's array stays writable), so the
-    orbit minima and the fixed-point table, each computed on first use,
+    orbit table and the fixed-point table, each computed on first use,
     are cached on the action."""
 
     def __init__(self, group: PermGroup, images):
@@ -282,18 +286,14 @@ class GroupAction:
         return self.images.shape[1]
 
     @cached_property
-    def minima(self) -> np.ndarray:
-        """For each vertex, the smallest vertex of its orbit: the smallest
-        vertex the generators' rows join it to, found by passing labels
-        along those rows until none changes.  Read off the generator rows
-        alone, the orbits stay those of the permutations they generate even
-        when the rest of the table is no homomorphism, so such a table is
-        reported by check_homomorphism and not as a wrong orbit.  The
-        images are read-only, so the minima are computed once per action;
-        the array is read-only too."""
-        low = _orbit_minima(self)
-        low.setflags(write=False)
-        return low
+    def orbits(self) -> Orbits:
+        """orbit_table of the images and each vertex's orbit minimum: the
+        smallest vertex the generators' rows join it to, found by passing
+        labels along those rows until none changes.  Read off the generator
+        rows alone, the orbits stay those of the permutations they generate
+        even when the rest of the table is no homomorphism, so such a table
+        is reported by check_homomorphism and not as a wrong orbit."""
+        return orbit_table(self.images, _orbit_minima(self))
 
     @cached_property
     def fixed_points(self) -> FixedPoints:
@@ -304,13 +304,14 @@ class GroupAction:
         representatives' columns: |G|·#orbits images and a |G|·#pinned
         gather, not |G|·m.
 
-        Let v be the representative of w's orbit and t a row with t·v = w.
-        Stabilizers along an orbit are conjugate, Stab(w) = t Stab(v) t⁻¹:
-        row x fixes w exactly when t⁻¹ * x * t fixes v, and w is pinned
-        exactly when v is.  Every other vertex is fixed by the identity
-        alone, so the identity fixes all m vertices and any other row only
-        pinned ones.  The counts then sum to the orbit sizes times their
-        stabilizer orders, |G| per orbit, which is Burnside's count.
+        Let v be the representative of w's orbit and t its carrier row,
+        t·v = w (orbit_table).  Stabilizers along an orbit are conjugate,
+        Stab(w) = t Stab(v) t⁻¹: row x fixes w exactly when t⁻¹ * x * t
+        fixes v, and w is pinned exactly when v is.  Every other vertex is
+        fixed by the identity alone, so the identity fixes all m vertices
+        and any other row only pinned ones.  The counts then sum to the
+        orbit sizes times their stabilizer orders, |G| per orbit, which is
+        Burnside's count.
 
         That holds for a genuine action, whose rows act as the group does
         on every vertex: every table build, coset_action, direct_sum and
@@ -318,11 +319,10 @@ class GroupAction:
         check_homomorphism passes (verify reads this table only after its
         `action-homomorphism` step).  A table that is no action can fix
         vertices off the representatives' columns unseen."""
-        reps, c = orbit_representatives(self), self.group.cayley
-        cols, orbit = self.images[:, reps], np.searchsorted(reps, self.minima)  # cols[x, o]: x·v
-        stab = cols == reps  # stab[h, o]: row h fixes v
+        (reps, orbit, carrier), c = self.orbits, self.group.cayley
+        stab = self.images[:, reps] == reps  # stab[h, o]: row h fixes v
         pinned = np.flatnonzero((stab.sum(axis=0) > 1)[orbit])
-        t = (cols[:, orbit[pinned]] == pinned).argmax(axis=0)  # the first row with t·v = w
+        t = carrier[pinned]
         fixers = stab[c[(c == 0).argmax(axis=1)[t], c[:, t]], orbit[pinned]]  # t⁻¹ * x * t fixes v
         table = FixedPoints(pinned, fixers, np.concatenate(([self.m], fixers[1:].sum(axis=1))))
         for part in table:
@@ -351,7 +351,7 @@ def check_homomorphism(a: GroupAction) -> None:
     words can break the homomorphism off the representatives' columns
     unseen."""
     imgs, g = a.images, a.group
-    cols = imgs[:, orbit_representatives(a)]  # row x, column of v: φ_v(x)
+    cols = imgs[:, a.orbits.reps]  # row x, column of v: φ_v(x)
     for s in g.generators:
         # row x compares act(s)(φ_v(x)) with φ_v(s * x)
         bad = np.flatnonzero((imgs[s][cols] != cols[g.cayley[s]]).any(axis=1))
@@ -463,6 +463,28 @@ def burnside_orbit_count(a: GroupAction) -> int:
     return total // a.group.order
 
 
+def orbit_table(images: np.ndarray, low: np.ndarray) -> Orbits:
+    """Who is where, as three read-only arrays, given the image rows and
+    each vertex's orbit minimum low: `reps`, the ascending minima (the
+    vertices with low[v] == v); `index`, each vertex's orbit, its minimum's
+    place in reps; and `carrier`, for each vertex w the first row t with
+    t·v = w, v = low[w].  The carriers are read off the representatives'
+    columns alone, |G| entries per orbit, and an entry counts only where
+    it names a vertex of v's own orbit.  Where no row carries v to w the
+    carrier is row 0: such a table is no homomorphism, which
+    check_homomorphism reports."""
+    reps = np.flatnonzero(low == np.arange(len(low)))
+    cols = images[:, reps]  # row x, column of v: the vertex x carries v to
+    own = low[cols] == reps
+    carrier = np.full(len(low), len(images))
+    np.minimum.at(carrier, cols[own], np.nonzero(own)[0])
+    carrier[carrier == len(images)] = 0
+    table = Orbits(reps, np.searchsorted(reps, low), carrier)
+    for part in table:
+        part.setflags(write=False)
+    return table
+
+
 def _orbit_minima(a: GroupAction) -> np.ndarray:
     low = np.arange(a.m)
     while True:
@@ -474,12 +496,6 @@ def _orbit_minima(a: GroupAction) -> np.ndarray:
             return low
 
 
-def orbit_representatives(a: GroupAction) -> np.ndarray:
-    """The smallest vertex of each orbit, ascending: the vertices that no
-    element maps to a smaller one."""
-    return np.flatnonzero(a.minima == np.arange(a.m))
-
-
 def kernel(a: GroupAction) -> tuple[int, ...]:
     """Ascending rows of the elements that fix every vertex."""
     return tuple(np.flatnonzero(a.fixed_points.counts == a.m).tolist())
@@ -488,15 +504,6 @@ def kernel(a: GroupAction) -> tuple[int, ...]:
 def is_faithful(a: GroupAction) -> bool:
     """Trivial kernel; for a homomorphism, the same as all rows distinct."""
     return len(kernel(a)) == 1
-
-
-def pair_stabilizers(a: GroupAction, pairs) -> np.ndarray:
-    """Boolean (len(pairs), |G|) mask: row k marks the elements fixing both
-    vertices of pairs[k] pointwise, the identity (column 0) included."""
-    ends = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    if (ends[:, 0] == ends[:, 1]).any() or not ((0 <= ends) & (ends < a.m)).all():
-        raise ValueError(f"need two distinct vertices below m={a.m}")
-    return (a.images[:, ends] == ends).all(axis=2).T
 
 
 def pair_fixer_counts(a: GroupAction) -> tuple[np.ndarray, np.ndarray]:

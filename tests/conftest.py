@@ -8,7 +8,7 @@ import pytest
 from tsglab.actions import build, plan
 from tsglab.edges import INSIDE_MARGIN, PAIR_TOL, _interior_holds
 from tsglab.geometry import Realization, plane_distance, projectors, realize
-from tsglab.perm import InconsistentActionError
+from tsglab.perm import InconsistentActionError, Orbits
 from tsglab.profiles import profile_rules
 
 REFERENCES = ([("S4", m) for m in (24, 4, 8, 12, 20, 28)]
@@ -54,6 +54,28 @@ def all_column_homomorphism(a):
         if len(bad):
             e1, e2 = g.elements[bad[0]].tolist(), g.elements[s].tolist()
             raise InconsistentActionError(f"act({e1} * {e2}) != act({e1}) * act({e2})")
+
+
+def all_column_orbits(a):
+    """Who is where, worked out from all |G|·m images: the reference for
+    GroupAction.orbits.  Each vertex's orbit minimum is the smallest of
+    its images; the representatives are the distinct minima, and the
+    carrier of w is the first row that takes its minimum to w."""
+    low = a.images.min(axis=0)
+    reps, index = np.unique(low, return_inverse=True)
+    carrier = (a.images[:, low] == np.arange(a.m)).argmax(axis=0)
+    return Orbits(reps, index, carrier)
+
+
+def pair_stabilizers(a, pairs):
+    """Boolean (len(pairs), |G|) mask: row k marks the elements fixing both
+    vertices of pairs[k] pointwise, the identity (column 0) included, read
+    off the images of both vertices under every element: the reference
+    for the pair fixers full_report reads off the fixed-point table."""
+    ends = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    if (ends[:, 0] == ends[:, 1]).any() or not ((0 <= ends) & (ends < a.m)).all():
+        raise ValueError(f"need two distinct vertices below m={a.m}")
+    return (a.images[:, ends] == ends).all(axis=2).T
 
 
 def all_column_fixed(a):

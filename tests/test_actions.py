@@ -14,10 +14,10 @@ from tsglab.actions import (
     measured_profile,
     plan,
 )
-from tsglab.perm import burnside_orbit_count, is_faithful, pair_stabilizers
+from tsglab.perm import burnside_orbit_count, is_faithful
 from tsglab.profiles import NotAdmissibleError, necessity_check
 
-from .conftest import orbit_partition, passes_profile_rules
+from .conftest import orbit_partition, pair_stabilizers, passes_profile_rules
 
 GROUPS = ("A4", "S4", "A5")
 

@@ -2,6 +2,7 @@
 form can carry (generators, orbit representatives, a vertex off the
 sphere)."""
 
+import ast
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsglab import certificate, perm
+from tsglab import certificate, cli, perm
 from tsglab.actions import build, plan
 from tsglab.certificate import (
     _rebuild,
@@ -285,8 +286,9 @@ def test_version_2_file_is_a_schema_error():
 
 @pytest.mark.parametrize("group,m", [("S4", 28), ("A4", 61)])
 def test_orbit_minima_computed_once_per_realize_write_and_per_verify(monkeypatch, tmp_path, group, m):
-    """realize (separation) and write share the minima of one action, and
-    verify's group-closure and separation share those of the rebuilt one."""
+    """realize (separation) and write share the orbit table of one action,
+    and verify's group-closure and separation share that of the rebuilt
+    one: the orbit minima are computed once for each."""
     calls, original = [], perm._orbit_minima
 
     def counted(a):
@@ -309,10 +311,24 @@ CONSTRUCTION = {("actions", "plan"), ("actions", "build"), ("geometry", "realize
                 ("geometry", "free_orbit_coords"), ("edges", "assign_arcs")}
 
 
+def _function_lines(path: Path) -> dict:
+    """Lines of every function in a source file, from its first decorator
+    to its last line, keyed by the line a code object starts at."""
+    spans = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            spans[first] = node.end_lineno - first + 1
+    return spans
+
+
 def test_verify_trusts_no_construction_step(realized, tmp_path, capsys):
     """`tsglab verify` on each reference-grid file (the 14 reference cases
     plus the restricted A4 m=24 and m=61) enters src/ functions only off the
-    construction path: the verdict rests on the verify modules alone."""
+    construction path: the verdict rests on the verify modules alone.  The
+    named functions it enters (no <lambda> or comprehension), their lines
+    and the lines of src/ are the counts README's "What verify trusts"
+    states."""
     src = Path(perm.__file__).parent
     paths = []
     for group, m in [*REFERENCES, ("A4", 24), ("A4", 61)]:
@@ -326,9 +342,11 @@ def test_verify_trusts_no_construction_step(realized, tmp_path, capsys):
     entered = set()
 
     def record(frame, event, arg):
-        if event == "call" and Path(frame.f_code.co_filename).parent == src:
-            entered.add((Path(frame.f_code.co_filename).stem, frame.f_code.co_name))
+        code = frame.f_code
+        if event == "call" and Path(code.co_filename).parent == src:
+            entered.add((Path(code.co_filename).stem, code.co_name, code.co_firstlineno))
 
+    cli.build_parser.cache_clear()  # as in a fresh process, whatever ran main before
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
@@ -337,5 +355,15 @@ def test_verify_trusts_no_construction_step(realized, tmp_path, capsys):
         sys.setprofile(previous)
     capsys.readouterr()
     assert codes == [0] * 16
-    assert ("certificate", "verify_certificate") in entered
-    assert not entered & CONSTRUCTION, sorted(entered & CONSTRUCTION)
+    names = {(module, name) for module, name, _ in entered}
+    assert ("certificate", "verify_certificate") in names
+    assert not names & CONSTRUCTION, sorted(names & CONSTRUCTION)
+
+    named = [(module, first) for module, name, first in entered if not name.startswith("<")]
+    spans = {module: _function_lines(src / f"{module}.py") for module, _ in named}
+    lines = sum(spans[module][first] for module, first in named)
+    total = sum((src / f).read_bytes().count(b"\n") for f in os.listdir(src) if f.endswith(".py"))
+    readme = " ".join((src.parent.parent / "README.md").read_text().split())
+    claim = (f"{len(named)} named functions, {lines} lines of function bodies with their "
+             f"docstrings and decorators, of the {total} lines in `src/`")
+    assert claim in readme, claim

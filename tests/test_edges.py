@@ -38,16 +38,17 @@ from tsglab.geometry import (
     same_circle,
     shared_lines,
 )
-from tsglab.perm import GroupAction, orbit_representatives, pair_stabilizers, standard_group
+from tsglab.perm import GroupAction, standard_group
 from tsglab.profiles import admissible_residues
 
-from .conftest import REFERENCES, all_vertex_inside
+from .conftest import REFERENCES, all_vertex_inside, pair_stabilizers
 
 S4 = standard_group("S4")
 
 
 def _fixers(r: Realization):
-    """The non-trivial fixer mask of the pinned pairs, as full_report builds it."""
+    """The non-trivial fixer mask of the pinned pairs, read off the images:
+    the reference for the mask full_report reads off the fixed-point table."""
     fixers = pair_stabilizers(r.vertex_action.action, required_pairs(r.vertex_action))
     fixers[:, 0] = False
     return fixers
@@ -288,7 +289,7 @@ def _moved_into(r: Realization, arc: _Arc, avoid) -> tuple[Realization, int]:
     """r with the first orbit representative that lies in none of the
     pairs `avoid` moved to the midpoint of `arc`, its orbit along with it,
     and that representative."""
-    w = next(x for x in orbit_representatives(r.vertex_action.action).tolist()
+    w = next(x for x in r.vertex_action.action.orbits.reps.tolist()
              if all(x not in pair for pair in avoid))
     base = r.base.copy()
     base[w] = arc.midpoint
@@ -352,6 +353,23 @@ def test_full_report_computes_pinned_pairs_once(realized, monkeypatch):
     _, r = realized[("S4", 12)]
     assert full_report(r).overall
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("key", REFERENCES + [("A4", 24), ("A4", 61), ("A4", 65)])
+def test_full_report_pair_fixers_equal_the_image_reference(realized, monkeypatch, key):
+    """The mask full_report hands check_h1 and assign_arcs, read off the
+    fixed-point table, is the image-based pair stabilizer mask without the
+    identity's column."""
+    seen = []
+
+    def record(r, fixers):
+        seen.append(fixers)
+        return check_h1(r, fixers)
+
+    monkeypatch.setattr(edges, "check_h1", record)
+    r = realized[key][1] if key in realized else realize(plan(*key))
+    assert full_report(r).overall
+    assert np.array_equal(seen[0], _fixers(r))
 
 
 def test_full_report_computes_interchangers_once(realized, monkeypatch):

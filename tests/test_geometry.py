@@ -39,7 +39,6 @@ from tsglab.perm import (
     PermGroup,
     check_homomorphism,
     from_cycles,
-    orbit_representatives,
     standard_group,
 )
 
@@ -611,7 +610,7 @@ def _brute_closest(points, rows=None):
 @pytest.mark.parametrize("group,m", REFERENCES + [("A4", 1213), ("S4", 1204), ("A5", 1205)])
 def test_cell_index_equals_brute_force(realized, large_orbit_realizations, group, m):
     r = realized[(group, m)][1] if (group, m) in realized else large_orbit_realizations[(group, m)]
-    reps = orbit_representatives(r.vertex_action.action)
+    reps = r.vertex_action.action.orbits.reps
     assert _min_separation(r) == _brute_closest(r.coords, reps)
     assert closest_distance(r.coords) == _brute_closest(r.coords)
 
@@ -619,7 +618,7 @@ def test_cell_index_equals_brute_force(realized, large_orbit_realizations, group
 def test_cell_index_close_free_orbits_pair():
     """The 1e-7 pair: far below the search radius, found exactly."""
     r = close_free_orbits()
-    reps = orbit_representatives(r.vertex_action.action)
+    reps = r.vertex_action.action.orbits.reps
     assert _min_separation(r) == _brute_closest(r.coords, reps) < 1.1e-7
     assert closest_distance(r.coords) == _brute_closest(r.coords)
 
@@ -681,7 +680,7 @@ def test_cell_index_random_clusters(seed, scale, m):
 def test_cell_index_in_small_chunks(monkeypatch, large_orbit_realizations):
     """Crowded input is measured a few rows at a time; the answer is the same."""
     r = large_orbit_realizations[("A4", 1213)]
-    reps = orbit_representatives(r.vertex_action.action)
+    reps = r.vertex_action.action.orbits.reps
     crowded = np.random.default_rng(2).standard_normal((300, 4)) * 1e-3
     monkeypatch.setattr(geometry, "_PAIR_CHUNK", 5)
     assert _min_separation(r) == _brute_closest(r.coords, reps)
@@ -732,7 +731,7 @@ def _loop_invariance_errors(r):
 
 def _loop_orbit_errors(r):
     """One element at a time, at the orbit representatives only."""
-    reps = orbit_representatives(r.vertex_action.action)
+    reps = r.vertex_action.action.orbits.reps
     return [float(np.abs(r.coords[reps] @ mat.T - r.coords[img[reps]]).max())
             for mat, img in zip(r.mats, r.vertex_action.action.images)]
 
@@ -767,7 +766,7 @@ def test_orbit_local_checks_read_only_the_representatives_columns(stacked_cases)
         r = stacked_cases[("A5", m)]
         act = r.vertex_action.action
         rows = np.setdiff1d(np.arange(1, r.group.order), r.group.generators)
-        others = np.setdiff1d(np.arange(r.m), orbit_representatives(act))
+        others = np.setdiff1d(np.arange(r.m), act.orbits.reps)
         images = act.images.copy()
         images[np.ix_(rows, others)] = images[np.ix_(rows, others[::-1])]
         scrambled = GroupAction(r.group, images)
@@ -812,7 +811,8 @@ def test_moved_vertex_fails_invariance_as_the_loop(stacked_cases, group, m, vert
     point: invariance names the first element off its images at the
     representatives, and the whole-action loop sees that element off too."""
     r = _copy(stacked_cases[(group, m)])
-    v = r.vertex_action.action.minima[vertex]
+    reps, index, _ = r.vertex_action.action.orbits
+    v = reps[index[vertex]]
     p = r.base[v] + 1e-6 * np.array([1.0, -2.0, 0.5, 1.5])
     r.base[v] = p / np.linalg.norm(p)
     assert geometry._orbit_errors(r).tolist() == _loop_orbit_errors(r)
@@ -854,7 +854,8 @@ def test_first_bad_element_in_a_later_chunk_is_named(stacked_cases, row):
     bound on the whole action rests on `homomorphism` as well."""
     base = stacked_cases[("A5", 80)]
     images = base.vertex_action.action.images
-    v = base.vertex_action.action.minima[-1]
+    reps, index, _ = base.vertex_action.action.orbits
+    v = reps[index[-1]]
     r = _tilted(base, row, (2, 3))
     with pytest.raises(AssertionError, match="^homomorphism: "):
         validate_realization(r)

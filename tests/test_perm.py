@@ -27,9 +27,7 @@ from tsglab.perm import (
     is_faithful,
     kernel,
     left_cosets,
-    orbit_representatives,
     pair_fixer_counts,
-    pair_stabilizers,
     restrict_action,
     standard_group,
     a4_inside_a5,
@@ -37,7 +35,8 @@ from tsglab.perm import (
 )
 from tsglab.profiles import admissible_residues
 
-from .conftest import all_column_fixed, all_column_homomorphism, orbit_partition
+from .conftest import (all_column_fixed, all_column_homomorphism, all_column_orbits, orbit_partition,
+                       pair_stabilizers)
 
 GROUPS = ("A4", "S4", "A5")
 GOLDEN = Path(__file__).parent / "golden"
@@ -421,8 +420,9 @@ def test_group_action_images_are_read_only():
     a = coset_action(standard_group("A4"), (0,))
     with pytest.raises(ValueError, match="read-only"):
         a.images[1, 0] = 0
-    with pytest.raises(ValueError, match="read-only"):
-        a.minima[0] = 1
+    for part in a.orbits:
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 1
 
 
 def test_group_action_leaves_the_callers_array_writable():
@@ -443,11 +443,13 @@ def test_orbit_minima_cached_per_action(monkeypatch):
     monkeypatch.setattr(perm, "_orbit_minima", counted)
     g = standard_group("S4")
     a = direct_sum([coset_action(g, h) for h in subgroups_up_to_conjugacy(g)[:3]])
-    first = a.minima
-    assert a.minima is first
-    assert orbit_representatives(a).tolist() == np.unique(first).tolist()
+    first = a.orbits
+    assert a.orbits is first
+    kernel(a)  # the fixed-point table and the homomorphism check read the cached table
+    check_homomorphism(a)
+    assert np.array_equal(first.reps[first.index], a.images.min(axis=0))
     assert len(calls) == 1
-    GroupAction(g, a.images).minima  # a new action computes its own
+    GroupAction(g, a.images).orbits  # a new action computes its own
     assert len(calls) == 2
 
 
@@ -607,7 +609,7 @@ def test_check_homomorphism_agrees_with_the_all_column_reference(name, gen, colu
     subs = subgroups_up_to_conjugacy(name)
     a = direct_sum([coset_action(g, h) for h in (subs[0], subs[1], subs[-1])])
     gens = list(g.generators)
-    reps = orbit_representatives(a)
+    reps = a.orbits.reps
     others = np.setdiff1d(np.arange(a.m), reps)
     columns = reps if column == "representative" else others[::len(others) // 4]
     verdicts = []
@@ -631,13 +633,16 @@ def test_check_homomorphism_agrees_with_the_all_column_reference(name, gen, colu
 
 def _built_actions(group, ms):
     """The action build makes for each admissible m in ms, and its parent
-    when the plan is a restriction."""
+    when the plan is a restriction.  The building action (the parent, or
+    the action itself) comes with the orbit minima realize reads off its
+    parts, each part's first vertex repeated over the part; None otherwise."""
     for m in ms:
         if m in admissible_residues(group):
             va = build(plan(group, m))
-            yield f"{group} m={m}", va.action
+            parts = np.repeat([b.start for b in va.parts], [b.size for b in va.parts])
+            yield f"{group} m={m}", va.action, parts if va.parent is None else None
             if va.parent is not None:
-                yield f"{group} m={m} parent", va.parent
+                yield f"{group} m={m} parent", va.parent, parts
 
 
 def _coset_actions(group):
@@ -648,8 +653,8 @@ def _coset_actions(group):
 
 TABLE_CASES = {
     "plans": lambda: (case for group in GROUPS for case in _built_actions(group, range(4, 400))),
-    "cosets": lambda: (case for group in GROUPS for case in _coset_actions(group)),
-    "sums": lambda: ((f"{x} + {y}", direct_sum([a, b])) for group in GROUPS
+    "cosets": lambda: ((*case, None) for group in GROUPS for case in _coset_actions(group)),
+    "sums": lambda: ((f"{x} + {y}", direct_sum([a, b]), None) for group in GROUPS
                      for (x, a), (y, b) in itertools.combinations_with_replacement(
                          _coset_actions(group), 2)),
     # the large-orbits workload, and A4 m=1205, a restriction of A5
@@ -660,14 +665,21 @@ TABLE_CASES = {
 
 @pytest.mark.parametrize("kind", TABLE_CASES)
 def test_fixed_points_equal_the_all_column_reference(kind):
-    """The fixed-point table, read off the representatives' columns, and
-    everything read from it (kernel, pair fixer counts, interchangers)
-    equal the all-column reference: on every admissible plan's action
-    below m=400 and its parent, on every coset action of A4, S4 and A5
-    (unfaithful ones included), on every direct sum of two of those, and
-    on the large-orbits actions and A4 m=1205 with its parent."""
+    """The orbit table and the fixed-point table, read off the
+    representatives' columns, and everything read from them (kernel, pair
+    fixer counts, interchangers) equal the all-column references: on
+    every admissible plan's action below m=400 and its parent, on every
+    coset action of A4, S4 and A5 (unfaithful ones included), on every
+    direct sum of two of those, and on the large-orbits actions and A4
+    m=1205 with its parent.  On a building action, the minima realize
+    reads off the parts are the orbit minima."""
     checked = 0
-    for name, a in TABLE_CASES[kind]():
+    for name, a, parts in TABLE_CASES[kind]():
+        orbits = all_column_orbits(a)
+        for part, expected in zip(a.orbits, orbits):
+            assert np.array_equal(part, expected), name
+        if parts is not None:
+            assert np.array_equal(parts, orbits.reps[orbits.index]), name
         ref = all_column_fixed(a)
         pinned, fixers, counts = a.fixed_points
         assert np.array_equal(pinned, ref["pinned"]), name
@@ -697,8 +709,9 @@ def test_action_from_generators_rebuilds_every_action(name, data):
     gens = list(g.generators)
     rebuilt = action_from_generators(g, gens, a.images[gens])
     assert (rebuilt.images == a.images).all()
-    assert (a.minima == a.images.min(axis=0)).all()
-    assert orbit_representatives(a).tolist() == [orbit[0] for orbit in orbit_partition(a)]
+    reps, index, _ = a.orbits
+    assert (reps[index] == a.images.min(axis=0)).all()
+    assert reps.tolist() == [orbit[0] for orbit in orbit_partition(a)]
 
 
 def test_action_from_generators_keeps_inconsistent_generator_rows():
