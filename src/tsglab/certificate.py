@@ -343,10 +343,14 @@ def _check_hypotheses(data: dict, real: Realization) -> None:
         if tuple(rec["pair"]) in seen:
             raise AssertionError(f"two arc records for pair {rec['pair']}")
         seen.add(tuple(rec["pair"]))
+    # one query for every fixer list of the group's degree; a list that is no
+    # element, of that length or another, gets row -1, which check_arcs rejects
+    fixers = np.full(len(records), -1)
+    formed = [k for k, rec in enumerate(records) if len(rec["fixer"]) == real.group.degree]
+    if formed:
+        fixers[formed] = real.group.rows(np.array([records[k]["fixer"] for k in formed], dtype=np.int64))
     arcs = Arcs(np.array([rec["pair"] for rec in records], dtype=int).reshape(-1, 2),
-                # one query per record: a list that is no element gets row -1,
-                # which check_arcs rejects
-                np.array([real.group.rows([rec["fixer"]])[0] for rec in records], dtype=int),
+                fixers,
                 np.array([rec["basis"] for rec in records], dtype=float).reshape(-1, 2, 4),
                 np.array([rec["start"] for rec in records], dtype=float),
                 np.array([rec["sweep"] for rec in records], dtype=float))

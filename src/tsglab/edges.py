@@ -24,16 +24,22 @@ set, which the certificate does not model explicitly.
 
 An arc system is one Arcs value: row-aligned arrays of pairs, fixers,
 plane bases, start angles and sweeps, one row per arc.  Every arc test
-runs on those rows at once, not per arc or per pair: Arcs.points gives
-the ends and midpoints, _interior_holds is the one interior test,
-check_arcs finds faults as masks over all rows, the disjointness part of
-h2 tests all pairs of arcs in one batch (_verify_disjoint_interiors), and
-h3 is one product of every matrix with every arc midpoint.  Which
-vertices lie inside the arcs is judged exactly only on the few that one
-product of all coordinates with the fixers' plane bases finds near a
-fixer's circle (_vertices_inside), not on every row against all m.  All pairs
-stay cheap: every admissible non-knotted m below 400 pins at most 10
-pairs, so there are at most 45 pairs of arcs.
+runs on those rows at once, not per arc or per pair: Arcs.landmarks holds
+the ends and midpoints, computed once, _interior_holds is the one
+interior test, check_arcs finds faults as masks over all rows, and h3 is
+one product of every matrix with every arc midpoint.  The disjointness
+part of h2 runs its exact tests in one batch, on the pairs of arcs whose
+caps meet only (_verify_disjoint_interiors): an arc lies within
+|sweep|/2 of its midpoint, so two arcs whose midpoints lie more than
+2·sin(min(π, (|sweep_a| + |sweep_b|)/2)/2) + CAP_SLACK apart cannot
+meet, and CAP_SLACK covers the tolerances the exact tests meet them
+within.  Distinct planes whose projectors differ by at most
+SHARED_PLANE_GAP stay in wherever their arcs lie, since the SVD may find
+them sharing two directions.  Which vertices lie inside the arcs is
+judged exactly only on the few that one product of all coordinates with
+the fixers' plane bases finds near a fixer's circle (_vertices_inside),
+not on every row against all m.  The fixed planes are read once per
+realization (Realization.planes).
 """
 
 from __future__ import annotations
@@ -46,13 +52,17 @@ from typing import Optional
 import numpy as np
 
 from .actions import VertexAction
-from .geometry import (ERROR_TOL, PrecisionError, Realization, plane_distance, projectors, same_circle,
-                       shared_lines)
+from .geometry import (CIRCLE_EQ_TOL, ERROR_TOL, SHARED_LINE_TOL, PrecisionError, Realization,
+                       plane_distance, projectors, same_circle, shared_lines)
 from .perm import is_faithful, pair_fixer_counts
 
 PAIR_TOL = 1e-8  # distance from an arc's circle within which a point lies on it
 ANGLE_EPS = 1e-9
 INSIDE_MARGIN = 1e-7  # angular margin for a vertex inside an arc's interior
+# how far apart two arcs' caps may read and the arcs still meet (_verify_disjoint_interiors)
+CAP_SLACK = 2 * (4 * CIRCLE_EQ_TOL + 2 * PAIR_TOL)
+# largest projector gap of distinct planes that shared_lines may find sharing two directions
+SHARED_PLANE_GAP = 2 * SHARED_LINE_TOL
 
 
 class ArcAssignmentError(RuntimeError):
@@ -92,6 +102,16 @@ class Arcs:
         turns = self.starts[:, None] + np.asarray(s) * self.sweeps[:, None]
         return np.cos(turns)[..., None] * self.bases[:, None, 0] \
             + np.sin(turns)[..., None] * self.bases[:, None, 1]
+
+    @cached_property
+    def landmarks(self) -> np.ndarray:
+        """Start, end and midpoint of every arc, (k, 3, 4) and read-only:
+        the ends _first_fault compares with the pair, the points the
+        disjointness test holds against the interiors and whose midpoints
+        centre its caps, and the midpoints check_h3 moves."""
+        points = self.points([0.0, 1.0, 0.5])
+        points.setflags(write=False)
+        return points
 
 
 def _interior_holds(arcs: Arcs, rows, points: np.ndarray, margin: float = ANGLE_EPS) -> np.ndarray:
@@ -148,9 +168,8 @@ def check_h1(r: Realization, fixers: np.ndarray) -> bool:
     """All non-trivial fixers of each pinned pair share one fixed circle,
     the circle of the first of them.  fixers is the (pairs, |G|) mask of
     non-trivial fixers that full_report computes once."""
-    planes = projectors(r.circles)
-    first = planes[fixers.argmax(axis=1)]
-    shared = same_circle(planes, first[:, None]) | ~fixers
+    first = r.planes[fixers.argmax(axis=1)]
+    shared = same_circle(r.planes, first[:, None]) | ~fixers
     # a zero projector is no circle, which nothing can share
     return bool((first.any(axis=(1, 2)) & shared.all(axis=1)).all())
 
@@ -218,7 +237,7 @@ def _vertices_inside(r: Realization, arcs: Arcs) -> np.ndarray:
     inside = np.zeros((len(arcs), r.m), dtype=bool)
     if not k.size:  # the usual case: near the circles sit only the pairs' own vertices
         return inside
-    on_circle = plane_distance(projectors(r.circles[arcs.fixers[k]]), p[w, None])[:, 0] <= PAIR_TOL
+    on_circle = plane_distance(r.planes[arcs.fixers[k]], p[w, None])[:, 0] <= PAIR_TOL
     k, w = k[on_circle], w[on_circle]
     inside[k, w] = _interior_holds(arcs, k, p[w, None], INSIDE_MARGIN)[:, 0]
     return inside
@@ -264,13 +283,13 @@ def _first_fault(r: Realization, arcs: Arcs) -> tuple[int, Optional[str]]:
     with np.errstate(invalid="ignore", over="ignore"):
         gram = np.abs(arcs.bases @ np.swapaxes(arcs.bases, 1, 2) - np.eye(2)).max(axis=(1, 2))
         vertices = np.stack([r.coords[u], r.coords[v]], axis=1)
-        points = arcs.points([0.0, 1.0])
-        gap = np.minimum(*(np.linalg.norm(points - e, axis=2).max(axis=1)
+        ends = arcs.landmarks[:, :2]
+        gap = np.minimum(*(np.linalg.norm(ends - e, axis=2).max(axis=1)
                            for e in (vertices, vertices[:, ::-1])))
         faults = [
             (~known | (action.images[fixer, u] != u) | (action.images[fixer, v] != v),
              "fixer of pair {} is not a non-trivial group element fixing both vertices"),
-            (~(gram <= ERROR_TOL) | ~same_circle(arcs.projectors, projectors(r.circles[fixer])),
+            (~(gram <= ERROR_TOL) | ~same_circle(arcs.projectors, r.planes[fixer]),
              "arc of pair {} is not on the fixed circle of its fixer"),
             (~(np.isfinite(arcs.starts) & (0 < np.abs(arcs.sweeps))
                & (np.abs(arcs.sweeps) < 2 * math.pi) & (gap <= ERROR_TOL)),
@@ -284,29 +303,63 @@ def _first_fault(r: Realization, arcs: Arcs) -> tuple[int, Optional[str]]:
     return row, message.format(tuple(arcs.pairs[row].tolist()))
 
 
-_ENDS_AND_MIDDLE = np.array([0.0, 1.0, 0.5])
-
-
 def _verify_disjoint_interiors(arcs: Arcs):
-    """The arcs' interiors are pairwise disjoint: one batched test of all
-    pairs, raising for the first bad pair in row-major order.
+    """The arcs' interiors are pairwise disjoint, raising for the first bad
+    pair in row-major order.
 
     Two arcs on one circle overlap when either interior holds an end or the
     midpoint of the other; each arc measures angles in its own basis of the
     plane.  Arcs on distinct circles can meet only at the 0 or 2 antipodes
     on the line their planes share (one stacked SVD over those pairs), and
     cross when both interiors hold one of them.
+
+    Those exact tests run only on the pairs whose caps meet.  Every point of
+    an arc lies within the angle |sweep|/2 of its midpoint, so the midpoints
+    of two arcs with a common point lie at most (|sweep_a| + |sweep_b|)/2
+    apart in angle, and at most 2·sin(min(π, that)/2) apart as a chord
+    (the chord is 1-Lipschitz and monotone in the angle).  The exact tests
+    find a common point only to within their tolerances.  An overlap holds
+    in a's interior the angle of an end or midpoint y of b; the projectors
+    agree to CIRCLE_EQ_TOL per entry, so to 4·CIRCLE_EQ_TOL in norm, and y
+    lies that close to a's plane and to the point of a at its angle.  A
+    crossing lies within PAIR_TOL of both planes, so the points of a and b
+    at its angles lie within 2·PAIR_TOL of each other.  The bases have
+    passed _first_fault, orthonormal to ERROR_TOL, which moves norms and
+    angles by a few ERROR_TOL, and rounding adds about 1e-15.  CAP_SLACK,
+    twice 4·CIRCLE_EQ_TOL + 2·PAIR_TOL, covers all of it, so a pair whose
+    midpoints lie further apart than that chord plus CAP_SLACK is dropped:
+    no exact test could flag it.  Chords are compared, not the arccos of a
+    dot product, which near 0 turns a norm error of ERROR_TOL into about
+    1e-6 rad.
+
+    The SVD raises for distinct planes that share two directions wherever
+    the arcs lie, so such pairs are kept too.  Along a principal angle θ of
+    two planes, [I - P1; I - P2] has singular values √2·sin(θ/2) and
+    √2·cos(θ/2).  Two below SHARED_LINE_TOL put both angles at
+    sin θ <= 2·sin(θ/2) < √2·SHARED_LINE_TOL, and the projectors differ by
+    the sine of the larger angle in norm, so by less than that per entry:
+    every pair whose projectors differ by more than CIRCLE_EQ_TOL and at
+    most SHARED_PLANE_GAP = 2·SHARED_LINE_TOL is kept.  NaN keeps a pair.
     """
     if len(arcs) < 2:
         return
-    planes = arcs.projectors
-    i, j = np.triu_indices(len(arcs), 1)
+    planes, mids, turn = arcs.projectors, arcs.landmarks[:, 2], np.abs(arcs.sweeps)
+    # every (a, b) at once; the pairs a < b that are kept, in row-major order
+    apart = np.linalg.norm(mids[:, None] - mids, axis=2) \
+        > 2 * np.sin(np.minimum(math.pi, (turn[:, None] + turn) / 2) / 2) + CAP_SLACK
+    gap = np.abs(planes[:, None] - planes).max(axis=(2, 3))
+    rows = np.arange(len(arcs))
+    i, j = np.nonzero((rows[:, None] < rows)
+                      & (~apart | ((CIRCLE_EQ_TOL < gap) & (gap <= SHARED_PLANE_GAP))))
+    if not i.size:  # no two caps meet
+        return
     same = same_circle(planes[i], planes[j])
 
-    # holds[a, b]: the interior of arc a holds the start, end or midpoint of arc b
-    points = arcs.points(_ENDS_AND_MIDDLE).reshape(1, -1, 4)
-    holds = _interior_holds(arcs, slice(None), points).reshape(len(arcs), len(arcs), 3).any(axis=2)
-    overlap = same & (holds[i, j] | holds[j, i])
+    # either interior holds the start, end or midpoint of the other arc
+    a, b = i[same], j[same]
+    holds = _interior_holds(arcs, np.concatenate([a, b]), arcs.landmarks[np.concatenate([b, a])])
+    overlap = np.zeros_like(same)
+    overlap[same] = holds.any(axis=1).reshape(2, -1).any(axis=0)
 
     a, b = i[~same], j[~same]
     lines, v = shared_lines(planes[a], planes[b])
@@ -356,7 +409,7 @@ def check_h3(r: Realization, arcs: Arcs) -> bool:
     target = order[np.searchsorted(codes[order], image_codes).clip(max=len(codes) - 1)]
     if not (codes[target] == image_codes).all():
         return False
-    mids = arcs.points([0.5])[:, 0]
+    mids = arcs.landmarks[:, 2]
     err = np.linalg.norm(np.einsum("fij,kj->fki", r.mats, mids) - mids[target], axis=-1).max()
     return bool(err <= ERROR_TOL)
 
@@ -389,8 +442,7 @@ def check_h5(r: Realization, swappers: np.ndarray) -> bool:
     """Pair-swapping elements (rows `swappers`, from interchangers) are
     rotations with unshared circles.  Each is compared with every row, its
     own included; no circle matches row 0."""
-    planes = projectors(r.circles)
-    return bool((np.count_nonzero(same_circle(planes[swappers, None], planes), axis=1) <= 1).all())
+    return bool((np.count_nonzero(same_circle(r.planes[swappers, None], r.planes), axis=1) <= 1).all())
 
 
 def full_report(r: Realization, arcs: Optional[Arcs] = None) -> HypothesisReport:

@@ -486,6 +486,14 @@ class Realization:
         from a file computes it on first use."""
         return circles_of(self.mats)
 
+    @cached_property
+    def planes(self) -> np.ndarray:
+        """projectors(circles), (|G|, 4, 4) and read-only: the fixed planes
+        the profile and the edge hypotheses compare, computed once."""
+        planes = projectors(self.circles)
+        planes.setflags(write=False)
+        return planes
+
 
 def require_at_most(value: float, bound: float, message: str) -> None:
     """The one tolerance test of the realization and certificate checks.
@@ -675,6 +683,6 @@ def geometric_profile(r: Realization) -> FixedVertexProfile:
     A5 n5 g and g²), which make up every class.  An element with no circle
     fixes no vertex, and every unit point lies 1 from its zero projector."""
     names = [name for name in r.group.classes if name != "n1"]
-    planes = projectors(r.circles[[r.group.classes[name][0] for name in names]])
+    planes = r.planes[[r.group.classes[name][0] for name in names]]
     counts = np.count_nonzero(plane_distance(planes, r.coords) <= ON_CIRCLE_TOL, axis=1)
     return FixedVertexProfile(r.group.name, **dict(zip(names, counts.tolist())))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsglab import certificate, cli, perm
+from tsglab import certificate, perm
 from tsglab.actions import build, plan
 from tsglab.certificate import (
     _rebuild,
@@ -322,13 +322,34 @@ def _function_lines(path: Path) -> dict:
     return spans
 
 
-def test_verify_trusts_no_construction_step(realized, tmp_path, capsys):
+# Run in a fresh interpreter, so the group caches start empty as in a new
+# `tsglab verify` process: verify each path under a profiler and print the
+# exit codes and the src/ code objects entered, after the imports.
+_PROFILED_VERIFY = """
+import json, sys
+from pathlib import Path
+from tsglab import cli
+src, entered = Path(cli.__file__).parent, set()
+
+def record(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and Path(code.co_filename).parent == src:
+        entered.add((Path(code.co_filename).stem, code.co_name, code.co_firstlineno))
+
+sys.setprofile(record)
+codes = [cli.main(["verify", "--in", path]) for path in sys.argv[1:]]
+sys.setprofile(None)
+print(json.dumps([codes, sorted(entered)]))
+"""
+
+
+def test_verify_trusts_no_construction_step(realized, tmp_path):
     """`tsglab verify` on each reference-grid file (the 14 reference cases
-    plus the restricted A4 m=24 and m=61) enters src/ functions only off the
-    construction path: the verdict rests on the verify modules alone.  The
-    named functions it enters (no <lambda> or comprehension), their lines
-    and the lines of src/ are the counts README's "What verify trusts"
-    states."""
+    plus the restricted A4 m=24 and m=61), in a fresh process, enters src/
+    functions only off the construction path: the verdict rests on the
+    verify modules alone.  The named functions it enters (no <lambda> or
+    comprehension), group construction included, their lines and the
+    lines of src/ are the counts README's "What verify trusts" states."""
     src = Path(perm.__file__).parent
     paths = []
     for group, m in [*REFERENCES, ("A4", 24), ("A4", 61)]:
@@ -339,24 +360,15 @@ def test_verify_trusts_no_construction_step(realized, tmp_path, capsys):
             r = realize(p, build(p))
         paths.append(str(tmp_path / f"{group}_{m}.json"))
         write_certificate(paths[-1], r, full_report(r))
-    entered = set()
-
-    def record(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and Path(code.co_filename).parent == src:
-            entered.add((Path(code.co_filename).stem, code.co_name, code.co_firstlineno))
-
-    cli.build_parser.cache_clear()  # as in a fresh process, whatever ran main before
-    previous = sys.getprofile()
-    sys.setprofile(record)
-    try:
-        codes = [main(["verify", "--in", path]) for path in paths]
-    finally:
-        sys.setprofile(previous)
-    capsys.readouterr()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PROFILED_VERIFY, *paths],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    codes, entered = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * 16
     names = {(module, name) for module, name, _ in entered}
     assert ("certificate", "verify_certificate") in names
+    assert {("perm", "__init__"), ("perm", "_closure"), ("perm", "generators")} <= names
     assert not names & CONSTRUCTION, sorted(names & CONSTRUCTION)
 
     named = [(module, first) for module, name, first in entered if not name.startswith("<")]

@@ -9,6 +9,7 @@ import pytest
 from tsglab.actions import Model, VertexAction, build, plan
 from tsglab.edges import (
     ANGLE_EPS,
+    CAP_SLACK,
     INSIDE_MARGIN,
     PAIR_TOL,
     ArcAssignmentError,
@@ -24,8 +25,10 @@ from tsglab.edges import (
     interchangers,
     required_pairs,
 )
-from tsglab import edges
+from tsglab import edges, geometry
+from tsglab.certificate import first_failure, read_certificate, verify_certificate, write_certificate
 from tsglab.geometry import (
+    CIRCLE_EQ_TOL,
     ERROR_TOL,
     SHARED_LINE_TOL,
     ModelConfig,
@@ -385,6 +388,38 @@ def test_full_report_computes_interchangers_once(realized, monkeypatch):
     assert len(calls) == 1
 
 
+def test_planes_and_landmarks_are_read_only_and_computed_once(realized, monkeypatch, tmp_path):
+    """Realization.planes and Arcs.landmarks are cached and read-only.  One
+    full_report on a fresh realization, and one whole verify, compute
+    projectors of the whole circle stack once."""
+    _, r = realized[("S4", 20)]
+    fresh = Realization(r.plan, r.vertex_action, r.model, r.config, r.mats, r.base)
+    calls, original = [], geometry.projectors
+
+    def counted(bases):
+        calls.append(bases)
+        return original(bases)
+
+    monkeypatch.setattr(geometry, "projectors", counted)
+    monkeypatch.setattr(edges, "projectors", counted)
+    report = full_report(fresh)
+    assert report.overall
+    assert [bases is fresh.circles for bases in calls].count(True) == 1
+    arcs = report.arcs
+    for value, again in ((fresh.planes, fresh.planes), (arcs.landmarks, arcs.landmarks)):
+        assert value is again and not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0, 0, 0] = 1.0
+    assert np.array_equal(fresh.planes, original(r.circles))
+    assert np.array_equal(arcs.landmarks, arcs.points([0.0, 1.0, 0.5]))
+
+    path = str(tmp_path / "s4_20.json")
+    write_certificate(path, r, report)
+    calls.clear()
+    assert first_failure(verify_certificate(read_certificate(path))) is None
+    assert [bases.shape for bases in calls].count(r.circles.shape) == 1
+
+
 # ------------------------------------ batched disjointness vs pairwise loop
 
 
@@ -498,6 +533,87 @@ def test_distinct_circles_sharing_a_plane_raise_precision_error():
     for check in (_verify_disjoint_interiors, _pairwise_disjoint):
         with pytest.raises(PrecisionError, match="sharing a 2-plane"):
             check(_system([a, b]))
+
+
+# ---------------------------------------- caps filter of the disjointness test
+
+
+@pytest.mark.parametrize("group, m, kept", [("S4", 8, 0), ("S4", 12, 0), ("A5", 20, 0),
+                                            ("A5", 80, 0), ("S4", 20, 12), ("A5", 5, 30)])
+def test_only_pairs_whose_caps_meet_reach_the_exact_tests(realized, monkeypatch, group, m, kept):
+    """At seed 0 no two arcs come near each other on S4 m=8, S4 m=12, A5
+    m=20 and A5 m=80, so no pair reaches the same-circle test and no SVD
+    runs; 12 of the 45 pairs do on S4 m=20 and 30 of 45 on A5 m=5."""
+    arcs = _arcs(realized[(group, m)][1])
+    pairs, svds = [], []
+    same, lines = edges.same_circle, edges.shared_lines
+    monkeypatch.setattr(edges, "same_circle", lambda p, q: pairs.append(len(p)) or same(p, q))
+    monkeypatch.setattr(edges, "shared_lines", lambda p, q: svds.append(len(p)) or lines(p, q))
+    _verify_disjoint_interiors(arcs)
+    assert not kept or len(arcs) == 10  # 45 pairs of arcs
+    assert pairs == ([kept] if kept else []) and (kept or not svds)
+
+
+def _stretched(arc: _Arc, factor: float) -> _Arc:
+    """The arc in its basis scaled by factor, still orthonormal to ERROR_TOL
+    for |factor - 1| below ERROR_TOL / 2."""
+    return arc._replace(basis=factor * arc.basis)
+
+
+def _plane_through_e0(off: float, tilt: float) -> np.ndarray:
+    """Basis of a plane whose first row is e0 turned by off toward e3 and
+    whose second row is e1 turned by tilt toward e2."""
+    return np.array([[math.cos(off), 0, 0, math.sin(off)], [0, math.cos(tilt), math.sin(tilt), 0]])
+
+
+def _cap_edge_systems():
+    """Pairs of arcs where the caps filter decides by a hair, by name."""
+    plane = np.eye(4)[:2]
+    a = _Arc((0, 1), 1, plane, 0.0, 1.0)
+    # two arcs of one circle whose ends lie within CAP_SLACK, the second in
+    # another basis of the plane or of a plane tilted within CIRCLE_EQ_TOL
+    for gap in (-3 * ANGLE_EPS, -ANGLE_EPS / 2, 0.0, CAP_SLACK / 2, 2 * CAP_SLACK):
+        for tilt in (0.0, 0.9 * CIRCLE_EQ_TOL):
+            b = _rotated(_Arc((2, 3), 1, _plane_through_e0(0.0, tilt), 1.0 + gap, 1.0), 0.3)
+            yield f"ends {gap:.1e} apart, tilt {tilt:.0e}", [a, b]
+    # caps that cover the sphere: antipodal midpoints of overlapping arcs,
+    # whose bases stretched by ERROR_TOL / 4 put them more than 2 apart
+    wide = 1 + ERROR_TOL / 4
+    yield "caps cover the sphere", [_stretched(_Arc((0, 1), 1, plane, 0.0, 1.5 * math.pi), wide),
+                                   _stretched(_Arc((2, 3), 1, plane, 1.25 * math.pi, math.pi), wide)]
+    # a crossing PAIR_TOL off both circles, just inside or outside an end
+    # of each arc; the second circle turns 1e-3 off the first's direction
+    for off in (0.9 * PAIR_TOL, 1.1 * PAIR_TOL):
+        for inside in (3 * ANGLE_EPS, -3 * ANGLE_EPS):
+            yield f"crossing {off:.1e} off, {inside:.0e} inside", [
+                _Arc((0, 1), 1, plane, -1.0, 1.0 + inside),
+                _Arc((2, 3), 1, _plane_through_e0(2 * off, 1e-3), -inside, 1.0)]
+    # sweeps of 1e-6 in bases shrunk by 0.45 ERROR_TOL: their midpoints'
+    # dot product reads about 1 - 1e-12, whose arccos is over 1e-6
+    for start in (0.5e-6, 1e-6 + 3 * ANGLE_EPS):
+        yield f"sweeps of 1e-6, second from {start:.1e}", [
+            _stretched(_Arc((0, 1), 1, plane, 0.0, 1e-6), 1 - 0.45 * ERROR_TOL),
+            _stretched(_Arc((2, 3), 1, plane, start, 1e-6), 1 - 0.45 * ERROR_TOL)]
+    # distinct planes on either side of sharing two directions, arcs apart
+    for turn in (0.5, 0.99, 1.01, 2.0):
+        yield f"planes {turn}·√2·SHARED_LINE_TOL apart", [
+            a, _Arc((2, 3), 1, _plane_through_e0(0.0, turn * math.sqrt(2) * SHARED_LINE_TOL), 2.5, 1.0)]
+
+
+def test_caps_filter_keeps_every_outcome_at_its_edge():
+    """Where the caps filter decides by a hair, the batched test raises
+    what the pairwise loop raises, or passes where it passes: ends of two
+    arcs of one circle within CAP_SLACK, caps that cover the sphere, a
+    crossing PAIR_TOL off both circles next to the arcs' ends, sweeps of
+    1e-6, and distinct planes next to sharing two directions."""
+    seen = collections.Counter()
+    for name, rows in _cap_edge_systems():
+        system = _system(rows)
+        expected = _outcome(_pairwise_disjoint, system)
+        assert _outcome(_verify_disjoint_interiors, system) == expected, name
+        seen[next(w for w in ("overlap", "cross", "sharing") if w in expected[1])
+             if expected else "disjoint"] += 1
+    assert set(seen) == {"disjoint", "overlap", "cross", "sharing"}, seen
 
 
 # --------------------------------------- batched check_arcs vs per-arc loop
