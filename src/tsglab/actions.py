@@ -202,7 +202,6 @@ class VertexAction:
     action: GroupAction
     labels: tuple[str, ...]
     parts: tuple[BuiltPart, ...]
-    plan: Optional[OrbitPlan] = None
     parent: Optional[GroupAction] = None  # unrestricted action, when restricted
 
     @property
@@ -254,9 +253,9 @@ def build(p: OrbitPlan) -> VertexAction:
 
     sub = restricted_group(p.restriction)
     if sub is None:
-        va = VertexAction(full, labels, tuple(blocks), p)
+        va = VertexAction(full, labels, tuple(blocks))
     else:
-        va = VertexAction(restrict_action(full, sub), labels, tuple(blocks), p, parent=full)
+        va = VertexAction(restrict_action(full, sub), labels, tuple(blocks), parent=full)
     if not is_faithful(va.action):
         raise AssertionError("built action is not faithful")
     return va

@@ -4,18 +4,19 @@ A certificate (schema version 3, compact JSON with sorted keys) stores a
 realization in generator form:
 
     generators  `perm`, `vertex_images` and `matrix` (4x4 special
-                orthogonal, row-major) of two elements that generate the
-                group, PermGroup.generators: the first such pair of rows
+                orthogonal, row-major) of PermGroup.generators, in either order
     vertices    one record per vertex orbit: `id`, the smallest vertex of
                 the orbit, with the orbit's `part` label and its `coords`
     arcs        the witness arc system
     report      the hypothesis verdicts, the profile and the orbit count
 
 The header's `restriction`, or else its `group`, names the permutation
-group; the generator perms must be elements of it.  The verifier derives
-the rest along one spanning tree, from the identity outward over the
-Cayley table: row x * s gets act(x) after act(s) and the matrix M(x) @
-M(s), the identity exactly I.  The vertex records must be exactly the
+group, and its (group, model tag) fixes the restriction
+(actions.PLAN_HEADERS).  The generator records must be that group's
+pair, in either order.  The verifier takes them in the group's order and
+derives the rest along one spanning tree, from the identity outward over
+the Cayley table: row x * s gets act(x) after act(s) and the matrix M(x)
+@ M(s), the identity exactly I.  The vertex records must be exactly the
 orbit minima of that action's orbit table (GroupAction.orbits), one per
 orbit.  Every other vertex w of the orbit of a record v gets mats[t] @
 coords[v], t its carrier row, the first row that maps v to w
@@ -24,19 +25,19 @@ for bit to what realize checked).  A stored row, matrix or
 coordinate is never overwritten, and nothing derived is trusted.
 `homomorphism` compares every pair of matrices.  `action-homomorphism`
 and `invariance` compare at the orbit representatives' columns only,
-|G| images per orbit: every row is a word in the generator rows and
-every coordinate is derived from a record, so that bounds the whole
-action and all m coordinates (perm.check_homomorphism,
-geometry._check_invariance).
+|G| images per orbit: every row is a word in the group's generator rows,
+which the orbit labels and check_homomorphism walk too, and every
+coordinate is derived from a record, so that bounds the whole action and
+all m coordinates (perm.check_homomorphism, geometry._check_invariance).
 A file of any other schema version, such as a version 2 file with every
 element's perm and matrix, is a schema error that names its version.
 
 Verification reconstructs all objects from the file alone and re-runs
 every invariant.  The steps, in order, stopping at the first failure:
 
-    group-closure        the generators are elements of the header's group
-                         and generate it, and the vertex records are the
-                         orbit minima; part labels span their parts' sizes (rebuild)
+    group-closure        the generator records are the group's pair and the
+                         vertex records are the orbit minima; part labels
+                         span their parts' sizes (rebuild)
     action-homomorphism  the derived vertex images are a faithful action
     homomorphism, invariance, separation, profile
                          geometry.REALIZATION_CHECKS, as realize runs
@@ -115,7 +116,7 @@ def certificate_dict(r: Realization, report) -> dict:
                     a.starts.tolist(), a.sweeps.tolist())]
     return {
         "schema_version": SCHEMA_VERSION,
-        "group": act.group.name,
+        "group": group.name,
         "m": r.m,
         "model": {
             "tag": r.model.value,
@@ -123,7 +124,9 @@ def certificate_dict(r: Realization, report) -> dict:
             "t": float(r.config.t),
             "seed": r.config.seed,
         },
-        "restriction": r.plan.restriction if r.plan else None,
+        # (group, model tag) fixes the restriction
+        "restriction": next(res for name, res, tag in PLAN_HEADERS
+                            if (name, tag) == (group.name, r.model.value)),
         "generators": generators,
         "vertices": vertices,
         "arcs": arcs,
@@ -276,17 +279,20 @@ class CheckResult:
 def _rebuild(data: dict) -> Realization:
     # _check_schema passes only headers plan() produces, so this is its group
     group = restricted_group(data["restriction"]) or standard_group(data["group"])
-    # one query per record: a list that is no element gets row -1, no error
-    gens = [int(group.rows([g["perm"]])[0]) for g in data["generators"]]
-    ga = action_from_generators(group, gens, [g["vertex_images"] for g in data["generators"]])
-    mats = matrices_from_generators(group, gens, np.array(
-        [g["matrix"] for g in data["generators"]], dtype=float).reshape(-1, 4, 4))
+    pair, records = group.elements[list(group.generators)].tolist(), data["generators"]
+    if [g["perm"] for g in records[::-1]] == pair:
+        records = records[::-1]
+    if [g["perm"] for g in records] != pair:
+        raise ValueError(f"the generator records must be the group's generators "
+                         f"{pair[0]} and {pair[1]}, in either order")
+    ga = action_from_generators(group, group.generators, [g["vertex_images"] for g in records])
+    mats = matrices_from_generators(group, group.generators, np.array(
+        [g["matrix"] for g in records], dtype=float).reshape(-1, 4, 4))
     free_size = GROUP_ORDER[RESTRICTION_PARENT.get(data["restriction"], data["group"])]
     base, labels = _orbit_records(ga, data["vertices"], free_size)
-    va = VertexAction(ga, labels, ())
     cfg = ModelConfig(theta=data["model"]["theta"], t=data["model"]["t"],
                       seed=data["model"]["seed"])
-    return Realization(None, va, Model(data["model"]["tag"]), cfg, mats, base)
+    return Realization(VertexAction(ga, labels, ()), Model(data["model"]["tag"]), cfg, mats, base)
 
 
 def _orbit_records(action: GroupAction, records: list, free_size: int) -> tuple:

@@ -54,7 +54,7 @@ import numpy as np
 from .actions import VertexAction
 from .geometry import (CIRCLE_EQ_TOL, ERROR_TOL, SHARED_LINE_TOL, PrecisionError, Realization,
                        plane_distance, projectors, same_circle, shared_lines)
-from .perm import is_faithful, pair_fixer_counts
+from .perm import pair_fixer_counts
 
 PAIR_TOL = 1e-8  # distance from an arc's circle within which a point lies on it
 ANGLE_EPS = 1e-9
@@ -154,12 +154,10 @@ def required_pairs(va: VertexAction) -> list[tuple[int, int]]:
     """All vertex pairs pointwise fixed by some non-trivial element.
 
     In a complete graph every pair is adjacent, so these are exactly the
-    pairs whose edge must run inside a fixed circle.
+    pairs whose edge must run inside a fixed circle.  The action is
+    faithful: build, or verify's `action-homomorphism` step, checked it.
     """
-    a = va.action
-    if not is_faithful(a):
-        raise ValueError("required_pairs needs a faithful action")
-    pinned, counts = pair_fixer_counts(a)
+    pinned, counts = pair_fixer_counts(va.action)
     rows, cols = np.nonzero(np.triu(counts > 1, k=1))
     return [(int(pinned[i]), int(pinned[j])) for i, j in zip(rows, cols)]
 

@@ -456,7 +456,6 @@ class Realization:
     """A vertex action made concrete: matrices plus one point per vertex
     orbit, from which every coordinate is derived."""
 
-    plan: OrbitPlan
     vertex_action: VertexAction
     model: Model
     config: ModelConfig
@@ -564,8 +563,7 @@ def _check_invariance(r: Realization) -> None:
     bad = np.flatnonzero(~(errors <= ERROR_TOL))
     if bad.size:
         e, err = r.group.elements[bad[0]], float(errors[bad[0]])
-        require_at_most(err, ERROR_TOL,
-                        f"element {tuple(e.tolist())} moves vertices off their images by {err}")
+        raise AssertionError(f"element {tuple(e.tolist())} moves vertices off their images by {err}")
 
 
 def _min_separation(r: Realization) -> float:
@@ -660,7 +658,7 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     if sub is not None:  # the A4 orbit minima read the parent's coordinates
         base = orbit_coords(orbits, mats, base)
         mats, circles = acting[rows], circles[rows]
-    r = Realization(p, va, p.model, config, mats, base)
+    r = Realization(va, p.model, config, mats, base)
     r.circles = circles
     validate_realization(r)
     return r

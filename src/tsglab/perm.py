@@ -315,10 +315,9 @@ class GroupAction:
 
         That holds for a genuine action, whose rows act as the group does
         on every vertex: every table build, coset_action, direct_sum and
-        restrict_action make, and any table of action_from_generators that
-        check_homomorphism passes (verify reads this table only after its
-        `action-homomorphism` step).  A table that is no action can fix
-        vertices off the representatives' columns unseen."""
+        restrict_action make, and verify's table, which always comes from
+        the group's own generator pair and is read here only after
+        check_homomorphism has passed it (`action-homomorphism`)."""
         (reps, orbit, carrier), c = self.orbits, self.group.cayley
         stab = self.images[:, reps] == reps  # stab[h, o]: row h fixes v
         pinned = np.flatnonzero((stab.sum(axis=0) > 1)[orbit])
@@ -341,15 +340,14 @@ def check_homomorphism(a: GroupAction) -> None:
     2·|G| image comparisons per orbit, read off the representatives'
     columns only.
 
-    That is complete when every row is a word in the generator rows, act(x)
-    the composition of the generators' rows along a word for x, as
-    action_from_generators gives them (the only source verify has) and as
-    every genuine action has them.  Then act(x)(φ_v(y)) = φ_v(x * y) for all
-    rows x and y, one generator at a time; the φ_v(y) make up v's orbit,
-    since their set is closed under the generator rows; so act(x) after
-    act(z) is act(x * z) on every vertex.  A table whose rows are not such
-    words can break the homomorphism off the representatives' columns
-    unseen."""
+    That is complete because every row is a word in the generator rows,
+    act(x) the composition of the generators' rows along a word for x: every
+    genuine action has them so, and verify's table always comes from the
+    group's own pair through action_from_generators (certificate._rebuild
+    refuses any other pair).  Then act(x)(φ_v(y)) = φ_v(x * y) for all rows
+    x and y, one generator at a time; the φ_v(y) make up v's orbit, since
+    their set is closed under the generator rows; so act(x) after act(z) is
+    act(x * z) on every vertex."""
     imgs, g = a.images, a.group
     cols = imgs[:, a.orbits.reps]  # row x, column of v: φ_v(x)
     for s in g.generators:

@@ -41,7 +41,7 @@ def close_free_orbits():
     moved = point + 1e-7 * nudge / np.linalg.norm(nudge)
     base = r.base.copy()
     base[second.start] = moved / np.linalg.norm(moved)
-    return Realization(r.plan, r.vertex_action, r.model, r.config, r.mats, base)
+    return Realization(r.vertex_action, r.model, r.config, r.mats, base)
 
 
 def all_column_homomorphism(a):

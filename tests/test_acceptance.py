@@ -167,7 +167,7 @@ def test_criterion_5_edge_certificates(realized):
                  if plane_distance(projectors(r.circles[i]), base[0]) > 1e-6)
     b0, b1 = r.circles[other]
     base[0] = math.cos(0.37) * b0 + math.sin(0.37) * b1
-    corrupted = Realization(r.plan, va, r.model, r.config, r.mats, base)
+    corrupted = Realization(va, r.model, r.config, r.mats, base)
     assert not full_report(corrupted).overall
 
     # fixture 2: edge parameter forced to the midpoint is refused outright

@@ -147,21 +147,22 @@ def test_restricted_action_group_is_a4():
 
 
 def test_restriction_splits_orbits():
-    va = build(plan("A4", 24))  # one free S4 orbit -> two A4 orbits
-    assert burnside_orbit_count(va.action) == 2 == va.plan.orbit_count
-    va = build(plan("A4", 8))  # twin tetra splits into the two tetrahedra
-    assert burnside_orbit_count(va.action) == 2 == va.plan.orbit_count
-    va = build(plan("A4", 65))  # 5 free + corners orbit + fixed letter
-    assert burnside_orbit_count(va.action) == 7 == va.plan.orbit_count
+    p = plan("A4", 24)  # one free S4 orbit -> two A4 orbits
+    assert burnside_orbit_count(build(p).action) == 2 == p.orbit_count
+    p = plan("A4", 8)  # twin tetra splits into the two tetrahedra
+    assert burnside_orbit_count(build(p).action) == 2 == p.orbit_count
+    p = plan("A4", 65)  # 5 free + corners orbit + fixed letter
+    assert burnside_orbit_count(build(p).action) == 7 == p.orbit_count
 
 
 def test_knotted_builds_record_actions():
     va4 = build(plan("A4", 4))
     assert measured_profile(va4).key() == (0, 1)
     assert burnside_orbit_count(va4.action) == 1
-    va5 = build(plan("A4", 5))
+    p5 = plan("A4", 5)
+    va5 = build(p5)
     assert measured_profile(va5).key() == (1, 2)
-    assert burnside_orbit_count(va5.action) == 2 == va5.plan.orbit_count
+    assert burnside_orbit_count(va5.action) == 2 == p5.orbit_count
 
 
 # --------------------------------------------------------------- free edges

@@ -68,11 +68,30 @@ def test_reference_cases_keep_their_semantics(realized, tmp_path):
         pytest.skip(f"digests were recorded with numpy {golden['numpy']}, not {np.__version__}")
 
 
+@pytest.mark.parametrize("group,m", [*REFERENCES, ("A4", 24), ("A4", 61), ("A4", 65),
+                                     ("A4", 1212)])
+def test_a_rebuilt_file_writes_back_to_itself(realized, tmp_path, group, m):
+    """The reference-grid files (the 14 reference cases plus the restricted
+    A4 m=24 and m=61) and the restricted A4 m=65 and m=1212, at seed 0:
+    the realization _rebuild makes from a file, written again with the
+    arcs full_report picks on it, is the file, restriction included."""
+    if (group, m) in realized:
+        r = realized[(group, m)][1]
+    else:
+        p = plan(group, m)
+        r = realize(p, build(p))
+    path = str(tmp_path / "cert.json")
+    write_certificate(path, r, full_report(r))
+    data = read_certificate(path)
+    back = _rebuild(data)
+    assert certificate_dict(back, full_report(back)) == data
+
+
 def test_a_file_holds_one_vertex_record_per_orbit(realized):
     for (group, m), (va, r) in realized.items():
         data = certificate_dict(r, full_report(r))
         ids = [v["id"] for v in data["vertices"]]
-        assert len(ids) == data["report"]["orbit_count"] == va.plan.orbit_count
+        assert len(ids) == data["report"]["orbit_count"] == plan(group, m).orbit_count
         assert ids == sorted(ids) and ids[0] == 0
         gens = [g["perm"] for g in data["generators"]]
         assert gens == r.group.elements[list(r.group.generators)].tolist()
@@ -116,8 +135,59 @@ def test_generators_that_do_not_generate_fail_at_group_closure(capsys, tmp_path)
     data["generators"][1] = {"perm": c, "vertex_images": images[tuple(c)].tolist(),
                              "matrix": mats[tuple(c)].ravel().tolist()}
     code, out, err = _verify(capsys, path, data)
-    assert code == 5 and out.startswith("group-closure: FAILED (the generators generate ")
+    assert code == 5
+    assert out.startswith("group-closure: FAILED (the generator records must be the group's ")
     assert err == "verification failed at: group-closure\n"
+
+
+def test_a_forged_generator_pair_fails_at_group_closure(capsys):
+    """golden/forged_pair_a4_m13.json is A4 m=13 at seed 0 with its
+    generator records replaced by rows 1 and 5 of A4, each with its
+    genuine matrix.  Row 1 keeps its genuine images; row 5's follow the
+    6-cycle 2→6→10→8→3→7→2 where the genuine row sends those vertices to
+    3, 7, 2, 6, 10, 8.  Both maps square to the same permutation.  The
+    table derived from these records breaks act(x·y) = act(x)·act(y) on
+    84 of the 144 pairs (x, y).  Every step after group-closure passes on
+    that table, since those steps read the group's own generator rows, 1
+    and 3, so only the pair itself gives the file away."""
+    path = GOLDEN / "forged_pair_a4_m13.json"
+    data = json.loads(path.read_text())
+    g = standard_group("A4")
+    assert [rec["perm"] for rec in data["generators"]] == g.elements[[1, 5]].tolist()
+    imgs = perm.action_from_generators(g, (1, 5), [rec["vertex_images"]
+                                                   for rec in data["generators"]]).images
+    composed = imgs[np.arange(g.order)[:, None, None], imgs[None]]  # [x, y]: act(x) after act(y)
+    assert np.count_nonzero((imgs[g.cayley] != composed).any(axis=2)) == 84
+    code = main(["verify", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 5 and out == ("group-closure: FAILED (the generator records must be the "
+                                 "group's generators [0, 2, 3, 1] and [1, 0, 3, 2], in either order)\n")
+    assert err == "verification failed at: group-closure\n"
+
+
+@pytest.mark.parametrize("group,m,others", [("A4", 13, 47), ("S4", 20, 107), ("A5", 61, 1139)])
+def test_only_the_groups_own_generator_pair_verifies(realized, group, m, others):
+    """Every generating pair of rows other than PermGroup.generators, each
+    record with its genuine images and matrix, fails at group-closure;
+    the group's own pair verifies in either record order, with the same
+    messages."""
+    r = realized[(group, m)][1]
+    data = certificate_dict(r, full_report(r))
+    g, images = r.group, r.vertex_action.action.images
+
+    def with_pair(rows):
+        records = [{"perm": g.elements[s].tolist(), "vertex_images": images[s].tolist(),
+                    "matrix": r.mats[s].ravel().tolist()} for s in rows]
+        return {**data, "generators": records}
+
+    pairs = [(a, b) for a in range(1, g.order) for b in range(a + 1, g.order)
+             if len(generated(g, (a, b))) == g.order and (a, b) != g.generators]
+    assert len(pairs) == others
+    for a, b in pairs:
+        assert [(c.name, c.ok) for c in verify_certificate(with_pair((a, b)))] \
+            == [("group-closure", False)], (a, b)
+    own = [verify_certificate(with_pair(rows)) for rows in (g.generators, g.generators[::-1])]
+    assert own[0] == own[1] and first_failure(own[0]) is None
 
 
 def test_an_inconsistent_edge_fails_at_action_homomorphism(capsys, tmp_path):
@@ -243,7 +313,7 @@ def test_a_generator_outside_the_header_group_fails_at_group_closure(capsys, tmp
     data["generators"][1]["perm"] = perm
     code, out, err = _verify(capsys, path, data)
     assert code == 5
-    assert out.startswith("group-closure: FAILED (generators must be distinct non-identity")
+    assert out.startswith("group-closure: FAILED (the generator records must be the group's ")
     assert err == "verification failed at: group-closure\n"
 
 

@@ -123,7 +123,7 @@ def test_verify_rejects_knotted_cases(capsys, tmp_path, m):
     p = plan("A4", m)
     base = np.array([geometry.tetra_corner(0)] * 4 + [geometry.POLE] * (m - 4))  # read at 0 and 4
     mats = geometry.representation(standard_group("A4"), Model.TETRA_ROT)
-    r = geometry.Realization(p, build(p), Model.TETRA_ROT, geometry.ModelConfig(), mats, base)
+    r = geometry.Realization(build(p), Model.TETRA_ROT, geometry.ModelConfig(), mats, base)
     out_file = tmp_path / "knotted.json"
     write_certificate(str(out_file), r, full_report(r))
     code, out, err = run(capsys, "verify", "--in", str(out_file))
@@ -552,11 +552,11 @@ def _perms_of_degree_16(data):
         g["perm"] += list(range(4, 16))
 
 
-# no such list is an element of S4
+# no such list is an element of S4, so no pair of them is its generators
 _BAD_PERMS = [
-    (_perm_of_other_degree, "distinct non-identity group elements"),
-    (_perm_not_a_bijection, "distinct non-identity group elements"),
-    (_perms_of_degree_16, "distinct non-identity group elements"),
+    (_perm_of_other_degree, "the generator records must be the group's generators"),
+    (_perm_not_a_bijection, "the generator records must be the group's generators"),
+    (_perms_of_degree_16, "the generator records must be the group's generators"),
 ]
 
 
@@ -846,16 +846,15 @@ def _move_vertex(data):
 @pytest.mark.parametrize("corrupt", [None, _move_vertex], ids=["valid", "moved-vertex"])
 @pytest.mark.parametrize("case", _METAMORPHIC_CASES, ids=lambda c: f"{c[0]}_{c[1]}")
 def test_verify_ignores_the_order_of_element_records(metamorphic_certificates, case, corrupt):
-    """The element records of a file are its two generator records.  The
-    verifier reads each one's row from its permutation, so with the two
-    swapped every step passes or fails as before.  The matrices are then
-    derived along another spanning tree, so failure messages may differ
-    in the last digits of a number."""
+    """The element records of a file are its two generator records, the
+    group's own pair.  The verifier takes them in the group's order, so
+    with the two swapped it derives along the same spanning tree and every
+    step passes or fails as before, with the same message."""
     data = copy.deepcopy(metamorphic_certificates[case])
     if corrupt:
         corrupt(data)
     swapped = copy.deepcopy(data)
     swapped["generators"].reverse()
-    expect = [(c.name, c.ok) for c in verify_certificate(data)]
-    assert [(c.name, c.ok) for c in verify_certificate(swapped)] == expect
-    assert all(ok for _, ok in expect) == (corrupt is None)
+    expect = [(c.name, c.ok, c.message) for c in verify_certificate(data)]
+    assert [(c.name, c.ok, c.message) for c in verify_certificate(swapped)] == expect
+    assert all(ok for _, ok, _ in expect) == (corrupt is None)

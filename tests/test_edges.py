@@ -216,7 +216,7 @@ def test_fixture_wrong_circle_vertex_fails(realized):
                  if plane_distance(projectors(r.circles[i]), base[0]) > 1e-6)
     b0, b1 = r.circles[other]
     base[0] = math.cos(0.37) * b0 + math.sin(0.37) * b1
-    bad = Realization(r.plan, va, r.model, r.config, r.mats, base)
+    bad = Realization(va, r.model, r.config, r.mats, base)
     report = full_report(bad)
     assert not report.h2
     assert not report.overall
@@ -256,7 +256,7 @@ def _pair_at_circle_intersection() -> tuple[VertexAction, Realization]:
     base[0, 3] = 1.0  # a pole; the odd elements carry it to the other, vertex 1
     base[2] = rng.standard_normal(4)  # the free orbit's representative
     base[2] /= np.linalg.norm(base[2])
-    return va, Realization(None, va, Model.TETRA_FULL, ModelConfig(), mats, base)
+    return va, Realization(va, Model.TETRA_FULL, ModelConfig(), mats, base)
 
 
 def test_fixture_pair_at_intersection_fails_h1():
@@ -296,7 +296,7 @@ def _moved_into(r: Realization, arc: _Arc, avoid) -> tuple[Realization, int]:
              if all(x not in pair for pair in avoid))
     base = r.base.copy()
     base[w] = arc.midpoint
-    return Realization(r.plan, r.vertex_action, r.model, r.config, r.mats, base), w
+    return Realization(r.vertex_action, r.model, r.config, r.mats, base), w
 
 
 def test_check_arcs_rejects_vertex_inside(realized):
@@ -393,7 +393,7 @@ def test_planes_and_landmarks_are_read_only_and_computed_once(realized, monkeypa
     full_report on a fresh realization, and one whole verify, compute
     projectors of the whole circle stack once."""
     _, r = realized[("S4", 20)]
-    fresh = Realization(r.plan, r.vertex_action, r.model, r.config, r.mats, r.base)
+    fresh = Realization(r.vertex_action, r.model, r.config, r.mats, r.base)
     calls, original = [], geometry.projectors
 
     def counted(bases):

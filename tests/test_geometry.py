@@ -527,8 +527,9 @@ def test_realize_computes_each_fixed_circle_once(monkeypatch, group, m, calls):
 def test_restricted_realization_keeps_the_circles_verify_computes(m):
     """A restricted plan's A4 matrices are derived from its generators, and
     realize hands its checks the circles of exactly those matrices."""
-    r = realize(plan("A4", m))
-    assert r.plan.restriction is not None
+    p = plan("A4", m)
+    r = realize(p)
+    assert p.restriction is not None
     assert np.array_equal(r.circles, circles_of(r.mats))
 
 
@@ -771,7 +772,7 @@ def test_orbit_local_checks_read_only_the_representatives_columns(stacked_cases)
         images[np.ix_(rows, others)] = images[np.ix_(rows, others[::-1])]
         scrambled = GroupAction(r.group, images)
         va = dataclasses.replace(r.vertex_action, action=scrambled)
-        s = Realization(r.plan, va, r.model, r.config, r.mats, r.base)
+        s = Realization(va, r.model, r.config, r.mats, r.base)
         assert np.array_equal(s.coords, r.coords), m
         assert np.array_equal(geometry._orbit_errors(s), geometry._orbit_errors(r)), m
         check_homomorphism(scrambled)
@@ -784,7 +785,7 @@ def test_orbit_local_checks_read_only_the_representatives_columns(stacked_cases)
 
 
 def _copy(r, mats=None, base=None):
-    return Realization(r.plan, r.vertex_action, r.model, r.config,
+    return Realization(r.vertex_action, r.model, r.config,
                        r.mats.copy() if mats is None else mats,
                        r.base.copy() if base is None else base)
 
