@@ -16,6 +16,10 @@ couple of special ones tied to a polyhedron.  Part kinds and their sizes:
     knotted_k4/k5    the two small cases that need knotted edges; their
                      combinatorial actions are recorded, geometry is not
 
+build lays down only the two generator rows of each part's action; the
+table follows from them along one spanning tree of the Cayley table
+(perm.action_from_generators), the derivation verify runs on a file.
+
 For A4 most residues are reached by building the S4 or A5 action on the
 same vertices and restricting to an A4 subgroup; the re-embedding argument
 that cuts the symmetry group down needs an edge no non-trivial element
@@ -36,13 +40,12 @@ from .perm import (
     GroupAction,
     PermGroup,
     a4_inside_a5,
+    action_from_generators,
     class_fixed_counts,
     coset_action,
-    direct_sum,
     from_cycles,
     generated,
     is_faithful,
-    natural_action,
     pair_fixer_counts,
     restrict_action,
     standard_group,
@@ -87,16 +90,6 @@ PLAN_HEADERS = (
     ("A5", None, Model.DODECA_ROT.value),
 )
 
-# orbits contributed by one part instance, by restriction
-_ORBITS_PER_PART = {
-    None: {"free": 1, "tetra_corners": 1, "twin_tetra": 1, "tetra_edge": 1,
-           "simplex_corners": 1, "simplex_edge": 1, "center": 1,
-           "knotted_k4": 1, "knotted_k5": 2},
-    RESTRICT_EVEN_S4: {"free": 2, "tetra_corners": 1, "twin_tetra": 2, "tetra_edge": 1},
-    RESTRICT_STAB_A5: {"free": 5, "simplex_corners": 2, "simplex_edge": 3, "center": 1},
-}
-
-
 @dataclass(frozen=True)
 class PartSpec:
     kind: str
@@ -129,12 +122,6 @@ class OrbitPlan:
         if spec.kind == "free":
             return GROUP_ORDER[self.building_group] * spec.count
         return PART_SIZES[spec.kind]
-
-    @property
-    def orbit_count(self) -> int:
-        """Expected orbit count of the built action (restriction splits orbits)."""
-        table = _ORBITS_PER_PART[self.restriction]
-        return sum(table[s.kind] * s.count for s in self.parts)
 
     def __post_init__(self):
         total = sum(self.part_size(s) for s in self.parts)
@@ -219,34 +206,38 @@ def restricted_group(restriction: Optional[str]) -> Optional[PermGroup]:
 
 
 def build(p: OrbitPlan) -> VertexAction:
-    """Materialize a plan as an explicit faithful permutation action: the
-    direct sum of one coset, natural or one-point action per block."""
+    """Materialize a plan as an explicit faithful permutation action.  Each
+    block contributes the two generator rows of its coset, natural or
+    one-point action, offset to the block's start; the table is derived
+    from those rows by perm.action_from_generators, as verify derives it
+    from a file."""
     g = standard_group(p.building_group)
+    gens = list(g.generators)
     blocks: list[BuiltPart] = []
-    pieces: list[GroupAction] = []
-    center = GroupAction(g, np.zeros((g.order, 1), dtype=np.intp))
+    rows: list[np.ndarray] = []
+    center = np.zeros((len(gens), 1), dtype=np.intp)
 
-    def add(kind: str, piece: GroupAction, label=None):
+    def add(kind: str, gen_rows: np.ndarray, label=None):
         start = blocks[-1].start + blocks[-1].size if blocks else 0
-        blocks.append(BuiltPart(kind, label or kind, start, piece.m))
-        pieces.append(piece)
+        blocks.append(BuiltPart(kind, label or kind, start, gen_rows.shape[1]))
+        rows.append(gen_rows + start)
 
     for spec in p.parts:
-        if spec.kind == "free" or spec.kind in _PART_GENERATOR:
-            free = spec.kind == "free"
-            h = (0,) if free else generated(g, g.rows([_PART_GENERATOR[spec.kind]]))
-            piece = coset_action(g, h)
+        if spec.kind == "free":
             for j in range(spec.count):
-                add(spec.kind, piece, f"free{j}" if free else None)
+                add("free", g.cayley[gens], f"free{j}")
+        elif spec.kind in _PART_GENERATOR:
+            h = generated(g, g.rows([_PART_GENERATOR[spec.kind]]))
+            add(spec.kind, coset_action(g, h).images[gens])
         elif spec.kind in _NATURAL_PARTS:
-            add(spec.kind, natural_action(g))
+            add(spec.kind, g.elements[gens])
         elif spec.kind == "center":
             add("center", center)
         else:  # knotted_k5
-            add("knotted_k4", natural_action(g))
+            add("knotted_k4", g.elements[gens])
             add("center", center)
 
-    full = direct_sum(pieces)
+    full = action_from_generators(g, np.hstack(rows))
     if full.m != p.m:
         raise AssertionError(f"built {full.m} vertices, plan says {p.m}")
     labels = tuple(b.label for b in blocks for _ in range(b.size))

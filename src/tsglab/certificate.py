@@ -16,13 +16,16 @@ group, and its (group, model tag) fixes the restriction
 pair, in either order.  The verifier takes them in the group's order and
 derives the rest along one spanning tree, from the identity outward over
 the Cayley table: row x * s gets act(x) after act(s) and the matrix M(x)
-@ M(s), the identity exactly I.  The vertex records must be exactly the
-orbit minima of that action's orbit table (GroupAction.orbits), one per
-orbit.  Every other vertex w of the orbit of a record v gets mats[t] @
-coords[v], t its carrier row, the first row that maps v to w
-(geometry.orbit_coords, which realize uses too, so a file rebuilds bit
-for bit to what realize checked).  A stored row, matrix or
-coordinate is never overwritten, and nothing derived is trusted.
+@ M(s), the identity exactly I.  actions.build and geometry.realize
+derive their tables and matrices with the same two functions
+(perm.action_from_generators, perm.matrices_from_generators), so every
+table, built or read, comes from one derivation.  The vertex records
+must be exactly the orbit minima of that action's orbit table
+(GroupAction.orbits), one per orbit.  Every other vertex w of the orbit
+of a record v gets mats[t] @ coords[v], t its carrier row, the first row
+that maps v to w (geometry.orbit_coords, which realize uses too, so a
+file rebuilds bit for bit to what realize checked).  A stored row,
+matrix or coordinate is never overwritten, and nothing derived is trusted.
 `homomorphism` compares every pair of matrices.  `action-homomorphism`
 and `invariance` compare at the orbit representatives' columns only,
 |G| images per orbit: every row is a word in the group's generator rows,
@@ -285,8 +288,8 @@ def _rebuild(data: dict) -> Realization:
     if [g["perm"] for g in records] != pair:
         raise ValueError(f"the generator records must be the group's generators "
                          f"{pair[0]} and {pair[1]}, in either order")
-    ga = action_from_generators(group, group.generators, [g["vertex_images"] for g in records])
-    mats = matrices_from_generators(group, group.generators, np.array(
+    ga = action_from_generators(group, [g["vertex_images"] for g in records])
+    mats = matrices_from_generators(group, np.array(
         [g["matrix"] for g in records], dtype=float).reshape(-1, 4, 4))
     free_size = GROUP_ORDER[RESTRICTION_PARENT.get(data["restriction"], data["group"])]
     base, labels = _orbit_records(ga, data["vertices"], free_size)

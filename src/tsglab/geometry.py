@@ -635,13 +635,12 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     config = config or ModelConfig()
     va = va or build(p)
     parent = standard_group(p.building_group)
-    gens = list(parent.generators)
-    mats = matrices_from_generators(parent, gens, representation(parent, p.model)[gens])
+    mats = matrices_from_generators(parent, representation(parent, p.model)[list(parent.generators)])
     sub = restricted_group(p.restriction)
     acting = mats  # if restricted, a copy with the acting group's rows re-derived
     if sub is not None:  # as verify derives them, from the generators
         rows, acting = parent.rows(sub.elements), mats.copy()
-        acting[rows] = matrices_from_generators(sub, sub.generators, mats[rows[list(sub.generators)]])
+        acting[rows] = matrices_from_generators(sub, mats[rows[list(sub.generators)]])
     circles = circles_of(acting)
 
     # each part is one orbit of the unrestricted action, its first vertex the minimum

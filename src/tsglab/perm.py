@@ -10,6 +10,13 @@ and coset representatives of the other modules are rows too.
 `PermGroup.rows` turns image lists back into rows; a permutation appears
 only where a group is defined and where a certificate is read or written.
 
+The vertex action of a construction, built (`actions.build`) or read
+from a certificate (`certificate._rebuild`), is derived from the images
+of the group's two generator rows, `PermGroup.generators`, by
+`action_from_generators`, along one spanning tree of the Cayley table
+(`_along_tree`, which derives the matrices too); a restricted action is
+then some of that table's rows (`restrict_action`).
+
 Elements are classified by (order, parity) and the classes carry the
 profile field names: n1 (the identity), n2 (involutions in the even
 subgroup), n2p (odd involutions, S4 only), n3, n4 and n5 (elements of
@@ -314,9 +321,10 @@ class GroupAction:
         Burnside's count.
 
         That holds for a genuine action, whose rows act as the group does
-        on every vertex: every table build, coset_action, direct_sum and
-        restrict_action make, and verify's table, which always comes from
-        the group's own generator pair and is read here only after
+        on every vertex: every coset_action table, every table build
+        derives from the generator rows of such tables, and its
+        restrictions; and verify's table, derived the same way from the
+        file's images of the group's own pair and read here only after
         check_homomorphism has passed it (`action-homomorphism`)."""
         (reps, orbit, carrier), c = self.orbits, self.group.cayley
         stab = self.images[:, reps] == reps  # stab[h, o]: row h fixes v
@@ -329,11 +337,6 @@ class GroupAction:
         return table
 
 
-def natural_action(g: PermGroup) -> GroupAction:
-    """g acting on its own letters."""
-    return GroupAction(g, g.elements)
-
-
 def check_homomorphism(a: GroupAction) -> None:
     """act(s)(φ_v(x)) == φ_v(s * x), with φ_v(x) = act(x)(v), for each of
     the group's generators s, every row x and every orbit representative v:
@@ -342,12 +345,12 @@ def check_homomorphism(a: GroupAction) -> None:
 
     That is complete because every row is a word in the generator rows,
     act(x) the composition of the generators' rows along a word for x: every
-    genuine action has them so, and verify's table always comes from the
-    group's own pair through action_from_generators (certificate._rebuild
-    refuses any other pair).  Then act(x)(φ_v(y)) = φ_v(x * y) for all rows
-    x and y, one generator at a time; the φ_v(y) make up v's orbit, since
-    their set is closed under the generator rows; so act(x) after act(z) is
-    act(x * z) on every vertex."""
+    genuine action has them so, and every table build makes or verify reads
+    comes from the group's own pair through action_from_generators
+    (certificate._rebuild refuses any other pair).  Then act(x)(φ_v(y)) =
+    φ_v(x * y) for all rows x and y, one generator at a time; the φ_v(y)
+    make up v's orbit, since their set is closed under the generator rows;
+    so act(x) after act(z) is act(x * z) on every vertex."""
     imgs, g = a.images, a.group
     cols = imgs[:, a.orbits.reps]  # row x, column of v: φ_v(x)
     for s in g.generators:
@@ -358,15 +361,12 @@ def check_homomorphism(a: GroupAction) -> None:
             raise InconsistentActionError(f"act({e1} * {e2}) != act({e1}) * act({e2})")
 
 
-def _along_tree(g: PermGroup, gens, identity: np.ndarray, gen_values, product) -> np.ndarray:
-    """A value for every row from the identity's and those of the generator
-    rows gens: breadth-first from the identity over the Cayley table, row
-    x * s gets product(value of x, value of s), and a generator's value is
-    never overwritten.  Raises ValueError unless gens are distinct
-    non-identity rows that generate g."""
-    gens = [int(s) for s in gens]
-    if len(set(gens)) < len(gens) or not all(0 < s < g.order for s in gens):
-        raise ValueError("generators must be distinct non-identity group elements")
+def _along_tree(g: PermGroup, identity: np.ndarray, gen_values, product) -> np.ndarray:
+    """A value for every row from the identity's and those of the group's
+    generator rows: breadth-first from the identity over the Cayley table,
+    row x * s gets product(value of x, value of s), and a generator's value
+    is never overwritten."""
+    gens = list(g.generators)
     values = np.empty((g.order, *identity.shape), dtype=identity.dtype)
     values[0], values[gens] = identity, gen_values
     table, queue, seen = g.cayley.tolist(), [0], [True] + [False] * (g.order - 1)
@@ -378,33 +378,31 @@ def _along_tree(g: PermGroup, gens, identity: np.ndarray, gen_values, product) -
                 queue.append(y)
                 if y not in gens:
                     values[y] = product(values[x], values[s])
-    if len(queue) < g.order:
-        raise ValueError(f"the generators generate {len(queue)} of the {g.order} group elements")
     return values
 
 
-def action_from_generators(g: PermGroup, gens, gen_images) -> GroupAction:
-    """The action table that sends the generator rows gens to the image
+def action_from_generators(g: PermGroup, gen_images) -> GroupAction:
+    """The action table that sends the group's generator rows to the image
     rows gen_images, along _along_tree: act(x * s) is act(x) after act(s).
     Each image row must be a bijection.  Whether the table is a
     homomorphism (whether the images respect the relations of g) is
     check_homomorphism's question."""
     gen_images = np.asarray(gen_images)
-    if gen_images.ndim != 2 or len(gen_images) != len(gens) \
+    if gen_images.ndim != 2 or len(gen_images) != len(g.generators) \
             or not np.issubdtype(gen_images.dtype, np.integer):
         raise ValueError("generator images must be equal-length lists of integers")
     m = gen_images.shape[1]
     if not _bijections(gen_images):
         raise ValueError(f"every generator image row must be a bijection on 0..{m - 1}")
-    return GroupAction(g, _along_tree(g, gens, np.arange(m), gen_images, lambda a, b: a[b]))
+    return GroupAction(g, _along_tree(g, np.arange(m), gen_images, lambda a, b: a[b]))
 
 
-def matrices_from_generators(g: PermGroup, gens, gen_mats) -> np.ndarray:
-    """The (|G|, 4, 4) matrices that give the generator rows gens the
+def matrices_from_generators(g: PermGroup, gen_mats) -> np.ndarray:
+    """The (|G|, 4, 4) matrices that give the group's generator rows the
     matrices gen_mats, along the same tree: M(x * s) = M(x) @ M(s), and
     the identity's is exactly I.  Whether they form a homomorphism is
     geometry's homomorphism check."""
-    return _along_tree(g, gens, np.eye(4), gen_mats, np.matmul)
+    return _along_tree(g, np.eye(4), gen_mats, np.matmul)
 
 
 def left_cosets(g: PermGroup, h) -> tuple[list[int], np.ndarray]:
@@ -510,17 +508,6 @@ def pair_fixer_counts(a: GroupAction) -> tuple[np.ndarray, np.ndarray]:
     Every other vertex has a trivial stabilizer."""
     f = a.fixed_points.fixers.astype(np.int64)
     return a.fixed_points.pinned, f.T @ f
-
-
-def direct_sum(actions: list[GroupAction]) -> GroupAction:
-    """Disjoint union of actions of the same group."""
-    if not actions:
-        raise ValueError("need at least one action")
-    g = actions[0].group
-    if any(not np.array_equal(a.group.elements, g.elements) for a in actions):
-        raise ValueError("all actions must share one group")
-    offsets = np.cumsum([0] + [a.m for a in actions[:-1]])
-    return GroupAction(g, np.hstack([a.images + off for a, off in zip(actions, offsets)]))
 
 
 def restrict_action(a: GroupAction, sub: PermGroup) -> GroupAction:

@@ -5,10 +5,11 @@ import copy
 import numpy as np
 import pytest
 
-from tsglab.actions import build, plan
+from tsglab.actions import RESTRICT_EVEN_S4, RESTRICT_STAB_A5, build, plan
 from tsglab.edges import INSIDE_MARGIN, PAIR_TOL, _interior_holds
 from tsglab.geometry import Realization, plane_distance, projectors, realize
-from tsglab.perm import InconsistentActionError, Orbits
+from tsglab.perm import (GroupAction, InconsistentActionError, Orbits, coset_action, from_cycles,
+                         generated, standard_group)
 from tsglab.profiles import profile_rules
 
 REFERENCES = ([("S4", m) for m in (24, 4, 8, 12, 20, 28)]
@@ -127,6 +128,79 @@ def orbit_partition(a):
     for v in range(a.m):
         orbits.setdefault(find(v), []).append(v)
     return sorted(orbits.values())
+
+
+# orbits one part instance contributes, by restriction: a restriction to
+# A4 splits a free S4 orbit in 2 and a free A5 orbit in 5, twin tetrahedra
+# into the two tetrahedra, the 5 simplex corners into 4 + 1 and the 20
+# simplex edge points into 4 + 4 + 12; knotted_k5 is corners plus a center
+ORBITS_PER_PART = {
+    None: {"free": 1, "tetra_corners": 1, "twin_tetra": 1, "tetra_edge": 1,
+           "simplex_corners": 1, "simplex_edge": 1, "center": 1,
+           "knotted_k4": 1, "knotted_k5": 2},
+    RESTRICT_EVEN_S4: {"free": 2, "tetra_corners": 1, "twin_tetra": 2, "tetra_edge": 1},
+    RESTRICT_STAB_A5: {"free": 5, "simplex_corners": 2, "simplex_edge": 3, "center": 1},
+}
+
+
+def expected_orbit_count(p):
+    """The orbit count of the action a plan builds, from ORBITS_PER_PART:
+    the reference the Burnside counts are compared with."""
+    table = ORBITS_PER_PART[p.restriction]
+    return sum(table[s.kind] * s.count for s in p.parts)
+
+
+def direct_sum(actions):
+    """Disjoint union of actions of one group: their image tables side by
+    side, each offset to its part's start."""
+    offsets = np.cumsum([0] + [a.m for a in actions[:-1]])
+    return GroupAction(actions[0].group, np.hstack([a.images + off for a, off in zip(actions, offsets)]))
+
+
+def stacked_table(p):
+    """The whole action table of a plan's building group, stacked from one
+    complete table per block: a coset action (free orbits on the trivial
+    subgroup, twin tetrahedra and simplex edge points on a 3-cycle's,
+    tetrahedron edge points on a transposition's), the natural action on
+    the letters, or one fixed point.  The reference for build, which
+    derives the table from generator rows."""
+    g = standard_group(p.building_group)
+    cosets = {"free": (0,), **{kind: generated(g, g.rows([cycle])) for kind, cycle in (
+        ("twin_tetra", from_cycles(4, (0, 1, 2))), ("tetra_edge", from_cycles(4, (0, 1))),
+        ("simplex_edge", from_cycles(5, (0, 1, 2))))}}
+    natural, center = GroupAction(g, g.elements), GroupAction(g, np.zeros((g.order, 1), dtype=int))
+    pieces = []
+    for spec in p.parts:
+        if spec.kind in cosets:
+            pieces += [coset_action(g, cosets[spec.kind])] * spec.count
+        elif spec.kind == "center":
+            pieces.append(center)
+        elif spec.kind == "knotted_k5":
+            pieces += [natural, center]
+        else:  # tetra_corners, simplex_corners, knotted_k4
+            pieces.append(natural)
+    return direct_sum(pieces)
+
+
+def tree_table(g, gens, gen_images):
+    """The table a pair of rows gens and their image rows give along a
+    breadth-first tree from the identity over the Cayley table: row x * s
+    gets act(x) after act(s), and a generator's images are never
+    overwritten.  Any pair, not only PermGroup.generators: the walk
+    certificate._rebuild would take over a forged pair."""
+    gens = list(gens)
+    images = np.empty((g.order, len(gen_images[0])), dtype=int)
+    images[0], images[gens] = np.arange(images.shape[1]), gen_images
+    queue, seen = [0], {0}
+    for x in queue:
+        for s in gens:
+            y = int(g.cayley[x, s])
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                if y not in gens:
+                    images[y] = images[x][images[s]]
+    return images
 
 
 def passes_profile_rules(group, p, drop=()):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from tsglab.actions import (
@@ -17,7 +18,8 @@ from tsglab.actions import (
 from tsglab.perm import burnside_orbit_count, is_faithful
 from tsglab.profiles import NotAdmissibleError, necessity_check
 
-from .conftest import orbit_partition, pair_stabilizers, passes_profile_rules
+from .conftest import (expected_orbit_count, orbit_partition, pair_stabilizers, passes_profile_rules,
+                       stacked_table)
 
 GROUPS = ("A4", "S4", "A5")
 
@@ -109,6 +111,33 @@ def test_parts_start_at_the_cumulative_sums_of_their_sizes():
     assert parts[-1].start + parts[-1].size == 30000
 
 
+STACKED_CASES = {
+    "below-400": lambda: [(g, m) for g in GROUPS for m in admissible_ms(g, 4, 400)],
+    "large-orbits": lambda: [("A4", 1205), ("A4", 1213), ("S4", 1204), ("A5", 1205)],
+}
+
+
+@pytest.mark.parametrize("cases", STACKED_CASES)
+def test_build_equals_the_stacked_block_tables(cases):
+    """The table build derives from its blocks' generator rows equals the
+    direct sum of the blocks' whole coset, natural and one-point tables:
+    on every admissible plan below m=400, the knotted A4 m=4 and m=5
+    included, and on the large-orbits plans and A4 m=1205.  A restricted
+    plan's parent is that sum, and its action the sum's rows at the
+    subgroup's elements."""
+    checked = 0
+    for group, m in STACKED_CASES[cases]():
+        p = plan(group, m)
+        va, ref = build(p), stacked_table(p)
+        built = va.action if va.parent is None else va.parent
+        assert built.group is ref.group and np.array_equal(built.images, ref.images), (group, m)
+        if va.parent is not None:
+            rows = ref.group.rows(va.action.group.elements)
+            assert np.array_equal(va.action.images, ref.images[rows]), (group, m)
+        checked += 1
+    assert checked >= {"below-400": 270, "large-orbits": 4}[cases]
+
+
 def test_build_s4_4_profile_and_burnside():
     va = build(plan("S4", 4))
     assert measured_profile(va).key() == (0, 2, 1, 0)
@@ -148,11 +177,11 @@ def test_restricted_action_group_is_a4():
 
 def test_restriction_splits_orbits():
     p = plan("A4", 24)  # one free S4 orbit -> two A4 orbits
-    assert burnside_orbit_count(build(p).action) == 2 == p.orbit_count
+    assert burnside_orbit_count(build(p).action) == 2 == expected_orbit_count(p)
     p = plan("A4", 8)  # twin tetra splits into the two tetrahedra
-    assert burnside_orbit_count(build(p).action) == 2 == p.orbit_count
+    assert burnside_orbit_count(build(p).action) == 2 == expected_orbit_count(p)
     p = plan("A4", 65)  # 5 free + corners orbit + fixed letter
-    assert burnside_orbit_count(build(p).action) == 7 == p.orbit_count
+    assert burnside_orbit_count(build(p).action) == 7 == expected_orbit_count(p)
 
 
 def test_knotted_builds_record_actions():
@@ -162,7 +191,7 @@ def test_knotted_builds_record_actions():
     p5 = plan("A4", 5)
     va5 = build(p5)
     assert measured_profile(va5).key() == (1, 2)
-    assert burnside_orbit_count(va5.action) == 2 == p5.orbit_count
+    assert burnside_orbit_count(va5.action) == 2 == expected_orbit_count(p5)
 
 
 # --------------------------------------------------------------- free edges
@@ -214,7 +243,7 @@ def test_grid_profiles_match_witnesses(group):
         prof = measured_profile(va)
         verdict = necessity_check(group, m)
         assert prof.key() in {w.key() for w in verdict.witnesses}, (group, m)
-        assert burnside_orbit_count(va.action) == p.orbit_count == len(orbit_partition(va.action))
+        assert burnside_orbit_count(va.action) == expected_orbit_count(p) == len(orbit_partition(va.action))
 
 
 def test_restricted_profiles_pass_a4_rules():

@@ -16,7 +16,6 @@ from tsglab.perm import (
     burnside_orbit_count,
     class_fixed_counts,
     coset_action,
-    direct_sum,
     is_faithful,
     standard_group,
     subgroups_up_to_conjugacy,
@@ -38,7 +37,7 @@ from tsglab.profiles import (
     rule_abiding_profiles,
 )
 
-from .conftest import orbit_partition, passes_profile_rules
+from .conftest import direct_sum, orbit_partition, passes_profile_rules
 
 GROUPS = ("A4", "S4", "A5")
 GOLDEN = Path(__file__).parent / "golden"
