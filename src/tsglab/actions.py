@@ -16,9 +16,9 @@ couple of special ones tied to a polyhedron.  Part kinds and their sizes:
     knotted_k4/k5    the two small cases that need knotted edges; their
                      combinatorial actions are recorded, geometry is not
 
-build lays down only the two generator rows of each part's action; the
-table follows from them along one spanning tree of the Cayley table
-(perm.action_from_generators), the derivation verify runs on a file.
+build lays down only the two generator rows of each part's action, the
+one form of a vertex action (perm.GroupAction), as verify reads it from
+a file.
 
 For A4 most residues are reached by building the S4 or A5 action on the
 same vertices and restricting to an A4 subgroup; the re-embedding argument
@@ -40,7 +40,6 @@ from .perm import (
     GroupAction,
     PermGroup,
     a4_inside_a5,
-    action_from_generators,
     class_fixed_counts,
     coset_action,
     from_cycles,
@@ -208,9 +207,8 @@ def restricted_group(restriction: Optional[str]) -> Optional[PermGroup]:
 def build(p: OrbitPlan) -> VertexAction:
     """Materialize a plan as an explicit faithful permutation action.  Each
     block contributes the two generator rows of its coset, natural or
-    one-point action, offset to the block's start; the table is derived
-    from those rows by perm.action_from_generators, as verify derives it
-    from a file."""
+    one-point action, offset to the block's start; those rows are the
+    action, as verify reads it from a file."""
     g = standard_group(p.building_group)
     gens = list(g.generators)
     blocks: list[BuiltPart] = []
@@ -228,7 +226,7 @@ def build(p: OrbitPlan) -> VertexAction:
                 add("free", g.cayley[gens], f"free{j}")
         elif spec.kind in _PART_GENERATOR:
             h = generated(g, g.rows([_PART_GENERATOR[spec.kind]]))
-            add(spec.kind, coset_action(g, h).images[gens])
+            add(spec.kind, coset_action(g, h).gen_images)
         elif spec.kind in _NATURAL_PARTS:
             add(spec.kind, g.elements[gens])
         elif spec.kind == "center":
@@ -237,7 +235,7 @@ def build(p: OrbitPlan) -> VertexAction:
             add("knotted_k4", g.elements[gens])
             add("center", center)
 
-    full = action_from_generators(g, np.hstack(rows))
+    full = GroupAction(g, np.hstack(rows))
     if full.m != p.m:
         raise AssertionError(f"built {full.m} vertices, plan says {p.m}")
     labels = tuple(b.label for b in blocks for _ in range(b.size))

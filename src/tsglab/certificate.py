@@ -13,25 +13,22 @@ realization in generator form:
 The header's `restriction`, or else its `group`, names the permutation
 group, and its (group, model tag) fixes the restriction
 (actions.PLAN_HEADERS).  The generator records must be that group's
-pair, in either order.  The verifier takes them in the group's order and
-derives the rest along one spanning tree, from the identity outward over
-the Cayley table: row x * s gets act(x) after act(s) and the matrix M(x)
-@ M(s), the identity exactly I.  actions.build and geometry.realize
-derive their tables and matrices with the same two functions
-(perm.action_from_generators, perm.matrices_from_generators), so every
-table, built or read, comes from one derivation.  The vertex records
-must be exactly the orbit minima of that action's orbit table
-(GroupAction.orbits), one per orbit.  Every other vertex w of the orbit
-of a record v gets mats[t] @ coords[v], t its carrier row, the first row
-that maps v to w (geometry.orbit_coords, which realize uses too, so a
-file rebuilds bit for bit to what realize checked).  A stored row,
-matrix or coordinate is never overwritten, and nothing derived is trusted.
-`homomorphism` compares every pair of matrices.  `action-homomorphism`
-and `invariance` compare at the orbit representatives' columns only,
-|G| images per orbit: every row is a word in the group's generator rows,
-which the orbit labels and check_homomorphism walk too, and every
-coordinate is derived from a record, so that bounds the whole action and
-all m coordinates (perm.check_homomorphism, geometry._check_invariance).
+pair, in either order.  The verifier takes them in the group's order:
+their vertex images are the action (perm.GroupAction, the form
+actions.build makes too), and the matrices follow along one spanning
+tree, from the identity outward over the Cayley table: row x * s gets
+M(x) @ M(s), the identity exactly I (perm.matrices_from_generators, which
+geometry.realize uses too).  The vertex records must be exactly the
+orbit minima of that action's orbit table (GroupAction.orbits), one per
+orbit.  Every other vertex w of the orbit of a record v gets
+mats[t] @ coords[v], t its carrier row, the first row that maps v to w
+(geometry.orbit_coords, which realize uses too, so a file rebuilds bit
+for bit to what realize checked).  A stored row, matrix or coordinate is
+never overwritten, and nothing derived is trusted.  `homomorphism`
+compares every pair of matrices.  `action-homomorphism` and `invariance`
+compare at the orbit representatives only, |G| images per orbit, and
+that bounds the whole action and all m coordinates: why is argued once,
+in perm.check_homomorphism and geometry._check_invariance.
 A file of any other schema version, such as a version 2 file with every
 element's perm and matrix, is a schema error that names its version.
 
@@ -82,7 +79,6 @@ from .perm import (
     GROUP_ORDER,
     GroupAction,
     InconsistentActionError,
-    action_from_generators,
     burnside_orbit_count,
     check_homomorphism,
     is_faithful,
@@ -105,9 +101,9 @@ def certificate_dict(r: Realization, report) -> dict:
     va = r.vertex_action
     act = va.action
     group = act.group
-    generators = [{"perm": group.elements[s].tolist(), "vertex_images": act.images[s].tolist(),
+    generators = [{"perm": group.elements[s].tolist(), "vertex_images": img.tolist(),
                    "matrix": r.mats[s].ravel().tolist()}  # matrix row-major
-                  for s in group.generators]
+                  for s, img in zip(group.generators, act.gen_images)]
     vertices = [{"id": v, "part": va.labels[v], "coords": r.coords[v].tolist()}
                 for v in act.orbits.reps.tolist()]
     arcs = []
@@ -288,7 +284,7 @@ def _rebuild(data: dict) -> Realization:
     if [g["perm"] for g in records] != pair:
         raise ValueError(f"the generator records must be the group's generators "
                          f"{pair[0]} and {pair[1]}, in either order")
-    ga = action_from_generators(group, [g["vertex_images"] for g in records])
+    ga = GroupAction(group, [g["vertex_images"] for g in records])
     mats = matrices_from_generators(group, np.array(
         [g["matrix"] for g in records], dtype=float).reshape(-1, 4, 4))
     free_size = GROUP_ORDER[RESTRICTION_PARENT.get(data["restriction"], data["group"])]

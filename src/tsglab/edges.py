@@ -285,7 +285,7 @@ def _first_fault(r: Realization, arcs: Arcs) -> tuple[int, Optional[str]]:
         gap = np.minimum(*(np.linalg.norm(ends - e, axis=2).max(axis=1)
                            for e in (vertices, vertices[:, ::-1])))
         faults = [
-            (~known | (action.images[fixer, u] != u) | (action.images[fixer, v] != v),
+            (~known | (action.image(fixer, u) != u) | (action.image(fixer, v) != v),
              "fixer of pair {} is not a non-trivial group element fixing both vertices"),
             (~(gram <= ERROR_TOL) | ~same_circle(arcs.projectors, r.planes[fixer]),
              "arc of pair {} is not on the fixed circle of its fixer"),
@@ -401,7 +401,8 @@ def check_h3(r: Realization, arcs: Arcs) -> bool:
         return True
     codes = arcs.pairs[:, 0] * r.m + arcs.pairs[:, 1]
     order = np.argsort(codes)
-    images = np.sort(r.vertex_action.action.images[:, arcs.pairs], axis=-1)
+    action = r.vertex_action.action
+    images = np.sort(action.image(np.arange(action.group.order)[:, None, None], arcs.pairs), axis=-1)
     image_codes = images[..., 0] * r.m + images[..., 1]
     # target[f, k]: the arc over the image of pair k under element f
     target = order[np.searchsorted(codes[order], image_codes).clip(max=len(codes) - 1)]

@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .actions import Model, OrbitPlan, VertexAction, measured_profile, restricted_group
-from .perm import Orbits, PermGroup, from_cycles, matrices_from_generators, orbit_table, standard_group
+from .perm import Orbits, PermGroup, from_cycles, matrices_from_generators, standard_group
 from .profiles import FixedVertexProfile
 
 ERROR_TOL = 1e-12  # rounding error allowed in an identity that holds exactly
@@ -251,8 +251,7 @@ _MODEL_DEGREE = {Model.TETRA_ROT: 4, Model.TETRA_FULL: 4,
 
 def representation(group: PermGroup, model: Model) -> np.ndarray:
     """Faithful SO(4) matrices for the model: a (|G|, 4, 4) array whose row i
-    is the matrix of group.elements[i], the row order of group.cayley and
-    of a GroupAction's images."""
+    is the matrix of group.elements[i], the row order of group.cayley."""
     if group.degree != _MODEL_DEGREE[model]:
         raise ValueError(f"{model.value} needs degree-{_MODEL_DEGREE[model]} permutations, "
                          f"got degree {group.degree}")
@@ -302,10 +301,10 @@ def _part_base_point(kind: str, config: ModelConfig) -> np.ndarray:
 
 def orbit_coords(orbits: Orbits, mats: np.ndarray, base: np.ndarray) -> np.ndarray:
     """All m coordinates from one point per orbit, for realize and verify
-    alike, read off the orbit table (perm.orbit_table): a representative v
+    alike, read off the orbit table (GroupAction.orbits): a representative v
     keeps base[v] exactly, and every other vertex w of v's orbit gets
     mats[t] @ base[v], t its carrier row, the first row that carries v to w."""
-    reps, index, carrier = orbits
+    reps, index, carrier, _ = orbits
     with np.errstate(invalid="ignore", over="ignore"):  # NaN fails at invariance
         coords = np.einsum("wij,wj->wi", mats[carrier], base[reps][index])
     coords[reps] = base[reps]
@@ -533,11 +532,10 @@ def _orbit_errors(r: Realization) -> np.ndarray:
     """For each element g, the largest coordinate of M(g)·p(v) - p(g·v) over
     the orbit representatives v: one stacked product of |G|·#orbits
     vectors.  NaN anywhere gives NaN."""
-    act = r.vertex_action.action
-    reps = act.orbits.reps
+    reps, _, _, block = r.vertex_action.action.orbits
     with np.errstate(invalid="ignore", over="ignore"):
         moved = r.coords[reps] @ r.mats.transpose(0, 2, 1)  # row g: M(g)·p(v), each v
-        moved -= r.coords[act.images[:, reps]]
+        moved -= r.coords[block]
         return np.abs(moved, out=moved).max(axis=(1, 2))
 
 
@@ -579,9 +577,8 @@ def _min_separation(r: Realization) -> float:
     neighbouring cells hold few points and the cost stays about linear in
     m (see _closest_pair).
     """
-    act = r.vertex_action.action
-    reps = act.orbits.reps
-    return _closest_pair(r.coords, reps, act.images[:, reps])
+    reps, _, _, block = r.vertex_action.action.orbits
+    return _closest_pair(r.coords, reps, block)
 
 
 def _check_separation(r: Realization) -> None:
@@ -643,16 +640,14 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
         acting[rows] = matrices_from_generators(sub, mats[rows[list(sub.generators)]])
     circles = circles_of(acting)
 
-    # each part is one orbit of the unrestricted action, its first vertex the minimum
-    low = np.repeat([b.start for b in va.parts], [b.size for b in va.parts])
-    orbits = orbit_table((va.action if va.parent is None else va.parent).images, low)
+    orbits = (va.parent or va.action).orbits  # one orbit per part, from its first vertex
     frees = [b.start for b in va.parts if b.kind == "free"]
     base = np.zeros((p.m, 4))
     for b in va.parts:
         if b.kind != "free":
             base[b.start] = _part_base_point(b.kind, config)
     if frees:
-        avoid = orbit_coords(orbits, mats, base)[~np.isin(low, frees)]
+        avoid = orbit_coords(orbits, mats, base)[~np.isin(orbits.reps, frees)[orbits.index]]
         base[frees] = [orbit[0] for orbit in free_orbit_coords(mats, circles, len(frees), config, avoid)]
     if sub is not None:  # the A4 orbit minima read the parent's coordinates
         base = orbit_coords(orbits, mats, base)

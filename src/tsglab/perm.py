@@ -3,19 +3,16 @@
 A group is one integer array of image rows, `PermGroup.elements`, shape
 (|G|, degree), sorted once: row i lists the images of the letters
 0..degree-1 under element i, and the identity always sorts first, at
-row 0.  Everywhere else an element is its row: a vertex action is an
-integer array with one row of vertex images per element, and the
-matrices, fixed circles, arc fixers, pair stabilizers, subgroups, kernels
-and coset representatives of the other modules are rows too.
-`PermGroup.rows` turns image lists back into rows; a permutation appears
-only where a group is defined and where a certificate is read or written.
+row 0.  Everywhere else an element is its row: the matrices, fixed
+circles, arc fixers, pair stabilizers, subgroups, kernels and coset
+representatives of the other modules are rows.  `PermGroup.rows` turns
+image lists back into rows; a permutation appears only where a group is
+defined and where a certificate is read or written.
 
-The vertex action of a construction, built (`actions.build`) or read
-from a certificate (`certificate._rebuild`), is derived from the images
-of the group's two generator rows, `PermGroup.generators`, by
-`action_from_generators`, along one spanning tree of the Cayley table
-(`_along_tree`, which derives the matrices too); a restricted action is
-then some of that table's rows (`restrict_action`).
+A vertex action has one form, `GroupAction`: the images of the group's
+two generator rows, `PermGroup.generators`, as built (`actions.build`)
+or read from a certificate (`certificate._rebuild`).  Every other row acts
+as a word in those two, and no table of all |G|·m images is ever made.
 
 Elements are classified by (order, parity) and the classes carry the
 profile field names: n1 (the identity), n2 (involutions in the even
@@ -24,14 +21,15 @@ that order).  That partition is coarser than true conjugacy for A4 and
 A5, but it is exactly the granularity at which fixed-vertex counts are
 constant on the actions this package builds.
 
-Who is where is decided once per action, by `GroupAction.orbits`
-(`orbit_table`): the orbit minima, each vertex's orbit and the first row
-that carries its orbit's minimum to it.  Who fixes what is decided once
-too, by `GroupAction.fixed_points`: the vertices with a non-trivial
-stabilizer, read off the orbit representatives' columns, and the rows
-that fix each of them.  Kernel, faithfulness, class counts, Burnside's
-count and the pair fixers all read that table, so none of them compares
-|G|·m images.
+Who is where is decided once per action, by `GroupAction.orbits`: the
+orbit minima, each vertex's orbit, the images of the minima under every
+row (|G| per orbit, walked from the generator rows) and the first row
+that carries its orbit's minimum to each vertex.  Any other image is one
+entry of that table (`GroupAction.image`).  Who fixes what is decided
+once too, by `GroupAction.fixed_points`: the vertices with a non-trivial
+stabilizer and the rows that fix each of them.  Kernel, faithfulness,
+class counts, Burnside's count, the pair fixers and the homomorphism
+check all read those two tables.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ GROUP_NAMES = ("A4", "S4", "A5")
 
 GROUP_ORDER = {"A4": 12, "S4": 24, "A5": 60}
 
-Orbits = namedtuple("Orbits", "reps index carrier")  # orbit_table, GroupAction.orbits
+Orbits = namedtuple("Orbits", "reps index carrier block")  # GroupAction.orbits
 FixedPoints = namedtuple("FixedPoints", "pinned fixers counts")  # GroupAction.fixed_points
 
 # rows are found by base-degree codes in int64; the largest code, d**d - 1,
@@ -59,7 +57,7 @@ class NotASubgroupError(ValueError):
 
 
 class InconsistentActionError(RuntimeError):
-    """Raised when an action table contradicts the group structure: a broken
+    """Raised when an action contradicts the group structure: a broken
     homomorphism, a Burnside sum not divisible by the group order, or a
     fixed-vertex count that varies within an element class."""
 
@@ -267,40 +265,80 @@ def _subgroups_up_to_conjugacy(name: str) -> tuple[tuple[int, ...], ...]:
 
 
 class GroupAction:
-    """An action of a PermGroup on {0..m-1}: images[i] is the vertex
-    permutation of row i, as an integer image array.
+    """An action of a PermGroup on {0..m-1}, stored as the images of the
+    group's two generator rows (`PermGroup.generators`): gen_images[k] is
+    the vertex permutation of generators[k], as an integer image array,
+    and every other row acts as a word in those two.
 
-    images is a read-only view (the caller's array stays writable), so the
-    orbit table and the fixed-point table, each computed on first use,
-    are cached on the action."""
+    The rows are bijection-checked and kept as a read-only view (the
+    caller's array stays writable); whether they respect the group's
+    relations is check_homomorphism's question.  The orbit table and the
+    fixed-point table, each computed on first use, are cached on the
+    action, and every other image is read off the first (`image`)."""
 
-    def __init__(self, group: PermGroup, images):
-        images = np.asarray(images)
-        if images.ndim != 2 or images.shape[0] != group.order:
-            raise ValueError(f"action images need shape ({group.order}, m), got {images.shape}")
-        if not np.issubdtype(images.dtype, np.integer):
-            raise ValueError(f"action images must be integers, not {images.dtype}")
-        if not _bijections(images):
-            raise ValueError(f"every row of the action must be a bijection on 0..{images.shape[1] - 1}")
-        if not (images[0] == np.arange(images.shape[1])).all():
-            raise ValueError("identity must act as the identity")
+    def __init__(self, group: PermGroup, gen_images):
+        gen_images = np.asarray(gen_images)
+        if gen_images.ndim != 2 or len(gen_images) != len(group.generators):
+            raise ValueError(f"generator images must be equal-length lists, shape "
+                             f"({len(group.generators)}, m), got {gen_images.shape}")
+        if not np.issubdtype(gen_images.dtype, np.integer):
+            raise ValueError(f"generator images must be integers, not {gen_images.dtype}")
+        if not _bijections(gen_images):
+            raise ValueError(f"every generator image row must be a bijection on "
+                             f"0..{gen_images.shape[1] - 1}")
         self.group = group
-        self.images = images.view()
-        self.images.setflags(write=False)
+        self.gen_images = gen_images.view()
+        self.gen_images.setflags(write=False)
 
     @property
     def m(self) -> int:
-        return self.images.shape[1]
+        return self.gen_images.shape[1]
 
     @cached_property
     def orbits(self) -> Orbits:
-        """orbit_table of the images and each vertex's orbit minimum: the
-        smallest vertex the generators' rows join it to, found by passing
-        labels along those rows until none changes.  Read off the generator
-        rows alone, the orbits stay those of the permutations they generate
-        even when the rest of the table is no homomorphism, so such a table
-        is reported by check_homomorphism and not as a wrong orbit."""
-        return orbit_table(self.images, _orbit_minima(self))
+        """Who is where, as four read-only arrays: `reps`, the ascending
+        orbit minima; `index`, each vertex's orbit, its minimum's place in
+        reps; `block`, the (|G|, #orbits) images block[x, o] = φ_v(x),
+        v = reps[o]; and `carrier`, for each vertex w the first row t with
+        φ_v(t) = w, v its orbit's minimum.
+
+        The minima are the smallest vertices the generator rows join each
+        vertex to, found by passing labels along those rows until none
+        changes, so the orbits stay those of the permutations the rows
+        generate whatever the relations.  The block is walked breadth-first
+        from φ_v(e) = v over left multiplication, φ_v(s * x) = act(s)(φ_v(x))
+        for each generator s, so every entry lies in v's own orbit and the
+        carriers are scattered from it.  Where no row reaches w the carrier
+        is row 0: such rows are no homomorphism, which check_homomorphism
+        reports."""
+        g, low = self.group, _orbit_minima(self)
+        reps = np.flatnonzero(low == np.arange(self.m))
+        block = np.empty((g.order, len(reps)), dtype=np.intp)
+        block[0] = reps
+        left = g.cayley[list(g.generators)].tolist()  # left[k][x]: row of s_k * x
+        queue, seen = [0], [True] + [False] * (g.order - 1)
+        for x in queue:  # breadth-first: the queue grows while it is read
+            for row, img in zip(left, self.gen_images):
+                y = row[x]
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+                    block[y] = img[block[x]]
+        carrier = np.full(self.m, g.order)
+        np.minimum.at(carrier, block, np.arange(g.order)[:, None])
+        carrier[carrier == g.order] = 0
+        table = Orbits(reps, np.searchsorted(reps, low), carrier, block)
+        for part in table:
+            part.setflags(write=False)
+        return table
+
+    def image(self, x, w) -> np.ndarray:
+        """act(x)(w) for rows x and vertices w, broadcasting: with v the
+        minimum of w's orbit and t its carrier, w = φ_v(t), so act(x)(w) =
+        φ_v(x * t), one entry of the orbit table's block.  That holds for a
+        homomorphism, which check_homomorphism decides."""
+        _, index, carrier, block = self.orbits
+        return block[self.group.cayley[x, carrier[w]], index[w]]
 
     @cached_property
     def fixed_points(self) -> FixedPoints:
@@ -308,26 +346,21 @@ class GroupAction:
         the ascending vertices that some non-trivial row fixes; `fixers`,
         the (|G|, len(pinned)) mask of the rows that fix each of them; and
         `counts`, how many vertices each row fixes.  Read off the orbit
-        representatives' columns: |G|·#orbits images and a |G|·#pinned
-        gather, not |G|·m.
+        table's block: |G|·#orbits images and a |G|·#pinned gather.
 
         Let v be the representative of w's orbit and t its carrier row,
-        t·v = w (orbit_table).  Stabilizers along an orbit are conjugate,
-        Stab(w) = t Stab(v) t⁻¹: row x fixes w exactly when t⁻¹ * x * t
-        fixes v, and w is pinned exactly when v is.  Every other vertex is
-        fixed by the identity alone, so the identity fixes all m vertices
-        and any other row only pinned ones.  The counts then sum to the
-        orbit sizes times their stabilizer orders, |G| per orbit, which is
-        Burnside's count.
+        t·v = w.  Stabilizers along an orbit are conjugate, Stab(w) =
+        t Stab(v) t⁻¹: row x fixes w exactly when t⁻¹ * x * t fixes v, and
+        w is pinned exactly when v is.  Every other vertex is fixed by the
+        identity alone, so the identity fixes all m vertices and any other
+        row only pinned ones.  The counts then sum to the orbit sizes times
+        their stabilizer orders, |G| per orbit, which is Burnside's count.
 
-        That holds for a genuine action, whose rows act as the group does
-        on every vertex: every coset_action table, every table build
-        derives from the generator rows of such tables, and its
-        restrictions; and verify's table, derived the same way from the
-        file's images of the group's own pair and read here only after
-        check_homomorphism has passed it (`action-homomorphism`)."""
-        (reps, orbit, carrier), c = self.orbits, self.group.cayley
-        stab = self.images[:, reps] == reps  # stab[h, o]: row h fixes v
+        That holds for a genuine action: every coset_action, every action
+        build makes and its restrictions, and verify's, read here only
+        after check_homomorphism has passed it (`action-homomorphism`)."""
+        (reps, orbit, carrier, block), c = self.orbits, self.group.cayley
+        stab = block == reps  # stab[h, o]: row h fixes v
         pinned = np.flatnonzero((stab.sum(axis=0) > 1)[orbit])
         t = carrier[pinned]
         fixers = stab[c[(c == 0).argmax(axis=1)[t], c[:, t]], orbit[pinned]]  # t⁻¹ * x * t fixes v
@@ -338,37 +371,37 @@ class GroupAction:
 
 
 def check_homomorphism(a: GroupAction) -> None:
-    """act(s)(φ_v(x)) == φ_v(s * x), with φ_v(x) = act(x)(v), for each of
-    the group's generators s, every row x and every orbit representative v:
-    2·|G| image comparisons per orbit, read off the representatives'
-    columns only.
+    """act(s)(φ_v(x)) == φ_v(s * x) for each of the group's generators s,
+    every row x and every orbit representative v, on the orbit table's
+    block: 2·|G| image comparisons per orbit.
 
-    That is complete because every row is a word in the generator rows,
-    act(x) the composition of the generators' rows along a word for x: every
-    genuine action has them so, and every table build makes or verify reads
-    comes from the group's own pair through action_from_generators
-    (certificate._rebuild refuses any other pair).  Then act(x)(φ_v(y)) =
-    φ_v(x * y) for all rows x and y, one generator at a time; the φ_v(y)
-    make up v's orbit, since their set is closed under the generator rows;
-    so act(x) after act(z) is act(x * z) on every vertex."""
-    imgs, g = a.images, a.group
-    cols = imgs[:, a.orbits.reps]  # row x, column of v: φ_v(x)
-    for s in g.generators:
+    That is complete.  The block is walked from φ_v(e) = v along one tree
+    of these edges, so the tree edges agree by construction and the other
+    edges are the test.  When every edge agrees, the set {φ_v(x)} is
+    closed under the generator rows, so it is v's whole orbit, and
+    φ_v(x * y) = W_x(φ_v(y)) for any word W_x in the generator rows that
+    spells x.  So W_x is the same on the orbit for every word spelling x,
+    the group's relations hold there, and it is act(x), which `image`
+    reads as φ_v(x * t) at φ_v(t): act(x) after act(z) is act(x * z) on
+    every vertex."""
+    block, g = a.orbits.block, a.group
+    for s, img in zip(g.generators, a.gen_images):
         # row x compares act(s)(φ_v(x)) with φ_v(s * x)
-        bad = np.flatnonzero((imgs[s][cols] != cols[g.cayley[s]]).any(axis=1))
+        bad = np.flatnonzero((img[block] != block[g.cayley[s]]).any(axis=1))
         if len(bad):
             e1, e2 = g.elements[s].tolist(), g.elements[bad[0]].tolist()
             raise InconsistentActionError(f"act({e1} * {e2}) != act({e1}) * act({e2})")
 
 
-def _along_tree(g: PermGroup, identity: np.ndarray, gen_values, product) -> np.ndarray:
-    """A value for every row from the identity's and those of the group's
-    generator rows: breadth-first from the identity over the Cayley table,
-    row x * s gets product(value of x, value of s), and a generator's value
-    is never overwritten."""
+def matrices_from_generators(g: PermGroup, gen_mats) -> np.ndarray:
+    """The (|G|, 4, 4) matrices that give the group's generator rows the
+    matrices gen_mats: breadth-first from the identity over the Cayley
+    table, row x * s gets M(x) @ M(s), the identity's is exactly I, and a
+    generator's matrix is never overwritten.  Whether they form a
+    homomorphism is geometry's homomorphism check."""
     gens = list(g.generators)
-    values = np.empty((g.order, *identity.shape), dtype=identity.dtype)
-    values[0], values[gens] = identity, gen_values
+    mats = np.empty((g.order, 4, 4))
+    mats[0], mats[gens] = np.eye(4), gen_mats
     table, queue, seen = g.cayley.tolist(), [0], [True] + [False] * (g.order - 1)
     for x in queue:  # breadth-first: the queue grows while it is read
         for s in gens:
@@ -377,32 +410,8 @@ def _along_tree(g: PermGroup, identity: np.ndarray, gen_values, product) -> np.n
                 seen[y] = True
                 queue.append(y)
                 if y not in gens:
-                    values[y] = product(values[x], values[s])
-    return values
-
-
-def action_from_generators(g: PermGroup, gen_images) -> GroupAction:
-    """The action table that sends the group's generator rows to the image
-    rows gen_images, along _along_tree: act(x * s) is act(x) after act(s).
-    Each image row must be a bijection.  Whether the table is a
-    homomorphism (whether the images respect the relations of g) is
-    check_homomorphism's question."""
-    gen_images = np.asarray(gen_images)
-    if gen_images.ndim != 2 or len(gen_images) != len(g.generators) \
-            or not np.issubdtype(gen_images.dtype, np.integer):
-        raise ValueError("generator images must be equal-length lists of integers")
-    m = gen_images.shape[1]
-    if not _bijections(gen_images):
-        raise ValueError(f"every generator image row must be a bijection on 0..{m - 1}")
-    return GroupAction(g, _along_tree(g, np.arange(m), gen_images, lambda a, b: a[b]))
-
-
-def matrices_from_generators(g: PermGroup, gen_mats) -> np.ndarray:
-    """The (|G|, 4, 4) matrices that give the group's generator rows the
-    matrices gen_mats, along the same tree: M(x * s) = M(x) @ M(s), and
-    the identity's is exactly I.  Whether they form a homomorphism is
-    geometry's homomorphism check."""
-    return _along_tree(g, np.eye(4), gen_mats, np.matmul)
+                    mats[y] = mats[x] @ mats[s]
+    return mats
 
 
 def left_cosets(g: PermGroup, h) -> tuple[list[int], np.ndarray]:
@@ -424,9 +433,10 @@ def left_cosets(g: PermGroup, h) -> tuple[list[int], np.ndarray]:
 
 
 def coset_action(g: PermGroup, h) -> GroupAction:
-    """Left-multiplication action of g on the left cosets of the rows h."""
+    """Left-multiplication action of g on the left cosets of the rows h:
+    generator s sends the coset of x to that of s * x."""
     reps, coset_of = left_cosets(g, h)
-    return GroupAction(g, coset_of[g.cayley[:, reps]])
+    return GroupAction(g, coset_of[g.cayley[np.ix_(g.generators, reps)]])
 
 
 def class_fixed_counts(a: GroupAction) -> dict[str, int]:
@@ -450,7 +460,7 @@ def burnside_orbit_count(a: GroupAction) -> int:
     """Number of orbits as (1/|G|) * sum of fixed-point counts.
 
     The sum is exact integer arithmetic; a non-integral average means the
-    action table is corrupt, which is reported rather than rounded away.
+    action is corrupt, which is reported rather than rounded away.
     """
     total = int(a.fixed_points.counts.sum())
     if total % a.group.order:
@@ -459,33 +469,11 @@ def burnside_orbit_count(a: GroupAction) -> int:
     return total // a.group.order
 
 
-def orbit_table(images: np.ndarray, low: np.ndarray) -> Orbits:
-    """Who is where, as three read-only arrays, given the image rows and
-    each vertex's orbit minimum low: `reps`, the ascending minima (the
-    vertices with low[v] == v); `index`, each vertex's orbit, its minimum's
-    place in reps; and `carrier`, for each vertex w the first row t with
-    t·v = w, v = low[w].  The carriers are read off the representatives'
-    columns alone, |G| entries per orbit, and an entry counts only where
-    it names a vertex of v's own orbit.  Where no row carries v to w the
-    carrier is row 0: such a table is no homomorphism, which
-    check_homomorphism reports."""
-    reps = np.flatnonzero(low == np.arange(len(low)))
-    cols = images[:, reps]  # row x, column of v: the vertex x carries v to
-    own = low[cols] == reps
-    carrier = np.full(len(low), len(images))
-    np.minimum.at(carrier, cols[own], np.nonzero(own)[0])
-    carrier[carrier == len(images)] = 0
-    table = Orbits(reps, np.searchsorted(reps, low), carrier)
-    for part in table:
-        part.setflags(write=False)
-    return table
-
-
 def _orbit_minima(a: GroupAction) -> np.ndarray:
     low = np.arange(a.m)
     while True:
         before = low
-        for img in a.images[list(a.group.generators)]:
+        for img in a.gen_images:
             low = np.minimum(low, low[img])     # v takes the label of s.v
             low[img] = np.minimum(low[img], low)  # s.v takes the label of v
         if (low == before).all():
@@ -515,4 +503,4 @@ def restrict_action(a: GroupAction, sub: PermGroup) -> GroupAction:
     rows = a.group.rows(sub.elements)
     if (rows < 0).any():
         raise ValueError("subgroup elements must belong to the acting group")
-    return GroupAction(sub, a.images[rows])
+    return GroupAction(sub, a.image(rows[list(sub.generators), None], np.arange(a.m)))

@@ -8,8 +8,8 @@ import pytest
 from tsglab.actions import RESTRICT_EVEN_S4, RESTRICT_STAB_A5, build, plan
 from tsglab.edges import INSIDE_MARGIN, PAIR_TOL, _interior_holds
 from tsglab.geometry import Realization, plane_distance, projectors, realize
-from tsglab.perm import (GroupAction, InconsistentActionError, Orbits, coset_action, from_cycles,
-                         generated, standard_group)
+from tsglab.perm import (GroupAction, InconsistentActionError, Orbits, from_cycles, generated,
+                         left_cosets, standard_group)
 from tsglab.profiles import profile_rules
 
 REFERENCES = ([("S4", m) for m in (24, 4, 8, 12, 20, 28)]
@@ -45,11 +45,19 @@ def close_free_orbits():
     return Realization(r.vertex_action, r.model, r.config, r.mats, base)
 
 
+def action_table(a):
+    """All |G|·m images of an action, worked out here from its generator
+    rows along tree_table: the whole-table reference the tests compare
+    the orbit-local reads with.  For a homomorphism it is the action."""
+    return tree_table(a.group, a.group.generators, a.gen_images)
+
+
 def all_column_homomorphism(a):
     """act(x * s) == act(x) after act(s) for every row x, each generator s
-    and all m columns: the reference for check_homomorphism, which reads
-    the orbit representatives' columns only."""
-    imgs, g = a.images, a.group
+    and all m columns of action_table: the reference for
+    check_homomorphism, which reads the orbit representatives' images
+    only."""
+    imgs, g = action_table(a), a.group
     for s in g.generators:
         bad = np.flatnonzero((imgs[g.cayley[:, s]] != imgs[:, imgs[s]]).any(axis=1))
         if len(bad):
@@ -58,14 +66,16 @@ def all_column_homomorphism(a):
 
 
 def all_column_orbits(a):
-    """Who is where, worked out from all |G|·m images: the reference for
-    GroupAction.orbits.  Each vertex's orbit minimum is the smallest of
-    its images; the representatives are the distinct minima, and the
-    carrier of w is the first row that takes its minimum to w."""
-    low = a.images.min(axis=0)
+    """Who is where, worked out from all |G|·m images of action_table:
+    the reference for GroupAction.orbits.  Each vertex's orbit minimum is
+    the smallest of its images; the representatives are the distinct
+    minima, the carrier of w is the first row that takes its minimum to
+    w, and the block is the table's columns at the representatives."""
+    imgs = action_table(a)
+    low = imgs.min(axis=0)
     reps, index = np.unique(low, return_inverse=True)
-    carrier = (a.images[:, low] == np.arange(a.m)).argmax(axis=0)
-    return Orbits(reps, index, carrier)
+    carrier = (imgs[:, low] == np.arange(a.m)).argmax(axis=0)
+    return Orbits(reps, index, carrier, imgs[:, reps])
 
 
 def pair_stabilizers(a, pairs):
@@ -76,17 +86,17 @@ def pair_stabilizers(a, pairs):
     ends = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     if (ends[:, 0] == ends[:, 1]).any() or not ((0 <= ends) & (ends < a.m)).all():
         raise ValueError(f"need two distinct vertices below m={a.m}")
-    return (a.images[:, ends] == ends).all(axis=2).T
+    return (action_table(a)[:, ends] == ends).all(axis=2).T
 
 
 def all_column_fixed(a):
-    """Who fixes what, worked out from all |G|·m images: the reference for
-    GroupAction.fixed_points and edges.interchangers, which read the orbit
-    representatives' columns only.  The (|G|, m) mask of the rows fixing
+    """Who fixes what, worked out from all |G|·m images of action_table:
+    the reference for GroupAction.fixed_points and edges.interchangers,
+    which read the orbit table's block only.  The (|G|, m) mask of the rows fixing
     each vertex, its row sums, the vertices fixed by more than the
     identity ("pinned"), how many rows fix each pair of those, and the
     rows that swap some pair of vertices."""
-    imgs, ident = a.images, np.arange(a.m)
+    imgs, ident = action_table(a), np.arange(a.m)
     fixed = imgs == ident
     pinned = np.flatnonzero(fixed.sum(axis=0) > 1)
     f = fixed[:, pinned].astype(np.int64)
@@ -119,7 +129,7 @@ def orbit_partition(a):
             x = parent[x]
         return x
 
-    for img in a.images.tolist():
+    for img in action_table(a).tolist():
         for v in range(a.m):
             ra, rb = find(v), find(img[v])
             if ra != rb:
@@ -151,35 +161,50 @@ def expected_orbit_count(p):
 
 
 def direct_sum(actions):
-    """Disjoint union of actions of one group: their image tables side by
-    side, each offset to its part's start."""
+    """Disjoint union of actions of one group: their generator rows side
+    by side, each offset to its part's start."""
     offsets = np.cumsum([0] + [a.m for a in actions[:-1]])
-    return GroupAction(actions[0].group, np.hstack([a.images + off for a, off in zip(actions, offsets)]))
+    return GroupAction(actions[0].group,
+                       np.hstack([a.gen_images + off for a, off in zip(actions, offsets)]))
+
+
+def table_sum(tables):
+    """Whole (|G|, m) tables of one group side by side, each offset to its
+    block's start: the table of the disjoint union of their actions."""
+    offsets = np.cumsum([0] + [t.shape[1] for t in tables[:-1]])
+    return np.hstack([t + off for t, off in zip(tables, offsets)])
+
+
+def coset_table(g, h):
+    """All |G| rows of the left-multiplication action on the left cosets
+    of the rows h: row x sends the coset of r to that of x * r."""
+    reps, coset_of = left_cosets(g, h)
+    return coset_of[g.cayley[:, reps]]
 
 
 def stacked_table(p):
-    """The whole action table of a plan's building group, stacked from one
-    complete table per block: a coset action (free orbits on the trivial
-    subgroup, twin tetrahedra and simplex edge points on a 3-cycle's,
-    tetrahedron edge points on a transposition's), the natural action on
-    the letters, or one fixed point.  The reference for build, which
-    derives the table from generator rows."""
+    """The whole (|G|, m) action table of a plan's building group, stacked
+    from one complete table per block: a coset action (free orbits on the
+    trivial subgroup, twin tetrahedra and simplex edge points on a
+    3-cycle's, tetrahedron edge points on a transposition's), the natural
+    action on the letters, or one fixed point.  The reference for build,
+    which lays down generator rows only."""
     g = standard_group(p.building_group)
     cosets = {"free": (0,), **{kind: generated(g, g.rows([cycle])) for kind, cycle in (
         ("twin_tetra", from_cycles(4, (0, 1, 2))), ("tetra_edge", from_cycles(4, (0, 1))),
         ("simplex_edge", from_cycles(5, (0, 1, 2))))}}
-    natural, center = GroupAction(g, g.elements), GroupAction(g, np.zeros((g.order, 1), dtype=int))
+    natural, center = g.elements, np.zeros((g.order, 1), dtype=int)
     pieces = []
     for spec in p.parts:
         if spec.kind in cosets:
-            pieces += [coset_action(g, cosets[spec.kind])] * spec.count
+            pieces += [coset_table(g, cosets[spec.kind])] * spec.count
         elif spec.kind == "center":
             pieces.append(center)
         elif spec.kind == "knotted_k5":
             pieces += [natural, center]
         else:  # tetra_corners, simplex_corners, knotted_k4
             pieces.append(natural)
-    return direct_sum(pieces)
+    return table_sum(pieces)
 
 
 def tree_table(g, gens, gen_images):

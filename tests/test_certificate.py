@@ -28,7 +28,7 @@ from tsglab.edges import full_report
 from tsglab.geometry import fixed_set, plane_distance, projectors, realize
 from tsglab.perm import generated, standard_group
 
-from .conftest import REFERENCES, expand_certificate, expected_orbit_count, tree_table
+from .conftest import REFERENCES, action_table, expand_certificate, expected_orbit_count, tree_table
 
 ROOT = Path(__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,14 +54,14 @@ def test_reference_cases_keep_their_semantics(realized, tmp_path):
     assert set(golden["sha256"]) == {f"{g.lower()}_m{m}" for g, m in REFERENCES}
     same_numpy = golden["numpy"] == np.__version__
     for (group, m), (_, r) in realized.items():
-        images = r.vertex_action.action.images
+        images = action_table(r.vertex_action.action)
         if same_numpy:
             expect = golden["sha256"][f"{group.lower()}_m{m}"]
             assert semantic_digest(images, r.mats, r.coords) == expect, (group, m)
         path = tmp_path / f"{group}_{m}.json"
         write_certificate(str(path), r, full_report(r))
         back = _rebuild(read_certificate(str(path)))
-        assert np.array_equal(back.vertex_action.action.images, images), (group, m)
+        assert np.array_equal(action_table(back.vertex_action.action), images), (group, m)
         assert np.array_equal(back.mats, r.mats), (group, m)
         assert np.array_equal(back.coords, r.coords), (group, m)
     if not same_numpy:
@@ -172,7 +172,7 @@ def test_only_the_groups_own_generator_pair_verifies(realized, group, m, others)
     messages."""
     r = realized[(group, m)][1]
     data = certificate_dict(r, full_report(r))
-    g, images = r.group, r.vertex_action.action.images
+    g, images = r.group, action_table(r.vertex_action.action)
 
     def with_pair(rows):
         records = [{"perm": g.elements[s].tolist(), "vertex_images": images[s].tolist(),
@@ -192,11 +192,11 @@ def test_only_the_groups_own_generator_pair_verifies(realized, group, m, others)
 def test_an_inconsistent_edge_fails_at_action_homomorphism(capsys, tmp_path):
     """The second generator, of order 3, gets the vertex images of an
     element of order 5 that still generates A5 with the first one.  No
-    homomorphism does that, so some edge of the derived table breaks.  The
-    orbits are those of the same permutation group, so the fault is
-    reported as a broken homomorphism, not as a wrong vertex record.
-    (test_perm checks the direct check_homomorphism call on a corrupt
-    row, generator or not.)"""
+    homomorphism does that, so some edge of the orbit table's walk
+    breaks.  The orbits are those of the same permutation group, so the
+    fault is reported as a broken homomorphism, not as a wrong vertex
+    record.  (test_perm checks the direct check_homomorphism call on a
+    corrupt generator row.)"""
     path, data = _certificate(tmp_path, "A5", 80)
     images = expand_certificate(data)[0]
     g = standard_group("A5")
@@ -355,9 +355,11 @@ def test_version_2_file_is_a_schema_error():
 
 @pytest.mark.parametrize("group,m", [("S4", 28), ("A4", 61)])
 def test_orbit_minima_computed_once_per_realize_write_and_per_verify(monkeypatch, tmp_path, group, m):
-    """realize (separation) and write share the orbit table of one action,
-    and verify's group-closure and separation share that of the rebuilt
-    one: the orbit minima are computed once for each."""
+    """build, realize (separation) and write share the orbit table of one
+    action, and verify's group-closure and separation share that of the
+    rebuilt one: the orbit minima are computed once for each action, and
+    for the parent too when the plan is a restriction (A4 m=61 from A5),
+    since the restricted generator rows are read off the parent's table."""
     calls, original = [], perm._orbit_minima
 
     def counted(a):
@@ -366,12 +368,14 @@ def test_orbit_minima_computed_once_per_realize_write_and_per_verify(monkeypatch
 
     monkeypatch.setattr(perm, "_orbit_minima", counted)
     p = plan(group, m)
-    r = realize(p, build(p))
+    va = build(p)
+    r = realize(p, va)
     path = str(tmp_path / "cert.json")
     write_certificate(path, r, full_report(r))
-    assert len(calls) == 1
+    built = [va.action] if va.parent is None else [va.parent, va.action]
+    assert calls == built
     assert first_failure(verify_certificate(read_certificate(path))) is None
-    assert len(calls) == 2
+    assert len(calls) == len(built) + 1
 
 
 # Construction steps a verify run must never enter: it trusts none of them.
@@ -448,3 +452,44 @@ def test_verify_trusts_no_construction_step(realized, tmp_path):
     claim = (f"{len(named)} named functions, {lines} lines of function bodies with their "
              f"docstrings and decorators, of the {total} lines in `src/`")
     assert claim in readme, claim
+
+
+def _arrays(value, depth=3):
+    """Every array in a value: itself, inside a tuple or list, or an
+    attribute of a tsglab object (cached tables included), a few levels
+    down."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif depth and isinstance(value, (tuple, list)):
+        for x in value:
+            yield from _arrays(x, depth - 1)
+    elif depth and type(value).__module__.startswith("tsglab") and hasattr(value, "__dict__"):
+        yield from _arrays(list(vars(value).values()), depth - 1)
+
+
+def test_verify_builds_no_table_of_every_image():
+    """verify of A5 m=1205 never holds an array with |G| rows and m
+    columns: the return value and the locals of every src/ function, and
+    the attributes of the objects among them, are read as each function
+    returns.  The rebuilt action has no `images` table; its generator rows
+    are its only images."""
+    p = plan("A5", 1205)
+    r = realize(p, build(p))
+    data = json.loads(json.dumps(certificate_dict(r, full_report(r))))
+    src, shapes, actions = str(Path(perm.__file__).parent), set(), []
+
+    def watch(frame, event, arg):
+        if event == "return" and frame.f_code.co_filename.startswith(src):
+            values = [arg, *frame.f_locals.values()]
+            actions.extend(v for v in values if isinstance(v, perm.GroupAction))
+            shapes.update(x.shape[:2] for x in _arrays(values) if x.ndim >= 2)
+
+    sys.setprofile(watch)
+    try:
+        results = verify_certificate(data)
+    finally:
+        sys.setprofile(None)
+    assert first_failure(results) is None
+    assert {(60, 4), (60, 21)} <= shapes, sorted(shapes)  # the matrices and the orbit block
+    assert (60, 1205) not in shapes and (1205, 60) not in shapes
+    assert actions and not any(hasattr(a, "images") for a in actions)

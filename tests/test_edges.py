@@ -44,7 +44,7 @@ from tsglab.geometry import (
 from tsglab.perm import GroupAction, standard_group
 from tsglab.profiles import admissible_residues
 
-from .conftest import REFERENCES, all_vertex_inside, pair_stabilizers
+from .conftest import REFERENCES, action_table, all_vertex_inside, pair_stabilizers
 
 S4 = standard_group("S4")
 
@@ -163,7 +163,7 @@ def test_arc_interiors_vertex_free(realized):
 def test_arc_assignment_is_equivariant_as_pair_map(realized):
     va, r = realized[("A5", 20)]
     arcs = set(map(tuple, _arcs(r).pairs.tolist()))
-    for img in va.action.images:
+    for img in action_table(va.action):
         for (u, v) in arcs:
             x, y = sorted((img[u], img[v]))
             assert (x, y) in arcs
@@ -189,7 +189,7 @@ def test_h3_arc_fixed_by_edge_reversing_involution(realized):
     arc = _rows(_arcs(r))[0]
     u, v = arc.pair
     # some involution swaps u and v; it must map the arc onto itself
-    swappers = [f for f, img in enumerate(va.action.images) if img[u] == v and img[v] == u]
+    swappers = [f for f, img in enumerate(action_table(va.action)) if img[u] == v and img[v] == u]
     assert swappers
     for f in swappers:
         assert np.linalg.norm(r.mats[f] @ arc.midpoint - arc.midpoint) < 1e-8
@@ -231,7 +231,7 @@ def test_fixture_midpoint_parameter_rejected():
 def _interchanger_fixes_three_action() -> VertexAction:
     # natural S4 on 4 letters plus 3 global fixed points: any transposition
     # swaps a pair while fixing 2 + 3 = 5 > 2 vertices
-    act = [p + [4, 5, 6] for p in S4.elements.tolist()]
+    act = [p + [4, 5, 6] for p in S4.elements[list(S4.generators)].tolist()]
     ga = GroupAction(S4, act)
     return VertexAction(ga, ("nat",) * 4 + ("pin",) * 3, ())
 
@@ -245,7 +245,7 @@ def _pair_at_circle_intersection() -> tuple[VertexAction, Realization]:
     # two vertices at the poles: even elements fix both, odd ones swap them;
     # the pair is pinned by elements with different circles, breaking h1
     act = []
-    for i in range(S4.order):
+    for i in S4.generators:
         first = [0, 1] if S4.even[i] else [1, 0]
         act.append(first + (2 + S4.cayley[i]).tolist())
     ga = GroupAction(S4, act)
@@ -481,7 +481,7 @@ def _arc_orbits(va, pairs):
     orbits, seen = [], set()
     for u, v in pairs:
         if (u, v) not in seen:
-            orbit = {tuple(sorted(img[[u, v]].tolist())) for img in va.action.images}
+            orbit = {tuple(sorted(img[[u, v]].tolist())) for img in action_table(va.action)}
             orbits.append(sorted(orbit))
             seen |= orbit
     return orbits
@@ -631,7 +631,8 @@ def _arc_fault(r: Realization, arc: _Arc):
     its pair, or None."""
     u, v = pair = arc.pair
     action = r.vertex_action.action
-    if not 0 < arc.fixer < action.group.order or tuple(action.images[arc.fixer, [u, v]]) != (u, v):
+    if not 0 < arc.fixer < action.group.order \
+            or tuple(action_table(action)[arc.fixer, [u, v]]) != (u, v):
         return f"fixer of pair {pair} is not a non-trivial group element fixing both vertices"
     gram = float(np.abs(arc.basis @ arc.basis.T - np.eye(2)).max())
     if not gram <= ERROR_TOL or not same_circle(arc.projector, projectors(r.circles[arc.fixer])):
@@ -812,7 +813,7 @@ def _two_clause_h3(r, arcs) -> bool:
     carries the arc's own circle) must map the arc onto itself."""
     va = r.vertex_action
     arcs = {arc.pair: arc for arc in _rows(arcs)}
-    for f, (img, mat) in enumerate(zip(va.action.images, r.mats)):
+    for f, (img, mat) in enumerate(zip(action_table(va.action), r.mats)):
         for pair, arc in arcs.items():
             target = arcs.get(_image_pair(img, pair))
             if target is None:

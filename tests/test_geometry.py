@@ -35,14 +35,13 @@ from tsglab.edges import full_report
 from tsglab.geometry import CellGrid, _canonical_rows, _closest_pair, _max_hom_error, _min_separation
 from tsglab.perm import (
     GroupAction,
-    InconsistentActionError,
     PermGroup,
     check_homomorphism,
     from_cycles,
     standard_group,
 )
 
-from .conftest import REFERENCES, all_column_fixed, all_column_homomorphism, close_free_orbits
+from .conftest import REFERENCES, action_table, close_free_orbits
 
 S4 = standard_group("S4")
 A4 = standard_group("A4")
@@ -727,14 +726,14 @@ def _loop_invariance_errors(r):
     """One element at a time, over all m vertices: its largest coordinate
     off the image.  The whole-action reference for the orbit-local check."""
     return [float(np.abs(r.coords @ mat.T - r.coords[img]).max())
-            for mat, img in zip(r.mats, r.vertex_action.action.images)]
+            for mat, img in zip(r.mats, action_table(r.vertex_action.action))]
 
 
 def _loop_orbit_errors(r):
     """One element at a time, at the orbit representatives only."""
     reps = r.vertex_action.action.orbits.reps
     return [float(np.abs(r.coords[reps] @ mat.T - r.coords[img[reps]]).max())
-            for mat, img in zip(r.mats, r.vertex_action.action.images)]
+            for mat, img in zip(r.mats, action_table(r.vertex_action.action))]
 
 
 def _loop_invariance_message(r):
@@ -754,34 +753,32 @@ def test_stacked_checks_equal_per_element_loops(stacked_cases, group, m):
     assert max(_loop_invariance_errors(r)) <= geometry.ACTION_ERROR
 
 
-def test_orbit_local_checks_read_only_the_representatives_columns(stacked_cases):
-    """A5 m=80 and m=1205: reversing the other columns of every row but the
-    identity's and the generators' keeps each row a bijection and leaves
-    the coordinates, the invariance errors, check_homomorphism's verdict,
-    the fixed-point table and the interchangers as they were: they read
-    |G|·#orbits images, not |G|·m.  The all-column references reject that
-    table, which is no action; its rows are no longer words in the
-    generator rows, which check_homomorphism needs, and its fixed points
-    off the representatives' columns differ from the table's."""
+def test_orbit_local_checks_read_only_the_representatives_columns(stacked_cases, monkeypatch):
+    """A5 m=80 and m=1205: the realization checks, check_homomorphism, the
+    fixed-point table and the interchangers read the orbit table alone,
+    |G|·#orbits images: on a fresh copy of the action, none of them calls
+    GroupAction.image, the one read of an image off the representatives,
+    and every result is the one the built action gives."""
+    def refused(self, x, w):
+        raise AssertionError("GroupAction.image called")
+
     for m in (80, 1205):
         r = stacked_cases[("A5", m)]
         act = r.vertex_action.action
-        rows = np.setdiff1d(np.arange(1, r.group.order), r.group.generators)
-        others = np.setdiff1d(np.arange(r.m), act.orbits.reps)
-        images = act.images.copy()
-        images[np.ix_(rows, others)] = images[np.ix_(rows, others[::-1])]
-        scrambled = GroupAction(r.group, images)
-        va = dataclasses.replace(r.vertex_action, action=scrambled)
-        s = Realization(va, r.model, r.config, r.mats, r.base)
-        assert np.array_equal(s.coords, r.coords), m
-        assert np.array_equal(geometry._orbit_errors(s), geometry._orbit_errors(r)), m
-        check_homomorphism(scrambled)
-        with pytest.raises(InconsistentActionError):
-            all_column_homomorphism(scrambled)
-        for part, kept in zip(scrambled.fixed_points, act.fixed_points):
-            assert np.array_equal(part, kept), m
-        assert np.array_equal(edges.interchangers(va), edges.interchangers(r.vertex_action)), m
-        assert not np.array_equal(all_column_fixed(scrambled)["counts"], act.fixed_points.counts), m
+        errors, fixed, swappers = (geometry._orbit_errors(r), act.fixed_points,
+                                   edges.interchangers(r.vertex_action))
+        with monkeypatch.context() as patch:
+            patch.setattr(GroupAction, "image", refused)
+            fresh = GroupAction(r.group, act.gen_images)
+            va = dataclasses.replace(r.vertex_action, action=fresh)
+            s = Realization(va, r.model, r.config, r.mats, r.base)
+            validate_realization(s)
+            check_homomorphism(fresh)
+            assert np.array_equal(s.coords, r.coords), m
+            assert np.array_equal(geometry._orbit_errors(s), errors), m
+            for part, kept in zip(fresh.fixed_points, fixed):
+                assert np.array_equal(part, kept), m
+            assert np.array_equal(edges.interchangers(va), swappers), m
 
 
 def _copy(r, mats=None, base=None):
@@ -812,7 +809,7 @@ def test_moved_vertex_fails_invariance_as_the_loop(stacked_cases, group, m, vert
     point: invariance names the first element off its images at the
     representatives, and the whole-action loop sees that element off too."""
     r = _copy(stacked_cases[(group, m)])
-    reps, index, _ = r.vertex_action.action.orbits
+    reps, index, _, _ = r.vertex_action.action.orbits
     v = reps[index[vertex]]
     p = r.base[v] + 1e-6 * np.array([1.0, -2.0, 0.5, 1.5])
     r.base[v] = p / np.linalg.norm(p)
@@ -854,8 +851,8 @@ def test_first_bad_element_in_a_later_chunk_is_named(stacked_cases, row):
     invariance alone passes, while the whole-action loop does not: the
     bound on the whole action rests on `homomorphism` as well."""
     base = stacked_cases[("A5", 80)]
-    images = base.vertex_action.action.images
-    reps, index, _ = base.vertex_action.action.orbits
+    images = action_table(base.vertex_action.action)
+    reps, index, _, _ = base.vertex_action.action.orbits
     v = reps[index[-1]]
     r = _tilted(base, row, (2, 3))
     with pytest.raises(AssertionError, match="^homomorphism: "):
@@ -916,7 +913,7 @@ def _identity_errors(r):
     arcs = full_report(r).arcs
     if len(arcs):  # assign_arcs starts each arc at the first vertex of its pair
         index = {pair: k for k, pair in enumerate(map(tuple, arcs.pairs.tolist()))}
-        images = np.sort(r.vertex_action.action.images[:, arcs.pairs], axis=-1)
+        images = np.sort(action_table(r.vertex_action.action)[:, arcs.pairs], axis=-1)
         target = np.array([[index[tuple(pair)] for pair in row] for row in images.tolist()])
         mids = arcs.points([0.5])[:, 0]
         errors.update({

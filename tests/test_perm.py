@@ -17,7 +17,6 @@ from tsglab.perm import (
     InconsistentActionError,
     NotASubgroupError,
     PermGroup,
-    action_from_generators,
     burnside_orbit_count,
     check_homomorphism,
     coset_action,
@@ -34,15 +33,16 @@ from tsglab.perm import (
 )
 from tsglab.profiles import admissible_residues
 
-from .conftest import (all_column_fixed, all_column_homomorphism, all_column_orbits, direct_sum,
-                       orbit_partition, pair_stabilizers)
+from .conftest import (action_table, all_column_fixed, all_column_homomorphism, all_column_orbits,
+                       coset_table, direct_sum, orbit_partition, pair_stabilizers, stacked_table,
+                       table_sum)
 
 GROUPS = ("A4", "S4", "A5")
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def natural_action(g):
-    return GroupAction(g, g.elements)
+    return GroupAction(g, g.elements[list(g.generators)])
 
 
 def mul(p, q):
@@ -367,11 +367,10 @@ def test_two_regular_orbits_count_two():
 
 def test_burnside_flags_corrupt_action():
     s4 = standard_group("S4")
-    a = natural_action(s4)
-    bad = a.images.copy()
-    t = from_cycles(4, (0, 1))
-    bad[row(s4, t)] = from_cycles(4)  # breaks the class-sum divisibility
-    with pytest.raises(InconsistentActionError):
+    bad = natural_action(s4).gen_images.copy()
+    assert bad[0].tolist() == list(from_cycles(4, (2, 3)))  # the first generator, a transposition
+    bad[0] = from_cycles(4)  # breaks the class-sum divisibility
+    with pytest.raises(InconsistentActionError, match="fixed-point sum 54 not divisible"):
         burnside_orbit_count(GroupAction(s4, bad))
 
 
@@ -398,19 +397,16 @@ def _negative_vertex(images, g):
     return images
 
 
-def _move_identity(images, g):
-    images[0] = from_cycles(4, (0, 1))  # row 0 is the identity
-    return images
-
-
 @pytest.mark.parametrize("corrupt,message", [
     (_drop_row, "shape"), (_float_images, "integers"),
     (_repeat_a_vertex, "bijection"), (_vertex_out_of_range, "bijection"),
-    (_negative_vertex, "bijection"), (_move_identity, "identity"),
+    (_negative_vertex, "bijection"),
 ])
 def test_group_action_rejects_bad_images(corrupt, message):
+    """Generator rows of the natural S4 action, one dropped, made floats,
+    or the second no bijection."""
     s4 = standard_group("S4")
-    images = s4.elements.copy()
+    images = natural_action(s4).gen_images.copy()
     with pytest.raises(ValueError, match=message):
         GroupAction(s4, corrupt(images, s4))
 
@@ -418,7 +414,7 @@ def test_group_action_rejects_bad_images(corrupt, message):
 def test_group_action_images_are_read_only():
     a = coset_action(standard_group("A4"), (0,))
     with pytest.raises(ValueError, match="read-only"):
-        a.images[1, 0] = 0
+        a.gen_images[1, 0] = 0
     for part in a.orbits:
         with pytest.raises(ValueError, match="read-only"):
             part[0] = 1
@@ -426,10 +422,10 @@ def test_group_action_images_are_read_only():
 
 def test_group_action_leaves_the_callers_array_writable():
     s4 = standard_group("S4")
-    images = s4.elements.copy()
+    images = s4.elements[list(s4.generators)]
     a = GroupAction(s4, images)
-    assert images.flags.writeable and not a.images.flags.writeable
-    assert np.shares_memory(images, a.images)
+    assert images.flags.writeable and not a.gen_images.flags.writeable
+    assert np.shares_memory(images, a.gen_images)
 
 
 def test_orbit_minima_cached_per_action(monkeypatch):
@@ -446,9 +442,9 @@ def test_orbit_minima_cached_per_action(monkeypatch):
     assert a.orbits is first
     kernel(a)  # the fixed-point table and the homomorphism check read the cached table
     check_homomorphism(a)
-    assert np.array_equal(first.reps[first.index], a.images.min(axis=0))
+    assert np.array_equal(first.reps[first.index], action_table(a).min(axis=0))
     assert len(calls) == 1
-    GroupAction(g, a.images).orbits  # a new action computes its own
+    GroupAction(g, a.gen_images).orbits  # a new action computes its own
     assert len(calls) == 2
 
 
@@ -492,7 +488,7 @@ def test_degree8_axis_pair_has_order3_stabilizer():
     s4 = standard_group("S4")
     tc = from_cycles(4, (0, 1, 2))
     a = coset_action(s4, generated_by(s4, tc))
-    u, v = [w for w in range(a.m) if a.images[row(s4, tc)][w] == w]
+    u, v = [w for w in range(a.m) if a.image(row(s4, tc), w) == w]
     stab = pair_stabilizer(a, u, v)
     assert len(stab) == 3
     assert stab == generated_by(s4, tc)
@@ -521,7 +517,8 @@ def test_action_is_homomorphism(name, data):
     a = coset_action(g, h)
     e1 = data.draw(st.sampled_from(sorted(perms_of(g, range(g.order)))))
     e2 = data.draw(st.sampled_from(sorted(perms_of(g, range(g.order)))))
-    assert (a.images[row(g, mul(e1, e2))] == a.images[row(g, e1)][a.images[row(g, e2)]]).all()
+    w = np.arange(a.m)
+    assert (a.image(row(g, mul(e1, e2)), w) == a.image(row(g, e1), a.image(row(g, e2), w))).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -582,41 +579,42 @@ def test_generators_are_the_first_generating_pair(make):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_check_homomorphism_catches_any_corrupt_row(name):
-    """Only the generators' edges at the representative's column are
-    tested, yet a row whose image of the representative, vertex 0, is
-    corrupt is caught wherever it sits, generator or not."""
+    """Only the generators' edges at the representative, vertex 0, are
+    tested, yet a generator row of the regular action whose images of
+    vertex 0 and of any other vertex are swapped is caught, as the
+    all-column reference catches it."""
     g = standard_group(name)
     a = coset_action(g, (0,))  # regular
-    for r in range(1, g.order):
-        bad = a.images.copy()
-        bad[r, [0, 1]] = bad[r, [1, 0]]
-        with pytest.raises(InconsistentActionError, match=r"^act\("):
-            check_homomorphism(GroupAction(g, bad))
+    for k in range(2):
+        for d in range(1, g.order):
+            bad = a.gen_images.copy()
+            bad[k, [0, d]] = bad[k, [d, 0]]
+            for check in (check_homomorphism, all_column_homomorphism):
+                with pytest.raises(InconsistentActionError, match=r"^act\("):
+                    check(GroupAction(g, bad))
 
 
 @pytest.mark.parametrize("name", GROUPS)
 @pytest.mark.parametrize("gen", [0, 1])
 @pytest.mark.parametrize("column", ["representative", "other"])
 def test_check_homomorphism_agrees_with_the_all_column_reference(name, gen, column):
-    """On tables from action_from_generators, the form verify reads, the
-    orbit-local check and the all-column reference reject the same
-    tables: one generator's images of a representative (or of another
+    """On generator rows, the form verify reads, the orbit-local check and
+    the all-column reference reject the same actions: one generator's images of a representative (or of another
     vertex) and of a second vertex swapped, in either generator, and
     nothing swapped when the two are one.  The action has a regular
     orbit, one with a stabilizer of order 2 and a fixed vertex."""
     g = standard_group(name)
     subs = subgroups_up_to_conjugacy(name)
     a = direct_sum([coset_action(g, h) for h in (subs[0], subs[1], subs[-1])])
-    gens = list(g.generators)
     reps = a.orbits.reps
     others = np.setdiff1d(np.arange(a.m), reps)
     columns = reps if column == "representative" else others[::len(others) // 4]
     verdicts = []
     for c in columns.tolist():
         for d in range(a.m):
-            images = a.images[gens].copy()
+            images = a.gen_images.copy()
             images[gen, [c, d]] = images[gen, [d, c]]
-            table = action_from_generators(g, images)
+            table = GroupAction(g, images)
             outcomes = []
             for check in (check_homomorphism, all_column_homomorphism):
                 try:
@@ -665,7 +663,7 @@ TABLE_CASES = {
 @pytest.mark.parametrize("kind", TABLE_CASES)
 def test_fixed_points_equal_the_all_column_reference(kind):
     """The orbit table and the fixed-point table, read off the
-    representatives' columns, and everything read from them (kernel, pair
+    representatives' images, and everything read from them (kernel, pair
     fixer counts, interchangers) equal the all-column references: on
     every admissible plan's action below m=400 and its parent, on every
     coset action of A4, S4 and A5 (unfaithful ones included), on every
@@ -691,6 +689,44 @@ def test_fixed_points_equal_the_all_column_reference(kind):
     assert checked >= {"plans": 300, "cosets": 25, "sums": 126, "large-orbits": 5}[kind]
 
 
+def _reference_tables():
+    """(name, action, reference table) for every admissible plan's action
+    below m=400 and its parent, the large-orbits actions and A4 m=1205
+    with its parent, and every coset action of A4, S4 and A5: each
+    reference is a whole table made without generator rows, stacked_table
+    and its rows at the subgroup for a plan, coset_table for a coset."""
+    plans = [(group, m) for group in GROUPS for m in range(4, 400) if m in admissible_residues(group)]
+    for group, m in plans + [("A4", 1205), ("A4", 1213), ("S4", 1204), ("A5", 1205)]:
+        p = plan(group, m)
+        va, ref = build(p), stacked_table(p)
+        if va.parent is None:
+            yield f"{group} m={m}", va.action, ref
+        else:
+            yield f"{group} m={m} parent", va.parent, ref
+            yield f"{group} m={m}", va.action, ref[va.parent.group.rows(va.action.group.elements)]
+    for group in GROUPS:
+        g = standard_group(group)
+        for i, h in enumerate(subgroups_up_to_conjugacy(group)):
+            yield f"{group}/H{i}", coset_action(g, h), coset_table(g, h)
+
+
+def test_orbit_block_and_image_equal_the_reference_table():
+    """The orbit table's block, walked from the generator rows, is the
+    reference table's columns at the orbit minima, each carrier is the
+    first row taking the minimum to its vertex, and GroupAction.image over
+    every (row, vertex) is the whole reference table."""
+    checked = 0
+    for name, a, ref in _reference_tables():
+        reps, index, carrier, block = a.orbits
+        low = ref.min(axis=0)
+        assert np.array_equal(reps[index], low), name
+        assert np.array_equal(block, ref[:, reps]), name
+        assert np.array_equal(carrier, (ref[:, low] == np.arange(a.m)).argmax(axis=0)), name
+        assert np.array_equal(a.image(np.arange(a.group.order)[:, None], np.arange(a.m)), ref), name
+        checked += 1
+    assert checked >= 300 + 5 + 25
+
+
 def test_fixed_points_are_read_only():
     a = coset_action(standard_group("S4"), (0, 1))
     for part in a.fixed_points:
@@ -701,29 +737,29 @@ def test_fixed_points_are_read_only():
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(GROUPS), st.data())
 def test_action_from_generators_rebuilds_every_action(name, data):
+    """The generator rows of a direct sum of coset actions give, through
+    GroupAction.image, every row of the sum of the whole coset tables,
+    and its orbit minima are those union-find finds."""
     g = standard_group(name)
     picks = data.draw(st.lists(st.sampled_from(subgroups_up_to_conjugacy(name)),
                                min_size=1, max_size=3))
     a = direct_sum([coset_action(g, h) for h in picks])
-    gens = list(g.generators)
-    rebuilt = action_from_generators(g, a.images[gens])
-    assert (rebuilt.images == a.images).all()
-    reps, index, _ = a.orbits
-    assert (reps[index] == a.images.min(axis=0)).all()
+    whole = table_sum([coset_table(g, h) for h in picks])
+    assert (a.image(np.arange(g.order)[:, None], np.arange(a.m)) == whole).all()
+    reps, index, _, _ = a.orbits
+    assert (reps[index] == whole.min(axis=0)).all()
     assert reps.tolist() == [orbit[0] for orbit in orbit_partition(a)]
 
 
 def test_action_from_generators_keeps_inconsistent_generator_rows():
-    """Images that break a relation still give a table, with the stored
-    rows in place; check_homomorphism rejects it."""
+    """Generator rows that break a relation still give an action, with the
+    stored rows in place; check_homomorphism rejects it."""
     g = standard_group("S4")
-    a = natural_action(g)
-    gens = list(g.generators)
-    swapped = a.images[gens[::-1]]
-    table = action_from_generators(g, swapped)
-    assert (table.images[gens] == swapped).all()
+    swapped = natural_action(g).gen_images[::-1]
+    a = GroupAction(g, swapped)
+    assert (a.gen_images == swapped).all()
     with pytest.raises(InconsistentActionError):
-        check_homomorphism(table)
+        check_homomorphism(a)
 
 
 # explicit ids keep the names these cases have long been listed and selected by
@@ -735,4 +771,4 @@ def test_action_from_generators_keeps_inconsistent_generator_rows():
 ])
 def test_action_from_generators_rejects(images, message):
     with pytest.raises(ValueError, match=message):
-        action_from_generators(standard_group("S4"), images)
+        GroupAction(standard_group("S4"), images)
