@@ -37,7 +37,7 @@ from tsglab.geometry import ModelConfig, realize
 from tsglab.profiles import necessity_check
 
 STAGES = ("build", "realize", "full_report", "write", "read", "verify")
-REPEATS = 3
+REPEATS = 9
 
 
 def nearest_m(group: str, target: int) -> int:

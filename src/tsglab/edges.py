@@ -37,9 +37,10 @@ within.  Distinct planes whose projectors differ by at most
 SHARED_PLANE_GAP stay in wherever their arcs lie, since the SVD may find
 them sharing two directions.  Which vertices lie inside the arcs is
 judged exactly only on the few that one product of all coordinates with
-the fixers' plane bases finds near a fixer's circle (_vertices_inside),
+the fixers' planes finds near a fixer's circle (_vertices_inside),
 not on every row against all m.  The fixed planes are read once per
-realization (Realization.planes).
+realization (Realization.planes), and no check reads a plane basis but
+the stored arcs'.
 """
 
 from __future__ import annotations
@@ -214,19 +215,19 @@ def _vertices_inside(r: Realization, arcs: Arcs) -> np.ndarray:
 
     The exact tests (not an end of the pair, plane_distance to the
     fixer's circle at most PAIR_TOL, _interior_holds) run on candidates
-    only: the (vertex, fixer) entries whose |p|² − |Bp|², from one product
-    of all coordinates with the distinct fixers' bases B, is at most
-    PAIR_TOL.  No vertex the exact test keeps is lost.  r.circles rows are
-    orthonormal bases (or zero) from circles_of, never read from a file,
-    so the value is the squared distance to the plane, at most PAIR_TOL²
-    within PAIR_TOL of it; rounding adds a few units of 2⁻⁵³·|p|², below
-    PAIR_TOL for |p| up to about 10³, and invariance holds every vertex
-    to 1 ± ERROR_TOL first.  NaN fails both tests, and a zero basis
-    leaves |p|² ≈ 1, which both exclude."""
+    only: the (vertex, fixer) entries whose pᵀ(I − P)p = |p|² − pᵀPp,
+    from one product of all coordinates with I − P for the distinct
+    fixers' planes P, is at most PAIR_TOL.  No vertex the exact test
+    keeps is lost: the value is |p − Pᵀp|² − pᵀ(PPᵀ − P)p, and
+    PPᵀ − P = P(Pᵀ − P) + (P² − P) has entries below 3·PLANE_ERROR
+    (fixed_planes; rows of P have ℓ1 norm about 2), so within PAIR_TOL of
+    the plane it is at most PAIR_TOL² + 12·PLANE_ERROR·|p|² plus
+    rounding, below PAIR_TOL for |p| up to about 10; invariance holds
+    every vertex to 1 ± ERROR_TOL first.  NaN fails both tests, and a
+    plane near zero leaves |p|² ≈ 1, which both exclude."""
     fixers = np.flatnonzero(np.bincount(arcs.fixers))  # the distinct fixers
     p = r.coords
-    xy = np.square(r.circles[fixers].reshape(-1, 4) @ p.T)  # rows: x, y in each fixer's basis
-    near = np.einsum("wi,wi->w", p, p) - (xy[0::2] + xy[1::2]) <= PAIR_TOL
+    near = np.einsum("fwi,wi->fw", p @ (np.eye(4) - r.planes[fixers]), p) <= PAIR_TOL
     f, w = np.nonzero(near)  # few vertices sit near a circle
     k, n = np.nonzero(arcs.fixers[:, None] == fixers[f])  # each candidate at its fixer's rows
     w = w[n]

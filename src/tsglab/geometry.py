@@ -32,13 +32,17 @@ A non-identity special-orthogonal 4x4 matrix either fixes a geodesic
 circle of the sphere pointwise (its +1 eigenplane) or fixes nothing; the
 realizer leans on that dichotomy throughout.
 
-Fixed circles are one (|G|, 2, 4) array of plane bases in element row
-order (circles_of).  An all-zero row is "no circle": at each element that
-fixes nothing, and at the identity, whose circle no check asks for.  The
-checks read circles through projectors Bᵀ·B, and the zero projector acts
-as "no circle" must: every unit point lies 1 from its plane, so it holds
-no vertex and never blocks placement, and within CIRCLE_EQ_TOL it equals
-only another zero projector (a rank-2 projector has an entry >= 1/2).
+The checks read each element's fixed plane as one (|G|, 4, 4) array of
+projectors in element row order (fixed_planes): the average of M over the
+cyclic group <g>, one product with a cached operator per group and no
+eigensolver.  Near zero is "no circle": at each element that fixes
+nothing, and exactly zero at the identity, whose circle no check asks
+for.  It acts as "no circle" must: every unit point lies about 1 from its
+plane, so it holds no vertex, and within CIRCLE_EQ_TOL it equals only
+another such projector (a rank-2 projector has an entry >= 1/2).  The
+circles themselves, orthonormal plane bases from one SVD per element
+(circles_of), are realize's only: placement keeps clear of them and
+assign_arcs writes them as arc bases.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ ERROR_TOL = 1e-12  # rounding error allowed in an identity that holds exactly
 # what `invariance` implies for every vertex, not only for the representatives
 # it compares: 3·ERROR_TOL and the rounding of orbit_coords (_check_invariance)
 ACTION_ERROR = 3 * ERROR_TOL + 1e-14
+# what `homomorphism` implies for the averaged fixed planes (fixed_planes)
+PLANE_ERROR = 6 * ERROR_TOL + 1e-14
 ON_CIRCLE_TOL = 1e-9
 CIRCLE_EQ_TOL = 1e-8
 SHARED_LINE_TOL = CIRCLE_EQ_TOL * 10  # singular values of a line two circles share
@@ -272,8 +278,55 @@ def representation(group: PermGroup, model: Model) -> np.ndarray:
 def circles_of(mats: np.ndarray) -> np.ndarray:
     """Fixed circle of every element as a (|G|, 2, 4) array of plane bases,
     in the row order of mats as representation returns them; zero at row
-    0, the identity, as at the elements that fix nothing."""
+    0, the identity, as at the elements that fix nothing.  Realize only:
+    the checks read fixed_planes."""
     return np.concatenate([np.zeros((1, 2, 4)), fixed_set(mats[1:])])
+
+
+def fixed_planes(group: PermGroup, mats: np.ndarray) -> np.ndarray:
+    """The fixed plane of every element g as the average P(g) of M(h) over
+    h in <g>, (|G|, 4, 4) in row order and zero at the identity: one
+    product with the group's cached PermGroup.cyclic_means.  For an exact representation P(g) is the
+    orthogonal projector onto g's +1 eigenspace, and its trace is that
+    space's dimension, 0 or 2 for g ≠ e in SO(4).  A trace further than
+    PLANE_ERROR from both raises PrecisionError at the first such row.
+
+    Why PLANE_ERROR bounds it.  Once `homomorphism` passes, the entries of
+    M(a)M(b) - M(ab) and M(a)ᵀM(a) - I are at most ε = ERROR_TOL, and M(e)
+    is exactly I (matrices_from_generators).  Write M_k = M(g^k), g of
+    order n <= 5, indices mod n, so P = (1/n)·Σ M_k; the terms of a sum
+    below with a factor M_0 vanish exactly.
+      invariant   M_1·P - P = (1/n)·Σ (M_1·M_k - M_(k+1)): entries at most
+                  (n-1)/n·ε <= 0.8ε.  P·M_1 likewise.
+      idempotent  P² - P = (1/n²)·Σ_(j,k) (M_j·M_k - M_(j+k)): at most 0.64ε.
+      symmetric   P - Pᵀ = (1/n)·Σ (M_(n-k) - M_kᵀ).  With A = M_k and
+                  B = M_(n-k), (B - Aᵀ)·A = (BA - I) - (AᵀA - I) has rows of
+                  norm at most 4ε, and A⁻¹ norm at most 1/√(1 - 4ε), so
+                  entries of P - Pᵀ are at most 0.8·4ε(1 + 3ε) = 3.2ε(1 + 3ε).
+      trace       S = (P + Pᵀ)/2 and K = (P - Pᵀ)/2 give S² - S =
+                  sym(P² - P) - K², as SK + KS is antisymmetric: Frobenius
+                  norm at most 4·(0.64ε + 4·(1.6ε)²) = 2.56ε(1 + 16ε).  So
+                  each eigenvalue λ of S lies within |λ² - λ|(1 + 4ε) of 0
+                  or 1.  With Π the orthogonal projector onto those near 1,
+                  of rank r, S - Π has Frobenius norm at most about 2.56ε:
+                  entries of P - Π are at most 1.6ε + 2.56ε = 4.16ε, and
+                  |tr P - r| <= √4·2.56ε = 5.12ε, up to terms in ε².
+    Rounding, in the checks' products and in this one (an entry of P sums
+    at most five terms below 1 + ε), adds a few units of 2⁻⁵³ per entry,
+    which the 1e-14 covers.  So PLANE_ERROR = 6ε + 1e-14 bounds every entry
+    above and the trace's distance from r, and a trace within it of 0 or 2
+    names r.  geometric_profile and the edge checks argue from these
+    entries.  NaN fails."""
+    n = len(mats)
+    planes = group.cyclic_means @ mats.reshape(n, 16)
+    trace = planes[:, ::5].sum(axis=1)  # the diagonal of each row-major 4x4
+    off = np.abs(np.abs(trace - 1) - 1)  # distance from the nearer of 0 and 2
+    if not off.max() <= PLANE_ERROR:
+        row = int(np.argmax(~(off <= PLANE_ERROR)))
+        e = tuple(group.elements[row].tolist())
+        raise PrecisionError(f"fixed plane of element {e} has trace {trace[row]}, "
+                             "not within PLANE_ERROR of 0 or 2")
+    return planes.reshape(n, 4, 4)
 
 
 # ----------------------------------------------------------- orbit coords
@@ -480,15 +533,16 @@ class Realization:
 
     @cached_property
     def circles(self) -> np.ndarray:
-        """circles_of(mats): realize sets it, and a realization rebuilt
-        from a file computes it on first use."""
+        """circles_of(mats), the plane bases assign_arcs writes: realize
+        sets it, as placement computed it.  No check reads it."""
         return circles_of(self.mats)
 
     @cached_property
     def planes(self) -> np.ndarray:
-        """projectors(circles), (|G|, 4, 4) and read-only: the fixed planes
-        the profile and the edge hypotheses compare, computed once."""
-        planes = projectors(self.circles)
+        """fixed_planes(group, mats), (|G|, 4, 4) and read-only: the fixed
+        planes the profile and the edge hypotheses compare, computed once,
+        for realize and verify alike."""
+        planes = fixed_planes(self.group, self.mats)
         planes.setflags(write=False)
         return planes
 
@@ -665,15 +719,18 @@ def geometric_profile(r: Realization) -> FixedVertexProfile:
     """Count the vertices on the fixed circle of one element per class (its
     first row); the profile check compares them with the measured profile.
 
-    Once `invariance` and `separation` pass, an element g of order 2..5
-    moves a point at distance d from its circle by d to 2d, and every
-    vertex sits off its image by at most ACTION_ERROR per coordinate.  So
-    a vertex g fixes lies within 2·ACTION_ERROR of the circle, one g moves
-    at least MIN_VERTEX_SEP / 2 - ACTION_ERROR from it; ON_CIRCLE_TOL lies
-    between, so the count is g's fixed-vertex count, shared by conjugates
-    and by the generators of one cyclic subgroup (A4 n3 holds g and g⁻¹,
-    A5 n5 g and g²), which make up every class.  An element with no circle
-    fixes no vertex, and every unit point lies 1 from its zero projector."""
+    A vertex p lies d = |p - Pᵀp| from g's plane P = (1/n)·Σ M(g^k)
+    (fixed_planes).  Once `invariance` and `separation` pass, every vertex
+    sits off its image by at most ACTION_ERROR per coordinate.  If g fixes
+    p, so does each g^(n-k), and M(g^k)ᵀ lies within 4.1·ERROR_TOL per
+    entry of M(g^(n-k)), so d <= 1.6·(ACTION_ERROR + 8.2·ERROR_TOL) ≈ 2e-11.
+    If g moves p, |M(g)·p - p| >= MIN_VERTEX_SEP - 4·ACTION_ERROR is at
+    most 2d(1 + ERROR_TOL) plus about 1e-10, as M(g)·Pᵀ lies within a few
+    PLANE_ERROR of Pᵀ.  ON_CIRCLE_TOL lies between, so the count is g's
+    fixed-vertex count, shared by conjugates and by the generators of one
+    cyclic subgroup (A4 n3 holds g and g⁻¹, A5 n5 g and g²), which make up
+    every class.  An element with no circle fixes no vertex, and its P is
+    within PLANE_ERROR of zero, so every unit point lies about 1 from it."""
     names = [name for name in r.group.classes if name != "n1"]
     planes = r.planes[[r.group.classes[name][0] for name in names]]
     counts = np.count_nonzero(plane_distance(planes, r.coords) <= ON_CIRCLE_TOL, axis=1)

@@ -154,6 +154,20 @@ class PermGroup:
                         for c in EXPECTED_CLASSES[name]}
 
     @cached_property
+    def cyclic_means(self) -> np.ndarray:
+        """(|G|, |G|), read-only: row x holds 1/ord(x) at each power x^k
+        (k < ord x), so it averages over the cyclic group <x>; row 0, the
+        identity, is zero (geometry.fixed_planes)."""
+        rows = np.arange(self.order)
+        means, power = np.zeros((self.order, self.order)), rows
+        for _ in range(self.orders.max()):  # past ord(x), the powers of x repeat
+            means[rows, power] = 1 / self.orders
+            power = self.cayley[power, rows]
+        means[0] = 0.0
+        means.setflags(write=False)
+        return means
+
+    @cached_property
     def generators(self) -> tuple[int, int]:
         """The first pair of rows, in row order, that generates the whole
         group: the rows a certificate stores as its generator records."""
@@ -402,10 +416,11 @@ def matrices_from_generators(g: PermGroup, gen_mats) -> np.ndarray:
     gens = list(g.generators)
     mats = np.empty((g.order, 4, 4))
     mats[0], mats[gens] = np.eye(4), gen_mats
-    table, queue, seen = g.cayley.tolist(), [0], [True] + [False] * (g.order - 1)
+    steps = list(zip(gens, g.cayley.T[gens].tolist()))  # each generator with its Cayley column
+    queue, seen = [0], [True] + [False] * (g.order - 1)
     for x in queue:  # breadth-first: the queue grows while it is read
-        for s in gens:
-            y = table[x][s]
+        for s, column in steps:
+            y = column[x]
             if not seen[y]:
                 seen[y] = True
                 queue.append(y)

@@ -7,7 +7,7 @@ import pytest
 
 from tsglab.actions import RESTRICT_EVEN_S4, RESTRICT_STAB_A5, build, plan
 from tsglab.edges import INSIDE_MARGIN, PAIR_TOL, _interior_holds
-from tsglab.geometry import Realization, plane_distance, projectors, realize
+from tsglab.geometry import Realization, circles_of, plane_distance, projectors, realize
 from tsglab.perm import (GroupAction, InconsistentActionError, Orbits, from_cycles, generated,
                          left_cosets, standard_group)
 from tsglab.profiles import profile_rules
@@ -103,6 +103,13 @@ def all_column_fixed(a):
     swaps = (imgs != ident) & (np.take_along_axis(imgs, imgs, axis=1) == ident)
     return {"fixed": fixed, "counts": fixed.sum(axis=1), "pinned": pinned, "pairs": f.T @ f,
             "swappers": np.flatnonzero(swaps.any(axis=1))}
+
+
+def svd_planes(mats):
+    """projectors(circles_of(mats)): each element's fixed plane from one SVD
+    of M - I, the reference for geometry.fixed_planes, which averages M
+    over the cyclic group of each element instead."""
+    return projectors(circles_of(mats))
 
 
 def all_vertex_inside(r, arcs):

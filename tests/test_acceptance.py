@@ -34,7 +34,6 @@ from tsglab.geometry import (
     plane_distance,
     projectors,
     realize,
-    representation,
 )
 from tsglab.oracle import feasible_multisets, oracle_residues
 from tsglab.perm import (

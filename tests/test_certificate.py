@@ -381,7 +381,9 @@ def test_orbit_minima_computed_once_per_realize_write_and_per_verify(monkeypatch
 # Construction steps a verify run must never enter: it trusts none of them.
 CONSTRUCTION = {("actions", "plan"), ("actions", "build"), ("geometry", "realize"),
                 ("geometry", "representation"), ("geometry", "_part_base_point"),
-                ("geometry", "free_orbit_coords"), ("edges", "assign_arcs")}
+                ("geometry", "free_orbit_coords"), ("edges", "assign_arcs"),
+                ("geometry", "circles_of"), ("geometry", "fixed_set"),
+                ("geometry", "_canonical_rows")}
 
 
 def _function_lines(path: Path) -> dict:
@@ -419,8 +421,9 @@ print(json.dumps([codes, sorted(entered)]))
 def test_verify_trusts_no_construction_step(realized, tmp_path):
     """`tsglab verify` on each reference-grid file (the 14 reference cases
     plus the restricted A4 m=24 and m=61), in a fresh process, enters src/
-    functions only off the construction path: the verdict rests on the
-    verify modules alone.  The named functions it enters (no <lambda> or
+    functions only off the construction path, the fixed-circle SVD of
+    placement and the arc bases included: the verdict rests on the verify
+    modules alone.  The named functions it enters (no <lambda> or
     comprehension), group construction included, their lines and the
     lines of src/ are the counts README's "What verify trusts" states."""
     src = Path(perm.__file__).parent
@@ -442,6 +445,7 @@ def test_verify_trusts_no_construction_step(realized, tmp_path):
     names = {(module, name) for module, name, _ in entered}
     assert ("certificate", "verify_certificate") in names
     assert {("perm", "__init__"), ("perm", "_closure"), ("perm", "generators")} <= names
+    assert ("geometry", "fixed_planes") in names  # the planes, with no fixed-set SVD
     assert not names & CONSTRUCTION, sorted(names & CONSTRUCTION)
 
     named = [(module, first) for module, name, first in entered if not name.startswith("<")]

@@ -15,7 +15,7 @@ from tsglab.certificate import read_certificate, verify_certificate, write_certi
 from tsglab.cli import main
 from tsglab.edges import full_report
 from tsglab.geometry import PrecisionError
-from tsglab.perm import standard_group
+from tsglab.perm import PermGroup, standard_group
 
 from .conftest import close_free_orbits, relabel_vertices
 
@@ -829,14 +829,22 @@ def test_verify_accepts_moved_and_relabelled_certificates(capsys, tmp_path,
 
 
 def test_verify_reports_a_fixed_set_failure_at_profile(monkeypatch, metamorphic_certificates):
-    """A rebuilt realization computes its circles on first use, in the
-    profile check, so an ambiguous fixed set fails there."""
-    def ambiguous(matrix):
-        raise PrecisionError("ambiguous")
-
-    monkeypatch.setattr(geometry, "fixed_set", ambiguous)
+    """A rebuilt realization averages its fixed planes on first use, in the
+    profile check, so a plane whose trace is ambiguous fails there with
+    fixed_planes' PrecisionError: an averaging operator scaled by 1 + 1e-9
+    moves every trace 2 by 2e-9, far beyond PLANE_ERROR, and names the
+    first element that fixes a circle."""
+    means = PermGroup.cyclic_means.func
+    monkeypatch.setattr(PermGroup, "cyclic_means", property(lambda group: means(group) * (1 + 1e-9)))
     results = verify_certificate(copy.deepcopy(metamorphic_certificates[("S4", 28)]))
-    assert [(c.name, c.message) for c in results if not c.ok] == [("profile", "ambiguous")]
+    group = standard_group("S4")
+    rep = geometry.representation(group, Model.TETRA_FULL)
+    first = geometry.circles_of(rep).any(axis=(1, 2)).argmax()
+    [(name, message)] = [(c.name, c.message) for c in results if not c.ok]
+    assert name == "profile"
+    assert message.startswith(f"fixed plane of element {tuple(group.elements[first].tolist())} "
+                              "has trace 2.000000002")
+    assert message.endswith("not within PLANE_ERROR of 0 or 2")
 
 
 def _move_vertex(data):

@@ -390,34 +390,33 @@ def test_full_report_computes_interchangers_once(realized, monkeypatch):
 
 def test_planes_and_landmarks_are_read_only_and_computed_once(realized, monkeypatch, tmp_path):
     """Realization.planes and Arcs.landmarks are cached and read-only.  One
-    full_report on a fresh realization, and one whole verify, compute
-    projectors of the whole circle stack once."""
+    full_report on a fresh realization, and one whole verify, average the
+    fixed planes of the whole matrix stack once."""
     _, r = realized[("S4", 20)]
     fresh = Realization(r.vertex_action, r.model, r.config, r.mats, r.base)
-    calls, original = [], geometry.projectors
+    calls, original = [], geometry.fixed_planes
 
-    def counted(bases):
-        calls.append(bases)
-        return original(bases)
+    def counted(group, mats):
+        calls.append(mats)
+        return original(group, mats)
 
-    monkeypatch.setattr(geometry, "projectors", counted)
-    monkeypatch.setattr(edges, "projectors", counted)
+    monkeypatch.setattr(geometry, "fixed_planes", counted)
     report = full_report(fresh)
     assert report.overall
-    assert [bases is fresh.circles for bases in calls].count(True) == 1
+    assert len(calls) == 1 and calls[0] is fresh.mats
     arcs = report.arcs
     for value, again in ((fresh.planes, fresh.planes), (arcs.landmarks, arcs.landmarks)):
         assert value is again and not value.flags.writeable
         with pytest.raises(ValueError):
             value[0, 0, 0] = 1.0
-    assert np.array_equal(fresh.planes, original(r.circles))
+    assert np.array_equal(fresh.planes, original(r.group, r.mats))
     assert np.array_equal(arcs.landmarks, arcs.points([0.0, 1.0, 0.5]))
 
     path = str(tmp_path / "s4_20.json")
     write_certificate(path, r, report)
     calls.clear()
     assert first_failure(verify_certificate(read_certificate(path))) is None
-    assert [bases.shape for bases in calls].count(r.circles.shape) == 1
+    assert [mats.shape for mats in calls] == [r.mats.shape]
 
 
 # ------------------------------------ batched disjointness vs pairwise loop

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from tsglab.geometry import (
     Realization,
     UnsupportedGeometryError,
     circles_of,
+    fixed_planes,
     fixed_set,
     free_orbit_coords,
     geometric_profile,
@@ -41,7 +43,7 @@ from tsglab.perm import (
     standard_group,
 )
 
-from .conftest import REFERENCES, action_table, close_free_orbits
+from .conftest import REFERENCES, action_table, close_free_orbits, svd_planes
 
 S4 = standard_group("S4")
 A4 = standard_group("A4")
@@ -251,6 +253,31 @@ def test_fixed_set_ambiguous_singular_values_raise_at_first_offending_matrix(rep
         fixed_set(np.stack([rotation, tiny, np.eye(4)]))
     with pytest.raises(ValueError, match="identity"):
         fixed_set(np.stack([rotation, np.eye(4), tiny]))
+
+
+def test_fixed_planes_trace_off_zero_or_two_raises_at_first_offending_row():
+    """In A4 each involution's cyclic group is itself and the identity, so
+    adding d·I to its matrix moves its plane's trace, 2, by 2d and no
+    other row's.  Past PLANE_ERROR the first such row raises, naming its
+    element; within it nothing does.  Matrices that are all I put trace 4
+    at row 1."""
+    mats = representation(A4, Model.TETRA_ROT)
+    late, early = A4.classes["n2"][2], A4.classes["n2"][0]
+    beyond, within = mats.copy(), mats.copy()
+    beyond[[late, early]] += np.eye(4) * geometry.PLANE_ERROR
+    within[[late, early]] += np.eye(4) * geometry.PLANE_ERROR / 4
+    def element(row):
+        return re.escape(str(tuple(A4.elements[row].tolist())))
+
+    with pytest.raises(PrecisionError, match=rf"element {element(early)} has trace 2\.0000000000"):
+        fixed_planes(A4, beyond)
+    assert np.abs(fixed_planes(A4, within) - fixed_planes(A4, mats)).max() <= geometry.PLANE_ERROR
+    with pytest.raises(PrecisionError, match=rf"element {element(1)} has trace 4\.0"):
+        fixed_planes(A4, np.broadcast_to(np.eye(4), mats.shape))
+    nan = mats.copy()
+    nan[late, 0, 0] = np.nan
+    with pytest.raises(PrecisionError, match="trace nan"):
+        fixed_planes(A4, nan)
 
 
 def test_double_transposition_circle_in_simplex(reps):
@@ -525,7 +552,8 @@ def test_realize_computes_each_fixed_circle_once(monkeypatch, group, m, calls):
 @pytest.mark.parametrize("m", [24, 61, 65, 1205])
 def test_restricted_realization_keeps_the_circles_verify_computes(m):
     """A restricted plan's A4 matrices are derived from its generators, and
-    realize hands its checks the circles of exactly those matrices."""
+    realize takes the arc bases it writes from the circles of exactly
+    those matrices, whose averaged planes the checks read."""
     p = plan("A4", m)
     r = realize(p)
     assert p.restriction is not None
@@ -714,6 +742,23 @@ def stacked_cases(realized, large_orbit_realizations):
     out.update(large_orbit_realizations)
     out.update({(g, m): realize(plan(g, m)) for g, m in (("A4", 24), ("A4", 61))})
     return out
+
+
+def test_averaged_planes_lie_within_plane_error_of_the_svd_projectors(stacked_cases):
+    """On the reference-grid and large-orbits cases every averaged plane
+    lies within PLANE_ERROR per entry of the SVD projector, its trace
+    within PLANE_ERROR of that projector's rank (0 or 2, and 0 at the
+    identity), and it is symmetric, idempotent and M(g)-invariant within
+    PLANE_ERROR, as fixed_planes argues from `homomorphism`."""
+    for key, r in stacked_cases.items():
+        planes, reference = r.planes, svd_planes(r.mats)
+        assert np.abs(planes - reference).max() <= geometry.PLANE_ERROR, key
+        rank = np.einsum("gii->g", reference).round()
+        assert set(rank[1:].tolist()) <= {0.0, 2.0} and rank[0] == 0 and not planes[0].any(), key
+        assert np.abs(np.einsum("gii->g", planes) - rank).max() <= geometry.PLANE_ERROR, key
+        for error in (planes - planes.transpose(0, 2, 1), planes @ planes - planes,
+                      r.mats @ planes - planes, planes @ r.mats - planes):
+            assert np.abs(error[1:]).max() <= geometry.PLANE_ERROR, key
 
 
 def _loop_hom_error(group, mats):
@@ -930,8 +975,9 @@ def test_error_bound_sits_between_realized_errors_and_every_decision(stacked_cas
     an exact identity on the reference-grid and large-orbits cases, the
     whole action's error among them; ACTION_ERROR, what invariance at the
     representatives implies for every vertex, is 3·ERROR_TOL and a
-    rounding allowance; every decision threshold is at least 100 times
-    ACTION_ERROR, and ON_CIRCLE_TOL is at most a hundredth of
+    rounding allowance, and PLANE_ERROR, what it implies for the averaged
+    fixed planes, 6·ERROR_TOL and one; every decision threshold is at
+    least 100 times both, and ON_CIRCLE_TOL is at most a hundredth of
     MIN_VERTEX_SEP (see geometric_profile).  A numpy build whose rounding
     errors grow fails here first."""
     worst, nearest_off_circle = {}, np.inf
@@ -943,8 +989,10 @@ def test_error_bound_sits_between_realized_errors_and_every_decision(stacked_cas
     assert len(worst) == 10 and 100 * max(worst.values()) <= geometry.ERROR_TOL, worst
     assert nearest_off_circle >= 100 * geometry.ON_CIRCLE_TOL
     assert geometry.ACTION_ERROR == 3 * geometry.ERROR_TOL + 1e-14
+    assert geometry.PLANE_ERROR == 6 * geometry.ERROR_TOL + 1e-14
     for module, name in DECISION_THRESHOLDS:
         assert getattr(module, name) >= 100 * geometry.ACTION_ERROR, name
+        assert getattr(module, name) >= 100 * geometry.PLANE_ERROR, name
     assert 100 * geometry.ON_CIRCLE_TOL <= geometry.MIN_VERTEX_SEP
     tolerances = {name for module in (geometry, edges) for name in vars(module) if name.endswith("_TOL")}
     assert tolerances - {"ERROR_TOL"} <= {name for _, name in DECISION_THRESHOLDS}

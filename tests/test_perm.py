@@ -85,6 +85,24 @@ def test_group_orders(name, order):
     assert len(standard_group(name)) == order
 
 
+@pytest.mark.parametrize("make", [
+    lambda: standard_group("A4"), lambda: standard_group("S4"), lambda: standard_group("A5"),
+    a4_inside_a5,
+], ids=["A4", "S4", "A5", "a4_inside_a5"])
+def test_cyclic_means_average_over_each_cyclic_group(make):
+    """Row x of cyclic_means is 1/ord(x) on the rows of <x>, as generated
+    finds them, and zero elsewhere; the identity's row is zero, and the
+    operator is cached and read-only."""
+    g = make()
+    means = g.cyclic_means
+    assert means is g.cyclic_means and not means.flags.writeable
+    assert not means[0].any()
+    for x in range(1, g.order):
+        expect = np.zeros(g.order)
+        expect[list(generated(g, [x]))] = 1 / g.orders[x]
+        assert np.array_equal(means[x], expect), x
+
+
 def test_s4_class_sizes():
     g = standard_group("S4")
     sizes = {name: len(rows) for name, rows in g.classes.items()}
