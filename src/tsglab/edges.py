@@ -54,7 +54,7 @@ import numpy as np
 
 from .actions import VertexAction
 from .geometry import (CIRCLE_EQ_TOL, ERROR_TOL, SHARED_LINE_TOL, PrecisionError, Realization,
-                       plane_distance, projectors, same_circle, shared_lines)
+                       circles_of, plane_distance, projectors, same_circle, shared_lines)
 from .perm import pair_fixer_counts
 
 PAIR_TOL = 1e-8  # distance from an arc's circle within which a point lies on it
@@ -169,8 +169,8 @@ def check_h1(r: Realization, fixers: np.ndarray) -> bool:
     non-trivial fixers that full_report computes once."""
     first = r.planes[fixers.argmax(axis=1)]
     shared = same_circle(r.planes, first[:, None]) | ~fixers
-    # a zero projector is no circle, which nothing can share
-    return bool((first.any(axis=(1, 2)) & shared.all(axis=1)).all())
+    # trace 0 is no circle (fixed_planes: within PLANE_ERROR of 0 or 2), which nothing shares
+    return bool(((np.trace(first, axis1=1, axis2=2) > 1) & shared.all(axis=1)).all())
 
 
 def assign_arcs(r: Realization, pairs: list[tuple[int, int]], fixers: np.ndarray) -> Arcs:
@@ -178,7 +178,8 @@ def assign_arcs(r: Realization, pairs: list[tuple[int, int]], fixers: np.ndarray
 
     The pair's two endpoints cut the circle of its first non-trivial fixer
     into two arcs; the one whose interior contains no vertex is picked (the
-    shorter one when both qualify, or when neither does).
+    shorter one when both qualify, or when neither does).  The arc bases
+    are the fixers' rows of one circles_of call.
 
     Precondition: `r` passes h1, so the circle of the first non-trivial
     fixer of a pair (the first True in its row of `fixers`, as for
@@ -188,15 +189,16 @@ def assign_arcs(r: Realization, pairs: list[tuple[int, int]], fixers: np.ndarray
     if not pairs:
         return Arcs(np.empty((0, 2), dtype=int), np.empty(0, dtype=int), np.empty((0, 2, 4)),
                     np.empty(0), np.empty(0))
+    circles = circles_of(r.mats)
     rows = np.repeat(fixers.argmax(axis=1), 2)
     starts, sweeps = [], []
     for (u, v), fixer in zip(pairs, rows[::2].tolist()):
-        basis = r.circles[fixer]
+        basis = circles[fixer]
         a_u, a_v = _angle(basis, r.coords[u]), _angle(basis, r.coords[v])
         ccw = (a_v - a_u) % (2 * math.pi)
         starts += [a_u, a_u]
         sweeps += [ccw, ccw - 2 * math.pi]
-    candidates = Arcs(np.repeat(pairs, 2, axis=0), rows, r.circles[rows],
+    candidates = Arcs(np.repeat(pairs, 2, axis=0), rows, circles[rows],
                       np.array(starts), np.array(sweeps))
     blocked = _vertices_inside(r, candidates).any(axis=1).reshape(-1, 2)
     size = np.abs(candidates.sweeps).reshape(-1, 2)

@@ -39,10 +39,10 @@ eigensolver.  Near zero is "no circle": at each element that fixes
 nothing, and exactly zero at the identity, whose circle no check asks
 for.  It acts as "no circle" must: every unit point lies about 1 from its
 plane, so it holds no vertex, and within CIRCLE_EQ_TOL it equals only
-another such projector (a rank-2 projector has an entry >= 1/2).  The
-circles themselves, orthonormal plane bases from one SVD per element
-(circles_of), are realize's only: placement keeps clear of them and
-assign_arcs writes them as arc bases.
+another such projector (a rank-2 projector has an entry >= 1/2).
+Placement keeps clear of the same planes.  Orthonormal plane bases, from
+one SVD per element (circles_of), are assign_arcs' only: it writes them
+as arc bases.
 """
 
 from __future__ import annotations
@@ -278,8 +278,9 @@ def representation(group: PermGroup, model: Model) -> np.ndarray:
 def circles_of(mats: np.ndarray) -> np.ndarray:
     """Fixed circle of every element as a (|G|, 2, 4) array of plane bases,
     in the row order of mats as representation returns them; zero at row
-    0, the identity, as at the elements that fix nothing.  Realize only:
-    the checks read fixed_planes."""
+    0, the identity, as at the elements that fix nothing.  assign_arcs
+    only, for the arc bases it writes: placement and the checks read
+    fixed_planes."""
     return np.concatenate([np.zeros((1, 2, 4)), fixed_set(mats[1:])])
 
 
@@ -364,15 +365,15 @@ def orbit_coords(orbits: Orbits, mats: np.ndarray, base: np.ndarray) -> np.ndarr
     return coords
 
 
-def free_orbit_coords(mats: np.ndarray, circles: np.ndarray, n: int = 1,
+def free_orbit_coords(mats: np.ndarray, planes: np.ndarray, n: int = 1,
                       config: ModelConfig | None = None,
                       avoid: Optional[np.ndarray] = None) -> list[np.ndarray]:
     """n regular orbits of the group with matrices mats, from base points
-    sampled clear of every fixed circle in circles (as circles_of gives them).
+    sampled clear of every fixed plane in planes (as fixed_planes gives them).
 
-    Each base point keeps distance >= 0.05 from each fixed circle's plane,
-    and all produced points stay pairwise >= FREE_ORBIT_SEP (1e-3) apart
-    and that far from `avoid`.  How close the points of `avoid` sit to each
+    Each base point lies at least FREE_CIRCLE_CLEARANCE (0.05) from each
+    plane (plane_distance), and all produced points stay pairwise >=
+    FREE_ORBIT_SEP (1e-3) apart and that far from `avoid`.  How close the points of `avoid` sit to each
     other is the `separation` check's question, not placement's.
     Orbit row i is the image of the base point under mats[i].
     Deterministic for a fixed seed.
@@ -381,10 +382,9 @@ def free_orbit_coords(mats: np.ndarray, circles: np.ndarray, n: int = 1,
     The placed points then stay invariant, and since every matrix is an
     isometry, a candidate orbit clears them exactly when its base point
     does.  Candidates come in batches, drawn as single draws give them,
-    and a batch is tested at once: circle clearance (from |B p| for each
-    circle's basis B, plane_distance's test up to rounding), then one
-    CellGrid lookup of radius FREE_ORBIT_SEP of each base point among the
-    placed points and the batch's orbits.  A scan in draw order accepts
+    and a batch is tested at once: plane clearance, then one CellGrid
+    lookup of radius FREE_ORBIT_SEP of each base point among the placed
+    points and the batch's orbits.  A scan in draw order accepts
     each candidate that passed and is not close to an orbit it accepted
     before, as trying the candidates one at a time would.
     """
@@ -392,7 +392,6 @@ def free_orbit_coords(mats: np.ndarray, circles: np.ndarray, n: int = 1,
         raise ValueError("need n >= 1 free orbits")
     config = config or ModelConfig()
     sep, size = FREE_ORBIT_SEP, len(mats)
-    bases = circles.reshape(-1, 4).T  # two columns per circle
     rng = np.random.default_rng(config.seed)
     avoid = np.empty((0, 4)) if avoid is None else np.asarray(avoid, dtype=float)
     # every orbit point is a unit vector: the box holds it up to rounding
@@ -402,8 +401,7 @@ def free_orbit_coords(mats: np.ndarray, circles: np.ndarray, n: int = 1,
         p = rng.standard_normal(((n - len(orbits)) * 5 // 4 + 1, 4))
         p /= np.sqrt(p[:, None] @ p[..., None])[:, 0]  # each row's np.linalg.norm, bitwise
         batch = np.einsum("gij,bj->bgi", mats, p)  # bitwise mats @ row, for each row
-        along = np.square(p @ bases)  # a unit p is 1 - |B p|^2 squared from basis B's plane
-        clear = (along[:, ::2] + along[:, 1::2]).max(axis=1) <= 1 - FREE_CIRCLE_CLEARANCE ** 2
+        clear = plane_distance(planes, p).min(axis=0) >= FREE_CIRCLE_CLEARANCE
         first = len(avoid) + size * len(orbits)  # row (first + size * j) is candidate j's base
         points = np.concatenate([avoid, *orbits, batch.reshape(-1, 4)])
         close = {}  # candidate -> candidates within sep of it (negative: placed points)
@@ -530,12 +528,6 @@ class Realization:
         coords = orbit_coords(self.vertex_action.action.orbits, self.mats, self.base)
         coords.setflags(write=False)
         return coords
-
-    @cached_property
-    def circles(self) -> np.ndarray:
-        """circles_of(mats), the plane bases assign_arcs writes: realize
-        sets it, as placement computed it.  No check reads it."""
-        return circles_of(self.mats)
 
     @cached_property
     def planes(self) -> np.ndarray:
@@ -687,13 +679,6 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     va = va or build(p)
     parent = standard_group(p.building_group)
     mats = matrices_from_generators(parent, representation(parent, p.model)[list(parent.generators)])
-    sub = restricted_group(p.restriction)
-    acting = mats  # if restricted, a copy with the acting group's rows re-derived
-    if sub is not None:  # as verify derives them, from the generators
-        rows, acting = parent.rows(sub.elements), mats.copy()
-        acting[rows] = matrices_from_generators(sub, mats[rows[list(sub.generators)]])
-    circles = circles_of(acting)
-
     orbits = (va.parent or va.action).orbits  # one orbit per part, from its first vertex
     frees = [b.start for b in va.parts if b.kind == "free"]
     base = np.zeros((p.m, 4))
@@ -702,12 +687,13 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
             base[b.start] = _part_base_point(b.kind, config)
     if frees:
         avoid = orbit_coords(orbits, mats, base)[~np.isin(orbits.reps, frees)[orbits.index]]
-        base[frees] = [orbit[0] for orbit in free_orbit_coords(mats, circles, len(frees), config, avoid)]
-    if sub is not None:  # the A4 orbit minima read the parent's coordinates
-        base = orbit_coords(orbits, mats, base)
-        mats, circles = acting[rows], circles[rows]
+        placed = free_orbit_coords(mats, fixed_planes(parent, mats), len(frees), config, avoid)
+        base[frees] = [orbit[0] for orbit in placed]
+    sub = restricted_group(p.restriction)
+    if sub is not None:  # the A4 orbit minima read the parent's coordinates, and the
+        base = orbit_coords(orbits, mats, base)  # A4 rows are derived as verify derives them
+        mats = matrices_from_generators(sub, mats[parent.rows(sub.elements)[list(sub.generators)]])
     r = Realization(va, p.model, config, mats, base)
-    r.circles = circles
     validate_realization(r)
     return r
 

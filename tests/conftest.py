@@ -117,7 +117,7 @@ def all_vertex_inside(r, arcs):
     one stacked (rows, m, 4) product: the reference for
     edges._vertices_inside, which runs the exact tests only on the
     vertices one product with the fixers' bases finds near a circle."""
-    on_circle = plane_distance(projectors(r.circles[arcs.fixers]), r.coords) <= PAIR_TOL
+    on_circle = plane_distance(projectors(circles_of(r.mats)[arcs.fixers]), r.coords) <= PAIR_TOL
     on_circle &= (np.arange(r.m) != arcs.pairs[:, :1]) & (np.arange(r.m) != arcs.pairs[:, 1:])
     k, w = np.nonzero(on_circle)
     inside = np.zeros_like(on_circle)

@@ -29,6 +29,7 @@ from tsglab.geometry import (
     ModelConfig,
     Realization,
     _max_hom_error,
+    circles_of,
     fixed_set,
     geometric_profile,
     plane_distance,
@@ -162,9 +163,10 @@ def test_criterion_5_edge_certificates(realized):
     va, r = realized[("S4", 12)]
     s4 = standard_group("S4")
     base = r.base.copy()  # the edge orbit's representative moves, and its orbit with it
+    circles = circles_of(r.mats)
     other = next(i for i in s4.classes["n2p"]
-                 if plane_distance(projectors(r.circles[i]), base[0]) > 1e-6)
-    b0, b1 = r.circles[other]
+                 if plane_distance(projectors(circles[i]), base[0]) > 1e-6)
+    b0, b1 = circles[other]
     base[0] = math.cos(0.37) * b0 + math.sin(0.37) * b1
     corrupted = Realization(va, r.model, r.config, r.mats, base)
     assert not full_report(corrupted).overall
@@ -197,11 +199,11 @@ def test_criterion_6_negative_classification():
     _report("6 (negative classification)", t0, 1.0)
 
 
-def test_reference_certificates_byte_identical(tmp_path):
-    """The reference certificates keep the bytes recorded in
-    golden/reference_digests.json (seed 0).  Float formatting of the
-    coordinates can move with numpy, so another numpy version skips."""
-    golden = json.loads((GOLDEN / "reference_digests.json").read_text())
+def _assert_digests(tmp_path, golden_file: str):
+    """Every certificate named in a golden digest file keeps its recorded
+    bytes.  Float formatting of the coordinates can move with numpy, so
+    another numpy version skips."""
+    golden = json.loads((GOLDEN / golden_file).read_text())
     if golden["numpy"] != np.__version__:
         pytest.skip(f"digests were recorded with numpy {golden['numpy']}, not {np.__version__}")
     for name, digest in golden["sha256"].items():
@@ -212,6 +214,24 @@ def test_reference_certificates_byte_identical(tmp_path):
         path = tmp_path / f"{name}.json"
         write_certificate(str(path), r, full_report(r))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
+
+def test_reference_certificates_byte_identical(tmp_path):
+    """The reference certificates keep the bytes recorded in
+    golden/reference_digests.json (seed 0)."""
+    _assert_digests(tmp_path, "reference_digests.json")
+
+
+def test_restricted_certificates_byte_identical(tmp_path):
+    """A4 m=24 (restricted from S4) and m=61 and 65 (restricted from A5)
+    keep the bytes recorded in golden/restricted_digests.json (seed 0):
+    the restricted branch of realize, which the reference cases do not
+    reach."""
+    golden = json.loads((GOLDEN / "restricted_digests.json").read_text())
+    for name in golden["sha256"]:
+        group, m = name.split("_m")
+        assert plan(group.upper(), int(m)).restriction is not None, name
+    _assert_digests(tmp_path, "restricted_digests.json")
 
 
 def test_reference_script_writes_verified_certificates(tmp_path, monkeypatch, capsys):

@@ -34,6 +34,7 @@ from tsglab.geometry import (
     ModelConfig,
     PrecisionError,
     Realization,
+    circles_of,
     plane_distance,
     projectors,
     realize,
@@ -184,6 +185,21 @@ def test_h1_vacuous_for_unique_fixer(realized):
     assert check_h1(r, _fixers(r))
 
 
+@pytest.mark.parametrize("group,m,name", [("S4", 28, "n4"), ("A5", 5, "n5")])
+def test_h1_fails_when_the_first_fixer_fixes_no_circle(realized, group, m, name):
+    """A pair whose only non-trivial fixer fixes nothing (an order-4
+    element of TETRA_FULL, an order-5 one of SIMPLEX4) has no circle to
+    share.  That element's averaged plane is near zero, not exactly zero,
+    so h1 reads its trace, within PLANE_ERROR of 0, not its entries."""
+    _, r = realized[(group, m)]
+    assert r.model is {"n4": Model.TETRA_FULL, "n5": Model.SIMPLEX4}[name]
+    row = r.group.classes[name][0]
+    fixers = np.zeros((1, r.group.order), dtype=bool)
+    fixers[0, row] = True
+    assert 0 < np.abs(r.planes[row]).max() <= geometry.PLANE_ERROR
+    assert not check_h1(r, fixers)
+
+
 def test_h3_arc_fixed_by_edge_reversing_involution(realized):
     va, r = realized[("S4", 12)]
     arc = _rows(_arcs(r))[0]
@@ -212,9 +228,10 @@ def test_fixture_wrong_circle_vertex_fails(realized):
     va, r = realized[("S4", 12)]
     base = r.base.copy()
     # drag the edge orbit's representative onto a different transposition's circle
+    circles = circles_of(r.mats)
     other = next(i for i in S4.classes["n2p"]
-                 if plane_distance(projectors(r.circles[i]), base[0]) > 1e-6)
-    b0, b1 = r.circles[other]
+                 if plane_distance(projectors(circles[i]), base[0]) > 1e-6)
+    b0, b1 = circles[other]
     base[0] = math.cos(0.37) * b0 + math.sin(0.37) * b1
     bad = Realization(va, r.model, r.config, r.mats, base)
     report = full_report(bad)
@@ -634,7 +651,8 @@ def _arc_fault(r: Realization, arc: _Arc):
             or tuple(action_table(action)[arc.fixer, [u, v]]) != (u, v):
         return f"fixer of pair {pair} is not a non-trivial group element fixing both vertices"
     gram = float(np.abs(arc.basis @ arc.basis.T - np.eye(2)).max())
-    if not gram <= ERROR_TOL or not same_circle(arc.projector, projectors(r.circles[arc.fixer])):
+    circle = projectors(circles_of(r.mats)[arc.fixer])
+    if not gram <= ERROR_TOL or not same_circle(arc.projector, circle):
         return f"arc of pair {pair} is not on the fixed circle of its fixer"
     if not (math.isfinite(arc.start) and 0 < abs(arc.sweep) < 2 * math.pi) \
             or not _joins(arc, r.coords[u], r.coords[v]):
@@ -652,12 +670,12 @@ def _per_arc_check_arcs(r: Realization, arcs: Arcs, pairs) -> None:
         raise ArcAssignmentError(f"arc over pair {extra[0]}, which is not a pinned pair")
     if missing:
         raise ArcAssignmentError(f"pinned pair {missing[0]} has no arc")
-    fault = None
+    fault, circles = None, projectors(circles_of(r.mats))
     for arc in rows:
         fault = _arc_fault(r, arc)
         if fault:
             break
-        circle = projectors(r.circles[arc.fixer])
+        circle = circles[arc.fixer]
         for w, p in enumerate(r.coords):
             if w not in arc.pair and plane_distance(circle, p) <= PAIR_TOL \
                     and _old_holds_angle(arc, _old_angle(arc.basis, p), INSIDE_MARGIN):
@@ -812,6 +830,7 @@ def _two_clause_h3(r, arcs) -> bool:
     carries the arc's own circle) must map the arc onto itself."""
     va = r.vertex_action
     arcs = {arc.pair: arc for arc in _rows(arcs)}
+    circles = projectors(circles_of(r.mats))
     for f, (img, mat) in enumerate(zip(action_table(va.action), r.mats)):
         for pair, arc in arcs.items():
             target = arcs.get(_image_pair(img, pair))
@@ -822,7 +841,7 @@ def _two_clause_h3(r, arcs) -> bool:
                 return False
             if f == 0:  # the identity
                 continue
-            fc = projectors(r.circles[f])
+            fc = circles[f]
             if not fc.any():
                 continue
             if same_circle(fc, arc.projector):

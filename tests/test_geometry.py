@@ -368,15 +368,15 @@ def test_midpoint_parameter_rejected():
 # ------------------------------------------------------------ free orbits
 
 
-def _matrices_and_circles(g, model):
+def _matrices_and_planes(g, model):
     mats = representation(g, model)
-    return mats, circles_of(mats)
+    return mats, fixed_planes(g, mats)
 
 
 def test_free_orbit_sizes():
-    orbits = free_orbit_coords(*_matrices_and_circles(A4, Model.TETRA_ROT), 1)
+    orbits = free_orbit_coords(*_matrices_and_planes(A4, Model.TETRA_ROT), 1)
     assert len(orbits) == 1 and orbits[0].shape == (12, 4)
-    orbits = free_orbit_coords(*_matrices_and_circles(A5, Model.SIMPLEX4), 2)
+    orbits = free_orbit_coords(*_matrices_and_planes(A5, Model.SIMPLEX4), 2)
     assert sum(o.shape[0] for o in orbits) == 120
     pool = np.vstack(orbits)
     diff = np.linalg.norm(pool[:, None] - pool[None, :], axis=2)
@@ -385,23 +385,25 @@ def test_free_orbit_sizes():
 
 
 def test_free_orbits_clear_of_circles():
-    mats, by_row = _matrices_and_circles(A4, Model.TETRA_ROT)
-    orbits = free_orbit_coords(mats, by_row, 1, ModelConfig(seed=3))
+    mats, planes = _matrices_and_planes(A4, Model.TETRA_ROT)
+    orbits = free_orbit_coords(mats, planes, 1, ModelConfig(seed=3))
     base = orbits[0][0]
-    assert min(np.linalg.norm(base - b.T @ (b @ base)) for b in by_row[1:]) >= 0.05
+    assert min(np.linalg.norm(base - b.T @ (b @ base)) for b in circles_of(mats)[1:]) >= 0.05
 
 
 def test_free_orbit_determinism():
-    a = free_orbit_coords(*_matrices_and_circles(A5, Model.DODECA_ROT), 1, ModelConfig(seed=11))[0]
-    b = free_orbit_coords(*_matrices_and_circles(A5, Model.DODECA_ROT), 1, ModelConfig(seed=11))[0]
+    a = free_orbit_coords(*_matrices_and_planes(A5, Model.DODECA_ROT), 1, ModelConfig(seed=11))[0]
+    b = free_orbit_coords(*_matrices_and_planes(A5, Model.DODECA_ROT), 1, ModelConfig(seed=11))[0]
     assert np.array_equal(a, b)
 
 
-def _all_pairs_placement(mats, circles, n, config, avoid):
+def _all_pairs_placement(mats, n, config, avoid):
     """free_orbit_coords with the all-pairs distance tests: every point of
-    a candidate orbit against every other point and every placed point.
-    Returns the orbits and the number of candidates the distances refused."""
-    circles = [b for b in circles if b.any()]
+    a candidate orbit against every other point and every placed point,
+    and the circle clearance measured from the SVD plane bases (circles_of)
+    rather than the averaged planes.  Returns the orbits and the number of
+    candidates the distances refused."""
+    circles = [b for b in circles_of(mats) if b.any()]
     rng = np.random.default_rng(config.seed)
     placed = np.empty((0, 4)) if avoid is None else avoid
     orbits, refused = [], 0
@@ -448,12 +450,12 @@ def test_free_orbit_placement_matches_all_pairs_checks(monkeypatch, model, seed,
     if crowded:
         monkeypatch.setattr(geometry, "FREE_CIRCLE_CLEARANCE", 0.0)
         monkeypatch.setattr(geometry, "FREE_ORBIT_SEP", 0.15)
-    mats, circles = _matrices_and_circles(GROUP_OF[model], model)
+    mats, planes = _matrices_and_planes(GROUP_OF[model], model)
     cfg = ModelConfig(seed=seed)
     refused = 0
     for avoid in (None, _INVARIANT_AVOID[model]):
-        fast = free_orbit_coords(mats, circles, 20, cfg, avoid)
-        slow, count = _all_pairs_placement(mats, circles, 20, cfg, avoid)
+        fast = free_orbit_coords(mats, planes, 20, cfg, avoid)
+        slow, count = _all_pairs_placement(mats, 20, cfg, avoid)
         refused += count
         assert len(fast) == len(slow) == 20
         assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
@@ -469,10 +471,10 @@ def test_free_orbit_placement_matches_all_pairs_checks_over_batches(monkeypatch,
     if crowded:
         monkeypatch.setattr(geometry, "FREE_CIRCLE_CLEARANCE", 0.0)
         monkeypatch.setattr(geometry, "FREE_ORBIT_SEP", 0.15)
-    mats, circles = _matrices_and_circles(A4, Model.TETRA_ROT)
+    mats, planes = _matrices_and_planes(A4, Model.TETRA_ROT)
     avoid, cfg = _INVARIANT_AVOID[Model.TETRA_ROT], ModelConfig(seed=0)
-    fast = free_orbit_coords(mats, circles, 101, cfg, avoid)
-    slow, refused = _all_pairs_placement(mats, circles, 101, cfg, avoid)
+    fast = free_orbit_coords(mats, planes, 101, cfg, avoid)
+    slow, refused = _all_pairs_placement(mats, 101, cfg, avoid)
     assert len(fast) == len(slow) == 101
     assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
     assert refused > 101 // 4 + 1 or not crowded
@@ -482,11 +484,11 @@ def test_unmeetable_separation_fails_both_placements(monkeypatch):
     """No two points of the sphere are 2.1 apart, so every candidate is too
     close to its own orbit: both placements give up with PlacementError."""
     monkeypatch.setattr(geometry, "FREE_ORBIT_SEP", 2.1)
-    mats, circles = _matrices_and_circles(A4, Model.TETRA_ROT)
+    mats, planes = _matrices_and_planes(A4, Model.TETRA_ROT)
     with pytest.raises(PlacementError, match="after 400 attempts"):
-        free_orbit_coords(mats, circles, 2, ModelConfig(seed=0))
+        free_orbit_coords(mats, planes, 2, ModelConfig(seed=0))
     with pytest.raises(PlacementError):
-        _all_pairs_placement(mats, circles, 2, ModelConfig(seed=0), None)
+        _all_pairs_placement(mats, 2, ModelConfig(seed=0), None)
 
 
 # ------------------------------------------------------------ realization
@@ -508,8 +510,9 @@ def test_a5_61_only_center_touches_circles():
 
 def test_s4_12_each_transposition_circle_holds_two_vertices():
     r = realize(plan("S4", 12))
+    circles = projectors(circles_of(r.mats))
     for i in S4.classes["n2p"]:  # the transpositions
-        assert (plane_distance(projectors(r.circles[i]), r.coords) <= 1e-9).sum() == 2
+        assert (plane_distance(circles[i], r.coords) <= 1e-9).sum() == 2
 
 
 def test_a4_13_pole_vertex_fixed_by_all():
@@ -530,12 +533,15 @@ def test_restricted_realizations_validate():
         assert geometric_profile(r).key() == measured_profile(r.vertex_action).key()
 
 
-@pytest.mark.parametrize("group,m,calls", [("A4", 61, 59), ("S4", 28, 23)])
+# the third figure in each id is the number of rows realize once took SVDs of
+@pytest.mark.parametrize("group,m,calls", [("A4", 61, []), ("S4", 28, [23])],
+                         ids=["A4-61-59", "S4-28-23"])
 def test_realize_computes_each_fixed_circle_once(monkeypatch, group, m, calls):
-    """realize builds the building group's circles once, for placement and
-    for the realization alike: one fixed_set call on the stack of the
-    non-identity elements of the building group (A5 for the restricted A4
-    m=61, S4 for S4 m=28)."""
+    """realize takes no fixed-set SVD: placement keeps clear of the averaged
+    planes.  full_report takes one, assign_arcs' circles_of on the stack of
+    the acting group's non-identity elements, and only when some pair is
+    pinned: 23 rows for S4 m=28, none for the restricted A4 m=61, whose
+    only pinned vertex is the center."""
     stacks = []
     real_fixed_set = geometry.fixed_set
 
@@ -545,19 +551,35 @@ def test_realize_computes_each_fixed_circle_once(monkeypatch, group, m, calls):
 
     p = plan(group, m)
     monkeypatch.setattr(geometry, "fixed_set", counting)
-    realize(p)
-    assert stacks == [calls]
+    r = realize(p)
+    assert stacks == []
+    assert full_report(r).overall
+    assert stacks == calls
 
 
 @pytest.mark.parametrize("m", [24, 61, 65, 1205])
 def test_restricted_realization_keeps_the_circles_verify_computes(m):
     """A restricted plan's A4 matrices are derived from its generators, and
-    realize takes the arc bases it writes from the circles of exactly
-    those matrices, whose averaged planes the checks read."""
+    the arc bases written for it are the circles of exactly those
+    matrices, whose averaged planes the checks read."""
     p = plan("A4", m)
     r = realize(p)
     assert p.restriction is not None
-    assert np.array_equal(r.circles, circles_of(r.mats))
+    arcs = full_report(r).arcs
+    assert np.array_equal(arcs.bases, circles_of(r.mats)[arcs.fixers])
+
+
+@pytest.mark.parametrize("group,m", [("A4", 1213), ("S4", 1204), ("A5", 1205)])
+def test_free_orbit_vertices_clear_every_fixed_plane(group, m):
+    """Every vertex of every free orbit, not only each orbit's base point,
+    lies at least FREE_CIRCLE_CLEARANCE from the fixed plane of every
+    non-identity element (Realization.planes)."""
+    r = realize(plan(group, m))
+    free = np.concatenate([np.arange(b.start, b.start + b.size)
+                           for b in r.vertex_action.parts if b.kind == "free"])
+    assert len(free) >= 20 * r.group.order
+    distances = plane_distance(r.planes[1:], r.coords[free])
+    assert distances.min() >= geometry.FREE_CIRCLE_CLEARANCE
 
 
 def test_knotted_plans_refused():
@@ -944,7 +966,7 @@ DECISION_THRESHOLDS = [
 def _identity_errors(r):
     """The largest error realize leaves in each identity that holds exactly
     in exact arithmetic, and the nearest vertex off any element's circle."""
-    circle_distances = plane_distance(projectors(r.circles[1:]), r.coords)
+    circle_distances = plane_distance(projectors(circles_of(r.mats)[1:]), r.coords)
     on_circle = circle_distances <= geometry.ON_CIRCLE_TOL
     errors = {
         "orthogonality": np.abs(r.mats.transpose(0, 2, 1) @ r.mats - np.eye(4)).max(),
