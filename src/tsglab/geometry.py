@@ -681,19 +681,23 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     mats = matrices_from_generators(parent, representation(parent, p.model)[list(parent.generators)])
     orbits = (va.parent or va.action).orbits  # one orbit per part, from its first vertex
     frees = [b.start for b in va.parts if b.kind == "free"]
-    base = np.zeros((p.m, 4))
+    base, planes = np.zeros((p.m, 4)), None
     for b in va.parts:
         if b.kind != "free":
             base[b.start] = _part_base_point(b.kind, config)
     if frees:
         avoid = orbit_coords(orbits, mats, base)[~np.isin(orbits.reps, frees)[orbits.index]]
-        placed = free_orbit_coords(mats, fixed_planes(parent, mats), len(frees), config, avoid)
+        planes = fixed_planes(parent, mats)
+        planes.setflags(write=False)
+        placed = free_orbit_coords(mats, planes, len(frees), config, avoid)
         base[frees] = [orbit[0] for orbit in placed]
     sub = restricted_group(p.restriction)
     if sub is not None:  # the A4 orbit minima read the parent's coordinates, and the
         base = orbit_coords(orbits, mats, base)  # A4 rows are derived as verify derives them
         mats = matrices_from_generators(sub, mats[parent.rows(sub.elements)[list(sub.generators)]])
     r = Realization(va, p.model, config, mats, base)
+    if planes is not None and sub is None:
+        r.planes = planes  # the parent's group and matrices: placement's planes are the checks'
     validate_realization(r)
     return r
 

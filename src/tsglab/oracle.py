@@ -9,8 +9,11 @@ surviving degrees with a rule-abiding aggregate profile.  One depth-first
 sweep answers every m below a bound (3|G| for the residues) at once, with
 its multisets bucketed by degree sum.  Aggregate counts only grow as orbits
 are added, so the sweep never adds a copy of a type that would bust a cap
-or the bound.  The residue sets this produces must equal the ones
-the profile engine derives; for S4 they must fall out of the profile caps
+or the bound.  That keeps every aggregate in the box {0..MAX_FIX}^classes,
+as each cap is a maximum over the cached walk of that box
+(profiles.rule_abiding_profiles), so an aggregate's verdict is one lookup
+in that walk.  The residue sets this produces must equal the ones the
+profile engine derives; for S4 they must fall out of the profile caps
 alone, since the oracle never reads the m-congruence rules.
 """
 
@@ -19,26 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perm import (
-    GROUP_ORDER,
-    burnside_orbit_count,
-    class_fixed_counts,
-    coset_action,
-    kernel,
-    standard_group,
-    subgroups_up_to_conjugacy,
-)
-from .profiles import (
-    CLASS_WEIGHTS,
-    CongruenceSet,
-    FixedVertexProfile,
-    profile_rules,
-    rule_abiding_profiles,
-)
+import numpy as np
+
+from .perm import GROUP_ORDER, standard_group, subgroups_up_to_conjugacy
+from .profiles import CLASS_WEIGHTS, CongruenceSet, FixedVertexProfile, rule_abiding_profiles
 
 
 class OracleInconsistencyError(RuntimeError):
-    """Raised when feasibility fails to be periodic with period |G|."""
+    """Raised when feasibility fails to be periodic with period |G|, or
+    when a type's fixed-coset counts are no transitive action's."""
 
 
 @dataclass(frozen=True)
@@ -68,15 +60,33 @@ class OrbitMultiset:
 
 @lru_cache(maxsize=None)
 def transitive_types(group: str) -> tuple[TransitiveType, ...]:
-    """One type per subgroup conjugacy class, with exact fix vectors."""
+    """One type per subgroup conjugacy class, with exact fix vectors, by
+    degree, largest first.
+
+    g fixes the coset xH exactly when x⁻¹gx lies in H, and each coset has
+    |H| such x, so one count of the x with x⁻¹gx in H, over the Cayley
+    table for every subgroup representative H and row g, gives each
+    type's fixed-coset counts: its degree at the identity, its fix vector
+    on the classes and its kernel, the rows that fix every coset.  The
+    counts must sum to |G| (one orbit, by Burnside) and be constant on each
+    class; either failure raises OracleInconsistencyError."""
     g = standard_group(group)
-    types = []
-    for idx, h in enumerate(subgroups_up_to_conjugacy(group)):
-        act = coset_action(g, h)
-        vec = class_fixed_counts(act)
-        if burnside_orbit_count(act) != 1:
-            raise OracleInconsistencyError("transitive action with orbit count != 1")
-        types.append(TransitiveType(group, idx, act.m, tuple(sorted(vec.items())), kernel(act)))
+    subgroups = subgroups_up_to_conjugacy(group)
+    rows = np.arange(g.order)
+    inv = (g.cayley == 0).argmax(axis=1)  # the identity is row 0
+    conj = g.cayley[g.cayley[inv], rows[:, None]]  # conj[x, y]: row of x⁻¹ * y * x
+    member = np.array([np.isin(rows, h) for h in subgroups])
+    # fixed[H, y]: cosets of H that y fixes
+    fixed = member[:, conj].sum(axis=1) // member.sum(axis=1, keepdims=True)
+    if (fixed.sum(axis=1) != g.order).any():
+        raise OracleInconsistencyError("transitive action with orbit count != 1")
+    for name, members in g.classes.items():
+        if (fixed[:, members] != fixed[:, members[:1]]).any():
+            raise OracleInconsistencyError(f"fixed-coset count varies within class {name}")
+    firsts = sorted((name, members[0]) for name, members in g.classes.items() if name != "n1")
+    types = [TransitiveType(group, idx, counts[0], tuple((name, counts[i]) for name, i in firsts),
+                            tuple(i for i, c in enumerate(counts) if c == counts[0]))
+             for idx, counts in enumerate(fixed.tolist())]
     return tuple(sorted(types, key=lambda t: -t.degree))
 
 
@@ -100,6 +110,20 @@ def admissible_types(group: str, drop_rules: tuple[str, ...] = ()) -> tuple[Tran
     )
 
 
+@lru_cache(maxsize=None)
+def _walk_inputs(group: str, drop_rules: tuple[str, ...]):
+    """What every sweep under these rules reads, built once: the class caps,
+    the admissible types, each type's fix row and kernel, and the verdict
+    lookup from a box point's counts (key() order) to its rule-abiding
+    profile, which holds exactly the box points that pass the rules."""
+    caps = tuple(cap for _, cap in class_caps(group, drop_rules))
+    types = admissible_types(group, drop_rules)
+    fixes = tuple(tuple(t.fix(name) for name in CLASS_WEIGHTS[group]) for t in types)
+    cores = tuple(frozenset(t.core) for t in types)
+    verdicts = {p.key(): p for p in rule_abiding_profiles(group, drop_rules)}
+    return caps, types, fixes, cores, verdicts
+
+
 def feasible_sweep(group: str, bound: int, *,
                    drop_rules: tuple[str, ...] = ()) -> list[list[OrbitMultiset]]:
     """Every multiset of admissible orbit types with degree sum m < bound
@@ -110,37 +134,38 @@ def feasible_sweep(group: str, bound: int, *,
     then grows by copies of later types.  Bucket m lists its multisets in
     the order a walk pruned at degree sum m would find them.
 
+    A node's verdict is one dict lookup of its aggregate counts in the
+    cached walk of the box {0..MAX_FIX}^classes (rule_abiding_profiles):
+    the caps are maxima over that walk, so at most MAX_FIX, and the sweep
+    never adds a copy past a cap, so every aggregate lies in the box, where
+    a point passes the rules exactly when the walk holds it.  The profile a
+    multiset carries is that walk's own.
+
     Faithfulness of the assembled action is required on the K_m domain
     (m >= 4); below it the values only feed the periodicity scan, where
     the empty and single-fixed-point actions must count as feasible.
     """
-    caps = class_caps(group, drop_rules)
-    names = [name for name, _ in caps]
-    types = admissible_types(group, drop_rules)
-    fixes = [[t.fix(name) for name in names] for t in types]
-    cores = [frozenset(t.core) for t in types]
-    rules = profile_rules(group, drop_rules)
+    caps, types, fixes, cores, verdicts = _walk_inputs(group, drop_rules)
     out: list[list[OrbitMultiset]] = [[] for _ in range(bound)]
 
-    def visit(start: int, m: int, agg: list[int], ker: frozenset[int],
+    def visit(start: int, m: int, agg: tuple[int, ...], ker: frozenset[int],
               chosen: list[tuple[TransitiveType, int]]):
         faithful = ker == {0}  # only the identity row
         if faithful or m < 4:
-            # no max-count test: the search keeps aggregates within caps <= MAX_FIX
-            profile = FixedVertexProfile(group, **dict(zip(names, agg)))
-            if all(r.check(profile) for r in rules):
+            profile = verdicts.get(agg)
+            if profile is not None:
                 out[m].append(OrbitMultiset(group, tuple(chosen), m, profile, faithful))
         for i in range(start, len(types)):
             t, fix = types[i], fixes[i]
             # more copies of t than this would bust the bound or a class cap
             top = min([(bound - 1 - m) // t.degree]
-                      + [(cap - a) // f for (_, cap), a, f in zip(caps, agg, fix) if f])
+                      + [(cap - a) // f for cap, a, f in zip(caps, agg, fix) if f])
             for c in range(top, 0, -1):
-                visit(i + 1, m + c * t.degree, [a + c * f for a, f in zip(agg, fix)],
+                visit(i + 1, m + c * t.degree, tuple(a + c * f for a, f in zip(agg, fix)),
                       ker & cores[i], chosen + [(t, c)])
 
     if bound > 0:
-        visit(0, 0, [0] * len(names), frozenset(range(GROUP_ORDER[group])), [])
+        visit(0, 0, (0,) * len(caps), frozenset(range(GROUP_ORDER[group])), [])
     del visit  # it refers to itself: unbound, the walk is freed now, not by a later collection
     return out
 

@@ -557,6 +557,29 @@ def test_realize_computes_each_fixed_circle_once(monkeypatch, group, m, calls):
     assert stacks == calls
 
 
+@pytest.mark.parametrize("group,m,planes", [
+    ("S4", 28, ["S4"]), ("A4", 1213, ["A4"]), ("A5", 1205, ["A5"]), ("A4", 61, ["A5", "A4"]),
+], ids=["S4-28", "A4-1213", "A5-1205", "A4-61"])
+def test_realize_computes_the_fixed_planes_once(monkeypatch, group, m, planes):
+    """realize computes the averaged fixed planes once: placement's planes
+    are the checks' when the realization acts by the parent's group and
+    matrices.  The restricted A4 m=61 needs two, A5's for placement and
+    A4's for the checks."""
+    groups = []
+    real_fixed_planes = geometry.fixed_planes
+
+    def counting(g, mats):
+        groups.append(g.name)
+        return real_fixed_planes(g, mats)
+
+    p = plan(group, m)
+    monkeypatch.setattr(geometry, "fixed_planes", counting)
+    r = realize(p)
+    assert groups == planes
+    assert np.array_equal(r.planes, real_fixed_planes(r.group, r.mats))
+    assert not r.planes.flags.writeable
+
+
 @pytest.mark.parametrize("m", [24, 61, 65, 1205])
 def test_restricted_realization_keeps_the_circles_verify_computes(m):
     """A restricted plan's A4 matrices are derived from its generators, and

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsglab import oracle
 from tsglab.perm import (
     GROUP_ORDER,
     GroupAction,
@@ -17,11 +18,14 @@ from tsglab.perm import (
     class_fixed_counts,
     coset_action,
     is_faithful,
+    kernel,
     standard_group,
     subgroups_up_to_conjugacy,
 )
 from tsglab.oracle import (
+    OracleInconsistencyError,
     OrbitMultiset,
+    TransitiveType,
     admissible_types,
     class_caps,
     feasible_multisets,
@@ -77,6 +81,39 @@ def test_transitive_burnside_identity(group):
         assert weighted + t.degree == GROUP_ORDER[group] or weighted + 0 == weighted
         # identity fixes all cosets; non-identity contributions are in fix_vector
         assert t.degree + weighted == GROUP_ORDER[group]
+
+
+def _coset_action_types(group):
+    """The type table from explicit coset actions: each subgroup
+    representative's left-coset action, its class fixed counts, its
+    Burnside orbit count and its kernel, by degree, largest first."""
+    g = standard_group(group)
+    types = []
+    for idx, h in enumerate(subgroups_up_to_conjugacy(group)):
+        act = coset_action(g, h)
+        assert burnside_orbit_count(act) == 1
+        vec = class_fixed_counts(act)
+        types.append(TransitiveType(group, idx, act.m, tuple(sorted(vec.items())), kernel(act)))
+    return tuple(sorted(types, key=lambda t: -t.degree))
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_transitive_types_equal_the_coset_actions(group):
+    """The conjugation count gives the types the coset actions give, in the
+    same order, fix vectors and kernels included."""
+    assert transitive_types(group) == _coset_action_types(group)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ((0, 1, 3), "orbit count"),  # counts that do not sum to |G|
+    ((0, 1, 5), "varies within class n3"),  # two conjugate 3-cycles, not their inverses
+])
+def test_transitive_types_reject_counts_of_no_subgroup(monkeypatch, rows, message):
+    """Rows that are no A4 subgroup give fixed-coset counts no transitive
+    action has, and the type table refuses them."""
+    monkeypatch.setattr(oracle, "subgroups_up_to_conjugacy", lambda group: (rows,))
+    with pytest.raises(OracleInconsistencyError, match=message):
+        transitive_types.__wrapped__("A4")
 
 
 def test_admissible_degrees():
@@ -314,6 +351,30 @@ def test_sweep_buckets_equal_per_m_search(group):
         for m, bucket in enumerate(sweep):
             assert bucket == _per_m_reference(group, m, drop), (group, m, drop)
             assert feasible_multisets(group, m, drop_rules=drop) == bucket
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_sweep_builds_no_profile(monkeypatch, group):
+    """Once the box walk is cached, a 3|G| sweep, with all rules on or one
+    profile rule dropped, constructs no FixedVertexProfile: each verdict is
+    a lookup.  Its buckets are still the per-m search's."""
+    order = GROUP_ORDER[group]
+    drops = [()] + [(r.id,) for r in profile_rules(group)]
+    for drop in drops:
+        feasible_sweep(group, 3 * order, drop_rules=drop)  # warm the walk caches
+    built = []
+    real_post_init = FixedVertexProfile.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(FixedVertexProfile, "__post_init__", counting)
+    sweeps = {drop: feasible_sweep(group, 3 * order, drop_rules=drop) for drop in drops}
+    assert built == []
+    monkeypatch.undo()
+    for drop, sweep in sweeps.items():
+        assert sweep == [_per_m_reference(group, m, drop) for m in range(3 * order)], drop
 
 
 @pytest.mark.parametrize("group", GROUPS)
