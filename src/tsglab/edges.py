@@ -179,7 +179,9 @@ def assign_arcs(r: Realization, pairs: list[tuple[int, int]], fixers: np.ndarray
     The pair's two endpoints cut the circle of its first non-trivial fixer
     into two arcs; the one whose interior contains no vertex is picked (the
     shorter one when both qualify, or when neither does).  The arc bases
-    are the fixers' rows of one circles_of call.
+    are the fixers' rows of circles_of, read off the averaged planes the
+    checks read (Realization.planes), so no eigensolver runs; verify takes
+    any orthonormal basis of the fixer's plane.
 
     Precondition: `r` passes h1, so the circle of the first non-trivial
     fixer of a pair (the first True in its row of `fixers`, as for
@@ -189,7 +191,7 @@ def assign_arcs(r: Realization, pairs: list[tuple[int, int]], fixers: np.ndarray
     if not pairs:
         return Arcs(np.empty((0, 2), dtype=int), np.empty(0, dtype=int), np.empty((0, 2, 4)),
                     np.empty(0), np.empty(0))
-    circles = circles_of(r.mats)
+    circles = circles_of(r.planes)
     rows = np.repeat(fixers.argmax(axis=1), 2)
     starts, sweeps = [], []
     for (u, v), fixer in zip(pairs, rows[::2].tolist()):

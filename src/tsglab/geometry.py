@@ -40,9 +40,9 @@ nothing, and exactly zero at the identity, whose circle no check asks
 for.  It acts as "no circle" must: every unit point lies about 1 from its
 plane, so it holds no vertex, and within CIRCLE_EQ_TOL it equals only
 another such projector (a rank-2 projector has an entry >= 1/2).
-Placement keeps clear of the same planes.  Orthonormal plane bases, from
-one SVD per element (circles_of), are assign_arcs' only: it writes them
-as arc bases.
+Placement keeps clear of the same planes, and assign_arcs writes arc
+bases read off them (circles_of), so a fixed circle has this one
+representation.
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ SHARED_LINE_TOL = CIRCLE_EQ_TOL * 10  # singular values of a line two circles sh
 MIN_VERTEX_SEP = 1e-6
 FREE_CIRCLE_CLEARANCE = 0.05
 FREE_ORBIT_SEP = 1e-3
-_SV_ZERO = 1e-7
-_SV_AMBIGUOUS = 1e-6
 _CELL_MARGIN = 2.0 ** -20  # relative widening of a cell over the search radius
 _CELL_SPAN = 2 ** 14  # most cells across the points' range on one axis
 _PAIR_CHUNK = 2 ** 20  # most candidate pairs measured at once
@@ -82,7 +80,9 @@ _NEIGHBOURS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
 
 
 class PrecisionError(RuntimeError):
-    """Numerically ambiguous eigenstructure; results would be unreliable."""
+    """A fixed plane whose trace is not within PLANE_ERROR of 0 or 2
+    (fixed_planes), or two distinct circles that seem to share a 2-plane
+    (edges): the numbers cannot name a fixed circle reliably."""
 
 
 class UnsupportedGeometryError(RuntimeError):
@@ -139,46 +139,6 @@ def shared_lines(p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray
     line = vt[..., -1, :]  # singular values come in descending order
     return np.count_nonzero(s < SHARED_LINE_TOL, axis=-1), \
         line / np.linalg.norm(line, axis=-1, keepdims=True)
-
-
-def _canonical_rows(rows: np.ndarray) -> np.ndarray:
-    """Stacked (..., 2, 4) plane bases in one canonical form: each row
-    signed so its largest entry in magnitude (the first on a tie) is
-    positive, then the two rows ordered by their entries rounded to 9
-    decimals (kept in place when those agree)."""
-    top = np.take_along_axis(rows, np.abs(rows).argmax(axis=-1)[..., None], axis=-1)
-    signed = np.where(top < 0, -rows, rows)
-    key = np.round(signed, 9)
-    differ = key[..., 0, :] != key[..., 1, :]
-    first = differ.argmax(axis=-1)[..., None]
-    swap = np.take_along_axis(key[..., 1, :], first, -1) < np.take_along_axis(key[..., 0, :], first, -1)
-    return np.where(swap[..., None], signed[..., ::-1, :], signed)
-
-
-def fixed_set(mats: np.ndarray) -> np.ndarray:
-    """+1 eigenplanes of a (..., 4, 4) stack of special-orthogonal matrices,
-    from one SVD of M - I: (..., 2, 4) orthonormal bases, zero where a
-    matrix fixes nothing.  The identity is rejected (it fixes the whole
-    sphere, not a circle), and singular values in the ambiguous band raise
-    PrecisionError rather than guessing a dimension; the first offending
-    matrix decides the error.
-    """
-    m = np.asarray(mats, dtype=float)
-    if m.shape[-2:] != (4, 4):
-        raise ValueError("expected 4x4 matrices")
-    _, sv, vt = np.linalg.svd(m.reshape(-1, 4, 4) - np.eye(4))
-    dim = np.count_nonzero(sv < _SV_ZERO, axis=1)
-    ambiguous = ((sv >= _SV_ZERO) & (sv < _SV_AMBIGUOUS)).any(axis=1)
-    offending = np.flatnonzero(ambiguous | ((dim != 0) & (dim != 2)))
-    if offending.size:
-        i = offending[0]
-        if ambiguous[i]:
-            raise PrecisionError(f"singular values too close to zero to classify: {sv[i]}")
-        if dim[i] == 4:
-            raise ValueError("identity matrix fixes the whole sphere; not a circle")
-        raise PrecisionError(f"fixed subspace of dimension {dim[i]}; SO(4) allows only 0, 2 or 4")
-    bases = np.where((dim == 2)[:, None, None], _canonical_rows(vt[:, -2:]), 0.0)
-    return bases.reshape(m.shape[:-2] + (2, 4))
 
 
 # ------------------------------------------------------------------ bases
@@ -275,13 +235,36 @@ def representation(group: PermGroup, model: Model) -> np.ndarray:
     return mats
 
 
-def circles_of(mats: np.ndarray) -> np.ndarray:
-    """Fixed circle of every element as a (|G|, 2, 4) array of plane bases,
-    in the row order of mats as representation returns them; zero at row
-    0, the identity, as at the elements that fix nothing.  assign_arcs
-    only, for the arc bases it writes: placement and the checks read
-    fixed_planes."""
-    return np.concatenate([np.zeros((1, 2, 4)), fixed_set(mats[1:])])
+def circles_of(planes: np.ndarray) -> np.ndarray:
+    """Fixed circle of every element as (|G|, 2, 4) orthonormal plane bases,
+    read off the averaged planes (fixed_planes, same row order) with no
+    eigensolver; zero where the trace is at most 1, at the identity and at
+    the elements that fix nothing.  assign_arcs writes them as arc bases.
+
+    With S = (P + Pᵀ)/2, row 0 is S's largest column, normalized, and row 1
+    the largest column of S - a·aᵀS (a row 0), made orthogonal to row 0 and
+    normalized.  S lies within PLANE_ERROR of a rank-2 projector Π, whose
+    columns' squared norms Π_jj sum to 2, so those columns have norms of
+    about 1/√2 and 1/2 at least: the basis is well conditioned for every
+    plane.  Entries of S within PLANE_ERROR of zero read as exactly 0 first,
+    so an axis-aligned circle gets exact zeros, not rounding noise.  That is
+    safe: it moves the plane by at most PLANE_ERROR per entry, far within
+    CIRCLE_EQ_TOL, and verify takes the Gram matrix and same_circle of the
+    rows as written."""
+    s = (planes + np.swapaxes(planes, 1, 2)) / 2
+    s[np.abs(s) <= PLANE_ERROR] = 0.0
+    circle = np.trace(s, axis1=1, axis2=2) > 1
+    s = s[circle]
+    rows = np.arange(len(s))
+    a = s[rows, :, np.linalg.norm(s, axis=1).argmax(axis=1)]
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    rest = s - a[:, :, None] * (a[:, None] @ s)
+    b = rest[rows, :, np.linalg.norm(rest, axis=1).argmax(axis=1)]
+    b -= (b * a).sum(axis=1, keepdims=True) * a
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    bases = np.zeros((len(planes), 2, 4))
+    bases[circle] = np.stack([a, b], axis=1)
+    return bases
 
 
 def fixed_planes(group: PermGroup, mats: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 
 from tsglab.actions import RESTRICT_EVEN_S4, RESTRICT_STAB_A5, build, plan
 from tsglab.edges import INSIDE_MARGIN, PAIR_TOL, _interior_holds
-from tsglab.geometry import Realization, circles_of, plane_distance, projectors, realize
+from tsglab.geometry import PrecisionError, Realization, plane_distance, projectors, realize
 from tsglab.perm import (GroupAction, InconsistentActionError, Orbits, from_cycles, generated,
                          left_cosets, standard_group)
 from tsglab.profiles import profile_rules
@@ -105,11 +105,65 @@ def all_column_fixed(a):
             "swappers": np.flatnonzero(swaps.any(axis=1))}
 
 
+# the fixed-set SVD's decision band: a singular value of M - I is zero below
+# SV_ZERO (at most 4.3e-16 on a fixed plane, at least 2·sin(π/5) ≈ 1.18 off
+# it), and one in [SV_ZERO, SV_AMBIGUOUS) raises PrecisionError
+SV_ZERO = 1e-7
+SV_AMBIGUOUS = 1e-6
+
+
+def canonical_rows(rows):
+    """Stacked (..., 2, 4) plane bases in one canonical form: each row
+    signed so its largest entry in magnitude (the first on a tie) is
+    positive, then the two rows ordered by their entries rounded to 9
+    decimals (kept in place when those agree)."""
+    top = np.take_along_axis(rows, np.abs(rows).argmax(axis=-1)[..., None], axis=-1)
+    signed = np.where(top < 0, -rows, rows)
+    key = np.round(signed, 9)
+    differ = key[..., 0, :] != key[..., 1, :]
+    first = differ.argmax(axis=-1)[..., None]
+    swap = np.take_along_axis(key[..., 1, :], first, -1) < np.take_along_axis(key[..., 0, :], first, -1)
+    return np.where(swap[..., None], signed[..., ::-1, :], signed)
+
+
+def fixed_set(mats):
+    """+1 eigenplanes of a (..., 4, 4) stack of special-orthogonal matrices,
+    from one SVD of M - I: (..., 2, 4) orthonormal bases in canonical form,
+    zero where a matrix fixes nothing.  The identity is rejected (it fixes
+    the whole sphere, not a circle), and singular values in the ambiguous
+    band raise PrecisionError rather than guessing a dimension; the first
+    offending matrix decides the error.  An eigensolver reference for the
+    averaged planes (geometry.fixed_planes) and the bases read off them
+    (geometry.circles_of), which take no SVD."""
+    m = np.asarray(mats, dtype=float)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError("expected 4x4 matrices")
+    _, sv, vt = np.linalg.svd(m.reshape(-1, 4, 4) - np.eye(4))
+    dim = np.count_nonzero(sv < SV_ZERO, axis=1)
+    ambiguous = ((sv >= SV_ZERO) & (sv < SV_AMBIGUOUS)).any(axis=1)
+    offending = np.flatnonzero(ambiguous | ((dim != 0) & (dim != 2)))
+    if offending.size:
+        i = offending[0]
+        if ambiguous[i]:
+            raise PrecisionError(f"singular values too close to zero to classify: {sv[i]}")
+        if dim[i] == 4:
+            raise ValueError("identity matrix fixes the whole sphere; not a circle")
+        raise PrecisionError(f"fixed subspace of dimension {dim[i]}; SO(4) allows only 0, 2 or 4")
+    bases = np.where((dim == 2)[:, None, None], canonical_rows(vt[:, -2:]), 0.0)
+    return bases.reshape(m.shape[:-2] + (2, 4))
+
+
+def svd_circles(mats):
+    """fixed_set of every element of a (|G|, 4, 4) stack in row order, zero
+    at row 0, the identity, as at the elements that fix nothing."""
+    return np.concatenate([np.zeros((1, 2, 4)), fixed_set(mats[1:])])
+
+
 def svd_planes(mats):
-    """projectors(circles_of(mats)): each element's fixed plane from one SVD
+    """projectors(svd_circles(mats)): each element's fixed plane from one SVD
     of M - I, the reference for geometry.fixed_planes, which averages M
     over the cyclic group of each element instead."""
-    return projectors(circles_of(mats))
+    return projectors(svd_circles(mats))
 
 
 def all_vertex_inside(r, arcs):
@@ -117,7 +171,7 @@ def all_vertex_inside(r, arcs):
     one stacked (rows, m, 4) product: the reference for
     edges._vertices_inside, which runs the exact tests only on the
     vertices one product with the fixers' bases finds near a circle."""
-    on_circle = plane_distance(projectors(circles_of(r.mats)[arcs.fixers]), r.coords) <= PAIR_TOL
+    on_circle = plane_distance(svd_planes(r.mats)[arcs.fixers], r.coords) <= PAIR_TOL
     on_circle &= (np.arange(r.m) != arcs.pairs[:, :1]) & (np.arange(r.m) != arcs.pairs[:, 1:])
     k, w = np.nonzero(on_circle)
     inside = np.zeros_like(on_circle)

@@ -29,8 +29,6 @@ from tsglab.geometry import (
     ModelConfig,
     Realization,
     _max_hom_error,
-    circles_of,
-    fixed_set,
     geometric_profile,
     plane_distance,
     projectors,
@@ -46,7 +44,7 @@ from tsglab.perm import (
 )
 from tsglab.profiles import admissible_residues, m_rules, necessity_check
 
-from .conftest import REFERENCES, action_table, expected_orbit_count
+from .conftest import REFERENCES, action_table, expected_orbit_count, fixed_set, svd_circles
 
 GROUPS = ("A4", "S4", "A5")
 GOLDEN = Path(__file__).parent / "golden"
@@ -163,7 +161,7 @@ def test_criterion_5_edge_certificates(realized):
     va, r = realized[("S4", 12)]
     s4 = standard_group("S4")
     base = r.base.copy()  # the edge orbit's representative moves, and its orbit with it
-    circles = circles_of(r.mats)
+    circles = svd_circles(r.mats)
     other = next(i for i in s4.classes["n2p"]
                  if plane_distance(projectors(circles[i]), base[0]) > 1e-6)
     b0, b1 = circles[other]

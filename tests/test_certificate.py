@@ -25,10 +25,11 @@ from tsglab.certificate import (
 )
 from tsglab.cli import main
 from tsglab.edges import full_report
-from tsglab.geometry import fixed_set, plane_distance, projectors, realize
+from tsglab.geometry import plane_distance, projectors, realize
 from tsglab.perm import generated, standard_group
 
-from .conftest import REFERENCES, action_table, expand_certificate, expected_orbit_count, tree_table
+from .conftest import (REFERENCES, action_table, expand_certificate, expected_orbit_count, fixed_set,
+                       tree_table)
 
 ROOT = Path(__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -382,8 +383,7 @@ def test_orbit_minima_computed_once_per_realize_write_and_per_verify(monkeypatch
 CONSTRUCTION = {("actions", "plan"), ("actions", "build"), ("geometry", "realize"),
                 ("geometry", "representation"), ("geometry", "_part_base_point"),
                 ("geometry", "free_orbit_coords"), ("edges", "assign_arcs"),
-                ("geometry", "circles_of"), ("geometry", "fixed_set"),
-                ("geometry", "_canonical_rows")}
+                ("geometry", "circles_of")}
 
 
 def _function_lines(path: Path) -> dict:
@@ -421,8 +421,8 @@ print(json.dumps([codes, sorted(entered)]))
 def test_verify_trusts_no_construction_step(realized, tmp_path):
     """`tsglab verify` on each reference-grid file (the 14 reference cases
     plus the restricted A4 m=24 and m=61), in a fresh process, enters src/
-    functions only off the construction path, the fixed-circle SVD of
-    placement and the arc bases included: the verdict rests on the verify
+    functions only off the construction path, the arc bases read off the
+    fixed planes (circles_of) included: the verdict rests on the verify
     modules alone.  The named functions it enters (no <lambda> or
     comprehension), group construction included, their lines and the
     lines of src/ are the counts README's "What verify trusts" states."""

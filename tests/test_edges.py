@@ -34,7 +34,6 @@ from tsglab.geometry import (
     ModelConfig,
     PrecisionError,
     Realization,
-    circles_of,
     plane_distance,
     projectors,
     realize,
@@ -45,7 +44,7 @@ from tsglab.geometry import (
 from tsglab.perm import GroupAction, standard_group
 from tsglab.profiles import admissible_residues
 
-from .conftest import REFERENCES, action_table, all_vertex_inside, pair_stabilizers
+from .conftest import REFERENCES, action_table, all_vertex_inside, pair_stabilizers, svd_circles, svd_planes
 
 S4 = standard_group("S4")
 
@@ -228,7 +227,7 @@ def test_fixture_wrong_circle_vertex_fails(realized):
     va, r = realized[("S4", 12)]
     base = r.base.copy()
     # drag the edge orbit's representative onto a different transposition's circle
-    circles = circles_of(r.mats)
+    circles = svd_circles(r.mats)
     other = next(i for i in S4.classes["n2p"]
                  if plane_distance(projectors(circles[i]), base[0]) > 1e-6)
     b0, b1 = circles[other]
@@ -651,7 +650,7 @@ def _arc_fault(r: Realization, arc: _Arc):
             or tuple(action_table(action)[arc.fixer, [u, v]]) != (u, v):
         return f"fixer of pair {pair} is not a non-trivial group element fixing both vertices"
     gram = float(np.abs(arc.basis @ arc.basis.T - np.eye(2)).max())
-    circle = projectors(circles_of(r.mats)[arc.fixer])
+    circle = svd_planes(r.mats)[arc.fixer]
     if not gram <= ERROR_TOL or not same_circle(arc.projector, circle):
         return f"arc of pair {pair} is not on the fixed circle of its fixer"
     if not (math.isfinite(arc.start) and 0 < abs(arc.sweep) < 2 * math.pi) \
@@ -670,7 +669,7 @@ def _per_arc_check_arcs(r: Realization, arcs: Arcs, pairs) -> None:
         raise ArcAssignmentError(f"arc over pair {extra[0]}, which is not a pinned pair")
     if missing:
         raise ArcAssignmentError(f"pinned pair {missing[0]} has no arc")
-    fault, circles = None, projectors(circles_of(r.mats))
+    fault, circles = None, svd_planes(r.mats)
     for arc in rows:
         fault = _arc_fault(r, arc)
         if fault:
@@ -830,7 +829,7 @@ def _two_clause_h3(r, arcs) -> bool:
     carries the arc's own circle) must map the arc onto itself."""
     va = r.vertex_action
     arcs = {arc.pair: arc for arc in _rows(arcs)}
-    circles = projectors(circles_of(r.mats))
+    circles = svd_planes(r.mats)
     for f, (img, mat) in enumerate(zip(action_table(va.action), r.mats)):
         for pair, arc in arcs.items():
             target = arcs.get(_image_pair(img, pair))

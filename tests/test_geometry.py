@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -19,7 +20,6 @@ from tsglab.geometry import (
     UnsupportedGeometryError,
     circles_of,
     fixed_planes,
-    fixed_set,
     free_orbit_coords,
     geometric_profile,
     plane_distance,
@@ -34,7 +34,7 @@ from tsglab.geometry import (
 )
 from tsglab import edges, geometry
 from tsglab.edges import full_report
-from tsglab.geometry import CellGrid, _canonical_rows, _closest_pair, _max_hom_error, _min_separation
+from tsglab.geometry import CellGrid, _closest_pair, _max_hom_error, _min_separation
 from tsglab.perm import (
     GroupAction,
     PermGroup,
@@ -43,7 +43,8 @@ from tsglab.perm import (
     standard_group,
 )
 
-from .conftest import REFERENCES, action_table, close_free_orbits, svd_planes
+from .conftest import (REFERENCES, action_table, canonical_rows, close_free_orbits, fixed_set,
+                       svd_circles, svd_planes)
 
 S4 = standard_group("S4")
 A4 = standard_group("A4")
@@ -179,11 +180,11 @@ def test_dichotomy_by_model(reps):
 
 
 def test_circles_of_rows_equal_lone_fixed_sets():
-    """The one stacked SVD gives each row bitwise what fixed_set gives for
-    that matrix alone."""
+    """The test-local SVD reference: its one stacked SVD gives each row
+    bitwise what fixed_set gives for that matrix alone."""
     for model, g in GROUP_OF.items():
         mats = representation(g, model)
-        circles = circles_of(mats)
+        circles = svd_circles(mats)
         assert circles.shape == (g.order, 2, 4)
         for i in range(1, g.order):
             assert np.array_equal(circles[i], fixed_set(mats[i])), (model, i)
@@ -192,14 +193,30 @@ def test_circles_of_rows_equal_lone_fixed_sets():
 def test_circles_of_zero_rows_are_the_identity_and_the_fixed_point_free():
     empty_class = {Model.TETRA_FULL: "n4", Model.SIMPLEX4: "n5"}
     for model, g in GROUP_OF.items():
-        zero = np.flatnonzero(~circles_of(representation(g, model)).any(axis=(1, 2)))
+        circles = circles_of(fixed_planes(g, representation(g, model)))
+        zero = np.flatnonzero(~circles.any(axis=(1, 2)))
         expect = [0] + (list(g.classes[empty_class[model]]) if model in empty_class else [])
         assert zero.tolist() == expect, model
 
 
+def test_circles_of_reads_orthonormal_bases_of_the_svd_planes():
+    """On every non-identity element of the four models, the bases read off
+    the averaged planes are orthonormal within ERROR_TOL and span the plane
+    the SVD reference finds (projectors within CIRCLE_EQ_TOL), and they
+    are exactly zero where the element fixes nothing."""
+    for model, g in GROUP_OF.items():
+        mats = representation(g, model)
+        bases = circles_of(fixed_planes(g, mats))[1:]
+        reference = svd_planes(mats)[1:]
+        circle = reference.any(axis=(1, 2))
+        assert circle.any() and not bases[~circle].any(), model
+        gram = bases[circle] @ bases[circle].transpose(0, 2, 1)
+        assert np.abs(gram - np.eye(2)).max() <= geometry.ERROR_TOL, model
+        assert same_circle(projectors(bases), reference).all(), model
+
+
 def test_no_circle_is_on_nothing_and_equals_only_no_circle():
-    mats = representation(A4, Model.TETRA_ROT)
-    planes = projectors(circles_of(mats))
+    planes = projectors(circles_of(fixed_planes(A4, representation(A4, Model.TETRA_ROT))))
     zero, circle = planes[0], planes[1]
     assert np.abs(plane_distance(zero, np.vstack([POLE, tetra_corner(0)])) - 1).max() < 1e-12
     assert same_circle(zero, np.zeros((4, 4)))
@@ -217,7 +234,7 @@ def test_fixed_set_stack_raises_at_first_offending_matrix(reps):
 
 
 def _canonical_rows_loop(rows):
-    """The per-basis loop that the stacked _canonical_rows replaced."""
+    """The per-basis loop that the stacked canonical_rows replaced."""
     out = []
     for r in rows:
         k = int(np.argmax(np.abs(r)))
@@ -240,7 +257,7 @@ def test_canonical_rows_match_the_per_basis_loop():
     ties = np.array([[row, row + 1e-12], [row + 1e-12, row], [-row, row],
                      [[0.5, -0.5, 0.5, -0.5], [-0.5, 0.5, -0.5, 0.5]]])
     for bases in (raw, turned, flipped, ties):
-        stacked = _canonical_rows(bases)
+        stacked = canonical_rows(bases)
         for got, basis in zip(stacked, bases):
             assert got.tobytes() == _canonical_rows_loop(basis).tobytes(), basis
 
@@ -301,7 +318,7 @@ def test_3cycle_circle_contains_complementary_simplex_vertices(reps):
 def test_circle_pairs_intersect_in_0_or_2_points():
     for model in (Model.TETRA_FULL, Model.SIMPLEX4):
         g = GROUP_OF[model]
-        circles = [c for c in projectors(circles_of(representation(g, model))) if c.any()]
+        circles = [c for c in svd_planes(representation(g, model)) if c.any()]
         distinct = []
         for c in circles:
             if all(not same_circle(c, d) for d in distinct):
@@ -388,7 +405,7 @@ def test_free_orbits_clear_of_circles():
     mats, planes = _matrices_and_planes(A4, Model.TETRA_ROT)
     orbits = free_orbit_coords(mats, planes, 1, ModelConfig(seed=3))
     base = orbits[0][0]
-    assert min(np.linalg.norm(base - b.T @ (b @ base)) for b in circles_of(mats)[1:]) >= 0.05
+    assert min(np.linalg.norm(base - b.T @ (b @ base)) for b in svd_circles(mats)[1:]) >= 0.05
 
 
 def test_free_orbit_determinism():
@@ -400,10 +417,10 @@ def test_free_orbit_determinism():
 def _all_pairs_placement(mats, n, config, avoid):
     """free_orbit_coords with the all-pairs distance tests: every point of
     a candidate orbit against every other point and every placed point,
-    and the circle clearance measured from the SVD plane bases (circles_of)
+    and the circle clearance measured from the SVD plane bases (svd_circles)
     rather than the averaged planes.  Returns the orbits and the number of
     candidates the distances refused."""
-    circles = [b for b in circles_of(mats) if b.any()]
+    circles = [b for b in svd_circles(mats) if b.any()]
     rng = np.random.default_rng(config.seed)
     placed = np.empty((0, 4)) if avoid is None else avoid
     orbits, refused = [], 0
@@ -504,13 +521,13 @@ def test_a5_61_only_center_touches_circles():
     p = plan("A5", 61)
     r = realize(p)
     center_idx = r.vertex_action.labels.index("center")
-    for c in projectors(circles_of(r.mats)[1:]):
+    for c in svd_planes(r.mats)[1:]:
         assert np.flatnonzero(plane_distance(c, r.coords) <= 1e-9).tolist() == [center_idx]
 
 
 def test_s4_12_each_transposition_circle_holds_two_vertices():
     r = realize(plan("S4", 12))
-    circles = projectors(circles_of(r.mats))
+    circles = svd_planes(r.mats)
     for i in S4.classes["n2p"]:  # the transpositions
         assert (plane_distance(circles[i], r.coords) <= 1e-9).sum() == 2
 
@@ -533,28 +550,30 @@ def test_restricted_realizations_validate():
         assert geometric_profile(r).key() == measured_profile(r.vertex_action).key()
 
 
-# the third figure in each id is the number of rows realize once took SVDs of
-@pytest.mark.parametrize("group,m,calls", [("A4", 61, []), ("S4", 28, [23])],
-                         ids=["A4-61-59", "S4-28-23"])
-def test_realize_computes_each_fixed_circle_once(monkeypatch, group, m, calls):
-    """realize takes no fixed-set SVD: placement keeps clear of the averaged
-    planes.  full_report takes one, assign_arcs' circles_of on the stack of
-    the acting group's non-identity elements, and only when some pair is
-    pinned: 23 rows for S4 m=28, none for the restricted A4 m=61, whose
-    only pinned vertex is the center."""
-    stacks = []
-    real_fixed_set = geometry.fixed_set
+# the ids name the two plans an older form of this test counted fixed-set SVD
+# rows on; one covers the reference cases, the other the restricted and
+# large-orbit plans
+@pytest.mark.parametrize("cases", [
+    [("A4", 24), ("A4", 61), ("A4", 1213), ("S4", 1204), ("A5", 1205)], REFERENCES,
+], ids=["A4-61-59", "S4-28-23"])
+def test_realize_computes_each_fixed_circle_once(monkeypatch, cases):
+    """realize and full_report take no SVD but shared_lines', which decides
+    whether arcs on distinct circles cross: placement and the checks read
+    the averaged planes, and assign_arcs reads its arc bases off them
+    (circles_of).  numpy's own callers of svd are watched too."""
+    callers = []
+    real_svd = np.linalg.svd
 
-    def counting(mats):
-        stacks.append(len(mats))
-        return real_fixed_set(mats)
+    def recording(*args, **kwargs):
+        frame = sys._getframe(1)
+        callers.append((frame.f_globals.get("__name__"), frame.f_code.co_name))
+        return real_svd(*args, **kwargs)
 
-    p = plan(group, m)
-    monkeypatch.setattr(geometry, "fixed_set", counting)
-    r = realize(p)
-    assert stacks == []
-    assert full_report(r).overall
-    assert stacks == calls
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(np.linalg._linalg, "svd", recording)
+    for group, m in cases:
+        assert full_report(realize(plan(group, m))).overall, (group, m)
+    assert set(callers) == {("tsglab.geometry", "shared_lines")}
 
 
 @pytest.mark.parametrize("group,m,planes", [
@@ -583,13 +602,13 @@ def test_realize_computes_the_fixed_planes_once(monkeypatch, group, m, planes):
 @pytest.mark.parametrize("m", [24, 61, 65, 1205])
 def test_restricted_realization_keeps_the_circles_verify_computes(m):
     """A restricted plan's A4 matrices are derived from its generators, and
-    the arc bases written for it are the circles of exactly those
-    matrices, whose averaged planes the checks read."""
+    the arc bases written for it are read off exactly the averaged planes
+    of those matrices that the checks read (circles_of)."""
     p = plan("A4", m)
     r = realize(p)
     assert p.restriction is not None
     arcs = full_report(r).arcs
-    assert np.array_equal(arcs.bases, circles_of(r.mats)[arcs.fixers])
+    assert np.array_equal(arcs.bases, circles_of(r.planes)[arcs.fixers])
 
 
 @pytest.mark.parametrize("group,m", [("A4", 1213), ("S4", 1204), ("A5", 1205)])
@@ -980,7 +999,7 @@ def test_nan_matrix_entry_gives_nan_hom_error(stacked_cases, group, m, row):
 # identity (the last two steer placement only)
 DECISION_THRESHOLDS = [
     (geometry, "ON_CIRCLE_TOL"), (geometry, "CIRCLE_EQ_TOL"), (geometry, "SHARED_LINE_TOL"),
-    (geometry, "MIN_VERTEX_SEP"), (geometry, "_SV_ZERO"), (geometry, "_SV_AMBIGUOUS"),
+    (geometry, "MIN_VERTEX_SEP"),
     (edges, "PAIR_TOL"), (edges, "ANGLE_EPS"), (edges, "INSIDE_MARGIN"),
     (geometry, "FREE_CIRCLE_CLEARANCE"), (geometry, "FREE_ORBIT_SEP"),
 ]
@@ -989,7 +1008,7 @@ DECISION_THRESHOLDS = [
 def _identity_errors(r):
     """The largest error realize leaves in each identity that holds exactly
     in exact arithmetic, and the nearest vertex off any element's circle."""
-    circle_distances = plane_distance(projectors(circles_of(r.mats)[1:]), r.coords)
+    circle_distances = plane_distance(svd_planes(r.mats)[1:], r.coords)
     on_circle = circle_distances <= geometry.ON_CIRCLE_TOL
     errors = {
         "orthogonality": np.abs(r.mats.transpose(0, 2, 1) @ r.mats - np.eye(4)).max(),

@@ -19,6 +19,10 @@ mutant must exit as `tsglab verify` would with a rejection, 2 for a
 schema error or 5 for a failed step, or match its own allowlist, and
 never raise out of the verifier or fault inside it.
 
+A mutant that flips the sign of one arc basis row is not allowlisted by
+name: it passes only when the test confirms its arc has the original's
+points (_writes_the_same_arc).
+
 Metamorphic relations ride along: a file seen in a rotated frame, or with
 its vertices renamed, still verifies, while rotating only its matrices, or
 moving one free orbit onto another, is rejected at the named check."""
@@ -38,7 +42,7 @@ from tsglab.certificate import (
     first_failure,
     verify_certificate,
 )
-from tsglab.edges import full_report
+from tsglab.edges import PAIR_TOL, Arcs, full_report
 from tsglab.geometry import ERROR_TOL, realize
 
 from .conftest import relabel_vertices
@@ -69,11 +73,10 @@ STRUCTURAL_ALLOWED = [
     (r"(generators\.\d+\.matrix|arcs\.\d+\.basis\.\d|vertices\.\[\w+\]\.coords)\.\d+ =(0|-1)~",
      "an entry within ERROR_TOL / 2 of the number that replaces it moves by less than ERROR_TOL"),
     (r"vertices\.\[center\]\.coords\.3 =-1", "the antipodal pole is fixed by every element too"),
-    (r"arcs\.\d+\.basis\.0\.3 =-1",
-     "the arc is symmetric about its basis's second vector (2·start + sweep = ±π), so negating "
-     "the first one, (0, 0, 0, 1), leaves the same arc"),
 ]
 STRUCTURAL_CASES = [("A4", 13), ("S4", 20), ("A4", 65)]
+# a mutant that may flip the sign of a basis row: an entry negated, or set to -1
+ROW_SIGN = re.compile(r"arcs\.\d+\.basis\.\d\.\d+ (negate|=-1)")
 
 # the JSON kinds a node is replaced by, each with its name
 JSON_KINDS = (("null", None), ("true", True), ("0", 0), ("-1", -1), ("1.5", 1.5),
@@ -148,6 +151,26 @@ def _accepts(data) -> bool:
     return _exit_code(data) == 0
 
 
+def _arc(record) -> Arcs:
+    return Arcs(np.array([record["pair"]]), np.zeros(1, dtype=int), np.array([record["basis"]]),
+                np.array([record["start"]]), np.array([record["sweep"]]))
+
+
+def _writes_the_same_arc(data, mutant, path, name) -> bool:
+    """Is the mutant a basis-row sign mutant (ROW_SIGN) whose arc has the
+    original arc's points, at both ends and seven interior parameters,
+    within PAIR_TOL, in order or reversed?  Then it writes the same arc
+    (symmetric about the other row, 2·start + sweep = ±π, and run from its
+    other end), so it is the same valid file."""
+    if not ROW_SIGN.fullmatch(name):
+        return False
+    s = np.linspace(0.0, 1.0, 9)
+    ours, theirs = (_arc(d["arcs"][path[1]]).points(s)[0] for d in (mutant, data))
+    gap = min(np.linalg.norm(ours - theirs, axis=1).max(),
+              np.linalg.norm(ours - theirs[::-1], axis=1).max())
+    return bool(gap <= PAIR_TOL)
+
+
 @pytest.fixture(scope="module")
 def certificates():
     """Each leaf-sweep and relation case's certificate at seed 0, as the
@@ -169,9 +192,12 @@ def test_only_allowlisted_leaf_mutants_verify(certificates):
         for path, value in _leaves(data):
             for kind, new in _changes(value):
                 count += 1
-                if not _accepts(_with(data, path, new)):
+                mutant = _with(data, path, new)
+                if not _accepts(mutant):
                     continue
                 name = _name(data, path, kind)
+                if _writes_the_same_arc(data, mutant, path, name):
+                    continue
                 reasons = [i for i, (pattern, _) in enumerate(ALLOWED) if re.fullmatch(pattern, name)]
                 if reasons:
                     used.add(reasons[0])
@@ -225,10 +251,13 @@ def test_only_allowlisted_structural_mutants_verify(certificates):
         for path, value in _nodes(data):
             for kind, new in _edits(value, isinstance(path[-1], str)):
                 count += 1
-                code = _exit_code(_with(data, path, new))
+                mutant = _with(data, path, new)
+                code = _exit_code(mutant)
                 if code in (2, 5):
                     continue
                 name = _name(data, path, kind)
+                if _writes_the_same_arc(data, mutant, path, name):
+                    continue
                 reasons = [i for i, (pattern, _) in enumerate(STRUCTURAL_ALLOWED)
                            if re.fullmatch(pattern, name)]
                 if reasons:
