@@ -24,7 +24,7 @@ from .certificate import (
 )
 from .edges import full_report
 from .geometry import ModelConfig, PlacementError, PrecisionError, UnsupportedGeometryError, realize
-from .oracle import OracleInconsistencyError, feasible_sweep, oracle_residues
+from .oracle import OracleInconsistencyError, feasible_mask, oracle_residues
 from .perm import GROUP_NAMES, GROUP_ORDER
 from .profiles import (
     CLASS_WEIGHTS,
@@ -156,8 +156,8 @@ def cmd_oracle(args) -> int:
               f"engine={{{','.join(map(str, engine.sorted()))}}} "
               f"match={'yes' if match else 'NO'}")
         if args.max_m is not None:
-            sweep = feasible_sweep(group, args.max_m + 1, drop_rules=drop)
-            feas = [m for m, found in enumerate(sweep) if found]
+            mask = feasible_mask(group, args.max_m + 1, drop_rules=drop)
+            feas = [m for m, found in enumerate(mask) if found]
             print(f"  feasible m <= {args.max_m}: {feas}")
     return EXIT_OK if all_match else EXIT_CHECK_FAILED
 

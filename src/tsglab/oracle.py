@@ -6,15 +6,14 @@ of each group with their exact per-class fixed-coset counts, derive from
 the active profile rules a cap on each class's count, then solve the
 integer knapsack asking which m are a non-negative combination of the
 surviving degrees with a rule-abiding aggregate profile.  One depth-first
-sweep answers every m below a bound (3|G| for the residues) at once, with
-its multisets bucketed by degree sum.  Aggregate counts only grow as orbits
-are added, so the sweep never adds a copy of a type that would bust a cap
-or the bound.  That keeps every aggregate in the box {0..MAX_FIX}^classes,
-as each cap is a maximum over the cached walk of that box
-(profiles.rule_abiding_profiles), so an aggregate's verdict is one lookup
-in that walk.  The residue sets this produces must equal the ones the
-profile engine derives; for S4 they must fall out of the profile caps
-alone, since the oracle never reads the m-congruence rules.
+walk (`_walk`) answers every m below a bound at once, and it has two
+consumers: `feasible_sweep` builds the feasible multisets, bucketed by
+degree sum (`feasible_multisets` reads one bucket), and `feasible_mask`
+only marks the m that have one, which is all that `oracle_residues`
+(bound 3|G|) and the CLI's `--max-m N` (bound N+1) ask.  The residue
+sets this produces must equal the ones the profile engine derives; for S4
+they must fall out of the profile caps alone, since the oracle never reads
+the m-congruence rules.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ def admissible_types(group: str, drop_rules: tuple[str, ...] = ()) -> tuple[Tran
 
 @lru_cache(maxsize=None)
 def _walk_inputs(group: str, drop_rules: tuple[str, ...]):
-    """What every sweep under these rules reads, built once: the class caps,
+    """What every walk under these rules reads, built once: the class caps,
     the admissible types, each type's fix row and kernel, and the verdict
     lookup from a box point's counts (key() order) to its rule-abiding
     profile, which holds exactly the box points that pass the rules."""
@@ -124,50 +123,87 @@ def _walk_inputs(group: str, drop_rules: tuple[str, ...]):
     return caps, types, fixes, cores, verdicts
 
 
-def feasible_sweep(group: str, bound: int, *,
-                   drop_rules: tuple[str, ...] = ()) -> list[list[OrbitMultiset]]:
-    """Every multiset of admissible orbit types with degree sum m < bound
-    whose aggregate profile passes the rules, bucketed by m.
+def _walk(group: str, bound: int, drop_rules: tuple[str, ...], found) -> None:
+    """The one search, with two consumers (feasible_sweep, feasible_mask):
+    call found(m, chain, profile, faithful) at every multiset of admissible
+    orbit types with degree sum m < bound whose aggregate profile passes
+    the rules.
 
-    One depth-first walk serves the whole window: a node's degree sum is
-    its m, so each node is checked as a leaf when the walk reaches it and
-    then grows by copies of later types.  Bucket m lists its multisets in
-    the order a walk pruned at degree sum m would find them.
+    A node's degree sum is its m, so one depth-first walk serves the whole
+    window: each node is checked as a leaf when the walk reaches it and
+    then grows by copies of later types.  The nodes of one m are found in
+    the order a walk pruned at degree sum m would find them.  chain holds
+    the chosen (type, count) pairs as a cons chain, (parent chain, last
+    pair), None at the root, so no list is copied along an edge.
 
-    A node's verdict is one dict lookup of its aggregate counts in the
-    cached walk of the box {0..MAX_FIX}^classes (rule_abiding_profiles):
-    the caps are maxima over that walk, so at most MAX_FIX, and the sweep
-    never adds a copy past a cap, so every aggregate lies in the box, where
-    a point passes the rules exactly when the walk holds it.  The profile a
-    multiset carries is that walk's own.
+    Aggregate counts only grow as orbits are added, so the walk never adds
+    a copy of a type that would bust a cap or the bound.  A node's verdict
+    is then one dict lookup of its aggregate counts in the cached walk of
+    the box {0..MAX_FIX}^classes (rule_abiding_profiles): the caps are
+    maxima over that walk, so at most MAX_FIX, and every aggregate lies in
+    the box, where a point passes the rules exactly when the box walk
+    holds it.  The profile passed to found is that walk's own.
 
     Faithfulness of the assembled action is required on the K_m domain
     (m >= 4); below it the values only feed the periodicity scan, where
-    the empty and single-fixed-point actions must count as feasible.
+    the empty and single-fixed-point actions must count as feasible.  The
+    kernel is the intersection of the orbits' kernels, and every kernel
+    holds the identity row 0, so the action is faithful exactly when one
+    row is left.
     """
     caps, types, fixes, cores, verdicts = _walk_inputs(group, drop_rules)
-    out: list[list[OrbitMultiset]] = [[] for _ in range(bound)]
 
-    def visit(start: int, m: int, agg: tuple[int, ...], ker: frozenset[int],
-              chosen: list[tuple[TransitiveType, int]]):
-        faithful = ker == {0}  # only the identity row
+    def visit(start: int, m: int, agg: tuple[int, ...], ker: frozenset[int], chain):
+        faithful = len(ker) == 1
         if faithful or m < 4:
             profile = verdicts.get(agg)
             if profile is not None:
-                out[m].append(OrbitMultiset(group, tuple(chosen), m, profile, faithful))
+                found(m, chain, profile, faithful)
         for i in range(start, len(types)):
             t, fix = types[i], fixes[i]
-            # more copies of t than this would bust the bound or a class cap
-            top = min([(bound - 1 - m) // t.degree]
-                      + [(cap - a) // f for cap, a, f in zip(caps, agg, fix) if f])
+            # more copies of t than top would bust the bound or a class cap
+            top = (bound - 1 - m) // t.degree
+            for cap, a, f in zip(caps, agg, fix):
+                if f and (cap - a) // f < top:
+                    top = (cap - a) // f
             for c in range(top, 0, -1):
-                visit(i + 1, m + c * t.degree, tuple(a + c * f for a, f in zip(agg, fix)),
-                      ker & cores[i], chosen + [(t, c)])
+                visit(i + 1, m + c * t.degree, tuple([a + c * f for a, f in zip(agg, fix)]),
+                      ker & cores[i], (chain, (t, c)))
 
     if bound > 0:
-        visit(0, 0, (0,) * len(caps), frozenset(range(GROUP_ORDER[group])), [])
+        visit(0, 0, (0,) * len(caps), frozenset(range(GROUP_ORDER[group])), None)
     del visit  # it refers to itself: unbound, the walk is freed now, not by a later collection
+
+
+def feasible_sweep(group: str, bound: int, *,
+                   drop_rules: tuple[str, ...] = ()) -> list[list[OrbitMultiset]]:
+    """The walk's multisets, bucketed by m < bound: bucket m lists every
+    feasible multiset with degree sum m, in the walk's order.  The walk's
+    other consumer, feasible_mask, answers the same question without them."""
+    out: list[list[OrbitMultiset]] = [[] for _ in range(bound)]
+
+    def record(m, chain, profile, faithful):
+        counts = []
+        while chain is not None:
+            chain, pair = chain
+            counts.append(pair)
+        out[m].append(OrbitMultiset(group, tuple(reversed(counts)), m, profile, faithful))
+
+    _walk(group, bound, drop_rules, record)
     return out
+
+
+def feasible_mask(group: str, bound: int, *, drop_rules: tuple[str, ...] = ()) -> bytearray:
+    """The walk's answer without its multisets: byte m < bound is 1 when
+    some feasible multiset has degree sum m, else 0, so it marks exactly
+    the non-empty buckets of the walk's other consumer, feasible_sweep."""
+    mask = bytearray(max(bound, 0))
+
+    def mark(m, chain, profile, faithful):
+        mask[m] = 1
+
+    _walk(group, bound, drop_rules, mark)
+    return mask
 
 
 def feasible_multisets(group: str, m: int, *, drop_rules: tuple[str, ...] = ()) -> list[OrbitMultiset]:
@@ -185,7 +221,7 @@ def oracle_residues(group: str, *, drop_rules: tuple[str, ...] = ()) -> Congruen
     and is reported instead of smoothed over.
     """
     order = GROUP_ORDER[group]
-    feas = [bool(found) for found in feasible_sweep(group, 3 * order, drop_rules=drop_rules)]
+    feas = feasible_mask(group, 3 * order, drop_rules=drop_rules)
     for m in range(2 * order):
         if feas[m] != feas[m + order]:
             raise OracleInconsistencyError(

@@ -654,9 +654,9 @@ def test_oracle_aperiodic_search_exit_5(capsys, monkeypatch):
     import tsglab.oracle
 
     def aperiodic(group, bound, **kwargs):
-        return [[m] if m == 7 else [] for m in range(bound)]
+        return bytearray(m == 7 for m in range(bound))
 
-    monkeypatch.setattr(tsglab.oracle, "feasible_sweep", aperiodic)
+    monkeypatch.setattr(tsglab.oracle, "feasible_mask", aperiodic)
     code, out, err = run(capsys, "oracle", "--group", "A4")
     assert code == 5 and out == ""
     assert err == "error: feasibility not 12-periodic at m=7 for A4\n"
@@ -666,6 +666,20 @@ def test_oracle_max_m_prints_feasible_values(capsys):
     code, out, _ = run(capsys, "oracle", "--group", "A4", "--max-m", "30")
     assert code == 0
     assert "feasible m <= 30: [0, 1, 4, 5, 8, 12, 13, 16, 17, 20, 24, 25, 28, 29]" in out
+
+
+ORACLE_GOLDEN = json.loads((GOLDEN / "oracle_cli.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
+def test_oracle_max_m_output_matches_golden(capsys, name):
+    """golden/oracle_cli.json names each command and its exit code, and
+    the file named by its key holds the stdout, both as recorded before
+    the residues and --max-m read the walk's mask instead of its buckets."""
+    case = ORACLE_GOLDEN[name]
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == (GOLDEN / name).read_text()
 
 
 # --------------------------------------------------------------- round trip

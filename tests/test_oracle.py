@@ -28,6 +28,7 @@ from tsglab.oracle import (
     TransitiveType,
     admissible_types,
     class_caps,
+    feasible_mask,
     feasible_multisets,
     feasible_sweep,
     oracle_residues,
@@ -376,19 +377,55 @@ def test_sweep_builds_no_profile(monkeypatch, group):
         assert sweep == [_per_m_reference(group, m, drop) for m in range(3 * order)], drop
 
 
-@pytest.mark.parametrize("group", GROUPS)
-def test_sweep_leaves_no_cyclic_garbage(group):
-    """The walk's recursive closure is unbound when the sweep returns, so
+@pytest.mark.parametrize("group,consumer",
+                         [(g, feasible_sweep) for g in GROUPS] + [(g, feasible_mask) for g in GROUPS],
+                         ids=[*GROUPS, *(f"{g}-mask" for g in GROUPS)])
+def test_sweep_leaves_no_cyclic_garbage(group, consumer):
+    """The walk's recursive closure is unbound when the walk returns, so
     its results are freed by reference counting, not left to the cycle
     collector."""
-    feasible_sweep(group, 3 * GROUP_ORDER[group])  # warm the rule caches
+    consumer(group, 3 * GROUP_ORDER[group])  # warm the rule caches
     gc.collect()
     gc.disable()
     try:
-        feasible_sweep(group, 3 * GROUP_ORDER[group])
+        consumer(group, 3 * GROUP_ORDER[group])
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_mask_marks_the_nonempty_sweep_buckets(group):
+    """feasible_mask marks exactly the m whose sweep bucket is non-empty,
+    with all rules on and with each profile rule dropped in turn, at the
+    residues' bound 3|G| and at a --max-m bound of 601."""
+    for drop in [()] + [(r.id,) for r in profile_rules(group)]:
+        for bound in (3 * GROUP_ORDER[group], 601):
+            mask = feasible_mask(group, bound, drop_rules=drop)
+            sweep = feasible_sweep(group, bound, drop_rules=drop)
+            assert list(map(bool, mask)) == [bool(b) for b in sweep], (drop, bound)
+
+
+def test_residues_and_max_m_build_no_multiset(monkeypatch, capsys):
+    """Once the caches are warm, the residues and the CLI's --max-m read
+    the walk's mask and construct no OrbitMultiset."""
+    from tsglab.cli import main
+
+    assert main(["oracle", "--max-m", "180"]) == 0  # warm the walk caches
+    built = []
+    real_init = OrbitMultiset.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrbitMultiset, "__init__", counting)
+    for group in GROUPS:
+        oracle_residues(group)
+    assert main(["oracle", "--max-m", "180"]) == 0
+    assert built == []
+    feasible_sweep("A4", 2)  # the patched constructor is the one the sweep calls
+    assert len(built) == 2
 
 
 def test_sweep_below_zero_is_empty(capsys):
