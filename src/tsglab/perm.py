@@ -168,31 +168,6 @@ class PermGroup:
         return means
 
     @cached_property
-    def tree(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-        """The breadth-first spanning tree from the identity along right
-        products with the generators, whose first level is the generators
-        themselves: one (s, parents, children) step per later level and
-        generator, child y = x * s for the first (x, s) that reaches y,
-        scanning a level's rows in the order they were reached and each
-        row's generators in order.  A step's parents lie one level above
-        its children, so the steps of one level do not depend on each other."""
-        gens = list(self.generators)
-        seen = np.zeros(self.order, dtype=bool)
-        seen[[0, *gens]] = True
-        level, steps = np.array(gens), []
-        while level.size:
-            reached = self.cayley[level][:, gens].ravel()  # row-major: x, then s
-            _, first = np.unique(reached, return_index=True)
-            first = np.sort(first[~seen[reached[first]]])
-            seen[reached[first]] = True
-            for k, s in enumerate(gens):
-                pick = first[first % 2 == k]
-                if pick.size:
-                    steps.append((s, level[pick // 2], reached[pick]))
-            level = reached[first]
-        return tuple(steps)
-
-    @cached_property
     def generators(self) -> tuple[int, int]:
         """The first pair of rows, in row order, that generates the whole
         group: the rows a certificate stores as its generator records."""
@@ -434,14 +409,23 @@ def check_homomorphism(a: GroupAction) -> None:
 
 def matrices_from_generators(g: PermGroup, gen_mats) -> np.ndarray:
     """The (|G|, 4, 4) matrices that give the group's generator rows the
-    matrices gen_mats: along `PermGroup.tree`, row x * s gets M(x) @ M(s),
-    one stacked product per step, the identity's is exactly I, and a
+    matrices gen_mats: breadth-first from the identity over the Cayley
+    table, row x * s gets M(x) @ M(s), the identity's is exactly I, and a
     generator's matrix is never overwritten.  Whether they form a
     homomorphism is geometry's homomorphism check."""
+    gens = list(g.generators)
     mats = np.empty((g.order, 4, 4))
-    mats[0], mats[list(g.generators)] = np.eye(4), gen_mats
-    for s, parents, children in g.tree:
-        mats[children] = mats[parents] @ mats[s]
+    mats[0], mats[gens] = np.eye(4), gen_mats
+    steps = list(zip(gens, g.cayley.T[gens].tolist()))  # each generator with its Cayley column
+    queue, seen = [0], [True] + [False] * (g.order - 1)
+    for x in queue:  # breadth-first: the queue grows while it is read
+        for s, column in steps:
+            y = column[x]
+            if not seen[y]:
+                seen[y] = True
+                queue.append(y)
+                if y not in gens:
+                    mats[y] = mats[x] @ mats[s]
     return mats
 
 

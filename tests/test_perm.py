@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsglab import perm
-from tsglab.actions import Model, VertexAction, build, plan
+from tsglab.actions import VertexAction, build, plan
 from tsglab.edges import interchangers
-from tsglab.geometry import representation
 from tsglab.perm import (
     GroupAction,
     InconsistentActionError,
@@ -594,47 +593,6 @@ def test_generators_are_the_first_generating_pair(make):
     pairs = [(i, j) for i in range(g.order) for j in range(i + 1, g.order)]
     first = next(p for p in pairs if len(generated(g, p)) == g.order)
     assert (a, b) == first
-
-
-def _matrices_row_by_row(g, gen_mats):
-    """matrices_from_generators as one product per row: the breadth-first
-    queue over the Cayley table, where row x * s gets M(x) @ M(s) when it
-    is first reached and a generator's matrix is never overwritten."""
-    gens = list(g.generators)
-    mats = np.empty((g.order, 4, 4))
-    mats[0], mats[gens] = np.eye(4), gen_mats
-    queue, seen = [0], {0}
-    for x in queue:
-        for s in gens:
-            y = int(g.cayley[x, s])
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-                if y not in gens:
-                    mats[y] = mats[x] @ mats[s]
-    return mats
-
-
-@pytest.mark.parametrize("name,model", [("A4", Model.TETRA_ROT), ("S4", Model.TETRA_FULL),
-                                        ("A5", Model.DODECA_ROT), ("A5", Model.SIMPLEX4)])
-def test_stacked_matrices_equal_the_row_by_row_products(name, model):
-    """One stacked product per tree level and generator rounds bitwise as
-    the products row by row do: for the model's matrices, for the A4 rows
-    restricted from them (S4 to the standard A4, A5 to a4_inside_a5) and
-    for random matrices far from orthogonal on every group."""
-    g = standard_group(name)
-    mats = perm.matrices_from_generators(g, representation(g, model)[list(g.generators)])
-    assert np.array_equal(mats, _matrices_row_by_row(g, mats[list(g.generators)]))
-    sub = standard_group("A4") if name == "S4" else a4_inside_a5() if name == "A5" else None
-    if sub is not None:
-        gen_mats = mats[g.rows(sub.elements)[list(sub.generators)]]
-        assert np.array_equal(perm.matrices_from_generators(sub, gen_mats),
-                              _matrices_row_by_row(sub, gen_mats))
-    rng = np.random.default_rng(sum(map(ord, name + model.value)))
-    for make in _ALL_GROUPS:
-        gen_mats = rng.normal(size=(2, 4, 4))
-        assert np.array_equal(perm.matrices_from_generators(make(), gen_mats),
-                              _matrices_row_by_row(make(), gen_mats))
 
 
 @pytest.mark.parametrize("name", GROUPS)
