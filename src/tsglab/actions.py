@@ -18,13 +18,16 @@ couple of special ones tied to a polyhedron.  Part kinds and their sizes:
 
 build lays down only the two generator rows of each part's action, the
 one form of a vertex action (perm.GroupAction), as verify reads it from
-a file.
+a file.  Every part is one orbit of the action it lays down, in plan
+order, so its first vertex is that orbit's minimum; a part's label is
+stored once per orbit (VertexAction.labels), never per vertex.
 
 For A4 most residues are reached by building the S4 or A5 action on the
 same vertices and restricting to an A4 subgroup; the re-embedding argument
 that cuts the symmetry group down needs an edge no non-trivial element
-fixes pointwise.  has_free_edge looks for one; the acceptance walk checks
-it for every restricted plan, and no certificate carries it yet.
+fixes pointwise.  has_free_edge looks for one in the action it is given;
+the acceptance walk checks the parent of every restricted plan, and no
+certificate carries it yet.
 """
 
 from __future__ import annotations
@@ -168,26 +171,15 @@ _PART_GENERATOR = {
     "simplex_edge": from_cycles(5, (0, 1, 2)),
 }
 
-_NATURAL_PARTS = {"tetra_corners", "simplex_corners", "knotted_k4"}
-
-
-@dataclass(frozen=True)
-class BuiltPart:
-    """One realized orbit block; its first vertex is the identity coset."""
-
-    kind: str
-    label: str
-    start: int
-    size: int
-
 
 @dataclass
 class VertexAction:
-    """A faithful action on m labeled vertices, with part bookkeeping."""
+    """An action on m vertices, with one part label per orbit of the
+    action build lays down (parent for a restriction, else action), in
+    orbit-minimum order."""
 
     action: GroupAction
     labels: tuple[str, ...]
-    parts: tuple[BuiltPart, ...]
     parent: Optional[GroupAction] = None  # unrestricted action, when restricted
 
     @property
@@ -206,45 +198,42 @@ def restricted_group(restriction: Optional[str]) -> Optional[PermGroup]:
 
 def build(p: OrbitPlan) -> VertexAction:
     """Materialize a plan as an explicit faithful permutation action.  Each
-    block contributes the two generator rows of its coset, natural or
-    one-point action, offset to the block's start; those rows are the
-    action, as verify reads it from a file."""
+    part contributes the two generator rows of its coset, natural or
+    one-point action, offset to the part's start; a free part's n regular
+    orbits are one block of n Cayley rows side by side.  Those rows are
+    the action, as verify reads it from a file."""
     g = standard_group(p.building_group)
     gens = list(g.generators)
-    blocks: list[BuiltPart] = []
-    rows: list[np.ndarray] = []
+    labels: list[str] = []
+    blocks: list[np.ndarray] = []
     center = np.zeros((len(gens), 1), dtype=np.intp)
-
-    def add(kind: str, gen_rows: np.ndarray, label=None):
-        start = blocks[-1].start + blocks[-1].size if blocks else 0
-        blocks.append(BuiltPart(kind, label or kind, start, gen_rows.shape[1]))
-        rows.append(gen_rows + start)
-
     for spec in p.parts:
         if spec.kind == "free":
-            for j in range(spec.count):
-                add("free", g.cayley[gens], f"free{j}")
+            n = spec.count  # orbit j is the regular action shifted by j·|G|
+            labels += [f"free{j}" for j in range(n)]
+            blocks.append((g.cayley[gens][:, None] + g.order * np.arange(n)[:, None])
+                          .reshape(len(gens), -1))
+        elif spec.kind == "knotted_k5":  # natural corners, then a center
+            labels += ["knotted_k4", "center"]
+            blocks += [g.elements[gens], center]
         elif spec.kind in _PART_GENERATOR:
             h = generated(g, g.rows([_PART_GENERATOR[spec.kind]]))
-            add(spec.kind, coset_action(g, h).gen_images)
-        elif spec.kind in _NATURAL_PARTS:
-            add(spec.kind, g.elements[gens])
-        elif spec.kind == "center":
-            add("center", center)
-        else:  # knotted_k5
-            add("knotted_k4", g.elements[gens])
-            add("center", center)
+            labels.append(spec.kind)
+            blocks.append(coset_action(g, h).gen_images)
+        else:  # the center, or a natural part: tetra_corners, simplex_corners, knotted_k4
+            labels.append(spec.kind)
+            blocks.append(center if spec.kind == "center" else g.elements[gens])
 
-    full = GroupAction(g, np.hstack(rows))
+    starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+    full = GroupAction(g, np.hstack([b + start for b, start in zip(blocks, starts)]))
     if full.m != p.m:
         raise AssertionError(f"built {full.m} vertices, plan says {p.m}")
-    labels = tuple(b.label for b in blocks for _ in range(b.size))
 
     sub = restricted_group(p.restriction)
     if sub is None:
-        va = VertexAction(full, labels, tuple(blocks))
+        va = VertexAction(full, tuple(labels))
     else:
-        va = VertexAction(restrict_action(full, sub), labels, tuple(blocks), parent=full)
+        va = VertexAction(restrict_action(full, sub), tuple(labels), parent=full)
     if not is_faithful(va.action):
         raise AssertionError("built action is not faithful")
     return va
@@ -257,17 +246,15 @@ def measured_profile(va: VertexAction) -> FixedVertexProfile:
     return FixedVertexProfile(a.group.name, **class_fixed_counts(a))
 
 
-def has_free_edge(va: VertexAction, in_parent: bool = False) -> bool:
-    """Does some vertex pair have trivial pointwise stabilizer?
+def has_free_edge(a: GroupAction) -> bool:
+    """Does some vertex pair have trivial pointwise stabilizer in a?
 
-    Searches every pair rather than trusting a designated one.  With
-    in_parent=True the test runs against the unrestricted action (the
-    stronger condition the re-embedding argument actually needs).
+    Searches every pair rather than trusting a designated one.  The
+    re-embedding argument needs one in the unrestricted action, so for a
+    restricted plan pass VertexAction.parent.
     """
-    a = va.parent if (in_parent and va.parent is not None) else va.action
     if a.m < 2:
         raise ValueError("need at least two vertices")
     # a vertex with trivial stabilizer makes a free edge with any other one
     pinned, counts = pair_fixer_counts(a)
     return len(pinned) < a.m or bool((counts == 1).any())
-

@@ -104,8 +104,11 @@ def certificate_dict(r: Realization, report) -> dict:
     generators = [{"perm": group.elements[s].tolist(), "vertex_images": img.tolist(),
                    "matrix": r.mats[s].ravel().tolist()}  # matrix row-major
                   for s, img in zip(group.generators, act.gen_images)]
-    vertices = [{"id": v, "part": va.labels[v], "coords": r.coords[v].tolist()}
-                for v in act.orbits.reps.tolist()]
+    # each acting orbit lies in one orbit of the built action, whose label it carries
+    reps = act.orbits.reps
+    orbit = (va.parent or act).orbits.index[reps]
+    vertices = [{"id": v, "part": va.labels[o], "coords": r.coords[v].tolist()}
+                for v, o in zip(reps.tolist(), orbit.tolist())]
     arcs = []
     if report.arcs:
         a = report.arcs.take(np.lexsort(report.arcs.pairs.T[::-1]))  # rows sorted by pair
@@ -291,13 +294,14 @@ def _rebuild(data: dict) -> Realization:
     base, labels = _orbit_records(ga, data["vertices"], free_size)
     cfg = ModelConfig(theta=data["model"]["theta"], t=data["model"]["t"],
                       seed=data["model"]["seed"])
-    return Realization(VertexAction(ga, labels, ()), Model(data["model"]["tag"]), cfg, mats, base)
+    return Realization(VertexAction(ga, labels), Model(data["model"]["tag"]), cfg, mats, base)
 
 
 def _orbit_records(action: GroupAction, records: list, free_size: int) -> tuple:
-    """Each record's coords at its id, in an (m, 4) array, and all m part
-    labels.  The records must be the orbit minima, one per orbit, and each
-    label spans its part's size (free_size for a free part)."""
+    """Each record's coords at its id, in an (m, 4) array, and its part
+    label, one per orbit.  The records must be the orbit minima, one per
+    orbit, and each label's orbits span its part's size (free_size for a
+    free part), checked in the order of each label's first orbit."""
     stored = {v["id"]: v for v in records}
     reps = action.orbits.reps.tolist()
     extra, missing = sorted(set(stored) - set(reps)), sorted(set(reps) - set(stored))
@@ -307,9 +311,11 @@ def _orbit_records(action: GroupAction, records: list, free_size: int) -> tuple:
         raise ValueError(f"the orbit of vertex {missing[0]} has no vertex record")
     base = np.zeros((action.m, 4))
     base[reps] = [stored[v]["coords"] for v in reps]
-    parts = np.array([stored[v]["part"] for v in reps], dtype=object)
-    labels = tuple(parts[action.orbits.index])
-    for label, count in Counter(labels).items():
+    labels = tuple(stored[v]["part"] for v in reps)
+    spans = Counter()
+    for label, size in zip(labels, np.bincount(action.orbits.index).tolist()):
+        spans[label] += size
+    for label, count in spans.items():
         size = PART_SIZES.get(label, free_size)
         if count != size:
             raise ValueError(f"part {label!r} spans {count} vertices instead of {size}")

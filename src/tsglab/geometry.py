@@ -662,12 +662,13 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     va = va or build(p)
     parent = standard_group(p.building_group)
     mats = matrices_from_generators(parent, representation(parent, p.model)[list(parent.generators)])
-    orbits = (va.parent or va.action).orbits  # one orbit per part, from its first vertex
-    frees = [b.start for b in va.parts if b.kind == "free"]
-    base, planes = np.zeros((p.m, 4)), None
-    for b in va.parts:
-        if b.kind != "free":
-            base[b.start] = _part_base_point(b.kind, config)
+    orbits = (va.parent or va.action).orbits  # one orbit per label, from its minimum
+    base, planes, frees = np.zeros((p.m, 4)), None, []
+    for v, label in zip(orbits.reps.tolist(), va.labels):
+        if label.startswith("free"):
+            frees.append(v)
+        else:
+            base[v] = _part_base_point(label, config)
     if frees:
         avoid = orbit_coords(orbits, mats, base)[~np.isin(orbits.reps, frees)[orbits.index]]
         planes = fixed_planes(parent, mats)

@@ -234,20 +234,15 @@ def generated(g: PermGroup, gens) -> tuple[int, ...]:
     return _mask_rows(_closure(g.cayley.tolist(), gens), g.order)
 
 
-def subgroups_up_to_conjugacy(group) -> tuple[tuple[int, ...], ...]:
-    """One representative per conjugacy class of subgroups, each as its
-    ascending rows.
+@lru_cache(maxsize=None)
+def subgroups_up_to_conjugacy(name: str) -> tuple[tuple[int, ...], ...]:
+    """One representative per conjugacy class of subgroups of the standard
+    copy of the named group, each as its ascending rows.
 
     Exhaustive closure over all 1- and 2-generated subsets on the Cayley
     table; every subgroup of A4, S4 and A5 is generated by at most two
     elements, so this finds everything without classification tables.
-    Accepts a group or its name.
     """
-    return _subgroups_up_to_conjugacy(group if isinstance(group, str) else group.name)
-
-
-@lru_cache(maxsize=None)
-def _subgroups_up_to_conjugacy(name: str) -> tuple[tuple[int, ...], ...]:
     # A subgroup is the bitmask of its rows.  Row order is the sorted
     # element order, so sorting by (order, sorted rows) sorts by (order,
     # sorted image rows), and each class is represented by its

@@ -5,11 +5,11 @@ import copy
 import numpy as np
 import pytest
 
-from tsglab.actions import RESTRICT_EVEN_S4, RESTRICT_STAB_A5, build, plan
+from tsglab.actions import PART_SIZES, RESTRICT_EVEN_S4, RESTRICT_STAB_A5, build, plan
 from tsglab.edges import INSIDE_MARGIN, PAIR_TOL, _interior_holds
 from tsglab.geometry import PrecisionError, Realization, plane_distance, projectors, realize
-from tsglab.perm import (GroupAction, InconsistentActionError, Orbits, from_cycles, generated,
-                         left_cosets, standard_group)
+from tsglab.perm import (GROUP_ORDER, GroupAction, InconsistentActionError, Orbits, from_cycles,
+                         generated, left_cosets, standard_group)
 from tsglab.profiles import profile_rules
 
 REFERENCES = ([("S4", m) for m in (24, 4, 8, 12, 20, 28)]
@@ -35,14 +35,37 @@ def close_free_orbits():
     yet two vertices 1e-7 apart."""
     p = plan("S4", 48)
     r = realize(p, build(p))
-    first, second = (b for b in r.vertex_action.parts if b.kind == "free")
-    point = r.base[first.start]
+    va = r.vertex_action
+    first, second = (v for v, label in zip(va.action.orbits.reps.tolist(), va.labels)
+                     if label.startswith("free"))
+    point = r.base[first]
     nudge = np.array([1.0, -1.0, 0.5, 0.25])
     nudge -= (nudge @ point) * point
     moved = point + 1e-7 * nudge / np.linalg.norm(nudge)
     base = r.base.copy()
-    base[second.start] = moved / np.linalg.norm(moved)
-    return Realization(r.vertex_action, r.model, r.config, r.mats, base)
+    base[second] = moved / np.linalg.norm(moved)
+    return Realization(va, r.model, r.config, r.mats, base)
+
+
+def vertex_labels(va):
+    """Each vertex's part label, as an array: the label of its orbit in
+    the action build laid down (the parent, for a restriction)."""
+    return np.array(va.labels)[(va.parent or va.action).orbits.index]
+
+
+def plan_orbits(p):
+    """(label, size) of each orbit a plan lays down, in order, expanded
+    from plan.parts: free{j} of |G| points for each free orbit, each
+    special kind at its size, and knotted_k5 as knotted_k4 then center."""
+    out = []
+    for spec in p.parts:
+        if spec.kind == "free":
+            out += [(f"free{j}", GROUP_ORDER[p.building_group]) for j in range(spec.count)]
+        elif spec.kind == "knotted_k5":
+            out += [("knotted_k4", 4), ("center", 1)]
+        else:
+            out.append((spec.kind, PART_SIZES[spec.kind]))
+    return out
 
 
 def action_table(a):

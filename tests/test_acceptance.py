@@ -115,8 +115,8 @@ def test_criterion_3_construction_soundness(tmp_path):
             assert prof.key() in witnesses, (group, m, prof.key())
             assert burnside_orbit_count(va.action) == expected_orbit_count(p), (group, m)
             if p.restriction is not None:
-                assert has_free_edge(va), (group, m)
-                assert has_free_edge(va, in_parent=True), (group, m)
+                assert has_free_edge(va.action), (group, m)
+                assert has_free_edge(va.parent), (group, m)
             r = realize(p, va)
             report = full_report(r)
             assert report.overall, (group, m, report.details)
@@ -175,7 +175,7 @@ def test_criterion_5_edge_certificates(realized):
 
     # fixture 3: an interchanger fixing three vertices breaks h4
     act = [p + [4, 5, 6] for p in s4.elements[list(s4.generators)].tolist()]
-    synthetic = VertexAction(GroupAction(s4, act), ("nat",) * 4 + ("pin",) * 3, ())
+    synthetic = VertexAction(GroupAction(s4, act), ("nat",) + ("pin",) * 3)
     assert not check_h4(synthetic, interchangers(synthetic))
     _report("5 (edge certificates + 3 corrupted fixtures)", t0, 10.0)
 
@@ -230,6 +230,14 @@ def test_restricted_certificates_byte_identical(tmp_path):
         group, m = name.split("_m")
         assert plan(group.upper(), int(m)).restriction is not None, name
     _assert_digests(tmp_path, "restricted_digests.json")
+
+
+def test_large_certificates_byte_identical(tmp_path):
+    """The large-orbits cases, A4 m=1205 (from A5: each of its 20 free
+    labels covers five A4 orbits) and A4 m=1212 (from S4: two A4 orbits
+    per free label) keep the bytes recorded in golden/large_digests.json
+    (seed 0)."""
+    _assert_digests(tmp_path, "large_digests.json")
 
 
 def test_reference_script_writes_verified_certificates(tmp_path, monkeypatch, capsys):

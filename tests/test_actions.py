@@ -19,7 +19,7 @@ from tsglab.perm import burnside_orbit_count, is_faithful, standard_group
 from tsglab.profiles import NotAdmissibleError, necessity_check
 
 from .conftest import (action_table, expected_orbit_count, orbit_partition, pair_stabilizers,
-                       passes_profile_rules, stacked_table)
+                       passes_profile_rules, plan_orbits, stacked_table)
 
 GROUPS = ("A4", "S4", "A5")
 
@@ -102,13 +102,33 @@ def test_plan_sizes_validated():
 
 
 def test_parts_start_at_the_cumulative_sums_of_their_sizes():
-    """A4 m=30000 builds 1250 free orbits of its parent S4, each starting
-    where the parts before it end."""
-    parts = build(plan("A4", 30000)).parts
-    sizes = [b.size for b in parts]
-    assert len(parts) == 1250
-    assert [b.start for b in parts] == list(itertools.accumulate(sizes[:-1], initial=0))
-    assert parts[-1].start + parts[-1].size == 30000
+    """A4 m=30000 builds 1250 free orbits of its parent S4, one label each,
+    each orbit starting where the ones before it end."""
+    va = build(plan("A4", 30000))
+    reps, index = va.parent.orbits.reps, va.parent.orbits.index
+    sizes = np.bincount(index).tolist()
+    assert va.labels == tuple(f"free{j}" for j in range(1250))
+    assert sizes == [24] * 1250
+    assert reps.tolist() == list(itertools.accumulate(sizes[:-1], initial=0))
+    assert np.array_equal(index, np.arange(30000) // 24)
+
+
+def test_labels_are_the_plan_parts_one_per_orbit():
+    """On every admissible plan below m=400, the knotted A4 m=4 and m=5
+    included, build's labels are plan.parts expanded one label per orbit
+    (conftest.plan_orbits), and the orbit minima of the action it lays
+    down (the parent, for a restriction) are the cumulative part sizes."""
+    checked = 0
+    for group in GROUPS:
+        for m in admissible_ms(group, 4, 400):
+            p = plan(group, m)
+            va = build(p)
+            labels, sizes = zip(*plan_orbits(p))
+            assert va.labels == labels, (group, m)
+            reps = (va.parent or va.action).orbits.reps
+            assert reps.tolist() == list(itertools.accumulate(sizes[:-1], initial=0)), (group, m)
+            checked += 1
+    assert checked >= 270
 
 
 STACKED_CASES = {
@@ -200,14 +220,14 @@ def test_knotted_builds_record_actions():
 
 def test_free_orbit_gives_free_edge():
     va = build(plan("S4", 24))
-    assert has_free_edge(va)
+    assert has_free_edge(va.action)
     u, v = 0, 1  # two vertices of one regular orbit
     assert pair_stabilizers(va.action, [(u, v)]).nonzero()[1].tolist() == [0]  # the identity's row
 
 
 def test_twin_tetra_alone_has_free_edge_across_axes():
     va = build(plan("S4", 8))
-    assert has_free_edge(va)
+    assert has_free_edge(va.action)
 
 
 def test_all_restriction_cases_have_free_edges():
@@ -216,20 +236,20 @@ def test_all_restriction_cases_have_free_edges():
         if p.restriction is None:
             continue
         va = build(p)
-        assert has_free_edge(va), m
-        assert has_free_edge(va, in_parent=True), m
+        assert has_free_edge(va.action), m
+        assert has_free_edge(va.parent), m
 
 
 def test_simplex_corners_alone_have_no_free_edge():
     # every pair of 4-simplex corners is pinned by a 3-cycle, so the
     # re-embedding route from the A5 action on K_5 is unavailable
     va = build(plan("A5", 5))
-    assert not has_free_edge(va)
+    assert not has_free_edge(va.action)
 
 
 def test_corners_only_s4_has_no_free_edge():
     va = build(plan("S4", 4))
-    assert not has_free_edge(va)
+    assert not has_free_edge(va.action)
 
 
 # ----------------------------------------------------- acceptance-style grid

@@ -165,6 +165,22 @@ def test_a_forged_generator_pair_fails_at_group_closure(capsys):
     assert err == "verification failed at: group-closure\n"
 
 
+def test_a_label_split_across_a_free_part_fails_at_group_closure(capsys):
+    """golden/split_label_a4_m61.json is A4 m=61 at seed 0, whose free0
+    spans one free A5 orbit, five A4 orbits, with the record of one of
+    those orbits (vertex 48) relabelled free1.  free0 then spans 48
+    vertices, and it is checked first, as its first orbit comes first."""
+    path = GOLDEN / "split_label_a4_m61.json"
+    data = json.loads(path.read_text())
+    assert [(v["id"], v["part"]) for v in data["vertices"]] == [
+        (0, "free0"), (1, "free0"), (2, "free0"), (9, "free0"), (48, "free1"), (60, "center")]
+    code = main(["verify", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 5
+    assert out == "group-closure: FAILED (part 'free0' spans 48 vertices instead of 60)\n"
+    assert err == "verification failed at: group-closure\n"
+
+
 @pytest.mark.parametrize("group,m,others", [("A4", 13, 47), ("S4", 20, 107), ("A5", 61, 1139)])
 def test_only_the_groups_own_generator_pair_verifies(realized, group, m, others):
     """Every generating pair of rows other than PermGroup.generators, each

@@ -44,7 +44,8 @@ from tsglab.geometry import (
 from tsglab.perm import GroupAction, standard_group
 from tsglab.profiles import admissible_residues
 
-from .conftest import REFERENCES, action_table, all_vertex_inside, pair_stabilizers, svd_circles, svd_planes
+from .conftest import (REFERENCES, action_table, all_vertex_inside, pair_stabilizers, svd_circles,
+                       svd_planes, vertex_labels)
 
 S4 = standard_group("S4")
 
@@ -119,8 +120,9 @@ def test_a5_80_pairs_are_same_edge_points(realized):
     pairs = required_pairs(va)
     assert len(pairs) == 10
     # both members of each pair carry the simplex-edge label
+    labels = vertex_labels(va)
     for u, v in pairs:
-        assert va.labels[u] == va.labels[v] == "simplex_edge"
+        assert labels[u] == labels[v] == "simplex_edge"
 
 
 def test_s4_8_pairs_join_twin_tetra_vertices(realized):
@@ -249,7 +251,7 @@ def _interchanger_fixes_three_action() -> VertexAction:
     # swaps a pair while fixing 2 + 3 = 5 > 2 vertices
     act = [p + [4, 5, 6] for p in S4.elements[list(S4.generators)].tolist()]
     ga = GroupAction(S4, act)
-    return VertexAction(ga, ("nat",) * 4 + ("pin",) * 3, ())
+    return VertexAction(ga, ("nat",) + ("pin",) * 3)
 
 
 def test_fixture_interchanger_fixing_three_fails_h4():
@@ -265,7 +267,7 @@ def _pair_at_circle_intersection() -> tuple[VertexAction, Realization]:
         first = [0, 1] if S4.even[i] else [1, 0]
         act.append(first + (2 + S4.cayley[i]).tolist())
     ga = GroupAction(S4, act)
-    va = VertexAction(ga, ("pole",) * 2 + ("free",) * 24, ())
+    va = VertexAction(ga, ("pole", "free0"))
     mats = representation(S4, Model.TETRA_FULL)
     rng = np.random.default_rng(2)
     base = np.zeros((26, 4))

@@ -44,7 +44,7 @@ from tsglab.perm import (
 )
 
 from .conftest import (REFERENCES, action_table, canonical_rows, close_free_orbits, fixed_set,
-                       svd_circles, svd_planes)
+                       svd_circles, svd_planes, vertex_labels)
 
 S4 = standard_group("S4")
 A4 = standard_group("A4")
@@ -335,8 +335,7 @@ def test_circle_pairs_intersect_in_0_or_2_points():
 
 
 def _part_block(r, kind):
-    part = next(b for b in r.vertex_action.parts if b.kind == kind)
-    block = r.coords[part.start:part.start + part.size]
+    block = r.coords[vertex_labels(r.vertex_action) == kind]
     assert np.abs(np.linalg.norm(block, axis=1) - 1).max() < 1e-9
     return block
 
@@ -520,9 +519,10 @@ def test_reference_realizations(realized, group, m):
 def test_a5_61_only_center_touches_circles():
     p = plan("A5", 61)
     r = realize(p)
-    center_idx = r.vertex_action.labels.index("center")
+    center = np.flatnonzero(vertex_labels(r.vertex_action) == "center").tolist()
+    assert len(center) == 1
     for c in svd_planes(r.mats)[1:]:
-        assert np.flatnonzero(plane_distance(c, r.coords) <= 1e-9).tolist() == [center_idx]
+        assert np.flatnonzero(plane_distance(c, r.coords) <= 1e-9).tolist() == center
 
 
 def test_s4_12_each_transposition_circle_holds_two_vertices():
@@ -617,8 +617,7 @@ def test_free_orbit_vertices_clear_every_fixed_plane(group, m):
     lies at least FREE_CIRCLE_CLEARANCE from the fixed plane of every
     non-identity element (Realization.planes)."""
     r = realize(plan(group, m))
-    free = np.concatenate([np.arange(b.start, b.start + b.size)
-                           for b in r.vertex_action.parts if b.kind == "free"])
+    free = np.flatnonzero(np.char.startswith(vertex_labels(r.vertex_action), "free"))
     assert len(free) >= 20 * r.group.order
     distances = plane_distance(r.planes[1:], r.coords[free])
     assert distances.min() >= geometry.FREE_CIRCLE_CLEARANCE

@@ -34,8 +34,8 @@ from tsglab.perm import (
 from tsglab.profiles import admissible_residues
 
 from .conftest import (action_table, all_column_fixed, all_column_homomorphism, all_column_orbits,
-                       coset_table, direct_sum, orbit_partition, pair_stabilizers, stacked_table,
-                       table_sum)
+                       coset_table, direct_sum, orbit_partition, pair_stabilizers, plan_orbits,
+                       stacked_table, table_sum)
 
 GROUPS = ("A4", "S4", "A5")
 GOLDEN = Path(__file__).parent / "golden"
@@ -260,7 +260,7 @@ def test_subgroup_reps_are_closed(name):
 def test_subgroup_reps_match_golden(name):
     """Same representatives in the same order as recorded in
     golden/subgroup_reps.json before the enumeration moved to the Cayley table."""
-    perm._subgroups_up_to_conjugacy.cache_clear()
+    perm.subgroups_up_to_conjugacy.cache_clear()
     g = standard_group(name)
     rows = [[len(h), sorted(g.elements[list(h)].tolist())] for h in subgroups_up_to_conjugacy(name)]
     blob = json.dumps(rows, separators=(",", ":")).encode()
@@ -455,7 +455,7 @@ def test_orbit_minima_cached_per_action(monkeypatch):
 
     monkeypatch.setattr(perm, "_orbit_minima", counted)
     g = standard_group("S4")
-    a = direct_sum([coset_action(g, h) for h in subgroups_up_to_conjugacy(g)[:3]])
+    a = direct_sum([coset_action(g, h) for h in subgroups_up_to_conjugacy("S4")[:3]])
     first = a.orbits
     assert a.orbits is first
     kernel(a)  # the fixed-point table and the homomorphism check read the cached table
@@ -649,12 +649,15 @@ def test_check_homomorphism_agrees_with_the_all_column_reference(name, gen, colu
 def _built_actions(group, ms):
     """The action build makes for each admissible m in ms, and its parent
     when the plan is a restriction.  The building action (the parent, or
-    the action itself) comes with the orbit minima realize reads off its
-    parts, each part's first vertex repeated over the part; None otherwise."""
+    the action itself) comes with the orbit minima the plan's parts give,
+    each part's first vertex repeated over the part (conftest.plan_orbits);
+    None otherwise."""
     for m in ms:
         if m in admissible_residues(group):
-            va = build(plan(group, m))
-            parts = np.repeat([b.start for b in va.parts], [b.size for b in va.parts])
+            p = plan(group, m)
+            va = build(p)
+            sizes = [size for _, size in plan_orbits(p)]
+            parts = np.repeat(list(itertools.accumulate(sizes[:-1], initial=0)), sizes)
             yield f"{group} m={m}", va.action, parts if va.parent is None else None
             if va.parent is not None:
                 yield f"{group} m={m} parent", va.parent, parts
@@ -686,8 +689,8 @@ def test_fixed_points_equal_the_all_column_reference(kind):
     every admissible plan's action below m=400 and its parent, on every
     coset action of A4, S4 and A5 (unfaithful ones included), on every
     direct sum of two of those, and on the large-orbits actions and A4
-    m=1205 with its parent.  On a building action, the minima realize
-    reads off the parts are the orbit minima."""
+    m=1205 with its parent.  On a building action, the part starts the
+    plan gives are the orbit minima."""
     checked = 0
     for name, a, parts in TABLE_CASES[kind]():
         orbits = all_column_orbits(a)
@@ -702,7 +705,7 @@ def test_fixed_points_equal_the_all_column_reference(kind):
         assert np.array_equal(counts, ref["counts"]), name
         assert np.array_equal(pair_fixer_counts(a)[1], ref["pairs"]), name
         assert kernel(a) == tuple(np.flatnonzero(ref["fixed"].all(axis=1)).tolist()), name
-        assert np.array_equal(interchangers(VertexAction(a, (), ())), ref["swappers"]), name
+        assert np.array_equal(interchangers(VertexAction(a, ())), ref["swappers"]), name
         checked += 1
     assert checked >= {"plans": 300, "cosets": 25, "sums": 126, "large-orbits": 5}[kind]
 
