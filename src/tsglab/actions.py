@@ -16,11 +16,12 @@ couple of special ones tied to a polyhedron.  Part kinds and their sizes:
     knotted_k4/k5    the two small cases that need knotted edges; their
                      combinatorial actions are recorded, geometry is not
 
+An OrbitPlan refuses kinds its group does not lay down (SPECIAL_PARTS).
 build lays down only the two generator rows of each part's action, the
-one form of a vertex action (perm.GroupAction), as verify reads it from
-a file.  Every part is one orbit of the action it lays down, in plan
-order, so its first vertex is that orbit's minimum; a part's label is
-stored once per orbit (VertexAction.labels), never per vertex.
+one form of a vertex action (perm.GroupAction); verify lays a file's
+parts down with it too.  Every part is one orbit of the action it lays
+down, in plan order, so its first vertex is that orbit's minimum; a
+part's label is stored once per orbit (VertexAction.labels).
 
 For A4 most residues are reached by building the S4 or A5 action on the
 same vertices and restricting to an A4 subgroup; the re-embedding argument
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -73,6 +75,13 @@ PART_SIZES = {
     "center": 1,
     "knotted_k4": 4,
     "knotted_k5": 5,
+}
+
+# the special kinds each building group lays down: those its plans use
+SPECIAL_PARTS = {
+    "A4": ("tetra_corners", "center"),
+    "S4": ("tetra_corners", "twin_tetra", "tetra_edge"),
+    "A5": ("simplex_corners", "simplex_edge", "center"),
 }
 
 RESTRICT_EVEN_S4 = "a4_in_s4"   # even elements of S4
@@ -126,6 +135,9 @@ class OrbitPlan:
         return PART_SIZES[spec.kind]
 
     def __post_init__(self):
+        bad = [s.kind for s in self.parts if s.kind not in ("free", *SPECIAL_PARTS[self.building_group])]
+        if bad and not self.knotted:
+            raise ValueError(f"{self.building_group} cannot lay down a {bad[0]} part")
         total = sum(self.part_size(s) for s in self.parts)
         if total != self.m:
             raise ValueError(f"part sizes sum to {total}, expected m={self.m}")
@@ -172,6 +184,13 @@ _PART_GENERATOR = {
 }
 
 
+@lru_cache(maxsize=None)  # one read-only table per (group, kind), as for the groups
+def _coset_rows(group: str, kind: str) -> np.ndarray:
+    """The two generator rows of a coset part's action."""
+    g = standard_group(group)
+    return coset_action(g, generated(g, g.rows([_PART_GENERATOR[kind]]))).gen_images
+
+
 @dataclass
 class VertexAction:
     """An action on m vertices, with one part label per orbit of the
@@ -200,8 +219,8 @@ def build(p: OrbitPlan) -> VertexAction:
     """Materialize a plan as an explicit faithful permutation action.  Each
     part contributes the two generator rows of its coset, natural or
     one-point action, offset to the part's start; a free part's n regular
-    orbits are one block of n Cayley rows side by side.  Those rows are
-    the action, as verify reads it from a file."""
+    orbits are one block of n Cayley rows side by side.  verify lays a
+    file's parts down here and then checks the rows it gets."""
     g = standard_group(p.building_group)
     gens = list(g.generators)
     labels: list[str] = []
@@ -217,9 +236,8 @@ def build(p: OrbitPlan) -> VertexAction:
             labels += ["knotted_k4", "center"]
             blocks += [g.elements[gens], center]
         elif spec.kind in _PART_GENERATOR:
-            h = generated(g, g.rows([_PART_GENERATOR[spec.kind]]))
             labels.append(spec.kind)
-            blocks.append(coset_action(g, h).gen_images)
+            blocks.append(_coset_rows(g.name, spec.kind))
         else:  # the center, or a natural part: tetra_corners, simplex_corners, knotted_k4
             labels.append(spec.kind)
             blocks.append(center if spec.kind == "center" else g.elements[gens])

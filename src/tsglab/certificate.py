@@ -1,83 +1,82 @@
 """Self-contained realization files: write, read back, re-check everything.
 
-A certificate (schema version 3, compact JSON with sorted keys) stores a
-realization in generator form:
+A certificate (schema version 4, compact JSON with sorted keys) states a
+realization by its parts:
 
-    generators  `perm`, `vertex_images` and `matrix` (4x4 special
-                orthogonal, row-major) of PermGroup.generators, in either order
-    vertices    one record per vertex orbit: `id`, the smallest vertex of
-                the orbit, with the orbit's `part` label and its `coords`
+    model       {"tag": ...}, the geometric model
+    generators  one {"matrix": ...} per PermGroup.generators row, in that
+                order (4x4 special orthogonal, row-major)
+    parts       the plan's parts as [kind, count] pairs, in plan order
+    vertices    one {"coords": ...} per vertex orbit, in orbit-minimum order
     arcs        the witness arc system
-    report      the hypothesis verdicts, the profile and the orbit count
+    report      the profile and the orbit count
 
 The header's `restriction`, or else its `group`, names the permutation
-group, and its (group, model tag) fixes the restriction
-(actions.PLAN_HEADERS).  The generator records must be that group's
-pair, in either order.  The verifier takes them in the group's order:
-their vertex images are the action (perm.GroupAction, the form
-actions.build makes too), and the matrices follow along one spanning
-tree, from the identity outward over the Cayley table: row x * s gets
-M(x) @ M(s), the identity exactly I (perm.matrices_from_generators, which
-geometry.realize uses too).  The vertex records must be exactly the
-orbit minima of that action's orbit table (GroupAction.orbits), one per
-orbit.  Every other vertex w of the orbit of a record v gets
-mats[t] @ coords[v], t its carrier row, the first row that maps v to w
-(geometry.orbit_coords, which realize uses too, so a file rebuilds bit
-for bit to what realize checked).  A stored row, matrix or coordinate is
-never overwritten, and nothing derived is trusted.  `homomorphism`
-compares every pair of matrices.  `action-homomorphism` and `invariance`
-compare at the orbit representatives only, |G| images per orbit, and
-that bounds the whole action and all m coordinates: why is argued once,
-in perm.check_homomorphism and geometry._check_invariance.
-A file of any other schema version, such as a version 2 file with every
-element's perm and matrix, is a schema error that names its version.
+group, and (group, model tag) fixes the restriction (actions.PLAN_HEADERS).
+The header and parts must form an actions.OrbitPlan, else the file is a
+schema error.  The verifier lays that plan's action down with
+actions.build, and the matrices follow along one spanning tree over the
+Cayley table: row x * s gets M(x) @ M(s), the identity exactly I
+(perm.matrices_from_generators).  A vertex record sits at its orbit's
+minimum (GroupAction.orbits), and every other vertex w of that orbit gets
+mats[t] @ coords[v], t the first row that maps v to w
+(geometry.orbit_coords).  realize uses the same three, so a file rebuilds
+bit for bit to what realize checked.  `action-homomorphism` and
+`invariance` compare at the orbit representatives only, which bounds the
+whole action and all m coordinates (perm.check_homomorphism,
+geometry._check_invariance).  Another schema version is a schema error.
 
-Verification reconstructs all objects from the file alone and re-runs
-every invariant.  The steps, in order, stopping at the first failure:
+Why verify may share build with realize.  A certificate claims that some
+faithful action of the group on m points has an invariant embedding that
+meets h1..h5.  The action build lays down is the object under check, not
+a premise: group-closure requires it to act through the header's group,
+and the later steps check it as they checked an action read from a
+version 3 file.  A faulty build can only make verify reject a good file,
+or accept one whose action, whatever it is, passes every check, which is
+all the claim needs.  The matrices, coordinates and arcs are the
+embedding itself, so they come from the file, and no other construction
+step (representation, placement, arc picking) is entered.
 
-    group-closure        the generator records are the group's pair and the
-                         vertex records are the orbit minima; part labels
-                         span their parts' sizes (rebuild)
-    action-homomorphism  the derived vertex images are a faithful action
+Verification stops at the first failed step, in this order:
+
+    group-closure        the laid-down action acts through the header's
+                         group, with one generator record per generator and
+                         one vertex record per orbit (rebuild)
+    action-homomorphism  the laid-down generator rows are a faithful action
     homomorphism, invariance, separation, profile
                          geometry.REALIZATION_CHECKS, as realize runs
                          them; profile also compares the stored profile
     burnside             the stored orbit count
-    edge-hypotheses      the stored arcs and h1..h5 flags
-
-The stored arcs are checked as a witness (edges.full_report on them): any
-arc system that meets the edge hypotheses passes, not only the one
-realize picked.
+    edge-hypotheses      the stored arcs, as a witness (edges.full_report
+                         on them): any arc system that meets the edge
+                         hypotheses passes, not only the one realize picked
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 import tempfile
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .actions import (
-    PART_SIZES,
     PLAN_HEADERS,
-    RESTRICTION_PARENT,
     Model,
-    VertexAction,
+    OrbitPlan,
+    PartSpec,
+    build,
     measured_profile,
     restricted_group,
 )
 from .edges import Arcs, full_report
-from .geometry import REALIZATION_CHECKS, ModelConfig, PrecisionError, Realization
+from .geometry import REALIZATION_CHECKS, PrecisionError, Realization
 from .perm import (
     GROUP_NAMES,
     GROUP_ORDER,
-    GroupAction,
     InconsistentActionError,
     burnside_orbit_count,
     check_homomorphism,
@@ -87,28 +86,29 @@ from .perm import (
 )
 from .profiles import KNOTTED_CASES
 
-SCHEMA_VERSION = 3
-
-_TOP_KEYS = {"schema_version", "group", "m", "model", "restriction",
-             "generators", "vertices", "arcs", "report"}
+SCHEMA_VERSION = 4
 
 
 class SchemaError(ValueError):
     """File shape does not match the certificate schema."""
 
 
+def stated_parts(labels) -> list:
+    """The [kind, count] pairs of the parts whose orbit labels build gave:
+    free0 starts a free part, and each later free label adds an orbit."""
+    parts: list = []
+    for label in labels:
+        if label.startswith("free") and label != "free0":
+            parts[-1][1] += 1
+        else:
+            parts.append(["free" if label == "free0" else label, 1])
+    return parts
+
+
 def certificate_dict(r: Realization, report) -> dict:
     va = r.vertex_action
     act = va.action
     group = act.group
-    generators = [{"perm": group.elements[s].tolist(), "vertex_images": img.tolist(),
-                   "matrix": r.mats[s].ravel().tolist()}  # matrix row-major
-                  for s, img in zip(group.generators, act.gen_images)]
-    # each acting orbit lies in one orbit of the built action, whose label it carries
-    reps = act.orbits.reps
-    orbit = (va.parent or act).orbits.index[reps]
-    vertices = [{"id": v, "part": va.labels[o], "coords": r.coords[v].tolist()}
-                for v, o in zip(reps.tolist(), orbit.tolist())]
     arcs = []
     if report.arcs:
         a = report.arcs.take(np.lexsort(report.arcs.pairs.T[::-1]))  # rows sorted by pair
@@ -120,24 +120,16 @@ def certificate_dict(r: Realization, report) -> dict:
         "schema_version": SCHEMA_VERSION,
         "group": group.name,
         "m": r.m,
-        "model": {
-            "tag": r.model.value,
-            "theta": float(r.config.theta),
-            "t": float(r.config.t),
-            "seed": r.config.seed,
-        },
+        "model": {"tag": r.model.value},
         # (group, model tag) fixes the restriction
         "restriction": next(res for name, res, tag in PLAN_HEADERS
                             if (name, tag) == (group.name, r.model.value)),
-        "generators": generators,
-        "vertices": vertices,
+        "generators": [{"matrix": r.mats[s].ravel().tolist()} for s in group.generators],
+        "parts": stated_parts(va.labels),
+        "vertices": [{"coords": c} for c in r.coords[act.orbits.reps].tolist()],
         "arcs": arcs,
-        "report": {
-            "h1": report.h1, "h2": report.h2, "h3": report.h3,
-            "h4": report.h4, "h5": report.h5,
-            "profile": measured_profile(va).named_counts(),
-            "orbit_count": burnside_orbit_count(act),
-        },
+        "report": {"profile": measured_profile(va).named_counts(),
+                   "orbit_count": burnside_orbit_count(act)},
     }
 
 
@@ -188,45 +180,47 @@ def _numbers(n: int):
     return lambda x: isinstance(x, list) and len(x) == n and all(map(_is_number, x))
 
 
-def _is_part_label(x) -> bool:
-    # free orbits are labelled free0, free1, ...; special parts by their kind
-    return isinstance(x, str) and (x in PART_SIZES or re.fullmatch("free[0-9]+", x) is not None)
-
-
 # container type of each section, and a type test for each field of its records
-_SECTIONS = {"model": dict, "generators": list, "vertices": list, "arcs": list, "report": dict}
-_MODEL_FIELDS = {"tag": lambda x: isinstance(x, str), "theta": _is_number, "t": _is_number,
-                 "seed": _is_int}
-_REPORT_FIELDS = {
-    **dict.fromkeys(("h1", "h2", "h3", "h4", "h5"), lambda x: isinstance(x, bool)),
-    "orbit_count": _is_int,
-    "profile": lambda x: isinstance(x, dict) and all(map(_is_int, x.values())),
-}
-_RECORD_FIELDS = {
-    "generators": {"perm": _ints, "vertex_images": _ints, "matrix": _numbers(16)},
-    "vertices": {"id": _is_int, "part": _is_part_label, "coords": _numbers(4)},
+_SECTIONS = {"model": dict, "generators": list, "parts": list, "vertices": list, "arcs": list,
+             "report": dict}
+_TOP_KEYS = {"schema_version", "group", "m", "restriction", *_SECTIONS}
+_RECORD_FIELDS = {  # model and report are one record each
+    "model": {"tag": lambda x: isinstance(x, str)},
+    "report": {"orbit_count": _is_int,
+               "profile": lambda x: isinstance(x, dict) and all(map(_is_int, x.values()))},
+    "generators": {"matrix": _numbers(16)},
+    "vertices": {"coords": _numbers(4)},
     "arcs": {"pair": lambda x: _ints(x) and len(x) == 2, "fixer": _ints,
              "start": _is_number, "sweep": _is_number,
              "basis": lambda x: isinstance(x, list) and len(x) == 2 and all(map(_numbers(4), x))},
 }
+# a part is a [kind, count] pair
+_PART_FIELDS = {"kind": lambda x: isinstance(x, str), "count": _is_int}
 
 
-def _check_record(section: str, rec, fields: dict) -> None:
-    if not isinstance(rec, dict) or set(rec) != set(fields):
+def _check_records(section: str, records: list, fields: dict) -> None:
+    """Each record has exactly the keys of fields, each passing its test."""
+    if not all(isinstance(rec, dict) and rec.keys() == fields.keys() for rec in records):
         raise SchemaError(f"{section} records need keys {sorted(fields)}")
-    bad = [k for k, ok in fields.items() if not ok(rec[k])]
-    if bad:
-        raise SchemaError(f"{section} field {bad[0]!r} has the wrong type, length or value")
+    for key, ok in fields.items():
+        if not all(ok(rec[key]) for rec in records):
+            raise SchemaError(f"{section} field {key!r} has the wrong type, length or value")
+
+
+def _plan(data: dict) -> OrbitPlan:
+    """The plan a file's header and parts state (fields already typed)."""
+    return OrbitPlan(data["group"], data["m"],
+                     tuple(PartSpec(kind, count) for kind, count in data["parts"]),
+                     Model(data["model"]["tag"]), data["restriction"])
 
 
 def _check_schema(data: dict) -> None:
-    """Version, shapes, types and header values: the file is schema
-    version 3, every field the verifier reads has the JSON type it
-    expects, within int64 for an integer and float64 for a number, group,
-    restriction and model tag are a triple plan() produces, (group, m) is
-    not a knotted case, every vertex record carries a part label build()
-    gives, vertex ids are distinct vertices, and there is one vertex
-    record per orbit the report counts.  NaN and inf are numbers here; the
+    """Version, shapes, types and header values: schema version 4, every
+    field of the JSON type the verifier expects (int64, float64), a
+    (group, restriction, model tag) plan() produces, no knotted case,
+    parts that form an OrbitPlan, one vertex record per orbit the report
+    counts, and no orbit above |G| vertices, so laying the parts down
+    costs no more than the file's size.  NaN and inf pass here; the
     checks reject them."""
     if not isinstance(data, dict):
         raise SchemaError("a certificate is a JSON object")
@@ -239,36 +233,33 @@ def _check_schema(data: dict) -> None:
     for section, kind in _SECTIONS.items():
         if not isinstance(data[section], kind):
             raise SchemaError(f"{section} must be a JSON {'object' if kind is dict else 'array'}")
-    _check_record("model", data["model"], _MODEL_FIELDS)
-    _check_record("report", data["report"], _REPORT_FIELDS)
     for section, fields in _RECORD_FIELDS.items():
-        for rec in data[section]:
-            _check_record(section, rec, fields)
-    group = data["group"]
+        records = data[section]
+        _check_records(section, [records] if isinstance(records, dict) else records, fields)
+    if not all(isinstance(part, list) and len(part) == 2 for part in data["parts"]):
+        raise SchemaError("parts must be [kind, count] pairs")
+    _check_records("parts", [dict(zip(_PART_FIELDS, part)) for part in data["parts"]], _PART_FIELDS)
+    group, m = data["group"], data["m"]
     if group not in GROUP_NAMES:
         raise SchemaError(f"group must be one of {list(GROUP_NAMES)}, got {group!r}")
     header = (group, data["restriction"], data["model"]["tag"])
     if header not in PLAN_HEADERS:
         raise SchemaError(f"(group, restriction, model tag) = {header} is not one a plan produces")
-    model = data["model"]
-    try:
-        ModelConfig(theta=model["theta"], t=model["t"], seed=model["seed"])
-    except ValueError as err:
-        raise SchemaError(f"model: {err}") from err
-    m = data["m"]
     if not _is_int(m) or m < 1:
         raise SchemaError(f"m must be a positive integer, got {m!r}")
     if (group, m) in KNOTTED_CASES:
         raise SchemaError(f"K_{m} with group {group} needs knotted edges; "
                           "no certificate describes it")
-    if any(len(g["vertex_images"]) != m for g in data["generators"]):
-        raise SchemaError(f"every vertex_images list needs m = {m} entries")
-    ids = [v["id"] for v in data["vertices"]]
-    if len(set(ids)) != len(ids) or not all(0 <= i < m for i in ids):
-        raise SchemaError(f"vertex ids must be distinct vertices 0..{m - 1}")
-    if len(ids) != data["report"]["orbit_count"]:
+    try:
+        p = _plan(data)
+    except ValueError as err:
+        raise SchemaError(f"parts: {err}") from err
+    orbits = len(data["vertices"])
+    if orbits != data["report"]["orbit_count"]:
         raise SchemaError(f"the report counts {data['report']['orbit_count']} orbits "
-                          f"but the file holds {len(ids)} vertex records")
+                          f"but the file holds {orbits} vertex records")
+    if m > GROUP_ORDER[p.building_group] * orbits:
+        raise SchemaError(f"m = {m} vertices need more than {orbits} vertex records")
 
 
 @dataclass
@@ -281,45 +272,24 @@ class CheckResult:
 def _rebuild(data: dict) -> Realization:
     # _check_schema passes only headers plan() produces, so this is its group
     group = restricted_group(data["restriction"]) or standard_group(data["group"])
-    pair, records = group.elements[list(group.generators)].tolist(), data["generators"]
-    if [g["perm"] for g in records[::-1]] == pair:
-        records = records[::-1]
-    if [g["perm"] for g in records] != pair:
-        raise ValueError(f"the generator records must be the group's generators "
-                         f"{pair[0]} and {pair[1]}, in either order")
-    ga = GroupAction(group, [g["vertex_images"] for g in records])
+    p = _plan(data)
+    va = build(p)
+    if va.action.group is not group:
+        raise ValueError(f"the action laid down from the parts acts through "
+                         f"{va.action.group!r}, not the header's group {group!r}")
+    records = data["generators"]
+    if len(records) != len(group.generators):
+        raise ValueError(f"{group.name} has {len(group.generators)} generators, "
+                         f"but the file holds {len(records)} generator records")
     mats = matrices_from_generators(group, np.array(
         [g["matrix"] for g in records], dtype=float).reshape(-1, 4, 4))
-    free_size = GROUP_ORDER[RESTRICTION_PARENT.get(data["restriction"], data["group"])]
-    base, labels = _orbit_records(ga, data["vertices"], free_size)
-    cfg = ModelConfig(theta=data["model"]["theta"], t=data["model"]["t"],
-                      seed=data["model"]["seed"])
-    return Realization(VertexAction(ga, labels), Model(data["model"]["tag"]), cfg, mats, base)
-
-
-def _orbit_records(action: GroupAction, records: list, free_size: int) -> tuple:
-    """Each record's coords at its id, in an (m, 4) array, and its part
-    label, one per orbit.  The records must be the orbit minima, one per
-    orbit, and each label's orbits span its part's size (free_size for a
-    free part), checked in the order of each label's first orbit."""
-    stored = {v["id"]: v for v in records}
-    reps = action.orbits.reps.tolist()
-    extra, missing = sorted(set(stored) - set(reps)), sorted(set(reps) - set(stored))
-    if extra:
-        raise ValueError(f"vertex record {extra[0]} is not the smallest vertex of its orbit")
-    if missing:
-        raise ValueError(f"the orbit of vertex {missing[0]} has no vertex record")
-    base = np.zeros((action.m, 4))
-    base[reps] = [stored[v]["coords"] for v in reps]
-    labels = tuple(stored[v]["part"] for v in reps)
-    spans = Counter()
-    for label, size in zip(labels, np.bincount(action.orbits.index).tolist()):
-        spans[label] += size
-    for label, count in spans.items():
-        size = PART_SIZES.get(label, free_size)
-        if count != size:
-            raise ValueError(f"part {label!r} spans {count} vertices instead of {size}")
-    return base, labels
+    reps = va.action.orbits.reps
+    if len(reps) != len(data["vertices"]):
+        raise ValueError(f"the action laid down from the parts has {len(reps)} orbits, "
+                         f"but the file holds {len(data['vertices'])} vertex records")
+    base = np.zeros((p.m, 4))
+    base[reps] = [v["coords"] for v in data["vertices"]]
+    return Realization(va, p.model, mats, base)
 
 
 def _check_action(data: dict, real: Realization) -> None:
@@ -368,9 +338,6 @@ def _check_hypotheses(data: dict, real: Realization) -> None:
     report = full_report(real, arcs)
     if not report.overall:
         raise AssertionError(f"hypothesis checks failed: {report.details}")
-    flags = {k: data["report"][k] for k in ("h1", "h2", "h3", "h4", "h5")}
-    if not all(flags.values()):
-        raise AssertionError(f"stored flags claim a failure: {flags}")
 
 
 # run in this order after group-closure (see the module docstring)

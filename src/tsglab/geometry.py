@@ -16,9 +16,10 @@ Four models, all inside SO(4):
                 glide rotations with empty fixed sets.
 
 Each model is one stacked product over the permutation matrices P of the
-elements.  The tetrahedral models take the block B4·P·B4ᵀ (B4 a basis of
-the sum-zero subspace of 4-space) with last diagonal entry 1 or the parity
-sign; SIMPLEX4 takes B5·P·B5ᵀ.  DODECA_ROT is the action A -> R·A·Rᵀ of
+elements.  The tetrahedral models take the block B4·P·B4ᵀ (B4 the Hadamard
+rows, a basis of the sum-zero subspace of 4-space) with last diagonal entry
+1 or the parity sign: signed permutation matrices, exact.  SIMPLEX4 takes
+B5·P·B5ᵀ (B5 the Helmert basis), irrational.  DODECA_ROT is the action A -> R·A·Rᵀ of
 those SIMPLEX4 matrices on the self-dual 2-forms (e01+e23, e02-e13,
 e03+e12)/√2, faithful because A5 is simple and not inside SU(2).  It is
 written in the frame of the half-turn axes of (0 1)(2 3), (0 2)(1 3) and
@@ -75,6 +76,9 @@ _CELL_MARGIN = 2.0 ** -20  # relative widening of a cell over the search radius
 _CELL_SPAN = 2 ** 14  # most cells across the points' range on one axis
 _PAIR_CHUNK = 2 ** 20  # most candidate pairs measured at once
 _HOM_CHUNK = 2 ** 9  # most (row, matrix) products per homomorphism chunk: 64 KB
+# _closest_pair's first radius over the mean spacing (2π²/m)^(1/3) of m points
+# in the sphere's volume 2π²: a cost constant, as the answer is exact for any
+_FIRST_RADIUS = 0.25
 # cell offsets on the first three axes, in ascending code order; CellGrid.runs
 _NEIGHBOURS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
 
@@ -152,14 +156,13 @@ def _sumzero_basis(n: int) -> np.ndarray:
     return np.array(rows)
 
 
-_B4 = _sumzero_basis(4)  # 3 x 4
+_B4 = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2  # 3 x 4, Hadamard rows
 _B5 = _sumzero_basis(5)  # 4 x 5
 
 
 def tetra_corner(i: int) -> np.ndarray:
-    """Corner of the regular tetrahedron, embedded in the equator x4 = 0."""
-    v = _B4 @ (np.eye(4)[i] - 0.25)
-    v /= np.linalg.norm(v)
+    """Corner i of the regular tetrahedron in the equator x4 = 0: column i of B4."""
+    v = _B4[:, i] / np.linalg.norm(_B4[:, i])
     return np.concatenate([v, [0.0]])
 
 
@@ -462,9 +465,14 @@ def _closest_pair(points: np.ndarray, rows: np.ndarray, partners: np.ndarray) ->
     (rows[j], the next row cyclically) that are not self-pairs, is the
     distance of an actual pair; the next row makes sure there is one when
     any pair exists.  So the answer is min(h, d) over the pairs closer than
-    h, and a CellGrid of radius h finds each of those in the 81 cells
-    around its row (CellGrid.near); only those pairs are measured.  NaN for
-    non-finite input, inf when there is no pair.
+    h.  A CellGrid of radius r finds every pair closer than r in the 81
+    cells around its row (CellGrid.near), so a pass at r that measures a
+    pair no farther than r has found the smallest distance; one that does
+    not proves it at least r, and the next pass runs at 2r, the pass at h
+    being exact.  Passes start at _FIRST_RADIUS·(2π²/m)^(1/3), and one at
+    r >= h/2 runs at h instead, as its failure would lead there next.  A
+    distance is the same expression in any pass, so the float does not
+    depend on the radii.  NaN for non-finite input, inf with no pair.
     """
     if not np.isfinite(points).all():
         return math.nan
@@ -475,10 +483,17 @@ def _closest_pair(points: np.ndarray, rows: np.ndarray, partners: np.ndarray) ->
     h = float(d[partners != rows].min(initial=np.inf))
     if h == 0:
         return h
-    for row, other in CellGrid(h, points.min(), points.max()).near(points, rows):
-        d = np.linalg.norm(points[other] - points[row], axis=1)
-        h = min(h, float(d[other != row].min(initial=np.inf)))
-    return h
+    r = _FIRST_RADIUS * (2 * math.pi ** 2 / len(points)) ** (1 / 3)
+    lo, hi = points.min(), points.max()
+    while True:
+        r = h if r >= h / 2 else r
+        best = h
+        for row, other in CellGrid(r, lo, hi).near(points, rows):
+            d = np.linalg.norm(points[other] - points[row], axis=1)
+            best = min(best, float(d[other != row].min(initial=np.inf)))
+        if best <= r or r == h:
+            return best
+        r *= 2
 
 
 # ------------------------------------------------------------ realization
@@ -491,7 +506,6 @@ class Realization:
 
     vertex_action: VertexAction
     model: Model
-    config: ModelConfig
     mats: np.ndarray  # (|G|, 4, 4), acting (possibly restricted) group; row i is elements[i]
     base: np.ndarray  # (m, 4), read only at the orbit minima: one point per orbit
 
@@ -601,10 +615,10 @@ def _min_separation(r: Realization) -> float:
     are invariant, so the representatives' distances to all m points cover
     every pair.  The search radius h of the cell index is the smallest
     distance from a representative to the rest of its own orbit, |G|
-    distances per representative: an actual pair, and no larger than the
-    spacing of any orbit's own points, so each representative's
-    neighbouring cells hold few points and the cost stays about linear in
-    m (see _closest_pair).
+    distances per representative: an actual pair.  h does not shrink with
+    m (placement keeps base points FREE_CIRCLE_CLEARANCE from the fixed
+    planes), so a pass at h would measure about (#orbits)·m pairs, and
+    _closest_pair starts smaller.
     """
     reps, _, _, block = r.vertex_action.action.orbits
     return _closest_pair(r.coords, reps, block)
@@ -679,7 +693,7 @@ def realize(p: OrbitPlan, va: Optional[VertexAction] = None,
     if sub is not None:  # the A4 orbit minima read the parent's coordinates, and the
         base = orbit_coords(orbits, mats, base)  # A4 rows are derived as verify derives them
         mats = matrices_from_generators(sub, mats[parent.rows(sub.elements)[list(sub.generators)]])
-    r = Realization(va, p.model, config, mats, base)
+    r = Realization(va, p.model, mats, base)
     if planes is not None and sub is None:
         r.planes = planes  # the parent's group and matrices: placement's planes are the checks'
     validate_realization(r)

@@ -5,7 +5,8 @@ import copy
 import numpy as np
 import pytest
 
-from tsglab.actions import PART_SIZES, RESTRICT_EVEN_S4, RESTRICT_STAB_A5, build, plan
+from tsglab.actions import (PART_SIZES, RESTRICT_EVEN_S4, RESTRICT_STAB_A5, Model, OrbitPlan,
+                            PartSpec, build, plan, restricted_group)
 from tsglab.edges import INSIDE_MARGIN, PAIR_TOL, _interior_holds
 from tsglab.geometry import PrecisionError, Realization, plane_distance, projectors, realize
 from tsglab.perm import (GROUP_ORDER, GroupAction, InconsistentActionError, Orbits, from_cycles,
@@ -44,7 +45,7 @@ def close_free_orbits():
     moved = point + 1e-7 * nudge / np.linalg.norm(nudge)
     base = r.base.copy()
     base[second] = moved / np.linalg.norm(moved)
-    return Realization(va, r.model, r.config, r.mats, base)
+    return Realization(va, r.model, r.mats, base)
 
 
 def vertex_labels(va):
@@ -316,47 +317,75 @@ def passes_profile_rules(group, p, drop=()):
     return all(r.check(p) for r in profile_rules(group, drop))
 
 
+def certificate_plan(data):
+    """The OrbitPlan a certificate's header and parts state."""
+    return OrbitPlan(data["group"], data["m"], tuple(PartSpec(k, n) for k, n in data["parts"]),
+                     Model(data["model"]["tag"]), data["restriction"])
+
+
+def stated_table(data):
+    """The acting group of a certificate and its whole (|G|, m) action
+    table, from stacked_table of the stated parts (the acting group's rows
+    of it, for a restriction), not through build."""
+    p = certificate_plan(data)
+    parent = standard_group(p.building_group)
+    group = restricted_group(p.restriction) or parent
+    return group, stacked_table(p)[parent.rows(group.elements)]
+
+
 def expand_certificate(data):
     """The image row and the matrix of every element, keyed by its
     permutation, and all m coordinates of a certificate, worked out here
-    from products of the stored generators and not through the verifier."""
-    m = data["m"]
-    gens = [(tuple(g["perm"]), np.array(g["vertex_images"]), np.array(g["matrix"]).reshape(4, 4))
-            for g in data["generators"]]
-    identity = tuple(range(len(gens[0][0])))
-    images, mats, frontier = {identity: np.arange(m)}, {identity: np.eye(4)}, [identity]
+    and not through the verifier: the images from stated_table, the
+    matrices from products of the stored generators along a walk from the
+    identity, and each vertex record at its orbit's minimum, in order."""
+    group, table = stated_table(data)
+    images = {tuple(e): img for e, img in zip(group.elements.tolist(), table)}
+    gens = [(tuple(group.elements[s].tolist()), np.array(rec["matrix"]).reshape(4, 4))
+            for s, rec in zip(group.generators, data["generators"])]
+    identity = tuple(range(group.degree))
+    mats, frontier = {identity: np.eye(4)}, [identity]
     while frontier:
         x = frontier.pop()
-        for perm, img, mat in gens:
+        for perm, mat in gens:
             y = tuple(x[k] for k in perm)  # x * perm: perm first
-            if y not in images:
-                images[y], mats[y] = images[x][img], mats[x] @ mat
+            if y not in mats:
+                mats[y] = mats[x] @ mat
                 frontier.append(y)
-    coords = np.empty((m, 4))
-    for v in data["vertices"]:
+    coords = np.empty((data["m"], 4))
+    for v, rec in zip(np.unique(table.min(axis=0)), data["vertices"]):
         for e, img in images.items():
-            coords[img[v["id"]]] = mats[e] @ np.array(v["coords"])
+            coords[img[v]] = mats[e] @ np.array(rec["coords"])
     return images, mats, coords
 
 
-def relabel_vertices(data, new, reverse_arcs):
-    """A copy of a certificate with vertex v renamed new[v], for a
-    permutation new of 0..m-1: the generator images conjugated by it, each
-    vertex record moved to its orbit's smallest new label with the
-    coordinates expand_certificate gives that vertex (records keep their
-    places, so the ids are in no set order), and each arc re-keyed with its
-    pair ascending.  An arc whose pair order flips is reversed if
-    reverse_arcs, so that it still starts at the pair's first vertex, and
-    otherwise keeps its angles, so that it is written from its other
-    endpoint."""
-    old = np.argsort(new)
-    images, _, coords = expand_certificate(data)
+def part_blocks(data):
+    """The [kind, count] parts of a certificate with each free part split
+    into parts of one orbit: the blocks relabel_vertices reorders."""
+    return [[kind, 1] for kind, count in data["parts"] for _ in range(count)]
+
+
+def relabel_vertices(data, order, reverse_arcs):
+    """A copy of a certificate with its parts laid down in another order,
+    which renames its vertices: the parts become part_blocks(data) taken
+    in `order`, a permutation of their indices, so each block's vertices
+    get new numbers and the same action inside the block.  The vertex
+    records are sorted by their orbits' new minima (an orbit's minimum is
+    the same vertex of its block), and each arc is re-keyed with its pair
+    ascending.  An arc whose pair order flips is reversed if reverse_arcs,
+    so that it still starts at the pair's first vertex, and otherwise keeps
+    its angles, so that it is written from its other endpoint."""
+    blocks = part_blocks(data)
+    p = certificate_plan({**data, "parts": blocks})
+    sizes = [p.part_size(spec) for spec in p.parts]
+    starts = np.empty(len(blocks), dtype=int)
+    starts[list(order)] = np.cumsum([0] + [sizes[k] for k in order][:-1])
+    new = np.concatenate([start + np.arange(size) for start, size in zip(starts, sizes)])
+    reps = np.unique(stated_table(data)[1].min(axis=0))
     out = copy.deepcopy(data)
-    for gen in out["generators"]:
-        gen["vertex_images"] = new[np.asarray(gen["vertex_images"])[old]].tolist()
-    for rec in out["vertices"]:
-        rec["id"] = int(min(new[img[rec["id"]]] for img in images.values()))
-        rec["coords"] = coords[old[rec["id"]]].tolist()
+    out["parts"] = [blocks[k] for k in order]
+    out["vertices"] = [rec for _, rec in sorted(zip(new[reps].tolist(), out["vertices"]),
+                                                key=lambda pair: pair[0])]
     for arc in out["arcs"]:
         u, v = new[arc["pair"]].tolist()
         if u > v:

@@ -96,7 +96,8 @@ def test_criterion_3_construction_soundness(tmp_path):
     """Every admissible non-knotted m below 400, and the large cases, is
     built, realized, written, read back and verified, and the file
     rebuilds bit for bit to the action, matrices and coordinates realize
-    checked."""
+    checked.  The tetrahedral models are exact: their generator matrices
+    hold only 0 and ±1, and their homomorphism error is 0."""
     t0 = time.monotonic()
     checked = 0
     path = str(tmp_path / "cert.json")
@@ -122,6 +123,10 @@ def test_criterion_3_construction_soundness(tmp_path):
             assert report.overall, (group, m, report.details)
             write_certificate(path, r, report)
             data = read_certificate(path)
+            if p.model in (Model.TETRA_ROT, Model.TETRA_FULL):  # signed permutation blocks: exact
+                entries = {x for rec in data["generators"] for x in rec["matrix"]}
+                assert entries <= {0.0, 1.0, -1.0}, (group, m, entries)
+                assert _max_hom_error(r.group, r.mats) == 0.0, (group, m)
             assert first_failure(verify_certificate(data)) is None, (group, m)
             back = _rebuild(data)
             assert np.array_equal(back.vertex_action.action.gen_images, va.action.gen_images), (group, m)
@@ -166,7 +171,7 @@ def test_criterion_5_edge_certificates(realized):
                  if plane_distance(projectors(circles[i]), base[0]) > 1e-6)
     b0, b1 = circles[other]
     base[0] = math.cos(0.37) * b0 + math.sin(0.37) * b1
-    corrupted = Realization(va, r.model, r.config, r.mats, base)
+    corrupted = Realization(va, r.model, r.mats, base)
     assert not full_report(corrupted).overall
 
     # fixture 2: edge parameter forced to the midpoint is refused outright

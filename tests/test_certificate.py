@@ -1,6 +1,6 @@
-"""Orbit-form certificates: what a file fixes, and the faults only that
-form can carry (generators, orbit representatives, a vertex off the
-sphere)."""
+"""Parts-form certificates: what a file fixes, and the faults only that
+form can carry (generators, parts, orbit representatives, a vertex off
+the sphere)."""
 
 import ast
 import hashlib
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tsglab import certificate, perm
-from tsglab.actions import build, plan
+from tsglab.actions import VertexAction, build, plan
 from tsglab.certificate import (
     _rebuild,
     certificate_dict,
@@ -26,7 +26,7 @@ from tsglab.certificate import (
 from tsglab.cli import main
 from tsglab.edges import full_report
 from tsglab.geometry import plane_distance, projectors, realize
-from tsglab.perm import generated, standard_group
+from tsglab.perm import GroupAction, generated, standard_group
 
 from .conftest import (REFERENCES, action_table, expand_certificate, expected_orbit_count, fixed_set,
                        tree_table)
@@ -89,13 +89,15 @@ def test_a_rebuilt_file_writes_back_to_itself(realized, tmp_path, group, m):
 
 
 def test_a_file_holds_one_vertex_record_per_orbit(realized):
+    """One vertex record per orbit, at the orbit minima in order, one
+    generator record per generator, and the plan's parts as pairs."""
     for (group, m), (va, r) in realized.items():
         data = certificate_dict(r, full_report(r))
-        ids = [v["id"] for v in data["vertices"]]
-        assert len(ids) == data["report"]["orbit_count"] == expected_orbit_count(plan(group, m))
-        assert ids == sorted(ids) and ids[0] == 0
-        gens = [g["perm"] for g in data["generators"]]
-        assert gens == r.group.elements[list(r.group.generators)].tolist()
+        p = plan(group, m)
+        assert len(data["vertices"]) == data["report"]["orbit_count"] == expected_orbit_count(p)
+        assert [v["coords"] for v in data["vertices"]] == r.coords[va.action.orbits.reps].tolist()
+        assert len(data["generators"]) == len(r.group.generators)
+        assert data["parts"] == [[spec.kind, spec.count] for spec in p.parts]
 
 
 def _certificate(tmp_path, group, m):
@@ -124,20 +126,16 @@ def test_doubled_coordinates_fail_at_invariance(capsys, tmp_path, group, m):
 
 
 def test_generators_that_do_not_generate_fail_at_group_closure(capsys, tmp_path):
-    """The second generator is replaced by an element of a proper subgroup
-    that contains the first one, with its true vertex images."""
+    """The file keeps only the first generator's record, whose element
+    generates a proper subgroup of S4."""
     path, data = _certificate(tmp_path, "S4", 28)
-    images, mats, _ = expand_certificate(data)
     g = standard_group("S4")
-    a = data["generators"][0]["perm"]
-    row_a = int(g.rows([a])[0])
-    c = next(p for p in g.elements.tolist()[1:]
-             if p != a and len(generated(g, (row_a, int(g.rows([p])[0])))) < g.order)
-    data["generators"][1] = {"perm": c, "vertex_images": images[tuple(c)].tolist(),
-                             "matrix": mats[tuple(c)].ravel().tolist()}
+    assert len(generated(g, g.generators[:1])) < g.order
+    del data["generators"][1]
     code, out, err = _verify(capsys, path, data)
     assert code == 5
-    assert out.startswith("group-closure: FAILED (the generator records must be the group's ")
+    assert out == ("group-closure: FAILED (S4 has 2 generators, "
+                   "but the file holds 1 generator records)\n")
     assert err == "verification failed at: group-closure\n"
 
 
@@ -149,8 +147,11 @@ def test_a_forged_generator_pair_fails_at_group_closure(capsys):
     3, 7, 2, 6, 10, 8.  Both maps square to the same permutation.  The
     table derived from these records breaks act(x·y) = act(x)·act(y) on
     84 of the 144 pairs (x, y).  Every step after group-closure passes on
-    that table, since those steps read the group's own generator rows, 1
-    and 3, so only the pair itself gives the file away."""
+    that table.  That file is schema version 3, which version 4 replaced:
+    a version 4 file names no pair, as its generator records are the
+    group's own generators by position, and verify lays the action down
+    from the parts.  So the forged file is a schema error that names its
+    version."""
     path = GOLDEN / "forged_pair_a4_m13.json"
     data = json.loads(path.read_text())
     g = standard_group("A4")
@@ -160,68 +161,147 @@ def test_a_forged_generator_pair_fails_at_group_closure(capsys):
     assert np.count_nonzero((imgs[g.cayley] != composed).any(axis=2)) == 84
     code = main(["verify", "--in", str(path)])
     out, err = capsys.readouterr()
-    assert code == 5 and out == ("group-closure: FAILED (the generator records must be the "
-                                 "group's generators [0, 2, 3, 1] and [1, 0, 3, 2], in either order)\n")
-    assert err == "verification failed at: group-closure\n"
+    assert code == 2 and out == ""
+    assert err == "error: schema version 3 is not supported; this verifier reads version 4\n"
 
 
 def test_a_label_split_across_a_free_part_fails_at_group_closure(capsys):
     """golden/split_label_a4_m61.json is A4 m=61 at seed 0, whose free0
     spans one free A5 orbit, five A4 orbits, with the record of one of
-    those orbits (vertex 48) relabelled free1.  free0 then spans 48
-    vertices, and it is checked first, as its first orbit comes first."""
+    those orbits (vertex 48) relabelled free1.  That file is schema
+    version 3: a version 4 file states each part once, as a [kind, count]
+    pair, so no label can split a part, and the file is a schema error
+    that names its version."""
     path = GOLDEN / "split_label_a4_m61.json"
     data = json.loads(path.read_text())
     assert [(v["id"], v["part"]) for v in data["vertices"]] == [
         (0, "free0"), (1, "free0"), (2, "free0"), (9, "free0"), (48, "free1"), (60, "center")]
     code = main(["verify", "--in", str(path)])
     out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: schema version 3 is not supported; this verifier reads version 4\n"
+
+
+def test_a_part_the_group_cannot_lay_down_is_a_schema_error(capsys):
+    """golden/twin_tetra_a4_m20.json is the A4 m=13 file at seed 0 with
+    m = 20 and its center stated as twin tetrahedra, which A4 (tetra_rot)
+    cannot lay down: 3-cycles have 4 cosets in A4, not 8."""
+    path = GOLDEN / "twin_tetra_a4_m20.json"
+    data = json.loads(path.read_text())
+    assert (data["schema_version"], data["m"], data["parts"]) == (4, 20, [["free", 1], ["twin_tetra", 1]])
+    code = main(["verify", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: parts: A4 cannot lay down a twin_tetra part\n"
+
+
+def test_a_vertex_count_off_the_built_orbits_fails_at_group_closure(capsys):
+    """golden/extra_vertex_a4_m61.json is the A4 m=61 file at seed 0 with
+    its last vertex record repeated and the report counting 7 orbits: the
+    schema holds, but the action laid down from its parts has 6 orbits."""
+    path = GOLDEN / "extra_vertex_a4_m61.json"
+    data = json.loads(path.read_text())
+    assert (data["schema_version"], len(data["vertices"]), data["report"]["orbit_count"]) == (4, 7, 7)
+    code = main(["verify", "--in", str(path)])
+    out, err = capsys.readouterr()
     assert code == 5
-    assert out == "group-closure: FAILED (part 'free0' spans 48 vertices instead of 60)\n"
+    assert out == ("group-closure: FAILED (the action laid down from the parts has 6 orbits, "
+                   "but the file holds 7 vertex records)\n")
     assert err == "verification failed at: group-closure\n"
+
+
+def test_an_m_beyond_the_vertex_records_is_a_schema_error(capsys, tmp_path, monkeypatch):
+    """No orbit holds more than |G| vertices, so a file claiming a million
+    free orbits with two vertex records is refused before build runs: the
+    work of laying the parts down stays bounded by the file's size."""
+    path, data = _certificate(tmp_path, "A4", 13)
+    data["m"], data["parts"][0][1] = 12 * 10 ** 6 + 1, 10 ** 6
+    monkeypatch.setattr(certificate, "build", None)  # calling it would raise TypeError
+    code, out, err = _verify(capsys, path, data)
+    assert (code, out) == (2, "")
+    assert err == "error: m = 12000001 vertices need more than 2 vertex records\n"
+
+
+@pytest.mark.parametrize("parts,error", [
+    ([["free", 1], ["knotted_k4", 1]], "parts: A4 cannot lay down a knotted_k4 part"),
+    ([["free", 1], ["tetra_edge", 1]], "parts: A4 cannot lay down a tetra_edge part"),
+    ([["free", 1], ["simplex_edge", 1]], "parts: A4 cannot lay down a simplex_edge part"),
+    ([["free", 2]], "parts: part sizes sum to 24, expected m=13"),
+    ([["free", 1], ["center", 2]], "parts: only free parts carry a multiplicity"),
+    ([["free", 0], ["center", 1]], "parts: part count must be positive"),
+    ([["bogus", 1]], "parts: unknown part kind 'bogus'"),
+], ids=["knotted", "tetra_edge", "simplex_edge", "sizes", "multiplicity", "zero", "unknown"])
+def test_bad_parts_are_a_schema_error(capsys, tmp_path, parts, error):
+    """A kind the building group cannot lay down, or sizes that miss m,
+    exit 2 with the plan's reason, and never reach build."""
+    path, data = _certificate(tmp_path, "A4", 13)
+    data["parts"] = parts
+    code, out, err = _verify(capsys, path, data)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("group,m,others", [("A4", 13, 47), ("S4", 20, 107), ("A5", 61, 1139)])
 def test_only_the_groups_own_generator_pair_verifies(realized, group, m, others):
-    """Every generating pair of rows other than PermGroup.generators, each
-    record with its genuine images and matrix, fails at group-closure;
-    the group's own pair verifies in either record order, with the same
-    messages."""
+    """The generator records are positional: the first holds the matrix
+    of PermGroup.generators[0], the second that of [1].  Every other
+    generating pair of rows, each record with its genuine matrix, and the
+    group's own pair in the other order, is refused at homomorphism unless
+    an automorphism carries the generators to the pair.  The matrices then
+    form another faithful representation, M composed with the automorphism,
+    and the derived coordinates are invariant under it, so such a file
+    either states another valid realization or fails a later step (the
+    arcs name their fixers, whose circles the automorphism moves).  The
+    group's own pair in its order verifies."""
     r = realized[(group, m)][1]
     data = certificate_dict(r, full_report(r))
-    g, images = r.group, action_table(r.vertex_action.action)
+    g = r.group
 
-    def with_pair(rows):
-        records = [{"perm": g.elements[s].tolist(), "vertex_images": images[s].tolist(),
-                    "matrix": r.mats[s].ravel().tolist()} for s in rows]
-        return {**data, "generators": records}
+    def failed_step(rows):
+        records = [{"matrix": r.mats[s].ravel().tolist()} for s in rows]
+        return first_failure(verify_certificate({**data, "generators": records}))
+
+    def automorphic(rows):
+        """Does generators[k] -> rows[k] extend to an automorphism of g?"""
+        phi = tree_table(g, g.generators, g.elements[list(rows)])  # row x: the image of x
+        into = g.rows(phi)
+        return len(set(into.tolist())) == g.order and \
+            (into[g.cayley] == g.cayley[into[:, None], into[None, :]]).all()
 
     pairs = [(a, b) for a in range(1, g.order) for b in range(a + 1, g.order)
              if len(generated(g, (a, b))) == g.order and (a, b) != g.generators]
     assert len(pairs) == others
-    for a, b in pairs:
-        assert [(c.name, c.ok) for c in verify_certificate(with_pair((a, b)))] \
-            == [("group-closure", False)], (a, b)
-    own = [verify_certificate(with_pair(rows)) for rows in (g.generators, g.generators[::-1])]
-    assert own[0] == own[1] and first_failure(own[0]) is None
+    for rows in [*pairs, g.generators[::-1]]:
+        failed = failed_step(rows)
+        if automorphic(rows):
+            assert failed is None or failed.name in ("invariance", "edge-hypotheses"), rows
+        else:
+            assert failed.name == "homomorphism", rows
+    assert failed_step(g.generators) is None
 
 
-def test_an_inconsistent_edge_fails_at_action_homomorphism(capsys, tmp_path):
-    """The second generator, of order 3, gets the vertex images of an
-    element of order 5 that still generates A5 with the first one.  No
-    homomorphism does that, so some edge of the orbit table's walk
-    breaks.  The orbits are those of the same permutation group, so the
-    fault is reported as a broken homomorphism, not as a wrong vertex
-    record.  (test_perm checks the direct check_homomorphism call on a
-    corrupt generator row.)"""
+def test_an_inconsistent_edge_fails_at_action_homomorphism(capsys, tmp_path, monkeypatch):
+    """verify lays the action down with build and then checks it: with
+    build hooked to forge it, the second generator, of order 3, gets the
+    vertex images of an element of order 5 that still generates A5 with
+    the first one.  No homomorphism does that, so some edge of the orbit
+    table's walk breaks.  The orbits are those of the same permutation
+    group, so the fault is reported as a broken homomorphism, not as a
+    wrong vertex record.  (test_perm checks the direct
+    check_homomorphism call on a corrupt generator row.)"""
     path, data = _certificate(tmp_path, "A5", 80)
-    images = expand_certificate(data)[0]
     g = standard_group("A5")
-    a, b = (int(g.rows([gen["perm"]])[0]) for gen in data["generators"])
+    a, b = g.generators
     assert g.orders[b] == 3
     c = next(r for r in range(g.order)
              if g.orders[r] == 5 and len(generated(g, (a, r))) == g.order)
-    data["generators"][1]["vertex_images"] = images[tuple(g.elements[c].tolist())].tolist()
+
+    def forged(p):
+        va = build(p)
+        rows = np.array(va.action.gen_images)
+        rows[1] = action_table(va.action)[c]
+        return VertexAction(GroupAction(g, rows), va.labels)
+
+    monkeypatch.setattr(certificate, "build", forged)
     code, out, err = _verify(capsys, path, data)
     assert code == 5 and "group-closure: ok" in out
     assert "action-homomorphism: FAILED (act(" in out
@@ -258,10 +338,10 @@ def test_representative_off_its_stabilizer_circle_fails_at_invariance(capsys, tm
     a 3-cycle and lies on that element's circle.  Moved off the circle but
     kept on the sphere, the stabilizer moves it."""
     path, data = _certificate(tmp_path, "A5", 20)
-    (rep,) = data["vertices"]
+    (rep,) = data["vertices"]  # at vertex 0, the orbit's minimum
     images = expand_certificate(data)[0]
-    stabilizer = [p for p, img in images.items() if img[rep["id"]] == rep["id"]]
-    assert len(stabilizer) == 3 and data["vertices"][0]["part"] == "simplex_edge"
+    stabilizer = [p for p, img in images.items() if img[0] == 0]
+    assert len(stabilizer) == 3 and data["parts"] == [["simplex_edge", 1]]
     fixer = next(p for p in stabilizer if list(p) != sorted(p))
     plane = projectors(fixed_set(expand_certificate(data)[1][fixer]))
     p = np.array(rep["coords"])
@@ -324,21 +404,36 @@ def test_an_error_of_1e_10_fails_its_check(capsys, tmp_path, nudge, step, reason
     ("A4", 61, [1, 2, 3, 4, 0]),  # A4 in A5: an even one that moves letter 4
 ], ids=["odd-in-A4", "moves-4-in-A4"])
 def test_a_generator_outside_the_header_group_fails_at_group_closure(capsys, tmp_path,
-                                                                     group, m, perm):
+                                                                     monkeypatch, group, m, perm):
+    """With build hooked to lay down the unrestricted action of a
+    restricted plan, whose group holds perm while the header's A4 does
+    not, group-closure refuses the action before any step checks it."""
     path, data = _certificate(tmp_path, group, m)
-    data["generators"][1]["perm"] = perm
+
+    def unrestricted(p):
+        va = build(p)
+        assert va.parent.group.rows([perm])[0] >= 0 and va.action.group.rows([perm])[0] < 0
+        return VertexAction(va.parent, va.labels)
+
+    monkeypatch.setattr(certificate, "build", unrestricted)
     code, out, err = _verify(capsys, path, data)
     assert code == 5
-    assert out.startswith("group-closure: FAILED (the generator records must be the group's ")
+    assert out.startswith("group-closure: FAILED (the action laid down from the parts acts "
+                          "through PermGroup(")
     assert err == "verification failed at: group-closure\n"
 
 
 def test_a_record_off_the_orbit_minimum_fails_at_group_closure(capsys, tmp_path):
-    path, data = _certificate(tmp_path, "S4", 28)
-    data["vertices"][0]["id"] = 1
+    """A vertex record sits at an orbit minimum by its place in the list:
+    with the first one dropped (and the report counting one orbit less),
+    the records no longer match the orbits."""
+    path, data = _certificate(tmp_path, "A4", 61)
+    del data["vertices"][0]
+    data["report"]["orbit_count"] -= 1
     code, out, _ = _verify(capsys, path, data)
     assert code == 5
-    assert out.startswith("group-closure: FAILED (vertex record 1 is not the smallest vertex")
+    assert out == ("group-closure: FAILED (the action laid down from the parts has 6 orbits, "
+                   "but the file holds 5 vertex records)\n")
 
 
 def _verify_old_version(version: int):
@@ -358,7 +453,7 @@ def test_version_1_file_is_a_schema_error():
     proc = _verify_old_version(1)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: schema version 1 is not supported; "
-                           "this verifier reads version 3\n")
+                           "this verifier reads version 4\n")
 
 
 def test_version_2_file_is_a_schema_error():
@@ -367,16 +462,17 @@ def test_version_2_file_is_a_schema_error():
     proc = _verify_old_version(2)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: schema version 2 is not supported; "
-                           "this verifier reads version 3\n")
+                           "this verifier reads version 4\n")
 
 
 @pytest.mark.parametrize("group,m", [("S4", 28), ("A4", 61)])
 def test_orbit_minima_computed_once_per_realize_write_and_per_verify(monkeypatch, tmp_path, group, m):
     """build, realize (separation) and write share the orbit table of one
     action, and verify's group-closure and separation share that of the
-    rebuilt one: the orbit minima are computed once for each action, and
-    for the parent too when the plan is a restriction (A4 m=61 from A5),
-    since the restricted generator rows are read off the parent's table."""
+    action it lays down with build: the orbit minima are computed once for
+    each action, and for the parent too when the plan is a restriction
+    (A4 m=61 from A5), since the restricted generator rows are read off
+    the parent's table, in realize and in verify alike."""
     calls, original = [], perm._orbit_minima
 
     def counted(a):
@@ -392,11 +488,13 @@ def test_orbit_minima_computed_once_per_realize_write_and_per_verify(monkeypatch
     built = [va.action] if va.parent is None else [va.parent, va.action]
     assert calls == built
     assert first_failure(verify_certificate(read_certificate(path))) is None
-    assert len(calls) == len(built) + 1
+    assert len(calls) == 2 * len(built)
 
 
 # Construction steps a verify run must never enter: it trusts none of them.
-CONSTRUCTION = {("actions", "plan"), ("actions", "build"), ("geometry", "realize"),
+# build is not among them: verify lays the stated parts down with it and
+# checks the action it gets (see the certificate module docstring).
+CONSTRUCTION = {("actions", "plan"), ("geometry", "realize"),
                 ("geometry", "representation"), ("geometry", "_part_base_point"),
                 ("geometry", "free_orbit_coords"), ("edges", "assign_arcs"),
                 ("geometry", "circles_of")}
@@ -438,8 +536,9 @@ def test_verify_trusts_no_construction_step(realized, tmp_path):
     """`tsglab verify` on each reference-grid file (the 14 reference cases
     plus the restricted A4 m=24 and m=61), in a fresh process, enters src/
     functions only off the construction path, the arc bases read off the
-    fixed planes (circles_of) included: the verdict rests on the verify
-    modules alone.  The named functions it enters (no <lambda> or
+    fixed planes (circles_of) included, but for build, which lays the
+    stated parts down as an object verify then checks: the verdict rests
+    on the verify modules alone.  The named functions it enters (no <lambda> or
     comprehension), group construction included, their lines and the
     lines of src/ are the counts README's "What verify trusts" states."""
     src = Path(perm.__file__).parent

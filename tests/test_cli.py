@@ -17,7 +17,7 @@ from tsglab.edges import full_report
 from tsglab.geometry import PrecisionError
 from tsglab.perm import PermGroup, standard_group
 
-from .conftest import close_free_orbits, relabel_vertices, svd_circles
+from .conftest import close_free_orbits, part_blocks, relabel_vertices, svd_circles
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -123,7 +123,7 @@ def test_verify_rejects_knotted_cases(capsys, tmp_path, m):
     p = plan("A4", m)
     base = np.array([geometry.tetra_corner(0)] * 4 + [geometry.POLE] * (m - 4))  # read at 0 and 4
     mats = geometry.representation(standard_group("A4"), Model.TETRA_ROT)
-    r = geometry.Realization(build(p), Model.TETRA_ROT, geometry.ModelConfig(), mats, base)
+    r = geometry.Realization(build(p), Model.TETRA_ROT, mats, base)
     out_file = tmp_path / "knotted.json"
     write_certificate(str(out_file), r, full_report(r))
     code, out, err = run(capsys, "verify", "--in", str(out_file))
@@ -168,8 +168,7 @@ def test_verify_detects_swapped_permutation(capsys, tmp_path):
     out_file = str(tmp_path / "d.json")
     run(capsys, "realize", "--group", "S4", "--m", "24", "--out", out_file, "--seed", "1")
     data = json.loads(Path(out_file).read_text())
-    a, b = data["generators"]
-    a["vertex_images"], b["vertex_images"] = b["vertex_images"], a["vertex_images"]
+    data["generators"].reverse()  # each matrix now stands for the other generator
     Path(out_file).write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--in", out_file)
     assert code == 5
@@ -177,27 +176,25 @@ def test_verify_detects_swapped_permutation(capsys, tmp_path):
 
 
 def test_verify_checks_part_labels_against_their_parts(capsys, tmp_path):
-    """A4 m=13 is one free orbit and the center: with their labels
-    swapped, 'center' spans 12 vertices, so group-closure refuses it."""
+    """A4 m=13 is one free orbit and the center: stated as a free orbit
+    and the tetrahedron's corners instead, the parts span 16 vertices, and
+    the file is a schema error."""
     out_file = str(tmp_path / "labels.json")
     run(capsys, "realize", "--group", "A4", "--m", "13", "--out", out_file)
     data = json.loads(Path(out_file).read_text())
-    swap = {"free0": "center", "center": "free0"}
-    assert sorted(v["part"] for v in data["vertices"]) == sorted(swap)
-    for v in data["vertices"]:
-        v["part"] = swap[v["part"]]
+    assert data["parts"] == [["free", 1], ["center", 1]]
+    data["parts"][1][0] = "tetra_corners"
     Path(out_file).write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--in", out_file)
-    assert code == 5
-    assert "group-closure: FAILED (part 'center' spans 12 vertices instead of 1)" in out
-    assert err == "verification failed at: group-closure\n"
+    assert code == 2 and out == ""
+    assert err == "error: parts: part sizes sum to 16, expected m=13\n"
 
 
 def test_verify_detects_broken_closure(capsys, tmp_path):
     out_file = str(tmp_path / "e.json")
     run(capsys, "realize", "--group", "S4", "--m", "24", "--out", out_file, "--seed", "1")
     data = json.loads(Path(out_file).read_text())
-    data["generators"][1]["perm"] = data["generators"][0]["perm"]
+    data["generators"].append(copy.deepcopy(data["generators"][0]))  # a third generator
     Path(out_file).write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--in", out_file)
     assert code == 5
@@ -237,7 +234,7 @@ def _renumber_vertex(data):
 
 
 def _short_vertex_images(data):
-    data["generators"][1]["vertex_images"].pop()
+    data["parts"][0][1] += 1  # the parts span 48 vertices
 
 
 @pytest.mark.parametrize("mutate", [_mutate_m, _shrink_m, _drop_vertex, _renumber_vertex,
@@ -252,13 +249,16 @@ def test_verify_rejects_inconsistent_vertex_count(capsys, tmp_path, mutate):
     assert code == 2 and err.startswith("error: ") and out == ""
 
 
-def _set(path, value, shown=None):
+def _set(path, value, shown=None, name=None):
+    """A mutation that sets the node at path to value, named by path and
+    value unless `name` keeps the name of a mutation of a field that
+    version 4 no longer has."""
     def mutate(data):
         *parents, last = path
         for key in parents:
             data = data[key]
         data[last] = value
-    mutate.__name__ = "_".join(map(str, path)) + f"={shown or repr(value)}"
+    mutate.__name__ = name or "_".join(map(str, path)) + f"={shown or repr(value)}"
     return mutate
 
 
@@ -267,7 +267,7 @@ def _short_generator_matrix(data):
 
 
 def _perm_too_large(data):
-    data["generators"][1]["perm"][0] = 2 ** 70
+    data["parts"][0][1] = 2 ** 70
 
 
 # a value beyond int64 (integer fields) or float64 (number fields), and the
@@ -275,15 +275,18 @@ def _perm_too_large(data):
 _OUT_OF_RANGE = {
     _set(("arcs", 0, "pair", 0), 10 ** 30, "10**30"): "pair",
     _set(("arcs", 0, "sweep"), 10 ** 400, "10**400"): "sweep",
-    _set(("generators", 0, "vertex_images", 0), 10 ** 30, "10**30"): "vertex_images",
+    _set(("report", "orbit_count"), 10 ** 30,
+         name="generators_0_vertex_images_0=10**30"): "orbit_count",
     _set(("vertices", 0, "coords", 0), 10 ** 400, "10**400"): "coords",
     _set(("generators", 0, "matrix", 0), 10 ** 400, "10**400"): "matrix",
-    _perm_too_large: "perm",
+    _perm_too_large: "count",
 }
 
 
 def _drop_report_h2(data):
-    del data["report"]["h2"]
+    """Version 4 dropped the h1..h5 flags: a report that still holds one
+    has a key too many."""
+    data["report"]["h2"] = True
 
 
 @pytest.mark.parametrize("mutate", [
@@ -295,15 +298,16 @@ def _drop_report_h2(data):
     _set(("report",), []),
     _set(("vertices", 0), 5),
     _set(("vertices", 0, "coords", 1), "x"),
-    _set(("vertices", 0, "part"), 3),
-    _set(("generators", 1, "perm", 0), True),
-    _set(("generators", 1, "perm", 0), 1.5),
-    _set(("generators", 1, "vertex_images", 0), 1.0),
-    _set(("generators", 1, "vertex_images", 0), True),
+    # the names of version 3 fields, kept for the part pairs that replace them
+    _set(("parts", 0, 0), 3, name="vertices_0_part=3"),
+    _set(("parts", 0, 1), True, name="generators_1_perm_0=True"),
+    _set(("parts", 0, 1), 1.5, name="generators_1_perm_0=1.5"),
+    _set(("parts", 0, 1), 1.0, name="generators_1_vertex_images_0=1.0"),
+    _set(("parts", 0, 0), True, name="generators_1_vertex_images_0=True"),
     _set(("generators",), {}),
     _set(("generators", 0), [1, 2]),
-    _set(("generators", 0, "perm"), "x"),
-    _set(("generators", 0, "vertex_images"), None),
+    _set(("parts", 0), "x", name="generators_0_perm='x'"),
+    _set(("parts",), None, name="generators_0_vertex_images=None"),
     _set(("report", "orbit_count"), 3),
     _set(("m",), 0),
     _set(("schema_version",), 1),
@@ -324,7 +328,7 @@ def _drop_report_h2(data):
     _short_generator_matrix,
     _set(("model", "tag"), "simplex4"),
     _set(("restriction",), "a4_in_a5"),
-    _set(("vertices", 0, "part"), "bogus"),
+    _set(("parts", 0, 0), "bogus", name="vertices_0_part='bogus'"),
     _set(("report", "h1"), "x"),
     _set(("report", "h3"), 7),
     _set(("report", "h5"), 1.5),
@@ -339,6 +343,9 @@ def _drop_report_h2(data):
     *_OUT_OF_RANGE,
 ], ids=lambda f: f.__name__)
 def test_verify_rejects_mistyped_fields(capsys, tmp_path, mutate):
+    """Each mutation is a schema error.  Setting a field version 4 dropped
+    (the model's seed, theta and t, the report's h flags) adds a key the
+    schema refuses."""
     out_file = str(tmp_path / "h.json")
     code, out, _ = run(capsys, "realize", "--group", "S4", "--m", "28", "--out", out_file,
                        "--seed", "1")
@@ -539,24 +546,26 @@ def test_realize_ambiguous_numerics_exit_5(capsys, tmp_path, monkeypatch):
     assert out == ""
 
 
+# a version 4 file holds no perms; its generator and vertex records are
+# positional, so their counts are what group-closure can still find wrong
 def _perm_of_other_degree(data):
-    data["generators"][1]["perm"].append(4)
+    data["generators"].append({"matrix": np.eye(4).ravel().tolist()})
 
 
 def _perm_not_a_bijection(data):
-    data["generators"][1]["perm"] = [0, 0, 1, 2]
+    del data["generators"][1]
 
 
 def _perms_of_degree_16(data):
-    for g in data["generators"]:
-        g["perm"] += list(range(4, 16))
+    data["vertices"].append(copy.deepcopy(data["vertices"][-1]))
+    data["report"]["orbit_count"] += 1
 
 
-# no such list is an element of S4, so no pair of them is its generators
 _BAD_PERMS = [
-    (_perm_of_other_degree, "the generator records must be the group's generators"),
-    (_perm_not_a_bijection, "the generator records must be the group's generators"),
-    (_perms_of_degree_16, "the generator records must be the group's generators"),
+    (_perm_of_other_degree, "S4 has 2 generators, but the file holds 3 generator records"),
+    (_perm_not_a_bijection, "S4 has 2 generators, but the file holds 1 generator records"),
+    (_perms_of_degree_16, "the action laid down from the parts has 2 orbits, "
+                          "but the file holds 3 vertex records"),
 ]
 
 
@@ -578,13 +587,16 @@ def test_verify_rejects_deeply_nested_json(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("seed,schema_error", [
-    (-1, "model: seed must lie in 0 <= seed < 2**63, got -1"),
-    (2 ** 63, "model field 'seed' has the wrong type, length or value"),
+    pytest.param(-1, "model records need keys ['tag']",
+                 id="-1-model: seed must lie in 0 <= seed < 2**63, got -1"),
+    pytest.param(2 ** 63, "model records need keys ['tag']",
+                 id="9223372036854775808-model field 'seed' has the wrong type, length or value"),
 ])
 def test_out_of_range_seed_exits_2(capsys, tmp_path, seed, schema_error):
     """A seed outside 0 <= seed < 2**63 (ModelConfig's range) is a usage
-    error for realize, which then writes nothing, and a schema error in a
-    file; the largest seed in range realizes and verifies."""
+    error for realize, which then writes nothing; the largest seed in
+    range realizes and verifies.  A file states no seed, so one written
+    into its model is a schema error."""
     out_file = tmp_path / "c.json"
     code, out, err = run(capsys, "realize", "--group", "S4", "--m", "28",
                          "--out", str(out_file), "--seed", str(seed))
@@ -820,10 +832,11 @@ def _conjugate(data, rng):
 
 
 def _relabel(data, rng):
-    """Rename vertex i to sigma(i) for a random permutation sigma, with arc
-    angles left alone: an arc whose pair order flips is now written from
-    its other endpoint."""
-    data.update(relabel_vertices(data, rng.permutation(data["m"]), reverse_arcs=False))
+    """Lay the parts down in a random order, which renames the vertices,
+    with arc angles left alone: an arc whose pair order flips is now
+    written from its other endpoint."""
+    order = rng.permutation(len(part_blocks(data)))
+    data.update(relabel_vertices(data, order, reverse_arcs=False))
 
 
 @pytest.mark.parametrize("edit", [_conjugate, _relabel], ids=lambda f: f.__name__)
@@ -868,15 +881,15 @@ def _move_vertex(data):
 @pytest.mark.parametrize("corrupt", [None, _move_vertex], ids=["valid", "moved-vertex"])
 @pytest.mark.parametrize("case", _METAMORPHIC_CASES, ids=lambda c: f"{c[0]}_{c[1]}")
 def test_verify_ignores_the_order_of_element_records(metamorphic_certificates, case, corrupt):
-    """The element records of a file are its two generator records, the
-    group's own pair.  The verifier takes them in the group's order, so
-    with the two swapped it derives along the same spanning tree and every
-    step passes or fails as before, with the same message."""
+    """The generator records of a version 4 file are positional, so the
+    element records whose order is free are the arc records, each naming
+    its fixer element: with them reversed every step passes or fails as
+    before, with the same message."""
     data = copy.deepcopy(metamorphic_certificates[case])
     if corrupt:
         corrupt(data)
     swapped = copy.deepcopy(data)
-    swapped["generators"].reverse()
+    swapped["arcs"].reverse()
     expect = [(c.name, c.ok, c.message) for c in verify_certificate(data)]
     assert [(c.name, c.ok, c.message) for c in verify_certificate(swapped)] == expect
     assert all(ok for _, ok, _ in expect) == (corrupt is None)

@@ -190,13 +190,22 @@ def test_h1_vacuous_for_unique_fixer(realized):
 def test_h1_fails_when_the_first_fixer_fixes_no_circle(realized, group, m, name):
     """A pair whose only non-trivial fixer fixes nothing (an order-4
     element of TETRA_FULL, an order-5 one of SIMPLEX4) has no circle to
-    share.  That element's averaged plane is near zero, not exactly zero,
-    so h1 reads its trace, within PLANE_ERROR of 0, not its entries."""
+    share.  SIMPLEX4's averaged plane for it is near zero, not exactly
+    zero, so h1 reads its trace, within PLANE_ERROR of 0, not its entries.
+    TETRA_FULL's matrices are exact, so its plane is exactly zero: the
+    test adds PLANE_ERROR / 8 to every entry, trace PLANE_ERROR / 2, and
+    h1 still finds no circle."""
     _, r = realized[(group, m)]
     assert r.model is {"n4": Model.TETRA_FULL, "n5": Model.SIMPLEX4}[name]
     row = r.group.classes[name][0]
     fixers = np.zeros((1, r.group.order), dtype=bool)
     fixers[0, row] = True
+    if r.model is Model.TETRA_FULL:
+        assert not r.planes[row].any()
+        planes = r.planes.copy()
+        planes[row] += geometry.PLANE_ERROR / 8
+        r = Realization(r.vertex_action, r.model, r.mats, r.base)
+        r.planes = planes
     assert 0 < np.abs(r.planes[row]).max() <= geometry.PLANE_ERROR
     assert not check_h1(r, fixers)
 
@@ -234,7 +243,7 @@ def test_fixture_wrong_circle_vertex_fails(realized):
                  if plane_distance(projectors(circles[i]), base[0]) > 1e-6)
     b0, b1 = circles[other]
     base[0] = math.cos(0.37) * b0 + math.sin(0.37) * b1
-    bad = Realization(va, r.model, r.config, r.mats, base)
+    bad = Realization(va, r.model, r.mats, base)
     report = full_report(bad)
     assert not report.h2
     assert not report.overall
@@ -274,7 +283,7 @@ def _pair_at_circle_intersection() -> tuple[VertexAction, Realization]:
     base[0, 3] = 1.0  # a pole; the odd elements carry it to the other, vertex 1
     base[2] = rng.standard_normal(4)  # the free orbit's representative
     base[2] /= np.linalg.norm(base[2])
-    return va, Realization(va, Model.TETRA_FULL, ModelConfig(), mats, base)
+    return va, Realization(va, Model.TETRA_FULL, mats, base)
 
 
 def test_fixture_pair_at_intersection_fails_h1():
@@ -314,7 +323,7 @@ def _moved_into(r: Realization, arc: _Arc, avoid) -> tuple[Realization, int]:
              if all(x not in pair for pair in avoid))
     base = r.base.copy()
     base[w] = arc.midpoint
-    return Realization(r.vertex_action, r.model, r.config, r.mats, base), w
+    return Realization(r.vertex_action, r.model, r.mats, base), w
 
 
 def test_check_arcs_rejects_vertex_inside(realized):
@@ -411,7 +420,7 @@ def test_planes_and_landmarks_are_read_only_and_computed_once(realized, monkeypa
     full_report on a fresh realization, and one whole verify, average the
     fixed planes of the whole matrix stack once."""
     _, r = realized[("S4", 20)]
-    fresh = Realization(r.vertex_action, r.model, r.config, r.mats, r.base)
+    fresh = Realization(r.vertex_action, r.model, r.mats, r.base)
     calls, original = [], geometry.fixed_planes
 
     def counted(group, mats):

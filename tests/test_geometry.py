@@ -706,6 +706,35 @@ def test_cell_index_equals_brute_force(realized, large_orbit_realizations, group
     assert closest_distance(r.coords) == _brute_closest(r.coords)
 
 
+@pytest.mark.parametrize("d,h,passes", [(0.5, 4.0, [1]), (1.5, 8.0, [1, 2]), (2.5, 3.0, [1, "h"])],
+                         ids=["first-pass", "later-pass", "only-at-h"])
+def test_doubling_radius_finds_the_all_pairs_closest(monkeypatch, d, h, passes):
+    """Row 0 of 100 points has its partner (and next row) h·r0 away and
+    its closest point d·r0 away, the other points far off; r0 is the
+    first radius.  The passes run at r0, 2r0, ..., and at h·r0 once the
+    radius reaches h·r0 / 2, and the answer is the all-pairs one: found
+    by the first pass, by the second, or only by the pass at h, which
+    follows the pass at r0 as 2r0 >= h·r0 / 2 and d·r0 > r0."""
+    n = 100
+    r0 = geometry._FIRST_RADIUS * (2 * math.pi ** 2 / n) ** (1 / 3)
+    points = np.zeros((n, 4))
+    points[1, 1], points[2, 0] = h * r0, d * r0
+    points[3:, 0] = 100 + 10 * np.arange(n - 3)
+    radii = []
+
+    class Recording(CellGrid):
+        def __init__(self, radius, lo, hi):
+            radii.append(radius)
+            super().__init__(radius, lo, hi)
+
+    monkeypatch.setattr(geometry, "CellGrid", Recording)
+    rows = np.array([0])
+    closest = _closest_pair(points, rows, np.array([[1]]))
+    assert closest == _brute_closest(points, rows) == np.linalg.norm(points[2])
+    cap = float(np.linalg.norm(points[1]))
+    assert radii == [cap if k == "h" else k * r0 for k in passes]
+
+
 def test_cell_index_close_free_orbits_pair():
     """The 1e-7 pair: far below the search radius, found exactly."""
     r = close_free_orbits()
@@ -879,7 +908,7 @@ def test_orbit_local_checks_read_only_the_representatives_columns(stacked_cases,
             patch.setattr(GroupAction, "image", refused)
             fresh = GroupAction(r.group, act.gen_images)
             va = dataclasses.replace(r.vertex_action, action=fresh)
-            s = Realization(va, r.model, r.config, r.mats, r.base)
+            s = Realization(va, r.model, r.mats, r.base)
             validate_realization(s)
             check_homomorphism(fresh)
             assert np.array_equal(s.coords, r.coords), m
@@ -890,7 +919,7 @@ def test_orbit_local_checks_read_only_the_representatives_columns(stacked_cases,
 
 
 def _copy(r, mats=None, base=None):
-    return Realization(r.vertex_action, r.model, r.config,
+    return Realization(r.vertex_action, r.model,
                        r.mats.copy() if mats is None else mats,
                        r.base.copy() if base is None else base)
 
